@@ -1,9 +1,10 @@
 //! CH construction: vertex contraction and the upward shortcut graph.
 
+use crate::dch::RepairScratch;
 use crate::ordering::{mde_order, OrderingStrategy, VertexOrder};
 use htsp_graph::cow::{CowStats, CowTable, DEFAULT_CHUNK};
 use htsp_graph::par::{chunk_bounds, chunk_of, WorkerPool};
-use htsp_graph::{Dist, Graph, VertexId, Weight, INF};
+use htsp_graph::{Dist, Graph, ScratchPool, VertexId, Weight, INF};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
@@ -32,8 +33,8 @@ pub enum ShortcutMode {
 ///
 /// Only the shortcut *weights* ever change after construction (weight-only
 /// update batches preserve the arc topology), so the mutable `up` table uses
-/// chunked copy-on-write storage while the order and the downward adjacency
-/// are plain shared `Arc`s: cloning a hierarchy — which every snapshot
+/// chunked copy-on-write storage while the order and the arc topology are
+/// plain shared `Arc`s: cloning a hierarchy — which every snapshot
 /// publication does transitively — costs chunk-pointer copies, and a repair
 /// that rewrites `k` shortcut arrays clones `O(k / chunk)` chunks rather than
 /// the whole table.
@@ -43,12 +44,97 @@ pub struct ContractionHierarchy {
     /// `up[v]` = (higher-ranked neighbor, shortcut weight), sorted by rank
     /// ascending. Chunk-granular copy-on-write (the only mutable component).
     up: CowTable<(VertexId, Weight)>,
-    /// `down[v]` = vertices that list `v` among their upward neighbors.
+    /// Dense arc ids and the downward adjacency, derived from `up`'s shape.
     /// Immutable after construction.
-    down: Arc<Vec<Vec<VertexId>>>,
+    arcs: Arc<ArcIndex>,
+    /// Per-arc working memory of the repair ([`crate::dch`]), shared by the
+    /// whole clone lineage: a clone copies one pointer, and the maintainer's
+    /// copy finds the buffers its previous batch left.
+    pub(crate) repair_scratch: Arc<ScratchPool<RepairScratch>>,
     mode: ShortcutMode,
     /// Number of shortcuts that do not correspond to an original edge.
     extra_shortcuts: usize,
+}
+
+/// The arc topology of a hierarchy: the shape of the upward rows, inverted.
+#[derive(Debug)]
+pub(crate) struct ArcIndex {
+    /// `row_start[v] + i` is the dense id of the arc `up[v][i]`
+    /// (`n + 1` entries; the last is the arc count).
+    pub(crate) row_start: Vec<u32>,
+    /// CSR offsets into `down_from` / `down_pos` (`n + 1` entries).
+    down_start: Vec<u32>,
+    /// Vertices that list `v` among their upward neighbors (`v`'s
+    /// *supporters*), for all `v` back to back.
+    down_from: Vec<VertexId>,
+    /// Position of `v` in the upward row of the matching `down_from` entry.
+    down_pos: Vec<u32>,
+}
+
+impl ArcIndex {
+    fn build(up: &[Vec<(VertexId, Weight)>]) -> Self {
+        let n = up.len();
+        let mut row_start = Vec::with_capacity(n + 1);
+        let mut down_start = vec![0u32; n + 1];
+        let mut arcs = 0u32;
+        for row in up {
+            row_start.push(arcs);
+            arcs += row.len() as u32;
+            for &(u, _) in row {
+                down_start[u.index() + 1] += 1;
+            }
+        }
+        row_start.push(arcs);
+        for v in 0..n {
+            down_start[v + 1] += down_start[v];
+        }
+        let mut next = down_start.clone();
+        let mut down_from = vec![VertexId(0); arcs as usize];
+        let mut down_pos = vec![0u32; arcs as usize];
+        for (x, row) in up.iter().enumerate() {
+            for (i, &(u, _)) in row.iter().enumerate() {
+                let slot = &mut next[u.index()];
+                down_from[*slot as usize] = VertexId::from_index(x);
+                down_pos[*slot as usize] = i as u32;
+                *slot += 1;
+            }
+        }
+        ArcIndex {
+            row_start,
+            down_start,
+            down_from,
+            down_pos,
+        }
+    }
+
+    fn down_range(&self, v: VertexId) -> std::ops::Range<usize> {
+        self.down_start[v.index()] as usize..self.down_start[v.index() + 1] as usize
+    }
+
+    /// The supporters of `v`, each with `v`'s position in its upward row.
+    #[inline]
+    pub(crate) fn supporters(&self, v: VertexId) -> impl Iterator<Item = (VertexId, usize)> + '_ {
+        let range = self.down_range(v);
+        self.down_from[range.clone()]
+            .iter()
+            .zip(&self.down_pos[range])
+            .map(|(&x, &pos)| (x, pos as usize))
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.row_start.capacity() + self.down_start.capacity() + self.down_pos.capacity())
+            * std::mem::size_of::<u32>()
+            + self.down_from.capacity() * std::mem::size_of::<VertexId>()
+    }
+}
+
+/// A two-hop shortcut candidate `sc(x, v) + sc(x, u)`, saturating one below
+/// "unreachable" — an arc that exists is never unreachable. The build and the
+/// repair both take their sums from here, so a repaired hierarchy equals a
+/// fresh build with the same order even when weights saturate.
+#[inline]
+pub(crate) fn shortcut_sum(a: Weight, b: Weight) -> Weight {
+    (a as u64 + b as u64).min(INF.0 as u64 - 1) as Weight
 }
 
 impl AsRef<ContractionHierarchy> for ContractionHierarchy {
@@ -175,7 +261,7 @@ impl ContractionHierarchy {
                 for i in 0..nbrs.len() {
                     let (a, wa) = nbrs[i];
                     for &(b, wb) in &nbrs[i + 1..] {
-                        let via = (wa as u64 + wb as u64).min(u32::MAX as u64 - 1) as Weight;
+                        let via = shortcut_sum(wa, wb);
                         let keep = match mode {
                             ShortcutMode::AllPairs => true,
                             ShortcutMode::WitnessPruned { hop_limit } => {
@@ -272,28 +358,15 @@ impl ContractionHierarchy {
             next_candidates.sort_unstable_by_key(|&v| order.rank(VertexId(v)));
             candidates = next_candidates;
         }
-        let mut down: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-        for (v, ups) in up.iter().enumerate() {
-            for &(u, _) in ups {
-                down[u.index()].push(VertexId::from_index(v));
-            }
-        }
-        ContractionHierarchy {
-            order: Arc::new(order),
-            up: CowTable::from_rows(up, DEFAULT_CHUNK),
-            down: Arc::new(down),
-            mode,
-            extra_shortcuts,
-        }
+        Self::from_parts(order, up, mode, extra_shortcuts)
     }
 
     /// Reassembles a hierarchy from its constituent parts without contracting
     /// anything — the warm-restart path used by the snapshot decoder
     /// ([`crate::persist`]). `up[v]` must contain only higher-ranked
     /// neighbors sorted by rank ascending (exactly what [`Self::up_arcs`]
-    /// yields); the downward adjacency is rebuilt by inversion, so a
-    /// round-tripped hierarchy is structurally identical to a freshly built
-    /// one.
+    /// yields); the arc topology is rebuilt by inversion, so a round-tripped
+    /// hierarchy is structurally identical to a freshly built one.
     pub fn from_parts(
         order: VertexOrder,
         up: Vec<Vec<(VertexId, Weight)>>,
@@ -302,16 +375,13 @@ impl ContractionHierarchy {
     ) -> Self {
         let n = order.len();
         assert_eq!(up.len(), n, "up table does not cover the order");
-        let mut down: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-        for (v, ups) in up.iter().enumerate() {
-            for &(u, _) in ups {
-                down[u.index()].push(VertexId::from_index(v));
-            }
-        }
+        let arcs = ArcIndex::build(&up);
+        let num_arcs = *arcs.row_start.last().expect("n + 1 entries") as usize;
         ContractionHierarchy {
             order: Arc::new(order),
             up: CowTable::from_rows(up, DEFAULT_CHUNK),
-            down: Arc::new(down),
+            arcs: Arc::new(arcs),
+            repair_scratch: Arc::new(ScratchPool::new(move || RepairScratch::new(n, num_arcs))),
             mode,
             extra_shortcuts,
         }
@@ -350,21 +420,21 @@ impl ContractionHierarchy {
     /// bottom-up shortcut update).
     #[inline]
     pub fn down_neighbors(&self, v: VertexId) -> &[VertexId] {
-        &self.down[v.index()]
+        &self.arcs.down_from[self.arcs.down_range(v)]
     }
 
     /// Current weight of the upward shortcut from `v` to `u`, if present.
     pub fn shortcut_weight(&self, v: VertexId, u: VertexId) -> Option<Weight> {
-        self.up[v.index()]
-            .iter()
-            .find(|&&(x, _)| x == u)
-            .map(|&(_, w)| w)
+        let row = self.up_arcs(v);
+        arc_position(&self.order, row, u).map(|i| row[i].1)
     }
 
-    /// Mutable access used by the dynamic-update module (chunk-granular
-    /// copy-on-write: clones `v`'s chunk if a snapshot still shares it).
-    pub(crate) fn up_arcs_mut(&mut self, v: VertexId) -> &mut Vec<(VertexId, Weight)> {
-        self.up.make_mut(v.index())
+    /// Everything the repair works on, borrowed apart: the order, the arc
+    /// topology and the (copy-on-write) shortcut table.
+    pub(crate) fn repair_parts(
+        &mut self,
+    ) -> (&VertexOrder, &ArcIndex, &mut CowTable<(VertexId, Weight)>) {
+        (&self.order, &self.arcs, &mut self.up)
     }
 
     /// Total number of upward arcs (original edges + shortcuts).
@@ -384,17 +454,12 @@ impl ContractionHierarchy {
             + self.num_vertices() * std::mem::size_of::<u32>()
     }
 
-    /// Measured heap footprint: shortcut-table chunks, downward adjacency,
-    /// and both rank arrays of the order.
+    /// Measured heap footprint: shortcut-table chunks, arc topology (arc ids
+    /// and downward adjacency), and both rank arrays of the order. The
+    /// repair's working memory belongs to the lineage, not to this handle.
     pub fn heap_bytes(&self) -> usize {
-        let down_bytes = self.down.capacity() * std::mem::size_of::<Vec<VertexId>>()
-            + self
-                .down
-                .iter()
-                .map(|d| d.capacity() * std::mem::size_of::<VertexId>())
-                .sum::<usize>();
         self.up.heap_bytes()
-            + down_bytes
+            + self.arcs.heap_bytes()
             + self.order.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<VertexId>())
     }
 
@@ -403,6 +468,19 @@ impl ContractionHierarchy {
     pub fn distance(&self, s: VertexId, t: VertexId) -> Dist {
         crate::query::ChQuery::new(self.num_vertices()).distance(self, s, t)
     }
+}
+
+/// Position of `u` in a rank-sorted upward row (or a tail of one), by binary
+/// search on the rank.
+#[inline]
+pub(crate) fn arc_position(
+    order: &VertexOrder,
+    row: &[(VertexId, Weight)],
+    u: VertexId,
+) -> Option<usize> {
+    let rank_u = order.rank(u);
+    row.binary_search_by_key(&rank_u, |&(y, _)| order.rank(y))
+        .ok()
 }
 
 /// What the compute phase produces for one eliminated vertex: its
@@ -622,6 +700,24 @@ mod tests {
                 .shortcut_weight(lo, hi)
                 .expect("edge must be an upward arc");
             assert!(sc <= w);
+        }
+    }
+
+    #[test]
+    fn shortcut_weight_agrees_with_a_row_scan() {
+        let g = random_geometric(150, 3, WeightRange::new(1, 50), 29);
+        let ch =
+            ContractionHierarchy::build(&g, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
+        for v in g.vertices() {
+            for &(u, w) in ch.up_arcs(v) {
+                assert_eq!(ch.shortcut_weight(v, u), Some(w));
+                // The arc is stored at the lower endpoint only.
+                assert_eq!(ch.shortcut_weight(u, v), None);
+            }
+            for u in g.vertices() {
+                let scanned = ch.up_arcs(v).iter().find(|a| a.0 == u).map(|a| a.1);
+                assert_eq!(ch.shortcut_weight(v, u), scanned, "{v} -> {u}");
+            }
         }
     }
 

@@ -23,13 +23,12 @@ use htsp_ch::{ChQuery, ChQuerySession};
 use htsp_graph::cow::{CowStats, CowTable, DEFAULT_CHUNK};
 use htsp_graph::{
     Dist, FallbackSession, Graph, IndexMaintainer, QuerySession, QueryView, ScratchPool,
-    SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, INF,
+    SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, Weight, WorkerPool, INF,
 };
 use htsp_partition::{td_partition, TdPartition, TdPartitionConfig};
 use htsp_search::{BiDijkstra, BiDijkstraSession};
-use htsp_td::{H2HIndex, TreeDecomposition};
-use rustc_hash::FxHashMap;
-use std::sync::{Arc, Mutex};
+use htsp_td::{bag_by_depth, fold_label, min_plus, repair_labels, H2HIndex, TreeDecomposition};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// PostMHL construction parameters (the `τ`, `k_e`, `β_l`, `β_u` of
@@ -332,17 +331,13 @@ impl PostMhl {
     /// Builds PostMHL (Algorithm 4): MDE tree decomposition, TD-partitioning,
     /// overlay / post-boundary / cross-boundary indexes.
     pub fn build(graph: &Graph, config: PostMhlConfig) -> Self {
-        Self::build_pooled(graph, config, &htsp_graph::WorkerPool::sequential())
+        Self::build_pooled(graph, config, &WorkerPool::sequential())
     }
 
     /// Builds the index with the dominant H2H construction and the boundary
     /// array fill computed on `pool`. Bit-identical to [`PostMhl::build`] at
     /// any thread count.
-    pub fn build_pooled(
-        graph: &Graph,
-        config: PostMhlConfig,
-        pool: &htsp_graph::WorkerPool,
-    ) -> Self {
+    pub fn build_pooled(graph: &Graph, config: PostMhlConfig, pool: &WorkerPool) -> Self {
         let h2h = H2HIndex::build_pooled(graph, pool);
         let (td, dis) = h2h.into_parts();
         let tdp = td_partition(&td, &config.partitioning);
@@ -438,96 +433,17 @@ impl PostMhl {
             parts,
         })
     }
-
-    /// Overlay distance between two overlay vertices (valid as soon as the
-    /// overlay labels are updated).
-    fn overlay_distance(&self, a: VertexId, b: VertexId) -> Dist {
-        h2h_distance(&self.td, &self.dis, a, b)
-    }
-
-    /// Recomputes the labels of the overlay vertices affected by the shortcut
-    /// changes (U-Stage 3). Returns a flag per vertex telling whether any
-    /// ancestor's label (or its own) changed — consumed by the partition
-    /// stages to decide which partitions to repair.
-    fn update_overlay_labels(&mut self, sc_changed: &[bool]) -> Vec<bool> {
-        let n = self.td.num_vertices();
-        // anc_or_self_changed[v] = some label on the root path down to and
-        // including v changed in this round.
-        let mut anc_or_self_changed = vec![false; n];
-        let topdown: Vec<VertexId> = self.td.topdown_order().to_vec();
-        let mut path_cache: Vec<VertexId> = Vec::new();
-        let td = Arc::clone(&self.td);
-        let tdp = Arc::clone(&self.tdp);
-        for v in topdown {
-            if tdp.partition_of(v).is_some() {
-                continue; // partition subtrees are handled in U-Stages 4-5
-            }
-            let parent_changed = td
-                .parent(v)
-                .map(|p| anc_or_self_changed[p.index()])
-                .unwrap_or(false);
-            let need = parent_changed || sc_changed[v.index()];
-            let mut self_changed = false;
-            if need {
-                path_cache.clear();
-                path_cache.extend(td.ancestors(v));
-                let new_label = compute_full_label(&td, &self.dis, v, &path_cache);
-                if new_label[..] != *self.dis.row(v.index()) {
-                    // Chunk-granular write: clones at most v's chunk.
-                    *self.dis.make_mut(v.index()) = new_label;
-                    self_changed = true;
-                }
-            }
-            anc_or_self_changed[v.index()] = parent_changed || self_changed;
-        }
-        anc_or_self_changed
-    }
 }
 
-/// Recomputes the full distance array of `v` from its bag and the labels of
-/// its ancestors (identical to the H2H minimum-distance recurrence).
-fn compute_full_label(
-    td: &TreeDecomposition,
-    dis: &CowTable<Dist>,
-    v: VertexId,
-    path: &[VertexId],
-) -> Vec<Dist> {
-    let depth_v = td.depth(v) as usize;
-    let mut label = vec![INF; depth_v + 1];
-    label[depth_v] = Dist::ZERO;
-    for (d, &a) in path.iter().enumerate() {
-        let mut best = INF;
-        for &(u, w) in td.bag(v) {
-            let du = td.depth(u) as usize;
-            let rest = if du == d {
-                Dist::ZERO
-            } else if d < du {
-                dis.row(u.index())[d]
-            } else {
-                dis.row(a.index())[du]
-            };
-            let cand = rest.saturating_add_weight(w);
-            if cand < best {
-                best = cand;
-            }
-        }
-        label[d] = best;
-    }
-    label
-}
-
-/// Output of one partition's post-boundary pass: the new `disB` rows and the
-/// new in-partition segments (depth ≥ root depth) of the `dis` rows.
+/// Output of one partition's post-boundary pass, rows back to back in the
+/// order of [`TdPartition::vertices`]: the new `disB` rows (one per member,
+/// boundary-size entries each) and the new in-partition segments (depth ≥
+/// root depth) of the `dis` rows.
 struct PostPassResult {
-    partition: usize,
-    /// `(vertex, new disB row, new in-partition dis segment)`.
-    rows: Vec<(VertexId, Vec<Dist>, Vec<Dist>)>,
-}
-
-/// Output of one partition's cross-boundary pass: the new overlay segments
-/// (depth < root depth) of the `dis` rows.
-struct CrossPassResult {
-    rows: Vec<(VertexId, Vec<Dist>)>,
+    disb: Vec<Dist>,
+    seg: Vec<Dist>,
+    /// `seg[seg_start[i]..seg_start[i + 1]]` is member `i`'s segment.
+    seg_start: Vec<usize>,
 }
 
 impl IndexMaintainer for PostMhl {
@@ -545,7 +461,7 @@ impl IndexMaintainer for PostMhl {
         batch: &UpdateBatch,
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
-        let threads = self.config.num_threads.max(1);
+        let pool = WorkerPool::new(self.config.num_threads);
         let mut timeline = UpdateTimeline::default();
         // Per-stage clone telemetry: every publication carries the chunks /
         // bytes the stage actually copy-on-wrote (the `since` delta of the
@@ -576,71 +492,56 @@ impl IndexMaintainer for PostMhl {
         publish(self, PostMhlStage::Pch, publisher);
         timeline.push("U2: shortcut array update", t1.elapsed());
 
-        let n = self.td.num_vertices();
-        let mut sc_changed = vec![false; n];
-        for c in &changes {
-            sc_changed[c.from.index()] = true;
-        }
-
         // U-Stage 3: overlay label update. (No new query stage: the overlay
         // labels alone cannot answer arbitrary queries, so nothing is
-        // published until the post-boundary stage completes.)
+        // published until the post-boundary stage completes.) A partition
+        // must be repaired if a shortcut array of one of its members changed
+        // or a label above its root did: the repair walks the overlay top
+        // down and stops at the partition roots it reaches.
         let t2 = Instant::now();
-        let anc_changed = self.update_overlay_labels(&sc_changed);
-        timeline.push("U3: overlay index update", t2.elapsed());
-
-        // Determine the affected partitions: a partition must be repaired if
-        // any of its members' shortcuts changed, or if any ancestor of its
-        // root (all overlay vertices, including its boundary set) changed.
-        let mut affected: Vec<usize> = Vec::new();
-        for pi in 0..self.tdp.num_partitions() {
-            let root = self.tdp.roots()[pi];
-            let root_parent_changed = self
-                .td
-                .parent(root)
-                .map(|p| anc_changed[p.index()])
-                .unwrap_or(false);
-            let member_sc_changed = self.tdp.vertices(pi).iter().any(|&v| sc_changed[v.index()]);
-            if root_parent_changed || member_sc_changed {
-                affected.push(pi);
+        let mut is_affected = vec![false; self.tdp.num_partitions()];
+        let mut overlay_changed = Vec::new();
+        for c in &changes {
+            match self.tdp.partition_of(c.from) {
+                Some(pi) => is_affected[pi] = true,
+                None => overlay_changed.push(c.from),
             }
         }
+        let tdp = &self.tdp;
+        repair_labels(&self.td, &mut self.dis, overlay_changed, |c| {
+            match tdp.partition_of(c) {
+                Some(pi) => {
+                    is_affected[pi] = true;
+                    false
+                }
+                None => true,
+            }
+        });
+        timeline.push("U3: overlay index update", t2.elapsed());
+        let affected: Vec<usize> = (0..is_affected.len())
+            .filter(|&pi| is_affected[pi])
+            .collect();
 
         // U-Stage 4: post-boundary update (disB + in-partition label entries),
-        // one thread per affected partition.
+        // the affected partitions shared out over the worker threads.
         let t3 = Instant::now();
-        let post_results: Mutex<Vec<PostPassResult>> = Mutex::new(Vec::new());
-        {
-            let this = &*self;
-            let post_results_ref = &post_results;
-            let chunk = affected.len().div_ceil(threads).max(1);
-            std::thread::scope(|scope| {
-                for chunk_parts in affected.chunks(chunk) {
-                    scope.spawn(move || {
-                        for &pi in chunk_parts {
-                            let res = this.post_boundary_pass(pi);
-                            post_results_ref.lock().unwrap().push(res);
-                        }
-                    });
+        let post_results = pool.run("postmhl_u4", affected.len(), |k| {
+            self.post_boundary_pass(affected[k])
+        });
+        for (&pi, res) in affected.iter().zip(post_results) {
+            let root_depth = self.td.depth(self.tdp.roots()[pi]) as usize;
+            let nb = self.tdp.boundary(pi).len();
+            for (i, &v) in self.tdp.vertices(pi).iter().enumerate() {
+                // Write only rows whose values actually moved, so the
+                // copy-on-write clone volume tracks the *changed* label
+                // set, not the recomputed one.
+                let new_disb = &res.disb[i * nb..(i + 1) * nb];
+                if self.disb.row(v.index()) != new_disb {
+                    self.disb.make_mut(v.index()).copy_from_slice(new_disb);
                 }
-            });
-        }
-        {
-            let td = Arc::clone(&self.td);
-            let tdp = Arc::clone(&self.tdp);
-            for res in post_results.into_inner().unwrap() {
-                let root_depth = td.depth(tdp.roots()[res.partition]) as usize;
-                for (v, new_disb, new_seg) in res.rows {
-                    // Write only rows whose values actually moved, so the
-                    // copy-on-write clone volume tracks the *changed* label
-                    // set, not the recomputed one.
-                    if *self.disb.row(v.index()) != new_disb[..] {
-                        *self.disb.make_mut(v.index()) = new_disb;
-                    }
-                    if self.dis.row(v.index())[root_depth..] != new_seg[..] {
-                        let row = self.dis.make_mut(v.index());
-                        row[root_depth..].copy_from_slice(&new_seg);
-                    }
+                let new_seg = &res.seg[res.seg_start[i]..res.seg_start[i + 1]];
+                if self.dis.row(v.index())[root_depth..] != *new_seg {
+                    self.dis.make_mut(v.index())[root_depth..].copy_from_slice(new_seg);
                 }
             }
         }
@@ -649,30 +550,18 @@ impl IndexMaintainer for PostMhl {
         timeline.push("U4: post-boundary index update", t3.elapsed());
 
         // U-Stage 5: cross-boundary update (overlay-ancestor label entries),
-        // one thread per affected partition.
+        // shared out the same way.
         let t4 = Instant::now();
-        let cross_results: Mutex<Vec<CrossPassResult>> = Mutex::new(Vec::new());
-        {
-            let this = &*self;
-            let cross_results_ref = &cross_results;
-            let chunk = affected.len().div_ceil(threads).max(1);
-            std::thread::scope(|scope| {
-                for chunk_parts in affected.chunks(chunk) {
-                    scope.spawn(move || {
-                        for &pi in chunk_parts {
-                            let res = this.cross_boundary_pass(pi);
-                            cross_results_ref.lock().unwrap().push(res);
-                        }
-                    });
-                }
-            });
-        }
-        for res in cross_results.into_inner().unwrap() {
-            for (v, new_seg) in res.rows {
+        let cross_results = pool.run("postmhl_u5", affected.len(), |k| {
+            self.cross_boundary_pass(affected[k])
+        });
+        for (&pi, prefix) in affected.iter().zip(cross_results) {
+            let root_depth = self.td.depth(self.tdp.roots()[pi]) as usize;
+            for (i, &v) in self.tdp.vertices(pi).iter().enumerate() {
                 // Same changed-rows-only policy as the post-boundary merge.
-                if self.dis.row(v.index())[..new_seg.len()] != new_seg[..] {
-                    let row = self.dis.make_mut(v.index());
-                    row[..new_seg.len()].copy_from_slice(&new_seg);
+                let new_prefix = &prefix[i * root_depth..(i + 1) * root_depth];
+                if self.dis.row(v.index())[..root_depth] != *new_prefix {
+                    self.dis.make_mut(v.index())[..root_depth].copy_from_slice(new_prefix);
                 }
             }
         }
@@ -702,164 +591,144 @@ impl PostMhl {
     /// Reads the *current* overlay labels and the rows it has itself produced;
     /// never reads another partition's rows.
     fn post_boundary_pass(&self, pi: usize) -> PostPassResult {
-        let root = self.tdp.roots()[pi];
-        let root_depth = self.td.depth(root) as usize;
+        let td = &*self.td;
+        let root_depth = td.depth(self.tdp.roots()[pi]) as usize;
         let boundary = self.tdp.boundary(pi);
         let nb = boundary.len();
         // D: all-pair boundary distances from the (already updated) overlay.
-        let mut d_matrix = vec![vec![Dist::ZERO; nb]; nb];
-        for i in 0..nb {
-            for j in (i + 1)..nb {
-                let d = self.overlay_distance(boundary[i], boundary[j]);
-                d_matrix[i][j] = d;
-                d_matrix[j][i] = d;
+        // The boundary vertices are the root's bag: ancestors of one another,
+        // deepest first, so each distance is one label entry.
+        let mut d_matrix = vec![Dist::ZERO; nb * nb];
+        for (i, &b) in boundary.iter().enumerate() {
+            let row = self.dis.row(b.index());
+            for (j, &shallower) in boundary.iter().enumerate().skip(i + 1) {
+                let d = row[td.depth(shallower) as usize];
+                d_matrix[i * nb + j] = d;
+                d_matrix[j * nb + i] = d;
             }
         }
-        let b_pos: FxHashMap<VertexId, usize> =
-            boundary.iter().enumerate().map(|(j, &b)| (b, j)).collect();
 
-        // Subtree members in top-down order (parents before children).
-        let members = self.subtree_topdown(root);
-        let mut new_disb: FxHashMap<u32, Vec<Dist>> = FxHashMap::default();
-        let mut new_seg: FxHashMap<u32, Vec<Dist>> = FxHashMap::default();
-        let mut rows = Vec::with_capacity(members.len());
-        for &v in &members {
-            let depth_v = self.td.depth(v) as usize;
-            let bag = self.td.bag(v);
-            // Boundary array.
-            let mut disb_row = vec![INF; nb];
-            for (j, row) in disb_row.iter_mut().enumerate() {
-                let mut best = INF;
-                for &(u, w) in bag {
-                    let rest = match b_pos.get(&u) {
-                        Some(&k) => d_matrix[k][j],
-                        None => {
-                            if self.tdp.partition_of(u) == Some(pi) {
-                                // In-partition ancestor: read its new disB row.
-                                match new_disb.get(&u.0) {
-                                    Some(r) => r[j],
-                                    None => self.disb.row(u.index())[j],
-                                }
-                            } else {
-                                // Overlay ancestor outside B_i: go through the
-                                // overlay (its distance to the boundary vertex).
-                                self.overlay_distance(u, boundary[j])
-                            }
-                        }
-                    };
-                    let cand = rest.saturating_add_weight(w);
-                    if cand < best {
-                        best = cand;
+        let members = self.tdp.vertices(pi);
+        let mut disb = vec![INF; members.len() * nb];
+        let mut seg: Vec<Dist> = Vec::new();
+        let mut seg_start = Vec::with_capacity(members.len() + 1);
+        // `path[d - root_depth]` = member index of the current vertex's
+        // ancestor at depth `d` (the members come in depth-first preorder).
+        let mut path: Vec<usize> = Vec::new();
+        let mut bag_inside: Vec<(u32, Weight)> = Vec::new();
+        let mut bag_boundary: Vec<(usize, Weight)> = Vec::new();
+        for (i, &v) in members.iter().enumerate() {
+            let depth_v = td.depth(v) as usize;
+            path.truncate(depth_v - root_depth);
+            debug_assert_eq!(
+                path.last().map(|&p| members[p]),
+                td.parent(v).filter(|_| i > 0)
+            );
+            // The bag, deepest first: in-partition ancestors, then boundary
+            // vertices (a subsequence of the root's bag).
+            bag_inside.clear();
+            bag_boundary.clear();
+            let mut k = 0;
+            for &(u, w) in td.bag(v) {
+                let du = td.depth(u);
+                if du as usize >= root_depth {
+                    bag_inside.push((du, w));
+                } else {
+                    while boundary[k] != u {
+                        k += 1;
+                    }
+                    bag_boundary.push((k, w));
+                }
+            }
+
+            // Boundary array: through an in-partition neighbor's (new) disB
+            // row, or through a boundary neighbor's row of D.
+            let (done, rest) = disb.split_at_mut(i * nb);
+            let disb_row = &mut rest[..nb];
+            for &(du, w) in &bag_inside {
+                let p = path[du as usize - root_depth];
+                min_plus(disb_row, &done[p * nb..(p + 1) * nb], w);
+            }
+            for &(k, w) in &bag_boundary {
+                min_plus(disb_row, &d_matrix[k * nb..(k + 1) * nb], w);
+            }
+
+            // In-partition ancestor entries (depths root_depth .. depth_v):
+            // the label recurrence over the in-partition neighbors, plus, for
+            // a boundary neighbor, the ancestor's own (new) disB entry.
+            seg_start.push(seg.len());
+            seg.resize(seg.len() + depth_v + 1 - root_depth, Dist::ZERO); // d(v, v) last
+            let (done_seg, rest) = seg.split_at_mut(seg_start[i]);
+            let label = &mut rest[..depth_v - root_depth];
+            fold_label(
+                &bag_inside,
+                root_depth,
+                |d| {
+                    let p = path[d - root_depth];
+                    &done_seg[seg_start[p]..seg_start[p + 1]]
+                },
+                label,
+            );
+            for (entry, &p) in label.iter_mut().zip(&path) {
+                let via = &done[p * nb..(p + 1) * nb];
+                for &(k, w) in &bag_boundary {
+                    let cand = via[k].saturating_add_weight(w);
+                    if cand < *entry {
+                        *entry = cand;
                     }
                 }
-                *row = best;
             }
-            // In-partition ancestor entries (depths root_depth .. depth_v).
-            let anc = self.td.ancestors(v);
-            let mut seg = vec![INF; depth_v + 1 - root_depth];
-            *seg.last_mut().unwrap() = Dist::ZERO; // d(v, v)
-            for d in root_depth..depth_v {
-                let a = anc[d];
-                let mut best = INF;
-                for &(u, w) in bag {
-                    let du = self.td.depth(u) as usize;
-                    let rest = if let Some(&k) = b_pos.get(&u) {
-                        // Overlay neighbor: distance from the in-partition
-                        // ancestor `a` to that boundary vertex, via disB.
-                        match new_disb.get(&a.0) {
-                            Some(r) => r[k],
-                            None => self.disb.row(a.index())[k],
-                        }
-                    } else if self.tdp.partition_of(u) != Some(pi) {
-                        self.overlay_distance(u, a)
-                    } else if du == d {
-                        Dist::ZERO
-                    } else if d < du {
-                        // `a` is an ancestor of `u`: u's in-partition entry.
-                        match new_seg.get(&u.0) {
-                            Some(r) => r[d - root_depth],
-                            None => self.dis.row(u.index())[d],
-                        }
-                    } else {
-                        // `u` is an ancestor of `a`: a's in-partition entry.
-                        match new_seg.get(&a.0) {
-                            Some(r) => r[du - root_depth],
-                            None => self.dis.row(a.index())[du],
-                        }
-                    };
-                    let cand = rest.saturating_add_weight(w);
-                    if cand < best {
-                        best = cand;
-                    }
-                }
-                seg[d - root_depth] = best;
-            }
-            new_disb.insert(v.0, disb_row.clone());
-            new_seg.insert(v.0, seg.clone());
-            rows.push((v, disb_row, seg));
+            path.push(i);
         }
+        seg_start.push(seg.len());
         PostPassResult {
-            partition: pi,
-            rows,
+            disb,
+            seg,
+            seg_start,
         }
     }
 
     /// Cross-boundary pass over one partition subtree: recomputes the label
-    /// entries towards the overlay ancestors (depths `0 .. root_depth`).
-    fn cross_boundary_pass(&self, pi: usize) -> CrossPassResult {
+    /// entries towards the overlay ancestors (depths `0 .. root_depth`, so
+    /// root-depth entries per member), returned back to back in the order of
+    /// [`TdPartition::vertices`].
+    fn cross_boundary_pass(&self, pi: usize) -> Vec<Dist> {
+        let td = &*self.td;
         let root = self.tdp.roots()[pi];
-        let root_depth = self.td.depth(root) as usize;
-        let members = self.subtree_topdown(root);
-        let mut new_prefix: FxHashMap<u32, Vec<Dist>> = FxHashMap::default();
-        let mut rows = Vec::with_capacity(members.len());
-        for &v in &members {
-            let bag = self.td.bag(v);
-            let anc = self.td.ancestors(v);
-            let mut prefix = vec![INF; root_depth];
-            for (d, slot) in prefix.iter_mut().enumerate() {
-                let a = anc[d];
-                let mut best = INF;
-                for &(u, w) in bag {
-                    let du = self.td.depth(u) as usize;
-                    let rest = if self.tdp.partition_of(u) == Some(pi) {
-                        // In-partition neighbor: its (new) cross entry at depth d.
-                        match new_prefix.get(&u.0) {
-                            Some(r) => r[d],
-                            None => self.dis.row(u.index())[d],
-                        }
-                    } else if du == d {
-                        Dist::ZERO
-                    } else if d < du {
-                        self.dis.row(u.index())[d]
-                    } else {
-                        self.dis.row(a.index())[du]
-                    };
-                    let cand = rest.saturating_add_weight(w);
-                    if cand < best {
-                        best = cand;
+        let root_depth = td.depth(root) as usize;
+        // The (repaired) labels of the overlay ancestors by depth, shared by
+        // every member.
+        let above: Vec<&[Dist]> = td
+            .ancestors(root)
+            .iter()
+            .map(|a| self.dis.row(a.index()))
+            .collect();
+        let members = self.tdp.vertices(pi);
+        let mut prefix = vec![INF; members.len() * root_depth];
+        // As in the post-boundary pass.
+        let mut path: Vec<usize> = Vec::new();
+        let mut bag = Vec::new();
+        for (i, &v) in members.iter().enumerate() {
+            path.truncate(td.depth(v) as usize - root_depth);
+            bag_by_depth(td, v, &mut bag);
+            let (done, rest) = prefix.split_at_mut(i * root_depth);
+            // An in-partition ancestor's row is its (new) cross entries, an
+            // overlay ancestor's its repaired label.
+            fold_label(
+                &bag,
+                0,
+                |d| match d.checked_sub(root_depth) {
+                    Some(below) => {
+                        let p = path[below];
+                        &done[p * root_depth..(p + 1) * root_depth]
                     }
-                }
-                *slot = best;
-            }
-            new_prefix.insert(v.0, prefix.clone());
-            rows.push((v, prefix));
+                    None => above[d],
+                },
+                &mut rest[..root_depth],
+            );
+            path.push(i);
         }
-        CrossPassResult { rows }
-    }
-
-    /// The vertices of `root`'s subtree in an order where parents precede
-    /// children.
-    fn subtree_topdown(&self, root: VertexId) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(root);
-        while let Some(v) = queue.pop_front() {
-            out.push(v);
-            for &c in self.td.children(v) {
-                queue.push_back(c);
-            }
-        }
-        out
+        prefix
     }
 }
 
@@ -961,5 +830,28 @@ mod tests {
         let small = PostMhl::build(&g, config(16, 6, 1));
         let large = PostMhl::build(&g, config(16, 24, 1));
         assert!(large.num_overlay_vertices() <= small.num_overlay_vertices());
+    }
+
+    /// `cargo test --release -p htsp-core -- --ignored --nocapture grid128`
+    #[test]
+    #[ignore = "128x128 grid: minutes in a debug build"]
+    fn repair_time_follows_the_batch_size_on_grid128() {
+        use htsp_graph::gen::grid_with_diagonals;
+        let mut g = grid_with_diagonals(128, 128, WeightRange::new(1, 100), 0.1, 42);
+        // The benchmark's index: `BuildParams::new(8, 2)`.
+        let mut idx = PostMhl::build(&g, config(32, 16, 2));
+        for size in [10usize, 200] {
+            let mut gen = UpdateGenerator::new(size as u64);
+            let batch = gen.generate(&g, size);
+            g.apply_batch(&batch);
+            let publisher = SnapshotPublisher::new(idx.current_view());
+            let t = Instant::now();
+            let timeline = idx.apply_batch(&g, &batch, &publisher);
+            println!("grid128 |U| = {size}: PostMHL repair {:?}", t.elapsed());
+            for stage in &timeline.stages {
+                println!("    {:<34} {:?}", stage.name, stage.duration);
+            }
+            check_all_stages(&idx, &g, 40, size as u64);
+        }
     }
 }

@@ -96,14 +96,8 @@ impl Dist {
     /// overflow also clamp to `INF`.
     #[inline]
     pub fn saturating_add(self, other: Dist) -> Dist {
-        if self.is_inf() || other.is_inf() {
-            INF
-        } else {
-            match self.0.checked_add(other.0) {
-                Some(v) if v != u32::MAX => Dist(v),
-                _ => INF,
-            }
-        }
+        // `INF` is `u32::MAX`, so the integer saturation is the sentinel's.
+        Dist(self.0.saturating_add(other.0))
     }
 
     /// Adds a raw weight with the same saturating semantics.

@@ -48,7 +48,8 @@ pub struct TdPartition {
     roots: Vec<VertexId>,
     /// `partition_of[v]` = partition id, or `None` if `v` is an overlay vertex.
     partition_of: Vec<Option<u32>>,
-    /// Vertices of each partition (the root and its descendants).
+    /// Vertices of each partition (the root and its descendants), in
+    /// depth-first preorder.
     vertices: Vec<Vec<VertexId>>,
     /// Boundary vertices `B_i` of each partition (= the root's bag members).
     boundaries: Vec<Vec<VertexId>>,
@@ -79,7 +80,10 @@ impl TdPartition {
         self.partition_of[v.index()].is_none()
     }
 
-    /// In-partition vertices of partition `i` (root and descendants).
+    /// In-partition vertices of partition `i` (root and descendants), in a
+    /// depth-first preorder of the root's subtree: every member follows its
+    /// parent and every subtree is contiguous. PostMHL's partition passes
+    /// rely on the order to keep their per-member rows by position.
     pub fn vertices(&self, i: usize) -> &[VertexId] {
         &self.vertices[i]
     }

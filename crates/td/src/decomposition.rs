@@ -207,13 +207,26 @@ impl TreeDecomposition {
     /// Returns the ancestors of `v` from the root down to its parent.
     pub fn ancestors(&self, v: VertexId) -> Vec<VertexId> {
         let mut path = Vec::with_capacity(self.depth(v) as usize);
+        self.ancestors_into(v, &mut path);
+        path
+    }
+
+    /// [`Self::ancestors`] into a caller-owned buffer (cleared first).
+    pub fn ancestors_into(&self, v: VertexId, path: &mut Vec<VertexId>) {
+        path.clear();
         let mut cur = self.parent(v);
         while let Some(p) = cur {
             path.push(p);
             cur = self.parent(p);
         }
         path.reverse();
-        path
+    }
+
+    /// Position of `v` in a depth-first preorder of the forest: every vertex
+    /// sorts before its descendants, and a subtree is a contiguous run.
+    #[inline]
+    pub fn preorder(&self, v: VertexId) -> usize {
+        self.shape.lca.first_visit(v)
     }
 
     /// Tree height: `max depth + 1` (the `h` of Theorem 5).

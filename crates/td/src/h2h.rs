@@ -14,7 +14,7 @@ use crate::decomposition::TreeDecomposition;
 use htsp_ch::{ContractionHierarchy, ShortcutMode};
 use htsp_graph::cow::{CowStats, CowTable, RowRead, DEFAULT_CHUNK};
 use htsp_graph::par::WorkerPool;
-use htsp_graph::{ByteReader, ByteWriter, Dist, Graph, SnapshotError, VertexId, INF};
+use htsp_graph::{ByteReader, ByteWriter, Dist, Graph, SnapshotError, VertexId, Weight, INF};
 
 /// The H2H index: a tree decomposition plus per-node distance arrays.
 ///
@@ -71,7 +71,9 @@ impl H2HIndex {
             // Compute phase: read-only against the filled shallower levels.
             let rows: Vec<Vec<Dist>> = pool.run("h2h_level", level.len(), |i| {
                 let v = level[i];
-                compute_label(&td, &dis, v, &td.ancestors(v))
+                let (mut bag, mut label) = (Vec::new(), Vec::new());
+                full_label(&td, &dis, v, &td.ancestors(v), &mut bag, &mut label);
+                label
             });
             // Write phase: the level's rows, disjoint by construction. Both
             // sides are in ascending row-index order, so they zip exactly.
@@ -256,45 +258,99 @@ impl H2HIndex {
     }
 }
 
-/// Computes the distance array of `v` given the labels of all its ancestors.
+/// `dst[i] = min(dst[i], src[i] + w)` over the common length: one bag member's
+/// contribution to a label row, as two contiguous slices.
+#[inline]
+pub fn min_plus(dst: &mut [Dist], src: &[Dist], w: Weight) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        let cand = s.saturating_add_weight(w);
+        if cand < *d {
+            *d = cand;
+        }
+    }
+}
+
+/// Gathers `(depth, shortcut weight)` of `v`'s bag members into `out`,
+/// deepest first (bag members are ancestors in rank order).
+pub fn bag_by_depth(td: &TreeDecomposition, v: VertexId, out: &mut Vec<(u32, Weight)>) {
+    out.clear();
+    out.extend(td.bag(v).iter().map(|&(u, w)| (td.depth(u), w)));
+}
+
+/// The H2H minimum-distance recurrence for one tree node, row by row:
 ///
-/// `path` is the root-to-parent ancestor list of `v` (so `path[d]` is the
-/// ancestor at depth `d`). Generic over the label storage ([`RowRead`]) so
-/// it serves both the build pass (plain rows under construction) and the
-/// maintenance pass (the frozen [`CowTable`]).
-pub(crate) fn compute_label<R: RowRead<Dist> + ?Sized>(
-    td: &TreeDecomposition,
-    dis: &R,
-    v: VertexId,
-    path: &[VertexId],
-) -> Vec<Dist> {
-    let depth_v = td.depth(v) as usize;
-    debug_assert_eq!(path.len(), depth_v);
-    let mut label = vec![INF; depth_v + 1];
-    label[depth_v] = Dist::ZERO;
-    let bag = td.bag(v);
-    for (d, &a) in path.iter().enumerate() {
-        let mut best = INF;
-        for &(u, w) in bag {
-            let du = td.depth(u) as usize;
-            let rest = if du == d {
-                // a == u
-                Dist::ZERO
-            } else if d < du {
-                // a is an ancestor of u: read u's label.
-                dis.row(u.index())[d]
-            } else {
-                // u is an ancestor of a: read a's label at u's depth.
-                dis.row(a.index())[du]
-            };
-            let cand = rest.saturating_add_weight(w);
+/// ```text
+/// label[d] = min over bag members (u, w) of  w + dist(u, ancestor at depth d)
+/// ```
+///
+/// over the depth window `lo .. lo + label.len()`, which must end at or above
+/// the node's own depth. `bag` holds `(depth, weight)` of the bag members at
+/// depth `>= lo`, deepest first ([`bag_by_depth`]). `anc_row(d)` is the label
+/// row of the node's ancestor at depth `d`, windowed like `label` (entry `i`
+/// is the distance to the ancestor at depth `lo + i`, up to the row owner's
+/// self-distance 0); it is asked for the bag members' depths and for every
+/// window depth below the shallowest of them.
+///
+/// Each bag member `u` first contributes its own row (the entries towards
+/// `u`'s ancestors and `u` itself); the entries towards an ancestor `a` below
+/// `u` read `a`'s row at `u`'s depth, one row per `a`. This is the one label
+/// kernel of the repository: the H2H build, DH2H's top-down repair and
+/// PostMHL's overlay, post-boundary and cross-boundary stages all fold their
+/// rows through it.
+pub fn fold_label<'a>(
+    bag: &[(u32, Weight)],
+    lo: usize,
+    anc_row: impl Fn(usize) -> &'a [Dist],
+    label: &mut [Dist],
+) {
+    label.fill(INF);
+    let hi = lo + label.len();
+    for &(du, w) in bag {
+        let du = du as usize;
+        let len = (du + 1).min(hi) - lo;
+        min_plus(&mut label[..len], &anc_row(du)[..len], w);
+    }
+    let Some(&(shallowest, _)) = bag.last() else {
+        return;
+    };
+    // Ancestors from the deepest up: the bag members above `d` are a
+    // shrinking suffix of the bag.
+    let mut above = 0;
+    for d in (shallowest as usize + 1..hi).rev() {
+        while bag[above].0 as usize >= d {
+            above += 1;
+        }
+        let row = anc_row(d);
+        let mut best = label[d - lo];
+        for &(du, w) in &bag[above..] {
+            let cand = row[du as usize - lo].saturating_add_weight(w);
             if cand < best {
                 best = cand;
             }
         }
-        label[d] = best;
+        label[d - lo] = best;
     }
-    label
+}
+
+/// The full distance array of `v` (`path[d]` is its ancestor at depth `d`)
+/// from the labels of its ancestors in `dis`, into `label`; `bag` is scratch.
+pub(crate) fn full_label<R: RowRead<Dist> + ?Sized>(
+    td: &TreeDecomposition,
+    dis: &R,
+    v: VertexId,
+    path: &[VertexId],
+    bag: &mut Vec<(u32, Weight)>,
+    label: &mut Vec<Dist>,
+) {
+    bag_by_depth(td, v, bag);
+    label.clear();
+    label.resize(path.len() + 1, Dist::ZERO);
+    fold_label(
+        bag,
+        0,
+        |d| dis.row(path[d].index()),
+        &mut label[..path.len()],
+    );
 }
 
 #[cfg(test)]

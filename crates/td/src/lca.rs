@@ -121,6 +121,13 @@ impl LcaIndex {
         Some(self.tour[best as usize])
     }
 
+    /// Index of `v`'s first occurrence in the Euler tour, which orders the
+    /// forest depth-first: ancestors before descendants, subtrees contiguous.
+    #[inline]
+    pub fn first_visit(&self, v: VertexId) -> usize {
+        self.first[v.index()]
+    }
+
     /// Returns `true` if `anc` is an ancestor of `v` (or equal to it).
     pub fn is_ancestor(&self, anc: VertexId, v: VertexId) -> bool {
         self.lca(anc, v) == Some(anc)

@@ -27,6 +27,6 @@ pub mod h2h;
 pub mod lca;
 
 pub use decomposition::TreeDecomposition;
-pub use dh2h::H2HUpdateReport;
-pub use h2h::H2HIndex;
+pub use dh2h::{repair_labels, H2HUpdateReport};
+pub use h2h::{bag_by_depth, fold_label, min_plus, H2HIndex};
 pub use lca::LcaIndex;

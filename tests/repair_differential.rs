@@ -1,0 +1,272 @@
+//! Differential test of the write path of the tree-decomposition family.
+//!
+//! The reference below is the repair this repository shipped before the
+//! push-based one: every changed arc `(x, v)` invalidates every pair
+//! `(v, u)`, `u ∈ up(x)`, and every invalidated pair is re-derived from the
+//! edge and all of its supports. It is slow and obviously right. Over seeded
+//! rounds of mixed, increase-only and decrease-only batches (edges may repeat
+//! within a batch, some updates are no-ops) on four graph families, after
+//! every batch:
+//!
+//! * the repair's `(from, to, old, new)` set equals the reference's;
+//! * every upward row equals a fresh `build_with_order`;
+//! * the H2H labels equal a fresh `from_decomposition`;
+//! * all four PostMHL stages answer like Dijkstra.
+//!
+//! No timers: everything asserted is a value.
+
+use htsp::ch::{ContractionHierarchy, ShortcutChange, ShortcutMode};
+use htsp::core::{PostMhl, PostMhlConfig};
+use htsp::graph::{
+    gen, EdgeId, EdgeUpdate, Graph, GraphBuilder, IndexMaintainer, QuerySet, SnapshotPublisher,
+    UpdateBatch, VertexId, Weight,
+};
+use htsp::partition::TdPartitionConfig;
+use htsp::search::dijkstra_distance;
+use htsp::td::{H2HIndex, TreeDecomposition};
+use std::collections::BTreeSet;
+
+type Rows = Vec<Vec<(VertexId, Weight)>>;
+
+/// "Recompute every invalidated pair": the reference repair, on a plain copy
+/// of the upward rows. Returns the changes; `rows` ends up repaired.
+fn reference_repair(
+    ch: &ContractionHierarchy,
+    rows: &mut Rows,
+    graph: &Graph,
+    batch: &[EdgeUpdate],
+) -> Vec<ShortcutChange> {
+    let order = ch.order();
+    let n = rows.len();
+    let lower_first = |a: VertexId, b: VertexId| if order.higher(a, b) { (b, a) } else { (a, b) };
+    let mut invalid: Vec<BTreeSet<VertexId>> = vec![BTreeSet::new(); n];
+    for upd in batch {
+        let (a, b) = graph.edge_endpoints(upd.edge);
+        let (lo, hi) = lower_first(a, b);
+        invalid[lo.index()].insert(hi);
+    }
+    let weight = |rows: &Rows, v: VertexId, u: VertexId| {
+        rows[v.index()].iter().find(|a| a.0 == u).map(|a| a.1)
+    };
+    let mut changes = Vec::new();
+    for rank in 0..n as u32 {
+        let v = order.vertex_at(rank);
+        for u in std::mem::take(&mut invalid[v.index()]) {
+            let old = weight(rows, v, u).expect("an edge or a shortcut pair is an upward arc");
+            let mut new = graph.find_edge(v, u).map_or(Weight::MAX, |(_, w)| w);
+            for &x in ch.down_neighbors(v) {
+                if let (Some(a), Some(b)) = (weight(rows, x, v), weight(rows, x, u)) {
+                    // The build's clamp: an existing arc is never "unreachable".
+                    new = new.min((a as u64 + b as u64).min(u32::MAX as u64 - 1) as Weight);
+                }
+            }
+            if new == old {
+                continue;
+            }
+            for arc in rows[v.index()].iter_mut().filter(|a| a.0 == u) {
+                arc.1 = new;
+            }
+            changes.push(ShortcutChange {
+                from: v,
+                to: u,
+                old,
+                new,
+            });
+            let ups: Vec<VertexId> = rows[v.index()].iter().map(|a| a.0).collect();
+            for w in ups.into_iter().filter(|&w| w != u) {
+                let (lo, hi) = lower_first(w, u);
+                invalid[lo.index()].insert(hi);
+            }
+        }
+    }
+    changes
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Direction {
+    Mixed,
+    IncreaseOnly,
+    DecreaseOnly,
+}
+
+/// A tiny deterministic generator (the test owns its randomness).
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) % bound
+    }
+}
+
+/// `size` updates of edges drawn *with* replacement (so an edge may appear
+/// twice; the later update wins), about one in six a no-op, weights moved
+/// towards `hi` or `lo`.
+fn draw_batch(
+    g: &Graph,
+    rng: &mut Lcg,
+    size: usize,
+    direction: Direction,
+    (lo, hi): (Weight, Weight),
+) -> UpdateBatch {
+    let mut current: Vec<Weight> = g.edges().map(|(_, _, _, w)| w).collect();
+    let mut updates = Vec::with_capacity(size);
+    for _ in 0..size {
+        let e = rng.below(current.len() as u64) as usize;
+        let w = current[e];
+        let up = w + rng.below(hi.saturating_sub(w) as u64 + 1) as Weight;
+        let down = w - rng.below(w.saturating_sub(lo) as u64 + 1) as Weight;
+        let new = if rng.below(6) == 0 {
+            w
+        } else {
+            match direction {
+                Direction::IncreaseOnly => up,
+                Direction::DecreaseOnly => down,
+                Direction::Mixed if rng.below(2) == 0 => up,
+                Direction::Mixed => down,
+            }
+        };
+        updates.push(EdgeUpdate::new(EdgeId(e as u32), w, new));
+        current[e] = new;
+    }
+    UpdateBatch::from_updates(updates)
+}
+
+fn change_set(changes: &[ShortcutChange]) -> BTreeSet<(u32, u32, Weight, Weight)> {
+    let set: BTreeSet<_> = changes
+        .iter()
+        .map(|c| (c.from.0, c.to.0, c.old, c.new))
+        .collect();
+    assert_eq!(set.len(), changes.len(), "a shortcut is reported once");
+    set
+}
+
+fn postmhl_config() -> PostMhlConfig {
+    PostMhlConfig {
+        partitioning: TdPartitionConfig {
+            bandwidth: 12,
+            expected_partitions: 8,
+            beta_lower: 0.1,
+            beta_upper: 2.0,
+        },
+        num_threads: 2,
+    }
+}
+
+/// Drives one graph family through `rounds` batches of each direction.
+/// `weights` bounds the generated weights; `dijkstra` is off for the family
+/// whose path sums saturate (a saturated shortcut is finite, a saturated
+/// Dijkstra label is "unreachable": there the fresh build is the oracle).
+fn drive(name: &str, mut g: Graph, weights: (Weight, Weight), dijkstra: bool, seed: u64) {
+    let rounds = 20;
+    let mut ch =
+        ContractionHierarchy::build_with_order(&g, htsp::ch::mde_order(&g), ShortcutMode::AllPairs);
+    let mut h2h = H2HIndex::from_decomposition(TreeDecomposition::from_hierarchy(ch.clone()));
+    let mut post = dijkstra.then(|| PostMhl::build(&g, postmhl_config()));
+    if let Some(post) = &post {
+        assert!(
+            post.num_partitions() >= 2,
+            "{name}: the partition stages need work"
+        );
+    }
+    let mut rng = Lcg(seed);
+    for direction in [
+        Direction::Mixed,
+        Direction::IncreaseOnly,
+        Direction::DecreaseOnly,
+    ] {
+        for round in 0..rounds {
+            let at = format!("{name}, {direction:?} round {round}");
+            let size = 1 + rng.below(12) as usize;
+            let batch = draw_batch(&g, &mut rng, size, direction, weights);
+            g.apply_batch(&batch);
+
+            // Shortcut repair against the reference.
+            let mut rows: Rows = g.vertices().map(|v| ch.up_arcs(v).to_vec()).collect();
+            let expect = reference_repair(&ch, &mut rows, &g, batch.as_slice());
+            let got = ch.apply_batch(&g, batch.as_slice());
+            assert_eq!(change_set(&got), change_set(&expect), "changes, {at}");
+
+            // ... and against a fresh build with the same order.
+            let fresh = ContractionHierarchy::build_with_order(
+                &g,
+                ch.order().clone(),
+                ShortcutMode::AllPairs,
+            );
+            for v in g.vertices() {
+                assert_eq!(ch.up_arcs(v), fresh.up_arcs(v), "row of {v}, {at}");
+                assert_eq!(
+                    ch.up_arcs(v),
+                    &rows[v.index()][..],
+                    "reference row of {v}, {at}"
+                );
+            }
+
+            // Labels against a fresh fill over the fresh hierarchy.
+            let report = h2h.apply_batch(&g, batch.as_slice());
+            assert_eq!(change_set(&report.shortcut_changes), change_set(&expect));
+            let fresh_labels =
+                H2HIndex::from_decomposition(TreeDecomposition::from_hierarchy(fresh));
+            for v in g.vertices() {
+                assert_eq!(h2h.label(v), fresh_labels.label(v), "label of {v}, {at}");
+            }
+
+            // Every PostMHL stage against Dijkstra.
+            if let Some(post) = post.as_mut() {
+                let publisher = SnapshotPublisher::new(post.current_view());
+                post.apply_batch(&g, &batch, &publisher);
+                let queries = QuerySet::random(&g, 25, seed + round as u64);
+                for q in &queries {
+                    let expect = dijkstra_distance(&g, q.source, q.target);
+                    assert_eq!(h2h.distance(q.source, q.target), expect, "H2H {q:?}, {at}");
+                    for stage in 0..4 {
+                        assert_eq!(
+                            post.view_at_stage(stage).distance(q.source, q.target),
+                            expect,
+                            "PostMHL stage {stage} {q:?}, {at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn grid_with_diagonals_repairs_like_the_reference() {
+    let g = gen::grid_with_diagonals(10, 10, gen::WeightRange::new(5, 60), 0.15, 3);
+    drive("grid_with_diagonals", g, (1, 120), true, 11);
+}
+
+#[test]
+fn random_geometric_repairs_like_the_reference() {
+    let g = gen::random_geometric(140, 3, gen::WeightRange::new(1, 80), 5);
+    drive("random_geometric", g, (1, 200), true, 12);
+}
+
+#[test]
+fn two_components_repair_like_the_reference() {
+    // Two grids side by side with no edge between them: a forest.
+    let left = gen::grid(7, 7, gen::WeightRange::new(2, 30), 7);
+    let right = gen::grid_with_diagonals(6, 6, gen::WeightRange::new(2, 30), 0.2, 9);
+    let offset = left.num_vertices() as u32;
+    let mut b = GraphBuilder::new(left.num_vertices() + right.num_vertices());
+    for (_, u, v, w) in left.edges() {
+        b.add_edge(u, v, w);
+    }
+    for (_, u, v, w) in right.edges() {
+        b.add_edge(VertexId(u.0 + offset), VertexId(v.0 + offset), w);
+    }
+    drive("two components", b.build(), (1, 60), true, 13);
+}
+
+#[test]
+fn saturating_weights_repair_like_the_reference() {
+    // Two-hop sums straddle u32::MAX - 1, the shortcut clamp.
+    let half = u32::MAX / 2;
+    let g = gen::grid_with_diagonals(8, 8, gen::WeightRange::new(half - 40, half + 40), 0.15, 15);
+    drive("saturating weights", g, (half - 50, half + 50), false, 14);
+}
