@@ -166,8 +166,8 @@ impl DchBaseline {
         Self::build_pooled(graph, &WorkerPool::sequential())
     }
 
-    /// Builds the CH index with contraction windows computed on `pool`.
-    /// The result is bit-identical to [`DchBaseline::build`] at any thread
+    /// [`DchBaseline::build`] behind the signature of the pooled builders:
+    /// the elimination is sequential, so the index is the same at any thread
     /// count.
     pub fn build_pooled(graph: &Graph, pool: &WorkerPool) -> Self {
         let ch = ContractionHierarchy::build_pooled(
@@ -295,9 +295,9 @@ impl Dh2hBaseline {
         Self::build_pooled(graph, &WorkerPool::sequential())
     }
 
-    /// Builds the H2H index with contraction windows and per-level label
-    /// fills computed on `pool`. The result is bit-identical to
-    /// [`Dh2hBaseline::build`] at any thread count.
+    /// [`Dh2hBaseline::build`] behind the signature of the pooled builders:
+    /// elimination and label fill are sequential, so the index is the same
+    /// at any thread count.
     pub fn build_pooled(graph: &Graph, pool: &WorkerPool) -> Self {
         Dh2hBaseline {
             graph: Arc::new(graph.clone()),
@@ -390,8 +390,9 @@ impl ToainBaseline {
         Self::build_pooled(graph, level_cap, &WorkerPool::sequential())
     }
 
-    /// Builds the index with contraction windows computed on `pool`. The
-    /// result is deterministic at any thread count.
+    /// [`ToainBaseline::build`] behind the signature of the pooled builders:
+    /// the elimination is sequential, so the index is the same at any thread
+    /// count.
     pub fn build_pooled(graph: &Graph, level_cap: usize, pool: &WorkerPool) -> Self {
         let ch = Self::build_capped(graph, level_cap, pool);
         ToainBaseline {

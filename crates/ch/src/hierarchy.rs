@@ -1,11 +1,19 @@
-//! CH construction: vertex contraction and the upward shortcut graph.
+//! The contraction hierarchy: the upward shortcut graph one elimination of
+//! the graph leaves behind, and what queries and repairs read of it.
+//!
+//! Construction is `elimination.rs`: one sequential pass over plain
+//! per-vertex rows that yields the order and the shortcut rows together, so a
+//! [`OrderingStrategy::MinDegree`] build eliminates the graph once. This
+//! module wraps the result for serving: chunked copy-on-write shortcut
+//! weights, the immutable arc topology (`ArcIndex`) and the shared repair
+//! scratch.
 
 use crate::dch::RepairScratch;
-use crate::ordering::{mde_order, OrderingStrategy, VertexOrder};
+use crate::elimination::{eliminate, Elimination};
+use crate::ordering::{OrderingStrategy, VertexOrder};
 use htsp_graph::cow::{CowStats, CowTable, DEFAULT_CHUNK};
-use htsp_graph::par::{chunk_bounds, chunk_of, WorkerPool};
+use htsp_graph::par::WorkerPool;
 use htsp_graph::{Dist, Graph, ScratchPool, VertexId, Weight, INF};
-use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
 /// Controls which shortcuts are materialized during contraction.
@@ -145,220 +153,36 @@ impl AsRef<ContractionHierarchy> for ContractionHierarchy {
 
 impl ContractionHierarchy {
     /// Builds a CH over `graph` using the given ordering strategy and shortcut
-    /// mode.
+    /// mode: one elimination of the graph (`elimination.rs`).
+    ///
+    /// With [`ShortcutMode::WitnessPruned`] the witness searches of a vertex
+    /// run on the live contraction graph before any of its shortcuts is
+    /// written — the classic one-vertex-at-a-time semantics.
     pub fn build(graph: &Graph, strategy: OrderingStrategy, mode: ShortcutMode) -> Self {
-        Self::build_pooled(graph, strategy, mode, &WorkerPool::sequential())
+        let Elimination {
+            order,
+            up,
+            extra_shortcuts,
+        } = eliminate(graph, strategy, mode);
+        Self::from_parts(order, up, mode, extra_shortcuts)
     }
 
-    /// Builds a CH with construction parallelized over `pool`.
-    ///
-    /// The result is bit-identical for every pool size (see
-    /// [`Self::build_with_order_pooled`] for the contract).
+    /// [`Self::build`] behind the signature of the pooled builders. The
+    /// elimination is sequential (measured faster than the windowed
+    /// contraction it replaced at every thread count), so `pool` is not used
+    /// and the result trivially does not depend on its size.
     pub fn build_pooled(
         graph: &Graph,
         strategy: OrderingStrategy,
         mode: ShortcutMode,
-        pool: &WorkerPool,
+        _pool: &WorkerPool,
     ) -> Self {
-        let order = match strategy {
-            OrderingStrategy::MinDegree => mde_order(graph),
-            OrderingStrategy::Given(o) => {
-                assert_eq!(
-                    o.len(),
-                    graph.num_vertices(),
-                    "given order does not cover the graph"
-                );
-                o
-            }
-        };
-        Self::build_with_order_pooled(graph, order, mode, pool)
+        Self::build(graph, strategy, mode)
     }
 
     /// Builds a CH with an explicit [`VertexOrder`].
     pub fn build_with_order(graph: &Graph, order: VertexOrder, mode: ShortcutMode) -> Self {
-        Self::build_with_order_pooled(graph, order, mode, &WorkerPool::sequential())
-    }
-
-    /// Builds a CH with an explicit [`VertexOrder`], parallelized over `pool`.
-    ///
-    /// Contraction proceeds in *windows*: each window eliminates every
-    /// current **local minimum** — an uncontracted vertex all of whose
-    /// current neighbors rank higher. Local minima are mutually non-adjacent
-    /// (of two adjacent vertices, the higher-ranked one has a lower-ranked
-    /// neighbor), so their neighborhoods cannot interfere and the window's
-    /// shortcut ops can be *computed* read-only against window-start state in
-    /// parallel, then *applied* shard-parallel over disjoint adjacency
-    /// ranges, in rank order within each shard.
-    ///
-    /// Determinism contract: the window decomposition is a pure function of
-    /// the graph and the order (never the pool size), so any two pool sizes
-    /// produce bit-identical hierarchies. For [`ShortcutMode::AllPairs`] the
-    /// result moreover equals the classic one-vertex-at-a-time rank-order
-    /// contraction exactly (min-plus elimination of an independent set of
-    /// rank-local minima commutes with rank order), including the
-    /// `extra_shortcuts` count. For [`ShortcutMode::WitnessPruned`] witness
-    /// searches run against window-start state, which is deterministic but
-    /// conservative: a witness missed because a concurrent elimination would
-    /// have improved a path only means an extra (still correct) shortcut is
-    /// kept.
-    pub fn build_with_order_pooled(
-        graph: &Graph,
-        order: VertexOrder,
-        mode: ShortcutMode,
-        pool: &WorkerPool,
-    ) -> Self {
-        let n = graph.num_vertices();
-        assert_eq!(order.len(), n);
-        // Contraction graph: adjacency maps restricted to uncontracted
-        // vertices, with current (possibly shortcut) weights.
-        let mut adj: Vec<FxHashMap<u32, Weight>> = vec![FxHashMap::default(); n];
-        for (_, u, v, w) in graph.edges() {
-            insert_min(&mut adj[u.index()], v.0, w);
-            insert_min(&mut adj[v.index()], u.0, w);
-        }
-        let mut up: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
-        let mut extra_shortcuts = 0usize;
-        let mut contracted = vec![false; n];
-        // Vertices whose neighborhood changed since their last local-minimum
-        // test: everything initially, then the neighbors of each window's
-        // eliminated set. Kept sorted by rank so windows come out rank-sorted.
-        let mut candidates: Vec<u32> = (0..n as u32).collect();
-        candidates.sort_unstable_by_key(|&v| order.rank(VertexId(v)));
-        let mut queued = vec![true; n];
-        let mut remaining = n;
-
-        while remaining > 0 {
-            // Selection: the current local minima among the candidates. A
-            // vertex that was not a local minimum stays one until a neighbor
-            // is eliminated, and the lowest-ranked uncontracted vertex is
-            // always a local minimum, so the window is never empty.
-            let mut window: Vec<u32> = Vec::new();
-            for &vi in &candidates {
-                queued[vi as usize] = false;
-                if contracted[vi as usize] {
-                    continue;
-                }
-                let rv = order.rank(VertexId(vi));
-                if adj[vi as usize]
-                    .keys()
-                    .all(|&u| order.rank(VertexId(u)) > rv)
-                {
-                    window.push(vi);
-                }
-            }
-            debug_assert!(!window.is_empty(), "stalled with {remaining} uncontracted");
-
-            // Compute phase (read-only, parallel): each eliminated vertex's
-            // rank-sorted upward row and its kept shortcut pairs.
-            let computed: Vec<ContractionResult> = pool.run("ch_contract", window.len(), |i| {
-                let v = VertexId(window[i]);
-                let mut nbrs: Vec<(VertexId, Weight)> = adj[v.index()]
-                    .iter()
-                    .map(|(&u, &w)| (VertexId(u), w))
-                    .collect();
-                nbrs.sort_by_key(|&(u, _)| order.rank(u));
-                let mut pairs: Vec<(u32, u32, Weight)> = Vec::new();
-                for i in 0..nbrs.len() {
-                    let (a, wa) = nbrs[i];
-                    for &(b, wb) in &nbrs[i + 1..] {
-                        let via = shortcut_sum(wa, wb);
-                        let keep = match mode {
-                            ShortcutMode::AllPairs => true,
-                            ShortcutMode::WitnessPruned { hop_limit } => {
-                                // A shortcut is needed unless a path that
-                                // avoids v is at most as short. The search
-                                // runs on the window-start contraction
-                                // graph restricted to uncontracted
-                                // vertices; searching the original graph
-                                // is also correct but slower.
-                                !has_witness(&adj, &order, v, a, b, Dist(via), hop_limit)
-                            }
-                        };
-                        if keep {
-                            pairs.push((a.0, b.0, via));
-                        }
-                    }
-                }
-                (nbrs, pairs)
-            });
-
-            // Bucket the window's ops per adjacency shard, iterating the
-            // eliminated vertices in rank order so every target map sees its
-            // ops in the same sequence a sequential contraction would emit.
-            let bounds = chunk_bounds(n, pool.threads());
-            let mut ops: Vec<Vec<ApplyOp>> = vec![Vec::new(); bounds.len()];
-            let mut next_candidates: Vec<u32> = Vec::new();
-            for (&v, (row, pairs)) in window.iter().zip(computed) {
-                for &(a, b, via) in &pairs {
-                    ops[chunk_of(&bounds, a as usize)].push(ApplyOp::Insert {
-                        target: a,
-                        other: b,
-                        via,
-                        count: true,
-                    });
-                    ops[chunk_of(&bounds, b as usize)].push(ApplyOp::Insert {
-                        target: b,
-                        other: a,
-                        via,
-                        count: false,
-                    });
-                }
-                for &(u, _) in &row {
-                    ops[chunk_of(&bounds, u.index())].push(ApplyOp::Remove {
-                        target: u.0,
-                        other: v,
-                    });
-                    if !queued[u.index()] {
-                        queued[u.index()] = true;
-                        next_candidates.push(u.0);
-                    }
-                }
-                ops[chunk_of(&bounds, v as usize)].push(ApplyOp::Clear { target: v });
-                up[v as usize] = row;
-                contracted[v as usize] = true;
-                remaining -= 1;
-            }
-
-            // Apply phase (shard-parallel): each worker owns a contiguous
-            // adjacency range and applies exactly the ops targeting it, in
-            // emission order, counting freshly created shortcut pairs.
-            let created = pool.run_chunks("ch_apply", &mut adj, |ci, offset, chunk| {
-                let mut local = 0usize;
-                for op in &ops[ci] {
-                    match *op {
-                        ApplyOp::Insert {
-                            target,
-                            other,
-                            via,
-                            count,
-                        } => {
-                            let map = &mut chunk[target as usize - offset];
-                            if count {
-                                let existed = map.contains_key(&other);
-                                if insert_min(map, other, via) && !existed {
-                                    local += 1;
-                                }
-                            } else {
-                                insert_min(map, other, via);
-                            }
-                        }
-                        ApplyOp::Remove { target, other } => {
-                            chunk[target as usize - offset].remove(&other);
-                        }
-                        ApplyOp::Clear { target } => {
-                            let map = &mut chunk[target as usize - offset];
-                            map.clear();
-                            map.shrink_to_fit();
-                        }
-                    }
-                }
-                local
-            });
-            extra_shortcuts += created.iter().sum::<usize>();
-            next_candidates.sort_unstable_by_key(|&v| order.rank(VertexId(v)));
-            candidates = next_candidates;
-        }
-        Self::from_parts(order, up, mode, extra_shortcuts)
+        Self::build(graph, OrderingStrategy::Given(order), mode)
     }
 
     /// Reassembles a hierarchy from its constituent parts without contracting
@@ -481,96 +305,6 @@ pub(crate) fn arc_position(
     let rank_u = order.rank(u);
     row.binary_search_by_key(&rank_u, |&(y, _)| order.rank(y))
         .ok()
-}
-
-/// What the compute phase produces for one eliminated vertex: its
-/// rank-sorted upward row and the kept shortcut pairs `(a, b, via)`.
-type ContractionResult = (Vec<(VertexId, Weight)>, Vec<(u32, u32, Weight)>);
-
-/// One targeted mutation of the contraction graph, bucketed per adjacency
-/// shard by the window apply phase. `target` names the adjacency map the op
-/// touches, so disjoint shards apply their buckets without synchronization.
-#[derive(Clone, Copy, Debug)]
-enum ApplyOp {
-    /// Min-insert the shortcut `target — other`; `count` marks the forward
-    /// direction of a pair, which counts toward `extra_shortcuts` when it
-    /// creates a previously absent arc.
-    Insert {
-        target: u32,
-        other: u32,
-        via: Weight,
-        count: bool,
-    },
-    /// Remove the arc `target — other` (other was eliminated).
-    Remove { target: u32, other: u32 },
-    /// Drop the eliminated vertex's own adjacency.
-    Clear { target: u32 },
-}
-
-/// Inserts `key -> w` keeping the minimum; returns `true` if the map changed.
-#[inline]
-fn insert_min(map: &mut FxHashMap<u32, Weight>, key: u32, w: Weight) -> bool {
-    match map.get_mut(&key) {
-        Some(cur) => {
-            if w < *cur {
-                *cur = w;
-                true
-            } else {
-                false
-            }
-        }
-        None => {
-            map.insert(key, w);
-            true
-        }
-    }
-}
-
-/// Bounded Dijkstra on the live contraction graph, avoiding `skip`, to decide
-/// whether the shortcut `a — b` (length `limit`) is redundant.
-fn has_witness(
-    adj: &[FxHashMap<u32, Weight>],
-    order: &VertexOrder,
-    skip: VertexId,
-    a: VertexId,
-    b: VertexId,
-    limit: Dist,
-    hop_limit: usize,
-) -> bool {
-    let _ = order;
-    let mut dist: FxHashMap<u32, Dist> = FxHashMap::default();
-    let mut heap = std::collections::BinaryHeap::new();
-    dist.insert(a.0, Dist::ZERO);
-    heap.push(std::cmp::Reverse((Dist::ZERO, a.0)));
-    let mut settled = 0usize;
-    while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
-        if d > *dist.get(&v).unwrap_or(&INF) {
-            continue;
-        }
-        if d > limit {
-            break;
-        }
-        if v == b.0 {
-            // Found a path at most as long as the candidate shortcut; note the
-            // comparison is <= because ties make the shortcut redundant.
-            return d <= limit;
-        }
-        settled += 1;
-        if settled >= hop_limit {
-            break;
-        }
-        for (&u, &w) in &adj[v as usize] {
-            if u == skip.0 {
-                continue;
-            }
-            let nd = d.saturating_add_weight(w);
-            if nd <= limit && nd < *dist.get(&u).unwrap_or(&INF) {
-                dist.insert(u, nd);
-                heap.push(std::cmp::Reverse((nd, u)));
-            }
-        }
-    }
-    dist.get(&b.0).is_some_and(|&d| d <= limit)
 }
 
 #[cfg(test)]

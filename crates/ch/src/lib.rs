@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod dch;
+mod elimination;
 pub mod flat;
 pub mod hierarchy;
 pub mod ordering;

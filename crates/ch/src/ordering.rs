@@ -2,12 +2,17 @@
 //!
 //! The paper uses Minimum Degree Elimination (MDE, §II) to produce both the
 //! CH contraction order and the tree decomposition, so the two indexes share
-//! shortcuts (Lemma 4). The PSP indexes additionally need a *boundary-first*
-//! order (§IV-B), which is supplied as an explicit rank vector.
+//! shortcuts (Lemma 4). The order is a by-product of the one elimination pass
+//! in `elimination.rs`: a [`OrderingStrategy::MinDegree`] build gets
+//! order and shortcuts from a single pass, and [`mde_order`] is that pass
+//! with the shortcuts thrown away. The PSP indexes additionally need a
+//! *boundary-first* order (§IV-B), which is an MDE order re-sorted and handed
+//! back as [`OrderingStrategy::Given`].
 
+use crate::elimination::eliminate;
+use crate::hierarchy::ShortcutMode;
 use htsp_graph::{Graph, VertexId};
 use rustc_hash::FxHashSet;
-use std::collections::BinaryHeap;
 
 /// A total order over vertices: `rank[v]` is the contraction position of `v`
 /// (0 = contracted first = least important).
@@ -94,61 +99,15 @@ pub enum OrderingStrategy {
     Given(VertexOrder),
 }
 
-/// Computes an MDE order: repeatedly contracts a vertex of minimum current
-/// degree in the contraction graph (where contraction connects all remaining
-/// neighbors of the removed vertex into a clique).
+/// Computes an MDE order: repeatedly eliminates a vertex of minimum current
+/// degree in the contraction graph (where elimination connects all remaining
+/// neighbors of the removed vertex into a clique). Ties are broken by vertex
+/// id, so the order is a pure function of the graph's topology.
 ///
-/// Ties are broken by vertex id for determinism. The degree bookkeeping uses a
-/// lazy priority queue: stale entries are skipped when popped.
+/// A caller that goes on to contract with this order should ask for
+/// [`OrderingStrategy::MinDegree`] instead, which eliminates the graph once.
 pub fn mde_order(graph: &Graph) -> VertexOrder {
-    let n = graph.num_vertices();
-    // Contraction adjacency as hash sets (weights do not matter for ordering).
-    let mut adj: Vec<FxHashSet<u32>> = vec![FxHashSet::default(); n];
-    for (_, u, v, _) in graph.edges() {
-        adj[u.index()].insert(v.0);
-        adj[v.index()].insert(u.0);
-    }
-    // Max-heap of Reverse((degree, vertex)) == min-heap.
-    let mut heap: BinaryHeap<std::cmp::Reverse<(usize, u32)>> = BinaryHeap::with_capacity(n);
-    for (v, a) in adj.iter().enumerate() {
-        heap.push(std::cmp::Reverse((a.len(), v as u32)));
-    }
-    let mut contracted = vec![false; n];
-    let mut seq = Vec::with_capacity(n);
-    while let Some(std::cmp::Reverse((deg, v))) = heap.pop() {
-        let vi = v as usize;
-        if contracted[vi] {
-            continue;
-        }
-        if adj[vi].len() != deg {
-            // Stale entry; reinsert with the current degree.
-            heap.push(std::cmp::Reverse((adj[vi].len(), v)));
-            continue;
-        }
-        contracted[vi] = true;
-        seq.push(VertexId(v));
-        // Connect remaining neighbors into a clique.
-        let nbrs: Vec<u32> = adj[vi]
-            .iter()
-            .copied()
-            .filter(|&u| !contracted[u as usize])
-            .collect();
-        for (i, &a) in nbrs.iter().enumerate() {
-            let ai = a as usize;
-            adj[ai].remove(&v);
-            for &b in &nbrs[i + 1..] {
-                let bi = b as usize;
-                if adj[ai].insert(b) {
-                    adj[bi].insert(a);
-                }
-            }
-        }
-        for &a in &nbrs {
-            heap.push(std::cmp::Reverse((adj[a as usize].len(), a)));
-        }
-        adj[vi].clear();
-    }
-    VertexOrder::from_sequence(seq)
+    eliminate(graph, OrderingStrategy::MinDegree, ShortcutMode::AllPairs).order
 }
 
 /// Computes a *boundary-first* MDE order: all vertices in `boundary` receive

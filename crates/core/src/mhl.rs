@@ -134,8 +134,8 @@ impl Mhl {
         Self::build_pooled(graph, &htsp_graph::WorkerPool::sequential())
     }
 
-    /// Builds the index with contraction windows and per-level label fills
-    /// computed on `pool`. Bit-identical to [`Mhl::build`] at any thread
+    /// [`Mhl::build`] behind the signature of the pooled builders: the H2H
+    /// construction is sequential, so the index is the same at any thread
     /// count.
     pub fn build_pooled(graph: &Graph, pool: &htsp_graph::WorkerPool) -> Self {
         let h2h = H2HIndex::build_pooled(graph, pool);

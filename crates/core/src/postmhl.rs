@@ -334,9 +334,9 @@ impl PostMhl {
         Self::build_pooled(graph, config, &WorkerPool::sequential())
     }
 
-    /// Builds the index with the dominant H2H construction and the boundary
-    /// array fill computed on `pool`. Bit-identical to [`PostMhl::build`] at
-    /// any thread count.
+    /// Builds the index with the boundary array fill — one task per
+    /// partition — computed on `pool`; the dominant H2H construction is
+    /// sequential. Bit-identical to [`PostMhl::build`] at any thread count.
     pub fn build_pooled(graph: &Graph, config: PostMhlConfig, pool: &WorkerPool) -> Self {
         let h2h = H2HIndex::build_pooled(graph, pool);
         let (td, dis) = h2h.into_parts();
@@ -853,5 +853,55 @@ mod tests {
             }
             check_all_stages(&idx, &g, 40, size as u64);
         }
+    }
+
+    /// `cargo test --release -p htsp-core -- --ignored --nocapture grid128`
+    #[test]
+    #[ignore = "128x128 grid: minutes in a debug build"]
+    fn build_time_on_grid128_does_not_grow_with_threads() {
+        use htsp_ch::{ContractionHierarchy, OrderingStrategy, ShortcutMode};
+        use htsp_graph::gen::grid_with_diagonals;
+        let g = grid_with_diagonals(128, 128, WeightRange::new(1, 100), 0.1, 42);
+        // Best of three: the claim is about the code, not the host's worst moment.
+        let best = |f: &dyn Fn()| {
+            (0..3)
+                .map(|_| {
+                    let t = Instant::now();
+                    f();
+                    t.elapsed()
+                })
+                .min()
+                .expect("three runs")
+        };
+        let mut whole = Vec::new();
+        for threads in [1usize, 2] {
+            let pool = WorkerPool::new(threads);
+            let eliminate = best(&|| {
+                ContractionHierarchy::build_pooled(
+                    &g,
+                    OrderingStrategy::MinDegree,
+                    ShortcutMode::AllPairs,
+                    &pool,
+                );
+            });
+            let td = TreeDecomposition::build_pooled(&g, &pool);
+            let fill = best(&|| {
+                H2HIndex::from_decomposition_pooled(td.clone(), &pool);
+            });
+            let build = best(&|| {
+                PostMhl::build_pooled(&g, config(32, 16, threads), &pool);
+            });
+            println!(
+                "grid128, {threads} thread(s): order + contraction {eliminate:?}, \
+                 label fill {fill:?}, PostMhl::build {build:?}"
+            );
+            whole.push(build);
+        }
+        assert!(
+            whole[1].as_secs_f64() <= whole[0].as_secs_f64() * 1.1,
+            "two threads {:?} against one {:?}",
+            whole[1],
+            whole[0]
+        );
     }
 }

@@ -456,8 +456,9 @@ impl<T: Clone> CowTable<T> {
 
     /// Uniquifies every chunk containing a selected row and returns one
     /// `(row_index, &mut row)` borrow per selected row, in index order. This
-    /// is the fan-out entry point for level-parallel label fills: uniquify
-    /// once, then hand the disjoint row borrows to worker results.
+    /// is the write-back entry point of a fan-out (PMHL's per-partition
+    /// repairs): uniquify once, then hand the disjoint row borrows to the
+    /// workers' results.
     ///
     /// `select` must be a pure predicate of the index: it is invoked up to
     /// twice per index (a short-circuiting probe decides whether a chunk

@@ -40,9 +40,9 @@
 //!   trace-id and span-recording vocabulary pipeline hooks use to report
 //!   where time went, implemented by the serving tier's telemetry hub.
 //! * [`par`] — the scoped construction [`WorkerPool`]: deterministic
-//!   fork/join parallelism (index-ordered results, disjoint mutable chunks)
-//!   with per-stage wall-clock accounting, used by every parallel index
-//!   build in the workspace.
+//!   fork/join parallelism (index-ordered results) with per-stage
+//!   wall-clock accounting, used by every per-partition and per-shard
+//!   fan-out of index construction.
 //! * [`scratch`] — the [`ScratchPool`] that lets one immutable view serve
 //!   many query threads, each with its own search working memory; sessions
 //!   hold a [`ScratchGuard`] over it for their whole lifetime.

@@ -1,26 +1,23 @@
 //! The construction worker pool: scoped, dep-free fork/join parallelism with
 //! deterministic result ordering and per-stage accounting.
 //!
-//! Every parallel construction path in the workspace (CH contraction windows,
-//! H2H level fills, per-partition index builds, fleet shard builds) funnels
-//! through a [`WorkerPool`], which guarantees the *determinism contract* of
-//! the parallel-construction subsystem:
+//! Construction is parallel where the work is independent by nature — one
+//! task per partition (N-CH-P, P-TD-P, PMHL, PostMHL's boundary arrays) and
+//! one per fleet shard — and those fan-outs funnel through a [`WorkerPool`]:
+//! [`WorkerPool::run`] evaluates a pure function over task indices
+//! `0..tasks` and returns the results **in index order**, regardless of which
+//! worker computed what, so a build that consumes them observes exactly the
+//! sequence a single-threaded loop would produce. The pool only changes how
+//! many tasks are in flight, never which tasks exist or how their outputs are
+//! combined; a pool with one thread runs everything inline on the caller.
 //!
-//! * [`WorkerPool::run`] evaluates a pure function over task indices
-//!   `0..tasks` and returns the results **in index order**, regardless of
-//!   which worker computed what — so a build that consumes the results
-//!   observes exactly the sequence a single-threaded loop would produce.
-//! * [`WorkerPool::run_chunks`] hands each worker a *disjoint contiguous*
-//!   sub-slice of a mutable buffer (split at [`chunk_bounds`]) so sharded
-//!   apply phases cannot race, and again returns per-chunk results in chunk
-//!   order.
-//!
-//! Construction algorithms are written so the *work decomposition* never
-//! depends on the thread count — the pool only changes how many tasks are in
-//! flight, never which tasks exist or how their outputs are combined. A pool
-//! with one thread runs everything inline on the caller, so
-//! [`WorkerPool::sequential`] is the zero-overhead baseline every
-//! equivalence test compares against.
+//! What is *not* parallel is the elimination of one graph (order and
+//! shortcuts, `htsp-ch`) and the label fill over one tree (`htsp-td`). Both
+//! once forked per rank window and per tree level; on the benchmark's
+//! 4 096-vertex grid that made two threads slower than one (contraction 94 ms
+//! against 40 ms, label fill 26 ms against 19 ms), and the sequential passes
+//! that replaced them take 21 ms and 11 ms. The whole-graph builders
+//! still accept a pool so every kind is built through one signature.
 //!
 //! The pool also keeps per-stage wall-clock and task counters
 //! ([`WorkerPool::stage_stats`]); the serving tier exports them as the
@@ -33,11 +30,11 @@ use std::time::Instant;
 /// Accumulated accounting for one named construction stage.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageStats {
-    /// Stage name as passed to [`WorkerPool::run`] / [`WorkerPool::run_chunks`].
+    /// Stage name as passed to [`WorkerPool::run`].
     pub stage: String,
-    /// Number of `run*` invocations recorded under this name.
+    /// Number of `run` invocations recorded under this name.
     pub runs: usize,
-    /// Total tasks (or chunks) dispatched across those invocations.
+    /// Total tasks dispatched across those invocations.
     pub tasks: usize,
     /// Total wall-clock microseconds spent inside those invocations.
     pub micros: u64,
@@ -45,7 +42,7 @@ pub struct StageStats {
 
 /// A small scoped worker pool for construction-time parallelism.
 ///
-/// Threads are spawned per `run*` call with [`std::thread::scope`] (no
+/// Threads are spawned per `run` call with [`std::thread::scope`] (no
 /// long-lived workers, no channels, no dependencies), which keeps the pool
 /// trivially `Send + Sync` and lets borrowed closures capture graph state
 /// directly.
@@ -120,54 +117,6 @@ impl WorkerPool {
         out
     }
 
-    /// Splits `data` into `self.threads()` contiguous chunks (per
-    /// [`chunk_bounds`]) and runs `f(chunk_index, offset, chunk)` on each
-    /// concurrently. Results come back in chunk order.
-    ///
-    /// Callers that pre-bucket work per chunk must use the same
-    /// [`chunk_bounds`] to agree on the split.
-    pub fn run_chunks<T, R, F>(&self, stage: &str, data: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, usize, &mut [T]) -> R + Sync,
-    {
-        let start = Instant::now();
-        let bounds = chunk_bounds(data.len(), self.threads);
-        let nchunks = bounds.len();
-        let out = if nchunks <= 1 {
-            let len = data.len();
-            vec![f(0, 0, &mut data[..len])]
-        } else {
-            let mut slots: Vec<(usize, usize, &mut [T])> = Vec::with_capacity(nchunks);
-            let mut rest = data;
-            let mut offset = 0usize;
-            for (ci, &(lo, hi)) in bounds.iter().enumerate() {
-                debug_assert_eq!(lo, offset);
-                let (chunk, tail) = rest.split_at_mut(hi - lo);
-                slots.push((ci, offset, chunk));
-                rest = tail;
-                offset = hi;
-            }
-            let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(nchunks));
-            std::thread::scope(|scope| {
-                for (ci, off, chunk) in slots {
-                    let f = &f;
-                    let results = &results;
-                    scope.spawn(move || {
-                        let r = f(ci, off, chunk);
-                        results.lock().unwrap().push((ci, r));
-                    });
-                }
-            });
-            let mut pairs = results.into_inner().unwrap();
-            pairs.sort_unstable_by_key(|&(i, _)| i);
-            pairs.into_iter().map(|(_, r)| r).collect()
-        };
-        self.record(stage, nchunks, start);
-        out
-    }
-
     fn record(&self, stage: &str, tasks: usize, start: Instant) {
         let micros = start.elapsed().as_micros() as u64;
         let mut stats = self.stats.lock().unwrap();
@@ -199,36 +148,6 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// The contiguous chunk boundaries `run_chunks` uses for a buffer of `len`
-/// elements over `parts` workers: at most `parts` half-open `(lo, hi)`
-/// ranges, sizes differing by at most one, empty chunks elided.
-pub fn chunk_bounds(len: usize, parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.max(1).min(len.max(1));
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut lo = 0usize;
-    for i in 0..parts {
-        let sz = base + usize::from(i < extra);
-        if sz == 0 {
-            continue;
-        }
-        out.push((lo, lo + sz));
-        lo += sz;
-    }
-    if out.is_empty() {
-        out.push((0, 0));
-    }
-    out
-}
-
-/// The chunk index that owns element `i` under [`chunk_bounds`]`(len, parts)`.
-pub fn chunk_of(bounds: &[(usize, usize)], i: usize) -> usize {
-    bounds
-        .partition_point(|&(_, hi)| hi <= i)
-        .min(bounds.len() - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,47 +166,6 @@ mod tests {
         let pool = WorkerPool::new(4);
         assert_eq!(pool.run("none", 0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.run("one", 1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn run_chunks_covers_the_buffer_disjointly() {
-        for threads in [1, 2, 3, 5, 16] {
-            let pool = WorkerPool::new(threads);
-            let mut data = vec![0u32; 97];
-            let sizes = pool.run_chunks("fill", &mut data, |ci, off, chunk| {
-                for (k, x) in chunk.iter_mut().enumerate() {
-                    *x = (off + k) as u32 * 100 + ci as u32;
-                }
-                chunk.len()
-            });
-            assert_eq!(sizes.iter().sum::<usize>(), 97);
-            for (i, &x) in data.iter().enumerate() {
-                assert_eq!(x / 100, i as u32, "element {i} written once at its index");
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_bounds_partition_the_range() {
-        for len in [0usize, 1, 7, 64, 97] {
-            for parts in [1usize, 2, 3, 9, 200] {
-                let b = chunk_bounds(len, parts);
-                assert!(b.len() <= parts.max(1));
-                let mut at = 0;
-                for &(lo, hi) in &b {
-                    assert_eq!(lo, at);
-                    assert!(hi >= lo);
-                    at = hi;
-                }
-                assert_eq!(at, len);
-                if len > 0 {
-                    for i in 0..len {
-                        let c = chunk_of(&b, i);
-                        assert!(b[c].0 <= i && i < b[c].1, "element {i} in chunk {c}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

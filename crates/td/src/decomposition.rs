@@ -45,9 +45,8 @@ impl TreeDecomposition {
         Self::build_pooled(graph, &htsp_graph::WorkerPool::sequential())
     }
 
-    /// Builds the decomposition with the contraction windows parallelized
-    /// over `pool`; bit-identical for every pool size (see
-    /// [`ContractionHierarchy::build_with_order_pooled`]).
+    /// [`Self::build`] behind the signature of the pooled builders; the
+    /// elimination is sequential (see [`ContractionHierarchy::build_pooled`]).
     pub fn build_pooled(graph: &Graph, pool: &htsp_graph::WorkerPool) -> Self {
         let ch = ContractionHierarchy::build_pooled(
             graph,
@@ -61,21 +60,7 @@ impl TreeDecomposition {
     /// Builds the decomposition with an explicit vertex order (used for the
     /// boundary-first orders of the PSP indexes, §IV-B).
     pub fn build_with_order(graph: &Graph, order: VertexOrder) -> Self {
-        Self::build_with_order_pooled(graph, order, &htsp_graph::WorkerPool::sequential())
-    }
-
-    /// [`Self::build_with_order`] with pooled contraction windows.
-    pub fn build_with_order_pooled(
-        graph: &Graph,
-        order: VertexOrder,
-        pool: &htsp_graph::WorkerPool,
-    ) -> Self {
-        let ch = ContractionHierarchy::build_with_order_pooled(
-            graph,
-            order,
-            ShortcutMode::AllPairs,
-            pool,
-        );
+        let ch = ContractionHierarchy::build_with_order(graph, order, ShortcutMode::AllPairs);
         Self::from_hierarchy(ch)
     }
 

@@ -274,8 +274,9 @@ impl AlgorithmKind {
     ///
     /// Kinds with a native serialized form (DCH, TOAIN, DH2H, MHL) decode
     /// `state` and skip construction entirely — the warm-restart fast path.
-    /// The remaining kinds rebuild deterministically from the snapshotted
-    /// graph and `params`; BiDijkstra has no index state at all. Corrupt
+    /// For every other kind, and when there is no `state`, this **is a full
+    /// build** from the snapshotted graph and `params`: a "restart" of
+    /// N-CH-P, P-TD-P, PMHL or PostMHL costs what a cold start costs. Corrupt
     /// `state` bytes surface as a typed [`SnapshotError`], never a panic.
     pub fn restore(
         self,
@@ -283,19 +284,31 @@ impl AlgorithmKind {
         params: &BuildParams,
         state: Option<&[u8]>,
     ) -> Result<Box<dyn IndexMaintainer>, SnapshotError> {
-        let state = match state {
-            Some(bytes) => bytes,
-            None => return Ok(self.build(graph, params)),
-        };
-        Ok(match self {
-            AlgorithmKind::Dch => Box::new(DchBaseline::from_state(graph, state)?),
-            AlgorithmKind::Toain => Box::new(ToainBaseline::from_state(graph, state)?),
-            AlgorithmKind::Dh2h => Box::new(Dh2hBaseline::from_state(graph, state)?),
-            AlgorithmKind::Mhl => Box::new(Mhl::from_state(graph, state)?),
-            // No native codec: the stored state (if any) is ignored and the
-            // index is rebuilt from the snapshotted graph.
-            _ => self.build(graph, params),
-        })
+        match state.and_then(|bytes| self.decode(graph, bytes)) {
+            Some(decoded) => decoded,
+            None => Ok(self.build(graph, params)),
+        }
+    }
+
+    /// Decodes `state` if this kind has a native serialized form; `None`
+    /// means a restart of this kind is a rebuild (stored state is ignored).
+    pub(crate) fn decode(
+        self,
+        graph: &Graph,
+        state: &[u8],
+    ) -> Option<Result<Box<dyn IndexMaintainer>, SnapshotError>> {
+        fn boxed<M: IndexMaintainer + 'static>(
+            decoded: Result<M, SnapshotError>,
+        ) -> Option<Result<Box<dyn IndexMaintainer>, SnapshotError>> {
+            Some(decoded.map(|m| Box::new(m) as Box<dyn IndexMaintainer>))
+        }
+        match self {
+            AlgorithmKind::Dch => boxed(DchBaseline::from_state(graph, state)),
+            AlgorithmKind::Toain => boxed(ToainBaseline::from_state(graph, state)),
+            AlgorithmKind::Dh2h => boxed(Dh2hBaseline::from_state(graph, state)),
+            AlgorithmKind::Mhl => boxed(Mhl::from_state(graph, state)),
+            _ => None,
+        }
     }
 }
 

@@ -143,6 +143,9 @@ impl ServerBuilder {
     /// [`RoadNetworkServer::save_snapshot`]: the graph, algorithm, and build
     /// parameters all come from the file, and algorithms with a serialized
     /// index state skip construction entirely (the warm-restart fast path).
+    /// The others (N-CH-P, P-TD-P, PMHL, PostMHL) are rebuilt from the
+    /// snapshotted graph, and say so: the `htsp_build_*` telemetry family is
+    /// registered exactly as on a cold start.
     /// Any corruption — bad magic, version skew, checksum mismatch,
     /// truncation, malformed sections — surfaces as a typed
     /// [`SnapshotError`]; this never panics on untrusted input.
@@ -155,12 +158,22 @@ impl ServerBuilder {
             SnapshotError::Malformed(format!("unknown algorithm '{}'", snap.algorithm))
         })?;
         let params = BuildParams::from_snapshot_bytes(&snap.params)?;
-        let maintainer = kind.restore(&snap.graph, &params, snap.state.as_deref())?;
-        let server = self
-            .algorithm(kind)
-            .build_params(params)
-            .maintainer(maintainer)
-            .start(&snap.graph);
+        let builder = self.algorithm(kind).build_params(params);
+        let decoded = snap
+            .state
+            .as_deref()
+            .and_then(|state| kind.decode(&snap.graph, state));
+        let builder = match decoded {
+            Some(maintainer) => builder.maintainer(maintainer?),
+            // No native codec (or no stored state): this restart is a full
+            // construction, and `start` accounts for it as one — the
+            // `htsp_build_*` family appears exactly when a build was paid.
+            None => ServerBuilder {
+                maintainer: None,
+                ..builder
+            },
+        };
+        let server = builder.start(&snap.graph);
         // Re-measure through the maintenance thread so `htsp_storage_bytes`
         // (including components a restored index materializes lazily) is
         // correct immediately after a warm restart, not only after the next
@@ -258,8 +271,8 @@ impl ServerBuilder {
 /// Registers the `htsp_build_*` gauge family for one registry construction:
 /// `htsp_build_threads` and `htsp_build_total_micros` per algorithm, plus
 /// `htsp_build_stage_micros` / `htsp_build_stage_tasks` for every worker-pool
-/// stage the build ran (CH contraction windows, H2H level fills, per-partition
-/// fan-outs).
+/// stage the build ran (the per-partition fan-outs; the whole-graph
+/// elimination and label fill are sequential and appear in the total only).
 pub(crate) fn register_build_telemetry(
     hub: &TelemetryHub,
     algorithm: &str,

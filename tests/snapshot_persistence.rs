@@ -258,3 +258,32 @@ fn storage_gauges_are_correct_immediately_after_warm_restart() {
     restored.shutdown();
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn a_restart_that_rebuilt_exports_build_telemetry() {
+    let g = grid(7, 7, WeightRange::new(1, 25), 9);
+    for (kind, rebuilds) in [(AlgorithmKind::PostMhl, true), (AlgorithmKind::Dch, false)] {
+        let server = RoadNetworkServer::builder()
+            .algorithm(kind)
+            .build_params(BuildParams::new(2, 1))
+            .coalesce(CoalescePolicy::manual())
+            .start(&g);
+        let path = temp_snapshot_path(&format!("build_telemetry_{kind}"));
+        server.save_snapshot(&path).expect("save snapshot");
+        server.shutdown();
+
+        let restored = RoadNetworkServer::builder()
+            .start_from_snapshot(&path)
+            .expect("warm restart");
+        let prom = restored.telemetry().export_prometheus();
+        // PostMHL has no native codec, so its restart paid a construction;
+        // DCH decoded its state and built nothing.
+        assert_eq!(
+            prom.contains("htsp_build_total_micros"),
+            rebuilds,
+            "{kind} restart, build telemetry in:\n{prom}"
+        );
+        restored.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+}
