@@ -2,8 +2,8 @@
 //!
 //! The non-partitioned baselines of the paper's evaluation (§VII-A), behind
 //! the read/write index API ([`QueryView`] snapshots published by an
-//! [`IndexMaintainer`]) so the throughput harness and the concurrent
-//! `QueryEngine` can drive every algorithm identically:
+//! [`IndexMaintainer`]) so the server, the load driver and the benchmark
+//! drive every algorithm identically:
 //!
 //! * [`BiDijkstraBaseline`] — index-free bidirectional Dijkstra; zero update
 //!   cost, slow queries.

@@ -22,9 +22,9 @@
 //!
 //! All three implement [`htsp_graph::IndexMaintainer`] and publish
 //! [`htsp_graph::QueryView`] snapshots (with per-thread
-//! [`htsp_graph::QuerySession`]s for batched workloads), so the throughput
-//! harness, the concurrent engine, and the distance service treat them
-//! uniformly with the baselines.
+//! [`htsp_graph::QuerySession`]s for batched workloads), so the server, the
+//! load driver, and the distance service treat them uniformly with the
+//! baselines.
 
 #![warn(missing_docs)]
 

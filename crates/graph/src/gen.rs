@@ -285,7 +285,7 @@ fn connect_components(g: Graph, pts: &[(f64, f64)], weights: WeightRange) -> Gra
 }
 
 /// Named synthetic dataset presets mirroring the *roles* of Table I (small
-/// city → national network) at laptop scale. Used by the experiment harness.
+/// city → national network) at laptop scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Preset {
     /// ~1k vertices; stand-in for a district network (quick tests).

@@ -89,8 +89,8 @@
 //! cost therefore tracks the **change set**, not the index size, and it is
 //! *measured*: every publication carries the [`CowStats`] delta (chunks and
 //! bytes actually cloned during the stage) in its [`PublishEvent`], which
-//! the `QueryEngine` in `htsp-throughput` aggregates into per-stage
-//! clone-telemetry tallies. When no snapshot is outstanding, chunk writes
+//! the update feed in `htsp-throughput` sums into each batch's outcome.
+//! When no snapshot is outstanding, chunk writes
 //! are in-place and free. (Small immutable component parts — tree shape,
 //! vertex orders — are plain `Arc`s; they never clone after build.)
 //!
@@ -147,13 +147,12 @@
 //!
 //! # Throughput measurement
 //!
-//! The harnesses in `htsp-throughput` drive a `RoadNetworkServer` through
-//! update batches: the model harness measures per-stage query latency to
-//! evaluate the Lemma 1 throughput bound; the `QueryEngine` additionally
-//! runs real query worker threads against the published snapshots to report
-//! *measured* QPS curves, in single-call and in session/batched mode; and
-//! `bench-pr4` measures submit-to-visible latency against the coalescing
-//! Δt.
+//! The load driver in `htsp-throughput` (`run_load`) runs client threads
+//! against a `RoadNetworkServer`'s published snapshots — closed loop on
+//! pinned sessions, or Poisson arrivals through its query service — beside
+//! rounds of update batches, and reports measured throughput, latency tails
+//! and the inputs of the Lemma 1 bound. The repository's benchmark
+//! (`benchmark/`) records the numbers, submit-to-visible latency included.
 //!
 //! (The legacy single-object `&mut self` trait `DynamicSpIndex`, deprecated
 //! since 0.2.0, has been removed: it serialized queries against maintenance
@@ -340,8 +339,8 @@ pub type PublishHook = Arc<dyn Fn(&PublishEvent) + Send + Sync>;
 ///
 /// `publish` atomically replaces the current snapshot; `snapshot` hands any
 /// thread an owned `Arc` of the newest view. A monotonically increasing
-/// version and a publication log (instants + stages) let the measurement
-/// harness correlate observed throughput with stage availability.
+/// version and a publication log (instants + stages) let a load run
+/// correlate observed throughput with stage availability.
 pub struct SnapshotPublisher {
     slot: RwLock<Arc<dyn QueryView>>,
     version: AtomicU64,
@@ -382,9 +381,9 @@ pub struct PublishEvent {
 impl SnapshotPublisher {
     /// Publication-log retention bound: the oldest events are dropped once
     /// the undrained log exceeds this many entries, so a publisher serving
-    /// indefinitely (no harness calling [`SnapshotPublisher::take_log`])
-    /// uses bounded memory. Harness runs drain per batch/run and stay far
-    /// below this.
+    /// indefinitely (nobody calling [`SnapshotPublisher::take_log`])
+    /// uses bounded memory. Load runs drain per run and stay far below
+    /// this.
     pub const MAX_LOG_EVENTS: usize = 4096;
 
     /// Creates a publisher holding `initial` as the current snapshot.
@@ -437,7 +436,7 @@ impl SnapshotPublisher {
     /// Like [`SnapshotPublisher::publish`], but records the copy-on-write
     /// clone effort (`cow`) the maintainer spent producing this stage — the
     /// [`CowStats::since`] delta of its component counters — in the
-    /// publication log for the measurement harness.
+    /// publication log.
     pub fn publish_with_cow(&self, view: Arc<dyn QueryView>, cow: CowStats) {
         let stage = view.stage();
         let event;
@@ -457,7 +456,7 @@ impl SnapshotPublisher {
                 log.push(event);
                 // Long-lived servers publish forever and may never drain the
                 // log; cap it so memory (and `cow_since` scans) stay bounded.
-                // The measurement harnesses drain far below the cap.
+                // Load runs drain far below the cap.
                 if log.len() > Self::MAX_LOG_EVENTS {
                     let excess = log.len() - Self::MAX_LOG_EVENTS;
                     log.drain(..excess);
@@ -553,7 +552,7 @@ impl SnapshotPublisher {
     /// Sums the copy-on-write clone telemetry of all logged publications
     /// newer than `version`, without draining the log. Used by the update
     /// feed to attach the snapshot-isolation price of one coalesced batch to
-    /// its tickets while leaving the log for the measurement harnesses.
+    /// its tickets while leaving the log for whoever drains it.
     pub fn cow_since(&self, version: u64) -> CowStats {
         self.log
             .lock()
@@ -611,8 +610,8 @@ pub trait IndexMaintainer: Send {
     fn current_view(&self) -> Arc<dyn QueryView>;
 
     /// A snapshot using the machinery of query stage `stage` (0-based) over
-    /// the *current* (fully repaired) data — used by the harness to measure
-    /// each stage's query speed. Single-stage indexes ignore `stage`.
+    /// the *current* (fully repaired) data — what the benchmark times each
+    /// stage's query speed on. Single-stage indexes ignore `stage`.
     fn view_at_stage(&self, stage: usize) -> Arc<dyn QueryView> {
         let _ = stage;
         self.current_view()

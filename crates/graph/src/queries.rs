@@ -3,8 +3,8 @@
 //! Following the system model of §II and the evaluation protocol of §VII-A,
 //! queries are uniformly random `(s, t)` pairs arriving as a Poisson process
 //! with rate `λ_q`. A [`QuerySet`] is just the pairs; a [`QueryWorkload`]
-//! additionally carries arrival timestamps so the throughput simulator can
-//! model queueing delay against the QoS constraint `R*_q`.
+//! additionally carries arrival timestamps, for modelling queueing delay
+//! against the QoS constraint `R*_q`.
 
 use crate::graph::Graph;
 use crate::types::VertexId;

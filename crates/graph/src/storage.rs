@@ -358,8 +358,9 @@ impl CsrGraph {
     }
 
     /// Heap bytes per component (topology / quantized weights / overflow /
-    /// edge list). The quantized `weight_bytes` is what BENCH_pr9 compares
-    /// against the `8 * num_arcs` a `u64`-weighted layout would pay.
+    /// edge list). The quantized `weight_bytes` is what to compare against
+    /// the `8 * num_arcs` a `u64`-weighted layout would pay (the benchmark's
+    /// `graph.csr_bytes_per_edge`).
     pub fn heap_bytes(&self) -> CsrFootprint {
         use std::mem::size_of;
         CsrFootprint {

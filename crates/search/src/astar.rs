@@ -3,7 +3,7 @@
 //! The paper lists A* among the index-free algorithms (§VIII). On pure
 //! distance queries without coordinates the zero heuristic degenerates to
 //! Dijkstra, but the examples use a landmark (ALT-style) heuristic to show
-//! the API, and the throughput harness uses A* as an extra sanity baseline.
+//! the API.
 
 use crate::heap::MinHeap;
 use htsp_graph::{Dist, Graph, VertexId, INF};

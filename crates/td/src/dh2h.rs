@@ -21,8 +21,7 @@
 //! nothing can be answered from the labels until both phases are done; this
 //! is the paper's motivation for PMHL/PostMHL, which publish intermediate
 //! query stages. The returned [`H2HUpdateReport`] exposes both phase
-//! durations so the throughput simulator can model the index-unavailable
-//! window.
+//! durations, so the index-unavailable window can be modelled.
 
 use crate::decomposition::TreeDecomposition;
 use crate::h2h::{full_label, H2HIndex};

@@ -51,8 +51,8 @@
 //! search-based views (BiDijkstra, DCH, the partitioned CH family, where
 //! `t_search` is µs–ms), marginally or not at all for pure label lookups
 //! (DH2H/MHL answer in ~100 ns — about the price of the probe itself). It is
-//! config-gated off by default for exactly that reason; `bench-pr5` measures
-//! both sides.
+//! config-gated off by default for exactly that reason;
+//! `examples/throughput_tuning.rs` prints both sides.
 //!
 //! # Worked example
 //!
@@ -123,7 +123,7 @@ impl CacheStats {
     }
 
     /// The delta from an earlier reading of the same counters — the
-    /// per-run figure the measurement harnesses report.
+    /// per-run figure a [`LoadReport`](crate::LoadReport) carries.
     pub fn since(self, earlier: CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits.saturating_sub(earlier.hits),

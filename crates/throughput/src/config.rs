@@ -1,52 +1,7 @@
-//! System-model parameters (Table II of the paper) and serving-side
-//! configuration (the result cache and the sharded fleet).
+//! Serving-side configuration: the result cache and the sharded fleet.
 
 use crate::feed::CoalescePolicy;
 use crate::registry::{AlgorithmKind, BuildParams};
-
-/// Parameters of the batch-update system model (§II).
-#[derive(Clone, Copy, Debug)]
-pub struct SystemConfig {
-    /// Update volume `|U|`: number of edge updates per batch.
-    pub update_volume: usize,
-    /// Update interval `δt` in seconds.
-    pub update_interval: f64,
-    /// QoS constraint `R*_q`: maximum average query response time in seconds.
-    pub max_response_time: f64,
-    /// Number of queries sampled when measuring per-stage query latency.
-    pub query_sample: usize,
-}
-
-impl Default for SystemConfig {
-    /// The paper's defaults (bold in Table II): `|U| = 1000`, `δt = 120 s`,
-    /// `R*_q = 1 s`.
-    fn default() -> Self {
-        SystemConfig {
-            update_volume: 1000,
-            update_interval: 120.0,
-            max_response_time: 1.0,
-            query_sample: 200,
-        }
-    }
-}
-
-impl SystemConfig {
-    /// Table II sweep values for the update volume `|U|`.
-    pub const UPDATE_VOLUMES: [usize; 4] = [500, 1000, 3000, 5000];
-    /// Table II sweep values for the update interval `δt` (seconds).
-    pub const UPDATE_INTERVALS: [f64; 4] = [60.0, 120.0, 300.0, 600.0];
-    /// Table II sweep values for the QoS response time `R*_q` (seconds).
-    pub const RESPONSE_TIMES: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
-
-    /// A laptop-scale variant of the defaults used by the experiment harness
-    /// (smaller batches so each experiment finishes quickly).
-    pub fn laptop(update_volume: usize) -> Self {
-        SystemConfig {
-            update_volume,
-            ..SystemConfig::default()
-        }
-    }
-}
 
 /// Configuration of the snapshot-versioned
 /// [`DistanceCache`](crate::DistanceCache).
@@ -180,14 +135,5 @@ mod tests {
         assert_eq!(c.shards, 16);
         assert_eq!(CacheConfig::with_capacity(100).capacity, 100);
         assert_eq!(CacheConfig::with_capacity(100).shards, 16);
-    }
-
-    #[test]
-    fn defaults_match_table_ii() {
-        let c = SystemConfig::default();
-        assert_eq!(c.update_volume, 1000);
-        assert_eq!(c.update_interval, 120.0);
-        assert_eq!(c.max_response_time, 1.0);
-        assert!(SystemConfig::UPDATE_VOLUMES.contains(&c.update_volume));
     }
 }

@@ -69,8 +69,9 @@ impl CoalescePolicy {
     }
 
     /// Manual batching: nothing auto-flushes; batches form only at explicit
-    /// [`UpdateFeed::flush`] boundaries. The policy the measurement
-    /// harnesses use so every round is exactly one batch.
+    /// [`UpdateFeed::flush`] boundaries. The policy to host a server with so
+    /// every update round of [`run_load`](crate::run_load) is exactly one
+    /// batch.
     pub fn manual() -> Self {
         CoalescePolicy::by_size(usize::MAX)
     }
@@ -381,8 +382,7 @@ impl UpdateFeed {
     /// completes.
     ///
     /// Unlike the policy-triggered path, a forced flush applies even an
-    /// *empty* batch (the maintainer republishes its final stage), which is
-    /// what the measurement harnesses use to replay serving-only rounds.
+    /// *empty* batch (the maintainer republishes its final stage).
     pub fn flush(&self) -> UpdateTicket {
         let cell = TicketCell::new();
         let submitted_at = Instant::now();

@@ -16,27 +16,37 @@
 //! publication, fleet-wide epochs) while staying deterministic enough for
 //! exactness tests.
 
+use crate::admission::AdmissionPolicy;
 use crate::cache::CacheStats;
 use crate::config::FleetConfig;
 use crate::feed::CoalescePolicy;
-use crate::router::{FleetRouter, FleetSession, FleetTicket, RouterCtx};
+use crate::load::LoadTarget;
+use crate::router::{FleetQueryHandle, FleetRouter, FleetSession, FleetTicket, RouterCtx};
 use crate::server::RoadNetworkServer;
+use crate::service::{DistanceService, SessionSource};
 use crate::slo::LatencyHistogram;
 use crate::telemetry::TelemetryHub;
 use htsp_graph::cow::CowStats;
 use htsp_graph::dimacs::{load_dimacs_streaming_file, DimacsError};
-use htsp_graph::{Dist, EdgeUpdate, Graph, VertexId};
+use htsp_graph::{Dist, EdgeUpdate, Graph, UpdateGenerator, UpdateTimeline, VertexId};
 use htsp_partition::partition_region_growing;
 use htsp_psp::OverlayMaintainer;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// A fleet of shard servers plus the front-end router over the boundary
 /// overlay. See the [module docs](self).
 pub struct ShardedFleet {
+    // Declared first so its workers stop pinning epochs before the router
+    // and the shards go away.
+    service: OnceLock<DistanceService>,
     // Declared before `servers` so the router thread (which writes to the
     // shard feeds) stops before any shard server shuts down.
     router: FleetRouter,
+    /// The query side of `router`: what sessions and the query service pin
+    /// fleet epochs through.
+    query: FleetQueryHandle,
     servers: Vec<RoadNetworkServer>,
     config: FleetConfig,
     hub: Arc<TelemetryHub>,
@@ -102,6 +112,8 @@ impl ShardedFleet {
         let caches = servers.iter().map(|s| s.cache().cloned()).collect();
         let router = FleetRouter::spawn(core, ctx, caches);
         ShardedFleet {
+            service: OnceLock::new(),
+            query: router.query_handle(),
             router,
             servers,
             config,
@@ -168,26 +180,43 @@ impl ShardedFleet {
 
     /// A clonable handle to the fleet's query side; see
     /// [`FleetRouter::query_handle`].
-    pub fn query_handle(&self) -> crate::router::FleetQueryHandle {
-        self.router.query_handle()
+    pub fn query_handle(&self) -> FleetQueryHandle {
+        self.query.clone()
     }
 
-    /// Starts a [`DistanceService`](crate::DistanceService) whose workers
-    /// answer [`QueryBatch`](crate::QueryBatch)es through sessions pinned to
-    /// this fleet's epochs, under `policy` — the fleet-level admission
-    /// point. The caller owns the returned service; it must be shut down
-    /// (or dropped) before the fleet.
+    /// Starts the fleet's [`DistanceService`]: `num_workers` threads
+    /// answering [`QueryBatch`](crate::QueryBatch)es through sessions pinned
+    /// to this fleet's epochs, under `policy` — the fleet-level admission
+    /// point, recording into the fleet's hub. The fleet owns the service
+    /// (it is what [`ShardedFleet::query_service`] returns from then on) and
+    /// shuts it down before its router.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the service was already started.
     pub fn start_query_service(
         &self,
         num_workers: usize,
-        policy: crate::admission::AdmissionPolicy,
-    ) -> crate::service::DistanceService {
-        crate::service::DistanceService::for_fleet_with_telemetry(
-            self.query_handle(),
-            num_workers,
-            policy,
-            Arc::clone(&self.hub),
-        )
+        policy: AdmissionPolicy,
+    ) -> &DistanceService {
+        assert!(
+            self.service.get().is_none(),
+            "the fleet's query service is already running"
+        );
+        self.service.get_or_init(|| {
+            DistanceService::for_fleet_with_telemetry(
+                self.query_handle(),
+                num_workers,
+                policy,
+                Arc::clone(&self.hub),
+            )
+        })
+    }
+
+    /// The batched query front-end, once
+    /// [`ShardedFleet::start_query_service`] has started it.
+    pub fn query_service(&self) -> Option<&DistanceService> {
+        self.service.get()
     }
 
     /// Forces a fleet batch boundary now.
@@ -272,12 +301,60 @@ impl ShardedFleet {
         }
     }
 
-    /// Stops the router (draining pending updates) and every shard server.
+    /// Stops the query service (if one was started), the router (draining
+    /// pending updates) and every shard server.
     pub fn shutdown(mut self) {
+        if let Some(service) = self.service.take() {
+            service.shutdown();
+        }
         self.router.shutdown();
         for server in self.servers.drain(..) {
             server.shutdown();
         }
+    }
+}
+
+impl LoadTarget for ShardedFleet {
+    fn name(&self) -> String {
+        self.algorithm()
+    }
+
+    /// Fleet sessions always serve the fully repaired epoch.
+    fn num_query_stages(&self) -> usize {
+        1
+    }
+
+    fn sessions(&self) -> &dyn SessionSource {
+        &self.query
+    }
+
+    fn query_service(&self) -> Option<&DistanceService> {
+        self.service.get()
+    }
+
+    fn telemetry(&self) -> &TelemetryHub {
+        &self.hub
+    }
+
+    fn cache_stats(&self) -> Option<CacheStats> {
+        self.report().cache_total()
+    }
+
+    /// Epochs are not logged per publication; shard-level publication and
+    /// lag telemetry lives in the [`FleetReport`].
+    fn take_publications(&self) -> Vec<(Instant, usize)> {
+        Vec::new()
+    }
+
+    /// The round goes through the router (shard fan-out plus overlay
+    /// maintenance); its one stage is the full submit-to-epoch-published
+    /// time, since a fleet exposes no intermediate stages.
+    fn apply_round(&self, gen: &mut UpdateGenerator, volume: usize) -> UpdateTimeline {
+        let batch = gen.generate(self.session().graph(), volume);
+        let submitted = Instant::now();
+        self.router.submit_all(batch.as_slice().iter().copied());
+        self.router.flush().wait_applied();
+        UpdateTimeline::single("fleet_epoch", submitted.elapsed())
     }
 }
 

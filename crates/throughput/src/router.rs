@@ -43,6 +43,7 @@
 use crate::cache::{CachedSession, DistanceCache};
 use crate::feed::CoalescePolicy;
 use crate::feed::{UpdateFeed, UpdateTicket};
+use crate::service::{Pinned, SessionSource};
 use crate::telemetry::{Counter, Gauge, Histogram, TelemetryHub};
 use htsp_graph::{
     Dist, EdgeUpdate, Graph, QuerySession, QueryView, SnapshotPublisher, TraceId, UpdateBatch,
@@ -859,6 +860,27 @@ impl FleetQueryHandle {
             telemetry: Arc::clone(&self.telemetry),
             ws: DijkstraWorkspace::new(n),
         }
+    }
+}
+
+impl SessionSource for FleetQueryHandle {
+    fn version(&self) -> u64 {
+        self.fleet_version()
+    }
+
+    /// One [`FleetSession`] — a mutually consistent set of shard views plus
+    /// overlay — per fleet epoch; it always serves the fully repaired
+    /// stage, so `stage` is 0.
+    fn with_pinned(&self, drain: &mut dyn FnMut(Pinned<'_>)) {
+        let mut session = self.session();
+        let epoch = Arc::clone(&session.epoch);
+        drain(Pinned {
+            version: epoch.version,
+            stage: 0,
+            algorithm: "fleet",
+            graph: &epoch.global,
+            session: &mut session,
+        });
     }
 }
 

@@ -20,24 +20,27 @@
 //! started, queries and updates run *concurrently*: readers drain published
 //! snapshots and are never blocked by maintenance; writers submit into the
 //! [`UpdateFeed`] and use their [`UpdateTicket`]s for read-your-writes
-//! acknowledgements. The measurement harnesses (`ThroughputHarness`,
-//! `QueryEngine`) are thin drivers over this same facade.
+//! acknowledgements. The load driver ([`run_load`](crate::run_load)) drives
+//! this same facade through the [`LoadTarget`] trait.
 
 use crate::admission::AdmissionPolicy;
 use crate::cache::DistanceCache;
 use crate::config::CacheConfig;
 use crate::feed::{CoalescePolicy, UpdateFeed, UpdateTicket};
+use crate::load::LoadTarget;
 use crate::registry::{AlgorithmKind, BuildParams};
-use crate::service::{BatchTicket, DistanceService, QueryBatch};
+use crate::service::{BatchTicket, DistanceService, QueryBatch, SessionSource, SnapshotSource};
 use crate::telemetry::{Gauge, TelemetryHub};
 use htsp_graph::{
     Dist, EdgeUpdate, Graph, IndexMaintainer, IndexSnapshot, QueryView, SnapshotError,
-    SnapshotPublisher, VertexId,
+    SnapshotPublisher, UpdateGenerator, UpdateTimeline, VertexId,
 };
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Prometheus metric name of the per-component memory-footprint gauges
 /// (`htsp_storage_bytes{component="..."}`), registered by every server at
@@ -243,22 +246,21 @@ impl ServerBuilder {
                 .spawn(move || feed.run_maintenance(maintainer, policy))
                 .expect("spawn maintenance thread")
         };
+        let source = Arc::new(SnapshotSource { publisher, cache });
         let service = (self.query_workers > 0).then(|| {
-            DistanceService::with_telemetry(
-                Arc::clone(&publisher),
+            DistanceService::spawn(
+                Arc::clone(&source) as _,
                 self.query_workers,
-                cache.clone(),
                 self.admission,
                 Arc::clone(&hub),
             )
         });
         RoadNetworkServer {
             graph: shared_graph,
-            publisher,
+            source,
             feed,
             maintenance: Some(maintenance),
             service,
-            cache,
             algorithm,
             num_query_stages,
             hub,
@@ -309,11 +311,12 @@ pub(crate) fn register_build_telemetry(
 /// same but hands the index machinery back for reuse.
 pub struct RoadNetworkServer {
     graph: Arc<RwLock<Graph>>,
-    publisher: Arc<SnapshotPublisher>,
+    /// The read side (publisher + optional result cache) every serving path
+    /// of this server pins through.
+    source: Arc<SnapshotSource>,
     feed: UpdateFeed,
     maintenance: Option<JoinHandle<Box<dyn IndexMaintainer>>>,
     service: Option<DistanceService>,
-    cache: Option<Arc<DistanceCache>>,
     algorithm: &'static str,
     num_query_stages: usize,
     hub: Arc<TelemetryHub>,
@@ -329,8 +332,8 @@ impl RoadNetworkServer {
 
     /// Shorthand: hosts an already-built maintainer over `graph` with
     /// manual batching ([`CoalescePolicy::manual`]) and no query workers —
-    /// the configuration the measurement harnesses drive, where every round
-    /// is exactly one explicitly flushed batch.
+    /// the configuration under which every update round of
+    /// [`run_load`](crate::run_load) is exactly one explicitly flushed batch.
     pub fn host(graph: &Graph, maintainer: Box<dyn IndexMaintainer>) -> RoadNetworkServer {
         RoadNetworkServer::builder()
             .maintainer(maintainer)
@@ -360,14 +363,14 @@ impl RoadNetworkServer {
     }
 
     /// The snapshot publisher queries read from (hand it to custom serving
-    /// threads; the harnesses drain its publication log).
+    /// threads; its publication log records every staged release).
     pub fn publisher(&self) -> &Arc<SnapshotPublisher> {
-        &self.publisher
+        &self.source.publisher
     }
 
     /// An owned handle to the newest published snapshot.
     pub fn snapshot(&self) -> Arc<dyn QueryView> {
-        self.publisher.snapshot()
+        self.source.publisher.snapshot()
     }
 
     /// Convenience single query on the newest snapshot, consulting the
@@ -375,8 +378,8 @@ impl RoadNetworkServer {
     /// a session on [`RoadNetworkServer::snapshot`] (or use the
     /// [`DistanceService`]) instead.
     pub fn distance(&self, s: VertexId, t: VertexId) -> Dist {
-        let (version, view) = self.publisher.versioned_snapshot();
-        if let Some(cache) = &self.cache {
+        let (version, view) = self.source.publisher.versioned_snapshot();
+        if let Some(cache) = &self.source.cache {
             if let Some(d) = cache.get(s, t, version) {
                 return d;
             }
@@ -388,12 +391,9 @@ impl RoadNetworkServer {
     }
 
     /// The snapshot-versioned result cache, when the server was started
-    /// with [`ServerBuilder::result_cache`]. Serving loops outside the
-    /// built-in [`DistanceService`] (e.g. the
-    /// [`QueryEngine`](crate::QueryEngine) workers) wrap their sessions in a
-    /// [`CachedSession`](crate::CachedSession) around this handle.
+    /// with [`ServerBuilder::result_cache`].
     pub fn cache(&self) -> Option<&Arc<DistanceCache>> {
-        self.cache.as_ref()
+        self.source.cache.as_ref()
     }
 
     /// The telemetry hub every component of this server records into
@@ -431,8 +431,8 @@ impl RoadNetworkServer {
     ///
     /// The job runs between batches, never mid-repair, so it may block for
     /// as long as the repair in front of it takes. This is the
-    /// introspection escape hatch the measurement harnesses use
-    /// (per-stage views, index size); serving paths never need it.
+    /// introspection escape hatch (per-stage views, index size); serving
+    /// paths never need it.
     pub fn with_index<R, F>(&self, f: F) -> R
     where
         R: Send + 'static,
@@ -515,6 +515,59 @@ impl RoadNetworkServer {
     }
 }
 
+impl LoadTarget for RoadNetworkServer {
+    fn name(&self) -> String {
+        self.algorithm.to_string()
+    }
+
+    fn num_query_stages(&self) -> usize {
+        self.num_query_stages
+    }
+
+    fn sessions(&self) -> &dyn SessionSource {
+        &*self.source
+    }
+
+    fn query_service(&self) -> Option<&DistanceService> {
+        self.service.as_ref()
+    }
+
+    fn telemetry(&self) -> &TelemetryHub {
+        &self.hub
+    }
+
+    fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
+        self.source.cache.as_ref().map(|c| c.stats())
+    }
+
+    fn take_publications(&self) -> Vec<(Instant, usize)> {
+        let log = self.source.publisher.take_log();
+        log.into_iter().map(|e| (e.at, e.stage)).collect()
+    }
+
+    /// Under a manual coalesce policy (what [`RoadNetworkServer::host`]
+    /// sets) the round is exactly one feed batch. Under an auto-flushing
+    /// policy it may split into several; the returned timeline then
+    /// concatenates the stages of every distinct batch, so its total still
+    /// covers the whole round.
+    fn apply_round(&self, gen: &mut UpdateGenerator, volume: usize) -> UpdateTimeline {
+        let batch = self.with_graph(|g| gen.generate(g, volume));
+        let mut tickets = self.feed.submit_all(batch.as_slice().iter().copied());
+        tickets.push(self.feed.flush());
+        let mut seen = HashSet::new();
+        let mut round = UpdateTimeline::default();
+        for ticket in &tickets {
+            let outcome = ticket.wait_applied();
+            if seen.insert(outcome.batch_seq) {
+                for stage in &outcome.timeline.stages {
+                    round.push(stage.name.clone(), stage.duration);
+                }
+            }
+        }
+        round
+    }
+}
+
 impl Drop for RoadNetworkServer {
     fn drop(&mut self) {
         if self.maintenance.is_some() && !std::thread::panicking() {
@@ -529,7 +582,7 @@ impl std::fmt::Debug for RoadNetworkServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoadNetworkServer")
             .field("algorithm", &self.algorithm)
-            .field("published_version", &self.publisher.version())
+            .field("published_version", &self.source.publisher.version())
             .field("feed", &self.feed)
             .finish()
     }

@@ -36,10 +36,10 @@
 //! [`Deadline`](AdmissionPolicy::Deadline) passed before execution, and
 //! every admission/execution path is counted in [`ServiceStats`].
 //!
-//! The service can front either a single server's [`SnapshotPublisher`] or
-//! a whole [`ShardedFleet`](crate::ShardedFleet) (via
-//! [`DistanceService::for_fleet`]), so the same queue, policies, and
-//! telemetry apply at the fleet level.
+//! The service pins through a [`SessionSource`], so the same queue,
+//! policies, telemetry — and the same pin/drain/re-pin loop — front either a
+//! single server's [`SnapshotPublisher`] or a whole
+//! [`ShardedFleet`](crate::ShardedFleet) (via [`DistanceService::for_fleet`]).
 //!
 //! The maintenance side stays outside the service: whoever owns the
 //! [`IndexMaintainer`](htsp_graph::IndexMaintainer) keeps calling
@@ -49,7 +49,7 @@ use crate::admission::{AdmissionPolicy, ServiceStats, ShutdownReport, SubmitOutc
 use crate::cache::{CachedSession, DistanceCache};
 use crate::router::FleetQueryHandle;
 use crate::telemetry::{Counter, Gauge, Histogram, TelemetryHub};
-use htsp_graph::{Dist, Query, QuerySession, SnapshotPublisher, TraceId, VertexId};
+use htsp_graph::{Dist, Graph, Query, QuerySession, SnapshotPublisher, TraceId, VertexId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -91,6 +91,97 @@ impl QueryBatch {
             QueryBatch::OneToMany { targets, .. } => targets.len(),
             QueryBatch::Matrix { sources, targets } => sources.len() * targets.len(),
         }
+    }
+
+    /// The `(s, t)` pairs in the order the answer lists their distances.
+    pub fn pairs(&self) -> Vec<(VertexId, VertexId)> {
+        match self {
+            QueryBatch::PointToPoint(qs) => qs.iter().map(|q| (q.source, q.target)).collect(),
+            QueryBatch::OneToMany { source, targets } => {
+                targets.iter().map(|&t| (*source, t)).collect()
+            }
+            QueryBatch::Matrix { sources, targets } => sources
+                .iter()
+                .flat_map(|&s| targets.iter().map(move |&t| (s, t)))
+                .collect(),
+        }
+    }
+
+    /// Answers the batch through `session`; the distances come back
+    /// flattened in request order (row-major for a matrix).
+    pub fn execute(&self, session: &mut dyn QuerySession) -> Vec<Dist> {
+        match self {
+            QueryBatch::PointToPoint(qs) => qs.iter().map(|q| session.query(q)).collect(),
+            QueryBatch::OneToMany { source, targets } => session.one_to_many(*source, targets),
+            QueryBatch::Matrix { sources, targets } => session
+                .matrix(sources, targets)
+                .into_iter()
+                .flatten()
+                .collect(),
+        }
+    }
+}
+
+/// One pinned read view of a [`SessionSource`]: a session opened on the
+/// newest published state, with what identifies that state. Every answer
+/// the session gives is exact on `graph`.
+pub struct Pinned<'a> {
+    /// The source's version this pin was taken at.
+    pub version: u64,
+    /// Query stage of the pinned view (0 for a fleet epoch).
+    pub stage: usize,
+    /// Algorithm name of the pinned view.
+    pub algorithm: &'static str,
+    /// The graph version the pinned view serves.
+    pub graph: &'a Graph,
+    /// The session, cache-wrapped where the source has a result cache.
+    pub session: &'a mut dyn QuerySession,
+}
+
+/// Where serving threads pin their sessions — the read side shared by a
+/// single server and a sharded fleet, and the one place that knows how the
+/// two pin. The protocol every serving loop follows: take a pin, drain
+/// requests through its session while [`SessionSource::version`] still
+/// equals the pinned version, then return from the callback (dropping the
+/// session and its snapshot) and pin again.
+pub trait SessionSource: Send + Sync {
+    /// The currently published version.
+    fn version(&self) -> u64;
+
+    /// Pins the newest published state and calls `drain` exactly once with
+    /// a session on it. The `(version, view)` pair is read atomically, so a
+    /// concurrent publication can neither tag the old view with the new
+    /// version nor suppress the caller's re-pin.
+    fn with_pinned(&self, drain: &mut dyn FnMut(Pinned<'_>));
+}
+
+/// A single server's read side: its publisher and, when enabled, the
+/// snapshot-versioned result cache every session is wrapped in (the wrapper
+/// carries the pinned version, so a cached answer never crosses a
+/// publication).
+pub(crate) struct SnapshotSource {
+    pub(crate) publisher: Arc<SnapshotPublisher>,
+    pub(crate) cache: Option<Arc<DistanceCache>>,
+}
+
+impl SessionSource for SnapshotSource {
+    fn version(&self) -> u64 {
+        self.publisher.version()
+    }
+
+    fn with_pinned(&self, drain: &mut dyn FnMut(Pinned<'_>)) {
+        let (version, view) = self.publisher.versioned_snapshot();
+        let mut session: Box<dyn QuerySession + '_> = match &self.cache {
+            Some(cache) => Box::new(CachedSession::new(view.session(), cache, version)),
+            None => view.session(),
+        };
+        drain(Pinned {
+            version,
+            stage: view.stage(),
+            algorithm: view.algorithm(),
+            graph: view.graph(),
+            session: &mut *session,
+        });
     }
 }
 
@@ -163,14 +254,24 @@ impl BatchResult {
 pub struct BatchTicket {
     rx: Mutex<mpsc::Receiver<BatchResult>>,
     result: Mutex<Option<BatchResult>>,
+    depth_at_accept: usize,
 }
 
 impl BatchTicket {
-    fn new(rx: mpsc::Receiver<BatchResult>) -> Self {
+    fn new(rx: mpsc::Receiver<BatchResult>, depth_at_accept: usize) -> Self {
         BatchTicket {
             rx: Mutex::new(rx),
             result: Mutex::new(None),
+            depth_at_accept,
         }
+    }
+
+    /// The queue depth right after this batch was enqueued (itself
+    /// included). The queue is deepest right after some push, so the
+    /// maximum over a set of tickets is the exact high-water mark their
+    /// submissions drove the queue to.
+    pub fn depth_at_accept(&self) -> usize {
+        self.depth_at_accept
     }
 
     fn cached(&self) -> Option<BatchResult> {
@@ -318,19 +419,6 @@ struct Job {
     accepted_at: Instant,
 }
 
-/// What the workers answer from: a single server's publisher, or a whole
-/// sharded fleet's epochs.
-enum Backend {
-    Single {
-        publisher: Arc<SnapshotPublisher>,
-        /// Snapshot-versioned result cache consulted before every search
-        /// (see [`crate::cache`]); `None` serves every query through the
-        /// session.
-        cache: Option<Arc<DistanceCache>>,
-    },
-    Fleet(FleetQueryHandle),
-}
-
 /// The service's registered metric handles. [`ServiceStats`] is a read-out
 /// of these registry series — the registry is the single source of truth.
 struct ServiceMetrics {
@@ -368,7 +456,7 @@ impl ServiceMetrics {
 }
 
 struct Shared {
-    backend: Backend,
+    source: Arc<dyn SessionSource>,
     policy: AdmissionPolicy,
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
@@ -404,14 +492,7 @@ impl Shared {
 
     /// Serves one popped job: discards it unexecuted when its deadline has
     /// passed, answers it through `session` otherwise.
-    fn serve(
-        &self,
-        session: &mut dyn QuerySession,
-        version: u64,
-        stage: usize,
-        algorithm: &'static str,
-        job: Job,
-    ) {
+    fn serve(&self, pin: &mut Pinned<'_>, job: Job) {
         let popped_at = Instant::now();
         self.stats
             .queue_wait
@@ -426,7 +507,13 @@ impl Shared {
             return;
         }
         let pairs = job.batch.num_pairs() as u64;
-        let reply = answer(session, version, stage, algorithm, &job.batch);
+        let reply = BatchAnswer {
+            distances: job.batch.execute(pin.session),
+            snapshot_version: pin.version,
+            stage: pin.stage,
+            algorithm: pin.algorithm,
+            answered_at: Instant::now(),
+        };
         self.stats
             .execute
             .record(reply.answered_at.saturating_duration_since(popped_at));
@@ -439,109 +526,37 @@ impl Shared {
     }
 }
 
-/// Answers `job` through `session`, which is pinned to (`version`, `stage`,
-/// `algorithm`) of the snapshot it was opened on.
-fn answer(
-    session: &mut dyn QuerySession,
-    version: u64,
-    stage: usize,
-    algorithm: &'static str,
-    batch: &QueryBatch,
-) -> BatchAnswer {
-    let distances = match batch {
-        QueryBatch::PointToPoint(qs) => qs.iter().map(|q| session.query(q)).collect(),
-        QueryBatch::OneToMany { source, targets } => session.one_to_many(*source, targets),
-        QueryBatch::Matrix { sources, targets } => session
-            .matrix(sources, targets)
-            .into_iter()
-            .flatten()
-            .collect(),
-    };
-    BatchAnswer {
-        distances,
-        snapshot_version: version,
-        stage,
-        algorithm,
-        answered_at: Instant::now(),
-    }
-}
-
 fn worker_loop(shared: &Shared) {
-    // A job carried over from the previous pin because the snapshot
+    // A job carried over from the previous pin because the published
     // version advanced mid-drain.
     let mut carried: Option<Job> = None;
     loop {
-        let job = match carried.take().or_else(|| shared.pop_blocking()) {
-            Some(job) => job,
-            None => return, // shutdown with an empty queue
-        };
-        match &shared.backend {
-            Backend::Single { publisher, cache } => {
-                // Pin: newest snapshot, one session, scratch checked out
-                // once. The (version, view) pair is read atomically so a
-                // concurrent publish cannot tag the old view with the new
-                // version (which would both mislabel answers and suppress
-                // the re-pin below). With a result cache, the session is
-                // wrapped so repeated pairs skip the search; the wrapper
-                // carries the pinned version, so a cached answer can never
-                // cross a publication boundary.
-                let pin_start = Instant::now();
-                let (pinned_version, view) = publisher.versioned_snapshot();
-                let mut session: Box<dyn QuerySession + '_> = match cache {
-                    Some(cache) => {
-                        Box::new(CachedSession::new(view.session(), cache, pinned_version))
-                    }
-                    None => view.session(),
-                };
-                let stage = view.stage();
-                let algorithm = view.algorithm();
-                shared
-                    .hub
-                    .record_span(TraceId::NONE, "query", "pin", pin_start, Instant::now());
-                let mut job = job;
-                loop {
-                    shared.serve(&mut *session, pinned_version, stage, algorithm, job);
-                    match shared.try_pop() {
-                        // Keep draining on the same session while the
-                        // snapshot is still the newest one.
-                        Some(next) if publisher.version() == pinned_version => job = next,
-                        // A newer stage was published: re-pin before
-                        // answering.
-                        Some(next) => {
-                            carried = Some(next);
-                            break;
-                        }
-                        // Queue drained: drop the session (and its snapshot
-                        // pin) so the maintainer can reclaim the COW memory,
-                        // then park.
-                        None => break,
-                    }
-                }
-            }
-            Backend::Fleet(handle) => {
-                // Same pin/drain/re-pin protocol over fleet epochs: one
-                // FleetSession (a mutually consistent set of shard views +
-                // overlay) held while the fleet version is unchanged.
-                let pin_start = Instant::now();
-                let mut session = handle.session();
-                let pinned_version = session.fleet_version();
-                shared
-                    .hub
-                    .record_span(TraceId::NONE, "query", "pin", pin_start, Instant::now());
-                let mut job = job;
-                loop {
-                    shared.serve(&mut session, pinned_version, 0, "fleet", job);
-                    match shared.try_pop() {
-                        Some(next) if handle.fleet_version() == pinned_version => job = next,
-                        Some(next) => {
-                            carried = Some(next);
-                            break;
-                        }
-                        None => break,
-                    }
-                }
-            }
+        let mut job = carried.take().or_else(|| shared.pop_blocking());
+        if job.is_none() {
+            return; // shutdown with an empty queue
         }
+        // Pin: newest published state, one session, scratch checked out
+        // once.
+        let pin_start = Instant::now();
+        shared.source.with_pinned(&mut |mut pin| {
+            shared
+                .hub
+                .record_span(TraceId::NONE, "query", "pin", pin_start, Instant::now());
+            while let Some(next) = job.take() {
+                shared.serve(&mut pin, next);
+                match shared.try_pop() {
+                    // Keep draining on the same session while the pinned
+                    // state is still the newest one.
+                    Some(next) if shared.source.version() == pin.version => job = Some(next),
+                    // A newer stage was published: re-pin before answering.
+                    Some(next) => carried = Some(next),
+                    // Queue drained: drop the session (and its snapshot
+                    // pin) so the maintainer can reclaim the COW memory,
+                    // then park.
+                    None => {}
+                }
+            }
+        });
     }
 }
 
@@ -605,7 +620,7 @@ impl DistanceService {
         hub: Arc<TelemetryHub>,
     ) -> Self {
         DistanceService::spawn(
-            Backend::Single { publisher, cache },
+            Arc::new(SnapshotSource { publisher, cache }),
             num_workers,
             policy,
             hub,
@@ -637,18 +652,18 @@ impl DistanceService {
         policy: AdmissionPolicy,
         hub: Arc<TelemetryHub>,
     ) -> Self {
-        DistanceService::spawn(Backend::Fleet(handle), num_workers, policy, hub)
+        DistanceService::spawn(Arc::new(handle), num_workers, policy, hub)
     }
 
-    fn spawn(
-        backend: Backend,
+    pub(crate) fn spawn(
+        source: Arc<dyn SessionSource>,
         num_workers: usize,
         policy: AdmissionPolicy,
         hub: Arc<TelemetryHub>,
     ) -> Self {
         let stats = ServiceMetrics::register(&hub);
         let shared = Arc::new(Shared {
-            backend,
+            source,
             policy,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
@@ -714,7 +729,7 @@ impl DistanceService {
             _ => None,
         };
         let (tx, rx) = mpsc::channel();
-        {
+        let depth = {
             let mut queue = self.shared.queue.lock().expect("service queue poisoned");
             if let AdmissionPolicy::Shed { max_depth } = self.shared.policy {
                 if queue.len() >= max_depth {
@@ -734,10 +749,11 @@ impl DistanceService {
             // high-water mark through its single `fetch_max` path, so
             // racing submitters can never under-report the maximum.
             stats.queue_depth.set(queue.len() as u64);
-        }
+            queue.len()
+        };
         stats.accepted.inc();
         self.shared.available.notify_one();
-        SubmitOutcome::Accepted(BatchTicket::new(rx))
+        SubmitOutcome::Accepted(BatchTicket::new(rx, depth))
     }
 
     /// Convenience: submits and waits in one call.
@@ -781,19 +797,6 @@ impl DistanceService {
     /// The telemetry hub this service records into.
     pub fn telemetry(&self) -> &Arc<TelemetryHub> {
         &self.shared.hub
-    }
-
-    /// The publisher this service serves from (hand it to the maintainer).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a fleet-backed service ([`DistanceService::for_fleet`]),
-    /// which serves from fleet epochs, not a single publisher.
-    pub fn publisher(&self) -> &Arc<SnapshotPublisher> {
-        match &self.shared.backend {
-            Backend::Single { publisher, .. } => publisher,
-            Backend::Fleet(_) => panic!("a fleet-backed service has no single publisher"),
-        }
     }
 
     /// Number of serving threads.

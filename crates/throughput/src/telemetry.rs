@@ -43,7 +43,7 @@
 //! | `htsp_query_*_seconds` | query queueing and execution latency |
 //! | `htsp_cache_*` | distance-cache lookups, inserts, evictions |
 //! | `htsp_fleet_*{shard=...}` | router fan-out, per-shard visibility lag |
-//! | `htsp_loadgen_*{class=...}` | open-loop driver per-class outcomes |
+//! | `htsp_loadgen_*{class=...}` | load driver ([`run_load`](crate::run_load)) per-class outcomes |
 //!
 //! Histograms record nanoseconds internally and export seconds, following
 //! Prometheus base-unit convention (`*_seconds`).

@@ -1,8 +1,9 @@
 //! Observability: one `TelemetryHub` over the whole serving pipeline.
 //!
-//! Builds a DCH server (with a result cache) and a 4-shard fleet that share
-//! a single telemetry hub, pushes traced updates and an open-loop query run
-//! through them, then exports the two wire formats the hub speaks:
+//! Builds a DCH server (with a result cache and a shedding query service)
+//! and a 4-shard fleet that share a single telemetry hub, pushes traced
+//! updates and a `run_load` Poisson run through them, then exports the two
+//! wire formats the hub speaks:
 //!
 //! * **Prometheus text exposition** — every counter, gauge (with its
 //!   high-water `_max` twin), and latency histogram in the registry, ready
@@ -22,10 +23,10 @@
 
 use htsp::graph::{gen, Query, QuerySet, UpdateGenerator};
 use htsp::throughput::{
-    loadgen, validate_json, validate_prometheus, AdmissionPolicy, AlgorithmKind, CacheConfig,
-    DistanceService, FleetConfig, LoadProfile, RequestMix, ShardedFleet, SloTarget, TelemetryHub,
+    validate_json, validate_prometheus, AdmissionPolicy, AlgorithmKind, CacheConfig, FleetConfig,
+    RequestClass, RequestMix, ShardedFleet, SloTarget, TelemetryHub,
 };
-use htsp::ServerBuilder;
+use htsp::{run_load, LoadProfile, ServerBuilder};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,13 +35,16 @@ fn main() {
     let pool: Vec<Query> = QuerySet::random(&road, 128, 11).as_slice().to_vec();
 
     // One hub for every component: the server's ingest/stage/publish/cache
-    // metrics, the service's admission metrics, the fleet's router metrics,
-    // and the load generator's per-class histograms all land in the same
-    // registry, so the snapshot below covers the full pipeline.
+    // metrics, its query service's admission metrics, the fleet's router
+    // metrics, and the load driver's per-class histograms (recorded into the
+    // driven target's hub) all land in the same registry, so the snapshot
+    // below covers the full pipeline.
     let hub = Arc::new(TelemetryHub::new());
     let server = ServerBuilder::default()
         .algorithm(AlgorithmKind::Dch)
         .result_cache(CacheConfig::with_capacity(1024))
+        .query_workers(2)
+        .admission(AdmissionPolicy::Shed { max_depth: 8 })
         .telemetry(Arc::clone(&hub))
         .start(&road);
     let fleet = ShardedFleet::start_with_telemetry(
@@ -69,23 +73,18 @@ fn main() {
         fleet.distance(q.source, q.target);
     }
 
-    // Traced queries: an open-loop run against a shedding service; every
+    // Traced queries: a Poisson run against the shedding service; every
     // batch gets a trace id spanning submit → queue → execute, and the
     // tight queue bound exercises the shed path too.
-    let service = DistanceService::with_telemetry(
-        Arc::clone(server.publisher()),
-        2,
-        server.cache().cloned(),
-        AdmissionPolicy::Shed { max_depth: 8 },
-        Arc::clone(&hub),
-    );
-    let profile = LoadProfile::poisson(
-        400.0,
-        Duration::from_millis(200),
-        SloTarget::p95(Duration::from_millis(100)),
-    )
-    .with_mix(RequestMix::point_to_point(4));
-    let report = loadgen::run_open_loop_with_telemetry(&service, &profile, &pool, Some(&hub));
+    let profile = LoadProfile {
+        mix: RequestMix::single(RequestClass::PointToPoint { bundle: 4 }),
+        ..LoadProfile::poisson(
+            400.0,
+            Duration::from_millis(200),
+            SloTarget::p95(Duration::from_millis(100)),
+        )
+    };
+    let report = run_load(&server, &profile, &pool);
     println!(
         "open loop: {} offered, {} answered, {} shed, p95 {:.2} ms",
         report.offered,
@@ -93,7 +92,6 @@ fn main() {
         report.shed,
         report.latency.quantile(0.95).as_secs_f64() * 1e3,
     );
-    service.shutdown();
     fleet.shutdown();
     server.shutdown();
 

@@ -1,24 +1,22 @@
 //! Open-loop load & SLOs: measure a serving tier the way real traffic
 //! arrives.
 //!
-//! Builds a DCH server over a synthetic grid, then offers the same Poisson
-//! request stream at two rates — comfortably below saturation and well
-//! above it — under the two admission policies, and prints the latency
-//! tails side by side. The point the numbers make: a closed-loop benchmark
-//! can never show this cliff (it self-throttles), and above saturation the
-//! unbounded Block queue grows without limit while Shed keeps the tail flat
-//! by rejecting the excess explicitly.
+//! Builds a DCH index over a synthetic grid, measures its closed-loop
+//! capacity, then offers the same seeded request stream as Poisson arrivals
+//! at two rates — comfortably below saturation and well above it — under
+//! the three admission policies, and prints the latency tails side by side.
+//! Closed loop and Poisson are two values of one `LoadProfile` field. The
+//! point the numbers make: a closed-loop run can never show this cliff (it
+//! self-throttles), and above saturation the unbounded Block queue grows
+//! without limit while Shed keeps the tail flat by rejecting the excess
+//! explicitly.
 //!
 //! Run with: `cargo run --release --example open_loop_slo`
 
 use htsp::graph::{gen, Query, QuerySet};
-use htsp::throughput::{
-    loadgen, AdmissionPolicy, AlgorithmKind, ArrivalProcess, DistanceService, LoadProfile,
-    OpenLoopStream, RequestClass, RequestMix, SloTarget,
-};
-use htsp::{RoadNetworkServer, ServerBuilder};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use htsp::throughput::{AdmissionPolicy, AlgorithmKind, BuildParams, RequestClass, RequestMix};
+use htsp::{run_load, CoalescePolicy, LoadProfile, RoadNetworkServer, SloTarget};
+use std::time::Duration;
 
 fn mix() -> RequestMix {
     RequestMix::new(vec![
@@ -35,46 +33,34 @@ fn mix() -> RequestMix {
     ])
 }
 
-fn run(
-    server: &RoadNetworkServer,
-    pool: &[Query],
-    rate: f64,
-    policy: AdmissionPolicy,
-) -> loadgen::LoadReport {
-    // Fresh service per run: the admission policy is fixed at start and
-    // max_queue_depth is a lifetime maximum.
-    let service = DistanceService::with_policy(Arc::clone(server.publisher()), 2, None, policy);
-    let profile = LoadProfile::poisson(
-        rate,
-        Duration::from_millis(400),
-        SloTarget::p95(Duration::from_millis(50)),
-    )
-    .with_mix(mix());
-    let report = loadgen::run_open_loop(&service, &profile, pool);
-    service.shutdown();
-    report
-}
-
 fn main() {
     let road = gen::grid(24, 24, gen::WeightRange::new(1, 60), 7);
-    let server = ServerBuilder::default()
-        .algorithm(AlgorithmKind::Dch)
-        .start(&road);
     let pool: Vec<Query> = QuerySet::random(&road, 128, 11).as_slice().to_vec();
+    // The admission policy is fixed when a server starts, so each run hosts
+    // the same index (handed back by `shutdown`) under a fresh service.
+    let mut index = Some(AlgorithmKind::Dch.build(&road, &BuildParams::default()));
+    let mut run = |profile: &LoadProfile, policy| {
+        let server = RoadNetworkServer::builder()
+            .maintainer(index.take().expect("handed back by the previous run"))
+            .coalesce(CoalescePolicy::manual())
+            .query_workers(2)
+            .admission(policy)
+            .start(&road);
+        let report = run_load(&server, profile, &pool);
+        index = Some(server.shutdown());
+        report
+    };
 
-    // Closed-loop calibration: answer the mix synchronously for ~200 ms to
-    // estimate the service rate, then offer half and triple it open-loop.
-    let service = DistanceService::start(Arc::clone(server.publisher()), 2);
-    let mut stream =
-        OpenLoopStream::new(ArrivalProcess::Constant { rate: 1.0 }, mix(), &pool, 7, 0);
-    let t = Instant::now();
-    let mut n = 0u32;
-    while t.elapsed() < Duration::from_millis(200) {
-        service.answer(stream.next_request().batch);
-        n += 1;
-    }
-    service.shutdown();
-    let capacity = 2.0 * n as f64 / t.elapsed().as_secs_f64();
+    // Closed-loop calibration: two clients on their own sessions for 200 ms
+    // estimate the service rate; then offer half and triple it open-loop.
+    let closed = LoadProfile {
+        mix: mix(),
+        clients: 2,
+        seed: 7,
+        ..LoadProfile::closed_loop(Duration::from_millis(200))
+    };
+    let calibration = run(&closed, AdmissionPolicy::Block);
+    let capacity = calibration.answered as f64 / calibration.elapsed.as_secs_f64();
     println!("closed-loop capacity ~{capacity:.0} requests/s");
     let below = capacity * 0.5;
     let above = capacity * 3.0;
@@ -105,7 +91,15 @@ fn main() {
             },
         ),
     ] {
-        let r = run(&server, &pool, rate, policy);
+        let profile = LoadProfile {
+            mix: mix(),
+            ..LoadProfile::poisson(
+                rate,
+                Duration::from_millis(400),
+                SloTarget::p95(Duration::from_millis(50)),
+            )
+        };
+        let r = run(&profile, policy);
         println!(
             "{label:<26} {rate:>10.0} {:>10.2} {:>10.2} {:>8} {:>8}  {}",
             r.latency.quantile(0.95).as_secs_f64() * 1e3,
@@ -120,5 +114,4 @@ fn main() {
          Shed bounds the queue (tail stays near the SLO, excess is rejected at\n\
          submit), and Deadline drops stale work before wasting a worker on it."
     );
-    server.shutdown();
 }

@@ -1,29 +1,68 @@
 //! Throughput tuning: sweep PostMHL's TD-partitioning knobs (`k_e` and the
 //! bandwidth `τ`) on one network and report the resulting update time and
-//! throughput, mirroring Exp. 7 / Exp. 8 of the paper — then sweep the
-//! serving-side knob the paper leaves implicit: the snapshot-versioned
-//! result cache under skewed hot-pair traffic.
+//! Lemma 1 throughput, mirroring Exp. 7 / Exp. 8 of the paper — then sweep
+//! the serving-side knob the paper leaves implicit: the snapshot-versioned
+//! result cache under skewed hot-pair traffic, on one server and on a
+//! sharded fleet. Every row is one `run_load` run.
 //!
 //! Run with `cargo run --release --example throughput_tuning`.
 
 use htsp::core::{PostMhl, PostMhlConfig};
-use htsp::graph::gen;
+use htsp::graph::{gen, Graph, Query, QuerySet};
 use htsp::partition::TdPartitionConfig;
-use htsp::throughput::{QueryEngine, SystemConfig, ThroughputHarness, WorkloadKind};
+use htsp::throughput::{lemma1_bound, RequestClass, RequestMix};
 use htsp::{
-    AlgorithmKind, BuildParams, CacheConfig, CacheStats, CoalescePolicy, FleetConfig,
-    RoadNetworkServer, ShardedFleet,
+    run_load, AlgorithmKind, BuildParams, CacheConfig, CoalescePolicy, FleetConfig, LoadProfile,
+    LoadReport, RoadNetworkServer, ShardedFleet,
 };
+use std::time::Duration;
+
+/// Two update batches of 200 edges beside two closed-loop clients.
+fn updates_profile() -> LoadProfile {
+    LoadProfile {
+        clients: 2,
+        update_rounds: 2,
+        update_volume: 200,
+        seed: 5,
+        ..LoadProfile::closed_loop(Duration::from_millis(400))
+    }
+}
+
+/// Builds PostMHL with the given partitioning, drives it, and returns
+/// `(partitions, overlay vertices, report)`.
+fn tune(road: &Graph, pool: &[Query], bandwidth: usize, ke: usize) -> (usize, usize, LoadReport) {
+    let idx = PostMhl::build(
+        road,
+        PostMhlConfig {
+            partitioning: TdPartitionConfig {
+                bandwidth,
+                expected_partitions: ke,
+                beta_lower: 0.1,
+                beta_upper: 2.0,
+            },
+            num_threads: 4,
+        },
+    );
+    let (parts, overlay) = (idx.num_partitions(), idx.num_overlay_vertices());
+    let server = RoadNetworkServer::host(road, Box::new(idx));
+    let report = run_load(&server, &updates_profile(), pool);
+    server.shutdown();
+    (parts, overlay, report)
+}
+
+/// Lemma 1 on the run's measured inputs at the paper's δt = 120 s, R*_q = 1 s.
+fn modeled(report: &LoadReport) -> f64 {
+    lemma1_bound(
+        report.final_stage_query,
+        report.mean_update_time(),
+        120.0,
+        1.0,
+    )
+}
 
 fn main() {
     let road = gen::grid_with_diagonals(48, 48, gen::WeightRange::new(1, 100), 0.08, 33);
-    let config = SystemConfig {
-        update_volume: 200,
-        update_interval: 120.0,
-        max_response_time: 1.0,
-        query_sample: 100,
-    };
-    let harness = ThroughputHarness::new(config, 5, 2);
+    let pool: Vec<Query> = QuerySet::random(&road, 1024, 5).as_slice().to_vec();
 
     println!("-- sweeping expected partition number k_e (τ = 16) --");
     println!(
@@ -31,28 +70,13 @@ fn main() {
         "k_e", "partitions", "t_u (s)", "λ*_q (q/s)"
     );
     for ke in [8usize, 16, 32, 64] {
-        let idx = PostMhl::build(
-            &road,
-            PostMhlConfig {
-                partitioning: TdPartitionConfig {
-                    bandwidth: 16,
-                    expected_partitions: ke,
-                    beta_lower: 0.1,
-                    beta_upper: 2.0,
-                },
-                num_threads: 4,
-            },
-        );
-        let parts = idx.num_partitions();
-        let server = RoadNetworkServer::host(&road, Box::new(idx));
-        let r = harness.run(&server);
-        server.shutdown();
+        let (parts, _, r) = tune(&road, &pool, 16, ke);
         println!(
             "{:>6} {:>12} {:>12.4} {:>14.1}",
             ke,
             parts,
-            r.avg_update_time,
-            r.throughput()
+            r.mean_update_time(),
+            modeled(&r)
         );
     }
 
@@ -62,34 +86,27 @@ fn main() {
         "τ", "|V(overlay)|", "t_u (s)", "λ*_q (q/s)"
     );
     for tau in [8usize, 16, 24, 32] {
-        let idx = PostMhl::build(
-            &road,
-            PostMhlConfig {
-                partitioning: TdPartitionConfig {
-                    bandwidth: tau,
-                    expected_partitions: 32,
-                    beta_lower: 0.1,
-                    beta_upper: 2.0,
-                },
-                num_threads: 4,
-            },
-        );
-        let overlay = idx.num_overlay_vertices();
-        let server = RoadNetworkServer::host(&road, Box::new(idx));
-        let r = harness.run(&server);
-        server.shutdown();
+        let (_, overlay, r) = tune(&road, &pool, tau, 32);
         println!(
             "{:>6} {:>14} {:>12.4} {:>14.1}",
             tau,
             overlay,
-            r.avg_update_time,
-            r.throughput()
+            r.mean_update_time(),
+            modeled(&r)
         );
     }
 
     // Serving-side tuning: the result cache under Zipf hot-pair traffic.
     // The same DCH machinery is reused across configurations (handed back
     // by shutdown()), so the cache is the only difference per row.
+    let hot = |zipf_s: f64| LoadProfile {
+        mix: RequestMix::single(RequestClass::HotPairs {
+            universe: 1024,
+            zipf_s,
+        }),
+        update_volume: 20,
+        ..updates_profile()
+    };
     println!("-- result cache under Zipf hot-pair traffic (DCH, universe 1024) --");
     println!(
         "{:>8} {:>12} {:>14} {:>10}",
@@ -106,17 +123,7 @@ fn main() {
                 builder = builder.result_cache(CacheConfig::with_capacity(capacity));
             }
             let server = builder.start(&current);
-            let engine = QueryEngine::builder()
-                .workers(2)
-                .batches(2)
-                .update_volume(20)
-                .query_pool(1024)
-                .workload(WorkloadKind::HotPairs {
-                    zipf_s: s,
-                    universe: 1024,
-                })
-                .build();
-            let report = engine.run(&server);
+            let report = run_load(&server, &hot(s), &pool);
             current = server.with_graph(|g| g.clone());
             maintainer = server.shutdown();
             println!(
@@ -125,15 +132,15 @@ fn main() {
                 capacity
                     .map(|c| c.to_string())
                     .unwrap_or_else(|| "off".into()),
-                report.measured_qps,
+                report.pairs_per_second(),
                 report.cache.map(|c| c.hit_rate() * 100.0).unwrap_or(0.0),
             );
         }
     }
 
-    // Sharded serving tier: the same engine workload against a fleet, with
-    // per-shard cache telemetry summed into one fleet-wide figure
-    // (`CacheStats` implements `Sum`, so no hand-rolled accumulation).
+    // Sharded serving tier: the same profile against a fleet — `run_load`
+    // takes either target — with the per-shard caches summed into the
+    // report's one cache figure.
     println!("-- sharded fleet under Zipf hot-pair traffic (DCH shards, cache 256) --");
     println!(
         "{:>8} {:>12} {:>14} {:>10}",
@@ -145,26 +152,15 @@ fn main() {
             FleetConfig::new(shards, AlgorithmKind::Dch)
                 .with_cache(CacheConfig::with_capacity(256)),
         );
-        let engine = QueryEngine::builder()
-            .workers(2)
-            .batches(2)
-            .update_volume(20)
-            .query_pool(1024)
-            .workload(WorkloadKind::HotPairs {
-                zipf_s: 1.2,
-                universe: 1024,
-            })
-            .build();
-        let report = engine.run_sharded(&fleet);
-        let fleet_report = fleet.report();
-        let cache_total: CacheStats = fleet_report.shards.iter().filter_map(|s| s.cache).sum();
+        let report = run_load(&fleet, &hot(1.2), &pool);
+        let boundary_fraction = fleet.report().boundary_fraction;
         fleet.shutdown();
         println!(
             "{:>8} {:>12.1} {:>14.0} {:>9.1}%",
             shards,
-            fleet_report.boundary_fraction * 100.0,
-            report.measured_qps,
-            cache_total.hit_rate() * 100.0,
+            boundary_fraction * 100.0,
+            report.pairs_per_second(),
+            report.cache.map(|c| c.hit_rate() * 100.0).unwrap_or(0.0),
         );
     }
 }

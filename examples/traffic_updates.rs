@@ -2,24 +2,25 @@
 //! edge-weight updates is *submitted* to a running server while queries keep
 //! arriving (the Figure 1 situation, driven through the public ingest API).
 //!
-//! Three phases:
+//! Two phases:
 //!
-//! 1. **Modeled** — the Lemma 1 harness drives DCH (fast repair, slow
+//! 1. **Measured next to modeled** — `run_load` races four closed-loop
+//!    clients against the published snapshots of DCH (fast repair, slow
 //!    queries), DH2H (fast queries, slow repair) and PostMHL (multi-stage)
-//!    through hosted servers and reports the modeled throughput bound.
-//! 2. **Measured** — the concurrent `QueryEngine` races real query workers
-//!    against the servers' published snapshots under several workload
-//!    shapes.
-//! 3. **Live ingest** — updates stream into the server's `UpdateFeed` under
+//!    while three update batches are applied, under several request shapes.
+//!    Each report also carries the inputs of Lemma 1 (final-stage `t_q`,
+//!    `V_q`, mean `t_u`), so the modeled bound `λ*_q` is printed beside the
+//!    measured rate.
+//! 2. **Live ingest** — updates stream into the server's `UpdateFeed` under
 //!    a delay-based `CoalescePolicy` while a `DistanceService` answers
 //!    query batches; every update ticket reports its submit-to-visible
 //!    latency (read-your-writes lag).
 //!
 //! Run with `cargo run --release --example traffic_updates`.
 
-use htsp::graph::{gen, EdgeId, EdgeUpdate, Query, VertexId};
-use htsp::throughput::{QueryBatch, QueryEngine, SystemConfig, ThroughputHarness, WorkloadKind};
-use htsp::{AlgorithmKind, CoalescePolicy, RoadNetworkServer};
+use htsp::graph::{gen, EdgeId, EdgeUpdate, Query, QuerySet, VertexId};
+use htsp::throughput::{lemma1_bound, QueryBatch, RequestClass, RequestMix};
+use htsp::{run_load, AlgorithmKind, CoalescePolicy, LoadProfile, RoadNetworkServer};
 use std::time::Duration;
 
 const KINDS: [AlgorithmKind; 3] = [
@@ -31,84 +32,56 @@ const KINDS: [AlgorithmKind; 3] = [
 fn main() {
     let road = gen::grid_with_diagonals(48, 48, gen::WeightRange::new(1, 100), 0.1, 21);
     println!(
-        "network: {} vertices / {} edges; replaying 3 update batches of 300 edges",
+        "network: {} vertices / {} edges; 3 update batches of 300 edges per run",
         road.num_vertices(),
         road.num_edges()
     );
+    let pool: Vec<Query> = QuerySet::random(&road, 512, 9).as_slice().to_vec();
 
-    let config = SystemConfig {
-        update_volume: 300,
-        update_interval: 120.0,
-        max_response_time: 1.0,
-        query_sample: 200,
-    };
-    let harness = ThroughputHarness::new(config, 9, 3);
-
-    println!("\n-- modeled (Lemma 1 + staged availability) --");
-    for kind in KINDS {
-        let server = RoadNetworkServer::builder()
-            .algorithm(kind)
-            .coalesce(CoalescePolicy::manual())
-            .start(&road);
-        let result = harness.run(&server);
-        server.shutdown();
-        println!(
-            "{:<10} t_u = {:>8.4} s | t_q = {:>8.2} µs | λ*_q ≈ {:>10.1} queries/s",
-            result.algorithm,
-            result.avg_update_time,
-            result.avg_query_time * 1e6,
-            result.throughput()
-        );
-        // Show the QPS staircase of the first batch (Fig. 13).
-        let batch = &result.batches[0];
-        let stairs: Vec<String> = batch
-            .qps_evolution
-            .iter()
-            .map(|p| format!("{:.4}s→{:.0}qps", p.elapsed, p.qps))
-            .collect();
-        println!("            QPS evolution: {}", stairs.join("  "));
-    }
-
-    // Measured: four query workers hammer the published snapshots while the
-    // server's maintenance thread coalesces and repairs the submitted
-    // batches. Workers are never blocked; each answer is exact on the
-    // snapshot's own graph version.
-    for workload in [
-        WorkloadKind::SingleCall,
-        WorkloadKind::Batched { batch_size: 64 },
-        WorkloadKind::Matrix { side: 8 },
+    // Four clients hammer the published snapshots while the server's
+    // maintenance thread repairs the submitted batches. Clients are never
+    // blocked; each answer is exact on the snapshot's own graph version.
+    // The modeled column is Lemma 1 at the paper's δt = 120 s, R*_q = 1 s.
+    for (label, class) in [
+        ("single queries", RequestClass::PointToPoint { bundle: 1 }),
+        ("bundles of 64", RequestClass::PointToPoint { bundle: 64 }),
+        ("8x8 matrices", RequestClass::Matrix { side: 8 }),
     ] {
-        println!(
-            "\n-- measured, {} (4 query workers racing the maintenance thread) --",
-            workload.label()
-        );
-        let engine = QueryEngine::builder()
-            .workers(4)
-            .batches(3)
-            .update_volume(300)
-            .pause_between_batches(Duration::from_millis(100))
-            .workload(workload)
-            .seed(9)
-            .build();
+        println!("\n-- {label} (4 closed-loop clients racing the maintenance thread) --");
+        let profile = LoadProfile {
+            mix: RequestMix::single(class),
+            update_rounds: 3,
+            update_volume: 300,
+            seed: 9,
+            ..LoadProfile::closed_loop(Duration::from_millis(600))
+        };
         for kind in KINDS {
             let server = RoadNetworkServer::builder()
                 .algorithm(kind)
                 .coalesce(CoalescePolicy::manual())
                 .start(&road);
-            let report = engine.run(&server);
+            let report = run_load(&server, &profile, &pool);
             server.shutdown();
+            let modeled = lemma1_bound(
+                report.final_stage_query,
+                report.mean_update_time(),
+                120.0,
+                1.0,
+            );
             println!(
-                "{:<10} {:>9} pairs in {:>6.3} s = {:>10.0} pairs/s measured | stages hit: {:?}",
-                report.algorithm,
-                report.total_queries,
-                report.wall_time,
-                report.measured_qps,
-                report.per_stage_queries,
+                "{:<10} {:>10.0} pairs/s measured | t_u = {:>7.4} s | t_q = {:>7.2} µs | \
+                 λ*_q ≈ {:>10.0}/s modeled | stages hit: {:?}",
+                report.target,
+                report.pairs_per_second(),
+                report.mean_update_time(),
+                report.final_stage_query.mean * 1e6,
+                modeled,
+                report.per_stage_pairs,
             );
             let pubs: Vec<String> = report
                 .publications
                 .iter()
-                .map(|(t, s)| format!("{t:.3}s→stage {s}"))
+                .map(|(t, s)| format!("{:.3}s→stage {s}", t.as_secs_f64()))
                 .collect();
             println!("            snapshots: {}", pubs.join("  "));
         }

@@ -16,7 +16,8 @@
 //!   strategies, N-CH-P / P-TD-P baselines).
 //! * [`core`] — the paper's contributions: MHL, PMHL, PostMHL.
 //! * [`baselines`] — BiDijkstra, DCH, DH2H and TOAIN wrappers.
-//! * [`throughput`] — the HTSP system model (Lemma 1) and throughput harness.
+//! * [`throughput`] — the serving stack, the HTSP system model (Lemma 1) and
+//!   the load driver.
 //!
 //! # Quickstart
 //!
@@ -99,18 +100,18 @@
 //! assert_eq!(index.name(), "DCH");
 //! ```
 //!
-//! To *measure* throughput under concurrent maintenance, drive the same
-//! server with [`throughput::QueryEngine`] (single-call, session-batched,
-//! and Zipf hot-pair workload modes) or the Lemma 1 model harness
-//! [`throughput::ThroughputHarness`]; to *serve* batched traffic, see
+//! To *measure* a server (or a [`ShardedFleet`]) under concurrent
+//! maintenance, drive it with [`run_load`]: one [`LoadProfile`] names the
+//! request mix, the arrival process (closed loop on pinned sessions, or
+//! seeded Poisson / constant arrivals timed from the scheduled instant), the
+//! update rounds running beside the queries and the p50/p95/p99
+//! [`SloTarget`]; one [`LoadReport`] carries the latency tails, what was
+//! shed, the query stages that served and the inputs of the Lemma 1 bound
+//! ([`throughput::lemma1_bound`]). To *serve* batched traffic, see
 //! [`throughput::DistanceService`] (a queue of `QueryBatch` requests drained
-//! by session-pinning workers, started by `query_workers(n)`). The service
-//! queue is governed by an [`AdmissionPolicy`] (unbounded blocking, bounded
-//! shedding, or per-request deadlines), and the open-loop load subsystem
-//! ([`throughput::loadgen`]) measures it the way real traffic would: seeded
-//! Poisson arrival streams, weighted request mixes, latency histograms with
-//! p50/p95/p99 [`SloTarget`] verdicts, and a knee search for the highest
-//! offered rate that still meets the SLO.
+//! by session-pinning workers, started by `query_workers(n)`), whose queue is
+//! governed by an [`AdmissionPolicy`] (unbounded blocking, bounded shedding,
+//! or per-request deadlines).
 //!
 //! For skewed traffic, `ServerBuilder::result_cache(CacheConfig)` enables
 //! the snapshot-versioned [`DistanceCache`]: answers are memoized per
@@ -140,11 +141,11 @@ pub use htsp_throughput as throughput;
 
 // The serving facade, re-exported flat: what a deployment touches first.
 pub use htsp_throughput::{
-    AdmissionPolicy, AlgorithmKind, BuildParams, CacheConfig, CacheStats, CoalescePolicy,
+    run_load, AdmissionPolicy, AlgorithmKind, BuildParams, CacheConfig, CacheStats, CoalescePolicy,
     DistanceCache, DistanceService, FleetConfig, FleetQueryHandle, FleetReport, FleetRouter,
-    FleetSession, FleetTicket, FleetVisibility, LatencyHistogram, LoadProfile, LoadReport, Pacer,
-    RoadNetworkServer, ServerBuilder, ServiceStats, ShardReport, ShardedFleet, SloTarget,
-    SloVerdict, SubmitOutcome, UpdateFeed, UpdateOutcome, UpdateTicket, Visibility,
+    FleetSession, FleetTicket, FleetVisibility, LatencyHistogram, LoadProfile, LoadReport,
+    LoadTarget, RoadNetworkServer, ServerBuilder, ServiceStats, ShardReport, ShardedFleet,
+    SloTarget, SloVerdict, SubmitOutcome, UpdateFeed, UpdateOutcome, UpdateTicket, Visibility,
     STORAGE_BYTES_METRIC,
 };
 

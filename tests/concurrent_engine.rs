@@ -1,20 +1,22 @@
-//! Concurrency integration test for the read/write index API: query worker
-//! threads race a maintenance thread through the [`QueryEngine`], and every
-//! answer must be exact on the graph snapshot that was current when the
-//! query was answered — no torn reads, no staleness beyond the published
-//! stage.
+//! Concurrency integration test for the read/write index API: client threads
+//! race a maintenance thread through [`run_load`], and every answer must be
+//! exact on the graph snapshot that was current when the query was answered
+//! — no torn reads, no staleness beyond the published stage.
 //!
-//! The engine's `verify` mode re-derives every answer with a fresh Dijkstra
+//! The driver's `verify` mode re-derives every answer with a fresh Dijkstra
 //! run on the answering view's own graph ([`QueryView::graph`]), which is
-//! exactly that assertion: a worker may observe an older published stage
+//! exactly that assertion: a client may observe an older published stage
 //! (fine — that view carries the older graph and is exact on it), but it may
 //! never observe a half-repaired index.
 
 use htsp::core::{Pmhl, PmhlConfig, PostMhl, PostMhlConfig};
-use htsp::graph::{gen, Graph, IndexMaintainer, SnapshotPublisher, UpdateGenerator, VertexId};
+use htsp::graph::{
+    gen, Graph, IndexMaintainer, Query, QuerySet, SnapshotPublisher, UpdateGenerator, VertexId,
+};
 use htsp::search::dijkstra_distance;
-use htsp::throughput::{DistanceService, QueryBatch, QueryEngine, WorkloadKind};
-use htsp::{AlgorithmKind, RoadNetworkServer};
+use htsp::throughput::{DistanceService, QueryBatch, RequestClass, RequestMix};
+use htsp::{run_load, AlgorithmKind, LoadProfile, RoadNetworkServer};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,46 +24,48 @@ fn road() -> Graph {
     gen::grid_with_diagonals(12, 12, gen::WeightRange::new(2, 60), 0.15, 23)
 }
 
-fn race(maintainer: Box<dyn IndexMaintainer>, workers: usize) {
+fn pool(g: &Graph) -> Vec<Query> {
+    QuerySet::random(g, 256, 91).as_slice().to_vec()
+}
+
+fn race(maintainer: Box<dyn IndexMaintainer>, clients: usize) {
     let g = road();
     let server = RoadNetworkServer::host(&g, maintainer);
-    let engine = QueryEngine::builder()
-        .workers(workers)
-        .batches(4)
-        .update_volume(30)
-        .pause_between_batches(Duration::from_millis(25))
-        .query_pool(256)
-        .verify(true)
-        .seed(91)
-        .build();
-    let report = engine.run(&server);
+    let profile = LoadProfile {
+        clients,
+        update_rounds: 4,
+        update_volume: 30,
+        verify: true,
+        seed: 91,
+        ..LoadProfile::closed_loop(Duration::from_millis(160))
+    };
+    let report = run_load(&server, &profile, &pool(&g));
     server.shutdown();
     assert_eq!(
         report.verify_failures,
         0,
         "{} returned answers that disagree with Dijkstra on the answering \
          snapshot's graph; first failure: {}",
-        report.algorithm,
+        report.target,
         report.first_failure.as_deref().unwrap_or("<missing>")
     );
     assert!(
-        report.total_queries > 0,
-        "{}: workers answered no queries",
-        report.algorithm
+        report.answered_pairs > 0,
+        "{}: clients answered no queries",
+        report.target
     );
-    assert_eq!(report.num_workers, workers);
     assert_eq!(report.timelines.len(), 4);
     // Every batch published at least one snapshot.
     assert!(
         report.publications.len() >= 4,
         "{}: expected ≥4 publications, saw {:?}",
-        report.algorithm,
+        report.target,
         report.publications
     );
     // The per-stage tally is consistent with the total.
     assert_eq!(
-        report.per_stage_queries.iter().sum::<u64>(),
-        report.total_queries
+        report.per_stage_pairs.iter().sum::<u64>(),
+        report.answered_pairs
     );
 }
 
@@ -101,40 +105,100 @@ fn bidijkstra_baseline_serves_exact_answers_while_maintenance_races() {
 
 #[test]
 fn batched_sessions_race_maintenance_without_staleness() {
-    // The session paths (batched point-to-point, one-to-many fans, matrix
+    // The batch shapes (point-to-point bundles, one-to-many fans, matrix
     // blocks) race the maintenance thread with per-answer Dijkstra
     // verification: every pair must be exact on the answering session's own
     // graph snapshot, across re-pins.
     let g = road();
-    for workload in [
-        WorkloadKind::Batched { batch_size: 16 },
-        WorkloadKind::OneToMany { fanout: 8 },
-        WorkloadKind::Matrix { side: 3 },
+    for class in [
+        RequestClass::PointToPoint { bundle: 16 },
+        RequestClass::OneToMany { fanout: 8 },
+        RequestClass::Matrix { side: 3 },
     ] {
         let server =
             RoadNetworkServer::host(&g, Box::new(PostMhl::build(&g, PostMhlConfig::default())));
-        let engine = QueryEngine::builder()
-            .workers(4)
-            .batches(3)
-            .update_volume(30)
-            .pause_between_batches(Duration::from_millis(20))
-            .query_pool(256)
-            .verify(true)
-            .workload(workload)
-            .seed(37)
-            .build();
-        let report = engine.run(&server);
+        let profile = LoadProfile {
+            mix: RequestMix::single(class),
+            update_rounds: 3,
+            update_volume: 30,
+            verify: true,
+            seed: 37,
+            ..LoadProfile::closed_loop(Duration::from_millis(90))
+        };
+        let report = run_load(&server, &profile, &pool(&g));
         server.shutdown();
         assert_eq!(
             report.verify_failures,
             0,
-            "{} under {workload:?}: first failure: {}",
-            report.algorithm,
+            "{} under {class:?}: first failure: {}",
+            report.target,
             report.first_failure.as_deref().unwrap_or("<missing>")
         );
-        assert!(report.total_queries > 0);
-        assert_eq!(report.workload, workload);
+        assert!(report.answered_pairs > 0);
+        assert_eq!(report.per_class[0].class, class);
     }
+}
+
+#[test]
+fn per_call_snapshot_queries_race_maintenance_without_staleness() {
+    // The path `RoadNetworkServer::distance` uses: a fresh
+    // `server.snapshot()` and one `QueryView::distance` per query, no
+    // session. Threads hammer it while the feed applies 4 rounds; every
+    // answer must be exact on the graph of the very view that gave it.
+    let g = road();
+    let server =
+        RoadNetworkServer::host(&g, Box::new(PostMhl::build(&g, PostMhlConfig::default())));
+    let queries = pool(&g);
+    // Readers must be released even if the update loop below panics.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let stop = AtomicBool::new(false);
+    let answered: u64 = std::thread::scope(|scope| {
+        let _release = StopOnDrop(&stop);
+        let readers: Vec<_> = (0..3)
+            .map(|r| {
+                let (server, queries, stop) = (&server, &queries, &stop);
+                scope.spawn(move || {
+                    let mut answered = 0u64;
+                    for q in queries.iter().cycle().skip(r * 7) {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let view = server.snapshot();
+                        assert_eq!(
+                            view.distance(q.source, q.target),
+                            dijkstra_distance(view.graph(), q.source, q.target),
+                            "per-call answer for ({}, {}) is not exact on stage {}'s own graph",
+                            q.source,
+                            q.target,
+                            view.stage()
+                        );
+                        answered += 1;
+                    }
+                    answered
+                })
+            })
+            .collect();
+        let mut gen_upd = UpdateGenerator::new(7);
+        for _ in 0..4 {
+            let batch = server.with_graph(|g| gen_upd.generate(g, 30));
+            server.feed().submit_all(batch.as_slice().iter().copied());
+            server.feed().flush().wait_applied();
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        stop.store(true, Ordering::Relaxed);
+        readers
+            .into_iter()
+            .map(|h| h.join().expect("reader panicked"))
+            .sum()
+    });
+    assert!(answered > 0, "readers answered nothing");
+    assert!(server.publisher().version() >= 4);
+    server.shutdown();
 }
 
 #[test]
@@ -173,7 +237,7 @@ fn distance_service_reaches_fresh_snapshots_during_maintenance() {
         idx.apply_batch(&g, &batch, &publisher);
         for ticket in inflight {
             // In-flight answers may come from any published stage; exactness
-            // per snapshot is covered by the engine verify tests.
+            // per snapshot is covered by the verify tests above.
             let answer = ticket.wait();
             assert_eq!(answer.distances.len(), targets.len());
         }
@@ -200,27 +264,26 @@ fn distance_service_reaches_fresh_snapshots_during_maintenance() {
 
 #[test]
 fn multi_stage_snapshots_are_observed_during_maintenance() {
-    // With enough batches and slow-ish repairs, the workers must observe at
+    // With enough batches and slow-ish repairs, the clients must observe at
     // least two distinct stages of PostMHL: an early (BiDijkstra/PCH)
     // snapshot that is current during the multi-millisecond repair, and the
     // final cross-boundary one that serves between batches.
     let g = gen::grid_with_diagonals(24, 24, gen::WeightRange::new(2, 60), 0.1, 29);
     let server =
         RoadNetworkServer::host(&g, Box::new(PostMhl::build(&g, PostMhlConfig::default())));
-    let engine = QueryEngine::builder()
-        .workers(4)
-        .batches(6)
-        .update_volume(150)
-        .pause_between_batches(Duration::from_millis(10))
-        .query_pool(256)
-        .seed(17)
-        .build();
-    let report = engine.run(&server);
-    let stages_hit = report.per_stage_queries.iter().filter(|&&c| c > 0).count();
+    let profile = LoadProfile {
+        update_rounds: 6,
+        update_volume: 150,
+        seed: 17,
+        ..LoadProfile::closed_loop(Duration::from_millis(300))
+    };
+    let pool: Vec<Query> = QuerySet::random(&g, 256, 17).as_slice().to_vec();
+    let report = run_load(&server, &profile, &pool);
+    let stages_hit = report.per_stage_pairs.iter().filter(|&&c| c > 0).count();
     assert!(
         stages_hit >= 2,
-        "workers never observed an intermediate snapshot - staged publication is broken: {:?}",
-        report.per_stage_queries
+        "clients never observed an intermediate snapshot - staged publication is broken: {:?}",
+        report.per_stage_pairs
     );
     // The publication log must show the staged release pattern: every batch
     // publishes intermediate stages before ending at the final stage.

@@ -11,7 +11,9 @@
 
 use htsp::graph::{gen, EdgeUpdate, QuerySession, QuerySet, UpdateGenerator};
 use htsp::search::dijkstra_distance;
-use htsp::{AlgorithmKind, CoalescePolicy, FleetConfig, ShardedFleet};
+use htsp::throughput::{RequestClass, RequestMix};
+use htsp::{run_load, AlgorithmKind, CoalescePolicy, FleetConfig, LoadProfile, ShardedFleet};
+use std::time::Duration;
 
 /// Checks a sample of local and cross-shard pairs of `session` against
 /// Dijkstra on the session's own epoch graph.
@@ -199,5 +201,43 @@ fn intra_and_inter_partition_updates_are_served_exactly() {
     let mut after = fleet.session();
     let queries = QuerySet::random(after.graph(), 20, 13);
     assert_session_exact(&mut after, &queries, "after full-graph update");
+    fleet.shutdown();
+}
+
+#[test]
+fn closed_loop_clients_race_fleet_epochs_without_torn_answers() {
+    // The load driver on a fleet: clients pin fleet epochs through the same
+    // trait a single server is driven by, and every answer of every batch
+    // shape is re-derived on the pinned epoch's own global graph while
+    // three update rounds go through the router.
+    let g = gen::grid_with_diagonals(10, 10, gen::WeightRange::new(2, 60), 0.15, 31);
+    let pool = QuerySet::random(&g, 64, 5);
+    let fleet = ShardedFleet::start(
+        &g,
+        FleetConfig::new(3, AlgorithmKind::Dch).with_coalesce(CoalescePolicy::manual()),
+    );
+    let profile = LoadProfile {
+        mix: RequestMix::new(vec![
+            (RequestClass::PointToPoint { bundle: 4 }, 2.0),
+            (RequestClass::OneToMany { fanout: 5 }, 1.0),
+            (RequestClass::Matrix { side: 2 }, 1.0),
+        ]),
+        clients: 2,
+        update_rounds: 3,
+        update_volume: 12,
+        verify: true,
+        ..LoadProfile::closed_loop(Duration::from_millis(150))
+    };
+    let report = run_load(&fleet, &profile, pool.as_slice());
+    assert_eq!(
+        report.verify_failures, 0,
+        "first failure: {:?}",
+        report.first_failure
+    );
+    assert!(report.answered_pairs > 0);
+    assert_eq!(report.target, "fleet(3x DCH)");
+    assert_eq!(report.timelines.len(), 3);
+    assert_eq!(report.per_stage_pairs, vec![report.answered_pairs]);
+    assert!(fleet.epoch_version() >= 3);
     fleet.shutdown();
 }

@@ -1,65 +1,114 @@
 //! Determinism of the skewed hot-pair workload: the Zipf sampler behind
-//! `WorkloadKind::HotPairs` is pinned, so two streams built from the same
-//! `(universe, s, seed, worker)` produce identical query sequences — and a
+//! `RequestClass::HotPairs` is pinned, so two `RequestStream`s built from the
+//! same `(mix, pool, seed, client)` produce identical query sequences — and a
 //! cache driven by that stream produces identical (reproducible) hit-rate
-//! telemetry. The query pool derivation matches the engine's
-//! (`QuerySet::random(graph, pool, seed ^ 0x51ab)`), so the streams checked
-//! here are exactly the streams two same-seed `QueryEngine` runs replay.
+//! telemetry. The stream does not depend on the arrival process, so the
+//! sequences checked here are exactly what two same-seed `run_load` runs
+//! replay, closed-loop and scheduled alike.
 
 use htsp::graph::{gen, Query, QuerySet};
-use htsp::throughput::{CacheStats, HotPairStream, WorkloadKind};
-use htsp::{CacheConfig, DistanceCache};
+use htsp::throughput::{
+    AdmissionPolicy, ArrivalProcess, CacheStats, QueryBatch, RequestClass, RequestMix,
+    RequestStream,
+};
+use htsp::{run_load, AlgorithmKind, CacheConfig, DistanceCache, LoadProfile, RoadNetworkServer};
+use std::time::Duration;
 
 const SEED: u64 = 42;
 
-fn engine_pool(seed: u64) -> QuerySet {
-    let g = gen::grid(12, 12, gen::WeightRange::new(1, 30), 7);
-    // The pool a QueryEngine with this seed would draw from.
-    QuerySet::random(&g, 256, seed ^ 0x51ab)
+fn road() -> htsp::graph::Graph {
+    gen::grid(12, 12, gen::WeightRange::new(1, 30), 7)
 }
 
-/// Replays the per-worker streams of one engine run: `draws` queries per
-/// worker, round-robin interleaved (any fixed schedule works — the streams
-/// are independent).
-fn replay(workload: WorkloadKind, seed: u64, workers: usize, draws: usize) -> Vec<Query> {
-    let (zipf_s, universe) = match workload {
-        WorkloadKind::HotPairs { zipf_s, universe } => (zipf_s, universe),
-        _ => unreachable!("hot-pair replay"),
-    };
-    let pool = engine_pool(seed);
-    let pool = pool.as_slice();
-    let mut streams: Vec<HotPairStream> = (0..workers)
-        .map(|w| HotPairStream::new(universe.clamp(1, pool.len()), zipf_s, seed, w))
+fn pool() -> Vec<Query> {
+    QuerySet::random(&road(), 256, SEED).as_slice().to_vec()
+}
+
+fn hot(zipf_s: f64, universe: usize) -> RequestMix {
+    RequestMix::single(RequestClass::HotPairs { universe, zipf_s })
+}
+
+/// Replays the per-client streams of one run: `draws` queries per client,
+/// round-robin interleaved (any fixed schedule works — the streams are
+/// independent).
+fn replay(mix: RequestMix, seed: u64, clients: usize, draws: usize) -> Vec<Query> {
+    let pool = pool();
+    let mut streams: Vec<RequestStream> = (0..clients)
+        .map(|c| RequestStream::new(mix.clone(), &pool, seed, c))
         .collect();
-    (0..workers * draws)
-        .map(|i| streams[i % workers].next_query(pool))
+    (0..clients * draws)
+        .map(|i| match streams[i % clients].next_request().1 {
+            QueryBatch::PointToPoint(qs) => qs[0],
+            other => unreachable!("hot pairs are single point-to-point queries: {other:?}"),
+        })
         .collect()
 }
 
 #[test]
 fn two_same_seed_runs_produce_identical_query_streams() {
-    let workload = WorkloadKind::HotPairs {
-        zipf_s: 1.2,
-        universe: 128,
-    };
-    let a = replay(workload, SEED, 3, 2000);
-    let b = replay(workload, SEED, 3, 2000);
+    let a = replay(hot(1.2, 128), SEED, 3, 2000);
+    let b = replay(hot(1.2, 128), SEED, 3, 2000);
     assert_eq!(a, b, "same seed must replay the same hot-pair stream");
-    // A different seed (or worker count) decorrelates.
-    let c = replay(workload, SEED + 1, 3, 2000);
+    // A different seed decorrelates.
+    let c = replay(hot(1.2, 128), SEED + 1, 3, 2000);
     assert_ne!(a, c, "different seeds must not collide");
-    // Workers are decorrelated substreams of one seed.
-    let w0: Vec<Query> = {
-        let pool = engine_pool(SEED);
-        let mut s = HotPairStream::new(128, 1.2, SEED, 0);
-        (0..500).map(|_| s.next_query(pool.as_slice())).collect()
+    // Clients are decorrelated substreams of one seed.
+    let client = |c| {
+        let mut s = RequestStream::new(hot(1.2, 128), &pool(), SEED, c);
+        (0..500)
+            .map(|_| format!("{:?}", s.next_request()))
+            .collect::<Vec<_>>()
     };
-    let w1: Vec<Query> = {
-        let pool = engine_pool(SEED);
-        let mut s = HotPairStream::new(128, 1.2, SEED, 1);
-        (0..500).map(|_| s.next_query(pool.as_slice())).collect()
+    assert_ne!(
+        client(0),
+        client(1),
+        "clients must draw decorrelated substreams"
+    );
+}
+
+#[test]
+fn closed_and_scheduled_runs_replay_the_same_stream() {
+    // One client, a cache larger than the universe, no updates: the run's
+    // cache misses are the distinct pairs of the stream's first
+    // `answered` draws — under either arrival process.
+    let g = road();
+    let pool = pool();
+    let mix = hot(1.1, 64);
+    let expected_misses = |n: u64| {
+        let mut s = RequestStream::new(mix.clone(), &pool, SEED, 0);
+        let distinct: std::collections::HashSet<_> =
+            (0..n).map(|_| s.next_request().1.pairs()[0]).collect();
+        distinct.len() as u64
     };
-    assert_ne!(w0, w1, "workers must draw decorrelated substreams");
+    for arrivals in [
+        ArrivalProcess::ClosedLoop,
+        ArrivalProcess::Constant { rate: 2000.0 },
+    ] {
+        let server = RoadNetworkServer::builder()
+            .algorithm(AlgorithmKind::Dch)
+            .result_cache(CacheConfig::with_capacity(4096))
+            .query_workers(1)
+            .admission(AdmissionPolicy::Block)
+            .start(&g);
+        let profile = LoadProfile {
+            arrivals,
+            mix: mix.clone(),
+            clients: 1,
+            seed: SEED,
+            ..LoadProfile::closed_loop(Duration::from_millis(60))
+        };
+        let report = run_load(&server, &profile, &pool);
+        server.shutdown();
+        assert!(report.answered > 0, "{arrivals:?} answered nothing");
+        assert_eq!(report.answered, report.offered);
+        let cache = report.cache.expect("cache enabled");
+        assert_eq!(cache.lookups(), report.answered);
+        assert_eq!(
+            cache.lookups() - cache.hits,
+            expected_misses(report.answered),
+            "{arrivals:?} did not replay the seeded stream"
+        );
+    }
 }
 
 /// Drives a fresh cache with the replayed stream the way a serving loop
@@ -79,11 +128,7 @@ fn drive_cache(stream: &[Query], capacity: usize) -> CacheStats {
 
 #[test]
 fn hit_rate_telemetry_is_reproducible() {
-    let workload = WorkloadKind::HotPairs {
-        zipf_s: 1.1,
-        universe: 128,
-    };
-    let stream = replay(workload, SEED, 2, 3000);
+    let stream = replay(hot(1.1, 128), SEED, 2, 3000);
     let a = drive_cache(&stream, 32);
     let b = drive_cache(&stream, 32);
     assert_eq!(a, b, "same stream, same cache → same telemetry");
@@ -93,20 +138,11 @@ fn hit_rate_telemetry_is_reproducible() {
 
 #[test]
 fn hit_rate_grows_with_skew() {
-    // The acceptance direction of bench-pr5, pinned deterministically: at a
-    // capacity below the universe, more skew → more of the mass fits → a
-    // higher hit rate.
+    // Pinned deterministically: at a capacity below the universe, more skew
+    // → more of the mass fits → a higher hit rate.
     let mut last = -1.0f64;
     for zipf_s in [0.0, 0.8, 1.4] {
-        let stream = replay(
-            WorkloadKind::HotPairs {
-                zipf_s,
-                universe: 192,
-            },
-            SEED,
-            2,
-            4000,
-        );
+        let stream = replay(hot(zipf_s, 192), SEED, 2, 4000);
         let rate = drive_cache(&stream, 24).hit_rate();
         assert!(
             rate > last,

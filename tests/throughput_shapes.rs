@@ -1,13 +1,13 @@
-//! Integration test for the qualitative experimental claims ("shapes") that
-//! EXPERIMENTS.md reports — small-scale versions of the paper's headline
-//! results that must keep holding as the code evolves.
+//! Integration test for the qualitative experimental claims ("shapes") of
+//! the paper — small-scale versions of its headline results that must keep
+//! holding as the code evolves.
 
 use htsp::baselines::{BiDijkstraBaseline, Dh2hBaseline};
 use htsp::core::{PostMhl, PostMhlConfig};
-use htsp::graph::{gen, IndexMaintainer, QuerySet, QueryView};
-use htsp::throughput::{staged_throughput, QueryStats, SystemConfig, ThroughputHarness};
-use htsp::RoadNetworkServer;
-use std::time::Instant;
+use htsp::graph::{gen, IndexMaintainer, Query, QuerySet, QueryView};
+use htsp::throughput::{lemma1_bound, staged_throughput, QueryStats};
+use htsp::{run_load, LoadProfile, RoadNetworkServer};
+use std::time::{Duration, Instant};
 
 fn sample_graph() -> htsp::graph::Graph {
     gen::grid_with_diagonals(24, 24, gen::WeightRange::new(1, 80), 0.1, 5)
@@ -69,27 +69,37 @@ fn multi_stage_availability_increases_staged_throughput() {
 }
 
 #[test]
-fn harness_ranks_postmhl_above_bidijkstra_in_throughput() {
+fn lemma1_on_measured_inputs_ranks_postmhl_above_bidijkstra() {
+    // The paper's comparison in one line per index: Lemma 1 evaluated on
+    // what a load run measured (final-stage t_q and V_q, mean t_u), at the
+    // paper's defaults δt = 120 s and R*_q = 1 s.
     let g = sample_graph();
-    let config = SystemConfig {
+    let pool: Vec<Query> = QuerySet::random(&g, 128, 3).as_slice().to_vec();
+    let profile = LoadProfile {
+        clients: 2,
+        update_rounds: 2,
         update_volume: 100,
-        update_interval: 120.0,
-        max_response_time: 1.0,
-        query_sample: 60,
+        seed: 3,
+        ..LoadProfile::closed_loop(Duration::from_millis(400))
     };
-    let harness = ThroughputHarness::new(config, 3, 1);
-    let bd_server = RoadNetworkServer::host(&g, Box::new(BiDijkstraBaseline::new(&g)));
-    let post_server =
-        RoadNetworkServer::host(&g, Box::new(PostMhl::build(&g, PostMhlConfig::default())));
-    let r_bd = harness.run(&bd_server);
-    let r_post = harness.run(&post_server);
-    bd_server.shutdown();
-    post_server.shutdown();
+    let bound = |maintainer: Box<dyn IndexMaintainer>| {
+        let server = RoadNetworkServer::host(&g, maintainer);
+        let report = run_load(&server, &profile, &pool);
+        server.shutdown();
+        assert!(report.final_stage_query.mean > 0.0);
+        assert!(report.mean_update_time() > 0.0);
+        lemma1_bound(
+            report.final_stage_query,
+            report.mean_update_time(),
+            120.0,
+            1.0,
+        )
+    };
+    let bd = bound(Box::new(BiDijkstraBaseline::new(&g)));
+    let post = bound(Box::new(PostMhl::build(&g, PostMhlConfig::default())));
     assert!(
-        r_post.throughput() > r_bd.throughput(),
-        "PostMHL throughput {} should exceed BiDijkstra {}",
-        r_post.throughput(),
-        r_bd.throughput()
+        post > bd,
+        "PostMHL's bound {post} should exceed BiDijkstra's {bd}"
     );
 }
 
