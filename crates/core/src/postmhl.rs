@@ -27,7 +27,10 @@ use htsp_graph::{
 };
 use htsp_partition::{td_partition, TdPartition, TdPartitionConfig};
 use htsp_search::{BiDijkstra, BiDijkstraSession};
-use htsp_td::{bag_by_depth, fold_label, min_plus, repair_labels, H2HIndex, TreeDecomposition};
+use htsp_td::{
+    bag_by_depth, bag_min, fold_label, label_distance, min_plus, repair_labels, H2HIndex,
+    TreeDecomposition,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,38 +86,19 @@ impl PostMhlStage {
     }
 }
 
-/// Full H2H distance query over the global labels (the cross-boundary /
-/// final stage; identical machinery to DH2H, per Remark 2).
-fn h2h_distance(td: &TreeDecomposition, dis: &CowTable<Dist>, s: VertexId, t: VertexId) -> Dist {
-    if s == t {
-        return Dist::ZERO;
-    }
-    let x = match td.lca(s, t) {
-        Some(x) => x,
-        None => return INF,
+/// The ways out of `v`'s partition towards the overlay: each boundary vertex
+/// of the partition with `v`'s `disB` entry, or `(v, 0)` for an overlay
+/// vertex. `v` is borrowed so the overlay case needs no allocation.
+fn exits<'a>(
+    tdp: &'a TdPartition,
+    disb: &'a CowTable<Dist>,
+    v: &'a VertexId,
+) -> impl Iterator<Item = (VertexId, Dist)> + 'a {
+    let (vertices, dists): (&[VertexId], &[Dist]) = match tdp.partition_of(*v) {
+        None => (std::slice::from_ref(v), &[Dist::ZERO]),
+        Some(pi) => (tdp.boundary(pi), disb.row(v.index())),
     };
-    if x == s {
-        return dis.row(t.index())[td.depth(s) as usize];
-    }
-    if x == t {
-        return dis.row(s.index())[td.depth(t) as usize];
-    }
-    let ds = dis.row(s.index());
-    let dt = dis.row(t.index());
-    let mut best = INF;
-    let xd = td.depth(x) as usize;
-    let cand = ds[xd].saturating_add(dt[xd]);
-    if cand < best {
-        best = cand;
-    }
-    for &(u, _) in td.bag(x) {
-        let i = td.depth(u) as usize;
-        let cand = ds[i].saturating_add(dt[i]);
-        if cand < best {
-            best = cand;
-        }
-    }
-    best
+    vertices.iter().copied().zip(dists.iter().copied())
 }
 
 /// Post-boundary query (Q-Stage 3): same-partition pairs use the
@@ -145,25 +129,14 @@ fn post_boundary_distance(
                 }
             }
             // Route through the in-partition separator (the LCA's bag
-            // members inside the partition; their label entries belong to
-            // the post-boundary index and are already repaired).
+            // members inside the partition — the ancestors at the root's
+            // depth or below; their label entries belong to the
+            // post-boundary index and are already repaired).
             if let Some(x) = td.lca(s, t) {
                 if tdp.partition_of(x) == Some(pi) {
-                    let xd = td.depth(x) as usize;
-                    let cand = dis.row(s.index())[xd].saturating_add(dis.row(t.index())[xd]);
-                    if cand < best {
-                        best = cand;
-                    }
-                    for &(u, _) in td.bag(x) {
-                        if tdp.partition_of(u) != Some(pi) {
-                            continue;
-                        }
-                        let i = td.depth(u) as usize;
-                        let cand = dis.row(s.index())[i].saturating_add(dis.row(t.index())[i]);
-                        if cand < best {
-                            best = cand;
-                        }
-                    }
+                    let root_depth = td.depth(tdp.roots()[pi]) as usize;
+                    let (ds, dt) = (dis.row(s.index()), dis.row(t.index()));
+                    best = best.min(bag_min(td, ds, dt, x, root_depth));
                 }
             }
             best
@@ -171,40 +144,15 @@ fn post_boundary_distance(
         _ => {
             // Cross-partition (or overlay endpoints): concatenate through
             // the boundary vertices using disB and the overlay labels.
-            let sides = |v: VertexId| -> Vec<(VertexId, Dist)> {
-                match tdp.partition_of(v) {
-                    None => vec![(v, Dist::ZERO)],
-                    Some(pi) => tdp
-                        .boundary(pi)
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &b)| (b, disb.row(v.index())[j]))
-                        .collect(),
-                }
-            };
-            let from_s = sides(s);
-            let from_t = sides(t);
             let mut best = INF;
-            for &(bp, dp) in &from_s {
-                if dp.is_inf() {
-                    continue;
-                }
-                for &(bq, dq) in &from_t {
-                    if dq.is_inf() {
-                        continue;
-                    }
-                    let mid = if bp == bq {
-                        Dist::ZERO
-                    } else {
-                        // Overlay distance: a plain H2H query, valid as soon
-                        // as the overlay labels are updated (the overlay set
-                        // is upward-closed).
-                        h2h_distance(td, dis, bp, bq)
-                    };
-                    let cand = dp.saturating_add(mid).saturating_add(dq);
-                    if cand < best {
-                        best = cand;
-                    }
+            for (bp, dp) in exits(tdp, disb, &s).filter(|(_, d)| d.is_finite()) {
+                for (bq, dq) in exits(tdp, disb, &t).filter(|(_, d)| d.is_finite()) {
+                    // Overlay distance: a plain H2H query, exact as soon as
+                    // the overlay labels are repaired at U3 (the overlay set
+                    // is upward-closed, so every row it reads is an overlay
+                    // row).
+                    let mid = label_distance(td, dis, bp, bq);
+                    best = best.min(dp.saturating_add(mid).saturating_add(dq));
                 }
             }
             best
@@ -262,7 +210,7 @@ impl QueryView for PostMhlView {
             StageParts::PostBoundary { td, dis, disb, tdp } => {
                 post_boundary_distance(td, dis, disb, tdp, s, t)
             }
-            StageParts::CrossBoundary { td, dis } => h2h_distance(td, dis, s, t),
+            StageParts::CrossBoundary { td, dis } => label_distance(td, dis, s, t),
         }
     }
 

@@ -14,7 +14,8 @@
 //!
 //! On top of the decomposition, [`H2HIndex`] stores for every node the
 //! distance array `X(v).dis` (distances from `v` to each of its ancestors) and
-//! answers queries through the LCA of the two endpoints (§III-B). Dynamic
+//! answers queries through the LCA of the two endpoints (§III-B) with the
+//! query kernel [`label_distance`], which PostMHL shares. Dynamic
 //! maintenance ([`H2HIndex::apply_batch`]) runs the two phases of DH2H \[33\]:
 //! bottom-up shortcut update (delegated to DCH) followed by top-down label
 //! update over the affected subtrees.
@@ -28,5 +29,5 @@ pub mod lca;
 
 pub use decomposition::TreeDecomposition;
 pub use dh2h::{repair_labels, H2HUpdateReport};
-pub use h2h::{bag_by_depth, fold_label, min_plus, H2HIndex};
+pub use h2h::{bag_by_depth, bag_min, fold_label, label_distance, min_plus, H2HIndex};
 pub use lca::LcaIndex;

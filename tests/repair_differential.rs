@@ -11,20 +11,23 @@
 //! * the repair's `(from, to, old, new)` set equals the reference's;
 //! * every upward row equals a fresh `build_with_order`;
 //! * the H2H labels equal a fresh `from_decomposition`;
-//! * all four PostMHL stages answer like Dijkstra.
+//! * DH2H, every PostMHL view as it was published during the repair, and
+//!   the repaired index's stages 2 and 3 answer a seeded set of far and near
+//!   pairs like Dijkstra.
 //!
 //! No timers: everything asserted is a value.
 
 use htsp::ch::{ContractionHierarchy, ShortcutChange, ShortcutMode};
 use htsp::core::{PostMhl, PostMhlConfig};
 use htsp::graph::{
-    gen, EdgeId, EdgeUpdate, Graph, GraphBuilder, IndexMaintainer, QuerySet, SnapshotPublisher,
+    gen, EdgeId, EdgeUpdate, Graph, GraphBuilder, IndexMaintainer, QueryView, SnapshotPublisher,
     UpdateBatch, VertexId, Weight,
 };
 use htsp::partition::TdPartitionConfig;
 use htsp::search::dijkstra_distance;
 use htsp::td::{H2HIndex, TreeDecomposition};
 use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 type Rows = Vec<Vec<(VertexId, Weight)>>;
 
@@ -156,6 +159,56 @@ fn postmhl_config() -> PostMhlConfig {
     }
 }
 
+type PublishedViews = Arc<Mutex<Vec<Arc<dyn QueryView>>>>;
+
+/// A publisher that also keeps every view published through it.
+fn recording_publisher(initial: Arc<dyn QueryView>) -> (Arc<SnapshotPublisher>, PublishedViews) {
+    let publisher = Arc::new(SnapshotPublisher::new(initial));
+    let published = PublishedViews::default();
+    let (weak, log) = (Arc::downgrade(&publisher), Arc::clone(&published));
+    publisher.on_publish(move |_| {
+        if let Some(publisher) = weak.upgrade() {
+            log.lock().unwrap().push(publisher.snapshot());
+        }
+    });
+    (publisher, published)
+}
+
+/// `count` query pairs: half drawn uniformly (mostly far pairs with a shallow
+/// LCA), half near pairs — `t` a random descent from an ancestor one to four
+/// levels above `s`, so the LCA is deep and the H2H kernel reads a long
+/// label prefix (or `t` is an ancestor or descendant of `s`).
+fn seeded_pairs(
+    g: &Graph,
+    td: &TreeDecomposition,
+    rng: &mut Lcg,
+    count: usize,
+) -> Vec<(VertexId, VertexId)> {
+    let n = g.num_vertices() as u64;
+    let mut pairs = Vec::with_capacity(count);
+    for i in 0..count {
+        let s = VertexId(rng.below(n) as u32);
+        let t = if i % 2 == 0 {
+            VertexId(rng.below(n) as u32)
+        } else {
+            let mut t = s;
+            for _ in 0..1 + rng.below(4) {
+                t = td.parent(t).unwrap_or(t);
+            }
+            for _ in 0..rng.below(6) {
+                let children = td.children(t);
+                if children.is_empty() {
+                    break;
+                }
+                t = children[rng.below(children.len() as u64) as usize];
+            }
+            t
+        };
+        pairs.push((s, t));
+    }
+    pairs
+}
+
 /// Drives one graph family through `rounds` batches of each direction.
 /// `weights` bounds the generated weights; `dijkstra` is off for the family
 /// whose path sums saturate (a saturated shortcut is finite, a saturated
@@ -173,6 +226,8 @@ fn drive(name: &str, mut g: Graph, weights: (Weight, Weight), dijkstra: bool, se
         );
     }
     let mut rng = Lcg(seed);
+    // Its own stream, so the pairs do not shift the batches.
+    let mut pair_rng = Lcg(!seed);
     for direction in [
         Direction::Mixed,
         Direction::IncreaseOnly,
@@ -214,19 +269,28 @@ fn drive(name: &str, mut g: Graph, weights: (Weight, Weight), dijkstra: bool, se
                 assert_eq!(h2h.label(v), fresh_labels.label(v), "label of {v}, {at}");
             }
 
-            // Every PostMHL stage against Dijkstra.
+            // DH2H and every PostMHL view against Dijkstra: each view as it
+            // was published mid-repair (stage 2 before U5 has repaired the
+            // cross-boundary entries), then stages 2 and 3 of the repaired
+            // index. The H2H kernel may read every label entry up to the
+            // LCA's depth, so any entry a repair left stale is a wrong
+            // answer here.
             if let Some(post) = post.as_mut() {
-                let publisher = SnapshotPublisher::new(post.current_view());
+                let (publisher, published) = recording_publisher(post.current_view());
                 post.apply_batch(&g, &batch, &publisher);
-                let queries = QuerySet::random(&g, 25, seed + round as u64);
-                for q in &queries {
-                    let expect = dijkstra_distance(&g, q.source, q.target);
-                    assert_eq!(h2h.distance(q.source, q.target), expect, "H2H {q:?}, {at}");
-                    for stage in 0..4 {
+                let mut views = std::mem::take(&mut *published.lock().unwrap());
+                let stages: Vec<usize> = views.iter().map(|v| v.stage()).collect();
+                assert_eq!(stages, [0, 1, 2, 3], "published stages, {at}");
+                views.extend([post.view_at_stage(2), post.view_at_stage(3)]);
+                for (s, t) in seeded_pairs(&g, h2h.decomposition(), &mut pair_rng, 30) {
+                    let expect = dijkstra_distance(&g, s, t);
+                    assert_eq!(h2h.distance(s, t), expect, "DH2H {s}-{t}, {at}");
+                    for (i, view) in views.iter().enumerate() {
                         assert_eq!(
-                            post.view_at_stage(stage).distance(q.source, q.target),
+                            view.distance(s, t),
                             expect,
-                            "PostMHL stage {stage} {q:?}, {at}"
+                            "PostMHL view {i} (stage {}) {s}-{t}, {at}",
+                            view.stage()
                         );
                     }
                 }
