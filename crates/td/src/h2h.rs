@@ -24,11 +24,7 @@
 //! (uniform endpoints) has a mean prefix of 132 entries against 102 bag
 //! candidates. For near pairs (an 8-hop walk), 55 % are ancestor–descendant
 //! single lookups; the rest have a mean prefix of 193 entries against 40
-//! candidates, so most keep the gather. In four traced benchmark runs per
-//! side on a 2-vCPU Xeon, a far pair took 202–249 ns (median 221) with the
-//! bag gather alone and 150–199 ns (median 162) with the switch; a near pair
-//! took 100–123 ns (median 110) and 104–153 ns (median 108). The LCA itself
-//! is ≈9 ns.
+//! candidates, so most keep the gather. The LCA itself is ≈9 ns.
 //!
 //! The paper's position array `X(v).pos` is not materialized: a bag member's
 //! position is its tree depth, available from the decomposition. Storing the
@@ -43,7 +39,42 @@
 //! level — per tree level one fork/join, a walk to the root per vertex and a
 //! scan of all `n` rows to hand out the level's slots — which on the
 //! benchmark's 4 096-vertex grid (tree height 265) took 19 ms on one thread
-//! and 26 ms on two; the preorder pass takes 11 ms.
+//! and 26 ms on two.
+//!
+//! # The two contiguous loops, at AVX2 speed where the CPU has it
+//!
+//! Both label kernels end in one contiguous loop over `u32` distances: the
+//! prefix scan `prefix_min` (read path) and [`min_plus`], a bag member's row
+//! folded into a label (the H2H build, DH2H's repair, PostMHL's U3–U5). The
+//! x86-64 baseline (SSE2) has no unsigned 32-bit `min` and no saturating
+//! add, so the compiler emulates both. Each loop body is therefore a scalar
+//! `#[inline(always)]` function — the reference and the fallback — plus an
+//! `avx2` clone that only calls it, so LLVM compiles the same code again with
+//! 8 lanes, native `vpminud`, and the saturating add as `min(a, !b) + b`.
+//!
+//! * **Dispatch rule.** The public name picks the clone through
+//!   `std::is_x86_feature_detected!("avx2")` (std caches the answer in a
+//!   static) where the whole loop lives: once per query for the prefix scan,
+//!   once per row for `min_plus`. On other targets it is the scalar body.
+//! * **Safety.** The clone's one requirement is that the CPU has AVX2, which
+//!   the dispatcher has just checked; the body is safe code that reads (and
+//!   for `min_plus` writes) only the slices it is given, with bounds checks.
+//!   Nothing else in the workspace steps outside safe Rust.
+//!
+//! Per query class and path, measured on `grid64` on a 2-vCPU Xeon (five
+//! interleaved micro-benchmark runs per path, the benchmark's pair
+//! generators; medians, ranges in brackets):
+//!
+//! | class               | AVX2                 | scalar (SSE2)          |
+//! |---------------------|----------------------|------------------------|
+//! | far pair            | 79 ns (76–80)        | 129 ns (126–133)       |
+//! | near pair           | 89 ns (84–92)        | 91 ns (90–96)          |
+//! | label fill, grid64  | 5.3 ms               | 11.0 ms                |
+//! | label fill, 128×128 | 64–72 ms             | 124–127 ms             |
+//!
+//! A near pair mostly keeps the gather, so it barely moves. Both paths give
+//! bit-equal answers and label rows (the tests check every tail length and
+//! every row of four graph families).
 
 use crate::decomposition::TreeDecomposition;
 use htsp_ch::{ContractionHierarchy, ShortcutMode};
@@ -258,10 +289,20 @@ impl H2HIndex {
 /// times longer than the candidate set of the bag gather (its bag plus
 /// itself). A prefix entry is one element of a contiguous, vectorized pass
 /// over both rows; a bag candidate is a dependent `depth` load followed by
-/// two scattered row reads. On `grid64` a prefix entry costs 0.6–0.9 ns and a
-/// bag candidate 1.8–2.8 ns, rows fetched from cache included: a ratio of
-/// 2–4. Sweeping the factor over 1, 2, 3, 4 and 6 puts the fastest mean
-/// query of both far and near pairs at 3 or 4.
+/// two scattered row reads. With the scalar (SSE2) scan, on `grid64`, a
+/// prefix entry costs 0.6–0.9 ns and a bag candidate 1.8–2.8 ns, rows
+/// fetched from cache included: a ratio of 2–4. The AVX2 scan makes a prefix
+/// entry cheaper, so the factor was swept on both paths (median ns of five
+/// interleaved runs per point, far / near pairs, 2-vCPU Xeon):
+///
+/// | C      | 1        | 2        | 3        | 4        | 6        | ∞         |
+/// |--------|----------|----------|----------|----------|----------|-----------|
+/// | AVX2   | 124 / 94 | 84 / 88  | 79 / 89  | 75 / 87  | 71 / 91  | 70 / 86   |
+/// | scalar | 152 / 93 | 129 / 91 | 129 / 91 | 127 / 92 | 125 / 98 | 125 / 113 |
+///
+/// The AVX2 path is flat from 3 up for near pairs and gains ≈9 ns on far
+/// pairs towards ∞; the scalar path's near pairs lose from 4 up (+24 % at ∞).
+/// No value beats 3 on both paths, so there is one factor, 3.
 const PREFIX_SCAN_FACTOR: usize = 3;
 
 /// Shortest distance between `s` and `t` from the H2H label rows `dis` over
@@ -310,12 +351,35 @@ pub(crate) fn scans_prefix(td: &TreeDecomposition, x: VertexId) -> bool {
 /// `min ds[i] + dt[i]` (saturating) over `i < k`, branch-free: the exact H2H
 /// answer when both rows hold exact distances to the `k` shared ancestors
 /// (every such sum is a path length, and the LCA's separator is among them).
+/// Runs [`prefix_min_scalar`] compiled for AVX2 where the CPU has it.
 #[inline]
 pub(crate) fn prefix_min(ds: &[Dist], dt: &[Dist], k: usize) -> Dist {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was just detected on this CPU, and the callee reads
+        // only the slices it is given, with bounds checks.
+        return unsafe { prefix_min_avx2(ds, dt, k) };
+    }
+    prefix_min_scalar(ds, dt, k)
+}
+
+/// The body of [`prefix_min`]: its reference and its fallback.
+#[inline(always)]
+fn prefix_min_scalar(ds: &[Dist], dt: &[Dist], k: usize) -> Dist {
     let (ds, dt) = (&ds[..k], &dt[..k]);
     ds.iter()
         .zip(dt)
         .fold(INF, |best, (&a, &b)| best.min(a.saturating_add(b)))
+}
+
+/// [`prefix_min_scalar`] compiled for AVX2 (8 lanes, native unsigned `min`).
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn prefix_min_avx2(ds: &[Dist], dt: &[Dist], k: usize) -> Dist {
+    prefix_min_scalar(ds, dt, k)
 }
 
 /// The paper's H2H minimum (§III-B, Example 2): `ds[i] + dt[i]` over the
@@ -339,15 +403,38 @@ pub fn bag_min(td: &TreeDecomposition, ds: &[Dist], dt: &[Dist], x: VertexId, lo
 }
 
 /// `dst[i] = min(dst[i], src[i] + w)` over the common length: one bag member's
-/// contribution to a label row, as two contiguous slices.
+/// contribution to a label row, as two contiguous slices. Runs its scalar
+/// loop compiled for AVX2 where the CPU has it.
 #[inline]
 pub fn min_plus(dst: &mut [Dist], src: &[Dist], w: Weight) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was just detected on this CPU, and the callee touches
+        // only the slices it is given, with bounds checks.
+        return unsafe { min_plus_avx2(dst, src, w) };
+    }
+    min_plus_scalar(dst, src, w)
+}
+
+/// The body of [`min_plus`]: its reference and its fallback.
+#[inline(always)]
+fn min_plus_scalar(dst: &mut [Dist], src: &[Dist], w: Weight) {
     for (d, &s) in dst.iter_mut().zip(src) {
         let cand = s.saturating_add_weight(w);
         if cand < *d {
             *d = cand;
         }
     }
+}
+
+/// [`min_plus_scalar`] compiled for AVX2 (8 lanes, native unsigned `min`).
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn min_plus_avx2(dst: &mut [Dist], src: &[Dist], w: Weight) {
+    min_plus_scalar(dst, src, w)
 }
 
 /// Gathers `(depth, shortcut weight)` of `v`'s bag members into `out`,
@@ -383,12 +470,24 @@ pub fn fold_label<'a>(
     anc_row: impl Fn(usize) -> &'a [Dist],
     label: &mut [Dist],
 ) {
+    fold_label_with(min_plus, bag, lo, anc_row, label);
+}
+
+/// [`fold_label`] with `kernel` in place of [`min_plus`] for the bag
+/// members' own rows (the tests fold through [`min_plus_scalar`]).
+fn fold_label_with<'a>(
+    kernel: impl Fn(&mut [Dist], &[Dist], Weight),
+    bag: &[(u32, Weight)],
+    lo: usize,
+    anc_row: impl Fn(usize) -> &'a [Dist],
+    label: &mut [Dist],
+) {
     label.fill(INF);
     let hi = lo + label.len();
     for &(du, w) in bag {
         let du = du as usize;
         let len = (du + 1).min(hi) - lo;
-        min_plus(&mut label[..len], &anc_row(du)[..len], w);
+        kernel(&mut label[..len], &anc_row(du)[..len], w);
     }
     let Some(&(shallowest, _)) = bag.last() else {
         return;
@@ -501,14 +600,42 @@ mod tests {
         assert_eq!(h2h.distance(VertexId(2), VertexId(3)), Dist(5));
     }
 
+    /// Says on stderr when the dispatched label kernels run their scalar
+    /// bodies on this host, so a pass there is not read as a check of the
+    /// AVX2 path.
+    fn note_missing_avx2() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            eprintln!("no AVX2 on this host: only the scalar label kernels are checked");
+        }
+    }
+
     /// Every pair of `g` against Dijkstra: the kernel always, and both
     /// branches of its switch directly for every pair whose LCA is neither
-    /// endpoint. Returns how many such pairs the switch sends to the prefix
-    /// scan and how many to the bag gather.
+    /// endpoint, the prefix scan both dispatched and as its scalar body.
+    /// Every label row the build folded through the dispatched `min_plus`
+    /// must equal the row folded through its scalar body, and `min_plus`
+    /// over each such pair's prefixes must agree on both paths. Returns how
+    /// many such pairs the switch sends to the prefix scan and how many to
+    /// the bag gather.
     fn check_both_branches(g: &Graph) -> (usize, usize) {
+        note_missing_avx2();
         let h2h = H2HIndex::build(g);
         let td = h2h.decomposition();
+        let mut bag = Vec::new();
+        for v in g.vertices() {
+            let path = td.ancestors(v);
+            bag_by_depth(td, v, &mut bag);
+            let mut label = vec![Dist::ZERO; path.len() + 1];
+            let anc_row = |d: usize| h2h.label(path[d]);
+            fold_label_with(min_plus_scalar, &bag, 0, anc_row, &mut label[..path.len()]);
+            assert_eq!(label, h2h.label(v), "label row of {v}");
+        }
         let (mut scans, mut gathers) = (0, 0);
+        let (mut scalar, mut dispatched) = (Vec::new(), Vec::new());
         for s in g.vertices() {
             let expect = htsp_search::dijkstra_all(g, s);
             for t in g.vertices() {
@@ -520,7 +647,15 @@ mod tests {
                 let (ds, dt) = (h2h.label(s), h2h.label(t));
                 let k = td.depth(x) as usize + 1;
                 assert_eq!(prefix_min(ds, dt, k), d, "prefix scan {s}-{t}");
+                assert_eq!(prefix_min_scalar(ds, dt, k), d, "scalar scan {s}-{t}");
                 assert_eq!(bag_min(td, ds, dt, x, 0), d, "bag gather {s}-{t}");
+                for out in [&mut scalar, &mut dispatched] {
+                    out.clear();
+                    out.extend_from_slice(&ds[..k]);
+                }
+                min_plus_scalar(&mut scalar, &dt[..k], d.0);
+                min_plus(&mut dispatched, &dt[..k], d.0);
+                assert_eq!(dispatched, scalar, "min_plus {s}-{t}");
                 if scans_prefix(td, x) {
                     scans += 1;
                 } else {
@@ -529,6 +664,59 @@ mod tests {
             }
         }
         (scans, gathers)
+    }
+
+    #[test]
+    fn label_kernels_equal_their_scalar_bodies_on_every_tail_length() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        fn value(rng: &mut ChaCha8Rng) -> Dist {
+            match rng.gen_range(0..5u32) {
+                0 => Dist::ZERO,
+                1 => Dist(1),
+                2 => Dist(u32::MAX - 1),
+                3 => INF,
+                _ => Dist(rng.gen()),
+            }
+        }
+        note_missing_avx2();
+        let mut rng = ChaCha8Rng::seed_from_u64(26);
+        // The saturating sum, computed wide.
+        let sum = |a: Dist, w: u32| Dist((a.0 as u64 + w as u64).min(u32::MAX as u64) as u32);
+        // Lengths across several 8-lane blocks and every tail.
+        for len in 0..=67usize {
+            for _ in 0..40 {
+                let extra = rng.gen_range(0..3usize);
+                let ds: Vec<Dist> = (0..len + extra).map(|_| value(&mut rng)).collect();
+                let dt: Vec<Dist> = (0..len + extra).map(|_| value(&mut rng)).collect();
+                let expect = (0..len).map(|i| sum(ds[i], dt[i].0)).min().unwrap_or(INF);
+                assert_eq!(
+                    prefix_min_scalar(&ds, &dt, len),
+                    expect,
+                    "scalar scan, {len}"
+                );
+                assert_eq!(prefix_min(&ds, &dt, len), expect, "prefix scan, {len}");
+
+                let w = match rng.gen_range(0..4u32) {
+                    0 => 1,
+                    1 => u32::MAX - 1,
+                    2 => u32::MAX,
+                    _ => rng.gen(),
+                };
+                let (dst, src) = (&dt[..len], &ds[..len]);
+                let expect: Vec<Dist> = dst
+                    .iter()
+                    .zip(src)
+                    .map(|(&d, &s)| d.min(sum(s, w)))
+                    .collect();
+                let mut scalar = dst.to_vec();
+                min_plus_scalar(&mut scalar, src, w);
+                assert_eq!(scalar, expect, "scalar min_plus, {len}, w = {w}");
+                let mut dispatched = dst.to_vec();
+                min_plus(&mut dispatched, src, w);
+                assert_eq!(dispatched, expect, "min_plus, {len}, w = {w}");
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use htsp::search::dijkstra_distance;
 use htsp::throughput::QueryBatch;
 use htsp::{AlgorithmKind, BuildParams, CoalescePolicy, RoadNetworkServer};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 fn road(seed: u64) -> Graph {
@@ -43,6 +44,8 @@ fn all_nine_algorithms_give_read_your_writes_under_concurrent_queries() {
 
         let queries = QuerySet::random(&g, 15, 42);
         let stop = AtomicBool::new(false);
+        // How many query threads have answered one full pass.
+        let answering = (Mutex::new(0usize), Condvar::new());
         // If any assertion in the scope body unwinds, the raced query
         // threads must still be told to stop — otherwise thread::scope
         // joins threads that spin forever and the test hangs instead of
@@ -62,6 +65,7 @@ fn all_nine_algorithms_give_read_your_writes_under_concurrent_queries() {
             let raced: Vec<_> = (0..2)
                 .map(|_| {
                     let stop = &stop;
+                    let answering = &answering;
                     let queries = &queries;
                     let server = &server;
                     scope.spawn(move || {
@@ -78,11 +82,33 @@ fn all_nine_algorithms_give_read_your_writes_under_concurrent_queries() {
                                 );
                                 answered += 1;
                             }
+                            if answered == queries.len() as u64 {
+                                *answering.0.lock().expect("counter poisoned") += 1;
+                                answering.1.notify_all();
+                            }
                         }
                         answered
                     })
                 })
                 .collect();
+
+            // The ingest starts once both query threads answer: on a
+            // saturated host both rounds could otherwise finish before a
+            // query thread is ever scheduled, and nothing would race.
+            let started = *answering
+                .1
+                .wait_timeout_while(
+                    answering.0.lock().expect("counter poisoned"),
+                    Duration::from_secs(60),
+                    |n| *n < raced.len(),
+                )
+                .expect("counter poisoned")
+                .0;
+            assert_eq!(
+                started,
+                raced.len(),
+                "{kind}: query threads never answered before the ingest"
+            );
 
             for round in 0..2u64 {
                 // Exactly max_batch updates per round: the size trigger
