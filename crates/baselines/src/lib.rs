@@ -21,9 +21,8 @@
 
 use htsp_ch::{ChQuery, ChQuerySession, ContractionHierarchy, OrderingStrategy, ShortcutMode};
 use htsp_graph::{
-    ByteReader, ByteWriter, Dist, FallbackSession, Graph, IndexMaintainer, QuerySession, QueryView,
-    ScratchPool, SnapshotError, SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId,
-    WorkerPool,
+    ByteReader, ByteWriter, Dist, Graph, IndexMaintainer, QuerySession, QueryView, ScratchPool,
+    SnapshotError, SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, WorkerPool,
 };
 use htsp_search::{BiDijkstra, BiDijkstraSession};
 use htsp_td::H2HIndex;
@@ -269,9 +268,7 @@ impl QueryView for H2hView {
     }
 
     fn session(&self) -> Box<dyn QuerySession + '_> {
-        // A label lookup needs no scratch; the per-target loop is already
-        // the optimal one-to-many algorithm for a 2-hop labeling.
-        Box::new(FallbackSession::new(self))
+        Box::new(self.h2h.session())
     }
 
     fn graph(&self) -> &Graph {

@@ -11,7 +11,7 @@
 use crate::dch::RepairScratch;
 use crate::elimination::{eliminate, Elimination};
 use crate::ordering::{OrderingStrategy, VertexOrder};
-use htsp_graph::cow::{CowStats, CowTable, DEFAULT_CHUNK};
+use htsp_graph::cow::{CowStats, CowTable};
 use htsp_graph::par::WorkerPool;
 use htsp_graph::{Dist, Graph, ScratchPool, VertexId, Weight, INF};
 use std::sync::Arc;
@@ -203,7 +203,7 @@ impl ContractionHierarchy {
         let num_arcs = *arcs.row_start.last().expect("n + 1 entries") as usize;
         ContractionHierarchy {
             order: Arc::new(order),
-            up: CowTable::from_rows(up, DEFAULT_CHUNK),
+            up: CowTable::from_rows(up),
             arcs: Arc::new(arcs),
             repair_scratch: Arc::new(ScratchPool::new(move || RepairScratch::new(n, num_arcs))),
             mode,

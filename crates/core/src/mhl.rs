@@ -10,8 +10,8 @@
 
 use htsp_ch::{ChQuery, ChQuerySession};
 use htsp_graph::{
-    Dist, FallbackSession, Graph, IndexMaintainer, QuerySession, QueryView, ScratchPool,
-    SnapshotError, SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId,
+    Dist, Graph, IndexMaintainer, QuerySession, QueryView, ScratchPool, SnapshotError,
+    SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId,
 };
 use htsp_search::{BiDijkstra, BiDijkstraSession};
 use htsp_td::H2HIndex;
@@ -102,8 +102,7 @@ impl QueryView for MhlView {
                 h2h.decomposition().hierarchy(),
                 ch.checkout(),
             )),
-            // Label lookups: the per-target loop is already optimal.
-            StageParts::H2h { .. } => Box::new(FallbackSession::new(self)),
+            StageParts::H2h { h2h } => Box::new(h2h.session()),
         }
     }
 

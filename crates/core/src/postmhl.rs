@@ -20,7 +20,7 @@
 //! BiDijkstra → PCH → post-boundary → cross-boundary (plain H2H query).
 
 use htsp_ch::{ChQuery, ChQuerySession};
-use htsp_graph::cow::{CowStats, CowTable, DEFAULT_CHUNK};
+use htsp_graph::cow::{CowStats, CowTable};
 use htsp_graph::{
     Dist, FallbackSession, Graph, IndexMaintainer, QuerySession, QueryView, ScratchPool,
     SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, Weight, WorkerPool, INF,
@@ -29,7 +29,7 @@ use htsp_partition::{td_partition, TdPartition, TdPartitionConfig};
 use htsp_search::{BiDijkstra, BiDijkstraSession};
 use htsp_td::{
     bag_by_depth, bag_min, fold_label, label_distance, min_plus, repair_labels, H2HIndex,
-    TreeDecomposition,
+    LabelSession, TreeDecomposition,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -225,10 +225,9 @@ impl QueryView for PostMhlView {
             StageParts::Pch { td, ch } => {
                 Box::new(ChQuerySession::new(td.hierarchy(), ch.checkout()))
             }
-            // Label stages: per-target lookups are the batch algorithm.
-            StageParts::PostBoundary { .. } | StageParts::CrossBoundary { .. } => {
-                Box::new(FallbackSession::new(self))
-            }
+            // Per-target lookups are the batch algorithm of both label stages.
+            StageParts::PostBoundary { .. } => Box::new(FallbackSession::new(self)),
+            StageParts::CrossBoundary { td, dis } => Box::new(LabelSession::new(td, dis)),
         }
     }
 
@@ -319,7 +318,7 @@ impl PostMhl {
             ch: Arc::new(ScratchPool::new(move || ChQuery::new(n))),
             td: Arc::new(td),
             dis,
-            disb: CowTable::from_rows(disb, DEFAULT_CHUNK),
+            disb: CowTable::from_rows(disb),
             tdp: Arc::new(tdp),
             stage: PostMhlStage::CrossBoundary,
         }

@@ -18,6 +18,10 @@
 //! `O(k / chunk_size + k)` rows of data instead of the whole table — the
 //! per-stage copy-on-write cost tracks the *change set*, not the index.
 //!
+//! Chunk sizes are powers of two, so element `i` lives at
+//! `chunks[i >> shift][i & mask]`: a read costs a shift and a mask, not a
+//! division.
+//!
 //! # The two containers
 //!
 //! * [`CowVec<T>`] — a chunked vector of elements. Reads are `&self`
@@ -25,11 +29,17 @@
 //!   [`CowVec::make_mut`], which clones the containing chunk if it is
 //!   shared. Byte accounting covers `size_of::<T>()` per element, which is
 //!   accurate precisely when `T`'s own clone is shallow (e.g. a
-//!   `PartitionIndex` whose big tables are themselves cow containers).
+//!   `PartitionIndex` whose big tables are themselves cow containers). The
+//!   caller picks the chunk size, a power of two: one element per chunk for
+//!   the per-partition indexes, [`DEFAULT_CHUNK`] when collected from an
+//!   iterator.
 //! * [`CowTable<T>`] — a chunked table of rows (`Vec<T>`), the shape of
 //!   every label/distance table in the repository (`dis`, `disB`, shortcut
 //!   arrays, 2-hop labels). Its byte accounting includes each cloned row's
 //!   heap payload, so the reported `bytes_cloned` is the real copy volume.
+//!   Every table has the same constant chunk of [`DEFAULT_CHUNK`] rows, so
+//!   its row lookup shifts and masks by compile-time constants — it sits on
+//!   every label query's path.
 //!
 //! # Clone telemetry
 //!
@@ -49,7 +59,7 @@
 //!
 //! // A 1000-row distance table, 64 rows per chunk.
 //! let rows: Vec<Vec<u32>> = (0..1000).map(|i| vec![i; 8]).collect();
-//! let mut table = CowTable::from_rows(rows, 64);
+//! let mut table = CowTable::from_rows(rows);
 //!
 //! // A snapshot pins the current contents: just a spine copy.
 //! let snapshot = table.clone();
@@ -69,11 +79,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default number of rows/elements per chunk.
+/// Rows per [`CowTable`] chunk, and elements per chunk of a [`CowVec`]
+/// collected from an iterator.
 ///
 /// Small enough that one stray write clones a few KiB, large enough that the
 /// pointer spine stays negligible next to the data.
-pub const DEFAULT_CHUNK: usize = 64;
+pub const DEFAULT_CHUNK: usize = 1 << TABLE_SHIFT;
+
+/// `log2` of [`DEFAULT_CHUNK`]: row `i` of a table is row `i & TABLE_MASK`
+/// of chunk `i >> TABLE_SHIFT`.
+const TABLE_SHIFT: u32 = 6;
+const TABLE_MASK: usize = DEFAULT_CHUNK - 1;
 
 /// Cumulative copy-on-write effort: how many chunks (and how many bytes of
 /// element data) `make_mut` actually had to clone because a snapshot still
@@ -142,7 +158,8 @@ impl Counters {
 pub struct CowVec<T> {
     chunks: Vec<Arc<[T]>>,
     len: usize,
-    chunk_size: usize,
+    /// `log2` of the elements per chunk.
+    shift: u32,
     counters: Arc<Counters>,
 }
 
@@ -151,9 +168,12 @@ impl<T: Clone> CowVec<T> {
     /// chunk (the last chunk may be shorter).
     ///
     /// # Panics
-    /// Panics if `chunk_size` is zero.
+    /// Panics if `chunk_size` is not a power of two.
     pub fn from_vec(items: Vec<T>, chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
+        assert!(
+            chunk_size.is_power_of_two(),
+            "chunk size must be a power of two, got {chunk_size}"
+        );
         let len = items.len();
         let mut chunks = Vec::with_capacity(len.div_ceil(chunk_size));
         let mut items = items.into_iter();
@@ -167,7 +187,7 @@ impl<T: Clone> CowVec<T> {
         CowVec {
             chunks,
             len,
-            chunk_size,
+            shift: chunk_size.trailing_zeros(),
             counters: Arc::new(Counters::default()),
         }
     }
@@ -184,7 +204,7 @@ impl<T: Clone> CowVec<T> {
 
     /// Elements per chunk.
     pub fn chunk_size(&self) -> usize {
-        self.chunk_size
+        1 << self.shift
     }
 
     /// Number of chunks (the spine length copied by `clone`).
@@ -192,10 +212,17 @@ impl<T: Clone> CowVec<T> {
         self.chunks.len()
     }
 
+    /// Chunk and offset of element `i`.
+    #[inline]
+    fn locate(&self, i: usize) -> (usize, usize) {
+        (i >> self.shift, i & (self.chunk_size() - 1))
+    }
+
     /// Shared read of element `i`.
     #[inline]
     pub fn get(&self, i: usize) -> &T {
-        &self.chunks[i / self.chunk_size][i % self.chunk_size]
+        let (ci, o) = self.locate(i);
+        &self.chunks[ci][o]
     }
 
     /// Iterates over all elements.
@@ -224,17 +251,16 @@ impl<T: Clone> CowVec<T> {
     /// `true` if element `i`'s chunk is currently shared with a clone (a
     /// write through [`CowVec::make_mut`] would have to copy it).
     pub fn is_shared(&self, i: usize) -> bool {
-        let chunk = &self.chunks[i / self.chunk_size];
-        Arc::strong_count(chunk) > 1
+        Arc::strong_count(&self.chunks[self.locate(i).0]) > 1
     }
 
     /// Mutable access to element `i`, cloning its chunk first if any other
     /// clone of this container still shares it (and counting that clone).
     pub fn make_mut(&mut self, i: usize) -> &mut T {
-        let ci = i / self.chunk_size;
+        let (ci, o) = self.locate(i);
         self.ensure_unique(ci);
         let chunk = &mut self.chunks[ci];
-        &mut Arc::get_mut(chunk).expect("chunk just made unique")[i % self.chunk_size]
+        &mut Arc::get_mut(chunk).expect("chunk just made unique")[o]
     }
 
     /// Hands out disjoint `&mut` borrows of every element whose index
@@ -251,7 +277,7 @@ impl<T: Clone> CowVec<T> {
         &mut self,
         mut select: impl FnMut(usize) -> bool,
     ) -> Vec<(usize, &mut T)> {
-        let chunk_size = self.chunk_size;
+        let chunk_size = self.chunk_size();
         let mut out = Vec::new();
         for (ci, chunk) in self.chunks.iter_mut().enumerate() {
             let base = ci * chunk_size;
@@ -291,7 +317,7 @@ impl<T> Clone for CowVec<T> {
         CowVec {
             chunks: self.chunks.clone(),
             len: self.len,
-            chunk_size: self.chunk_size,
+            shift: self.shift,
             counters: Arc::clone(&self.counters),
         }
     }
@@ -339,27 +365,23 @@ impl<T: Clone> RowRead<T> for CowTable<T> {
 /// Structurally a [`CowVec`]`<Vec<T>>`, but its clone telemetry counts each
 /// cloned row's heap payload (`row.len() * size_of::<T>()`) on top of the
 /// row headers, so `bytes_cloned` reflects the real volume of copied label
-/// data.
+/// data. Every table has [`DEFAULT_CHUNK`] rows per chunk.
 #[derive(Debug)]
 pub struct CowTable<T> {
     chunks: Vec<Arc<[Vec<T>]>>,
     len: usize,
-    chunk_size: usize,
     counters: Arc<Counters>,
 }
 
 impl<T: Clone> CowTable<T> {
-    /// Builds a table from `rows` with `chunk_size` rows per chunk.
-    ///
-    /// # Panics
-    /// Panics if `chunk_size` is zero.
-    pub fn from_rows(rows: Vec<Vec<T>>, chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
+    /// Builds a table from `rows`, [`DEFAULT_CHUNK`] rows per chunk (the last
+    /// chunk may be shorter).
+    pub fn from_rows(rows: Vec<Vec<T>>) -> Self {
         let len = rows.len();
-        let mut chunks = Vec::with_capacity(len.div_ceil(chunk_size));
+        let mut chunks = Vec::with_capacity(len.div_ceil(DEFAULT_CHUNK));
         let mut rows = rows.into_iter();
         loop {
-            let chunk: Arc<[Vec<T>]> = rows.by_ref().take(chunk_size).collect();
+            let chunk: Arc<[Vec<T>]> = rows.by_ref().take(DEFAULT_CHUNK).collect();
             if chunk.is_empty() {
                 break;
             }
@@ -368,7 +390,6 @@ impl<T: Clone> CowTable<T> {
         CowTable {
             chunks,
             len,
-            chunk_size,
             counters: Arc::new(Counters::default()),
         }
     }
@@ -383,11 +404,6 @@ impl<T: Clone> CowTable<T> {
         self.len == 0
     }
 
-    /// Rows per chunk.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
-    }
-
     /// Number of chunks (the spine length copied by `clone`).
     pub fn num_chunks(&self) -> usize {
         self.chunks.len()
@@ -396,7 +412,7 @@ impl<T: Clone> CowTable<T> {
     /// Shared read of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[T] {
-        &self.chunks[i / self.chunk_size][i % self.chunk_size]
+        &self.chunks[i >> TABLE_SHIFT][i & TABLE_MASK]
     }
 
     /// Iterates over all rows.
@@ -432,13 +448,13 @@ impl<T: Clone> CowTable<T> {
 
     /// `true` if row `i`'s chunk is currently shared with a clone.
     pub fn is_shared(&self, i: usize) -> bool {
-        Arc::strong_count(&self.chunks[i / self.chunk_size]) > 1
+        Arc::strong_count(&self.chunks[i >> TABLE_SHIFT]) > 1
     }
 
     /// Mutable access to row `i`, cloning its chunk (rows and payload) first
     /// if any clone of this table still shares it.
     pub fn make_mut(&mut self, i: usize) -> &mut Vec<T> {
-        let ci = i / self.chunk_size;
+        let ci = i >> TABLE_SHIFT;
         let chunk = &mut self.chunks[ci];
         if Arc::get_mut(chunk).is_none() {
             let headers = chunk.len() * std::mem::size_of::<Vec<T>>();
@@ -450,49 +466,7 @@ impl<T: Clone> CowTable<T> {
             *chunk = cloned;
             self.counters.record((headers + payload) as u64);
         }
-        &mut Arc::get_mut(&mut self.chunks[ci]).expect("chunk just made unique")
-            [i % self.chunk_size]
-    }
-
-    /// Uniquifies every chunk containing a selected row and returns one
-    /// `(row_index, &mut row)` borrow per selected row, in index order. This
-    /// is the write-back entry point of a fan-out (PMHL's per-partition
-    /// repairs): uniquify once, then hand the disjoint row borrows to the
-    /// workers' results.
-    ///
-    /// `select` must be a pure predicate of the index: it is invoked up to
-    /// twice per index (a short-circuiting probe decides whether a chunk
-    /// needs uniquifying, a second pass collects the borrows), so a stateful
-    /// closure would see an order- and chunk-layout-dependent call pattern.
-    pub fn make_mut_where(
-        &mut self,
-        mut select: impl FnMut(usize) -> bool,
-    ) -> Vec<(usize, &mut Vec<T>)> {
-        let chunk_size = self.chunk_size;
-        let mut out = Vec::new();
-        for (ci, chunk) in self.chunks.iter_mut().enumerate() {
-            let base = ci * chunk_size;
-            if !(0..chunk.len()).any(|o| select(base + o)) {
-                continue;
-            }
-            if Arc::get_mut(&mut *chunk).is_none() {
-                let headers = chunk.len() * std::mem::size_of::<Vec<T>>();
-                let payload: usize = chunk
-                    .iter()
-                    .map(|r| r.len() * std::mem::size_of::<T>())
-                    .sum();
-                let cloned: Arc<[Vec<T>]> = chunk.iter().cloned().collect();
-                *chunk = cloned;
-                self.counters.record((headers + payload) as u64);
-            }
-            let slice = Arc::get_mut(chunk).expect("chunk just made unique");
-            for (o, row) in slice.iter_mut().enumerate() {
-                if select(base + o) {
-                    out.push((base + o, row));
-                }
-            }
-        }
-        out
+        &mut Arc::get_mut(&mut self.chunks[ci]).expect("chunk just made unique")[i & TABLE_MASK]
     }
 }
 
@@ -502,7 +476,6 @@ impl<T> Clone for CowTable<T> {
         CowTable {
             chunks: self.chunks.clone(),
             len: self.len,
-            chunk_size: self.chunk_size,
             counters: Arc::clone(&self.counters),
         }
     }
@@ -535,8 +508,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "power of two")]
+    fn cowvec_rejects_a_chunk_size_that_is_not_a_power_of_two() {
+        CowVec::from_vec(vec![0u32; 20], 10);
+    }
+
+    #[test]
     fn unique_writes_are_free() {
-        let mut v = CowVec::from_vec(vec![1u64; 100], 10);
+        let mut v = CowVec::from_vec(vec![1u64; 100], 16);
         for i in 0..100 {
             *v.make_mut(i) += i as u64;
         }
@@ -547,25 +526,26 @@ mod tests {
 
     #[test]
     fn shared_chunks_clone_once_and_alias_the_rest() {
-        let mut v = CowVec::from_vec((0..100u32).collect(), 10);
+        let mut v = CowVec::from_vec((0..100u32).collect(), 16);
+        assert_eq!(v.chunk_size(), 16);
         let snapshot = v.clone();
-        // Two writes inside one chunk: one clone; a third in another chunk:
-        // a second clone.
+        // Two writes inside one chunk: one clone; a third in another chunk
+        // (80..96, a full one): a second clone.
         *v.make_mut(5) = 500;
         *v.make_mut(6) = 600;
         *v.make_mut(95) = 950;
         assert_eq!(v.stats().chunks_cloned, 2);
         assert_eq!(
             v.stats().bytes_cloned,
-            2 * 10 * std::mem::size_of::<u32>() as u64
+            2 * 16 * std::mem::size_of::<u32>() as u64
         );
         // Snapshot is frozen; untouched chunks still alias.
         assert_eq!(snapshot[5], 5);
         assert_eq!(snapshot[95], 95);
         assert_eq!(v[5], 500);
         assert!(!v.is_shared(5), "written chunk must be unique now");
-        assert!(v.is_shared(15), "untouched chunk must still alias");
-        assert!(std::ptr::eq(snapshot.get(15), v.get(15)));
+        assert!(v.is_shared(20), "untouched chunk must still alias");
+        assert!(std::ptr::eq(snapshot.get(20), v.get(20)));
         assert!(!std::ptr::eq(snapshot.get(5), v.get(5)));
     }
 
@@ -593,7 +573,7 @@ mod tests {
 
     #[test]
     fn make_mut_where_uniquifies_only_selected_chunks() {
-        let mut v = CowVec::from_vec((0..40u32).collect(), 10);
+        let mut v = CowVec::from_vec((0..40u32).collect(), 8);
         let snapshot = v.clone();
         let picked = v.make_mut_where(|i| i == 3 || i == 7 || i == 35);
         assert_eq!(
@@ -603,7 +583,7 @@ mod tests {
         for (i, item) in picked {
             *item = i as u32 * 100;
         }
-        assert_eq!(v.stats().chunks_cloned, 2); // chunks 0 and 3
+        assert_eq!(v.stats().chunks_cloned, 2); // chunks 0 and 4
         assert_eq!(v[3], 300);
         assert_eq!(v[35], 3500);
         assert_eq!(snapshot[3], 3);
@@ -612,53 +592,42 @@ mod tests {
 
     #[test]
     fn cowtable_counts_row_payload() {
-        let rows: Vec<Vec<u32>> = (0..20).map(|i| vec![i as u32; i]).collect();
-        let mut t = CowTable::from_rows(rows, 4);
-        assert_eq!(t.len(), 20);
-        assert_eq!(t.num_entries(), (0..20).sum::<usize>());
+        // Three chunks: rows 0..64, 64..128 and 128..150.
+        let len = |i: usize| i % 7;
+        let rows: Vec<Vec<u32>> = (0..150).map(|i| vec![i as u32; len(i)]).collect();
+        let mut t = CowTable::from_rows(rows);
+        assert_eq!(t.len(), 150);
+        assert_eq!(t.num_chunks(), 3);
+        assert_eq!(t.num_entries(), (0..150).map(len).sum::<usize>());
         let snapshot = t.clone();
-        t.make_mut(5).push(9); // chunk 1 holds rows 4..8 (lengths 4+5+6+7)
-        let expect_bytes = (4 * std::mem::size_of::<Vec<u32>>()
-            + (4 + 5 + 6 + 7) * std::mem::size_of::<u32>()) as u64;
+        t.make_mut(70).push(9); // chunk 1 holds rows 64..128
+        let expect_bytes = (DEFAULT_CHUNK * std::mem::size_of::<Vec<u32>>()
+            + (64..128).map(len).sum::<usize>() * std::mem::size_of::<u32>())
+            as u64;
         assert_eq!(t.stats().chunks_cloned, 1);
         assert_eq!(t.stats().bytes_cloned, expect_bytes);
-        assert_eq!(snapshot.row(5).len(), 5);
-        assert_eq!(t.row(5).len(), 6);
-        // Second write in the same chunk: free.
-        t.make_mut(6).push(1);
-        assert_eq!(t.stats().chunks_cloned, 1);
-    }
-
-    #[test]
-    fn cowtable_make_mut_where_hands_out_disjoint_rows_in_index_order() {
-        let rows: Vec<Vec<u32>> = (0..20).map(|i| vec![i as u32]).collect();
-        let mut t = CowTable::from_rows(rows, 4);
-        let snapshot = t.clone();
-        let picked = t.make_mut_where(|i| i % 7 == 2);
-        assert_eq!(
-            picked.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-            vec![2, 9, 16]
+        assert_eq!(snapshot.row(70).len(), len(70));
+        assert_eq!(t.row(70).len(), len(70) + 1);
+        assert!(
+            t.is_shared(63) && t.is_shared(128),
+            "neighbours still alias"
         );
-        for (i, row) in picked {
-            row.push(i as u32 * 10);
-        }
-        // Chunks 0, 2, 4 were uniquified; chunk 1 (rows 4..8) still aliases.
-        assert_eq!(t.stats().chunks_cloned, 3);
-        assert!(t.is_shared(5));
-        assert_eq!(t.row(9), &[9, 90]);
-        assert_eq!(snapshot.row(9), &[9]);
+        // Second write in the same chunk: free.
+        t.make_mut(127).push(1);
+        assert_eq!(t.stats().chunks_cloned, 1);
     }
 
     #[test]
     fn cowtable_row_read_trait_matches_slice_impl() {
-        let rows: Vec<Vec<u8>> = vec![vec![1, 2], vec![3]];
-        let t = CowTable::from_rows(rows.clone(), 1);
+        let rows: Vec<Vec<u8>> = (0..130).map(|i| vec![i as u8; i % 3]).collect();
+        let t = CowTable::from_rows(rows.clone());
         fn read<R: RowRead<u8> + ?Sized>(r: &R, i: usize) -> Vec<u8> {
             r.row(i).to_vec()
         }
-        assert_eq!(read(&t, 0), read(&rows[..], 0));
-        assert_eq!(read(&t, 1), read(&rows[..], 1));
-        assert_eq!(&t[1], &rows[1][..]);
+        for i in 0..rows.len() {
+            assert_eq!(read(&t, i), read(&rows[..], i), "row {i}");
+            assert_eq!(&t[i], &rows[i][..]);
+        }
     }
 
     #[test]
@@ -708,7 +677,7 @@ mod tests {
 
         for seed in 0..6u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let chunk = 1 + rng.gen_range(0..24usize);
+            let chunk = 1usize << rng.gen_range(0..6u32);
             let n = 64 + rng.gen_range(0..192usize);
             let chunk_len = |ci: usize| chunk.min(n - ci * chunk);
 
@@ -817,11 +786,12 @@ mod tests {
 
         for seed in 0..4u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(0xbeef ^ seed);
-            let chunk = 1 + rng.gen_range(0..8usize);
-            let n = 40 + rng.gen_range(0..40usize);
+            let chunk = DEFAULT_CHUNK;
+            // At least three chunks, the last one usually short.
+            let n = 2 * chunk + 1 + rng.gen_range(0..2 * chunk);
             let chunk_len = |ci: usize| chunk.min(n - ci * chunk);
             let rows: Vec<Vec<u32>> = (0..n).map(|i| vec![i as u32; i % 5]).collect();
-            let mut t = CowTable::from_rows(rows.clone(), chunk);
+            let mut t = CowTable::from_rows(rows.clone());
             let mut model = rows;
             let mut snapshot: Option<(CowTable<u32>, Vec<Vec<u32>>)> = None;
             let mut expected = t.stats();

@@ -307,12 +307,13 @@ pub trait QuerySession {
 }
 
 /// The do-nothing-smarter session: forwards every `distance` to the view's
-/// shared-reference path.
+/// shared-reference path, through one dynamic call per answer.
 ///
-/// The right session for views whose `distance` needs no scratch at all
-/// (pure label lookups like DH2H — a per-target label scan is already the
-/// optimal one-to-many algorithm there). Views that *do* check scratch per
-/// call should implement a session that owns the scratch instead.
+/// For stages whose `distance` needs no scratch and that have no session of
+/// their own (PMHL's no-boundary stage, PostMHL's post-boundary stage).
+/// Views that *do* check scratch per call should implement a session that
+/// owns the scratch instead; views answering from full H2H labels use
+/// `htsp_td::LabelSession`, which calls the label kernel directly.
 pub struct FallbackSession<'a> {
     view: &'a dyn QueryView,
 }

@@ -15,7 +15,7 @@
 use crate::overlay::OverlayGraph;
 use crate::partitioned::Partitioned;
 use crate::post_boundary::PostBoundaryIndexes;
-use htsp_graph::cow::{CowStats, CowTable, DEFAULT_CHUNK};
+use htsp_graph::cow::{CowStats, CowTable};
 use htsp_graph::{Dist, VertexId, INF};
 use htsp_td::H2HIndex;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -75,7 +75,7 @@ impl CrossBoundaryIndex {
             *label = Self::compute_label(partitioned, overlay, overlay_index, post, vid);
         }
         CrossBoundaryIndex {
-            labels: CowTable::from_rows(labels, DEFAULT_CHUNK),
+            labels: CowTable::from_rows(labels),
         }
     }
 

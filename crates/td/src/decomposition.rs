@@ -1,15 +1,18 @@
 //! MDE tree decomposition built on top of the CH contraction.
 
-use crate::lca::LcaIndex;
+use crate::h2h::scans_prefix;
+use crate::lca::{LcaIndex, TourEntry};
 use htsp_ch::{ContractionHierarchy, OrderingStrategy, ShortcutMode, VertexOrder};
 use htsp_graph::cow::CowStats;
 use htsp_graph::{Graph, VertexId, Weight};
 use std::sync::Arc;
 
 /// The immutable tree shape of a decomposition: parents, children, depths,
-/// orders and the LCA structure. Weight-only update batches never change the
-/// shape (the bags are the CH's fixed arc sets; only shortcut *weights*
-/// move), so all clones of a decomposition share one copy behind an `Arc`.
+/// orders and the LCA structure (whose tour also carries the H2H query
+/// kernel's per-node scan-or-gather choice). Weight-only update batches
+/// never change the shape (the bags are the CH's fixed arc sets; only
+/// shortcut *weights* move), so all clones of a decomposition share one copy
+/// behind an `Arc`.
 #[derive(Debug)]
 struct TreeShape {
     parent: Vec<Option<VertexId>>,
@@ -105,7 +108,12 @@ impl TreeDecomposition {
             n,
             "tree decomposition must cover all vertices"
         );
-        let lca = LcaIndex::build(n, &roots, &children, &depth);
+        // The query kernel's scan-or-gather choice depends only on a node's
+        // depth and bag size, which weight updates never change: made once
+        // here, it rides in the node's tour entry.
+        let lca = LcaIndex::build(n, &roots, &children, &depth, |v| {
+            scans_prefix(depth[v.index()], ch.up_arcs(v).len())
+        });
         TreeDecomposition {
             ch,
             shape: Arc::new(TreeShape {
@@ -187,6 +195,14 @@ impl TreeDecomposition {
     /// LCA of two nodes (None if they are in different components).
     pub fn lca(&self, u: VertexId, v: VertexId) -> Option<VertexId> {
         self.shape.lca.lca(u, v)
+    }
+
+    /// [`Self::lca`] with the LCA's depth, marked when the H2H query kernel
+    /// answers a pair with this LCA by the prefix scan rather than the bag
+    /// gather ([`label_distance`](crate::label_distance)).
+    #[inline]
+    pub fn lca_entry(&self, u: VertexId, v: VertexId) -> Option<TourEntry> {
+        self.shape.lca.lca_entry(u, v)
     }
 
     /// Returns the ancestors of `v` from the root down to its parent.

@@ -5,14 +5,24 @@
 //! ancestor's depth), with the final entry `d(v, v) = 0`.
 //!
 //! A query `q(s, t)` goes through one kernel, [`label_distance`], which the
-//! index, PostMHL's final stage and PostMHL's overlay hop share. It finds the
-//! LCA `X` of the endpoints; when `X` is an endpoint the answer is one entry
-//! of the other endpoint's row. Otherwise the paper minimizes
-//! `X(s).dis[i] + X(t).dis[i]` over the positions `i` of `X` and its bag
-//! members (§III-B, Example 2). Every entry is an exact distance to an
-//! ancestor, so the minimum over the whole shared prefix `0..=depth(X)` is
-//! exact too, and it is one contiguous pass the compiler vectorizes. The
-//! kernel therefore switches on how dense `X`'s bag is in its ancestor path:
+//! index, MHL's and PostMHL's final stages and PostMHL's overlay hop share;
+//! the sessions of those views ([`LabelSession`]) call it directly. Its path
+//! is a short chain of loads:
+//!
+//! 1. One sparse-table lookup ([`TreeDecomposition::lca_entry`]) yields the
+//!    Euler-tour entry of the endpoints' LCA `X`. The entry packs `X`, its
+//!    depth and the kernel's scan-or-gather choice for `X`, which is made
+//!    once per tree node when the decomposition is built (bags never change
+//!    shape under weight updates).
+//! 2. Both endpoint rows are found by a shift and a mask: every label table
+//!    has the same power-of-two chunk ([`CowTable`]).
+//! 3. When `X` is an endpoint the answer is the other endpoint's row entry at
+//!    `depth(X)`. Otherwise the paper minimizes `X(s).dis[i] + X(t).dis[i]`
+//!    over the positions `i` of `X` and its bag members (§III-B, Example 2).
+//!    Every entry is an exact distance to an ancestor, so the minimum over
+//!    the whole shared prefix `0..=depth(X)` is exact too, and it is one
+//!    contiguous pass the compiler vectorizes. The choice from step 1 is how
+//!    dense `X`'s bag is in its ancestor path:
 //!
 //! * `depth(X) + 1 <= C · (|bag(X)| + 1)`, with `C = 3`
 //!   (`PREFIX_SCAN_FACTOR`): the branch-free saturating `min` over both
@@ -24,7 +34,9 @@
 //! (uniform endpoints) has a mean prefix of 132 entries against 102 bag
 //! candidates. For near pairs (an 8-hop walk), 55 % are ancestor–descendant
 //! single lookups; the rest have a mean prefix of 193 entries against 40
-//! candidates, so most keep the gather. The LCA itself is ≈9 ns.
+//! candidates, so most keep the gather. The LCA lookup itself (`td.lca_ns`,
+//! far pairs) takes 7.6 ns on a 2-vCPU Xeon: the median of nine traced
+//! benchmark runs, range 7.6–9.5 ns.
 //!
 //! The paper's position array `X(v).pos` is not materialized: a bag member's
 //! position is its tree depth, available from the decomposition. Storing the
@@ -78,9 +90,11 @@
 
 use crate::decomposition::TreeDecomposition;
 use htsp_ch::{ContractionHierarchy, ShortcutMode};
-use htsp_graph::cow::{CowStats, CowTable, RowRead, DEFAULT_CHUNK};
+use htsp_graph::cow::{CowStats, CowTable, RowRead};
 use htsp_graph::par::WorkerPool;
-use htsp_graph::{ByteReader, ByteWriter, Dist, Graph, SnapshotError, VertexId, Weight, INF};
+use htsp_graph::{
+    ByteReader, ByteWriter, Dist, Graph, QuerySession, SnapshotError, VertexId, Weight, INF,
+};
 
 /// The H2H index: a tree decomposition plus per-node distance arrays.
 ///
@@ -139,7 +153,7 @@ impl H2HIndex {
         }
         H2HIndex {
             td,
-            dis: CowTable::from_rows(dis, DEFAULT_CHUNK),
+            dis: CowTable::from_rows(dis),
         }
     }
 
@@ -154,7 +168,7 @@ impl H2HIndex {
         );
         H2HIndex {
             td,
-            dis: CowTable::from_rows(dis, DEFAULT_CHUNK),
+            dis: CowTable::from_rows(dis),
         }
     }
 
@@ -190,6 +204,11 @@ impl H2HIndex {
     /// Shortest distance between `s` and `t`, `INF` if disconnected.
     pub fn distance(&self, s: VertexId, t: VertexId) -> Dist {
         label_distance(&self.td, &self.dis, s, t)
+    }
+
+    /// A query session answering from this index's labels.
+    pub fn session(&self) -> LabelSession<'_> {
+        LabelSession::new(&self.td, &self.dis)
     }
 
     /// Number of label entries stored (the `|L|` statistic of Exp. 2).
@@ -308,8 +327,8 @@ const PREFIX_SCAN_FACTOR: usize = 3;
 /// Shortest distance between `s` and `t` from the H2H label rows `dis` over
 /// `td` (`dis.row(v)[d]` = distance from `v` to its ancestor at depth `d`),
 /// `INF` if they lie in different trees. The one H2H query kernel: the H2H
-/// index, PostMHL's final stage and PostMHL's overlay hop all answer
-/// through it.
+/// index, MHL's and PostMHL's final stages and PostMHL's overlay hop all
+/// answer through it.
 ///
 /// Every entry of the two rows up to the LCA's depth must be an exact
 /// distance: the kernel may read all of them, not only the bag positions.
@@ -323,29 +342,56 @@ pub fn label_distance<R: RowRead<Dist> + ?Sized>(
     if s == t {
         return Dist::ZERO;
     }
-    let Some(x) = td.lca(s, t) else {
+    // One tour entry: the LCA, its depth and the scan-or-gather choice.
+    let Some(lca) = td.lca_entry(s, t) else {
         return INF;
     };
+    let (x, depth) = (lca.vertex(), lca.depth() as usize);
     if x == s {
-        return dis.row(t.index())[td.depth(s) as usize];
+        return dis.row(t.index())[depth];
     }
     if x == t {
-        return dis.row(s.index())[td.depth(t) as usize];
+        return dis.row(s.index())[depth];
     }
     let (ds, dt) = (dis.row(s.index()), dis.row(t.index()));
-    if scans_prefix(td, x) {
-        prefix_min(ds, dt, td.depth(x) as usize + 1)
+    if lca.marked() {
+        prefix_min(ds, dt, depth + 1)
     } else {
         bag_min(td, ds, dt, x, 0)
     }
 }
 
-/// Whether [`label_distance`] answers a pair with LCA `x` by the prefix scan
-/// rather than the bag gather: when `x`'s bag is dense in its ancestor path.
+/// Whether [`label_distance`] answers a pair whose LCA has depth `depth` and
+/// `bag_len` bag members by the prefix scan rather than the bag gather: when
+/// the bag is dense in the LCA's ancestor path. Decided once per tree node
+/// when the decomposition is built ([`TreeDecomposition::lca_entry`]).
 #[inline]
-pub(crate) fn scans_prefix(td: &TreeDecomposition, x: VertexId) -> bool {
+pub(crate) fn scans_prefix(depth: u32, bag_len: usize) -> bool {
     // Prefix length `depth + 1 <= C · (|bag| + 1)`.
-    (td.depth(x) as usize) < PREFIX_SCAN_FACTOR * (td.bag(x).len() + 1)
+    (depth as usize) < PREFIX_SCAN_FACTOR * (bag_len + 1)
+}
+
+/// A query session over H2H label rows: every answer goes straight to
+/// [`label_distance`]. The session of every view that answers from full
+/// labels (DH2H, MHL's and PostMHL's final stages); a label lookup needs no
+/// scratch, and the per-target loop is already the best one-to-many and
+/// matrix algorithm for a 2-hop labeling.
+pub struct LabelSession<'a> {
+    td: &'a TreeDecomposition,
+    dis: &'a CowTable<Dist>,
+}
+
+impl<'a> LabelSession<'a> {
+    /// A session over the label rows `dis` of `td` (see [`label_distance`]).
+    pub fn new(td: &'a TreeDecomposition, dis: &'a CowTable<Dist>) -> Self {
+        LabelSession { td, dis }
+    }
+}
+
+impl QuerySession for LabelSession<'_> {
+    fn distance(&mut self, s: VertexId, t: VertexId) -> Dist {
+        label_distance(self.td, self.dis, s, t)
+    }
 }
 
 /// `min ds[i] + dt[i]` (saturating) over `i < k`, branch-free: the exact H2H
@@ -618,9 +664,10 @@ mod tests {
     /// endpoint, the prefix scan both dispatched and as its scalar body.
     /// Every label row the build folded through the dispatched `min_plus`
     /// must equal the row folded through its scalar body, and `min_plus`
-    /// over each such pair's prefixes must agree on both paths. Returns how
-    /// many such pairs the switch sends to the prefix scan and how many to
-    /// the bag gather.
+    /// over each such pair's prefixes must agree on both paths, and the
+    /// LCA's tour entry must carry its depth and the scan-or-gather rule
+    /// applied to the tree. Returns how many such pairs the switch sends to
+    /// the prefix scan and how many to the bag gather.
     fn check_both_branches(g: &Graph) -> (usize, usize) {
         note_missing_avx2();
         let h2h = H2HIndex::build(g);
@@ -656,7 +703,12 @@ mod tests {
                 min_plus_scalar(&mut scalar, &dt[..k], d.0);
                 min_plus(&mut dispatched, &dt[..k], d.0);
                 assert_eq!(dispatched, scalar, "min_plus {s}-{t}");
-                if scans_prefix(td, x) {
+                // The choice made at build time is the rule on the live tree.
+                let lca = td.lca_entry(s, t).expect("the pair has an LCA");
+                assert_eq!((lca.vertex(), lca.depth()), (x, td.depth(x)), "{s}-{t}");
+                let scan = scans_prefix(td.depth(x), td.bag(x).len());
+                assert_eq!(lca.marked(), scan, "scan choice at {x}");
+                if scan {
                     scans += 1;
                 } else {
                     gathers += 1;

@@ -3,8 +3,49 @@
 //! H2H answers a query through the LCA of the two endpoint tree nodes
 //! (§III-B, \[55\]); the sparse table gives O(1) LCA after O(n log n)
 //! preprocessing, negligible next to the label arrays.
+//!
+//! Each tour entry is one [`TourEntry`]: the node's depth in the high half,
+//! the node in the low half, plus one caller-chosen mark bit. The sparse
+//! table keeps `u32` tour indices; one comparison of the two entries they
+//! name yields the LCA together with its depth and mark, so a query needs no
+//! further per-node load to learn either.
 
 use htsp_graph::VertexId;
+
+/// One Euler-tour entry: `depth << 32 | mark << 31 | vertex`.
+///
+/// Entries order by depth first. Inside one tree, the shallowest entry of
+/// any contiguous tour range is unique (moving between two nodes of equal
+/// depth passes through a shallower ancestor), so the minimum of two entries
+/// is the LCA whatever the lower bits hold.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct TourEntry(u64);
+
+impl TourEntry {
+    const MARK: u64 = 1 << 31;
+
+    fn new(v: VertexId, depth: u32, mark: bool) -> Self {
+        TourEntry(u64::from(depth) << 32 | u64::from(mark) << 31 | u64::from(v.0))
+    }
+
+    /// The tree node.
+    #[inline]
+    pub fn vertex(self) -> VertexId {
+        VertexId(self.0 as u32 & !(Self::MARK as u32))
+    }
+
+    /// The node's depth (roots have depth 0).
+    #[inline]
+    pub fn depth(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+
+    /// The node's mark, as given to [`LcaIndex::build`].
+    #[inline]
+    pub fn marked(self) -> bool {
+        self.0 & Self::MARK != 0
+    }
+}
 
 /// Constant-time LCA structure over a rooted forest.
 #[derive(Clone, Debug)]
@@ -12,10 +53,8 @@ pub struct LcaIndex {
     /// First occurrence of each vertex in the Euler tour (`usize::MAX` if the
     /// vertex is not part of the forest).
     first: Vec<usize>,
-    /// Euler tour of vertices.
-    tour: Vec<VertexId>,
-    /// Depth of each tour entry.
-    tour_depth: Vec<u32>,
+    /// Euler tour of nodes with their depths and marks.
+    tour: Vec<TourEntry>,
     /// Sparse table: `table[k][i]` = index (into `tour`) of the minimum-depth
     /// entry in `tour[i .. i + 2^k]`.
     table: Vec<Vec<u32>>,
@@ -27,11 +66,22 @@ impl LcaIndex {
     /// Builds the LCA index from parent/children arrays.
     ///
     /// `roots` lists the roots of the forest; `children[v]` lists the children
-    /// of `v`; `depth[v]` is the depth of `v` (roots have depth 0).
-    pub fn build(n: usize, roots: &[VertexId], children: &[Vec<VertexId>], depth: &[u32]) -> Self {
+    /// of `v`; `depth[v]` is the depth of `v` (roots have depth 0);
+    /// `mark(v)` is the bit [`TourEntry::marked`] returns for `v`.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds `2^31` (the mark takes the vertex's top bit).
+    pub fn build(
+        n: usize,
+        roots: &[VertexId],
+        children: &[Vec<VertexId>],
+        depth: &[u32],
+        mark: impl Fn(VertexId) -> bool,
+    ) -> Self {
+        assert!(n <= 1 << 31, "LCA tour entries hold vertex ids below 2^31");
+        let entry = |v: VertexId| TourEntry::new(v, depth[v.index()], mark(v));
         let mut first = vec![usize::MAX; n];
         let mut tour = Vec::with_capacity(2 * n);
-        let mut tour_depth = Vec::with_capacity(2 * n);
         let mut component = vec![u32::MAX; n];
 
         for (comp, &root) in roots.iter().enumerate() {
@@ -39,26 +89,23 @@ impl LcaIndex {
             let mut stack: Vec<(VertexId, usize)> = vec![(root, 0)];
             component[root.index()] = comp as u32;
             first[root.index()] = tour.len();
-            tour.push(root);
-            tour_depth.push(depth[root.index()]);
+            tour.push(entry(root));
             while let Some((v, ci)) = stack.pop() {
                 if ci < children[v.index()].len() {
                     stack.push((v, ci + 1));
                     let c = children[v.index()][ci];
                     component[c.index()] = comp as u32;
                     first[c.index()] = tour.len();
-                    tour.push(c);
-                    tour_depth.push(depth[c.index()]);
+                    tour.push(entry(c));
                     stack.push((c, 0));
                 } else if let Some(&(parent, _)) = stack.last() {
                     // Returning to the parent: record it again.
-                    tour.push(parent);
-                    tour_depth.push(depth[parent.index()]);
+                    tour.push(entry(parent));
                 }
             }
         }
 
-        // Sparse table over tour_depth.
+        // Sparse table over the tour entries.
         let m = tour.len();
         let levels = if m <= 1 {
             1
@@ -75,7 +122,7 @@ impl LcaIndex {
             for i in 0..=(m - (1 << k)) {
                 let a = prev[i];
                 let b = prev[i + half];
-                row.push(if tour_depth[a as usize] <= tour_depth[b as usize] {
+                row.push(if tour[a as usize] <= tour[b as usize] {
                     a
                 } else {
                     b
@@ -88,7 +135,6 @@ impl LcaIndex {
         LcaIndex {
             first,
             tour,
-            tour_depth,
             table,
             component,
         }
@@ -97,13 +143,15 @@ impl LcaIndex {
     /// Returns the LCA of `u` and `v`, or `None` if they lie in different
     /// trees of the forest.
     pub fn lca(&self, u: VertexId, v: VertexId) -> Option<VertexId> {
-        if self.component[u.index()] != self.component[v.index()]
-            || self.component[u.index()] == u32::MAX
-        {
+        self.lca_entry(u, v).map(TourEntry::vertex)
+    }
+
+    /// [`Self::lca`] as its tour entry: the LCA with its depth and mark.
+    #[inline]
+    pub fn lca_entry(&self, u: VertexId, v: VertexId) -> Option<TourEntry> {
+        let cu = self.component[u.index()];
+        if cu != self.component[v.index()] || cu == u32::MAX {
             return None;
-        }
-        if u == v {
-            return Some(u);
         }
         let (mut a, mut b) = (self.first[u.index()], self.first[v.index()]);
         if a > b {
@@ -111,14 +159,10 @@ impl LcaIndex {
         }
         let len = b - a + 1;
         let k = (usize::BITS - 1 - len.leading_zeros()) as usize;
-        let x = self.table[k][a];
-        let y = self.table[k][b + 1 - (1 << k)];
-        let best = if self.tour_depth[x as usize] <= self.tour_depth[y as usize] {
-            x
-        } else {
-            y
-        };
-        Some(self.tour[best as usize])
+        let level = &self.table[k];
+        let x = self.tour[level[a] as usize];
+        let y = self.tour[level[b + 1 - (1 << k)] as usize];
+        Some(x.min(y))
     }
 
     /// Index of `v`'s first occurrence in the Euler tour, which orders the
@@ -159,7 +203,17 @@ mod tests {
             vec![],
         ];
         let depth = vec![0, 1, 1, 2, 2, 2, 3];
-        LcaIndex::build(7, &[VertexId(0)], &children, &depth)
+        LcaIndex::build(7, &[VertexId(0)], &children, &depth, |_| false)
+    }
+
+    /// Number of parent steps from `v` up to its root.
+    fn depth_by_walk(parent: &[Option<VertexId>], mut v: VertexId) -> u32 {
+        let mut steps = 0;
+        while let Some(p) = parent[v.index()] {
+            v = p;
+            steps += 1;
+        }
+        steps
     }
 
     #[test]
@@ -186,18 +240,42 @@ mod tests {
 
     #[test]
     fn forest_components_have_no_cross_lca() {
-        let children = vec![vec![VertexId(1)], vec![], vec![VertexId(3)], vec![]];
-        let depth = vec![0, 1, 0, 1];
-        let lca = LcaIndex::build(4, &[VertexId(0), VertexId(2)], &children, &depth);
+        // Two chains: 0 - 1 - 4 and 2 - 3.
+        let children = vec![
+            vec![VertexId(1)],
+            vec![VertexId(4)],
+            vec![VertexId(3)],
+            vec![],
+            vec![],
+        ];
+        let parent = [
+            None,
+            Some(VertexId(0)),
+            None,
+            Some(VertexId(2)),
+            Some(VertexId(1)),
+        ];
+        let depth = vec![0, 1, 0, 1, 2];
+        let lca = LcaIndex::build(5, &[VertexId(0), VertexId(2)], &children, &depth, |v| {
+            v.0 % 2 == 1
+        });
         assert_eq!(lca.lca(VertexId(1), VertexId(3)), None);
-        assert_eq!(lca.lca(VertexId(0), VertexId(1)), Some(VertexId(0)));
-        assert_eq!(lca.lca(VertexId(2), VertexId(3)), Some(VertexId(2)));
+        assert_eq!(lca.lca_entry(VertexId(4), VertexId(2)), None);
+        for (u, v, expect) in [(0, 1, 0), (2, 3, 2), (4, 1, 1), (4, 4, 4), (3, 3, 3)] {
+            let (u, v, expect) = (VertexId(u), VertexId(v), VertexId(expect));
+            assert_eq!(lca.lca(u, v), Some(expect));
+            let entry = lca.lca_entry(u, v).unwrap();
+            assert_eq!(entry.vertex(), expect);
+            assert_eq!(entry.depth(), depth_by_walk(&parent, expect), "{u}-{v}");
+            assert_eq!(entry.marked(), expect.0 % 2 == 1, "{u}-{v}");
+        }
     }
 
     #[test]
     fn single_vertex_tree() {
-        let lca = LcaIndex::build(1, &[VertexId(0)], &[vec![]], &[0]);
+        let lca = LcaIndex::build(1, &[VertexId(0)], &[vec![]], &[0], |_| true);
         assert_eq!(lca.lca(VertexId(0), VertexId(0)), Some(VertexId(0)));
+        assert!(lca.lca_entry(VertexId(0), VertexId(0)).unwrap().marked());
     }
 
     #[test]
@@ -214,7 +292,8 @@ mod tests {
             children[p].push(VertexId::from_index(v));
             depth[v] = depth[p] + 1;
         }
-        let lca = LcaIndex::build(n, &[VertexId(0)], &children, &depth);
+        let mark = |v: VertexId| v.0.is_multiple_of(3);
+        let lca = LcaIndex::build(n, &[VertexId(0)], &children, &depth, mark);
         let brute = |mut a: usize, mut b: usize| -> usize {
             while depth[a] > depth[b] {
                 a = parent[a].unwrap().index();
@@ -231,10 +310,13 @@ mod tests {
         for _ in 0..500 {
             let a = rng.gen_range(0..n);
             let b = rng.gen_range(0..n);
-            assert_eq!(
-                lca.lca(VertexId::from_index(a), VertexId::from_index(b)),
-                Some(VertexId::from_index(brute(a, b)))
-            );
+            let (u, v) = (VertexId::from_index(a), VertexId::from_index(b));
+            let expect = VertexId::from_index(brute(a, b));
+            assert_eq!(lca.lca(u, v), Some(expect));
+            let entry = lca.lca_entry(u, v).unwrap();
+            assert_eq!(entry.vertex(), expect);
+            assert_eq!(entry.depth(), depth_by_walk(&parent, expect), "{u}-{v}");
+            assert_eq!(entry.marked(), mark(expect), "{u}-{v}");
         }
     }
 }

@@ -29,5 +29,7 @@ pub mod lca;
 
 pub use decomposition::TreeDecomposition;
 pub use dh2h::{repair_labels, H2HUpdateReport};
-pub use h2h::{bag_by_depth, bag_min, fold_label, label_distance, min_plus, H2HIndex};
-pub use lca::LcaIndex;
+pub use h2h::{
+    bag_by_depth, bag_min, fold_label, label_distance, min_plus, H2HIndex, LabelSession,
+};
+pub use lca::{LcaIndex, TourEntry};
