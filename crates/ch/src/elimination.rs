@@ -2,28 +2,52 @@
 //! the upward shortcut rows (the paper's MDE, §II and line 1 of Algorithm 4).
 //!
 //! [`crate::ordering::mde_order`] and every `ContractionHierarchy::build*`
-//! are thin calls of [`eliminate`]. The live graph is one
-//! `Vec<(VertexId, Weight)>` row per uncontracted vertex; there is no hash
-//! container in the all-pairs build. Eliminating `v` marks its neighbours in
-//! a dense slot table and then scans each neighbour's row **once**: the scan
-//! drops `v`, min-updates the pairs it meets with
-//! [`shortcut_sum`](crate::hierarchy::shortcut_sum), and only the pairs it did
-//! not meet are appended (these are the new shortcuts, counted once per
-//! pair). `v`'s own row is frozen where it lies — nothing live points at it
-//! any more — and all rows are sorted by rank once the order is complete.
+//! are thin calls of [`eliminate`]. There is no hash container in the
+//! all-pairs build. The live graph is held in two representations, one after
+//! the other.
 //!
-//! The next vertex is either the minimum `(degree, id)` of a queue holding
-//! one key per live vertex ([`OrderingStrategy::MinDegree`]) or the next of a
-//! given sequence ([`OrderingStrategy::Given`], the boundary-first orders of
-//! the PSP indexes).
+//! **Sparse head: one `Vec<(VertexId, Weight)>` row per live vertex.**
+//! Eliminating `v` marks its neighbours in a dense slot table and then scans
+//! each neighbour's row **once**: the scan drops `v`, min-updates the pairs
+//! it meets with [`shortcut_sum`](crate::hierarchy::shortcut_sum), and only
+//! the pairs it did not meet are appended (these are the new shortcuts,
+//! counted once per pair). `v`'s own row is frozen where it lies — nothing
+//! live points at it any more.
+//!
+//! **Dense tail: a matrix for the last `DENSE_TAIL` (1,024) vertices**, or for
+//! the whole graph when it is smaller (every partition and overlay of the
+//! PSP indexes). The live rows move into one `r × r` weight matrix and one
+//! `r`-bit adjacency row per vertex. Eliminating `v` reads its neighbours off
+//! its bits and freezes its row; each neighbour pair is then one indexed
+//! `min` where the head pays a slot lookup and two data-dependent branches
+//! per scanned entry (≈5 ns), and each neighbour's new degree is one
+//! popcount. The tail is where the work is: it holds the top separators,
+//! whose degrees approach the treewidth. Counted on `grid64` (4,096 vertices)
+//! with the head alone, the last 1,024 vertices did 93 % of the row-scan
+//! work (the last 512, 75 %); on `grid128` (16,384) the last 1,024 did 67 %.
+//! Extra memory is at most 4 MB of cells and 128 KB of bits, allocated once
+//! and zeroed, so a tail with few arcs (a path, a small partition) touches
+//! few of its pages.
+//!
+//! Both representations give the same elimination, bit for bit: the same
+//! order (the next vertex is the exact minimum `(degree, id)` of one queue
+//! holding a key per live vertex, [`OrderingStrategy::MinDegree`], or the
+//! next of a given sequence, [`OrderingStrategy::Given`], the boundary-first
+//! orders of the PSP indexes), the same rows (sorted by rank once the order
+//! is complete) and the same shortcut count; the unit tests below hand off at
+//! every interesting step. Witness-pruned builds (TOAIN's
+//! [`ShortcutMode::WitnessPruned`]) stay sparse throughout: whether a pair
+//! gets a shortcut is decided by a bounded Dijkstra over the live rows, which
+//! on a matrix would scan `r` cells per settled vertex.
 //!
 //! The pass is sequential on purpose. It replaced a hash-set ordering pass
 //! followed by a hash-map contraction in rank windows with two fork/joins per
 //! window; on the benchmark's `grid64` (2 cores) that pair took 27 + 40 ms
-//! on one thread and 27 + 94 ms on two, against 22 ms for this kernel — the
-//! old ordering pass alone cost more than the whole build does now, so no
-//! thread count let the windowed pair tie it. Construction parallelism lives
-//! where the work is independent: per partition and per fleet shard.
+//! on one thread and 27 + 94 ms on two, against 22 ms for this kernel before
+//! it had a dense tail — the old ordering pass alone cost more than the whole
+//! build did then, so no thread count let the windowed pair tie it.
+//! Construction parallelism lives where the work is independent: per
+//! partition and per fleet shard.
 
 use crate::hierarchy::{shortcut_sum, ShortcutMode};
 use crate::ordering::{OrderingStrategy, VertexOrder};
@@ -45,11 +69,41 @@ pub(crate) struct Elimination {
 
 const NO_SLOT: u32 = u32::MAX;
 
+/// How many vertices are eliminated on the dense matrix at the end: the
+/// whole graph when it is smaller. Whole eliminations of the benchmark's
+/// graphs (`grid_with_diagonals`, 10 % diagonals, seed 42) on a 2-vCPU Xeon,
+/// fastest of 21 interleaved runs on `grid64`, of 5 on `grid128`, ms:
+///
+/// | tail  | `grid64` MinDegree | `grid64` Given | `grid128` MinDegree | `grid128` Given |
+/// |-------|------|------|-------|-------|
+/// | 0     | 26.6 | 24.4 | 215.8 | 226.4 |
+/// | 512   | 15.3 | 13.0 | 173.1 | 173.0 |
+/// | 768   | 12.1 |  9.9 |   —   |   —   |
+/// | 1,024 | 11.4 |  8.8 | 141.0 | 132.7 |
+/// | 1,536 | 11.7 |  8.7 | 126.4 | 100.9 |
+/// | 2,048 | 12.9 |  9.6 | 106.0 |  94.0 |
+///
+/// `grid64` is flat from 1,024 to 1,536 and loses at 2,048. `grid128` still
+/// gains past 1,024, but 2,048 means a 16 MB matrix; 1,024 keeps the extra
+/// memory at 4 MB + 128 KB.
+const DENSE_TAIL: usize = 1024;
+
 /// Eliminates every vertex of `graph`, in the order `strategy` dictates.
 pub(crate) fn eliminate(
     graph: &Graph,
     strategy: OrderingStrategy,
     mode: ShortcutMode,
+) -> Elimination {
+    eliminate_with_tail(graph, strategy, mode, DENSE_TAIL)
+}
+
+/// [`eliminate`] with the last `tail` vertices on a dense matrix (all-pairs
+/// builds only). The result does not depend on `tail`.
+fn eliminate_with_tail(
+    graph: &Graph,
+    strategy: OrderingStrategy,
+    mode: ShortcutMode,
+    tail: usize,
 ) -> Elimination {
     let n = graph.num_vertices();
     // A graph has no self-loops and no parallel edges, so its adjacency is
@@ -58,15 +112,12 @@ pub(crate) fn eliminate(
         .vertices()
         .map(|v| graph.arcs(v).iter().map(|a| (a.to, a.weight)).collect())
         .collect();
-    let given = match strategy {
-        OrderingStrategy::MinDegree => None,
-        OrderingStrategy::Given(order) => {
-            assert_eq!(order.len(), n, "given order does not cover the graph");
-            Some(order)
-        }
+    let mut schedule = Schedule::new(strategy, &rows);
+    // Witness searches walk the live rows, so a pruned build stays sparse.
+    let tail = match mode {
+        ShortcutMode::AllPairs => tail.min(n),
+        ShortcutMode::WitnessPruned { .. } => 0,
     };
-    let mut queue = given.is_none().then(|| DegreeQueue::new(&rows));
-    let mut sequence = Vec::with_capacity(if given.is_none() { n } else { 0 });
 
     // `slot[u]` = position of `u` in the row of the vertex being eliminated.
     let mut slot = vec![NO_SLOT; n];
@@ -76,18 +127,8 @@ pub(crate) fn eliminate(
     let mut redundant: Vec<bool> = Vec::new();
     let mut extra_shortcuts = 0usize;
 
-    for step in 0..n {
-        let v = match &mut queue {
-            Some(queue) => {
-                let v = queue.pop().expect("one key per live vertex");
-                sequence.push(v);
-                v
-            }
-            None => given
-                .as_ref()
-                .expect("no queue means a given order")
-                .vertex_at(step as u32),
-        };
+    for step in 0..n - tail {
+        let v = schedule.next(step);
         let nbrs = std::mem::take(&mut rows[v.index()]);
         let deg = nbrs.len();
         for (i, &(a, _)) in nbrs.iter().enumerate() {
@@ -140,17 +181,19 @@ pub(crate) fn eliminate(
                     extra_shortcuts += usize::from(i < k);
                 }
             }
-            if let Some(queue) = &mut queue {
-                queue.set_degree(a, row.len());
-            }
+            schedule.set_degree(a, row.len());
         }
         for &(a, _) in &nbrs {
             slot[a.index()] = NO_SLOT;
         }
         rows[v.index()] = nbrs;
     }
+    if tail > 0 {
+        // Every slot is free again; the dense tail reuses them as local ids.
+        extra_shortcuts += eliminate_dense(&mut rows, &mut schedule, n - tail, &mut slot);
+    }
 
-    let order = given.unwrap_or_else(|| VertexOrder::from_sequence(sequence));
+    let order = schedule.into_order();
     for row in &mut rows {
         row.sort_unstable_by_key(|&(u, _)| order.rank(u));
     }
@@ -158,6 +201,163 @@ pub(crate) fn eliminate(
         order,
         up: rows,
         extra_shortcuts,
+    }
+}
+
+/// Eliminates the vertices still live after `first` steps on an `r × r`
+/// weight matrix and one `r`-bit adjacency row per vertex, leaving each one's
+/// frozen row (global ids, unsorted) in `rows`. `local` is scratch of one
+/// entry per vertex of the graph. Returns the number of shortcuts created
+/// between vertices that were not adjacent.
+fn eliminate_dense(
+    rows: &mut [Vec<(VertexId, Weight)>],
+    schedule: &mut Schedule,
+    first: usize,
+    local: &mut [u32],
+) -> usize {
+    let live = schedule.live(first);
+    let r = live.len();
+    let words = r.div_ceil(64);
+    // Cells hold `!weight`. A zeroed cell then reads as `Weight::MAX`, the
+    // identity of `min`, so a pair's first shortcut and every later one are
+    // the same branch-free write: `max` of cells is `min` of weights. Whether
+    // the pair is an arc is only ever read from `adj` — a real arc may weigh
+    // `Weight::MAX` too. And zeroed memory can come from pages the allocator
+    // maps on first touch, so a tail with few arcs (a path, a small
+    // partition) touches few of them.
+    let mut cells: Vec<Weight> = vec![0; r * r];
+    let mut adj: Vec<u64> = vec![0; r * words];
+    let mut degree: Vec<u32> = Vec::with_capacity(r);
+    for (i, &u) in live.iter().enumerate() {
+        local[u.index()] = i as u32;
+    }
+    for (i, &u) in live.iter().enumerate() {
+        let row = std::mem::take(&mut rows[u.index()]);
+        degree.push(row.len() as u32);
+        for (b, w) in row {
+            let j = local[b.index()] as usize;
+            cells[i * r + j] = !w;
+            adj[i * words + j / 64] |= 1 << (j % 64);
+        }
+    }
+
+    let mut x_adj: Vec<u64> = vec![0; words];
+    let mut nbrs: Vec<usize> = Vec::with_capacity(r);
+    let mut weights: Vec<Weight> = Vec::with_capacity(r);
+    // Every new pair is counted from both of its ends.
+    let mut added = 0usize;
+    for step in first..first + r {
+        let v = schedule.next(step);
+        let x = local[v.index()] as usize;
+        x_adj.copy_from_slice(&adj[x * words..(x + 1) * words]);
+        nbrs.clear();
+        for (k, &word) in x_adj.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                nbrs.push(k * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+        weights.clear();
+        weights.extend(nbrs.iter().map(|&a| !cells[x * r + a]));
+        rows[v.index()] = nbrs
+            .iter()
+            .zip(&weights)
+            .map(|(&a, &w)| (live[a], w))
+            .collect();
+
+        for (&a, &wa) in nbrs.iter().zip(&weights) {
+            let a_cells = &mut cells[a * r..(a + 1) * r];
+            // `a`'s own cell is written too; no bit ever reads it.
+            for (&b, &wb) in nbrs.iter().zip(&weights) {
+                a_cells[b] = a_cells[b].max(!shortcut_sum(wa, wb));
+            }
+            // `a` gains the neighbours of `x` it lacked (itself among them,
+            // not kept) and loses `x`.
+            let a_adj = &mut adj[a * words..(a + 1) * words];
+            let mut fresh = 0;
+            for (aw, &xw) in a_adj.iter_mut().zip(&x_adj) {
+                fresh += (xw & !*aw).count_ones();
+                *aw |= xw;
+            }
+            a_adj[a / 64] &= !(1 << (a % 64));
+            a_adj[x / 64] &= !(1 << (x % 64));
+            added += fresh as usize - 1;
+            degree[a] = degree[a] + fresh - 2;
+            schedule.set_degree(live[a], degree[a] as usize);
+        }
+    }
+    added / 2
+}
+
+/// Where the next vertex to eliminate comes from.
+enum Schedule {
+    /// The live vertex of minimum `(degree, id)`; `sequence` records the pops.
+    MinDegree {
+        queue: DegreeQueue,
+        sequence: Vec<VertexId>,
+    },
+    /// The next vertex of a given order.
+    Given(VertexOrder),
+}
+
+impl Schedule {
+    fn new(strategy: OrderingStrategy, rows: &[Vec<(VertexId, Weight)>]) -> Self {
+        match strategy {
+            OrderingStrategy::MinDegree => Schedule::MinDegree {
+                queue: DegreeQueue::new(rows),
+                sequence: Vec::with_capacity(rows.len()),
+            },
+            OrderingStrategy::Given(order) => {
+                assert_eq!(
+                    order.len(),
+                    rows.len(),
+                    "given order does not cover the graph"
+                );
+                Schedule::Given(order)
+            }
+        }
+    }
+
+    /// The vertex eliminated at `step`.
+    fn next(&mut self, step: usize) -> VertexId {
+        match self {
+            Schedule::MinDegree { queue, sequence } => {
+                let v = queue.pop().expect("one key per live vertex");
+                sequence.push(v);
+                v
+            }
+            Schedule::Given(order) => order.vertex_at(step as u32),
+        }
+    }
+
+    /// Live vertex `v` now has `degree` neighbours.
+    fn set_degree(&mut self, v: VertexId, degree: usize) {
+        if let Schedule::MinDegree { queue, .. } = self {
+            queue.set_degree(v, degree);
+        }
+    }
+
+    /// The vertices still live after `step` steps (a given order's in that
+    /// order, which keeps a step's cells close together).
+    fn live(&self, step: usize) -> Vec<VertexId> {
+        match self {
+            Schedule::MinDegree { queue, .. } => {
+                // By id: on a grid or a road network nearby ids are mostly
+                // nearby vertices, so one step's cells share cache lines.
+                let mut live: Vec<VertexId> = queue.heap.iter().map(|&(_, v)| v).collect();
+                live.sort_unstable();
+                live
+            }
+            Schedule::Given(order) => order.sequence()[step..].to_vec(),
+        }
+    }
+
+    fn into_order(self) -> VertexOrder {
+        match self {
+            Schedule::MinDegree { sequence, .. } => VertexOrder::from_sequence(sequence),
+            Schedule::Given(order) => order,
+        }
     }
 }
 
@@ -287,4 +487,113 @@ fn has_witness(
         }
     }
     dist.get(&b).is_some_and(|&d| d <= limit)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use htsp_graph::gen::{grid, grid_with_diagonals, random_geometric, WeightRange};
+    use htsp_graph::GraphBuilder;
+
+    /// The sparse→dense hand-off at every interesting step: none (0), the
+    /// last vertex (1), the last two (2), half way (n/2) and the whole graph
+    /// (n) must all give the all-sparse elimination, under `MinDegree` and
+    /// under a given order (ids ascending).
+    fn assert_tail_invariant(name: &str, g: &Graph) {
+        let n = g.num_vertices();
+        let ascending = VertexOrder::from_sequence(g.vertices().collect());
+        for strategy in [
+            OrderingStrategy::MinDegree,
+            OrderingStrategy::Given(ascending),
+        ] {
+            let sparse = eliminate_with_tail(g, strategy.clone(), ShortcutMode::AllPairs, 0);
+            for tail in [1, 2, n / 2, n] {
+                let e = eliminate_with_tail(g, strategy.clone(), ShortcutMode::AllPairs, tail);
+                let at = format!("{name}, {strategy:?}, tail {tail}");
+                assert_eq!(e.order, sparse.order, "{at}: order");
+                for v in g.vertices() {
+                    assert_eq!(e.up[v.index()], sparse.up[v.index()], "{at}: row of {v}");
+                }
+                assert_eq!(e.extra_shortcuts, sparse.extra_shortcuts, "{at}: extra");
+            }
+        }
+    }
+
+    /// A builder over `n` vertices holding `g`'s edges.
+    fn builder_with(g: &Graph, n: usize) -> GraphBuilder {
+        let mut b = GraphBuilder::new(n);
+        for (_, u, v, w) in g.edges() {
+            b.add_edge(u, v, w);
+        }
+        b
+    }
+
+    #[test]
+    fn a_grid_larger_than_the_tail_eliminates_alike_at_every_hand_off() {
+        let g = grid_with_diagonals(40, 40, WeightRange::new(1, 60), 0.15, 3);
+        assert!(g.num_vertices() > DENSE_TAIL);
+        assert_tail_invariant("40x40 grid with diagonals", &g);
+    }
+
+    #[test]
+    fn random_geometric_eliminates_alike_at_every_hand_off() {
+        let g = random_geometric(260, 3, WeightRange::new(1, 80), 5);
+        assert_tail_invariant("random geometric", &g);
+    }
+
+    #[test]
+    fn a_two_tree_forest_eliminates_alike_at_every_hand_off() {
+        // Two binary trees, no edge between them.
+        let mut b = GraphBuilder::new(70);
+        for v in 1..40u32 {
+            b.add_edge(VertexId(v), VertexId((v - 1) / 2), 1 + v % 9);
+        }
+        for v in 1..30u32 {
+            b.add_edge(VertexId(40 + v), VertexId(40 + (v - 1) / 2), 2 + v % 5);
+        }
+        assert_tail_invariant("two-tree forest", &b.build());
+    }
+
+    #[test]
+    fn a_star_eliminates_alike_at_every_hand_off() {
+        let mut b = GraphBuilder::new(40);
+        for leaf in 1..40 {
+            b.add_edge(VertexId(0), VertexId(leaf), leaf);
+        }
+        assert_tail_invariant("star", &b.build());
+    }
+
+    #[test]
+    fn an_isolated_vertex_eliminates_alike_at_every_hand_off() {
+        let base = grid(6, 6, WeightRange::new(1, 20), 4);
+        let g = builder_with(&base, base.num_vertices() + 1).build();
+        assert_tail_invariant("grid plus an isolated vertex", &g);
+    }
+
+    #[test]
+    fn max_weight_arcs_beside_saturating_sums_eliminate_alike_at_every_hand_off() {
+        // Two-hop sums straddle the clamp at u32::MAX - 1; one pendant arc
+        // and one corner-to-corner arc weigh exactly u32::MAX, which a dense
+        // cell must hold as a real arc.
+        let half = u32::MAX / 2;
+        let base = grid_with_diagonals(8, 8, WeightRange::new(half - 40, half + 40), 0.15, 15);
+        let n = base.num_vertices();
+        let mut b = builder_with(&base, n + 1);
+        b.add_edge(VertexId(0), VertexId(n as u32 - 1), u32::MAX);
+        b.add_edge(VertexId(n as u32), VertexId(27), u32::MAX);
+        let g = b.build();
+        assert!(g.edges().filter(|e| e.3 == u32::MAX).count() >= 2);
+        assert_tail_invariant("max-weight arcs, saturating sums", &g);
+    }
+
+    #[test]
+    fn witness_pruning_ignores_the_tail() {
+        let g = random_geometric(120, 3, WeightRange::new(1, 80), 9);
+        let mode = ShortcutMode::WitnessPruned { hop_limit: 16 };
+        let sparse = eliminate_with_tail(&g, OrderingStrategy::MinDegree, mode, 0);
+        let tail = eliminate_with_tail(&g, OrderingStrategy::MinDegree, mode, g.num_vertices());
+        assert_eq!(tail.order, sparse.order);
+        assert_eq!(tail.up, sparse.up);
+        assert_eq!(tail.extra_shortcuts, sparse.extra_shortcuts);
+    }
 }

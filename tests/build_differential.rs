@@ -4,12 +4,14 @@
 //! one-pass elimination kernel: the hash-set minimum-degree ordering, and a
 //! plain one-vertex-at-a-time hash-map contraction in rank order. They are
 //! slow and obviously right. For `MinDegree` and for a boundary-first `Given`
-//! order, on six graph families, the shipped build must produce the same
+//! order, on seven graph families, the shipped build must produce the same
 //! `VertexOrder`, the same upward row for every vertex, the same
-//! `num_extra_shortcuts` and the same `down_neighbors`. Witness pruning has
-//! no reference (which shortcuts it keeps is its own business): its answers
-//! must equal Dijkstra's and it may not keep more arcs than the all-pairs
-//! build.
+//! `num_extra_shortcuts` and the same `down_neighbors`. Six families are
+//! smaller than the shipped elimination's dense tail, so they run on its
+//! matrix alone; the 36×36 grid is larger and crosses the sparse→dense
+//! hand-off. Witness pruning has no reference (which shortcuts it keeps is
+//! its own business): its answers must equal Dijkstra's and it may not keep
+//! more arcs than the all-pairs build.
 //!
 //! No timers: everything asserted is a value.
 
@@ -187,6 +189,14 @@ fn grid_with_diagonals_builds_like_the_reference() {
 }
 
 #[test]
+fn a_grid_larger_than_the_dense_tail_builds_like_the_reference() {
+    // 1,296 vertices: the shipped elimination hands off from sparse rows to
+    // its dense matrix part way, which no smaller family reaches.
+    let g = gen::grid_with_diagonals(36, 36, gen::WeightRange::new(1, 60), 0.15, 21);
+    drive("36x36 grid with diagonals", g, true);
+}
+
+#[test]
 fn random_geometric_builds_like_the_reference() {
     let g = gen::random_geometric(260, 3, gen::WeightRange::new(1, 80), 5);
     drive("random_geometric", g, true);
@@ -229,8 +239,17 @@ fn path_builds_like_the_reference() {
 
 #[test]
 fn saturating_weights_build_like_the_reference() {
-    // Two-hop sums straddle u32::MAX - 1, the shortcut clamp.
+    // Two-hop sums straddle u32::MAX - 1, the shortcut clamp, and one
+    // corner-to-corner arc weighs exactly u32::MAX: a real arc, whatever its
+    // weight.
     let half = u32::MAX / 2;
-    let g = gen::grid_with_diagonals(8, 8, gen::WeightRange::new(half - 40, half + 40), 0.15, 15);
-    drive("saturating weights", g, false);
+    let grid =
+        gen::grid_with_diagonals(8, 8, gen::WeightRange::new(half - 40, half + 40), 0.15, 15);
+    let n = grid.num_vertices() as u32;
+    let mut b = GraphBuilder::new(grid.num_vertices());
+    for (_, u, v, w) in grid.edges() {
+        b.add_edge(u, v, w);
+    }
+    assert!(b.add_edge(VertexId(0), VertexId(n - 1), u32::MAX));
+    drive("saturating weights", b.build(), false);
 }
