@@ -22,7 +22,7 @@
 use htsp_ch::{ChQuery, ChQuerySession, ContractionHierarchy, OrderingStrategy, ShortcutMode};
 use htsp_graph::{
     ByteReader, ByteWriter, Dist, Graph, IndexMaintainer, QuerySession, QueryView, ScratchPool,
-    SnapshotError, SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, WorkerPool,
+    SnapshotError, SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId,
 };
 use htsp_search::{BiDijkstra, BiDijkstraSession};
 use htsp_td::H2HIndex;
@@ -162,19 +162,8 @@ pub struct DchBaseline {
 impl DchBaseline {
     /// Builds the CH index over `graph`.
     pub fn build(graph: &Graph) -> Self {
-        Self::build_pooled(graph, &WorkerPool::sequential())
-    }
-
-    /// [`DchBaseline::build`] behind the signature of the pooled builders:
-    /// the elimination is sequential, so the index is the same at any thread
-    /// count.
-    pub fn build_pooled(graph: &Graph, pool: &WorkerPool) -> Self {
-        let ch = ContractionHierarchy::build_pooled(
-            graph,
-            OrderingStrategy::MinDegree,
-            ShortcutMode::AllPairs,
-            pool,
-        );
+        let ch =
+            ContractionHierarchy::build(graph, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
         DchBaseline {
             graph: Arc::new(graph.clone()),
             ch: Arc::new(ch),
@@ -289,16 +278,9 @@ pub struct Dh2hBaseline {
 impl Dh2hBaseline {
     /// Builds the H2H index over `graph`.
     pub fn build(graph: &Graph) -> Self {
-        Self::build_pooled(graph, &WorkerPool::sequential())
-    }
-
-    /// [`Dh2hBaseline::build`] behind the signature of the pooled builders:
-    /// elimination and label fill are sequential, so the index is the same
-    /// at any thread count.
-    pub fn build_pooled(graph: &Graph, pool: &WorkerPool) -> Self {
         Dh2hBaseline {
             graph: Arc::new(graph.clone()),
-            h2h: Arc::new(H2HIndex::build_pooled(graph, pool)),
+            h2h: Arc::new(H2HIndex::build(graph)),
         }
     }
 
@@ -384,14 +366,7 @@ impl ToainBaseline {
     /// Builds the index; `level_cap` bounds how many vertices are contracted
     /// with shortcut insertion (the remainder keeps only original edges).
     pub fn build(graph: &Graph, level_cap: usize) -> Self {
-        Self::build_pooled(graph, level_cap, &WorkerPool::sequential())
-    }
-
-    /// [`ToainBaseline::build`] behind the signature of the pooled builders:
-    /// the elimination is sequential, so the index is the same at any thread
-    /// count.
-    pub fn build_pooled(graph: &Graph, level_cap: usize, pool: &WorkerPool) -> Self {
-        let ch = Self::build_capped(graph, level_cap, pool);
+        let ch = Self::build_capped(graph, level_cap);
         ToainBaseline {
             graph: Arc::new(graph.clone()),
             ch: Arc::new(ch),
@@ -400,17 +375,16 @@ impl ToainBaseline {
         }
     }
 
-    fn build_capped(graph: &Graph, level_cap: usize, pool: &WorkerPool) -> ContractionHierarchy {
+    fn build_capped(graph: &Graph, level_cap: usize) -> ContractionHierarchy {
         // A full hierarchy with witness pruning bounded by the cap: a small
         // cap prunes aggressively (cheap, weaker index), a large cap
         // approaches the exact CH.
-        ContractionHierarchy::build_pooled(
+        ContractionHierarchy::build(
             graph,
             OrderingStrategy::MinDegree,
             ShortcutMode::WitnessPruned {
                 hop_limit: level_cap.max(1),
             },
-            pool,
         )
     }
 
@@ -457,11 +431,7 @@ impl IndexMaintainer for ToainBaseline {
         let t = Instant::now();
         let graph = Arc::make_mut(&mut self.graph);
         graph.apply_batch(batch);
-        self.ch = Arc::new(Self::build_capped(
-            graph,
-            self.level_cap,
-            &WorkerPool::sequential(),
-        ));
+        self.ch = Arc::new(Self::build_capped(graph, self.level_cap));
         publisher.publish(self.current_view());
         UpdateTimeline::single("refresh shortcuts", t.elapsed())
     }

@@ -361,14 +361,18 @@ mod tests {
     fn updated_ch_matches_freshly_built_ch() {
         let mut g = grid(6, 6, WeightRange::new(5, 25), 13);
         let order = crate::ordering::mde_order(&g);
-        let mut ch =
-            ContractionHierarchy::build_with_order(&g, order.clone(), ShortcutMode::AllPairs);
+        let mut ch = ContractionHierarchy::build(
+            &g,
+            OrderingStrategy::Given(order.clone()),
+            ShortcutMode::AllPairs,
+        );
         let mut gen = UpdateGenerator::new(8);
         let batch = gen.generate(&g, 12);
         g.apply_batch(&batch);
         ch.apply_batch(&g, batch.as_slice());
         // Rebuild from scratch with the same order: shortcut weights must agree.
-        let fresh = ContractionHierarchy::build_with_order(&g, order, ShortcutMode::AllPairs);
+        let fresh =
+            ContractionHierarchy::build(&g, OrderingStrategy::Given(order), ShortcutMode::AllPairs);
         for v in g.vertices() {
             let mut a: Vec<_> = ch.up_arcs(v).to_vec();
             let mut b: Vec<_> = fresh.up_arcs(v).to_vec();
@@ -453,8 +457,11 @@ mod tests {
     }
 
     fn assert_matches_fresh_build(g: &Graph, ch: &ContractionHierarchy) {
-        let fresh =
-            ContractionHierarchy::build_with_order(g, ch.order().clone(), ShortcutMode::AllPairs);
+        let fresh = ContractionHierarchy::build(
+            g,
+            OrderingStrategy::Given(ch.order().clone()),
+            ShortcutMode::AllPairs,
+        );
         for v in g.vertices() {
             assert_eq!(ch.up_arcs(v), fresh.up_arcs(v), "shortcut array of {v}");
         }

@@ -1,9 +1,9 @@
 //! The elimination kernel: one pass that produces the contraction order *and*
 //! the upward shortcut rows (the paper's MDE, §II and line 1 of Algorithm 4).
 //!
-//! [`crate::ordering::mde_order`] and every `ContractionHierarchy::build*`
-//! are thin calls of [`eliminate`]. There is no hash container in the
-//! all-pairs build. The live graph is held in two representations, one after
+//! [`crate::ordering::mde_order`] and `ContractionHierarchy::build` are thin
+//! calls of [`eliminate`]. There is no hash container in the all-pairs
+//! build. The live graph is held in two representations, one after
 //! the other.
 //!
 //! **Sparse head: one `Vec<(VertexId, Weight)>` row per live vertex.**

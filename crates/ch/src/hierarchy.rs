@@ -167,10 +167,9 @@ impl ContractionHierarchy {
         Self::from_parts(order, up, mode, extra_shortcuts)
     }
 
-    /// [`Self::build`] behind the signature of the pooled builders. The
-    /// elimination is sequential (measured faster than the windowed
-    /// contraction it replaced at every thread count), so `pool` is not used
-    /// and the result trivially does not depend on its size.
+    /// [`Self::build`] under the name the benchmark adapter calls; `pool` is
+    /// not used (the elimination is sequential).
+    #[doc(hidden)]
     pub fn build_pooled(
         graph: &Graph,
         strategy: OrderingStrategy,
@@ -178,11 +177,6 @@ impl ContractionHierarchy {
         _pool: &WorkerPool,
     ) -> Self {
         Self::build(graph, strategy, mode)
-    }
-
-    /// Builds a CH with an explicit [`VertexOrder`].
-    pub fn build_with_order(graph: &Graph, order: VertexOrder, mode: ShortcutMode) -> Self {
-        Self::build(graph, OrderingStrategy::Given(order), mode)
     }
 
     /// Reassembles a hierarchy from its constituent parts without contracting
@@ -453,48 +447,6 @@ mod tests {
                 assert_eq!(ch.shortcut_weight(v, u), scanned, "{v} -> {u}");
             }
         }
-    }
-
-    #[test]
-    fn pooled_builds_are_bit_identical_across_thread_counts() {
-        let g = random_geometric(300, 3, WeightRange::new(1, 60), 77);
-        for mode in [
-            ShortcutMode::AllPairs,
-            ShortcutMode::WitnessPruned { hop_limit: 32 },
-        ] {
-            let base = ContractionHierarchy::build_pooled(
-                &g,
-                OrderingStrategy::MinDegree,
-                mode,
-                &WorkerPool::sequential(),
-            );
-            for threads in [2usize, 3, 8] {
-                let ch = ContractionHierarchy::build_pooled(
-                    &g,
-                    OrderingStrategy::MinDegree,
-                    mode,
-                    &WorkerPool::new(threads),
-                );
-                assert_eq!(ch.order(), base.order());
-                assert_eq!(ch.num_extra_shortcuts(), base.num_extra_shortcuts());
-                for v in g.vertices() {
-                    assert_eq!(ch.up_arcs(v), base.up_arcs(v), "{mode:?} row of {v}");
-                    assert_eq!(ch.down_neighbors(v), base.down_neighbors(v));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_all_pairs_build_is_exact() {
-        let g = grid(9, 9, WeightRange::new(1, 30), 21);
-        let ch = ContractionHierarchy::build_pooled(
-            &g,
-            OrderingStrategy::MinDegree,
-            ShortcutMode::AllPairs,
-            &WorkerPool::new(4),
-        );
-        check_all_queries(&g, &ch, 150, 33);
     }
 
     #[test]

@@ -35,6 +35,7 @@ pub mod postmhl;
 pub use mhl::Mhl;
 pub use pmhl::{Pmhl, PmhlConfig};
 pub use postmhl::{PostMhl, PostMhlConfig};
-// The construction worker pool, re-exported so index consumers can drive any
-// `build_pooled` entry point without depending on `htsp-graph` directly.
+// The construction worker pool, re-exported so index consumers can call the
+// builders that fork (PMHL, PostMHL) without depending on `htsp-graph`
+// directly.
 pub use htsp_graph::{available_parallelism, StageStats, WorkerPool};

@@ -130,14 +130,7 @@ pub struct Mhl {
 impl Mhl {
     /// Builds the index from scratch.
     pub fn build(graph: &Graph) -> Self {
-        Self::build_pooled(graph, &htsp_graph::WorkerPool::sequential())
-    }
-
-    /// [`Mhl::build`] behind the signature of the pooled builders: the H2H
-    /// construction is sequential, so the index is the same at any thread
-    /// count.
-    pub fn build_pooled(graph: &Graph, pool: &htsp_graph::WorkerPool) -> Self {
-        let h2h = H2HIndex::build_pooled(graph, pool);
+        let h2h = H2HIndex::build(graph);
         let n = graph.num_vertices();
         Mhl {
             graph: Arc::new(graph.clone()),

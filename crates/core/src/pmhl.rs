@@ -17,7 +17,7 @@ use htsp_ch::{ContractionHierarchy, ShortcutChange};
 use htsp_graph::cow::{CowStats, CowVec};
 use htsp_graph::{
     Dist, FallbackSession, Graph, IndexMaintainer, QuerySession, QueryView, ScratchGuard,
-    ScratchPool, SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, INF,
+    ScratchPool, SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, WorkerPool, INF,
 };
 use htsp_partition::partition_region_growing;
 use htsp_psp::{
@@ -25,7 +25,7 @@ use htsp_psp::{
     Partitioned, PchSearcher, PostBoundaryIndexes,
 };
 use htsp_search::{BiDijkstra, BiDijkstraSession};
-use htsp_td::{H2HIndex, TreeDecomposition};
+use htsp_td::H2HIndex;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -443,14 +443,10 @@ pub struct Pmhl {
 
 impl Pmhl {
     /// Builds PMHL over `graph` (Algorithm 3: partition, boundary-first order,
-    /// no-boundary → post-boundary → cross-boundary construction).
-    pub fn build(graph: &Graph, config: PmhlConfig) -> Self {
-        Self::build_pooled(graph, config, &htsp_graph::WorkerPool::sequential())
-    }
-
-    /// Builds the index with the per-partition and post-boundary stages
-    /// fanned out over `pool`. Identical result at any thread count.
-    pub fn build_pooled(graph: &Graph, config: PmhlConfig, pool: &htsp_graph::WorkerPool) -> Self {
+    /// no-boundary → post-boundary → cross-boundary construction), with the
+    /// per-partition and post-boundary stages fanned out over `pool`.
+    /// Identical result at any thread count.
+    pub fn build(graph: &Graph, config: PmhlConfig, pool: &WorkerPool) -> Self {
         let pr = partition_region_growing(graph, config.num_partitions, config.seed);
         let partitioned = Partitioned::build(graph.clone(), pr);
         // Steps 1-3: no-boundary index {L_i} and overlay index L̃. Each L_i
@@ -462,12 +458,9 @@ impl Pmhl {
         let chs: Vec<&ContractionHierarchy> =
             partition_indexes.iter().map(|p| p.hierarchy()).collect();
         let overlay = OverlayGraph::build(&partitioned, &chs);
-        let overlay_index = H2HIndex::from_decomposition_pooled(
-            TreeDecomposition::build_pooled(&overlay.graph, pool),
-            pool,
-        );
+        let overlay_index = H2HIndex::build(&overlay.graph);
         // Steps 4-5: post-boundary indexes {L'_i}.
-        let post = PostBoundaryIndexes::build_pooled(&partitioned, &overlay, &overlay_index, pool);
+        let post = PostBoundaryIndexes::build(&partitioned, &overlay, &overlay_index, pool);
         // Step 6: cross-boundary index L*.
         let cross = CrossBoundaryIndex::build(&partitioned, &overlay, &overlay_index, &post);
         let n = graph.num_vertices();
@@ -744,6 +737,7 @@ mod tests {
                 num_threads: 2,
                 seed: 3,
             },
+            &WorkerPool::sequential(),
         );
         assert_eq!(pmhl.stage(), PmhlStage::CrossBoundary);
         assert_eq!(pmhl.num_query_stages(), 5);
@@ -762,6 +756,7 @@ mod tests {
                 num_threads: 2,
                 seed: 7,
             },
+            &WorkerPool::sequential(),
         );
         let mut gen = UpdateGenerator::new(11);
         for round in 0..3 {
@@ -790,6 +785,7 @@ mod tests {
                 num_threads: 1,
                 seed: 5,
             },
+            &WorkerPool::sequential(),
         );
         let mut b = Pmhl::build(
             &g2,
@@ -798,6 +794,7 @@ mod tests {
                 num_threads: 4,
                 seed: 5,
             },
+            &WorkerPool::sequential(),
         );
         let mut gen1 = UpdateGenerator::new(13);
         let mut gen2 = UpdateGenerator::new(13);

@@ -276,16 +276,11 @@ pub struct PostMhl {
 
 impl PostMhl {
     /// Builds PostMHL (Algorithm 4): MDE tree decomposition, TD-partitioning,
-    /// overlay / post-boundary / cross-boundary indexes.
-    pub fn build(graph: &Graph, config: PostMhlConfig) -> Self {
-        Self::build_pooled(graph, config, &WorkerPool::sequential())
-    }
-
-    /// Builds the index with the boundary array fill — one task per
-    /// partition — computed on `pool`; the dominant H2H construction is
-    /// sequential. Bit-identical to [`PostMhl::build`] at any thread count.
-    pub fn build_pooled(graph: &Graph, config: PostMhlConfig, pool: &WorkerPool) -> Self {
-        let h2h = H2HIndex::build_pooled(graph, pool);
+    /// overlay / post-boundary / cross-boundary indexes. The boundary array
+    /// fill — one task per partition — runs on `pool`; the dominant H2H
+    /// construction is sequential. Bit-identical at any thread count.
+    pub fn build(graph: &Graph, config: PostMhlConfig, pool: &WorkerPool) -> Self {
+        let h2h = H2HIndex::build(graph);
         let (td, dis) = h2h.into_parts();
         let tdp = td_partition(&td, &config.partitioning);
         // At build time every dis entry is a correct global distance, so the
@@ -716,7 +711,7 @@ mod tests {
     #[test]
     fn freshly_built_postmhl_is_exact_at_every_stage() {
         let g = grid(10, 10, WeightRange::new(1, 20), 51);
-        let idx = PostMhl::build(&g, config(8, 12, 2));
+        let idx = PostMhl::build(&g, config(8, 12, 2), &WorkerPool::sequential());
         assert!(idx.num_partitions() >= 2);
         assert!(idx.num_overlay_vertices() > 0);
         assert_eq!(idx.num_query_stages(), 4);
@@ -727,7 +722,7 @@ mod tests {
     #[test]
     fn postmhl_stays_exact_across_update_batches() {
         let mut g = grid(10, 10, WeightRange::new(5, 40), 53);
-        let mut idx = PostMhl::build(&g, config(8, 12, 2));
+        let mut idx = PostMhl::build(&g, config(8, 12, 2), &WorkerPool::sequential());
         let mut gen = UpdateGenerator::new(29);
         for round in 0..3 {
             let batch = gen.generate(&g, 25);
@@ -748,8 +743,8 @@ mod tests {
     fn thread_count_does_not_change_answers() {
         let mut g1 = grid(9, 9, WeightRange::new(5, 30), 57);
         let mut g2 = g1.clone();
-        let mut a = PostMhl::build(&g1, config(8, 12, 1));
-        let mut b = PostMhl::build(&g2, config(8, 12, 4));
+        let mut a = PostMhl::build(&g1, config(8, 12, 1), &WorkerPool::sequential());
+        let mut b = PostMhl::build(&g2, config(8, 12, 4), &WorkerPool::sequential());
         let mut gen1 = UpdateGenerator::new(31);
         let mut gen2 = UpdateGenerator::new(31);
         let batch1 = gen1.generate(&g1, 20);
@@ -774,8 +769,8 @@ mod tests {
     #[test]
     fn larger_bandwidth_means_smaller_overlay() {
         let g = grid(12, 12, WeightRange::new(1, 20), 59);
-        let small = PostMhl::build(&g, config(16, 6, 1));
-        let large = PostMhl::build(&g, config(16, 24, 1));
+        let small = PostMhl::build(&g, config(16, 6, 1), &WorkerPool::sequential());
+        let large = PostMhl::build(&g, config(16, 24, 1), &WorkerPool::sequential());
         assert!(large.num_overlay_vertices() <= small.num_overlay_vertices());
     }
 
@@ -786,7 +781,7 @@ mod tests {
         use htsp_graph::gen::grid_with_diagonals;
         let mut g = grid_with_diagonals(128, 128, WeightRange::new(1, 100), 0.1, 42);
         // The benchmark's index: `BuildParams::new(8, 2)`.
-        let mut idx = PostMhl::build(&g, config(32, 16, 2));
+        let mut idx = PostMhl::build(&g, config(32, 16, 2), &WorkerPool::sequential());
         for size in [10usize, 200] {
             let mut gen = UpdateGenerator::new(size as u64);
             let batch = gen.generate(&g, size);
@@ -820,28 +815,21 @@ mod tests {
                 .min()
                 .expect("three runs")
         };
+        let eliminate = best(&|| {
+            ContractionHierarchy::build(&g, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
+        });
+        let td = TreeDecomposition::build(&g);
+        let fill = best(&|| {
+            H2HIndex::from_decomposition(td.clone());
+        });
+        println!("grid128: order + contraction {eliminate:?}, label fill {fill:?}");
         let mut whole = Vec::new();
         for threads in [1usize, 2] {
             let pool = WorkerPool::new(threads);
-            let eliminate = best(&|| {
-                ContractionHierarchy::build_pooled(
-                    &g,
-                    OrderingStrategy::MinDegree,
-                    ShortcutMode::AllPairs,
-                    &pool,
-                );
-            });
-            let td = TreeDecomposition::build_pooled(&g, &pool);
-            let fill = best(&|| {
-                H2HIndex::from_decomposition_pooled(td.clone(), &pool);
-            });
             let build = best(&|| {
-                PostMhl::build_pooled(&g, config(32, 16, threads), &pool);
+                PostMhl::build(&g, config(32, 16, threads), &pool);
             });
-            println!(
-                "grid128, {threads} thread(s): order + contraction {eliminate:?}, \
-                 label fill {fill:?}, PostMhl::build {build:?}"
-            );
+            println!("grid128, {threads} thread(s): PostMhl::build {build:?}");
             whole.push(build);
         }
         assert!(

@@ -16,8 +16,8 @@
 //! once forked per rank window and per tree level; on the benchmark's
 //! 4 096-vertex grid that made two threads slower than one (contraction 94 ms
 //! against 40 ms, label fill 26 ms against 19 ms), and the sequential passes
-//! that replaced them take 21 ms and 11 ms. The whole-graph builders
-//! still accept a pool so every kind is built through one signature.
+//! that replaced them take 21 ms and 11 ms. Only the builders that fork
+//! take a pool.
 //!
 //! The pool also keeps per-stage wall-clock and task counters
 //! ([`WorkerPool::stage_stats`]); the serving tier exports them as the
@@ -64,11 +64,6 @@ impl WorkerPool {
     /// The single-threaded pool: every task runs inline on the caller.
     pub fn sequential() -> Self {
         Self::new(1)
-    }
-
-    /// A pool sized to the machine's available parallelism.
-    pub fn with_available_parallelism() -> Self {
-        Self::new(available_parallelism())
     }
 
     /// Number of worker threads this pool uses.
@@ -195,6 +190,5 @@ mod tests {
     #[test]
     fn available_parallelism_is_positive() {
         assert!(available_parallelism() >= 1);
-        assert!(WorkerPool::with_available_parallelism().threads() >= 1);
     }
 }

@@ -11,8 +11,7 @@
 //! Both are single-stage: one snapshot is published per batch, when the
 //! repair completes.
 
-use crate::overlay::OverlayGraph;
-use crate::partition_index::build_partition_ch;
+use crate::overlay::{OverlayGraph, OverlayMaintainer};
 use crate::partitioned::Partitioned;
 use crate::pch::PchSearcher;
 use crate::post_boundary::PostBoundaryIndexes;
@@ -21,29 +20,10 @@ use htsp_graph::{
     Dist, Graph, IndexMaintainer, QuerySession, QueryView, ScratchGuard, ScratchPool,
     SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, WorkerPool, INF,
 };
-use htsp_partition::{partition_region_growing, PartitionResult};
-use htsp_td::{H2HIndex, TreeDecomposition};
+use htsp_partition::partition_region_growing;
+use htsp_td::H2HIndex;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Builds the standard partitioned substrate shared by both baselines; the
-/// per-partition hierarchies build concurrently on `pool`.
-fn build_substrate(
-    graph: &Graph,
-    k: usize,
-    seed: u64,
-    pool: &WorkerPool,
-) -> (Partitioned, Vec<ContractionHierarchy>, OverlayGraph) {
-    let pr: PartitionResult = partition_region_growing(graph, k, seed);
-    let partitioned = Partitioned::build(graph.clone(), pr);
-    let chs: Vec<ContractionHierarchy> =
-        pool.run("psp_partition_ch", partitioned.subgraphs.len(), |i| {
-            build_partition_ch(&partitioned.subgraphs[i])
-        });
-    let refs: Vec<&ContractionHierarchy> = chs.iter().collect();
-    let overlay = OverlayGraph::build(&partitioned, &refs);
-    (partitioned, chs, overlay)
-}
 
 /// Immutable N-CH-P snapshot.
 pub struct NChPView {
@@ -125,20 +105,23 @@ pub struct NChP {
 }
 
 impl NChP {
-    /// Builds N-CH-P over `graph` with `k` partitions.
-    pub fn build(graph: &Graph, k: usize, seed: u64) -> Self {
-        Self::build_pooled(graph, k, seed, &WorkerPool::sequential())
-    }
-
-    /// Builds N-CH-P with per-partition hierarchies constructed concurrently
-    /// on `pool`. Identical result at any thread count.
-    pub fn build_pooled(graph: &Graph, k: usize, seed: u64, pool: &WorkerPool) -> Self {
-        let (partitioned, partition_chs, overlay) = build_substrate(graph, k, seed, pool);
-        let overlay_ch = ContractionHierarchy::build_pooled(
+    /// Builds N-CH-P over `graph` with `k` partitions, the per-partition
+    /// hierarchies constructed concurrently on `pool`. Identical result at
+    /// any thread count.
+    pub fn build(graph: &Graph, k: usize, seed: u64, pool: &WorkerPool) -> Self {
+        let OverlayMaintainer {
+            partitioned,
+            hierarchies: partition_chs,
+            overlay,
+        } = OverlayMaintainer::build(
+            graph.clone(),
+            partition_region_growing(graph, k, seed),
+            pool,
+        );
+        let overlay_ch = ContractionHierarchy::build(
             &overlay.graph,
             OrderingStrategy::MinDegree,
             ShortcutMode::AllPairs,
-            pool,
         );
         let n = graph.num_vertices();
         NChP {
@@ -375,21 +358,21 @@ pub struct PTdP {
 }
 
 impl PTdP {
-    /// Builds P-TD-P over `graph` with `k` partitions.
-    pub fn build(graph: &Graph, k: usize, seed: u64) -> Self {
-        Self::build_pooled(graph, k, seed, &WorkerPool::sequential())
-    }
-
-    /// Builds P-TD-P with per-partition hierarchies, overlay labels, and
-    /// extended-partition indexes constructed concurrently on `pool`.
-    /// Identical result at any thread count.
-    pub fn build_pooled(graph: &Graph, k: usize, seed: u64, pool: &WorkerPool) -> Self {
-        let (partitioned, partition_chs, overlay) = build_substrate(graph, k, seed, pool);
-        let overlay_index = H2HIndex::from_decomposition_pooled(
-            TreeDecomposition::build_pooled(&overlay.graph, pool),
+    /// Builds P-TD-P over `graph` with `k` partitions, the per-partition
+    /// hierarchies and extended-partition indexes constructed concurrently on
+    /// `pool`. Identical result at any thread count.
+    pub fn build(graph: &Graph, k: usize, seed: u64, pool: &WorkerPool) -> Self {
+        let OverlayMaintainer {
+            partitioned,
+            hierarchies: partition_chs,
+            overlay,
+        } = OverlayMaintainer::build(
+            graph.clone(),
+            partition_region_growing(graph, k, seed),
             pool,
         );
-        let post = PostBoundaryIndexes::build_pooled(&partitioned, &overlay, &overlay_index, pool);
+        let overlay_index = H2HIndex::build(&overlay.graph);
+        let post = PostBoundaryIndexes::build(&partitioned, &overlay, &overlay_index, pool);
         PTdP {
             partitioned: Arc::new(partitioned),
             partition_chs: Arc::new(partition_chs),
@@ -504,7 +487,7 @@ mod tests {
     #[test]
     fn nchp_exact_before_and_after_updates() {
         let mut g = grid(9, 9, WeightRange::new(1, 20), 31);
-        let mut idx = NChP::build(&g, 4, 1);
+        let mut idx = NChP::build(&g, 4, 1, &WorkerPool::sequential());
         check(&idx, &g, 120, 3);
         let mut gen = UpdateGenerator::new(5);
         for round in 0..2 {
@@ -521,7 +504,7 @@ mod tests {
     #[test]
     fn ptdp_exact_before_and_after_updates() {
         let mut g = grid(9, 9, WeightRange::new(1, 20), 37);
-        let mut idx = PTdP::build(&g, 4, 2);
+        let mut idx = PTdP::build(&g, 4, 2, &WorkerPool::sequential());
         check(&idx, &g, 120, 4);
         let mut gen = UpdateGenerator::new(6);
         for round in 0..2 {
@@ -538,8 +521,8 @@ mod tests {
     #[test]
     fn index_sizes_reported() {
         let g = grid(8, 8, WeightRange::new(1, 9), 3);
-        let nchp = NChP::build(&g, 4, 1);
-        let ptdp = PTdP::build(&g, 4, 1);
+        let nchp = NChP::build(&g, 4, 1, &WorkerPool::sequential());
+        let ptdp = PTdP::build(&g, 4, 1, &WorkerPool::sequential());
         assert!(IndexMaintainer::index_size_bytes(&nchp) > 0);
         // P-TD-P additionally stores labels, so it is the larger index.
         assert!(

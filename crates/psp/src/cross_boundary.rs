@@ -212,10 +212,9 @@ mod tests {
     use crate::partition_index::build_partition_ch;
     use htsp_ch::ContractionHierarchy;
     use htsp_graph::gen::{grid, WeightRange};
-    use htsp_graph::QuerySet;
+    use htsp_graph::{QuerySet, WorkerPool};
     use htsp_partition::partition_region_growing;
     use htsp_search::dijkstra_distance;
-    use htsp_td::TreeDecomposition;
 
     fn setup() -> (
         Partitioned,
@@ -230,8 +229,9 @@ mod tests {
         let chs: Vec<ContractionHierarchy> = p.subgraphs.iter().map(build_partition_ch).collect();
         let refs: Vec<&ContractionHierarchy> = chs.iter().collect();
         let overlay = OverlayGraph::build(&p, &refs);
-        let overlay_index = H2HIndex::from_decomposition(TreeDecomposition::build(&overlay.graph));
-        let post = PostBoundaryIndexes::build(&p, &overlay, &overlay_index);
+        let overlay_index = H2HIndex::build(&overlay.graph);
+        let post =
+            PostBoundaryIndexes::build(&p, &overlay, &overlay_index, &WorkerPool::sequential());
         let cross = CrossBoundaryIndex::build(&p, &overlay, &overlay_index, &post);
         (p, overlay, overlay_index, post, cross)
     }

@@ -10,7 +10,9 @@
 
 use crate::partitioned::{Partitioned, RoutedUpdates};
 use htsp_ch::{ContractionHierarchy, ShortcutChange};
-use htsp_graph::{EdgeId, EdgeUpdate, Graph, GraphBuilder, UpdateBatch, VertexId, Weight};
+use htsp_graph::{
+    EdgeId, EdgeUpdate, Graph, GraphBuilder, UpdateBatch, VertexId, Weight, WorkerPool,
+};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Where an overlay edge's weight comes from.
@@ -206,17 +208,13 @@ pub struct OverlayMaintainer {
 
 impl OverlayMaintainer {
     /// Builds the partitioned view, the per-partition hierarchies, and the
-    /// overlay from a graph and a partition assignment.
-    pub fn build(graph: Graph, partition: htsp_partition::PartitionResult) -> Self {
-        Self::build_pooled(graph, partition, &htsp_graph::WorkerPool::sequential())
-    }
-
-    /// Builds the per-partition boundary-first hierarchies concurrently on
-    /// `pool`, one task per partition. Identical result at any thread count.
-    pub fn build_pooled(
+    /// overlay from a graph and a partition assignment. The per-partition
+    /// boundary-first hierarchies build concurrently on `pool`, one task per
+    /// partition. Identical result at any thread count.
+    pub fn build(
         graph: Graph,
         partition: htsp_partition::PartitionResult,
-        pool: &htsp_graph::WorkerPool,
+        pool: &WorkerPool,
     ) -> Self {
         let partitioned = Partitioned::build(graph, partition);
         let hierarchies: Vec<ContractionHierarchy> =

@@ -9,7 +9,9 @@
 //! graph without any Dijkstra or index query.
 
 use crate::partitioned::Subgraph;
-use htsp_ch::{boundary_first_order, ContractionHierarchy, ShortcutMode, VertexOrder};
+use htsp_ch::{
+    boundary_first_order, ContractionHierarchy, OrderingStrategy, ShortcutMode, VertexOrder,
+};
 use htsp_graph::{VertexId, Weight};
 use htsp_td::{H2HIndex, TreeDecomposition};
 use rustc_hash::FxHashSet;
@@ -23,15 +25,18 @@ pub fn partition_order(sub: &Subgraph) -> VertexOrder {
 /// Builds the partition's contraction hierarchy (the shortcut part of its MHL)
 /// with the boundary-first order.
 pub fn build_partition_ch(sub: &Subgraph) -> ContractionHierarchy {
-    ContractionHierarchy::build_with_order(&sub.graph, partition_order(sub), ShortcutMode::AllPairs)
+    ContractionHierarchy::build(
+        &sub.graph,
+        OrderingStrategy::Given(partition_order(sub)),
+        ShortcutMode::AllPairs,
+    )
 }
 
 /// Builds the partition's full MHL (shortcut arrays + H2H labels) with the
 /// boundary-first order. This is the no-boundary partition index `L_i` of
 /// PMHL.
 pub fn build_partition_h2h(sub: &Subgraph) -> H2HIndex {
-    let td = TreeDecomposition::build_with_order(&sub.graph, partition_order(sub));
-    H2HIndex::from_decomposition(td)
+    H2HIndex::from_decomposition(TreeDecomposition::from_hierarchy(build_partition_ch(sub)))
 }
 
 /// A per-partition MHL index (`L_i`): H2H labels plus the shortcut arrays of

@@ -60,24 +60,11 @@ fn overlay_boundary_distance(
 }
 
 impl PostBoundaryIndexes {
-    /// Builds `{G'_i}` and `{L'_i}` (Steps 4-5 of the post-boundary strategy).
+    /// Builds `{G'_i}` and `{L'_i}` (Steps 4-5 of the post-boundary strategy)
+    /// concurrently on `pool`, one task per partition. Each partition's
+    /// `G'_i`/`L'_i` depends only on the shared overlay index, so the result
+    /// is identical at any thread count.
     pub fn build(
-        partitioned: &Partitioned,
-        overlay: &OverlayGraph,
-        overlay_index: &H2HIndex,
-    ) -> Self {
-        Self::build_pooled(
-            partitioned,
-            overlay,
-            overlay_index,
-            &WorkerPool::sequential(),
-        )
-    }
-
-    /// Builds the extended partitions concurrently on `pool`, one task per
-    /// partition. Each partition's `G'_i`/`L'_i` depends only on the shared
-    /// overlay index, so the result is identical at any thread count.
-    pub fn build_pooled(
         partitioned: &Partitioned,
         overlay: &OverlayGraph,
         overlay_index: &H2HIndex,
@@ -252,7 +239,6 @@ mod tests {
     use htsp_graph::UpdateGenerator;
     use htsp_partition::partition_region_growing;
     use htsp_search::dijkstra_distance;
-    use htsp_td::TreeDecomposition;
 
     fn setup() -> (
         Partitioned,
@@ -267,8 +253,9 @@ mod tests {
         let chs: Vec<ContractionHierarchy> = p.subgraphs.iter().map(build_partition_ch).collect();
         let refs: Vec<&ContractionHierarchy> = chs.iter().collect();
         let overlay = OverlayGraph::build(&p, &refs);
-        let overlay_index = H2HIndex::from_decomposition(TreeDecomposition::build(&overlay.graph));
-        let post = PostBoundaryIndexes::build(&p, &overlay, &overlay_index);
+        let overlay_index = H2HIndex::build(&overlay.graph);
+        let post =
+            PostBoundaryIndexes::build(&p, &overlay, &overlay_index, &WorkerPool::sequential());
         (p, chs, overlay, overlay_index, post)
     }
 

@@ -45,25 +45,8 @@ pub struct TreeDecomposition {
 impl TreeDecomposition {
     /// Builds the decomposition with the default MDE ordering.
     pub fn build(graph: &Graph) -> Self {
-        Self::build_pooled(graph, &htsp_graph::WorkerPool::sequential())
-    }
-
-    /// [`Self::build`] behind the signature of the pooled builders; the
-    /// elimination is sequential (see [`ContractionHierarchy::build_pooled`]).
-    pub fn build_pooled(graph: &Graph, pool: &htsp_graph::WorkerPool) -> Self {
-        let ch = ContractionHierarchy::build_pooled(
-            graph,
-            OrderingStrategy::MinDegree,
-            ShortcutMode::AllPairs,
-            pool,
-        );
-        Self::from_hierarchy(ch)
-    }
-
-    /// Builds the decomposition with an explicit vertex order (used for the
-    /// boundary-first orders of the PSP indexes, §IV-B).
-    pub fn build_with_order(graph: &Graph, order: VertexOrder) -> Self {
-        let ch = ContractionHierarchy::build_with_order(graph, order, ShortcutMode::AllPairs);
+        let ch =
+            ContractionHierarchy::build(graph, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
         Self::from_hierarchy(ch)
     }
 

@@ -181,6 +181,7 @@ pub fn repair_labels(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use htsp_ch::{ContractionHierarchy, OrderingStrategy, ShortcutMode};
     use htsp_graph::gen::{grid, grid_with_diagonals, WeightRange};
     use htsp_graph::{QuerySet, UpdateGenerator};
     use htsp_search::dijkstra_distance;
@@ -245,12 +246,13 @@ mod tests {
         g.apply_batch(&batch);
         h2h.apply_batch(&g, batch.as_slice());
         // A freshly built index with the same order must carry identical labels.
-        let fresh = H2HIndex::from_decomposition(
-            crate::decomposition::TreeDecomposition::build_with_order(
+        let fresh = H2HIndex::from_decomposition(TreeDecomposition::from_hierarchy(
+            ContractionHierarchy::build(
                 &g,
-                h2h.decomposition().order().clone(),
+                OrderingStrategy::Given(h2h.decomposition().order().clone()),
+                ShortcutMode::AllPairs,
             ),
-        );
+        ));
         for v in g.vertices() {
             assert_eq!(h2h.label(v), fresh.label(v), "labels of {v} diverge");
         }

@@ -46,7 +46,7 @@
 //! faster kernel.
 //!
 //! The build fills the arrays in one sequential depth-first preorder pass
-//! with the ancestor path on a stack ([`H2HIndex::from_decomposition_pooled`]),
+//! with the ancestor path on a stack ([`H2HIndex::from_decomposition`]),
 //! every row through the label kernel [`fold_label`]. It used to go level by
 //! level — per tree level one fork/join, a walk to the root per vertex and a
 //! scan of all `n` rows to hand out the level's slots — which on the
@@ -114,20 +114,7 @@ pub struct H2HIndex {
 impl H2HIndex {
     /// Builds the index from scratch with the default MDE ordering.
     pub fn build(graph: &Graph) -> Self {
-        Self::build_pooled(graph, &WorkerPool::sequential())
-    }
-
-    /// [`Self::build`] behind the signature of the pooled builders: both the
-    /// elimination and the label fill are sequential, so the index does not
-    /// depend on the pool's size.
-    pub fn build_pooled(graph: &Graph, pool: &WorkerPool) -> Self {
-        let td = TreeDecomposition::build_pooled(graph, pool);
-        Self::from_decomposition_pooled(td, pool)
-    }
-
-    /// Builds the distance arrays over an existing decomposition.
-    pub fn from_decomposition(td: TreeDecomposition) -> Self {
-        Self::from_decomposition_pooled(td, &WorkerPool::sequential())
+        Self::from_decomposition(TreeDecomposition::build(graph))
     }
 
     /// Builds the distance arrays over an existing decomposition, in
@@ -135,10 +122,10 @@ impl H2HIndex {
     ///
     /// A label reads only the labels of its ancestors, which preorder has
     /// already filled, and the path of the next vertex is the current one cut
-    /// at its depth — no per-vertex walk to the root. `pool` is not used: the
-    /// level-by-level fan-out this replaced (one fork/join and one scan of all
-    /// `n` rows per tree level) was slower on two threads than on one.
-    pub fn from_decomposition_pooled(td: TreeDecomposition, _pool: &WorkerPool) -> Self {
+    /// at its depth — no per-vertex walk to the root. The level-by-level
+    /// fan-out this replaced (one fork/join and one scan of all `n` rows per
+    /// tree level) was slower on two threads than on one.
+    pub fn from_decomposition(td: TreeDecomposition) -> Self {
         let mut dis: Vec<Vec<Dist>> = vec![Vec::new(); td.num_vertices()];
         let mut path: Vec<VertexId> = Vec::new();
         let mut bag = Vec::new();
@@ -155,6 +142,13 @@ impl H2HIndex {
             td,
             dis: CowTable::from_rows(dis),
         }
+    }
+
+    /// [`Self::from_decomposition`] under the name the benchmark adapter
+    /// calls; `pool` is not used (the label fill is sequential).
+    #[doc(hidden)]
+    pub fn from_decomposition_pooled(td: TreeDecomposition, _pool: &WorkerPool) -> Self {
+        Self::from_decomposition(td)
     }
 
     /// Reassembles an index from a decomposition and its label rows — the
@@ -847,19 +841,9 @@ mod tests {
     }
 
     #[test]
-    fn pooled_label_fill_is_bit_identical_across_thread_counts() {
+    fn labels_are_exact_on_random_geometric() {
         let g = random_geometric(260, 3, WeightRange::new(1, 80), 41);
-        let base = H2HIndex::build_pooled(&g, &WorkerPool::sequential());
-        for threads in [2usize, 3, 8] {
-            let h2h = H2HIndex::build_pooled(&g, &WorkerPool::new(threads));
-            assert_eq!(h2h.to_snapshot_bytes(), base.to_snapshot_bytes());
-        }
-        // And identical to the plain build entry point.
-        assert_eq!(
-            H2HIndex::build(&g).to_snapshot_bytes(),
-            base.to_snapshot_bytes()
-        );
-        check(&g, &base, 120, 43);
+        check(&g, &H2HIndex::build(&g), 120, 43);
     }
 
     #[test]

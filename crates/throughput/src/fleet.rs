@@ -80,7 +80,7 @@ impl ShardedFleet {
         // construction yields exactly the indexes the sequential loop built.
         let pool = htsp_graph::WorkerPool::new(config.build_params.threads());
         let t = std::time::Instant::now();
-        let core = OverlayMaintainer::build_pooled(graph.clone(), partition, &pool);
+        let core = OverlayMaintainer::build(graph.clone(), partition, &pool);
         let maintainers = pool.run("fleet_shard_build", core.partitioned.subgraphs.len(), |i| {
             let sub = &core.partitioned.subgraphs[i];
             let params = config.build_params.for_shard(sub.graph.num_vertices());
@@ -204,7 +204,7 @@ impl ShardedFleet {
             "the fleet's query service is already running"
         );
         self.service.get_or_init(|| {
-            DistanceService::for_fleet_with_telemetry(
+            DistanceService::for_fleet(
                 self.query_handle(),
                 num_workers,
                 policy,

@@ -227,8 +227,9 @@ impl AlgorithmKind {
         self.build_pooled(graph, params, &pool)
     }
 
-    /// Builds the index machinery of this kind with construction stages
-    /// running on `pool`.
+    /// Builds the index machinery of this kind with its per-partition
+    /// construction stages running on `pool` (N-CH-P, P-TD-P, PMHL and
+    /// PostMHL; the other kinds build sequentially and ignore it).
     ///
     /// The determinism contract of the parallel-construction subsystem: the
     /// built index — its answers, and for the native-codec kinds its
@@ -243,29 +244,19 @@ impl AlgorithmKind {
     ) -> Box<dyn IndexMaintainer> {
         match self {
             AlgorithmKind::BiDijkstra => Box::new(BiDijkstraBaseline::new(graph)),
-            AlgorithmKind::Dch => Box::new(DchBaseline::build_pooled(graph, pool)),
-            AlgorithmKind::Dh2h => Box::new(Dh2hBaseline::build_pooled(graph, pool)),
-            AlgorithmKind::Toain => Box::new(ToainBaseline::build_pooled(
-                graph,
-                params.toain_level_cap,
-                pool,
-            )),
-            AlgorithmKind::NChP => Box::new(NChP::build_pooled(
-                graph,
-                params.num_partitions,
-                params.seed,
-                pool,
-            )),
-            AlgorithmKind::PTdP => Box::new(PTdP::build_pooled(
-                graph,
-                params.num_partitions,
-                params.seed,
-                pool,
-            )),
-            AlgorithmKind::Mhl => Box::new(Mhl::build_pooled(graph, pool)),
-            AlgorithmKind::Pmhl => Box::new(Pmhl::build_pooled(graph, params.pmhl_config(), pool)),
+            AlgorithmKind::Dch => Box::new(DchBaseline::build(graph)),
+            AlgorithmKind::Dh2h => Box::new(Dh2hBaseline::build(graph)),
+            AlgorithmKind::Toain => Box::new(ToainBaseline::build(graph, params.toain_level_cap)),
+            AlgorithmKind::NChP => {
+                Box::new(NChP::build(graph, params.num_partitions, params.seed, pool))
+            }
+            AlgorithmKind::PTdP => {
+                Box::new(PTdP::build(graph, params.num_partitions, params.seed, pool))
+            }
+            AlgorithmKind::Mhl => Box::new(Mhl::build(graph)),
+            AlgorithmKind::Pmhl => Box::new(Pmhl::build(graph, params.pmhl_config(), pool)),
             AlgorithmKind::PostMhl => {
-                Box::new(PostMhl::build_pooled(graph, params.postmhl_config(), pool))
+                Box::new(PostMhl::build(graph, params.postmhl_config(), pool))
             }
         }
     }

@@ -39,7 +39,9 @@
 //! The service pins through a [`SessionSource`], so the same queue,
 //! policies, telemetry — and the same pin/drain/re-pin loop — front either a
 //! single server's [`SnapshotPublisher`] or a whole
-//! [`ShardedFleet`](crate::ShardedFleet) (via [`DistanceService::for_fleet`]).
+//! [`ShardedFleet`](crate::ShardedFleet) (via
+//! [`ShardedFleet::start_query_service`](crate::ShardedFleet::start_query_service),
+//! which calls [`DistanceService::for_fleet`]).
 //!
 //! The maintenance side stays outside the service: whoever owns the
 //! [`IndexMaintainer`](htsp_graph::IndexMaintainer) keeps calling
@@ -577,22 +579,13 @@ impl DistanceService {
     /// Starts `num_workers` serving threads against `publisher`'s snapshots
     /// under the legacy [`AdmissionPolicy::Block`] (unbounded queue).
     pub fn start(publisher: Arc<SnapshotPublisher>, num_workers: usize) -> Self {
-        DistanceService::with_cache(publisher, num_workers, None)
+        DistanceService::with_policy(publisher, num_workers, None, AdmissionPolicy::Block)
     }
 
-    /// Like [`DistanceService::start`], but the workers consult `cache`
-    /// before every search (and feed it after), through a
-    /// [`CachedSession`] pinned to each worker's snapshot version.
-    pub fn with_cache(
-        publisher: Arc<SnapshotPublisher>,
-        num_workers: usize,
-        cache: Option<Arc<DistanceCache>>,
-    ) -> Self {
-        DistanceService::with_policy(publisher, num_workers, cache, AdmissionPolicy::Block)
-    }
-
-    /// The fully general single-server constructor: workers, optional
-    /// result cache, and an explicit [`AdmissionPolicy`].
+    /// The fully general single-server constructor: workers, an optional
+    /// result cache (consulted before every search and fed after, through a
+    /// [`CachedSession`] pinned to each worker's snapshot version), and an
+    /// explicit [`AdmissionPolicy`].
     pub fn with_policy(
         publisher: Arc<SnapshotPublisher>,
         num_workers: usize,
@@ -630,23 +623,10 @@ impl DistanceService {
     /// Starts a service whose workers answer batches through
     /// [`FleetSession`](crate::FleetSession)s pinned to the fleet's epochs —
     /// the fleet-level admission point. Obtain the handle from
-    /// [`ShardedFleet::query_handle`](crate::ShardedFleet::query_handle).
+    /// [`ShardedFleet::query_handle`](crate::ShardedFleet::query_handle);
+    /// `hub` is normally the fleet's own, so service and router metrics land
+    /// together.
     pub fn for_fleet(
-        handle: FleetQueryHandle,
-        num_workers: usize,
-        policy: AdmissionPolicy,
-    ) -> Self {
-        DistanceService::for_fleet_with_telemetry(
-            handle,
-            num_workers,
-            policy,
-            Arc::new(TelemetryHub::new()),
-        )
-    }
-
-    /// [`DistanceService::for_fleet`] with an explicit shared hub (normally
-    /// the fleet's own, so service and router metrics land together).
-    pub fn for_fleet_with_telemetry(
         handle: FleetQueryHandle,
         num_workers: usize,
         policy: AdmissionPolicy,
@@ -1003,8 +983,12 @@ mod tests {
         let mut idx = DchBaseline::build(&g);
         let publisher = Arc::new(SnapshotPublisher::new(idx.current_view()));
         let cache = Arc::new(DistanceCache::new(CacheConfig::with_capacity(256)));
-        let service =
-            DistanceService::with_cache(Arc::clone(&publisher), 1, Some(Arc::clone(&cache)));
+        let service = DistanceService::with_policy(
+            Arc::clone(&publisher),
+            1,
+            Some(Arc::clone(&cache)),
+            AdmissionPolicy::Block,
+        );
 
         let qs = QuerySet::random(&g, 8, 11);
         let batch = QueryBatch::PointToPoint(qs.as_slice().to_vec());

@@ -12,7 +12,7 @@
 //! keep flowing, and each update ticket prints its submit-to-visible lag.
 //! Run with `cargo run --release --example city_navigation`.
 
-use htsp::core::{Pmhl, PmhlConfig};
+use htsp::core::{Pmhl, PmhlConfig, WorkerPool};
 use htsp::graph::{gen, EdgeId, EdgeUpdate, IndexMaintainer, QuerySet, VertexId};
 use htsp::throughput::QueryBatch;
 use htsp::{CoalescePolicy, RoadNetworkServer};
@@ -34,6 +34,7 @@ fn main() {
             num_threads: 4,
             seed: 3,
         },
+        &WorkerPool::sequential(),
     );
     println!(
         "PMHL built: {} boundary vertices, {:.1} MB",

@@ -9,7 +9,7 @@
 //! update) and disagreeing with the per-call `distance` path.
 
 use htsp::baselines::{BiDijkstraBaseline, DchBaseline, Dh2hBaseline, ToainBaseline};
-use htsp::core::{Mhl, Pmhl, PmhlConfig, PostMhl, PostMhlConfig};
+use htsp::core::{Mhl, Pmhl, PmhlConfig, PostMhl, PostMhlConfig, WorkerPool};
 use htsp::graph::{gen, IndexMaintainer, QuerySet, SnapshotPublisher, UpdateGenerator, VertexId};
 use htsp::search::dijkstra_distance;
 
@@ -19,8 +19,8 @@ fn nine_algorithms(g: &htsp::graph::Graph) -> Vec<Box<dyn IndexMaintainer>> {
         Box::new(DchBaseline::build(g)),
         Box::new(Dh2hBaseline::build(g)),
         Box::new(ToainBaseline::build(g, 64)),
-        Box::new(htsp::psp::NChP::build(g, 4, 1)),
-        Box::new(htsp::psp::PTdP::build(g, 4, 1)),
+        Box::new(htsp::psp::NChP::build(g, 4, 1, &WorkerPool::sequential())),
+        Box::new(htsp::psp::PTdP::build(g, 4, 1, &WorkerPool::sequential())),
         Box::new(Mhl::build(g)),
         Box::new(Pmhl::build(
             g,
@@ -29,8 +29,13 @@ fn nine_algorithms(g: &htsp::graph::Graph) -> Vec<Box<dyn IndexMaintainer>> {
                 num_threads: 2,
                 seed: 3,
             },
+            &WorkerPool::sequential(),
         )),
-        Box::new(PostMhl::build(g, PostMhlConfig::default())),
+        Box::new(PostMhl::build(
+            g,
+            PostMhlConfig::default(),
+            &WorkerPool::sequential(),
+        )),
     ]
 }
 

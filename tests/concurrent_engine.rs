@@ -9,7 +9,7 @@
 //! (fine — that view carries the older graph and is exact on it), but it may
 //! never observe a half-repaired index.
 
-use htsp::core::{Pmhl, PmhlConfig, PostMhl, PostMhlConfig};
+use htsp::core::{Pmhl, PmhlConfig, PostMhl, PostMhlConfig, WorkerPool};
 use htsp::graph::{
     gen, Graph, IndexMaintainer, Query, QuerySet, SnapshotPublisher, UpdateGenerator, VertexId,
 };
@@ -22,6 +22,14 @@ use std::time::Duration;
 
 fn road() -> Graph {
     gen::grid_with_diagonals(12, 12, gen::WeightRange::new(2, 60), 0.15, 23)
+}
+
+fn postmhl(g: &Graph) -> Box<dyn IndexMaintainer> {
+    Box::new(PostMhl::build(
+        g,
+        PostMhlConfig::default(),
+        &WorkerPool::sequential(),
+    ))
 }
 
 fn pool(g: &Graph) -> Vec<Query> {
@@ -72,7 +80,7 @@ fn race(maintainer: Box<dyn IndexMaintainer>, clients: usize) {
 #[test]
 fn postmhl_serves_exact_answers_while_maintenance_races() {
     let g = road();
-    race(Box::new(PostMhl::build(&g, PostMhlConfig::default())), 4);
+    race(postmhl(&g), 4);
 }
 
 #[test]
@@ -86,6 +94,7 @@ fn pmhl_serves_exact_answers_while_maintenance_races() {
                 num_threads: 2,
                 seed: 3,
             },
+            &WorkerPool::sequential(),
         )),
         4,
     );
@@ -115,8 +124,7 @@ fn batched_sessions_race_maintenance_without_staleness() {
         RequestClass::OneToMany { fanout: 8 },
         RequestClass::Matrix { side: 3 },
     ] {
-        let server =
-            RoadNetworkServer::host(&g, Box::new(PostMhl::build(&g, PostMhlConfig::default())));
+        let server = RoadNetworkServer::host(&g, postmhl(&g));
         let profile = LoadProfile {
             mix: RequestMix::single(class),
             update_rounds: 3,
@@ -146,8 +154,7 @@ fn per_call_snapshot_queries_race_maintenance_without_staleness() {
     // session. Threads hammer it while the feed applies 4 rounds; every
     // answer must be exact on the graph of the very view that gave it.
     let g = road();
-    let server =
-        RoadNetworkServer::host(&g, Box::new(PostMhl::build(&g, PostMhlConfig::default())));
+    let server = RoadNetworkServer::host(&g, postmhl(&g));
     let queries = pool(&g);
     // Readers must be released even if the update loop below panics.
     struct StopOnDrop<'a>(&'a AtomicBool);
@@ -215,6 +222,7 @@ fn distance_service_reaches_fresh_snapshots_during_maintenance() {
             num_threads: 2,
             seed: 5,
         },
+        &WorkerPool::sequential(),
     );
     let publisher = Arc::new(SnapshotPublisher::new(idx.current_view()));
     let service = DistanceService::start(Arc::clone(&publisher), 3);
@@ -269,8 +277,7 @@ fn multi_stage_snapshots_are_observed_during_maintenance() {
     // snapshot that is current during the multi-millisecond repair, and the
     // final cross-boundary one that serves between batches.
     let g = gen::grid_with_diagonals(24, 24, gen::WeightRange::new(2, 60), 0.1, 29);
-    let server =
-        RoadNetworkServer::host(&g, Box::new(PostMhl::build(&g, PostMhlConfig::default())));
+    let server = RoadNetworkServer::host(&g, postmhl(&g));
     let profile = LoadProfile {
         update_rounds: 6,
         update_volume: 150,

@@ -15,7 +15,7 @@
 //!    (the telemetry in the publication log is non-zero), and the clone
 //!    volume is bounded by the component sizes.
 
-use htsp::core::{Pmhl, PmhlConfig, PostMhl, PostMhlConfig};
+use htsp::core::{Pmhl, PmhlConfig, PostMhl, PostMhlConfig, WorkerPool};
 use htsp::graph::{gen, IndexMaintainer, QuerySet, QueryView, SnapshotPublisher, UpdateGenerator};
 use htsp::search::dijkstra_distance;
 use htsp::{AlgorithmKind, BuildParams};
@@ -99,7 +99,7 @@ fn pinned_views_stay_frozen_while_chunks_mutate() {
 #[test]
 fn publication_log_carries_bounded_clone_telemetry() {
     let mut g = gen::grid(12, 12, gen::WeightRange::new(5, 50), 23);
-    let mut postmhl = PostMhl::build(&g, PostMhlConfig::default());
+    let mut postmhl = PostMhl::build(&g, PostMhlConfig::default(), &WorkerPool::sequential());
     let mut pmhl = Pmhl::build(
         &g,
         PmhlConfig {
@@ -107,6 +107,7 @@ fn publication_log_carries_bounded_clone_telemetry() {
             num_threads: 2,
             seed: 5,
         },
+        &WorkerPool::sequential(),
     );
     let mut gen_upd = UpdateGenerator::new(29);
     let mut post_cloned = 0u64;
@@ -158,7 +159,7 @@ fn publication_log_carries_bounded_clone_telemetry() {
 #[test]
 fn empty_batches_clone_nothing() {
     let g = gen::grid(10, 10, gen::WeightRange::new(1, 30), 31);
-    let mut postmhl = PostMhl::build(&g, PostMhlConfig::default());
+    let mut postmhl = PostMhl::build(&g, PostMhlConfig::default(), &WorkerPool::sequential());
     let publisher = SnapshotPublisher::new(postmhl.current_view());
     let pin = postmhl.current_view();
     let empty = htsp::graph::UpdateBatch::new();

@@ -11,7 +11,7 @@
 //! under concurrent maintenance is covered by `tests/cow_snapshot_isolation.rs`;
 //! read-your-writes through the server facade by `tests/server_visibility.rs`.)
 
-use htsp::core::{Mhl, Pmhl, PmhlConfig, PostMhl, PostMhlConfig};
+use htsp::core::{Mhl, Pmhl, PmhlConfig, PostMhl, PostMhlConfig, WorkerPool};
 use htsp::graph::{gen, IndexMaintainer, QuerySet, SnapshotPublisher, UpdateGenerator};
 use htsp::search::dijkstra_distance;
 use htsp::{AlgorithmKind, BuildParams};
@@ -65,8 +65,9 @@ fn multi_stage_indexes_are_exact_at_every_stage_after_updates() {
             num_threads: 2,
             seed: 1,
         },
+        &WorkerPool::sequential(),
     );
-    let mut postmhl = PostMhl::build(&g, PostMhlConfig::default());
+    let mut postmhl = PostMhl::build(&g, PostMhlConfig::default(), &WorkerPool::sequential());
     let mut mhl = Mhl::build(&g);
 
     let mut gen_upd = UpdateGenerator::new(21);

@@ -9,7 +9,10 @@
 //! * kinds with a native snapshot codec (DCH, TOAIN, DH2H, MHL) must produce
 //!   **bit-identical** `snapshot_state` bytes at 1, 2, and 8 threads;
 //! * every kind's sampled answers must equal the sequential build's answers
-//!   and Dijkstra ground truth;
+//!   and Dijkstra ground truth, at every query stage, and its per-component
+//!   storage footprint must match. Only N-CH-P, P-TD-P, PMHL and PostMHL
+//!   fork per partition; the stage and size checks are what observe their
+//!   intermediate structures beyond the final stage;
 //! * the equivalence must survive post-build drift: applying the same update
 //!   batches to indexes built at different thread counts keeps them in
 //!   agreement (repair starts from identical state, so it stays identical).
@@ -65,6 +68,11 @@ fn all_kinds_build_identically_at_every_thread_count() {
                 seq_state,
                 "{kind} snapshot bytes diverge at {threads} threads"
             );
+            assert_eq!(
+                built.storage_bytes(),
+                sequential.storage_bytes(),
+                "{kind} storage footprint diverges at {threads} threads"
+            );
             let view = built.current_view();
             for q in &queries {
                 assert_eq!(
@@ -72,6 +80,18 @@ fn all_kinds_build_identically_at_every_thread_count() {
                     seq_view.distance(q.source, q.target),
                     "{kind} answers diverge at {threads} threads for {q:?}"
                 );
+            }
+            assert_eq!(built.num_query_stages(), sequential.num_query_stages());
+            for stage in 0..sequential.num_query_stages() {
+                let (view, seq_view) =
+                    (built.view_at_stage(stage), sequential.view_at_stage(stage));
+                for q in &queries {
+                    assert_eq!(
+                        view.distance(q.source, q.target),
+                        seq_view.distance(q.source, q.target),
+                        "{kind} stage {stage} answers diverge at {threads} threads for {q:?}"
+                    );
+                }
             }
         }
     }

@@ -9,7 +9,7 @@
 //! every batch:
 //!
 //! * the repair's `(from, to, old, new)` set equals the reference's;
-//! * every upward row equals a fresh `build_with_order`;
+//! * every upward row equals a fresh build with the same order;
 //! * the H2H labels equal a fresh `from_decomposition`;
 //! * DH2H, every PostMHL view as it was published during the repair, and
 //!   the repaired index's stages 2 and 3 answer a seeded set of far and near
@@ -17,8 +17,8 @@
 //!
 //! No timers: everything asserted is a value.
 
-use htsp::ch::{ContractionHierarchy, ShortcutChange, ShortcutMode};
-use htsp::core::{PostMhl, PostMhlConfig};
+use htsp::ch::{ContractionHierarchy, OrderingStrategy, ShortcutChange, ShortcutMode};
+use htsp::core::{PostMhl, PostMhlConfig, WorkerPool};
 use htsp::graph::{
     gen, EdgeId, EdgeUpdate, Graph, GraphBuilder, IndexMaintainer, QueryView, SnapshotPublisher,
     UpdateBatch, VertexId, Weight,
@@ -216,9 +216,10 @@ fn seeded_pairs(
 fn drive(name: &str, mut g: Graph, weights: (Weight, Weight), dijkstra: bool, seed: u64) {
     let rounds = 20;
     let mut ch =
-        ContractionHierarchy::build_with_order(&g, htsp::ch::mde_order(&g), ShortcutMode::AllPairs);
+        ContractionHierarchy::build(&g, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
     let mut h2h = H2HIndex::from_decomposition(TreeDecomposition::from_hierarchy(ch.clone()));
-    let mut post = dijkstra.then(|| PostMhl::build(&g, postmhl_config()));
+    let mut post =
+        dijkstra.then(|| PostMhl::build(&g, postmhl_config(), &WorkerPool::sequential()));
     if let Some(post) = &post {
         assert!(
             post.num_partitions() >= 2,
@@ -246,9 +247,9 @@ fn drive(name: &str, mut g: Graph, weights: (Weight, Weight), dijkstra: bool, se
             assert_eq!(change_set(&got), change_set(&expect), "changes, {at}");
 
             // ... and against a fresh build with the same order.
-            let fresh = ContractionHierarchy::build_with_order(
+            let fresh = ContractionHierarchy::build(
                 &g,
-                ch.order().clone(),
+                OrderingStrategy::Given(ch.order().clone()),
                 ShortcutMode::AllPairs,
             );
             for v in g.vertices() {
