@@ -16,18 +16,23 @@
 //!
 //! **Dense tail: a matrix for the last `DENSE_TAIL` (1,024) vertices**, or for
 //! the whole graph when it is smaller (every partition and overlay of the
-//! PSP indexes). The live rows move into one `r × r` weight matrix and one
-//! `r`-bit adjacency row per vertex. Eliminating `v` reads its neighbours off
-//! its bits and freezes its row; each neighbour pair is then one indexed
-//! `min` where the head pays a slot lookup and two data-dependent branches
-//! per scanned entry (≈5 ns), and each neighbour's new degree is one
+//! PSP indexes). The live rows move into the strict lower triangle of one
+//! symmetric `r × r` weight matrix and one `r`-bit adjacency row per vertex.
+//! Eliminating `v` reads its neighbours off its bits and freezes its row;
+//! each neighbour pair is then one indexed `min`, written once, where the
+//! head pays a slot lookup and two data-dependent branches per scanned entry
+//! (≈5 ns) from each end of the pair, and each neighbour's new degree is one
 //! popcount. The tail is where the work is: it holds the top separators,
 //! whose degrees approach the treewidth. Counted on `grid64` (4,096 vertices)
 //! with the head alone, the last 1,024 vertices did 93 % of the row-scan
 //! work (the last 512, 75 %); on `grid128` (16,384) the last 1,024 did 67 %.
-//! Extra memory is at most 4 MB of cells and 128 KB of bits, allocated once
-//! and zeroed, so a tail with few arcs (a path, a small partition) touches
-//! few of its pages.
+//! Extra memory is at most 2 MB of cells (`r (r - 1) / 2` of them) and
+//! 128 KB of bits, allocated once and zeroed, so a tail with few arcs (a
+//! path, a small partition) touches few of its pages. On `grid64` (2-vCPU
+//! Xeon, fastest run of each of three rounds of 15) the head takes
+//! 3.2–3.5 ms, the tail 3.3–3.7 ms and the final sort by rank 0.35 ms; the
+//! tail took 5.0–5.8 ms when it kept the whole square (4 MB) and wrote every
+//! pair from both ends.
 //!
 //! Both representations give the same elimination, bit for bit: the same
 //! order (the next vertex is the exact minimum `(degree, id)` of one queue
@@ -71,21 +76,24 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// How many vertices are eliminated on the dense matrix at the end: the
 /// whole graph when it is smaller. Whole eliminations of the benchmark's
-/// graphs (`grid_with_diagonals`, 10 % diagonals, seed 42) on a 2-vCPU Xeon,
-/// fastest of 21 interleaved runs on `grid64`, of 5 on `grid128`, ms:
+/// graphs (`grid_with_diagonals`, 10 % diagonals, seed 42) on a 2-vCPU Xeon
+/// with the triangle, fastest of 27 runs (three interleaved sweeps) on
+/// `grid64`, of 15 on `grid128`, ms:
 ///
 /// | tail  | `grid64` MinDegree | `grid64` Given | `grid128` MinDegree | `grid128` Given |
 /// |-------|------|------|-------|-------|
-/// | 0     | 26.6 | 24.4 | 215.8 | 226.4 |
-/// | 512   | 15.3 | 13.0 | 173.1 | 173.0 |
-/// | 768   | 12.1 |  9.9 |   —   |   —   |
-/// | 1,024 | 11.4 |  8.8 | 141.0 | 132.7 |
-/// | 1,536 | 11.7 |  8.7 | 126.4 | 100.9 |
-/// | 2,048 | 12.9 |  9.6 | 106.0 |  94.0 |
+/// | 0     | 24.3 | 22.9 | 263.6 | 250.1 |
+/// | 512   | 12.9 | 11.2 | 152.1 | 148.3 |
+/// | 768   |  9.8 |  8.0 | 127.9 | 124.7 |
+/// | 1,024 |  8.5 |  6.6 | 110.9 | 105.8 |
+/// | 1,536 |  8.0 |  5.8 |  91.2 |  82.8 |
+/// | 2,048 |  8.1 |  6.0 |  80.6 |  72.8 |
 ///
-/// `grid64` is flat from 1,024 to 1,536 and loses at 2,048. `grid128` still
-/// gains past 1,024, but 2,048 means a 16 MB matrix; 1,024 keeps the extra
-/// memory at 4 MB + 128 KB.
+/// (the row for 0 is one sweep). The grids gain up to 1,536 and `grid128`
+/// past it, but a `random_geometric(262144, 3)` road-like graph did not:
+/// `mde_order` took 389–436 ms at 1,024 and 469–497 ms at 1,536, its tail
+/// alone 9 ms against 32–34 ms. 1,024 stays, with its triangle at 2 MB
+/// (one core's L2 on that host) + 128 KB of bits.
 const DENSE_TAIL: usize = 1024;
 
 /// Eliminates every vertex of `graph`, in the order `strategy` dictates.
@@ -204,11 +212,18 @@ fn eliminate_with_tail(
     }
 }
 
-/// Eliminates the vertices still live after `first` steps on an `r × r`
-/// weight matrix and one `r`-bit adjacency row per vertex, leaving each one's
-/// frozen row (global ids, unsorted) in `rows`. `local` is scratch of one
-/// entry per vertex of the graph. Returns the number of shortcuts created
-/// between vertices that were not adjacent.
+/// Where row `i` of the strict lower triangle starts: the pair `{i, j}`,
+/// `j < i`, is cell `tri(i) + j`.
+fn tri(i: usize) -> usize {
+    i * i.saturating_sub(1) / 2
+}
+
+/// Eliminates the vertices still live after `first` steps on the strict
+/// lower triangle of a symmetric `r × r` weight matrix and one `r`-bit
+/// adjacency row per vertex, leaving each one's frozen row (global ids,
+/// unsorted) in `rows`. `local` is scratch of one entry per vertex of the
+/// graph. Returns the number of shortcuts created between vertices that were
+/// not adjacent.
 fn eliminate_dense(
     rows: &mut [Vec<(VertexId, Weight)>],
     schedule: &mut Schedule,
@@ -224,8 +239,10 @@ fn eliminate_dense(
     // the pair is an arc is only ever read from `adj` — a real arc may weigh
     // `Weight::MAX` too. And zeroed memory can come from pages the allocator
     // maps on first touch, so a tail with few arcs (a path, a small
-    // partition) touches few of them.
-    let mut cells: Vec<Weight> = vec![0; r * r];
+    // partition) touches few of them. A pair's weight is the same from both
+    // ends, so only the triangle below the diagonal is stored: each pair is
+    // one cell, written once per step.
+    let mut cells: Vec<Weight> = vec![0; tri(r)];
     let mut adj: Vec<u64> = vec![0; r * words];
     let mut degree: Vec<u32> = Vec::with_capacity(r);
     for (i, &u) in live.iter().enumerate() {
@@ -236,7 +253,9 @@ fn eliminate_dense(
         degree.push(row.len() as u32);
         for (b, w) in row {
             let j = local[b.index()] as usize;
-            cells[i * r + j] = !w;
+            if j < i {
+                cells[tri(i) + j] = !w;
+            }
             adj[i * words + j / 64] |= 1 << (j % 64);
         }
     }
@@ -259,17 +278,21 @@ fn eliminate_dense(
             }
         }
         weights.clear();
-        weights.extend(nbrs.iter().map(|&a| !cells[x * r + a]));
+        weights.extend(nbrs.iter().map(|&a| {
+            let (hi, lo) = if a < x { (x, a) } else { (a, x) };
+            !cells[tri(hi) + lo]
+        }));
         rows[v.index()] = nbrs
             .iter()
             .zip(&weights)
             .map(|(&a, &w)| (live[a], w))
             .collect();
 
-        for (&a, &wa) in nbrs.iter().zip(&weights) {
-            let a_cells = &mut cells[a * r..(a + 1) * r];
-            // `a`'s own cell is written too; no bit ever reads it.
-            for (&b, &wb) in nbrs.iter().zip(&weights) {
+        for (p, (&a, &wa)) in nbrs.iter().zip(&weights).enumerate() {
+            // `nbrs` ascends, so the pairs of `a` with the neighbours before
+            // it all lie in `a`'s triangle row.
+            let a_cells = &mut cells[tri(a)..tri(a) + a];
+            for (&b, &wb) in nbrs[..p].iter().zip(&weights[..p]) {
                 a_cells[b] = a_cells[b].max(!shortcut_sum(wa, wb));
             }
             // `a` gains the neighbours of `x` it lacked (itself among them,

@@ -24,17 +24,33 @@ pub struct VertexOrder {
 
 impl VertexOrder {
     /// Builds an order from a rank vector (must be a permutation of `0..n`).
+    ///
+    /// # Panics
+    /// Panics if it is not; [`Self::try_from_ranks`] says why instead.
     pub fn from_ranks(rank: Vec<u32>) -> Self {
+        Self::try_from_ranks(rank).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds an order from a rank vector, or says why it is not a
+    /// permutation of `0..n`.
+    pub fn try_from_ranks(rank: Vec<u32>) -> Result<Self, String> {
         let n = rank.len();
         let mut by_rank = vec![VertexId(0); n];
         let mut seen = vec![false; n];
         for (v, &r) in rank.iter().enumerate() {
-            assert!((r as usize) < n, "rank {r} out of range");
-            assert!(!seen[r as usize], "duplicate rank {r}");
-            seen[r as usize] = true;
+            if r as usize >= n {
+                return Err(format!(
+                    "rank {r} of vertex {v} out of range for {n} vertices"
+                ));
+            }
+            if std::mem::replace(&mut seen[r as usize], true) {
+                return Err(format!(
+                    "duplicate rank {r} (vertex {v}); ranks must be a permutation"
+                ));
+            }
             by_rank[r as usize] = VertexId::from_index(v);
         }
-        VertexOrder { rank, by_rank }
+        Ok(VertexOrder { rank, by_rank })
     }
 
     /// Builds an order from the contraction sequence (first element is

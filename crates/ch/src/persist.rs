@@ -19,10 +19,15 @@
 //! permutation and every arc target is bounds-checked *before* any
 //! constructor with assertions runs, so malformed input surfaces as
 //! [`SnapshotError::Malformed`] (or `Truncated` when bytes run out).
+//!
+//! The rank vector and each vertex's arc list are taken from the reader
+//! with one bounds check each ([`ByteReader::get_u32s`],
+//! [`ByteReader::take_records`]) and converted with `chunks_exact` +
+//! `from_le_bytes`; the per-arc checks are then plain compares.
 
 use crate::hierarchy::{ContractionHierarchy, ShortcutMode};
 use crate::ordering::VertexOrder;
-use htsp_graph::{ByteReader, ByteWriter, SnapshotError, VertexId, Weight};
+use htsp_graph::{le_u32, ByteReader, ByteWriter, SnapshotError, VertexId, Weight};
 
 const MODE_ALL_PAIRS: u8 = 0;
 const MODE_WITNESS_PRUNED: u8 = 1;
@@ -64,30 +69,10 @@ impl ContractionHierarchy {
     /// invariant before reassembly.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
         let n = r.get_u32("hierarchy vertex count")? as usize;
-        // Each vertex still owes ≥ 4 bytes of rank; reject lying headers
-        // before reserving memory for them.
-        if r.remaining() < n.saturating_mul(4) {
-            return Err(SnapshotError::Truncated {
-                context: "hierarchy rank vector",
-            });
-        }
-        let mut ranks = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        for v in 0..n {
-            let rank = r.get_u32("hierarchy rank")?;
-            if rank as usize >= n {
-                return Err(SnapshotError::Malformed(format!(
-                    "rank {rank} of vertex {v} out of range for {n} vertices"
-                )));
-            }
-            if seen[rank as usize] {
-                return Err(SnapshotError::Malformed(format!(
-                    "duplicate rank {rank} (vertex {v}); ranks must be a permutation"
-                )));
-            }
-            seen[rank as usize] = true;
-            ranks.push(rank);
-        }
+        // The whole rank vector is taken before anything is reserved for
+        // it, so a lying count fails as truncation.
+        let ranks = r.get_u32s(n, "hierarchy rank vector")?.collect();
+        let order = VertexOrder::try_from_ranks(ranks).map_err(SnapshotError::Malformed)?;
         let mode = match r.get_u8("hierarchy shortcut mode")? {
             MODE_ALL_PAIRS => ShortcutMode::AllPairs,
             MODE_WITNESS_PRUNED => ShortcutMode::WitnessPruned {
@@ -100,37 +85,29 @@ impl ContractionHierarchy {
             }
         };
         let extra_shortcuts = r.get_u64("hierarchy extra shortcuts")? as usize;
-        let order = VertexOrder::from_ranks(ranks);
         let mut up: Vec<Vec<(VertexId, Weight)>> = Vec::with_capacity(n);
-        for v in 0..n {
+        let ranks = order.ranks();
+        for (v, &rank) in ranks.iter().enumerate() {
             let count = r.get_u32("hierarchy arc count")? as usize;
-            if r.remaining() < count.saturating_mul(8) {
-                return Err(SnapshotError::Truncated {
-                    context: "hierarchy arc list",
-                });
-            }
+            let records = r.take_records(count, 8, "hierarchy arc list")?;
             let mut arcs = Vec::with_capacity(count);
-            let mut prev_rank: Option<u32> = None;
-            for _ in 0..count {
-                let target = r.get_u32("hierarchy arc target")?;
-                let weight = r.get_u32("hierarchy arc weight")?;
-                if target as usize >= n {
+            // Ranks strictly increase along the list, starting above `v`'s.
+            let mut prev_rank = rank;
+            for record in records {
+                let (target, weight) = (le_u32(record), le_u32(&record[4..]));
+                let Some(&tr) = ranks.get(target as usize) else {
                     return Err(SnapshotError::Malformed(format!(
                         "arc target {target} of vertex {v} out of range for {n} vertices"
                     )));
+                };
+                if tr <= prev_rank {
+                    return Err(SnapshotError::Malformed(if tr <= rank {
+                        format!("upward arc {v} -> {target} does not point to a higher rank")
+                    } else {
+                        format!("upward arcs of vertex {v} are not sorted by rank")
+                    }));
                 }
-                let tr = order.rank(VertexId(target));
-                if tr <= order.rank(VertexId::from_index(v)) {
-                    return Err(SnapshotError::Malformed(format!(
-                        "upward arc {v} -> {target} does not point to a higher rank"
-                    )));
-                }
-                if prev_rank.is_some_and(|p| tr <= p) {
-                    return Err(SnapshotError::Malformed(format!(
-                        "upward arcs of vertex {v} are not sorted by rank"
-                    )));
-                }
-                prev_rank = Some(tr);
+                prev_rank = tr;
                 arcs.push((VertexId(target), weight));
             }
             up.push(arcs);

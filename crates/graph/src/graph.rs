@@ -290,7 +290,15 @@ impl Graph {
         weights: Vec<Weight>,
     ) -> Graph {
         debug_assert_eq!(edges.len(), weights.len());
-        let mut adj: Vec<Vec<Arc>> = vec![Vec::new(); n];
+        let mut degree = vec![0u32; n];
+        for &(u, v) in &edges {
+            degree[u.index()] += 1;
+            degree[v.index()] += 1;
+        }
+        let mut adj: Vec<Vec<Arc>> = degree
+            .into_iter()
+            .map(|d| Vec::with_capacity(d as usize))
+            .collect();
         for (i, &(u, v)) in edges.iter().enumerate() {
             debug_assert!(u < v && v.index() < n && weights[i] > 0);
             let e = EdgeId::from_index(i);

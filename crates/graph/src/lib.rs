@@ -86,7 +86,7 @@ pub use obs::{NullSink, SpanSink, TraceId};
 pub use par::{available_parallelism, StageStats, WorkerPool};
 pub use queries::{Query, QuerySet, QueryWorkload};
 pub use scratch::{ScratchGuard, ScratchPool};
-pub use snapshot::{ByteReader, ByteWriter, IndexSnapshot, SnapshotError};
+pub use snapshot::{le_u32, ByteReader, ByteWriter, IndexSnapshot, SnapshotError};
 pub use storage::{Adjacency, CsrFootprint, CsrGraph};
 pub use types::{Dist, EdgeId, VertexId, Weight, INF};
 pub use updates::{EdgeUpdate, UpdateBatch, UpdateGenerator, UpdateKind};

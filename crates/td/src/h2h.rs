@@ -246,7 +246,8 @@ impl H2HIndex {
 
     /// Reads an index section from `r`, validating label shapes against the
     /// rebuilt tree before reassembly. Corrupt input surfaces as a typed
-    /// [`SnapshotError`], never a panic.
+    /// [`SnapshotError`], never a panic. Each row's bytes are taken once and
+    /// converted in one `chunks_exact` pass.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
         let ch = ContractionHierarchy::decode_from(r)?;
         if !matches!(ch.mode(), ShortcutMode::AllPairs) {
@@ -265,15 +266,8 @@ impl H2HIndex {
                     "label of vertex {v} has {len} entries, tree depth demands {expect}"
                 )));
             }
-            if r.remaining() < len.saturating_mul(4) {
-                return Err(SnapshotError::Truncated {
-                    context: "h2h label row",
-                });
-            }
-            let mut row = Vec::with_capacity(len);
-            for _ in 0..len {
-                row.push(Dist(r.get_u32("h2h label entry")?));
-            }
+            // One bounds check for the whole row.
+            let row: Vec<Dist> = r.get_u32s(len, "h2h label row")?.map(Dist).collect();
             if row.last() != Some(&Dist::ZERO) {
                 return Err(SnapshotError::Malformed(format!(
                     "label of vertex {v} does not end with the self-distance 0"

@@ -287,3 +287,77 @@ fn a_restart_that_rebuilt_exports_build_telemetry() {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// Every strict prefix of `bytes` fails, and every single-byte flip (three
+/// masks per byte) either fails or decodes to a value that re-encodes to the
+/// flipped bytes. A panic anywhere fails the test.
+fn sweep_decoder<T>(
+    name: &str,
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, SnapshotError>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) {
+    let back = decode(bytes).unwrap_or_else(|e| panic!("{name}: clean bytes fail: {e}"));
+    assert_eq!(encode(&back), bytes, "{name}: round trip");
+    for cut in 0..bytes.len() {
+        assert!(
+            decode(&bytes[..cut]).is_err(),
+            "{name}: prefix of {cut} bytes decoded"
+        );
+    }
+    let mut accepted = 0;
+    for at in 0..bytes.len() {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= mask;
+            if let Ok(value) = decode(&flipped) {
+                assert_eq!(
+                    encode(&value),
+                    flipped,
+                    "{name}: flip {mask:#04x} at byte {at} decoded to something else"
+                );
+                accepted += 1;
+            }
+        }
+    }
+    // Weights, label entries and parameters take any value, so some flips
+    // must decode: the sweep reached the decoders' success path.
+    assert!(accepted > 0, "{name}: no flip decoded");
+}
+
+#[test]
+fn section_decoders_survive_truncation_and_byte_flip_sweeps() {
+    use htsp::ch::{ContractionHierarchy, OrderingStrategy, ShortcutMode};
+    use htsp::td::H2HIndex;
+    let g = grid(4, 5, WeightRange::new(1, 25), 13);
+    let ch = ContractionHierarchy::build(&g, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
+    sweep_decoder(
+        "hierarchy",
+        &ch.to_snapshot_bytes(),
+        ContractionHierarchy::from_snapshot_bytes,
+        ContractionHierarchy::to_snapshot_bytes,
+    );
+    let pruned = ContractionHierarchy::build(
+        &g,
+        OrderingStrategy::MinDegree,
+        ShortcutMode::WitnessPruned { hop_limit: 8 },
+    );
+    sweep_decoder(
+        "witness-pruned hierarchy",
+        &pruned.to_snapshot_bytes(),
+        ContractionHierarchy::from_snapshot_bytes,
+        ContractionHierarchy::to_snapshot_bytes,
+    );
+    sweep_decoder(
+        "h2h",
+        &H2HIndex::build(&g).to_snapshot_bytes(),
+        H2HIndex::from_snapshot_bytes,
+        H2HIndex::to_snapshot_bytes,
+    );
+    sweep_decoder(
+        "build params",
+        &BuildParams::new(3, 2).to_snapshot_bytes(),
+        BuildParams::from_snapshot_bytes,
+        BuildParams::to_snapshot_bytes,
+    );
+}
