@@ -85,6 +85,12 @@ fn all_kinds_build_identically_at_every_thread_count() {
             for stage in 0..sequential.num_query_stages() {
                 let (view, seq_view) =
                     (built.view_at_stage(stage), sequential.view_at_stage(stage));
+                assert_eq!(view.stage(), stage, "{kind} view_at_stage({stage}).stage()");
+                assert_eq!(
+                    view.algorithm(),
+                    kind.name(),
+                    "{kind} view_at_stage({stage}).algorithm()"
+                );
                 for q in &queries {
                     assert_eq!(
                         view.distance(q.source, q.target),

@@ -13,7 +13,11 @@
 //! * the H2H labels equal a fresh `from_decomposition`;
 //! * DH2H, every PostMHL view as it was published during the repair, and
 //!   the repaired index's stages 2 and 3 answer a seeded set of far and near
-//!   pairs like Dijkstra.
+//!   pairs like Dijkstra;
+//! * on the three families with exact Dijkstra answers, N-CH-P, P-TD-P and
+//!   PMHL answer the same pairs like Dijkstra through every view published
+//!   during the repair and through `view_at_stage(s)` for every stage, both
+//!   by `distance` and by a `session()`.
 //!
 //! No timers: everything asserted is a value.
 
@@ -26,6 +30,7 @@ use htsp::graph::{
 use htsp::partition::TdPartitionConfig;
 use htsp::search::dijkstra_distance;
 use htsp::td::{H2HIndex, TreeDecomposition};
+use htsp::{AlgorithmKind, BuildParams};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
@@ -226,6 +231,15 @@ fn drive(name: &str, mut g: Graph, weights: (Weight, Weight), dijkstra: bool, se
             "{name}: the partition stages need work"
         );
     }
+    // The partitioned kinds, each in the shape the server builds it.
+    let mut psp: Vec<Box<dyn IndexMaintainer>> = if dijkstra {
+        [AlgorithmKind::NChP, AlgorithmKind::PTdP, AlgorithmKind::Pmhl]
+            .iter()
+            .map(|kind| kind.build(&g, &BuildParams::new(4, 2)))
+            .collect()
+    } else {
+        Vec::new()
+    };
     let mut rng = Lcg(seed);
     // Its own stream, so the pairs do not shift the batches.
     let mut pair_rng = Lcg(!seed);
@@ -283,8 +297,12 @@ fn drive(name: &str, mut g: Graph, weights: (Weight, Weight), dijkstra: bool, se
                 let stages: Vec<usize> = views.iter().map(|v| v.stage()).collect();
                 assert_eq!(stages, [0, 1, 2, 3], "published stages, {at}");
                 views.extend([post.view_at_stage(2), post.view_at_stage(3)]);
-                for (s, t) in seeded_pairs(&g, h2h.decomposition(), &mut pair_rng, 30) {
-                    let expect = dijkstra_distance(&g, s, t);
+                let pairs = seeded_pairs(&g, h2h.decomposition(), &mut pair_rng, 30);
+                let expected: Vec<_> = pairs
+                    .iter()
+                    .map(|&(s, t)| dijkstra_distance(&g, s, t))
+                    .collect();
+                for (&(s, t), &expect) in pairs.iter().zip(&expected) {
                     assert_eq!(h2h.distance(s, t), expect, "DH2H {s}-{t}, {at}");
                     for (i, view) in views.iter().enumerate() {
                         assert_eq!(
@@ -293,6 +311,28 @@ fn drive(name: &str, mut g: Graph, weights: (Weight, Weight), dijkstra: bool, se
                             "PostMHL view {i} (stage {}) {s}-{t}, {at}",
                             view.stage()
                         );
+                    }
+                }
+
+                // The partitioned kinds: every view published mid-repair and
+                // every stage of the repaired index, by both query paths.
+                for idx in psp.iter_mut() {
+                    let (publisher, published) = recording_publisher(idx.current_view());
+                    idx.apply_batch(&g, &batch, &publisher);
+                    let mut views = std::mem::take(&mut *published.lock().unwrap());
+                    assert!(!views.is_empty(), "{} published nothing, {at}", idx.name());
+                    views.extend((0..idx.num_query_stages()).map(|s| idx.view_at_stage(s)));
+                    for (i, view) in views.iter().enumerate() {
+                        let mut session = view.session();
+                        for (&(s, t), &expect) in pairs.iter().zip(&expected) {
+                            let tag = format!(
+                                "{} view {i} (stage {}) {s}-{t}, {at}",
+                                idx.name(),
+                                view.stage()
+                            );
+                            assert_eq!(view.distance(s, t), expect, "{tag}");
+                            assert_eq!(session.distance(s, t), expect, "session, {tag}");
+                        }
                     }
                 }
             }
