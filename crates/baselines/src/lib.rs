@@ -15,6 +15,14 @@
 //!   the index on every batch (the paper adapts TOAIN to dynamic networks by
 //!   rebuilding its shortcuts per batch; we reproduce that behaviour).
 //!
+//! Their snapshots are three view types, one per query machinery, and the
+//! multi-stage indexes of `htsp-core` publish the same types for their
+//! stages instead of re-implementing them: [`BiDijkstraView`] (stage 0 of
+//! MHL, PMHL and PostMHL), [`ChView`] (the CH stage of MHL and PostMHL —
+//! Lemma 4: DH2H's shortcut phase yields exactly DCH's shortcuts) and
+//! [`H2hView`] (the final stage of MHL and PostMHL). Every view carries the
+//! algorithm name and query stage it is published as.
+//!
 //! The partitioned baselines N-CH-P and P-TD-P live in `htsp-psp`.
 
 #![warn(missing_docs)]
@@ -29,34 +37,93 @@ use htsp_td::H2HIndex;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Snapshot answering with bidirectional Dijkstra on a frozen graph.
-pub struct BiDijkstraView {
-    graph: Arc<Graph>,
-    scratch: Arc<ScratchPool<BiDijkstra>>,
+/// Snapshot answering with bidirectional Dijkstra on a frozen graph: the
+/// BiDijkstra baseline, and stage 0 of MHL, PMHL and PostMHL.
+///
+/// The graph is read through its owner `G` (a plain [`Graph`], or PMHL's
+/// partitioned view), so the view pins exactly what the maintainer already
+/// shares.
+pub struct BiDijkstraView<G = Graph> {
+    /// The algorithm that publishes the view.
+    pub algorithm: &'static str,
+    /// The query stage it is published as.
+    pub stage: usize,
+    /// The graph snapshot, through its owner.
+    pub graph: Arc<G>,
+    /// Searchers shared by every view of the index.
+    pub scratch: Arc<ScratchPool<BiDijkstra>>,
 }
 
-impl BiDijkstraView {
-    /// Creates a view over `graph`, sharing `scratch` searchers.
-    pub fn new(graph: Arc<Graph>, scratch: Arc<ScratchPool<BiDijkstra>>) -> Self {
-        BiDijkstraView { graph, scratch }
-    }
-}
-
-impl QueryView for BiDijkstraView {
+impl<G: AsRef<Graph> + Send + Sync> QueryView for BiDijkstraView<G> {
     fn algorithm(&self) -> &'static str {
-        "BiDijkstra"
+        self.algorithm
     }
 
     fn stage(&self) -> usize {
-        0
+        self.stage
     }
 
     fn distance(&self, s: VertexId, t: VertexId) -> Dist {
-        self.scratch.with(|b| b.distance(&self.graph, s, t))
+        self.scratch
+            .with(|b| b.distance((*self.graph).as_ref(), s, t))
     }
 
     fn session(&self) -> Box<dyn QuerySession + '_> {
-        Box::new(BiDijkstraSession::new(&self.graph, self.scratch.checkout()))
+        Box::new(BiDijkstraSession::new(
+            (*self.graph).as_ref(),
+            self.scratch.checkout(),
+        ))
+    }
+
+    fn graph(&self) -> &Graph {
+        (*self.graph).as_ref()
+    }
+}
+
+/// Creates a scratch pool of [`BiDijkstra`] searchers for `n`-vertex graphs.
+pub fn bidijkstra_pool(n: usize) -> Arc<ScratchPool<BiDijkstra>> {
+    Arc::new(ScratchPool::new(move || BiDijkstra::new(n)))
+}
+
+/// Snapshot answering with a bidirectional upward search over a frozen
+/// contraction hierarchy: DCH and TOAIN, and the CH stage of MHL and
+/// PostMHL.
+///
+/// The hierarchy is read through its owner `H` — the hierarchy itself, or
+/// the tree decomposition whose shortcut arrays it is (Lemma 4) — and a
+/// session borrows it once, so the per-query path is the same for every
+/// owner.
+pub struct ChView<H = ContractionHierarchy> {
+    /// The algorithm that publishes the view.
+    pub algorithm: &'static str,
+    /// The query stage it is published as.
+    pub stage: usize,
+    /// The graph snapshot the hierarchy is consistent with.
+    pub graph: Arc<Graph>,
+    /// The hierarchy, through its owner.
+    pub ch: Arc<H>,
+    /// Query states shared by every view of the index.
+    pub scratch: Arc<ScratchPool<ChQuery>>,
+}
+
+impl<H: AsRef<ContractionHierarchy> + Send + Sync> QueryView for ChView<H> {
+    fn algorithm(&self) -> &'static str {
+        self.algorithm
+    }
+
+    fn stage(&self) -> usize {
+        self.stage
+    }
+
+    fn distance(&self, s: VertexId, t: VertexId) -> Dist {
+        self.scratch.with(|q| q.distance((*self.ch).as_ref(), s, t))
+    }
+
+    fn session(&self) -> Box<dyn QuerySession + '_> {
+        Box::new(ChQuerySession::new(
+            (*self.ch).as_ref(),
+            self.scratch.checkout(),
+        ))
     }
 
     fn graph(&self) -> &Graph {
@@ -64,9 +131,44 @@ impl QueryView for BiDijkstraView {
     }
 }
 
-/// Creates a scratch pool of [`BiDijkstra`] searchers for `n`-vertex graphs.
-pub fn bidijkstra_pool(n: usize) -> Arc<ScratchPool<BiDijkstra>> {
-    Arc::new(ScratchPool::new(move || BiDijkstra::new(n)))
+/// Creates a scratch pool of [`ChQuery`] states for `n`-vertex hierarchies.
+pub fn ch_query_pool(n: usize) -> Arc<ScratchPool<ChQuery>> {
+    Arc::new(ScratchPool::new(move || ChQuery::new(n)))
+}
+
+/// Snapshot answering from full H2H labels: DH2H, and the final stage of
+/// MHL and PostMHL. Its session is [`htsp_td::LabelSession`].
+pub struct H2hView {
+    /// The algorithm that publishes the view.
+    pub algorithm: &'static str,
+    /// The query stage it is published as.
+    pub stage: usize,
+    /// The graph snapshot the labels are consistent with.
+    pub graph: Arc<Graph>,
+    /// The labels.
+    pub h2h: Arc<H2HIndex>,
+}
+
+impl QueryView for H2hView {
+    fn algorithm(&self) -> &'static str {
+        self.algorithm
+    }
+
+    fn stage(&self) -> usize {
+        self.stage
+    }
+
+    fn distance(&self, s: VertexId, t: VertexId) -> Dist {
+        self.h2h.distance(s, t)
+    }
+
+    fn session(&self) -> Box<dyn QuerySession + '_> {
+        Box::new(self.h2h.session())
+    }
+
+    fn graph(&self) -> &Graph {
+        &self.graph
+    }
 }
 
 /// Index-free baseline: bidirectional Dijkstra on the live graph.
@@ -105,51 +207,13 @@ impl IndexMaintainer for BiDijkstraBaseline {
     }
 
     fn current_view(&self) -> Arc<dyn QueryView> {
-        Arc::new(BiDijkstraView::new(
-            Arc::clone(&self.graph),
-            Arc::clone(&self.scratch),
-        ))
+        Arc::new(BiDijkstraView {
+            algorithm: "BiDijkstra",
+            stage: 0,
+            graph: Arc::clone(&self.graph),
+            scratch: Arc::clone(&self.scratch),
+        })
     }
-}
-
-/// Snapshot answering with a bidirectional upward search over a frozen
-/// contraction hierarchy. Shared by DCH and TOAIN.
-pub struct ChView {
-    name: &'static str,
-    graph: Arc<Graph>,
-    ch: Arc<ContractionHierarchy>,
-    scratch: Arc<ScratchPool<ChQuery>>,
-}
-
-impl QueryView for ChView {
-    fn algorithm(&self) -> &'static str {
-        self.name
-    }
-
-    fn stage(&self) -> usize {
-        0
-    }
-
-    fn distance(&self, s: VertexId, t: VertexId) -> Dist {
-        self.scratch.with(|q| q.distance(&self.ch, s, t))
-    }
-
-    fn session(&self) -> Box<dyn QuerySession + '_> {
-        Box::new(ChQuerySession::new(&self.ch, self.scratch.checkout()))
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    fn index_size_bytes(&self) -> usize {
-        self.ch.index_size_bytes()
-    }
-}
-
-/// Creates a scratch pool of [`ChQuery`] states for `n`-vertex hierarchies.
-pub fn ch_query_pool(n: usize) -> Arc<ScratchPool<ChQuery>> {
-    Arc::new(ScratchPool::new(move || ChQuery::new(n)))
 }
 
 /// Dynamic Contraction Hierarchies (DCH) baseline.
@@ -217,7 +281,8 @@ impl IndexMaintainer for DchBaseline {
 
     fn current_view(&self) -> Arc<dyn QueryView> {
         Arc::new(ChView {
-            name: "DCH",
+            algorithm: "DCH",
+            stage: 0,
             graph: Arc::clone(&self.graph),
             ch: Arc::clone(&self.ch),
             scratch: Arc::clone(&self.scratch),
@@ -234,38 +299,6 @@ impl IndexMaintainer for DchBaseline {
 
     fn storage_bytes(&self) -> Vec<(&'static str, usize)> {
         vec![("ch_shortcuts", self.ch.heap_bytes())]
-    }
-}
-
-/// Snapshot answering with H2H label lookups on a frozen index.
-pub struct H2hView {
-    graph: Arc<Graph>,
-    h2h: Arc<H2HIndex>,
-}
-
-impl QueryView for H2hView {
-    fn algorithm(&self) -> &'static str {
-        "DH2H"
-    }
-
-    fn stage(&self) -> usize {
-        0
-    }
-
-    fn distance(&self, s: VertexId, t: VertexId) -> Dist {
-        self.h2h.distance(s, t)
-    }
-
-    fn session(&self) -> Box<dyn QuerySession + '_> {
-        Box::new(self.h2h.session())
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    fn index_size_bytes(&self) -> usize {
-        self.h2h.index_size_bytes()
     }
 }
 
@@ -322,6 +355,8 @@ impl IndexMaintainer for Dh2hBaseline {
 
     fn current_view(&self) -> Arc<dyn QueryView> {
         Arc::new(H2hView {
+            algorithm: "DH2H",
+            stage: 0,
             graph: Arc::clone(&self.graph),
             h2h: Arc::clone(&self.h2h),
         })
@@ -438,7 +473,8 @@ impl IndexMaintainer for ToainBaseline {
 
     fn current_view(&self) -> Arc<dyn QueryView> {
         Arc::new(ChView {
-            name: "TOAIN",
+            algorithm: "TOAIN",
+            stage: 0,
             graph: Arc::clone(&self.graph),
             ch: Arc::clone(&self.ch),
             scratch: Arc::clone(&self.scratch),

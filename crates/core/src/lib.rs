@@ -24,7 +24,13 @@
 //! [`htsp_graph::QueryView`] snapshots (with per-thread
 //! [`htsp_graph::QuerySession`]s for batched workloads), so the server, the
 //! load driver, and the distance service treat them uniformly with the
-//! baselines.
+//! baselines. Every stage is a query machinery the baselines already have,
+//! so the snapshots *are* the baselines' views: `htsp-baselines`'
+//! BiDijkstra, CH and H2H views for MHL and PostMHL, and `htsp-psp`'s PCH,
+//! no-boundary, post-boundary and cross-boundary views for PMHL, each tagged
+//! with the algorithm and stage it is published as. The only view of this
+//! crate's own is PostMHL's post-boundary stage ([`postmhl::DisbView`]),
+//! which reads the boundary arrays `disB` no baseline has.
 
 #![warn(missing_docs)]
 

@@ -6,14 +6,17 @@
 //! packages that observation for a non-partitioned index: it is an H2H index
 //! whose maintenance is split into the two phases, publishing the query
 //! machinery (BiDijkstra → CH → H2H) that is currently consistent with the
-//! latest batch as an immutable snapshot after each phase.
+//! latest batch as an immutable snapshot after each phase. Each of the three
+//! is a baseline's view: [`BiDijkstraView`], [`ChView`] over the
+//! decomposition's shortcut arrays, and [`H2hView`].
 
-use htsp_ch::{ChQuery, ChQuerySession};
+use htsp_baselines::{bidijkstra_pool, ch_query_pool, BiDijkstraView, ChView, H2hView};
+use htsp_ch::ChQuery;
 use htsp_graph::{
-    Dist, Graph, IndexMaintainer, QuerySession, QueryView, ScratchPool, SnapshotError,
-    SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId,
+    Graph, IndexMaintainer, QueryView, ScratchPool, SnapshotError, SnapshotPublisher, UpdateBatch,
+    UpdateTimeline, VertexId,
 };
-use htsp_search::{BiDijkstra, BiDijkstraSession};
+use htsp_search::BiDijkstra;
 use htsp_td::H2HIndex;
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,77 +50,6 @@ impl MhlStage {
     }
 }
 
-/// Immutable MHL snapshot: one graph version, one query stage.
-pub struct MhlView {
-    graph: Arc<Graph>,
-    stage: MhlStage,
-    /// Only the components this view's stage actually reads are pinned —
-    /// anything else would force the maintainer's next `Arc::make_mut` into
-    /// a needless deep clone while this snapshot is current.
-    parts: StageParts,
-}
-
-/// The per-stage component set of an [`MhlView`].
-enum StageParts {
-    BiDijkstra {
-        bidij: Arc<ScratchPool<BiDijkstra>>,
-    },
-    Ch {
-        h2h: Arc<H2HIndex>,
-        ch: Arc<ScratchPool<ChQuery>>,
-    },
-    H2h {
-        h2h: Arc<H2HIndex>,
-    },
-}
-
-impl QueryView for MhlView {
-    fn algorithm(&self) -> &'static str {
-        "MHL"
-    }
-
-    fn stage(&self) -> usize {
-        self.stage.index()
-    }
-
-    fn distance(&self, s: VertexId, t: VertexId) -> Dist {
-        if s == t {
-            return Dist::ZERO;
-        }
-        match &self.parts {
-            StageParts::BiDijkstra { bidij } => bidij.with(|b| b.distance(&self.graph, s, t)),
-            StageParts::Ch { h2h, ch } => {
-                ch.with(|q| q.distance(h2h.decomposition().hierarchy(), s, t))
-            }
-            StageParts::H2h { h2h } => h2h.distance(s, t),
-        }
-    }
-
-    fn session(&self) -> Box<dyn QuerySession + '_> {
-        match &self.parts {
-            StageParts::BiDijkstra { bidij } => {
-                Box::new(BiDijkstraSession::new(&self.graph, bidij.checkout()))
-            }
-            StageParts::Ch { h2h, ch } => Box::new(ChQuerySession::new(
-                h2h.decomposition().hierarchy(),
-                ch.checkout(),
-            )),
-            StageParts::H2h { h2h } => Box::new(h2h.session()),
-        }
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    fn index_size_bytes(&self) -> usize {
-        match &self.parts {
-            StageParts::BiDijkstra { .. } => 0,
-            StageParts::Ch { h2h, .. } | StageParts::H2h { h2h } => h2h.index_size_bytes(),
-        }
-    }
-}
-
 /// The multi-stage (non-partitioned) hub labeling index.
 pub struct Mhl {
     graph: Arc<Graph>,
@@ -130,13 +62,16 @@ pub struct Mhl {
 impl Mhl {
     /// Builds the index from scratch.
     pub fn build(graph: &Graph) -> Self {
-        let h2h = H2HIndex::build(graph);
+        Self::from_index(graph, H2HIndex::build(graph))
+    }
+
+    fn from_index(graph: &Graph, h2h: H2HIndex) -> Self {
         let n = graph.num_vertices();
         Mhl {
             graph: Arc::new(graph.clone()),
             h2h: Arc::new(h2h),
-            bidij: Arc::new(ScratchPool::new(move || BiDijkstra::new(n))),
-            ch: Arc::new(ScratchPool::new(move || ChQuery::new(n))),
+            bidij: bidijkstra_pool(n),
+            ch: ch_query_pool(n),
             stage: MhlStage::H2h,
         }
     }
@@ -153,14 +88,7 @@ impl Mhl {
                 graph.num_vertices()
             )));
         }
-        let n = graph.num_vertices();
-        Ok(Mhl {
-            graph: Arc::new(graph.clone()),
-            h2h: Arc::new(h2h),
-            bidij: Arc::new(ScratchPool::new(move || BiDijkstra::new(n))),
-            ch: Arc::new(ScratchPool::new(move || ChQuery::new(n))),
-            stage: MhlStage::H2h,
-        })
+        Ok(Self::from_index(graph, h2h))
     }
 
     /// The stage whose query machinery is currently consistent.
@@ -173,24 +101,31 @@ impl Mhl {
         &self.h2h
     }
 
-    fn view_with(&self, stage: MhlStage) -> Arc<dyn QueryView> {
-        let parts = match stage {
-            MhlStage::BiDijkstra => StageParts::BiDijkstra {
-                bidij: Arc::clone(&self.bidij),
-            },
-            MhlStage::Ch => StageParts::Ch {
+    fn view_with(&self, at: MhlStage) -> Arc<dyn QueryView> {
+        let (algorithm, stage, graph) = ("MHL", at.index(), Arc::clone(&self.graph));
+        match at {
+            MhlStage::BiDijkstra => Arc::new(BiDijkstraView {
+                algorithm,
+                stage,
+                graph,
+                scratch: Arc::clone(&self.bidij),
+            }),
+            // The CH view pins the decomposition only, not the labels U3
+            // repairs.
+            MhlStage::Ch => Arc::new(ChView {
+                algorithm,
+                stage,
+                graph,
+                ch: Arc::new(self.h2h.decomposition().clone()),
+                scratch: Arc::clone(&self.ch),
+            }),
+            MhlStage::H2h => Arc::new(H2hView {
+                algorithm,
+                stage,
+                graph,
                 h2h: Arc::clone(&self.h2h),
-                ch: Arc::clone(&self.ch),
-            },
-            MhlStage::H2h => StageParts::H2h {
-                h2h: Arc::clone(&self.h2h),
-            },
-        };
-        Arc::new(MhlView {
-            graph: Arc::clone(&self.graph),
-            stage,
-            parts,
-        })
+            }),
+        }
     }
 }
 

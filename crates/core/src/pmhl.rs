@@ -12,21 +12,27 @@
 //! → no-boundary → post-boundary → cross-boundary. Per-partition work inside
 //! U-Stages 2 and 3 runs on a configurable number of threads, which is the
 //! lever behind the thread-scaling experiment (Fig. 15).
+//!
+//! Every stage is a query the repository already has, so every snapshot is
+//! an existing view type: [`BiDijkstraView`] from `htsp-baselines`, then
+//! N-CH-P's [`PchView`], the [`NoBoundaryView`], P-TD-P's
+//! [`PostBoundaryView`] and the [`CrossBoundaryView`] from `htsp-psp`.
 
-use htsp_ch::{ContractionHierarchy, ShortcutChange};
+use htsp_baselines::{bidijkstra_pool, BiDijkstraView};
+use htsp_ch::ContractionHierarchy;
 use htsp_graph::cow::{CowStats, CowVec};
 use htsp_graph::{
-    Dist, FallbackSession, Graph, IndexMaintainer, QuerySession, QueryView, ScratchGuard,
-    ScratchPool, SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, WorkerPool, INF,
+    Graph, IndexMaintainer, QueryView, ScratchPool, SnapshotPublisher, UpdateBatch, UpdateTimeline,
+    VertexId, WorkerPool,
 };
 use htsp_partition::partition_region_growing;
 use htsp_psp::{
-    no_boundary::no_boundary_distance, CrossBoundaryIndex, OverlayGraph, PartitionIndex,
-    Partitioned, PchSearcher, PostBoundaryIndexes,
+    CrossBoundaryIndex, CrossBoundaryView, NoBoundaryView, OverlayGraph, PartitionIndex,
+    Partitioned, PchSearcher, PchView, PostBoundaryIndexes, PostBoundaryView,
 };
-use htsp_search::{BiDijkstra, BiDijkstraSession};
+use htsp_search::BiDijkstra;
 use htsp_td::H2HIndex;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// PMHL construction parameters.
@@ -88,341 +94,6 @@ impl PmhlStage {
     }
 }
 
-/// Immutable PMHL snapshot: the index components frozen at one graph version,
-/// answering with the machinery of one query stage.
-pub struct PmhlView {
-    partitioned: Arc<Partitioned>,
-    stage: PmhlStage,
-    /// Only the components this view's stage actually reads are pinned —
-    /// anything else would force the maintainer's next `Arc::make_mut` into
-    /// a needless deep clone while this snapshot is current.
-    parts: StageParts,
-}
-
-/// The per-stage component set of a [`PmhlView`].
-enum StageParts {
-    BiDijkstra {
-        bidij: Arc<ScratchPool<BiDijkstra>>,
-    },
-    Pch {
-        partition_indexes: CowVec<PartitionIndex>,
-        overlay: Arc<OverlayGraph>,
-        overlay_index: Arc<H2HIndex>,
-        pch: Arc<ScratchPool<PchSearcher>>,
-    },
-    NoBoundary {
-        partition_indexes: CowVec<PartitionIndex>,
-        overlay: Arc<OverlayGraph>,
-        overlay_index: Arc<H2HIndex>,
-    },
-    PostBoundary {
-        post: Arc<PostBoundaryIndexes>,
-        overlay: Arc<OverlayGraph>,
-        overlay_index: Arc<H2HIndex>,
-    },
-    CrossBoundary {
-        post: Arc<PostBoundaryIndexes>,
-        cross: Arc<CrossBoundaryIndex>,
-    },
-}
-
-/// The source-side boundary labels `L'_i(v)`: distance from `v` to each
-/// boundary vertex of its partition (global ids). A session computes this
-/// once per source and reuses it across a whole target set.
-fn boundary_labels(
-    partitioned: &Partitioned,
-    post: &PostBoundaryIndexes,
-    v: VertexId,
-) -> Vec<(VertexId, Dist)> {
-    if partitioned.partition.is_boundary(v) {
-        return vec![(v, Dist::ZERO)];
-    }
-    let pi = partitioned.partition.partition_of(v);
-    let sub = &partitioned.subgraphs[pi];
-    let lv = sub.to_local(v).expect("vertex in its partition");
-    sub.boundary_local
-        .iter()
-        .map(|&lb| (sub.to_global(lb), post.distance_to_boundary(pi, lv, lb)))
-        .collect()
-}
-
-/// Cross-partition query by `L'_i`/`L\u0303`/`L'_j` concatenation (the
-/// post-boundary cross-partition path, Q-Stage 4), with the source side
-/// (`from_s`) precomputed by [`boundary_labels`].
-fn cross_by_concatenation(
-    partitioned: &Partitioned,
-    post: &PostBoundaryIndexes,
-    overlay: &OverlayGraph,
-    overlay_index: &H2HIndex,
-    from_s: &[(VertexId, Dist)],
-    t: VertexId,
-) -> Dist {
-    let from_t = boundary_labels(partitioned, post, t);
-    let mut best = INF;
-    for &(bp, dp) in from_s {
-        if dp.is_inf() {
-            continue;
-        }
-        let lbp = match overlay.to_local(bp) {
-            Some(l) => l,
-            None => continue,
-        };
-        for &(bq, dq) in &from_t {
-            if dq.is_inf() {
-                continue;
-            }
-            let mid = if bp == bq {
-                Dist::ZERO
-            } else {
-                match overlay.to_local(bq) {
-                    Some(lbq) => overlay_index.distance(lbp, lbq),
-                    None => INF,
-                }
-            };
-            let cand = dp.saturating_add(mid).saturating_add(dq);
-            if cand < best {
-                best = cand;
-            }
-        }
-    }
-    best
-}
-
-impl QueryView for PmhlView {
-    fn algorithm(&self) -> &'static str {
-        "PMHL"
-    }
-
-    fn stage(&self) -> usize {
-        self.stage.index()
-    }
-
-    fn distance(&self, s: VertexId, t: VertexId) -> Dist {
-        if s == t {
-            return Dist::ZERO;
-        }
-        match &self.parts {
-            StageParts::BiDijkstra { bidij } => {
-                bidij.with(|b| b.distance(&self.partitioned.graph, s, t))
-            }
-            StageParts::Pch {
-                partition_indexes,
-                overlay,
-                overlay_index,
-                pch,
-            } => {
-                let overlay_h = overlay_index.decomposition().hierarchy();
-                pch.with(|p| {
-                    p.distance(
-                        &self.partitioned,
-                        partition_indexes,
-                        overlay,
-                        overlay_h,
-                        s,
-                        t,
-                    )
-                })
-            }
-            StageParts::NoBoundary {
-                partition_indexes,
-                overlay,
-                overlay_index,
-            } => no_boundary_distance(
-                &self.partitioned,
-                partition_indexes,
-                overlay,
-                overlay_index,
-                s,
-                t,
-            ),
-            StageParts::PostBoundary {
-                post,
-                overlay,
-                overlay_index,
-            } => {
-                if self.partitioned.partition.same_partition(s, t) {
-                    let pi = self.partitioned.partition.partition_of(s);
-                    post.same_partition_distance(&self.partitioned, pi, s, t)
-                } else {
-                    let from_s = boundary_labels(&self.partitioned, post, s);
-                    cross_by_concatenation(
-                        &self.partitioned,
-                        post,
-                        overlay,
-                        overlay_index,
-                        &from_s,
-                        t,
-                    )
-                }
-            }
-            StageParts::CrossBoundary { post, cross } => {
-                if self.partitioned.partition.same_partition(s, t) {
-                    let pi = self.partitioned.partition.partition_of(s);
-                    post.same_partition_distance(&self.partitioned, pi, s, t)
-                } else {
-                    cross.cross_distance(s, t)
-                }
-            }
-        }
-    }
-
-    fn session(&self) -> Box<dyn QuerySession + '_> {
-        match &self.parts {
-            StageParts::BiDijkstra { bidij } => Box::new(BiDijkstraSession::new(
-                &self.partitioned.graph,
-                bidij.checkout(),
-            )),
-            StageParts::Pch {
-                partition_indexes,
-                overlay,
-                overlay_index,
-                pch,
-            } => Box::new(PmhlPchSession {
-                partitioned: &self.partitioned,
-                partition_indexes,
-                overlay,
-                overlay_h: overlay_index.decomposition().hierarchy(),
-                scratch: pch.checkout(),
-            }),
-            // Post-/cross-boundary stages answer from shared references
-            // without scratch, but their sessions cache the source-side
-            // work (partition lookup, `L'_i(s)` boundary labels) across a
-            // one-to-many target set.
-            StageParts::PostBoundary { .. } | StageParts::CrossBoundary { .. } => {
-                Box::new(PmhlLabelSession {
-                    view: self,
-                    source: None,
-                })
-            }
-            // The no-boundary stage is a pure concatenation lookup with no
-            // hoistable source side.
-            StageParts::NoBoundary { .. } => Box::new(FallbackSession::new(self)),
-        }
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.partitioned.graph
-    }
-
-    fn index_size_bytes(&self) -> usize {
-        // Footprint of the components this stage's machinery reads.
-        match &self.parts {
-            StageParts::BiDijkstra { .. } => 0,
-            StageParts::Pch {
-                partition_indexes,
-                overlay_index,
-                ..
-            }
-            | StageParts::NoBoundary {
-                partition_indexes,
-                overlay_index,
-                ..
-            } => {
-                partition_indexes
-                    .iter()
-                    .map(|p| p.index_size_bytes())
-                    .sum::<usize>()
-                    + overlay_index.index_size_bytes()
-            }
-            StageParts::PostBoundary {
-                post,
-                overlay_index,
-                ..
-            } => post.index_size_bytes() + overlay_index.index_size_bytes(),
-            StageParts::CrossBoundary { post, cross } => {
-                post.index_size_bytes() + cross.index_size_bytes()
-            }
-        }
-    }
-}
-
-/// Per-thread Q-Stage-2 (partitioned CH) session: owns one pooled
-/// [`PchSearcher`] for its lifetime.
-struct PmhlPchSession<'a> {
-    partitioned: &'a Partitioned,
-    partition_indexes: &'a CowVec<PartitionIndex>,
-    overlay: &'a OverlayGraph,
-    overlay_h: &'a ContractionHierarchy,
-    scratch: ScratchGuard<'a, PchSearcher>,
-}
-
-impl QuerySession for PmhlPchSession<'_> {
-    fn distance(&mut self, s: VertexId, t: VertexId) -> Dist {
-        self.scratch.distance(
-            self.partitioned,
-            self.partition_indexes,
-            self.overlay,
-            self.overlay_h,
-            s,
-            t,
-        )
-    }
-}
-
-/// Cached source-side state of a [`PmhlLabelSession`]: the source vertex,
-/// its partition, and (computed lazily — only cross-partition targets need
-/// them) its `L'_i(source)` boundary labels.
-struct SourceState {
-    source: VertexId,
-    partition: usize,
-    labels: Option<Vec<(VertexId, Dist)>>,
-}
-
-/// Per-thread session for the post-/cross-boundary label stages: caches the
-/// source's partition id and (for the post-boundary concatenation path) its
-/// `L'_i(s)` boundary labels, so a one-to-many or matrix row pays the
-/// source-side work once instead of once per target.
-struct PmhlLabelSession<'a> {
-    view: &'a PmhlView,
-    /// State of the most recent source, reused while the source repeats.
-    source: Option<SourceState>,
-}
-
-impl PmhlLabelSession<'_> {
-    fn source_state(&mut self, s: VertexId) -> &mut SourceState {
-        if self.source.as_ref().map(|st| st.source) != Some(s) {
-            self.source = Some(SourceState {
-                source: s,
-                partition: self.view.partitioned.partition.partition_of(s),
-                labels: None,
-            });
-        }
-        self.source.as_mut().expect("just set")
-    }
-}
-
-impl QuerySession for PmhlLabelSession<'_> {
-    fn distance(&mut self, s: VertexId, t: VertexId) -> Dist {
-        if s == t {
-            return Dist::ZERO;
-        }
-        let view = self.view;
-        let state = self.source_state(s);
-        if view.partitioned.partition.partition_of(t) == state.partition {
-            return match &view.parts {
-                StageParts::PostBoundary { post, .. } | StageParts::CrossBoundary { post, .. } => {
-                    post.same_partition_distance(&view.partitioned, state.partition, s, t)
-                }
-                _ => unreachable!("label session only wraps label stages"),
-            };
-        }
-        match &view.parts {
-            StageParts::PostBoundary {
-                post,
-                overlay,
-                overlay_index,
-            } => {
-                let labels = state
-                    .labels
-                    .get_or_insert_with(|| boundary_labels(&view.partitioned, post, s));
-                cross_by_concatenation(&view.partitioned, post, overlay, overlay_index, labels, t)
-            }
-            StageParts::CrossBoundary { cross, .. } => cross.cross_distance(s, t),
-            _ => unreachable!("label session only wraps label stages"),
-        }
-    }
-}
-
 /// The Partitioned Multi-stage Hub Labeling index (write half).
 pub struct Pmhl {
     config: PmhlConfig,
@@ -472,7 +143,7 @@ impl Pmhl {
             overlay_index: Arc::new(overlay_index),
             post: Arc::new(post),
             cross: Arc::new(cross),
-            bidij: Arc::new(ScratchPool::new(move || BiDijkstra::new(n))),
+            bidij: bidijkstra_pool(n),
             pch: Arc::new(ScratchPool::new(move || PchSearcher::new(n))),
             stage: PmhlStage::CrossBoundary,
         }
@@ -510,37 +181,51 @@ impl Pmhl {
             .plus(self.cross.cow_stats())
     }
 
-    fn view_with(&self, stage: PmhlStage) -> Arc<dyn QueryView> {
-        let parts = match stage {
-            PmhlStage::BiDijkstra => StageParts::BiDijkstra {
-                bidij: Arc::clone(&self.bidij),
-            },
-            PmhlStage::Pch => StageParts::Pch {
+    fn view_with(&self, at: PmhlStage) -> Arc<dyn QueryView> {
+        let (algorithm, stage) = ("PMHL", at.index());
+        let partitioned = Arc::clone(&self.partitioned);
+        match at {
+            PmhlStage::BiDijkstra => Arc::new(BiDijkstraView {
+                algorithm,
+                stage,
+                graph: partitioned,
+                scratch: Arc::clone(&self.bidij),
+            }),
+            // The overlay's shortcut arrays are its decomposition's: the view
+            // pins those, not the overlay labels U3 repairs.
+            PmhlStage::Pch => Arc::new(PchView {
+                algorithm,
+                stage,
+                partitioned,
+                partition_chs: self.partition_indexes.clone(),
+                overlay: Arc::clone(&self.overlay),
+                overlay_ch: Arc::new(self.overlay_index.decomposition().clone()),
+                searcher: Arc::clone(&self.pch),
+            }),
+            PmhlStage::NoBoundary => Arc::new(NoBoundaryView {
+                algorithm,
+                stage,
+                partitioned,
                 partition_indexes: self.partition_indexes.clone(),
                 overlay: Arc::clone(&self.overlay),
                 overlay_index: Arc::clone(&self.overlay_index),
-                pch: Arc::clone(&self.pch),
-            },
-            PmhlStage::NoBoundary => StageParts::NoBoundary {
-                partition_indexes: self.partition_indexes.clone(),
+            }),
+            PmhlStage::PostBoundary => Arc::new(PostBoundaryView {
+                algorithm,
+                stage,
+                partitioned,
                 overlay: Arc::clone(&self.overlay),
                 overlay_index: Arc::clone(&self.overlay_index),
-            },
-            PmhlStage::PostBoundary => StageParts::PostBoundary {
                 post: Arc::clone(&self.post),
-                overlay: Arc::clone(&self.overlay),
-                overlay_index: Arc::clone(&self.overlay_index),
-            },
-            PmhlStage::CrossBoundary => StageParts::CrossBoundary {
+            }),
+            PmhlStage::CrossBoundary => Arc::new(CrossBoundaryView {
+                algorithm,
+                stage,
+                partitioned,
                 post: Arc::clone(&self.post),
                 cross: Arc::clone(&self.cross),
-            },
-        };
-        Arc::new(PmhlView {
-            partitioned: Arc::clone(&self.partitioned),
-            stage,
-            parts,
-        })
+            }),
+        }
     }
 }
 
@@ -559,7 +244,7 @@ impl IndexMaintainer for Pmhl {
         batch: &UpdateBatch,
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
-        let threads = self.config.num_threads.max(1);
+        let pool = WorkerPool::new(self.config.num_threads);
         let mut timeline = UpdateTimeline::default();
         // Per-stage clone telemetry: every publication carries the chunks /
         // bytes this stage actually copy-on-wrote.
@@ -578,38 +263,27 @@ impl IndexMaintainer for Pmhl {
         publish(self, PmhlStage::BiDijkstra, publisher);
         timeline.push("U1: on-spot edge update", t0.elapsed());
 
-        // U-Stage 2: no-boundary shortcut update — each affected partition on
-        // its own thread, then the overlay shortcut arrays. Only the affected
-        // partitions are cloned out from under the outstanding snapshots
-        // (`make_mut_where`, one chunk per partition); the rest stay shared.
+        // U-Stage 2: no-boundary shortcut update — the affected partitions
+        // shared out over the worker threads, then the overlay shortcut
+        // arrays. Each task repairs its own copy of a partition index (a
+        // chunk-spine clone) and the copies go back in partition order; the
+        // untouched partitions stay shared with the outstanding snapshots.
         let t1 = Instant::now();
-        let per_part: Mutex<Vec<(usize, Vec<ShortcutChange>)>> = Mutex::new(Vec::new());
-        {
-            let partitioned = Arc::clone(&self.partitioned);
-            let routed_ref = &routed;
-            let per_part_ref = &per_part;
-            let mut jobs: Vec<(usize, &mut PartitionIndex)> = self
-                .partition_indexes
-                .make_mut_where(|i| !routed_ref.intra[i].is_empty());
-            let chunk = jobs.len().div_ceil(threads).max(1);
-            let partitioned = &partitioned;
-            std::thread::scope(|scope| {
-                for chunk_jobs in jobs.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        for (i, idx) in chunk_jobs.iter_mut() {
-                            let changes = idx.h2h.update_shortcuts(
-                                &partitioned.subgraphs[*i].graph,
-                                routed_ref.intra[*i].as_slice(),
-                            );
-                            local.push((*i, changes));
-                        }
-                        per_part_ref.lock().unwrap().extend(local);
-                    });
-                }
-            });
+        let affected = routed.affected_partitions();
+        let repaired = pool.run("pmhl_u2", affected.len(), |k| {
+            let i = affected[k];
+            let mut index = self.partition_indexes[i].clone();
+            let changes = index.h2h.update_shortcuts(
+                &self.partitioned.subgraphs[i].graph,
+                routed.intra[i].as_slice(),
+            );
+            (index, changes)
+        });
+        let mut per_part = Vec::with_capacity(affected.len());
+        for (&i, (index, changes)) in affected.iter().zip(repaired) {
+            *self.partition_indexes.make_mut(i) = index;
+            per_part.push((i, changes));
         }
-        let per_part = per_part.into_inner().unwrap();
         let overlay_batch = Arc::make_mut(&mut self.overlay).apply_changes(
             &self.partitioned,
             &routed.inter,
@@ -621,35 +295,22 @@ impl IndexMaintainer for Pmhl {
         publish(self, PmhlStage::Pch, publisher);
         timeline.push("U2: no-boundary shortcut update", t1.elapsed());
 
-        // U-Stage 3: no-boundary label update — partitions in parallel, then
-        // the overlay labels. Again only partitions with shortcut changes are
-        // cloned (the U2 snapshot re-shared every chunk it pinned).
+        // U-Stage 3: no-boundary label update — the partitions with shortcut
+        // changes in parallel, the same way, then the overlay labels.
         let t2 = Instant::now();
-        {
-            let mut changed_by_partition: rustc_hash::FxHashMap<usize, Vec<VertexId>> =
-                rustc_hash::FxHashMap::default();
-            for (i, changes) in &per_part {
-                let changed: Vec<VertexId> = changes.iter().map(|c| c.from).collect();
-                if !changed.is_empty() {
-                    changed_by_partition.insert(*i, changed);
-                }
-            }
-            let mut jobs: Vec<(&mut PartitionIndex, Vec<VertexId>)> = self
-                .partition_indexes
-                .make_mut_where(|i| changed_by_partition.contains_key(&i))
-                .into_iter()
-                .filter_map(|(i, idx)| changed_by_partition.remove(&i).map(|c| (idx, c)))
-                .collect();
-            let chunk = jobs.len().div_ceil(threads).max(1);
-            std::thread::scope(|scope| {
-                for chunk_jobs in jobs.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for (idx, changed) in chunk_jobs.iter_mut() {
-                            idx.h2h.update_labels_for(changed);
-                        }
-                    });
-                }
-            });
+        let relabel: Vec<(usize, Vec<VertexId>)> = per_part
+            .iter()
+            .filter(|(_, changes)| !changes.is_empty())
+            .map(|(i, changes)| (*i, changes.iter().map(|c| c.from).collect()))
+            .collect();
+        let relabeled = pool.run("pmhl_u3", relabel.len(), |k| {
+            let (i, changed) = &relabel[k];
+            let mut index = self.partition_indexes[*i].clone();
+            index.h2h.update_labels_for(changed);
+            index
+        });
+        for ((i, _), index) in relabel.iter().zip(relabeled) {
+            *self.partition_indexes.make_mut(*i) = index;
         }
         let overlay_changed_sc: Vec<VertexId> = overlay_sc_changes.iter().map(|c| c.from).collect();
         let (overlay_label_changed, _) =

@@ -18,18 +18,25 @@
 //! parallel) → cross-boundary update (per partition, in parallel). Each stage
 //! that releases faster query machinery publishes an immutable snapshot:
 //! BiDijkstra → PCH → post-boundary → cross-boundary (plain H2H query).
+//!
+//! Three of the four are the baselines' views: the PCH stage runs on the
+//! shared shortcut arrays, which form a full contraction hierarchy, so it is
+//! a [`ChView`] over the decomposition; the final stage is an [`H2hView`].
+//! Only the post-boundary stage, which reads `disB`, is PostMHL's own
+//! ([`DisbView`]).
 
-use htsp_ch::{ChQuery, ChQuerySession};
+use htsp_baselines::{bidijkstra_pool, ch_query_pool, BiDijkstraView, ChView, H2hView};
+use htsp_ch::ChQuery;
 use htsp_graph::cow::{CowStats, CowTable};
 use htsp_graph::{
     Dist, FallbackSession, Graph, IndexMaintainer, QuerySession, QueryView, ScratchPool,
     SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, Weight, WorkerPool, INF,
 };
 use htsp_partition::{td_partition, TdPartition, TdPartitionConfig};
-use htsp_search::{BiDijkstra, BiDijkstraSession};
+use htsp_search::BiDijkstra;
 use htsp_td::{
     bag_by_depth, bag_min, fold_label, label_distance, min_plus, repair_labels, H2HIndex,
-    LabelSession, TreeDecomposition,
+    TreeDecomposition,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -160,93 +167,37 @@ fn post_boundary_distance(
     }
 }
 
-/// Immutable PostMHL snapshot: one graph version, one query stage.
-pub struct PostMhlView {
+/// PostMHL's post-boundary snapshot (Q-Stage 3): same-partition pairs from
+/// the in-partition label entries and the boundary arrays `disB`, all other
+/// pairs by concatenating `disB` rows through the overlay labels.
+pub struct DisbView {
     graph: Arc<Graph>,
-    stage: PostMhlStage,
-    /// Only the components this view's stage actually reads are pinned —
-    /// anything else would force the maintainer's next `Arc::make_mut` into
-    /// a needless deep clone while this snapshot is current.
-    parts: StageParts,
+    h2h: Arc<H2HIndex>,
+    disb: CowTable<Dist>,
+    tdp: Arc<TdPartition>,
 }
 
-/// The per-stage component set of a [`PostMhlView`].
-enum StageParts {
-    BiDijkstra {
-        bidij: Arc<ScratchPool<BiDijkstra>>,
-    },
-    Pch {
-        td: Arc<TreeDecomposition>,
-        ch: Arc<ScratchPool<ChQuery>>,
-    },
-    PostBoundary {
-        td: Arc<TreeDecomposition>,
-        dis: CowTable<Dist>,
-        disb: CowTable<Dist>,
-        tdp: Arc<TdPartition>,
-    },
-    CrossBoundary {
-        td: Arc<TreeDecomposition>,
-        dis: CowTable<Dist>,
-    },
-}
-
-impl QueryView for PostMhlView {
+impl QueryView for DisbView {
     fn algorithm(&self) -> &'static str {
         "PostMHL"
     }
 
     fn stage(&self) -> usize {
-        self.stage.index()
+        PostMhlStage::PostBoundary.index()
     }
 
     fn distance(&self, s: VertexId, t: VertexId) -> Dist {
-        if s == t {
-            return Dist::ZERO;
-        }
-        match &self.parts {
-            StageParts::BiDijkstra { bidij } => bidij.with(|b| b.distance(&self.graph, s, t)),
-            StageParts::Pch { td, ch } => ch.with(|q| q.distance(td.hierarchy(), s, t)),
-            StageParts::PostBoundary { td, dis, disb, tdp } => {
-                post_boundary_distance(td, dis, disb, tdp, s, t)
-            }
-            StageParts::CrossBoundary { td, dis } => label_distance(td, dis, s, t),
-        }
+        let (td, dis) = (self.h2h.decomposition(), self.h2h.labels());
+        post_boundary_distance(td, dis, &self.disb, &self.tdp, s, t)
     }
 
+    /// Per-target lookups are the batch algorithm of a label stage.
     fn session(&self) -> Box<dyn QuerySession + '_> {
-        match &self.parts {
-            StageParts::BiDijkstra { bidij } => {
-                Box::new(BiDijkstraSession::new(&self.graph, bidij.checkout()))
-            }
-            // Q-Stage 2 runs on the shared shortcut arrays, which form a full
-            // contraction hierarchy — the CH session's shared-forward-search
-            // one-to-many applies as-is.
-            StageParts::Pch { td, ch } => {
-                Box::new(ChQuerySession::new(td.hierarchy(), ch.checkout()))
-            }
-            // Per-target lookups are the batch algorithm of both label stages.
-            StageParts::PostBoundary { .. } => Box::new(FallbackSession::new(self)),
-            StageParts::CrossBoundary { td, dis } => Box::new(LabelSession::new(td, dis)),
-        }
+        Box::new(FallbackSession::new(self))
     }
 
     fn graph(&self) -> &Graph {
         &self.graph
-    }
-
-    fn index_size_bytes(&self) -> usize {
-        match &self.parts {
-            StageParts::BiDijkstra { .. } => 0,
-            StageParts::Pch { td, .. } => td.hierarchy().index_size_bytes(),
-            StageParts::PostBoundary { td, dis, disb, .. } => {
-                let labels = dis.num_entries() + disb.num_entries();
-                labels * std::mem::size_of::<Dist>() + td.hierarchy().index_size_bytes()
-            }
-            StageParts::CrossBoundary { td, dis } => {
-                dis.num_entries() * std::mem::size_of::<Dist>() + td.hierarchy().index_size_bytes()
-            }
-        }
     }
 }
 
@@ -255,14 +206,13 @@ pub struct PostMhl {
     config: PostMhlConfig,
     /// Own copy of the graph (kept in sync with update batches).
     graph: Arc<Graph>,
-    /// The global MDE tree decomposition (shared shortcut arrays; the
-    /// mutable arc weights are chunked copy-on-write inside the hierarchy).
-    td: Arc<TreeDecomposition>,
-    /// Full distance arrays (`X(v).dis`), indexed by vertex then ancestor
-    /// depth. Chunk-granular copy-on-write: publishing a snapshot copies the
-    /// chunk spine; a stage that repairs `k` rows clones `O(k / chunk)`
-    /// chunks, not the table.
-    dis: CowTable<Dist>,
+    /// The global MDE tree decomposition (shared shortcut arrays) and the
+    /// full distance arrays (`X(v).dis`), indexed by vertex then ancestor
+    /// depth. Both are chunk-granular copy-on-write: publishing a snapshot
+    /// copies chunk spines; a stage that repairs `k` rows clones
+    /// `O(k / chunk)` chunks, not the table. The stages stage their own
+    /// repair through [`H2HIndex::parts_mut`].
+    h2h: Arc<H2HIndex>,
     /// Boundary arrays (`X(v).disB`): for in-partition vertices only, the
     /// global distance to each boundary vertex of its partition (in the order
     /// of [`TdPartition::boundary`]). Chunked copy-on-write like `dis`.
@@ -281,8 +231,8 @@ impl PostMhl {
     /// construction is sequential. Bit-identical at any thread count.
     pub fn build(graph: &Graph, config: PostMhlConfig, pool: &WorkerPool) -> Self {
         let h2h = H2HIndex::build(graph);
-        let (td, dis) = h2h.into_parts();
-        let tdp = td_partition(&td, &config.partitioning);
+        let (td, dis) = (h2h.decomposition(), h2h.labels());
+        let tdp = td_partition(td, &config.partitioning);
         // At build time every dis entry is a correct global distance, so the
         // boundary arrays are plain copies of the corresponding entries; each
         // partition fills a disjoint vertex set, so partitions are parallel
@@ -309,10 +259,9 @@ impl PostMhl {
         PostMhl {
             config,
             graph: Arc::new(graph.clone()),
-            bidij: Arc::new(ScratchPool::new(move || BiDijkstra::new(n))),
-            ch: Arc::new(ScratchPool::new(move || ChQuery::new(n))),
-            td: Arc::new(td),
-            dis,
+            bidij: bidijkstra_pool(n),
+            ch: ch_query_pool(n),
+            h2h: Arc::new(h2h),
             disb: CowTable::from_rows(disb),
             tdp: Arc::new(tdp),
             stage: PostMhlStage::CrossBoundary,
@@ -323,10 +272,7 @@ impl PostMhl {
     /// components (distance tables, boundary arrays, shortcut arrays).
     /// Per-stage deltas of this figure are published with every snapshot.
     pub fn cow_stats(&self) -> CowStats {
-        self.dis
-            .stats()
-            .plus(self.disb.stats())
-            .plus(self.td.cow_stats())
+        self.h2h.cow_stats().plus(self.disb.stats())
     }
 
     /// The currently available query stage.
@@ -349,31 +295,37 @@ impl PostMhl {
         &self.tdp
     }
 
-    fn view_with(&self, stage: PostMhlStage) -> Arc<dyn QueryView> {
-        let parts = match stage {
-            PostMhlStage::BiDijkstra => StageParts::BiDijkstra {
-                bidij: Arc::clone(&self.bidij),
-            },
-            PostMhlStage::Pch => StageParts::Pch {
-                td: Arc::clone(&self.td),
-                ch: Arc::clone(&self.ch),
-            },
-            PostMhlStage::PostBoundary => StageParts::PostBoundary {
-                td: Arc::clone(&self.td),
-                dis: self.dis.clone(),
+    fn view_with(&self, at: PostMhlStage) -> Arc<dyn QueryView> {
+        let (algorithm, stage, graph) = ("PostMHL", at.index(), Arc::clone(&self.graph));
+        match at {
+            PostMhlStage::BiDijkstra => Arc::new(BiDijkstraView {
+                algorithm,
+                stage,
+                graph,
+                scratch: Arc::clone(&self.bidij),
+            }),
+            // The CH view pins the decomposition only, not the labels the
+            // next stages repair.
+            PostMhlStage::Pch => Arc::new(ChView {
+                algorithm,
+                stage,
+                graph,
+                ch: Arc::new(self.h2h.decomposition().clone()),
+                scratch: Arc::clone(&self.ch),
+            }),
+            PostMhlStage::PostBoundary => Arc::new(DisbView {
+                graph,
+                h2h: Arc::clone(&self.h2h),
                 disb: self.disb.clone(),
                 tdp: Arc::clone(&self.tdp),
-            },
-            PostMhlStage::CrossBoundary => StageParts::CrossBoundary {
-                td: Arc::clone(&self.td),
-                dis: self.dis.clone(),
-            },
-        };
-        Arc::new(PostMhlView {
-            graph: Arc::clone(&self.graph),
-            stage,
-            parts,
-        })
+            }),
+            PostMhlStage::CrossBoundary => Arc::new(H2hView {
+                algorithm,
+                stage,
+                graph,
+                h2h: Arc::clone(&self.h2h),
+            }),
+        }
     }
 }
 
@@ -427,7 +379,9 @@ impl IndexMaintainer for PostMhl {
         // weights are chunked COW, so this `make_mut` is a spine copy, not a
         // deep clone of the decomposition.
         let t1 = Instant::now();
-        let changes = Arc::make_mut(&mut self.td)
+        let changes = Arc::make_mut(&mut self.h2h)
+            .parts_mut()
+            .0
             .hierarchy_mut()
             .apply_batch(&self.graph, batch.as_slice());
         self.stage = PostMhlStage::Pch;
@@ -450,14 +404,13 @@ impl IndexMaintainer for PostMhl {
             }
         }
         let tdp = &self.tdp;
-        repair_labels(&self.td, &mut self.dis, overlay_changed, |c| {
-            match tdp.partition_of(c) {
-                Some(pi) => {
-                    is_affected[pi] = true;
-                    false
-                }
-                None => true,
+        let (td, dis) = Arc::make_mut(&mut self.h2h).parts_mut();
+        repair_labels(td, dis, overlay_changed, |c| match tdp.partition_of(c) {
+            Some(pi) => {
+                is_affected[pi] = true;
+                false
             }
+            None => true,
         });
         timeline.push("U3: overlay index update", t2.elapsed());
         let affected: Vec<usize> = (0..is_affected.len())
@@ -470,8 +423,9 @@ impl IndexMaintainer for PostMhl {
         let post_results = pool.run("postmhl_u4", affected.len(), |k| {
             self.post_boundary_pass(affected[k])
         });
+        let (td, dis) = Arc::make_mut(&mut self.h2h).parts_mut();
         for (&pi, res) in affected.iter().zip(post_results) {
-            let root_depth = self.td.depth(self.tdp.roots()[pi]) as usize;
+            let root_depth = td.depth(self.tdp.roots()[pi]) as usize;
             let nb = self.tdp.boundary(pi).len();
             for (i, &v) in self.tdp.vertices(pi).iter().enumerate() {
                 // Write only rows whose values actually moved, so the
@@ -482,8 +436,8 @@ impl IndexMaintainer for PostMhl {
                     self.disb.make_mut(v.index()).copy_from_slice(new_disb);
                 }
                 let new_seg = &res.seg[res.seg_start[i]..res.seg_start[i + 1]];
-                if self.dis.row(v.index())[root_depth..] != *new_seg {
-                    self.dis.make_mut(v.index())[root_depth..].copy_from_slice(new_seg);
+                if dis.row(v.index())[root_depth..] != *new_seg {
+                    dis.make_mut(v.index())[root_depth..].copy_from_slice(new_seg);
                 }
             }
         }
@@ -497,13 +451,14 @@ impl IndexMaintainer for PostMhl {
         let cross_results = pool.run("postmhl_u5", affected.len(), |k| {
             self.cross_boundary_pass(affected[k])
         });
+        let (td, dis) = Arc::make_mut(&mut self.h2h).parts_mut();
         for (&pi, prefix) in affected.iter().zip(cross_results) {
-            let root_depth = self.td.depth(self.tdp.roots()[pi]) as usize;
+            let root_depth = td.depth(self.tdp.roots()[pi]) as usize;
             for (i, &v) in self.tdp.vertices(pi).iter().enumerate() {
                 // Same changed-rows-only policy as the post-boundary merge.
                 let new_prefix = &prefix[i * root_depth..(i + 1) * root_depth];
-                if self.dis.row(v.index())[..root_depth] != *new_prefix {
-                    self.dis.make_mut(v.index())[..root_depth].copy_from_slice(new_prefix);
+                if dis.row(v.index())[..root_depth] != *new_prefix {
+                    dis.make_mut(v.index())[..root_depth].copy_from_slice(new_prefix);
                 }
             }
         }
@@ -522,8 +477,9 @@ impl IndexMaintainer for PostMhl {
     }
 
     fn index_size_bytes(&self) -> usize {
-        let labels = self.dis.num_entries() + self.disb.num_entries();
-        labels * std::mem::size_of::<Dist>() + self.td.hierarchy().index_size_bytes()
+        let labels = self.h2h.num_label_entries() + self.disb.num_entries();
+        labels * std::mem::size_of::<Dist>()
+            + self.h2h.decomposition().hierarchy().index_size_bytes()
     }
 }
 
@@ -533,7 +489,7 @@ impl PostMhl {
     /// Reads the *current* overlay labels and the rows it has itself produced;
     /// never reads another partition's rows.
     fn post_boundary_pass(&self, pi: usize) -> PostPassResult {
-        let td = &*self.td;
+        let (td, dis) = (self.h2h.decomposition(), self.h2h.labels());
         let root_depth = td.depth(self.tdp.roots()[pi]) as usize;
         let boundary = self.tdp.boundary(pi);
         let nb = boundary.len();
@@ -542,7 +498,7 @@ impl PostMhl {
         // deepest first, so each distance is one label entry.
         let mut d_matrix = vec![Dist::ZERO; nb * nb];
         for (i, &b) in boundary.iter().enumerate() {
-            let row = self.dis.row(b.index());
+            let row = dis.row(b.index());
             for (j, &shallower) in boundary.iter().enumerate().skip(i + 1) {
                 let d = row[td.depth(shallower) as usize];
                 d_matrix[i * nb + j] = d;
@@ -635,7 +591,7 @@ impl PostMhl {
     /// root-depth entries per member), returned back to back in the order of
     /// [`TdPartition::vertices`].
     fn cross_boundary_pass(&self, pi: usize) -> Vec<Dist> {
-        let td = &*self.td;
+        let (td, dis) = (self.h2h.decomposition(), self.h2h.labels());
         let root = self.tdp.roots()[pi];
         let root_depth = td.depth(root) as usize;
         // The (repaired) labels of the overlay ancestors by depth, shared by
@@ -643,7 +599,7 @@ impl PostMhl {
         let above: Vec<&[Dist]> = td
             .ancestors(root)
             .iter()
-            .map(|a| self.dis.row(a.index()))
+            .map(|a| dis.row(a.index()))
             .collect();
         let members = self.tdp.vertices(pi);
         let mut prefix = vec![INF; members.len() * root_depth];

@@ -343,6 +343,14 @@ impl Graph {
     }
 }
 
+/// Lets views read a graph through its owner (a plain graph, or a structure
+/// that embeds one).
+impl AsRef<Graph> for Graph {
+    fn as_ref(&self) -> &Graph {
+        self
+    }
+}
+
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

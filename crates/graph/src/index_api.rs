@@ -252,11 +252,6 @@ pub trait QueryView: Send + Sync {
     /// [`QueryView::distance`] equals a fresh Dijkstra run on this graph.
     fn graph(&self) -> &Graph;
 
-    /// Approximate index size in bytes (0 for index-free views).
-    fn index_size_bytes(&self) -> usize {
-        0
-    }
-
     /// Convenience: answers a [`Query`].
     fn query(&self, q: &Query) -> Dist {
         self.distance(q.source, q.target)
@@ -310,7 +305,7 @@ pub trait QuerySession {
 /// shared-reference path, through one dynamic call per answer.
 ///
 /// For stages whose `distance` needs no scratch and that have no session of
-/// their own (PMHL's no-boundary stage, PostMHL's post-boundary stage).
+/// their own (PostMHL's post-boundary stage).
 /// Views that *do* check scratch per call should implement a session that
 /// owns the scratch instead; views answering from full H2H labels use
 /// `htsp_td::LabelSession`, which calls the label kernel directly.

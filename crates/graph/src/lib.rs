@@ -24,8 +24,8 @@
 //! * [`snapshot`] — the versioned, checksummed index-snapshot wire format
 //!   ([`IndexSnapshot`], [`ByteWriter`]/[`ByteReader`]) behind
 //!   `save_snapshot`/`load_snapshot` warm restarts in `htsp-throughput`.
-//! * [`queries`] — shortest-distance query workloads: uniform random pairs and
-//!   Poisson-process arrival timestamps (§II system model).
+//! * [`queries`] — shortest-distance query sets: uniform random and local
+//!   pairs.
 //! * [`index_api`] — the read/write index API: immutable, thread-safe
 //!   [`QueryView`] snapshots published by an [`IndexMaintainer`] through a
 //!   [`SnapshotPublisher`] at the end of each completed update stage
@@ -84,7 +84,7 @@ pub use index_api::{
 };
 pub use obs::{NullSink, SpanSink, TraceId};
 pub use par::{available_parallelism, StageStats, WorkerPool};
-pub use queries::{Query, QuerySet, QueryWorkload};
+pub use queries::{Query, QuerySet};
 pub use scratch::{ScratchGuard, ScratchPool};
 pub use snapshot::{le_u32, ByteReader, ByteWriter, IndexSnapshot, SnapshotError};
 pub use storage::{Adjacency, CsrFootprint, CsrGraph};

@@ -1,10 +1,8 @@
-//! Shortest-distance query workloads.
+//! Shortest-distance query sets.
 //!
-//! Following the system model of §II and the evaluation protocol of §VII-A,
-//! queries are uniformly random `(s, t)` pairs arriving as a Poisson process
-//! with rate `λ_q`. A [`QuerySet`] is just the pairs; a [`QueryWorkload`]
-//! additionally carries arrival timestamps, for modelling queueing delay
-//! against the QoS constraint `R*_q`.
+//! Following the evaluation protocol of §VII-A, queries are uniformly random
+//! `(s, t)` pairs. A [`QuerySet`] is just the pairs; arrival times belong to
+//! the load driver in `htsp-throughput`, which draws them as it runs.
 
 use crate::graph::Graph;
 use crate::types::VertexId;
@@ -116,65 +114,6 @@ impl<'a> IntoIterator for &'a QuerySet {
     }
 }
 
-/// A timed query workload: queries plus Poisson arrival times (seconds).
-#[derive(Clone, Debug, Default)]
-pub struct QueryWorkload {
-    /// The queries, in arrival order.
-    pub queries: Vec<Query>,
-    /// Arrival time of each query, in seconds from the period start,
-    /// non-decreasing.
-    pub arrival_times: Vec<f64>,
-}
-
-impl QueryWorkload {
-    /// Generates a Poisson-process workload with arrival rate `lambda_q`
-    /// (queries per second) over a horizon of `duration` seconds.
-    pub fn poisson(graph: &Graph, lambda_q: f64, duration: f64, seed: u64) -> Self {
-        assert!(lambda_q > 0.0, "arrival rate must be positive");
-        assert!(duration > 0.0, "duration must be positive");
-        let n = graph.num_vertices();
-        assert!(n >= 2, "need at least two vertices");
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut queries = Vec::new();
-        let mut arrival_times = Vec::new();
-        let mut t = 0.0f64;
-        loop {
-            // Exponential inter-arrival times with rate lambda_q.
-            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            t += -u.ln() / lambda_q;
-            if t >= duration {
-                break;
-            }
-            let s = rng.gen_range(0..n);
-            let mut d = rng.gen_range(0..n);
-            if d == s {
-                d = (d + 1) % n;
-            }
-            queries.push(Query::new(VertexId::from_index(s), VertexId::from_index(d)));
-            arrival_times.push(t);
-        }
-        QueryWorkload {
-            queries,
-            arrival_times,
-        }
-    }
-
-    /// Number of queries in the workload.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// Returns `true` if the workload has no queries.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-
-    /// Empirical arrival rate (queries per second).
-    pub fn empirical_rate(&self, duration: f64) -> f64 {
-        self.queries.len() as f64 / duration
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,37 +147,5 @@ mod tests {
             let d = q.source.index().abs_diff(q.target.index());
             assert!(d <= 10, "local query spans {d} ids");
         }
-    }
-
-    #[test]
-    fn poisson_workload_times_are_sorted_and_rate_is_close() {
-        let g = grid(8, 8, WeightRange::default(), 1);
-        let w = QueryWorkload::poisson(&g, 500.0, 10.0, 5);
-        assert!(!w.is_empty());
-        for pair in w.arrival_times.windows(2) {
-            assert!(pair[0] <= pair[1]);
-        }
-        assert!(w.arrival_times.iter().all(|&t| t < 10.0));
-        let rate = w.empirical_rate(10.0);
-        assert!(
-            (rate - 500.0).abs() / 500.0 < 0.2,
-            "empirical rate {rate} far from 500"
-        );
-    }
-
-    #[test]
-    fn poisson_workload_deterministic() {
-        let g = grid(8, 8, WeightRange::default(), 1);
-        let a = QueryWorkload::poisson(&g, 100.0, 5.0, 9);
-        let b = QueryWorkload::poisson(&g, 100.0, 5.0, 9);
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.queries, b.queries);
-    }
-
-    #[test]
-    #[should_panic(expected = "arrival rate must be positive")]
-    fn poisson_rejects_zero_rate() {
-        let g = grid(4, 4, WeightRange::default(), 1);
-        let _ = QueryWorkload::poisson(&g, 0.0, 5.0, 9);
     }
 }

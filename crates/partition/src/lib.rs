@@ -6,9 +6,16 @@
 //!
 //! * [`planar::partition_region_growing`] — a balanced edge-cut partitioner
 //!   (seeded region growing + boundary-reducing refinement) standing in for
-//!   PUNCH \[61\], which the paper uses to build PMHL (§V-C). The PSP machinery
-//!   only needs a balanced planar partition with small boundary sets; see
-//!   DESIGN.md for the substitution argument.
+//!   PUNCH \[61\], which the paper uses to build PMHL (§V-C). The
+//!   substitution is safe because no PSP answer depends on which partition
+//!   is chosen: the boundary vertices are the endpoints of cut edges, so
+//!   every path between two partitions passes through them, and the overlay
+//!   preserves boundary-to-boundary distances for any vertex partition
+//!   (Theorem 2). The partition's quality — balance and boundary size —
+//!   only sets the cost: balance bounds the per-thread share of the
+//!   partition-parallel stages, and the boundary size bounds the overlay and
+//!   every concatenation. Those are the two quantities this partitioner
+//!   optimises.
 //! * [`td_partition::td_partition`] — the paper's own Tree-Decomposition-based
 //!   partitioning (Algorithm 2), which PostMHL uses so that the partition
 //!   structure inherits the high-quality MDE vertex ordering (§VI-A).

@@ -2,104 +2,39 @@
 //!
 //! * [`NChP`] — *N-CH-P* \[35\]: the update-oriented no-boundary PSP index with
 //!   DCH as the underlying index. Maintenance only repairs shortcut arrays;
-//!   queries run the Partitioned-CH upward search.
+//!   queries run the Partitioned-CH upward search ([`PchView`]).
 //! * [`PTdP`] — *P-TD-P* \[35\]: the query-oriented post-boundary PSP index with
 //!   DH2H as the underlying index. Same-partition queries use the corrected
 //!   partition labels `L'_i`; cross-partition queries concatenate
-//!   `L'_i`, `L̃`, and `L'_j` through the boundary vertices.
+//!   `L'_i`, `L̃`, and `L'_j` through the boundary vertices
+//!   ([`PostBoundaryView`]).
 //!
-//! Both are single-stage: one snapshot is published per batch, when the
-//! repair completes.
+//! Both keep their partitions, partition hierarchies and overlay in one
+//! [`OverlayMaintainer`], and both are single-stage: one snapshot is
+//! published per batch, when the repair completes.
 
-use crate::overlay::{OverlayGraph, OverlayMaintainer};
+use crate::overlay::OverlayMaintainer;
 use crate::partitioned::Partitioned;
-use crate::pch::PchSearcher;
-use crate::post_boundary::PostBoundaryIndexes;
+use crate::pch::{PchSearcher, PchView};
+use crate::post_boundary::{PostBoundaryIndexes, PostBoundaryView};
 use htsp_ch::{ContractionHierarchy, OrderingStrategy, ShortcutMode};
 use htsp_graph::{
-    Dist, Graph, IndexMaintainer, QuerySession, QueryView, ScratchGuard, ScratchPool,
-    SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, WorkerPool, INF,
+    Graph, IndexMaintainer, QueryView, ScratchPool, SnapshotPublisher, UpdateBatch, UpdateTimeline,
+    WorkerPool,
 };
 use htsp_partition::partition_region_growing;
 use htsp_td::H2HIndex;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Immutable N-CH-P snapshot.
-pub struct NChPView {
-    partitioned: Arc<Partitioned>,
-    partition_chs: Arc<Vec<ContractionHierarchy>>,
-    overlay: Arc<OverlayGraph>,
-    overlay_ch: Arc<ContractionHierarchy>,
-    searcher: Arc<ScratchPool<PchSearcher>>,
-}
-
-impl QueryView for NChPView {
-    fn algorithm(&self) -> &'static str {
-        "N-CH-P"
-    }
-
-    fn stage(&self) -> usize {
-        0
-    }
-
-    fn distance(&self, s: VertexId, t: VertexId) -> Dist {
-        self.searcher.with(|p| {
-            p.distance(
-                &self.partitioned,
-                &*self.partition_chs,
-                &self.overlay,
-                &self.overlay_ch,
-                s,
-                t,
-            )
-        })
-    }
-
-    fn session(&self) -> Box<dyn QuerySession + '_> {
-        Box::new(NChPSession {
-            view: self,
-            scratch: self.searcher.checkout(),
-        })
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.partitioned.graph
-    }
-
-    fn index_size_bytes(&self) -> usize {
-        self.partition_chs
-            .iter()
-            .map(|c| c.index_size_bytes())
-            .sum::<usize>()
-            + self.overlay_ch.index_size_bytes()
-    }
-}
-
-/// Per-thread N-CH-P session: owns one pooled [`PchSearcher`].
-struct NChPSession<'a> {
-    view: &'a NChPView,
-    scratch: ScratchGuard<'a, PchSearcher>,
-}
-
-impl QuerySession for NChPSession<'_> {
-    fn distance(&mut self, s: VertexId, t: VertexId) -> Dist {
-        self.scratch.distance(
-            &self.view.partitioned,
-            &*self.view.partition_chs,
-            &self.view.overlay,
-            &self.view.overlay_ch,
-            s,
-            t,
-        )
-    }
+/// Total index bytes of the partition hierarchies.
+fn hierarchy_bytes(core: &OverlayMaintainer) -> usize {
+    core.hierarchies.iter().map(|c| c.index_size_bytes()).sum()
 }
 
 /// N-CH-P: no-boundary PSP index over DCH (write half).
 pub struct NChP {
-    partitioned: Arc<Partitioned>,
-    partition_chs: Arc<Vec<ContractionHierarchy>>,
-    overlay: Arc<OverlayGraph>,
+    core: OverlayMaintainer,
     overlay_ch: Arc<ContractionHierarchy>,
     searcher: Arc<ScratchPool<PchSearcher>>,
 }
@@ -109,25 +44,19 @@ impl NChP {
     /// hierarchies constructed concurrently on `pool`. Identical result at
     /// any thread count.
     pub fn build(graph: &Graph, k: usize, seed: u64, pool: &WorkerPool) -> Self {
-        let OverlayMaintainer {
-            partitioned,
-            hierarchies: partition_chs,
-            overlay,
-        } = OverlayMaintainer::build(
+        let core = OverlayMaintainer::build(
             graph.clone(),
             partition_region_growing(graph, k, seed),
             pool,
         );
         let overlay_ch = ContractionHierarchy::build(
-            &overlay.graph,
+            &core.overlay.graph,
             OrderingStrategy::MinDegree,
             ShortcutMode::AllPairs,
         );
         let n = graph.num_vertices();
         NChP {
-            partitioned: Arc::new(partitioned),
-            partition_chs: Arc::new(partition_chs),
-            overlay: Arc::new(overlay),
+            core,
             overlay_ch: Arc::new(overlay_ch),
             searcher: Arc::new(ScratchPool::new(move || PchSearcher::new(n))),
         }
@@ -135,7 +64,7 @@ impl NChP {
 
     /// The partitioned view (for tests and experiments).
     pub fn partitioned(&self) -> &Partitioned {
-        &self.partitioned
+        &self.core.partitioned
     }
 }
 
@@ -152,207 +81,38 @@ impl IndexMaintainer for NChP {
     ) -> UpdateTimeline {
         let mut timeline = UpdateTimeline::default();
         let t0 = Instant::now();
-        let routed = Arc::make_mut(&mut self.partitioned).apply_batch(batch);
+        let routed = self.core.route(batch);
         timeline.push("U1: on-spot edge update", t0.elapsed());
 
         let t1 = Instant::now();
-        let mut per_part = Vec::new();
-        {
-            let chs = Arc::make_mut(&mut self.partition_chs);
-            for (i, ch) in chs.iter_mut().enumerate() {
-                if routed.intra[i].is_empty() {
-                    continue;
-                }
-                let changes = ch.apply_batch(
-                    &self.partitioned.subgraphs[i].graph,
-                    routed.intra[i].as_slice(),
-                );
-                per_part.push((i, changes));
-            }
-        }
-        let overlay_batch = Arc::make_mut(&mut self.overlay).apply_changes(
-            &self.partitioned,
-            &routed.inter,
-            &per_part,
-        );
+        let overlay_batch = self.core.repair(&routed);
         Arc::make_mut(&mut self.overlay_ch)
-            .apply_batch(&self.overlay.graph, overlay_batch.as_slice());
+            .apply_batch(&self.core.overlay.graph, overlay_batch.as_slice());
         publisher.publish(self.current_view());
         timeline.push("U2: no-boundary shortcut update", t1.elapsed());
         timeline
     }
 
     fn current_view(&self) -> Arc<dyn QueryView> {
-        Arc::new(NChPView {
-            partitioned: Arc::clone(&self.partitioned),
-            partition_chs: Arc::clone(&self.partition_chs),
-            overlay: Arc::clone(&self.overlay),
+        Arc::new(PchView {
+            algorithm: "N-CH-P",
+            stage: 0,
+            partitioned: Arc::clone(&self.core.partitioned),
+            partition_chs: self.core.hierarchies.clone(),
+            overlay: Arc::clone(&self.core.overlay),
             overlay_ch: Arc::clone(&self.overlay_ch),
             searcher: Arc::clone(&self.searcher),
         })
     }
 
     fn index_size_bytes(&self) -> usize {
-        self.partition_chs
-            .iter()
-            .map(|c| c.index_size_bytes())
-            .sum::<usize>()
-            + self.overlay_ch.index_size_bytes()
-    }
-}
-
-/// Immutable P-TD-P snapshot.
-pub struct PTdPView {
-    partitioned: Arc<Partitioned>,
-    partition_chs: Arc<Vec<ContractionHierarchy>>,
-    overlay: Arc<OverlayGraph>,
-    overlay_index: Arc<H2HIndex>,
-    post: Arc<PostBoundaryIndexes>,
-}
-
-impl PTdPView {
-    /// Distance from a vertex to a boundary vertex of its own partition using
-    /// `L'_i` (both global ids).
-    fn to_boundary(&self, v: VertexId) -> Vec<(VertexId, Dist)> {
-        if self.partitioned.partition.is_boundary(v) {
-            return vec![(v, Dist::ZERO)];
-        }
-        let pi = self.partitioned.partition.partition_of(v);
-        let sub = &self.partitioned.subgraphs[pi];
-        let lv = sub.to_local(v).expect("vertex must be in its partition");
-        sub.boundary_local
-            .iter()
-            .map(|&lb| {
-                (
-                    sub.to_global(lb),
-                    self.post.distance_to_boundary(pi, lv, lb),
-                )
-            })
-            .collect()
-    }
-
-    /// Cross-partition distance to `t` given the precomputed boundary labels
-    /// `from_s` of the source — the `L'_i` ∘ `L̃` ∘ `L'_j` concatenation.
-    /// Sessions compute `from_s` once per source and reuse it across a whole
-    /// target set.
-    fn cross_distance(&self, from_s: &[(VertexId, Dist)], t: VertexId) -> Dist {
-        let from_t = self.to_boundary(t);
-        let mut best = INF;
-        for &(bp, dp) in from_s {
-            if dp.is_inf() {
-                continue;
-            }
-            let lbp = match self.overlay.to_local(bp) {
-                Some(l) => l,
-                None => continue,
-            };
-            for &(bq, dq) in &from_t {
-                if dq.is_inf() {
-                    continue;
-                }
-                let mid = if bp == bq {
-                    Dist::ZERO
-                } else {
-                    match self.overlay.to_local(bq) {
-                        Some(lbq) => self.overlay_index.distance(lbp, lbq),
-                        None => INF,
-                    }
-                };
-                let cand = dp.saturating_add(mid).saturating_add(dq);
-                if cand < best {
-                    best = cand;
-                }
-            }
-        }
-        best
-    }
-}
-
-/// Per-thread P-TD-P session: label lookups need no scratch, but the session
-/// caches the source-side boundary labels (`L'_i(s)`) so a one-to-many or
-/// matrix row computes them once instead of once per target.
-struct PTdPSession<'a> {
-    view: &'a PTdPView,
-    /// `(source, its boundary labels)` of the most recent cross-partition
-    /// source, reused while the source stays the same.
-    source: Option<(VertexId, Vec<(VertexId, Dist)>)>,
-}
-
-impl PTdPSession<'_> {
-    fn boundary_of(&mut self, s: VertexId) -> &[(VertexId, Dist)] {
-        if self.source.as_ref().map(|(v, _)| *v) != Some(s) {
-            self.source = Some((s, self.view.to_boundary(s)));
-        }
-        &self.source.as_ref().expect("just set").1
-    }
-}
-
-impl QuerySession for PTdPSession<'_> {
-    fn distance(&mut self, s: VertexId, t: VertexId) -> Dist {
-        if s == t {
-            return Dist::ZERO;
-        }
-        if self.view.partitioned.partition.same_partition(s, t) {
-            let pi = self.view.partitioned.partition.partition_of(s);
-            return self
-                .view
-                .post
-                .same_partition_distance(&self.view.partitioned, pi, s, t);
-        }
-        let view = self.view;
-        view.cross_distance(self.boundary_of(s), t)
-    }
-}
-
-impl QueryView for PTdPView {
-    fn algorithm(&self) -> &'static str {
-        "P-TD-P"
-    }
-
-    fn stage(&self) -> usize {
-        0
-    }
-
-    fn distance(&self, s: VertexId, t: VertexId) -> Dist {
-        if s == t {
-            return Dist::ZERO;
-        }
-        if self.partitioned.partition.same_partition(s, t) {
-            let pi = self.partitioned.partition.partition_of(s);
-            return self
-                .post
-                .same_partition_distance(&self.partitioned, pi, s, t);
-        }
-        // Cross-partition: concatenate L'_i, L̃, L'_j.
-        self.cross_distance(&self.to_boundary(s), t)
-    }
-
-    fn session(&self) -> Box<dyn QuerySession + '_> {
-        Box::new(PTdPSession {
-            view: self,
-            source: None,
-        })
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.partitioned.graph
-    }
-
-    fn index_size_bytes(&self) -> usize {
-        self.partition_chs
-            .iter()
-            .map(|c| c.index_size_bytes())
-            .sum::<usize>()
-            + self.overlay_index.index_size_bytes()
-            + self.post.index_size_bytes()
+        hierarchy_bytes(&self.core) + self.overlay_ch.index_size_bytes()
     }
 }
 
 /// P-TD-P: post-boundary PSP index over DH2H (write half).
 pub struct PTdP {
-    partitioned: Arc<Partitioned>,
-    partition_chs: Arc<Vec<ContractionHierarchy>>,
-    overlay: Arc<OverlayGraph>,
+    core: OverlayMaintainer,
     overlay_index: Arc<H2HIndex>,
     post: Arc<PostBoundaryIndexes>,
 }
@@ -362,21 +122,16 @@ impl PTdP {
     /// hierarchies and extended-partition indexes constructed concurrently on
     /// `pool`. Identical result at any thread count.
     pub fn build(graph: &Graph, k: usize, seed: u64, pool: &WorkerPool) -> Self {
-        let OverlayMaintainer {
-            partitioned,
-            hierarchies: partition_chs,
-            overlay,
-        } = OverlayMaintainer::build(
+        let core = OverlayMaintainer::build(
             graph.clone(),
             partition_region_growing(graph, k, seed),
             pool,
         );
-        let overlay_index = H2HIndex::build(&overlay.graph);
-        let post = PostBoundaryIndexes::build(&partitioned, &overlay, &overlay_index, pool);
+        let overlay_index = H2HIndex::build(&core.overlay.graph);
+        let post =
+            PostBoundaryIndexes::build(&core.partitioned, &core.overlay, &overlay_index, pool);
         PTdP {
-            partitioned: Arc::new(partitioned),
-            partition_chs: Arc::new(partition_chs),
-            overlay: Arc::new(overlay),
+            core,
             overlay_index: Arc::new(overlay_index),
             post: Arc::new(post),
         }
@@ -384,7 +139,7 @@ impl PTdP {
 
     /// The partitioned view (for tests and experiments).
     pub fn partitioned(&self) -> &Partitioned {
-        &self.partitioned
+        &self.core.partitioned
     }
 }
 
@@ -401,40 +156,22 @@ impl IndexMaintainer for PTdP {
     ) -> UpdateTimeline {
         let mut timeline = UpdateTimeline::default();
         let t0 = Instant::now();
-        let routed = Arc::make_mut(&mut self.partitioned).apply_batch(batch);
+        let routed = self.core.route(batch);
         timeline.push("U1: on-spot edge update", t0.elapsed());
 
         // No-boundary shortcut + overlay label update (steps 1-3 of the
         // post-boundary update procedure, Fig. 16).
         let t1 = Instant::now();
-        let mut per_part = Vec::new();
-        {
-            let chs = Arc::make_mut(&mut self.partition_chs);
-            for (i, ch) in chs.iter_mut().enumerate() {
-                if routed.intra[i].is_empty() {
-                    continue;
-                }
-                let changes = ch.apply_batch(
-                    &self.partitioned.subgraphs[i].graph,
-                    routed.intra[i].as_slice(),
-                );
-                per_part.push((i, changes));
-            }
-        }
-        let overlay_batch = Arc::make_mut(&mut self.overlay).apply_changes(
-            &self.partitioned,
-            &routed.inter,
-            &per_part,
-        );
+        let overlay_batch = self.core.repair(&routed);
         Arc::make_mut(&mut self.overlay_index)
-            .apply_batch(&self.overlay.graph, overlay_batch.as_slice());
+            .apply_batch(&self.core.overlay.graph, overlay_batch.as_slice());
         timeline.push("U2-3: overlay update", t1.elapsed());
 
         // Post-boundary index update (steps 4-5).
         let t2 = Instant::now();
         Arc::make_mut(&mut self.post).update(
-            &self.partitioned,
-            &self.overlay,
+            &self.core.partitioned,
+            &self.core.overlay,
             &self.overlay_index,
             &routed.intra,
         );
@@ -444,20 +181,18 @@ impl IndexMaintainer for PTdP {
     }
 
     fn current_view(&self) -> Arc<dyn QueryView> {
-        Arc::new(PTdPView {
-            partitioned: Arc::clone(&self.partitioned),
-            partition_chs: Arc::clone(&self.partition_chs),
-            overlay: Arc::clone(&self.overlay),
+        Arc::new(PostBoundaryView {
+            algorithm: "P-TD-P",
+            stage: 0,
+            partitioned: Arc::clone(&self.core.partitioned),
+            overlay: Arc::clone(&self.core.overlay),
             overlay_index: Arc::clone(&self.overlay_index),
             post: Arc::clone(&self.post),
         })
     }
 
     fn index_size_bytes(&self) -> usize {
-        self.partition_chs
-            .iter()
-            .map(|c| c.index_size_bytes())
-            .sum::<usize>()
+        hierarchy_bytes(&self.core)
             + self.overlay_index.index_size_bytes()
             + self.post.index_size_bytes()
     }

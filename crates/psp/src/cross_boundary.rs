@@ -9,16 +9,26 @@
 //!
 //! This implementation stores the labels as sorted `(hub, distance)` vectors —
 //! a flat representation of the index rather than the tree-aggregated layout
-//! of Algorithm 1; the asymptotic query cost (one sorted-merge over the two
-//! label sets) is the same, and DESIGN.md records the simplification.
+//! of Algorithm 1. The flat form is exact for the same reason: a
+//! cross-partition shortest path leaves `s`'s partition through some
+//! boundary vertex `b` and enters `t`'s through some `b'`; the overlay labels
+//! of `b` and `b'` share a hub on that path (the 2-hop cover of `L̃`), and
+//! that hub is in both flat labels with an entry no longer than the path
+//! (Lemma 2). A query is one sorted merge, linear in the two label lengths;
+//! every hub is an overlay vertex, so a label has at most `|B|` entries.
+//!
+//! [`CrossBoundaryView`] answers PMHL's final query stage from `L*` and the
+//! post-boundary labels.
 
+use crate::concat::{FromSource, Source, SourceSession};
 use crate::overlay::OverlayGraph;
 use crate::partitioned::Partitioned;
 use crate::post_boundary::PostBoundaryIndexes;
 use htsp_graph::cow::{CowStats, CowTable};
-use htsp_graph::{Dist, VertexId, INF};
+use htsp_graph::{Dist, Graph, QuerySession, QueryView, VertexId, INF};
 use htsp_td::H2HIndex;
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The flat cross-boundary labeling `L*`.
@@ -203,6 +213,60 @@ impl CrossBoundaryIndex {
     /// Approximate size of `L*` in bytes.
     pub fn index_size_bytes(&self) -> usize {
         self.labels.num_entries() * std::mem::size_of::<(u32, Dist)>()
+    }
+}
+
+/// Cross-boundary snapshot (PMHL's Q-Stage 5): same-partition pairs from
+/// `L'_i`, cross-partition pairs by one 2-hop join over `L*` — no
+/// concatenation.
+pub struct CrossBoundaryView {
+    /// The algorithm that publishes the view.
+    pub algorithm: &'static str,
+    /// The query stage it is published as.
+    pub stage: usize,
+    /// The partition layout and the graph snapshot.
+    pub partitioned: Arc<Partitioned>,
+    /// The post-boundary partition indexes `{L'_i}`.
+    pub post: Arc<PostBoundaryIndexes>,
+    /// The cross-boundary labels `L*`.
+    pub cross: Arc<CrossBoundaryIndex>,
+}
+
+impl FromSource for CrossBoundaryView {
+    fn partitioned(&self) -> &Partitioned {
+        &self.partitioned
+    }
+
+    fn distance_from(&self, source: &mut Source, t: VertexId) -> Dist {
+        let ps = source.partition();
+        if self.partitioned.partition.partition_of(t) == ps {
+            self.post
+                .same_partition_distance(&self.partitioned, ps, source.vertex(), t)
+        } else {
+            self.cross.cross_distance(source.vertex(), t)
+        }
+    }
+}
+
+impl QueryView for CrossBoundaryView {
+    fn algorithm(&self) -> &'static str {
+        self.algorithm
+    }
+
+    fn stage(&self) -> usize {
+        self.stage
+    }
+
+    fn distance(&self, s: VertexId, t: VertexId) -> Dist {
+        self.distance_once(s, t)
+    }
+
+    fn session(&self) -> Box<dyn QuerySession + '_> {
+        Box::new(SourceSession::new(self))
+    }
+
+    fn graph(&self) -> &Graph {
+        &self.partitioned.graph
     }
 }
 

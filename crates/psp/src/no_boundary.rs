@@ -6,144 +6,143 @@
 //! vertices. This is exactly the distance concatenation whose cost the
 //! cross-boundary strategy of §IV-A later removes.
 
+use crate::concat::{boundary_fan, concatenate, FromSource, Source, SourceSession};
 use crate::overlay::OverlayGraph;
 use crate::partition_index::PartitionIndex;
 use crate::partitioned::Partitioned;
-use htsp_graph::{Dist, VertexId, INF};
+use htsp_graph::cow::CowVec;
+use htsp_graph::{Dist, Graph, QuerySession, QueryView, VertexId, INF};
 use htsp_td::H2HIndex;
+use std::sync::Arc;
 
-/// Distance from `v` to each boundary vertex of its own partition, using the
-/// no-boundary partition index (within-partition distances). If `v` is itself
-/// a boundary vertex the list is just `[(v, 0)]`.
-///
-/// Generic over the index container so both plain slices and the
-/// chunk-granular [`CowVec`](htsp_graph::cow::CowVec) the maintainers keep
-/// their partition indexes in can be queried.
-fn boundary_distances<I>(
-    partitioned: &Partitioned,
-    indexes: &I,
-    v: VertexId,
-) -> Vec<(VertexId, Dist)>
-where
-    I: std::ops::Index<usize, Output = PartitionIndex> + ?Sized,
-{
-    if partitioned.partition.is_boundary(v) {
-        return vec![(v, Dist::ZERO)];
-    }
-    let pi = partitioned.partition.partition_of(v);
-    let sub = &partitioned.subgraphs[pi];
-    let lv = sub.to_local(v).expect("vertex must map into its partition");
-    indexes[pi]
-        .boundary_local
-        .iter()
-        .map(|&lb| (sub.to_global(lb), indexes[pi].distance_local(lv, lb)))
-        .collect()
+/// No-boundary snapshot (PMHL's Q-Stage 3): `{L_i}` + `L̃` with distance
+/// concatenation — the same-partition case and the four cross-partition
+/// cases of §III-C.
+pub struct NoBoundaryView {
+    /// The algorithm that publishes the view.
+    pub algorithm: &'static str,
+    /// The query stage it is published as.
+    pub stage: usize,
+    /// The partition layout and the graph snapshot.
+    pub partitioned: Arc<Partitioned>,
+    /// The no-boundary partition indexes `{L_i}`, one per chunk.
+    pub partition_indexes: CowVec<PartitionIndex>,
+    /// The overlay graph and its id maps.
+    pub overlay: Arc<OverlayGraph>,
+    /// The overlay labels `L̃`.
+    pub overlay_index: Arc<H2HIndex>,
 }
 
-/// Answers a query with the no-boundary strategy: `{L_i}` + `L̃` with distance
-/// concatenation (same-partition Case and the four cross-partition cases of
-/// §III-C).
-pub fn no_boundary_distance<I>(
-    partitioned: &Partitioned,
-    indexes: &I,
-    overlay: &OverlayGraph,
-    overlay_index: &H2HIndex,
-    s: VertexId,
-    t: VertexId,
-) -> Dist
-where
-    I: std::ops::Index<usize, Output = PartitionIndex> + ?Sized,
-{
-    if s == t {
-        return Dist::ZERO;
+impl FromSource for NoBoundaryView {
+    fn partitioned(&self) -> &Partitioned {
+        &self.partitioned
     }
-    let overlay_dist = |a: VertexId, b: VertexId| -> Dist {
-        match (overlay.to_local(a), overlay.to_local(b)) {
-            (Some(la), Some(lb)) => overlay_index.distance(la, lb),
-            _ => INF,
+
+    fn distance_from(&self, source: &mut Source, t: VertexId) -> Dist {
+        let (partitioned, indexes) = (&*self.partitioned, &self.partition_indexes);
+        let ps = source.partition();
+        let mut best = INF;
+        if partitioned.partition.partition_of(t) == ps {
+            let sub = &partitioned.subgraphs[ps];
+            let (ls, lt) = (sub.to_local(source.vertex()), sub.to_local(t));
+            best = indexes[ps].distance_local(ls.unwrap(), lt.unwrap());
         }
-    };
-    let same = partitioned.partition.same_partition(s, t);
-    let mut best = INF;
-    if same {
-        let pi = partitioned.partition.partition_of(s);
-        let sub = &partitioned.subgraphs[pi];
-        let (ls, lt) = (sub.to_local(s).unwrap(), sub.to_local(t).unwrap());
-        best = indexes[pi].distance_local(ls, lt);
+        // The route through the overlay: needed for cross-partition queries,
+        // and possibly shorter than the in-partition route for
+        // same-partition queries under the no-boundary strategy.
+        let fan = |v| {
+            boundary_fan(partitioned, v, |pi, lv, lb| {
+                indexes[pi].distance_local(lv, lb)
+            })
+        };
+        let from_t = fan(t);
+        best.min(concatenate(
+            &self.overlay,
+            &self.overlay_index,
+            source.fan(fan),
+            &from_t,
+        ))
     }
-    // Concatenated route through the overlay (needed for cross-partition
-    // queries, and possibly shorter than the in-partition route for
-    // same-partition queries under the no-boundary strategy).
-    let from_s = boundary_distances(partitioned, indexes, s);
-    let from_t = boundary_distances(partitioned, indexes, t);
-    for &(bp, dp) in &from_s {
-        if dp.is_inf() {
-            continue;
-        }
-        for &(bq, dq) in &from_t {
-            if dq.is_inf() {
-                continue;
-            }
-            let mid = if bp == bq {
-                Dist::ZERO
-            } else {
-                overlay_dist(bp, bq)
-            };
-            let cand = dp.saturating_add(mid).saturating_add(dq);
-            if cand < best {
-                best = cand;
-            }
-        }
+}
+
+impl QueryView for NoBoundaryView {
+    fn algorithm(&self) -> &'static str {
+        self.algorithm
     }
-    best
+
+    fn stage(&self) -> usize {
+        self.stage
+    }
+
+    fn distance(&self, s: VertexId, t: VertexId) -> Dist {
+        self.distance_once(s, t)
+    }
+
+    fn session(&self) -> Box<dyn QuerySession + '_> {
+        Box::new(SourceSession::new(self))
+    }
+
+    fn graph(&self) -> &Graph {
+        &self.partitioned.graph
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition_index::PartitionIndex;
     use htsp_graph::gen::{grid, WeightRange};
     use htsp_graph::QuerySet;
     use htsp_partition::partition_region_growing;
     use htsp_search::dijkstra_distance;
     use htsp_td::TreeDecomposition;
 
-    #[test]
-    fn no_boundary_query_matches_dijkstra() {
-        let g = grid(9, 9, WeightRange::new(1, 20), 13);
-        let pr = partition_region_growing(&g, 4, 2);
+    /// The no-boundary view over a `k`-partition of `g`.
+    fn view(g: Graph, k: usize, seed: u64) -> NoBoundaryView {
+        let pr = partition_region_growing(&g, k, seed);
         let p = Partitioned::build(g, pr);
         let indexes: Vec<PartitionIndex> = p.subgraphs.iter().map(PartitionIndex::build).collect();
         let chs: Vec<&htsp_ch::ContractionHierarchy> =
             indexes.iter().map(|i| i.hierarchy()).collect();
         let overlay = OverlayGraph::build(&p, &chs);
         let overlay_index = H2HIndex::from_decomposition(TreeDecomposition::build(&overlay.graph));
-        let qs = QuerySet::random(&p.graph, 150, 21);
+        NoBoundaryView {
+            algorithm: "PMHL",
+            stage: 2,
+            partitioned: Arc::new(p),
+            partition_indexes: CowVec::from_vec(indexes, 1),
+            overlay: Arc::new(overlay),
+            overlay_index: Arc::new(overlay_index),
+        }
+    }
+
+    #[test]
+    fn no_boundary_query_matches_dijkstra() {
+        let view = view(grid(9, 9, WeightRange::new(1, 20), 13), 4, 2);
+        let g = view.graph();
+        let qs = QuerySet::random(g, 150, 21);
+        let mut session = view.session();
         for q in &qs {
-            let expect = dijkstra_distance(&p.graph, q.source, q.target);
-            let got =
-                no_boundary_distance(&p, &indexes, &overlay, &overlay_index, q.source, q.target);
+            let expect = dijkstra_distance(g, q.source, q.target);
+            let got = view.distance(q.source, q.target);
             assert_eq!(got, expect, "no-boundary mismatch for {:?}", q);
+            assert_eq!(session.query(q), expect, "session mismatch for {:?}", q);
         }
     }
 
     #[test]
     fn same_partition_queries_are_covered() {
-        let g = grid(8, 8, WeightRange::new(1, 15), 5);
-        let pr = partition_region_growing(&g, 4, 7);
-        let p = Partitioned::build(g, pr);
-        let indexes: Vec<PartitionIndex> = p.subgraphs.iter().map(PartitionIndex::build).collect();
-        let chs: Vec<&htsp_ch::ContractionHierarchy> =
-            indexes.iter().map(|i| i.hierarchy()).collect();
-        let overlay = OverlayGraph::build(&p, &chs);
-        let overlay_index = H2HIndex::from_decomposition(TreeDecomposition::build(&overlay.graph));
+        let view = view(grid(8, 8, WeightRange::new(1, 15), 5), 4, 7);
+        let g = view.graph();
         // Pick pairs inside partition 0 explicitly.
-        let members = p.partition.vertices(0);
+        let members = view.partitioned.partition.vertices(0);
         for i in (0..members.len().saturating_sub(1)).step_by(3) {
             let (s, t) = (members[i], members[i + 1]);
-            let expect = dijkstra_distance(&p.graph, s, t);
-            let got = no_boundary_distance(&p, &indexes, &overlay, &overlay_index, s, t);
-            assert_eq!(got, expect, "same-partition mismatch {s}->{t}");
+            let expect = dijkstra_distance(g, s, t);
+            assert_eq!(
+                view.distance(s, t),
+                expect,
+                "same-partition mismatch {s}->{t}"
+            );
         }
     }
 }

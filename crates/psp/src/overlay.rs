@@ -10,10 +10,12 @@
 
 use crate::partitioned::{Partitioned, RoutedUpdates};
 use htsp_ch::{ContractionHierarchy, ShortcutChange};
+use htsp_graph::cow::CowVec;
 use htsp_graph::{
     EdgeId, EdgeUpdate, Graph, GraphBuilder, UpdateBatch, VertexId, Weight, WorkerPool,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::Arc;
 
 /// Where an overlay edge's weight comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,22 +190,26 @@ impl OverlayGraph {
 /// [`OverlayGraph`] they feed, kept mutually consistent across update
 /// batches.
 ///
-/// This bundles the three-step maintenance recipe (route + apply the batch,
-/// repair each affected partition hierarchy, map the shortcut changes onto
-/// overlay edges) behind one [`OverlayMaintainer::apply`] call, so callers
-/// like the sharded serving tier's router hold a single object whose overlay
-/// graph always preserves the *global* boundary-to-boundary distances of the
-/// current weights (Theorem 2).
+/// This bundles the maintenance recipe (route + apply the batch, repair each
+/// affected partition hierarchy, map the shortcut changes onto overlay
+/// edges), so its holders — N-CH-P, P-TD-P and the sharded serving tier's
+/// router — keep one object whose overlay graph always preserves the
+/// *global* boundary-to-boundary distances of the current weights
+/// (Theorem 2).
+///
+/// The components are shared the way snapshots share them: the partitioned
+/// view and the overlay behind `Arc`s, the hierarchies one per chunk of a
+/// [`CowVec`]. A repair copies only what a published view still pins.
 #[derive(Clone, Debug)]
 pub struct OverlayMaintainer {
     /// The partitioned view (global graph + per-partition subgraph copies),
     /// kept at current weights.
-    pub partitioned: Partitioned,
+    pub partitioned: Arc<Partitioned>,
     /// Per-partition boundary-first hierarchies generating the overlay's
     /// partition shortcuts.
-    pub hierarchies: Vec<ContractionHierarchy>,
+    pub hierarchies: CowVec<ContractionHierarchy>,
     /// The maintained overlay graph.
-    pub overlay: OverlayGraph,
+    pub overlay: Arc<OverlayGraph>,
 }
 
 impl OverlayMaintainer {
@@ -224,37 +230,40 @@ impl OverlayMaintainer {
         let refs: Vec<&ContractionHierarchy> = hierarchies.iter().collect();
         let overlay = OverlayGraph::build(&partitioned, &refs);
         OverlayMaintainer {
-            partitioned,
-            hierarchies,
-            overlay,
+            partitioned: Arc::new(partitioned),
+            hierarchies: CowVec::from_vec(hierarchies, 1),
+            overlay: Arc::new(overlay),
         }
     }
 
-    /// Applies one update batch (global edge ids) end to end: U-Stage 1 on
-    /// the global graph and subgraph copies, the DCH repair of every affected
+    /// U-Stage 1: installs `batch` (global edge ids) in the global graph and
+    /// the subgraph copies, and routes it into intra- and inter-partition
+    /// updates.
+    pub fn route(&mut self, batch: &UpdateBatch) -> RoutedUpdates {
+        Arc::make_mut(&mut self.partitioned).apply_batch(batch)
+    }
+
+    /// U-Stage 2 of a [`Self::route`]d batch: the DCH repair of every affected
     /// partition hierarchy, and the overlay edge updates those changes imply.
-    ///
-    /// Returns the routed batch (who was touched) and the overlay's own
-    /// update batch (empty when no boundary-incident weight changed).
-    pub fn apply(&mut self, batch: &UpdateBatch) -> (RoutedUpdates, UpdateBatch) {
-        let routed = self.partitioned.apply_batch(batch);
+    /// Returns the overlay's own update batch (empty when no
+    /// boundary-incident weight changed).
+    pub fn repair(&mut self, routed: &RoutedUpdates) -> UpdateBatch {
         let mut per_part = Vec::new();
         for i in routed.affected_partitions() {
-            let changes = self.hierarchies[i].apply_batch(
+            let changes = self.hierarchies.make_mut(i).apply_batch(
                 &self.partitioned.subgraphs[i].graph,
                 routed.intra[i].as_slice(),
             );
             per_part.push((i, changes));
         }
-        let overlay_batch = self
-            .overlay
-            .apply_changes(&self.partitioned, &routed.inter, &per_part);
-        (routed, overlay_batch)
+        Arc::make_mut(&mut self.overlay).apply_changes(&self.partitioned, &routed.inter, &per_part)
     }
 
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitioned.num_partitions()
+    /// Applies one update batch end to end: [`Self::route`], then
+    /// [`Self::repair`].
+    pub fn apply(&mut self, batch: &UpdateBatch) {
+        let routed = self.route(batch);
+        self.repair(&routed);
     }
 }
 

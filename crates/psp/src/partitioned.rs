@@ -74,6 +74,14 @@ pub struct Partitioned {
     pub subgraphs: Vec<Subgraph>,
 }
 
+/// The global graph is what an index-free search over the partitioned
+/// network reads.
+impl AsRef<Graph> for Partitioned {
+    fn as_ref(&self) -> &Graph {
+        &self.graph
+    }
+}
+
 impl Partitioned {
     /// Builds the partitioned view. The subgraphs copy the current weights of
     /// `graph`.

@@ -11,12 +11,18 @@
 //! orders are boundary-first and the overlay preserves global boundary
 //! distances (Theorem 2), the standard CH meeting argument applies to the
 //! union graph.
+//!
+//! [`PchView`] is the snapshot of both: N-CH-P publishes it over its
+//! partition hierarchies and overlay hierarchy, PMHL (Q-Stage 2) over the
+//! shortcut arrays of its partition and overlay MHLs.
 
 use crate::overlay::OverlayGraph;
 use crate::partitioned::Partitioned;
 use htsp_ch::ContractionHierarchy;
-use htsp_graph::{Dist, VertexId, INF};
+use htsp_graph::cow::CowVec;
+use htsp_graph::{Dist, Graph, QuerySession, QueryView, ScratchGuard, ScratchPool, VertexId, INF};
 use htsp_search::MinHeap;
+use std::sync::Arc;
 
 /// Reusable PCH query state.
 #[derive(Clone, Debug)]
@@ -58,9 +64,8 @@ impl PchSearcher {
     /// and the overlay hierarchy.
     ///
     /// Generic over the hierarchy container (`P`): plain slices/vectors work,
-    /// and so does the chunk-granular
-    /// [`CowVec`](htsp_graph::cow::CowVec)`<PartitionIndex>` PMHL keeps its
-    /// partition indexes in.
+    /// and so does the chunk-granular [`CowVec`] the views keep their
+    /// partition hierarchies in.
     pub fn distance<P, C>(
         &mut self,
         partitioned: &Partitioned,
@@ -150,6 +155,93 @@ impl PchSearcher {
             }
         }
         best
+    }
+}
+
+/// Partitioned-CH snapshot: N-CH-P, and PMHL's Q-Stage 2.
+///
+/// The partition hierarchies are read through their owners `C` (a bare
+/// hierarchy, or a partition MHL), one per chunk of a [`CowVec`], and the
+/// overlay hierarchy through its owner `O` (a bare hierarchy, or the overlay
+/// MHL's decomposition).
+pub struct PchView<C, O> {
+    /// The algorithm that publishes the view.
+    pub algorithm: &'static str,
+    /// The query stage it is published as.
+    pub stage: usize,
+    /// The partition layout and the graph snapshot.
+    pub partitioned: Arc<Partitioned>,
+    /// The partition hierarchies, through their owners, one per chunk.
+    pub partition_chs: CowVec<C>,
+    /// The overlay graph and its id maps.
+    pub overlay: Arc<OverlayGraph>,
+    /// The overlay hierarchy, through its owner.
+    pub overlay_ch: Arc<O>,
+    /// Searchers shared by every view of the index.
+    pub searcher: Arc<ScratchPool<PchSearcher>>,
+}
+
+impl<C, O> QueryView for PchView<C, O>
+where
+    C: AsRef<ContractionHierarchy> + Clone + Send + Sync,
+    O: AsRef<ContractionHierarchy> + Send + Sync,
+{
+    fn algorithm(&self) -> &'static str {
+        self.algorithm
+    }
+
+    fn stage(&self) -> usize {
+        self.stage
+    }
+
+    fn distance(&self, s: VertexId, t: VertexId) -> Dist {
+        self.searcher.with(|p| {
+            p.distance(
+                &self.partitioned,
+                &self.partition_chs,
+                &self.overlay,
+                (*self.overlay_ch).as_ref(),
+                s,
+                t,
+            )
+        })
+    }
+
+    fn session(&self) -> Box<dyn QuerySession + '_> {
+        Box::new(PchSession {
+            partitioned: &self.partitioned,
+            partition_chs: &self.partition_chs,
+            overlay: &self.overlay,
+            overlay_ch: (*self.overlay_ch).as_ref(),
+            scratch: self.searcher.checkout(),
+        })
+    }
+
+    fn graph(&self) -> &Graph {
+        &self.partitioned.graph
+    }
+}
+
+/// Per-thread Partitioned-CH session: owns one pooled [`PchSearcher`] for
+/// its lifetime.
+struct PchSession<'a, C> {
+    partitioned: &'a Partitioned,
+    partition_chs: &'a CowVec<C>,
+    overlay: &'a OverlayGraph,
+    overlay_ch: &'a ContractionHierarchy,
+    scratch: ScratchGuard<'a, PchSearcher>,
+}
+
+impl<C: AsRef<ContractionHierarchy> + Clone> QuerySession for PchSession<'_, C> {
+    fn distance(&mut self, s: VertexId, t: VertexId) -> Dist {
+        self.scratch.distance(
+            self.partitioned,
+            self.partition_chs,
+            self.overlay,
+            self.overlay_ch,
+            s,
+            t,
+        )
     }
 }
 

@@ -6,14 +6,19 @@
 //! (obtained by querying the overlay index `L̃`). An H2H index built on `G'_i`
 //! therefore answers same-partition queries with global correctness, without
 //! any concatenation — the property PMHL's Q-Stage 4 and P-TD-P rely on.
+//! Cross-partition pairs concatenate `L'_i`, `L̃` and `L'_j` through the
+//! boundary ([`PostBoundaryView`]).
 
+use crate::concat::{boundary_fan, concatenate, FromSource, Source, SourceSession};
 use crate::overlay::OverlayGraph;
 use crate::partitioned::Partitioned;
 use htsp_graph::cow::{CowStats, CowVec};
 use htsp_graph::{
-    Dist, EdgeId, EdgeUpdate, Graph, GraphBuilder, UpdateBatch, VertexId, Weight, WorkerPool,
+    Dist, EdgeId, EdgeUpdate, Graph, GraphBuilder, QuerySession, QueryView, UpdateBatch, VertexId,
+    Weight, WorkerPool,
 };
 use htsp_td::H2HIndex;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One extended partition: the graph `G'_i`, the bookkeeping of its boundary
@@ -28,6 +33,9 @@ pub struct ExtendedPartition {
     /// extended graph, local b1, local b2, whether the edge also exists as an
     /// original intra edge)`.
     pair_edges: Vec<(EdgeId, VertexId, VertexId, bool)>,
+    /// The ids of the pair edges that are also original intra edges, sorted:
+    /// an intra update on one of them is replaced by the pair pass.
+    intra_pair_edges: Vec<EdgeId>,
     /// The corrected partition index `L'_i`.
     pub index: H2HIndex,
 }
@@ -108,9 +116,16 @@ impl PostBoundaryIndexes {
             }
             let graph = builder.build();
             let index = H2HIndex::build(&graph);
+            let mut intra_pair_edges: Vec<EdgeId> = pair_edges
+                .iter()
+                .filter(|&&(_, _, _, is_intra)| is_intra)
+                .map(|&(e, ..)| e)
+                .collect();
+            intra_pair_edges.sort_unstable();
             ExtendedPartition {
                 graph,
                 pair_edges,
+                intra_pair_edges,
                 index,
             }
         });
@@ -176,11 +191,7 @@ impl PostBoundaryIndexes {
             // Plain intra updates first (skip boundary-pair edges; those are
             // recomputed below from the overlay).
             for upd in intra[pi].iter() {
-                let is_pair = ext
-                    .pair_edges
-                    .iter()
-                    .any(|&(e, _, _, is_intra)| is_intra && e == upd.edge);
-                if is_pair {
+                if ext.intra_pair_edges.binary_search(&upd.edge).is_ok() {
                     continue;
                 }
                 let old = ext.graph.edge_weight(upd.edge);
@@ -227,6 +238,67 @@ impl PostBoundaryIndexes {
             .iter()
             .map(|p| p.index.index_size_bytes())
             .sum()
+    }
+}
+
+/// Post-boundary snapshot (P-TD-P; PMHL's Q-Stage 4): same-partition pairs
+/// from `L'_i` alone, cross-partition pairs by the `L'_i` ∘ `L̃` ∘ `L'_j`
+/// concatenation.
+pub struct PostBoundaryView {
+    /// The algorithm that publishes the view.
+    pub algorithm: &'static str,
+    /// The query stage it is published as.
+    pub stage: usize,
+    /// The partition layout and the graph snapshot.
+    pub partitioned: Arc<Partitioned>,
+    /// The overlay graph and its id maps.
+    pub overlay: Arc<OverlayGraph>,
+    /// The overlay labels `L̃`.
+    pub overlay_index: Arc<H2HIndex>,
+    /// The post-boundary partition indexes `{L'_i}`.
+    pub post: Arc<PostBoundaryIndexes>,
+}
+
+impl FromSource for PostBoundaryView {
+    fn partitioned(&self) -> &Partitioned {
+        &self.partitioned
+    }
+
+    fn distance_from(&self, source: &mut Source, t: VertexId) -> Dist {
+        let (partitioned, post) = (&*self.partitioned, &*self.post);
+        let ps = source.partition();
+        if partitioned.partition.partition_of(t) == ps {
+            return post.same_partition_distance(partitioned, ps, source.vertex(), t);
+        }
+        let fan = |v| {
+            boundary_fan(partitioned, v, |pi, lv, lb| {
+                post.distance_to_boundary(pi, lv, lb)
+            })
+        };
+        let from_t = fan(t);
+        concatenate(&self.overlay, &self.overlay_index, source.fan(fan), &from_t)
+    }
+}
+
+impl QueryView for PostBoundaryView {
+    fn algorithm(&self) -> &'static str {
+        self.algorithm
+    }
+
+    fn stage(&self) -> usize {
+        self.stage
+    }
+
+    fn distance(&self, s: VertexId, t: VertexId) -> Dist {
+        self.distance_once(s, t)
+    }
+
+    fn session(&self) -> Box<dyn QuerySession + '_> {
+        Box::new(SourceSession::new(self))
+    }
+
+    fn graph(&self) -> &Graph {
+        &self.partitioned.graph
     }
 }
 

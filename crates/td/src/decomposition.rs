@@ -42,6 +42,14 @@ pub struct TreeDecomposition {
     shape: Arc<TreeShape>,
 }
 
+/// The shortcut arrays of a decomposition are a full contraction hierarchy
+/// (Lemma 4), so a CH query can read them through the decomposition.
+impl AsRef<ContractionHierarchy> for TreeDecomposition {
+    fn as_ref(&self) -> &ContractionHierarchy {
+        &self.ch
+    }
+}
+
 impl TreeDecomposition {
     /// Builds the decomposition with the default MDE ordering.
     pub fn build(graph: &Graph) -> Self {

@@ -171,16 +171,15 @@ impl H2HIndex {
         &self.td
     }
 
-    /// Decomposes the index into its tree decomposition and label table.
-    ///
-    /// Used by indexes (e.g. PostMHL) that take over label maintenance with
-    /// their own staging while reusing the H2H construction.
-    pub fn into_parts(self) -> (TreeDecomposition, CowTable<Dist>) {
-        (self.td, self.dis)
+    /// The label table (`labels().row(v)` = [`Self::label`]`(v)`).
+    pub fn labels(&self) -> &CowTable<Dist> {
+        &self.dis
     }
 
-    /// Mutable access used by the DH2H maintenance module.
-    pub(crate) fn parts_mut(&mut self) -> (&mut TreeDecomposition, &mut CowTable<Dist>) {
+    /// Mutable access to the decomposition and the label table, for DH2H's
+    /// maintenance and for indexes (PostMHL) that stage their own label
+    /// repair over the H2H construction.
+    pub fn parts_mut(&mut self) -> (&mut TreeDecomposition, &mut CowTable<Dist>) {
         (&mut self.td, &mut self.dis)
     }
 

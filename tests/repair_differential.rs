@@ -233,10 +233,14 @@ fn drive(name: &str, mut g: Graph, weights: (Weight, Weight), dijkstra: bool, se
     }
     // The partitioned kinds, each in the shape the server builds it.
     let mut psp: Vec<Box<dyn IndexMaintainer>> = if dijkstra {
-        [AlgorithmKind::NChP, AlgorithmKind::PTdP, AlgorithmKind::Pmhl]
-            .iter()
-            .map(|kind| kind.build(&g, &BuildParams::new(4, 2)))
-            .collect()
+        [
+            AlgorithmKind::NChP,
+            AlgorithmKind::PTdP,
+            AlgorithmKind::Pmhl,
+        ]
+        .iter()
+        .map(|kind| kind.build(&g, &BuildParams::new(4, 2)))
+        .collect()
     } else {
         Vec::new()
     };
