@@ -45,25 +45,17 @@ pub fn concatenate(
     from_s: &[(VertexId, Dist)],
     from_t: &[(VertexId, Dist)],
 ) -> Dist {
+    // Every fan entry is a boundary vertex, and every boundary vertex is an
+    // overlay vertex.
+    let local = |b| overlay.to_local(b).expect("boundary vertex in the overlay");
     let mut best = INF;
-    for &(bp, dp) in from_s {
-        if dp.is_inf() {
-            continue;
-        }
-        let Some(lbp) = overlay.to_local(bp) else {
-            continue;
-        };
-        for &(bq, dq) in from_t {
-            if dq.is_inf() {
-                continue;
-            }
+    for &(bp, dp) in from_s.iter().filter(|(_, d)| d.is_finite()) {
+        let lbp = local(bp);
+        for &(bq, dq) in from_t.iter().filter(|(_, d)| d.is_finite()) {
             let mid = if bp == bq {
                 Dist::ZERO
             } else {
-                match overlay.to_local(bq) {
-                    Some(lbq) => overlay_index.distance(lbp, lbq),
-                    None => INF,
-                }
+                overlay_index.distance(lbp, local(bq))
             };
             best = best.min(dp.saturating_add(mid).saturating_add(dq));
         }
@@ -74,8 +66,8 @@ pub fn concatenate(
 /// The source side of a query: the source, its partition and, computed the
 /// first time a target needs it, its fan.
 pub(crate) struct Source {
-    vertex: VertexId,
-    partition: usize,
+    pub(crate) vertex: VertexId,
+    pub(crate) partition: usize,
     fan: Option<Vec<(VertexId, Dist)>>,
 }
 
@@ -86,14 +78,6 @@ impl Source {
             partition: partitioned.partition.partition_of(s),
             fan: None,
         }
-    }
-
-    pub(crate) fn vertex(&self) -> VertexId {
-        self.vertex
-    }
-
-    pub(crate) fn partition(&self) -> usize {
-        self.partition
     }
 
     /// The source's fan, computed by `fan` on first use.

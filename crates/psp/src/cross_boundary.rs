@@ -238,12 +238,12 @@ impl FromSource for CrossBoundaryView {
     }
 
     fn distance_from(&self, source: &mut Source, t: VertexId) -> Dist {
-        let ps = source.partition();
+        let ps = source.partition;
         if self.partitioned.partition.partition_of(t) == ps {
             self.post
-                .same_partition_distance(&self.partitioned, ps, source.vertex(), t)
+                .same_partition_distance(&self.partitioned, ps, source.vertex, t)
         } else {
-            self.cross.cross_distance(source.vertex(), t)
+            self.cross.cross_distance(source.vertex, t)
         }
     }
 }

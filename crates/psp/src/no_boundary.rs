@@ -40,11 +40,11 @@ impl FromSource for NoBoundaryView {
 
     fn distance_from(&self, source: &mut Source, t: VertexId) -> Dist {
         let (partitioned, indexes) = (&*self.partitioned, &self.partition_indexes);
-        let ps = source.partition();
+        let ps = source.partition;
         let mut best = INF;
         if partitioned.partition.partition_of(t) == ps {
             let sub = &partitioned.subgraphs[ps];
-            let (ls, lt) = (sub.to_local(source.vertex()), sub.to_local(t));
+            let (ls, lt) = (sub.to_local(source.vertex), sub.to_local(t));
             best = indexes[ps].distance_local(ls.unwrap(), lt.unwrap());
         }
         // The route through the overlay: needed for cross-partition queries,

@@ -266,9 +266,9 @@ impl FromSource for PostBoundaryView {
 
     fn distance_from(&self, source: &mut Source, t: VertexId) -> Dist {
         let (partitioned, post) = (&*self.partitioned, &*self.post);
-        let ps = source.partition();
+        let ps = source.partition;
         if partitioned.partition.partition_of(t) == ps {
-            return post.same_partition_distance(partitioned, ps, source.vertex(), t);
+            return post.same_partition_distance(partitioned, ps, source.vertex, t);
         }
         let fan = |v| {
             boundary_fan(partitioned, v, |pi, lv, lb| {
