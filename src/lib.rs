@@ -7,7 +7,7 @@
 //! downstream user can depend on `htsp` alone:
 //!
 //! * [`graph`] — dynamic road-network model, synthetic generators, DIMACS
-//!   parser, update batches, query workloads.
+//!   parser, update batches, query sets.
 //! * [`search`] — Dijkstra / bidirectional Dijkstra / A*.
 //! * [`ch`] — Contraction Hierarchies and DCH maintenance.
 //! * [`td`] — MDE tree decomposition, H2H, DH2H.
