@@ -580,6 +580,33 @@ mod tests {
         }
     }
 
+    /// The graph section's bytes are the wire format: pin them for one fixed
+    /// graph (edge ids in insertion order, a merged parallel edge, one
+    /// updated weight), so no change of the in-memory graph can move them.
+    #[test]
+    fn graph_section_bytes_are_pinned() {
+        use crate::graph::GraphBuilder;
+        use crate::types::EdgeId;
+        use crate::updates::{EdgeUpdate, UpdateBatch};
+        let mut b = GraphBuilder::new(6);
+        for (u, v, w) in [(4, 1, 7), (0, 1, 3), (2, 5, 11), (1, 2, 4), (3, 0, 9)] {
+            b.add_edge(VertexId(u), VertexId(v), w);
+        }
+        b.add_edge(VertexId(5), VertexId(2), 6);
+        b.add_edge(VertexId(3), VertexId(4), 2);
+        let mut g = b.build();
+        g.apply_batch(&UpdateBatch::from_updates(vec![EdgeUpdate::new(
+            EdgeId(3),
+            4,
+            13,
+        )]));
+        let mut w = ByteWriter::new();
+        encode_graph(&g, &mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8 + 12 * 6);
+        assert_eq!(checksum64(&bytes), 0xDCFE_01B2_2E03_F253);
+    }
+
     #[test]
     fn round_trip() {
         let snap = sample();

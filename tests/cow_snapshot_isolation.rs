@@ -92,6 +92,55 @@ fn pinned_views_stay_frozen_while_chunks_mutate() {
     }
 }
 
+/// The graph half of the contract: a view pinned before a batch still
+/// reports, through `graph()`, the pre-batch weight of every edge that batch
+/// and the two after it change — for every kind and every query stage.
+#[test]
+fn pinned_views_keep_their_edge_weights_across_later_batches() {
+    let mut g = gen::grid_with_diagonals(10, 10, gen::WeightRange::new(2, 60), 0.15, 43);
+    let mut algorithms = algorithms(&g);
+    let mut gen_upd = UpdateGenerator::new(47);
+    // Every pinned view, with the round it was pinned in and a copy of the
+    // graph it was pinned on.
+    let mut pinned: Vec<(usize, Arc<dyn QueryView>, htsp::graph::Graph)> = Vec::new();
+    for round in 0..5 {
+        // A view is checked against the batch after its pin and the next two.
+        pinned.retain(|(at_round, _, _)| round - at_round < 3);
+        for alg in &algorithms {
+            for s in 0..alg.num_query_stages() {
+                pinned.push((round, alg.view_at_stage(s), g.clone()));
+            }
+        }
+        let batch = gen_upd.generate(&g, 25);
+        g.apply_batch(&batch);
+        for alg in algorithms.iter_mut() {
+            let publisher = SnapshotPublisher::new(alg.current_view());
+            alg.apply_batch(&g, &batch, &publisher);
+            assert_eq!(
+                publisher
+                    .snapshot()
+                    .graph()
+                    .edge_weight(batch.as_slice()[0].edge),
+                batch.as_slice()[0].new_weight,
+                "{}: the new view answers on the new weights",
+                alg.name()
+            );
+        }
+        for (_, view, at) in &pinned {
+            for upd in &batch {
+                assert_eq!(
+                    view.graph().edge_weight(upd.edge),
+                    at.edge_weight(upd.edge),
+                    "round {round}: {} stage {} sees edge {:?} move under its pin",
+                    view.algorithm(),
+                    view.stage(),
+                    upd.edge
+                );
+            }
+        }
+    }
+}
+
 /// The maintainers report real, bounded clone telemetry: pinning a snapshot
 /// across a batch forces chunk clones; the deltas reach the publication log;
 /// and the volume stays below the component sizes (it would equal them under
