@@ -194,14 +194,14 @@ impl IndexMaintainer for BiDijkstraBaseline {
 
     fn apply_batch(
         &mut self,
-        _graph: &Graph,
-        batch: &UpdateBatch,
+        graph: &Graph,
+        _batch: &UpdateBatch,
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
-        // U-Stage 1 is the whole maintenance: install the new weights and
+        // U-Stage 1 is the whole maintenance: take the new graph version and
         // republish; there is no index to repair.
         let t = Instant::now();
-        Arc::make_mut(&mut self.graph).apply_batch(batch);
+        self.graph = Arc::new(graph.clone());
         publisher.publish(self.current_view());
         UpdateTimeline::single("U1: on-spot edge update", t.elapsed())
     }
@@ -267,13 +267,12 @@ impl IndexMaintainer for DchBaseline {
 
     fn apply_batch(
         &mut self,
-        _graph: &Graph,
+        graph: &Graph,
         batch: &UpdateBatch,
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
         let t = Instant::now();
-        let graph = Arc::make_mut(&mut self.graph);
-        graph.apply_batch(batch);
+        self.graph = Arc::new(graph.clone());
         Arc::make_mut(&mut self.ch).apply_batch(graph, batch.as_slice());
         publisher.publish(self.current_view());
         UpdateTimeline::single("U2: shortcut update", t.elapsed())
@@ -337,12 +336,11 @@ impl IndexMaintainer for Dh2hBaseline {
 
     fn apply_batch(
         &mut self,
-        _graph: &Graph,
+        graph: &Graph,
         batch: &UpdateBatch,
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
-        let graph = Arc::make_mut(&mut self.graph);
-        graph.apply_batch(batch);
+        self.graph = Arc::new(graph.clone());
         let report = Arc::make_mut(&mut self.h2h).apply_batch(graph, batch.as_slice());
         let mut timeline = UpdateTimeline::default();
         timeline.push("U2: bottom-up shortcut update", report.shortcut_time);
@@ -457,15 +455,14 @@ impl IndexMaintainer for ToainBaseline {
 
     fn apply_batch(
         &mut self,
-        _graph: &Graph,
-        batch: &UpdateBatch,
+        graph: &Graph,
+        _batch: &UpdateBatch,
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
         // TOAIN is a static index: adapt it to dynamic networks by refreshing
         // its shortcuts against the updated graph.
         let t = Instant::now();
-        let graph = Arc::make_mut(&mut self.graph);
-        graph.apply_batch(batch);
+        self.graph = Arc::new(graph.clone());
         self.ch = Arc::new(Self::build_capped(graph, self.level_cap));
         publisher.publish(self.current_view());
         UpdateTimeline::single("refresh shortcuts", t.elapsed())

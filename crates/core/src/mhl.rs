@@ -140,15 +140,15 @@ impl IndexMaintainer for Mhl {
 
     fn apply_batch(
         &mut self,
-        _graph: &Graph,
+        graph: &Graph,
         batch: &UpdateBatch,
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
         let mut timeline = UpdateTimeline::default();
-        // U-Stage 1: install the new weights; BiDijkstra on the fresh graph
-        // is immediately available.
+        // U-Stage 1: take the new graph version (its weights are already
+        // installed); BiDijkstra on it is immediately available.
         let t = Instant::now();
-        Arc::make_mut(&mut self.graph).apply_batch(batch);
+        self.graph = Arc::new(graph.clone());
         self.stage = MhlStage::BiDijkstra;
         publisher.publish(self.view_with(MhlStage::BiDijkstra));
         timeline.push("U1: on-spot edge update", t.elapsed());

@@ -351,7 +351,7 @@ impl IndexMaintainer for PostMhl {
 
     fn apply_batch(
         &mut self,
-        _graph: &Graph,
+        graph: &Graph,
         batch: &UpdateBatch,
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
@@ -367,9 +367,10 @@ impl IndexMaintainer for PostMhl {
             cow_mark = now;
         };
 
-        // U-Stage 1: on-spot edge update of the internal graph copy.
+        // U-Stage 1: take the new graph version, whose weights the caller
+        // installed on the spot.
         let t0 = Instant::now();
-        Arc::make_mut(&mut self.graph).apply_batch(batch);
+        self.graph = Arc::new(graph.clone());
         self.stage = PostMhlStage::BiDijkstra;
         publish(self, PostMhlStage::BiDijkstra, publisher);
         timeline.push("U1: on-spot edge update", t0.elapsed());

@@ -225,6 +225,17 @@ impl<T: Clone> CowVec<T> {
         &self.chunks[ci][o]
     }
 
+    /// The elements from `i` to the end of `i`'s chunk: the longest
+    /// contiguous run starting at `i` (empty when `i` is `len`).
+    #[inline]
+    pub fn run_from(&self, i: usize) -> &[T] {
+        if i == self.len {
+            return &[];
+        }
+        let (ci, o) = self.locate(i);
+        &self.chunks[ci][o..]
+    }
+
     /// Iterates over all elements.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.chunks.iter().flat_map(|c| c.iter())

@@ -14,24 +14,21 @@
 //! arcs of each road segment into one undirected edge, keeping the minimum
 //! weight if they disagree.
 //!
-//! Two loaders share one tokenizer (the internal `scan_gr` record stream):
+//! Two loaders share one tokenizer (the internal `scan_gr` record stream),
+//! and both build the CSR [`Graph`] directly:
 //!
-//! * [`read_gr`] builds the mutable adjacency-list [`Graph`] through
-//!   [`GraphBuilder`] — the right entry point at bench scale.
-//! * [`load_dimacs_streaming`] builds a flat [`CsrGraph`] **without** an
-//!   adjacency-list
-//!   intermediate: arcs stream into a compact 12-byte triple buffer that is
-//!   sorted, deduplicated (minimum weight wins), and counting-sorted into
-//!   CSR. At 10M+ arcs this avoids both the per-vertex `Vec` overhead and
-//!   the hash-based deduplication of the builder path. Edge ids come out in
-//!   sorted `(u, v)` order rather than file order.
+//! * [`read_gr`] goes through [`GraphBuilder`], so edge ids are file order.
+//! * [`load_dimacs_streaming`] skips the builder's hash map: arcs stream
+//!   into a compact 12-byte triple buffer that is sorted, deduplicated
+//!   (minimum weight wins), and counting-sorted into CSR. At 10M+ arcs this
+//!   avoids the hash-based deduplication of the builder path. Edge ids come
+//!   out in sorted `(u, v)` order rather than file order.
 //!
 //! Parse errors always carry the 1-based line number and the offending
 //! token; comment and blank lines are accepted anywhere, including before
 //! the problem line and between arcs.
 
 use crate::graph::{Graph, GraphBuilder};
-use crate::storage::CsrGraph;
 use crate::types::{VertexId, Weight};
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
@@ -172,8 +169,8 @@ fn parse_field<T: std::str::FromStr>(
         .map_err(|_| DimacsError::Parse(format!("line {lineno}: invalid {what} '{token}'")))
 }
 
-/// Parses a DIMACS `.gr` graph from any buffered reader into the
-/// adjacency-list [`Graph`] (edge ids in file order).
+/// Parses a DIMACS `.gr` graph from any buffered reader into a [`Graph`]
+/// (edge ids in file order).
 pub fn read_gr<R: BufRead>(reader: R) -> Result<Graph, DimacsError> {
     let mut builder: Option<GraphBuilder> = None;
     scan_gr(reader, |rec| {
@@ -203,19 +200,18 @@ pub fn read_gr_file<P: AsRef<Path>>(path: P) -> Result<Graph, DimacsError> {
     read_gr(std::io::BufReader::new(file))
 }
 
-/// Streams a DIMACS `.gr` graph straight into a flat [`CsrGraph`], never
-/// materializing per-vertex adjacency `Vec`s.
+/// Streams a DIMACS `.gr` graph straight into a [`Graph`], without the
+/// builder's hash map.
 ///
 /// Arcs are normalized (`u < v`, self-loops dropped) into a 12-byte triple
 /// buffer as they are read; one sort + dedup pass (minimum weight wins for
 /// parallel arcs, matching [`GraphBuilder`]) then yields the edge list the
 /// CSR is counting-sorted from. Peak transient memory is ~12 bytes per
-/// directed arc — at 10M+ edges an order of magnitude below the builder
-/// path's hash map plus adjacency lists.
+/// directed arc, well below the builder path's hash map.
 ///
 /// Edge ids are assigned in sorted `(u, v)` order (not file order); use
 /// [`read_gr`] when file-order ids matter.
-pub fn load_dimacs_streaming<R: BufRead>(reader: R) -> Result<CsrGraph, DimacsError> {
+pub fn load_dimacs_streaming<R: BufRead>(reader: R) -> Result<Graph, DimacsError> {
     let mut n = 0usize;
     let mut triples: Vec<(u32, u32, u32)> = Vec::new();
     scan_gr(reader, |rec| {
@@ -250,12 +246,12 @@ pub fn load_dimacs_streaming<R: BufRead>(reader: R) -> Result<CsrGraph, DimacsEr
         weights.push(w);
     }
     drop(triples);
-    Ok(CsrGraph::from_normalized_edges(n, edges, &weights))
+    Ok(Graph::from_normalized_edges(n, &edges, &weights))
 }
 
-/// Streams a `.gr` file from disk into a [`CsrGraph`]
+/// Streams a `.gr` file from disk into a [`Graph`]
 /// (see [`load_dimacs_streaming`]).
-pub fn load_dimacs_streaming_file<P: AsRef<Path>>(path: P) -> Result<CsrGraph, DimacsError> {
+pub fn load_dimacs_streaming_file<P: AsRef<Path>>(path: P) -> Result<Graph, DimacsError> {
     let file = std::fs::File::open(path)?;
     load_dimacs_streaming(std::io::BufReader::new(file))
 }
@@ -359,10 +355,9 @@ mod tests {
         let g = grid(8, 7, WeightRange::new(1, 50), 21);
         let mut buf = Vec::new();
         write_gr(&g, &mut buf).unwrap();
-        let csr = load_dimacs_streaming(buf.as_slice()).unwrap();
-        assert_eq!(csr.num_vertices(), g.num_vertices());
-        assert_eq!(csr.num_edges(), g.num_edges());
-        let back = csr.to_graph();
+        let back = load_dimacs_streaming(buf.as_slice()).unwrap();
+        assert_eq!(back.num_vertices(), g.num_vertices());
+        assert_eq!(back.num_edges(), g.num_edges());
         back.validate().expect("streamed graph is valid");
         for (_, u, v, w) in g.edges() {
             assert_eq!(back.edge_dist(u, v), Dist(w));
@@ -372,9 +367,8 @@ mod tests {
     #[test]
     fn streaming_loader_dedups_parallel_arcs_with_min_weight() {
         let text = "p sp 3 5\na 1 2 9\na 2 1 4\nc noise\na 1 2 6\na 2 3 2\na 3 3 8\n";
-        let csr = load_dimacs_streaming(text.as_bytes()).unwrap();
-        assert_eq!(csr.num_edges(), 2, "parallel arcs merge, self-loop drops");
-        let g = csr.to_graph();
+        let g = load_dimacs_streaming(text.as_bytes()).unwrap();
+        assert_eq!(g.num_edges(), 2, "parallel arcs merge, self-loop drops");
         assert_eq!(g.edge_dist(VertexId(0), VertexId(1)), Dist(4));
         assert_eq!(g.edge_dist(VertexId(1), VertexId(2)), Dist(2));
     }
@@ -424,15 +418,11 @@ mod tests {
     #[test]
     fn comments_and_blank_lines_are_accepted_anywhere() {
         let text = "c header\n\nc more\np sp 2 2\nc mid\na 1 2 4\n\na 2 1 4\nc trailing\n";
-        for parse_csr in [false, true] {
-            let (n, m) = if parse_csr {
-                let csr = load_dimacs_streaming(text.as_bytes()).unwrap();
-                (csr.num_vertices(), csr.num_edges())
-            } else {
-                let g = read_gr(text.as_bytes()).unwrap();
-                (g.num_vertices(), g.num_edges())
-            };
-            assert_eq!((n, m), (2, 1));
+        for g in [
+            load_dimacs_streaming(text.as_bytes()).unwrap(),
+            read_gr(text.as_bytes()).unwrap(),
+        ] {
+            assert_eq!((g.num_vertices(), g.num_edges()), (2, 1));
         }
     }
 
@@ -441,8 +431,8 @@ mod tests {
         let text = "p sp 2 1\na 1 2 0\n";
         let g = read_gr(text.as_bytes()).unwrap();
         assert_eq!(g.edge_dist(VertexId(0), VertexId(1)), Dist(1));
-        let csr = load_dimacs_streaming(text.as_bytes()).unwrap();
-        assert_eq!(csr.to_graph().edge_dist(VertexId(0), VertexId(1)), Dist(1));
+        let g = load_dimacs_streaming(text.as_bytes()).unwrap();
+        assert_eq!(g.edge_dist(VertexId(0), VertexId(1)), Dist(1));
     }
 
     /// Fuzz-ish sweep: systematically mangled inputs must produce
@@ -490,8 +480,8 @@ mod tests {
         write_gr_file(&g, &path).unwrap();
         let g2 = read_gr_file(&path).unwrap();
         assert_eq!(g2.num_edges(), g.num_edges());
-        let csr = load_dimacs_streaming_file(&path).unwrap();
-        assert_eq!(csr.num_edges(), g.num_edges());
+        let streamed = load_dimacs_streaming_file(&path).unwrap();
+        assert_eq!(streamed.num_edges(), g.num_edges());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,22 +1,28 @@
-//! Undirected, positively weighted dynamic graph with adjacency-list storage.
+//! Undirected, positively weighted dynamic graph.
 //!
-//! The [`Graph`] type is the substrate for every index in this repository.
-//! It supports:
+//! [`Graph`] is the one graph type of this repository. Every index is built
+//! on it, every published view answers on it, and the server, the update
+//! feed and the maintainers all hold clones of the same version. It
+//! supports:
 //!
-//! * O(1) amortized edge insertion through [`GraphBuilder`],
-//! * O(deg) neighbor iteration and edge-weight lookup,
-//! * in-place edge-weight mutation (the "dynamicity" of §II: weights only
-//!   increase or decrease, the topology never changes),
-//! * cheap cloning (used by index-construction algorithms that contract a
-//!   working copy of the graph).
+//! * edge insertion with parallel-edge merging through [`GraphBuilder`]
+//!   (edge ids are insertion order),
+//! * O(deg) neighbor iteration in edge-id order and O(1) edge-weight
+//!   lookup,
+//! * edge-weight mutation (the "dynamicity" of §II: weights only increase
+//!   or decrease, the topology never changes),
+//! * O(chunks) cloning: the CSR topology is shared by every clone and the
+//!   weights are copy-on-write (see [`crate::storage`]).
 
+use crate::cow::CowVec;
+use crate::storage::{Arcs, GraphBytes, Topology, WEIGHT_CHUNK};
 use crate::types::{Dist, EdgeId, VertexId, Weight};
 use crate::updates::UpdateBatch;
 use rustc_hash::FxHashMap;
 use std::fmt;
 
-/// One directed arc stored in the adjacency list (each undirected edge is
-/// stored twice, once per endpoint).
+/// One directed arc leaving a vertex (each undirected edge has two, one per
+/// endpoint).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Arc {
     /// The neighbor this arc points to.
@@ -30,93 +36,91 @@ pub struct Arc {
 /// An undirected weighted graph with mutable edge weights.
 ///
 /// Invariants:
-/// * every undirected edge `{u, v}` appears exactly once in `edges` and as two
-///   arcs, one in `adj[u]` and one in `adj[v]`, which always carry the same
-///   weight;
+/// * every undirected edge `{u, v}` (`u < v`) has exactly two arcs, one at
+///   each endpoint, which always carry the same weight;
 /// * there are no self-loops and no parallel edges;
 /// * all weights are strictly positive.
 #[derive(Clone)]
 pub struct Graph {
-    /// Adjacency lists: `adj[v]` holds one [`Arc`] per incident edge.
-    adj: Vec<Vec<Arc>>,
-    /// Endpoints of every undirected edge, `edges[e] = (u, v)` with `u < v`.
-    edges: Vec<(VertexId, VertexId)>,
-    /// Current weight of every undirected edge.
-    weights: Vec<Weight>,
+    pub(crate) topology: std::sync::Arc<Topology>,
+    /// Current weight per arc.
+    pub(crate) weights: CowVec<Weight>,
 }
 
 impl Graph {
-    /// Creates an empty graph with `n` isolated vertices.
-    pub fn with_vertices(n: usize) -> Self {
+    /// Builds a graph from a normalized edge list: `u < v`, no self-loops,
+    /// no duplicates, positive weights. Edge ids are positions in `edges`.
+    /// Callers (the builder, the DIMACS streamer and the snapshot decoder)
+    /// validate beforehand; this constructor only asserts in debug builds.
+    pub(crate) fn from_normalized_edges(
+        n: usize,
+        edges: &[(VertexId, VertexId)],
+        weights: &[Weight],
+    ) -> Graph {
+        let (topology, arc_weights) = Topology::build(n, edges, weights);
         Graph {
-            adj: vec![Vec::new(); n],
-            edges: Vec::new(),
-            weights: Vec::new(),
+            topology: std::sync::Arc::new(topology),
+            weights: CowVec::from_vec(arc_weights, WEIGHT_CHUNK),
         }
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.adj.len()
+        self.topology.offsets.len() - 1
     }
 
     /// Number of undirected edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.topology.edge_arcs.len()
     }
 
     /// Returns `true` if the graph has no vertices.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.num_vertices() == 0
     }
 
     /// Iterator over all vertex ids, `v0..v(n-1)`.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        (0..self.adj.len()).map(VertexId::from_index)
+        (0..self.num_vertices()).map(VertexId::from_index)
     }
 
     /// Degree (number of incident edges) of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adj[v.index()].len()
+        self.topology.arc_range(v).len()
     }
 
-    /// Iterator over the arcs leaving `v`.
+    /// The arcs leaving `v`, in edge-id order.
     #[inline]
-    pub fn neighbors(&self, v: VertexId) -> NeighborIter<'_> {
-        NeighborIter {
-            inner: self.adj[v.index()].iter(),
-        }
-    }
-
-    /// Slice of the arcs leaving `v` (useful for index-based hot loops).
-    #[inline]
-    pub fn arcs(&self, v: VertexId) -> &[Arc] {
-        &self.adj[v.index()]
+    pub fn arcs(&self, v: VertexId) -> Arcs<'_> {
+        Arcs::new(&self.topology, &self.weights, v)
     }
 
     /// Endpoints `(u, v)` of edge `e`, with `u < v`.
     #[inline]
     pub fn edge_endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
-        self.edges[e.index()]
+        let [at_u, at_v] = self.topology.edge_arcs[e.index()];
+        let t = &self.topology.targets;
+        (t[at_v as usize], t[at_u as usize])
     }
 
     /// Current weight of edge `e`.
     #[inline]
     pub fn edge_weight(&self, e: EdgeId) -> Weight {
-        self.weights[e.index()]
+        self.weights[self.topology.edge_arcs[e.index()][0] as usize]
     }
 
-    /// Iterator over `(EdgeId, u, v, weight)` for every undirected edge.
+    /// Iterator over `(EdgeId, u, v, weight)` for every undirected edge, in
+    /// edge-id order.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, VertexId, VertexId, Weight)> + '_ {
-        self.edges
-            .iter()
-            .zip(self.weights.iter())
-            .enumerate()
-            .map(|(i, (&(u, v), &w))| (EdgeId::from_index(i), u, v, w))
+        (0..self.num_edges()).map(|i| {
+            let e = EdgeId::from_index(i);
+            let (u, v) = self.edge_endpoints(e);
+            (e, u, v, self.edge_weight(e))
+        })
     }
 
     /// Looks up the edge between `u` and `v`, if any, returning its id and
@@ -127,8 +131,7 @@ impl Graph {
         } else {
             (v, u)
         };
-        self.adj[a.index()]
-            .iter()
+        self.arcs(a)
             .find(|arc| arc.to == b)
             .map(|arc| (arc.edge, arc.weight))
     }
@@ -142,27 +145,15 @@ impl Graph {
         }
     }
 
-    /// Sets the weight of edge `e` to `w` (must be positive), updating both
-    /// adjacency copies. Returns the previous weight.
+    /// Sets the weight of edge `e` to `w` (must be positive) on both of its
+    /// arcs. Returns the previous weight.
     pub fn set_edge_weight(&mut self, e: EdgeId, w: Weight) -> Weight {
         assert!(w > 0, "edge weights must be strictly positive");
-        let old = self.weights[e.index()];
-        if old == w {
-            return old;
-        }
-        self.weights[e.index()] = w;
-        let (u, v) = self.edges[e.index()];
-        for arc in self.adj[u.index()].iter_mut() {
-            if arc.edge == e {
-                arc.weight = w;
-                break;
-            }
-        }
-        for arc in self.adj[v.index()].iter_mut() {
-            if arc.edge == e {
-                arc.weight = w;
-                break;
-            }
+        let [at_u, at_v] = self.topology.edge_arcs[e.index()];
+        let old = self.weights[at_u as usize];
+        if old != w {
+            *self.weights.make_mut(at_u as usize) = w;
+            *self.weights.make_mut(at_v as usize) = w;
         }
         old
     }
@@ -173,13 +164,13 @@ impl Graph {
     ///
     /// This is "U-Stage 1: on-spot edge update" of the PMHL/PostMHL pipelines
     /// (§V-D, §VI-C): the graph is refreshed immediately so that index-free
-    /// BiDijkstra can already answer queries correctly.
+    /// BiDijkstra can already answer queries correctly. Only the weight
+    /// chunks written here are copied, and only if a clone shares them.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Vec<(EdgeId, Weight, Weight)> {
         let mut applied = Vec::with_capacity(batch.len());
         for upd in batch.iter() {
-            let old = self.edge_weight(upd.edge);
+            let old = self.set_edge_weight(upd.edge, upd.new_weight);
             if old != upd.new_weight {
-                self.set_edge_weight(upd.edge, upd.new_weight);
                 applied.push((upd.edge, old, upd.new_weight));
             }
         }
@@ -196,23 +187,23 @@ impl Graph {
 
     /// Total weight of all edges (useful as a sanity statistic).
     pub fn total_weight(&self) -> u64 {
-        self.weights.iter().map(|&w| w as u64).sum()
+        self.edges().map(|(_, _, _, w)| w as u64).sum()
     }
 
     /// Returns the maximum vertex degree.
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(|a| a.len()).max().unwrap_or(0)
+        self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
     /// Checks the structural invariants; intended for tests and debug builds.
     pub fn validate(&self) -> Result<(), String> {
+        let t = &self.topology;
         let n = self.num_vertices();
-        if self.edges.len() != self.weights.len() {
-            return Err("edges / weights length mismatch".into());
+        if t.targets.len() != 2 * self.num_edges() || self.weights.len() != t.targets.len() {
+            return Err("arc count is not twice the edge count".into());
         }
         let mut seen: FxHashMap<(u32, u32), EdgeId> = FxHashMap::default();
-        for (i, (&(u, v), &w)) in self.edges.iter().zip(self.weights.iter()).enumerate() {
-            let e = EdgeId::from_index(i);
+        for (e, u, v, w) in self.edges() {
             if u == v {
                 return Err(format!("self loop at {u}"));
             }
@@ -228,26 +219,26 @@ impl Graph {
             if seen.insert((u.0, v.0), e).is_some() {
                 return Err(format!("parallel edge {u}-{v}"));
             }
-            let arc_u = self.adj[u.index()].iter().find(|a| a.edge == e);
-            let arc_v = self.adj[v.index()].iter().find(|a| a.edge == e);
-            match (arc_u, arc_v) {
-                (Some(au), Some(av)) => {
-                    if au.to != v || av.to != u || au.weight != w || av.weight != w {
-                        return Err(format!("arc mismatch for edge {e:?}"));
-                    }
-                }
-                _ => return Err(format!("missing arc for edge {e:?}")),
+            let [at_u, at_v] = t.edge_arcs[e.index()].map(|a| a as usize);
+            if !self.topology.arc_range(u).contains(&at_u)
+                || !self.topology.arc_range(v).contains(&at_v)
+                || t.arc_edge[at_u] != e
+                || t.arc_edge[at_v] != e
+                || self.weights[at_v] != w
+            {
+                return Err(format!("arc mismatch for edge {e:?}"));
             }
         }
-        let arc_count: usize = self.adj.iter().map(|a| a.len()).sum();
-        if arc_count != 2 * self.edges.len() {
-            return Err("arc count is not twice the edge count".into());
+        for v in self.vertices() {
+            if !t.arc_edge[self.topology.arc_range(v)].is_sorted() {
+                return Err(format!("arcs of {v} are not in edge-id order"));
+            }
         }
         Ok(())
     }
 
     /// Returns `true` if the graph is connected (empty graphs count as
-    /// connected). Uses an iterative BFS over the adjacency lists.
+    /// connected). Uses an iterative depth-first walk over the arcs.
     pub fn is_connected(&self) -> bool {
         let n = self.num_vertices();
         if n == 0 {
@@ -269,56 +260,26 @@ impl Graph {
         count == n
     }
 
-    /// Heap bytes held by the adjacency lists and edge arrays (the
-    /// pointer-chasing representation the flat [`crate::storage::CsrGraph`]
-    /// is compared against).
-    pub fn heap_bytes(&self) -> usize {
-        let arcs: usize = self.adj.iter().map(|a| a.capacity()).sum();
-        self.adj.capacity() * std::mem::size_of::<Vec<Arc>>()
-            + arcs * std::mem::size_of::<Arc>()
-            + self.edges.capacity() * std::mem::size_of::<(VertexId, VertexId)>()
-            + self.weights.capacity() * std::mem::size_of::<Weight>()
+    /// Heap bytes of the topology and of the weights. Both are counted in
+    /// full by every clone, which shares them.
+    pub fn heap_bytes(&self) -> GraphBytes {
+        GraphBytes {
+            topology: self.topology.heap_bytes(),
+            weights: self.weights.heap_bytes(),
+        }
     }
 
-    /// Builds a graph from an already-normalized edge list: `u < v`, no
-    /// self-loops, no duplicates. Edge ids are positions in `edges`. Callers
-    /// (the CSR converter and the snapshot decoder) validate beforehand;
-    /// this constructor only asserts in debug builds.
-    pub(crate) fn from_normalized_edges(
-        n: usize,
-        edges: Vec<(VertexId, VertexId)>,
-        weights: Vec<Weight>,
-    ) -> Graph {
-        debug_assert_eq!(edges.len(), weights.len());
-        let mut degree = vec![0u32; n];
-        for &(u, v) in &edges {
-            degree[u.index()] += 1;
-            degree[v.index()] += 1;
-        }
-        let mut adj: Vec<Vec<Arc>> = degree
-            .into_iter()
-            .map(|d| Vec::with_capacity(d as usize))
-            .collect();
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            debug_assert!(u < v && v.index() < n && weights[i] > 0);
-            let e = EdgeId::from_index(i);
-            let w = weights[i];
-            adj[u.index()].push(Arc {
-                to: v,
-                weight: w,
-                edge: e,
-            });
-            adj[v.index()].push(Arc {
-                to: u,
-                weight: w,
-                edge: e,
-            });
-        }
-        Graph {
-            adj,
-            edges,
-            weights,
-        }
+    /// `true` when `self` and `other` share one topology (one is a clone of
+    /// the other, or both are clones of a third graph).
+    pub fn shares_topology(&self, other: &Graph) -> bool {
+        std::sync::Arc::ptr_eq(&self.topology, &other.topology)
+    }
+
+    /// A clone: the conversion the streaming DIMACS loader's result once
+    /// needed (see [`crate::storage::CsrGraph`]).
+    #[doc(hidden)]
+    pub fn to_graph(&self) -> Graph {
+        self.clone()
     }
 
     /// Extracts the vertex-induced subgraph on `vertices`, relabelling the
@@ -366,9 +327,10 @@ impl fmt::Debug for Graph {
 /// the minimum weight (the standard convention for road-network multigraphs).
 pub struct GraphBuilder {
     n: usize,
-    /// Map from normalized endpoint pair to (position in `edge_list`).
+    /// Map from normalized endpoint pair to its position in `edges`.
     index: FxHashMap<(u32, u32), usize>,
-    edge_list: Vec<(VertexId, VertexId, Weight)>,
+    edges: Vec<(VertexId, VertexId)>,
+    weights: Vec<Weight>,
 }
 
 impl GraphBuilder {
@@ -377,7 +339,8 @@ impl GraphBuilder {
         GraphBuilder {
             n,
             index: FxHashMap::default(),
-            edge_list: Vec::new(),
+            edges: Vec::new(),
+            weights: Vec::new(),
         }
     }
 
@@ -394,18 +357,16 @@ impl GraphBuilder {
         if u == v {
             return false;
         }
-        let key = if u < v { (u.0, v.0) } else { (v.0, u.0) };
-        match self.index.get(&key) {
+        let (a, b) = if u < v { (u, v) } else { (v, u) };
+        match self.index.get(&(a.0, b.0)) {
             Some(&pos) => {
-                if w < self.edge_list[pos].2 {
-                    self.edge_list[pos].2 = w;
-                }
+                self.weights[pos] = self.weights[pos].min(w);
                 false
             }
             None => {
-                let (a, b) = if u < v { (u, v) } else { (v, u) };
-                self.index.insert(key, self.edge_list.len());
-                self.edge_list.push((a, b, w));
+                self.index.insert((a.0, b.0), self.edges.len());
+                self.edges.push((a, b));
+                self.weights.push(w);
                 true
             }
         }
@@ -413,58 +374,20 @@ impl GraphBuilder {
 
     /// Number of distinct edges added so far.
     pub fn num_edges(&self) -> usize {
-        self.edge_list.len()
+        self.edges.len()
     }
 
-    /// Finalizes the builder into an immutable-topology [`Graph`].
+    /// Finalizes the builder into a [`Graph`]; edge ids are insertion order.
     pub fn build(self) -> Graph {
-        let mut g = Graph::with_vertices(self.n);
-        g.edges.reserve(self.edge_list.len());
-        g.weights.reserve(self.edge_list.len());
-        for (u, v, w) in self.edge_list {
-            let e = EdgeId::from_index(g.edges.len());
-            g.edges.push((u, v));
-            g.weights.push(w);
-            g.adj[u.index()].push(Arc {
-                to: v,
-                weight: w,
-                edge: e,
-            });
-            g.adj[v.index()].push(Arc {
-                to: u,
-                weight: w,
-                edge: e,
-            });
-        }
-        g
+        Graph::from_normalized_edges(self.n, &self.edges, &self.weights)
     }
 }
-
-/// Iterator over the arcs incident to one vertex.
-pub struct NeighborIter<'a> {
-    inner: std::slice::Iter<'a, Arc>,
-}
-
-impl<'a> Iterator for NeighborIter<'a> {
-    type Item = &'a Arc;
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl<'a> ExactSizeIterator for NeighborIter<'a> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::INF;
-    use crate::updates::EdgeUpdate;
+    use crate::updates::{EdgeUpdate, UpdateGenerator};
 
     fn triangle() -> Graph {
         let mut b = GraphBuilder::new(3);
@@ -487,9 +410,23 @@ mod tests {
     fn degree_and_neighbors() {
         let g = triangle();
         assert_eq!(g.degree(VertexId(0)), 2);
-        let nbrs: Vec<_> = g.neighbors(VertexId(0)).map(|a| a.to).collect();
+        let nbrs: Vec<_> = g.arcs(VertexId(0)).map(|a| a.to).collect();
         assert!(nbrs.contains(&VertexId(1)));
         assert!(nbrs.contains(&VertexId(2)));
+    }
+
+    #[test]
+    fn arcs_are_in_edge_id_order_and_ids_in_insertion_order() {
+        let mut b = GraphBuilder::new(4);
+        for (u, v) in [(3, 0), (0, 2), (1, 0), (2, 3)] {
+            b.add_edge(VertexId(u), VertexId(v), 1 + u + v);
+        }
+        let g = b.build();
+        let at0: Vec<_> = g.arcs(VertexId(0)).map(|a| (a.to.0, a.edge.0)).collect();
+        assert_eq!(at0, vec![(3, 0), (2, 1), (1, 2)]);
+        assert_eq!(g.edge_endpoints(EdgeId(0)), (VertexId(0), VertexId(3)));
+        assert_eq!(g.edge_endpoints(EdgeId(3)), (VertexId(2), VertexId(3)));
+        g.validate().unwrap();
     }
 
     #[test]
@@ -549,15 +486,48 @@ mod tests {
         let mut g = triangle();
         let (e01, _) = g.find_edge(VertexId(0), VertexId(1)).unwrap();
         let (e12, _) = g.find_edge(VertexId(1), VertexId(2)).unwrap();
-        let batch =
-            UpdateBatch::from_updates(vec![EdgeUpdate::new(e01, 3, 6), EdgeUpdate::new(e12, 4, 2)]);
+        let batch = UpdateBatch::from_updates(vec![
+            EdgeUpdate::new(e01, 3, 6),
+            EdgeUpdate::new(e12, 4, 2),
+            EdgeUpdate::new(e12, 2, 2),
+        ]);
         let applied = g.apply_batch(&batch);
-        assert_eq!(applied.len(), 2);
+        assert_eq!(
+            applied,
+            vec![(e01, 3, 6), (e12, 4, 2)],
+            "no-ops are skipped"
+        );
         assert_eq!(g.edge_weight(e01), 6);
         assert_eq!(g.edge_weight(e12), 2);
         g.revert(&applied);
         assert_eq!(g.edge_weight(e01), 3);
         assert_eq!(g.edge_weight(e12), 4);
+    }
+
+    #[test]
+    fn a_clone_shares_the_topology_and_copies_only_written_chunks() {
+        let g = crate::gen::grid(60, 60, crate::gen::WeightRange::new(1, 50), 3);
+        assert!(g.weights.num_chunks() > 8);
+        let batch = UpdateGenerator::new(7).generate(&g, 5);
+        let mut next = g.clone();
+        assert!(next.shares_topology(&g));
+        next.apply_batch(&batch);
+        assert!(next.shares_topology(&g));
+        // Each edge writes its two arcs; only their chunks are copied.
+        let written: std::collections::BTreeSet<usize> = batch
+            .iter()
+            .filter(|u| u.new_weight != u.old_weight)
+            .flat_map(|u| g.topology.edge_arcs[u.edge.index()])
+            .map(|a| a as usize / WEIGHT_CHUNK)
+            .collect();
+        let cloned = next.weights.stats().chunks_cloned;
+        assert_eq!(cloned, written.len() as u64);
+        assert!(cloned <= 2 * batch.len() as u64);
+        for upd in &batch {
+            assert_eq!(g.edge_weight(upd.edge), upd.old_weight);
+            assert_eq!(next.edge_weight(upd.edge), upd.new_weight);
+        }
+        next.validate().unwrap();
     }
 
     #[test]
@@ -591,5 +561,8 @@ mod tests {
         let g = triangle();
         assert_eq!(g.total_weight(), 17);
         assert_eq!(g.max_degree(), 2);
+        let bytes = g.heap_bytes();
+        assert!(bytes.topology > 0 && bytes.weights > 0);
+        assert_eq!(bytes.total(), bytes.topology + bytes.weights);
     }
 }

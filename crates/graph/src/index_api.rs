@@ -574,8 +574,9 @@ impl std::fmt::Debug for SnapshotPublisher {
 ///
 /// 1. `apply_batch(graph, batch, publisher)` is called once per batch with
 ///    the already-updated global graph and the batch itself. The maintainer
-///    installs the new weights in its own graph copy (U-Stage 1) and then
-///    runs its repair stages in order.
+///    takes a clone of that graph version (U-Stage 1: a clone shares the
+///    topology and every weight chunk, so nothing is copied) and then runs
+///    its repair stages in order.
 /// 2. At the end of every completed stage that releases new (or faster)
 ///    query machinery, the maintainer calls [`SnapshotPublisher::publish`]
 ///    with a view that answers exactly on the new weights.

@@ -5,10 +5,12 @@
 //!
 //! The crate provides:
 //!
-//! * [`Graph`] — an undirected, positively weighted graph with adjacency-list
-//!   storage, mutable edge weights, and O(deg) weight lookup. Vertices are
-//!   compact [`VertexId`]s (`u32`), distances are [`Dist`]s (`u32` with a
-//!   saturating `INF` sentinel), matching the paper's model in §II.
+//! * [`Graph`] — the one graph type: an undirected, positively weighted
+//!   graph whose CSR topology is frozen once behind an `Arc` and whose exact
+//!   per-arc weights live in a chunked [`CowVec`], so a clone copies chunk
+//!   pointers and a batch copies only the weight chunks it writes. Vertices
+//!   are compact [`VertexId`]s (`u32`), distances are [`Dist`]s (`u32` with
+//!   a saturating `INF` sentinel), matching the paper's model in §II.
 //! * [`updates`] — edge-weight *increase* / *decrease* update batches
 //!   ([`UpdateBatch`]) and a seeded random generator following the paper's
 //!   protocol (§VII-A: pick edges uniformly, halve or double their weight).
@@ -17,10 +19,10 @@
 //!   DIMACS / NavInfo datasets of Table I.
 //! * [`dimacs`] — a reader/writer for the DIMACS `.gr` format so the real
 //!   datasets can be dropped in when available, including a streaming loader
-//!   that builds CSR storage without an adjacency-list intermediate.
-//! * [`storage`] — the flat large-graph layer: [`CsrGraph`]
-//!   (struct-of-arrays CSR with per-block lossless weight quantization) and
-//!   the [`Adjacency`] trait the index-free searches are generic over.
+//!   that builds the CSR without the builder's hash map.
+//! * [`storage`] — the layer under [`Graph`]: the CSR topology, the
+//!   per-arc weights and their chunk size, and the [`Arcs`] iterator the
+//!   searches read a vertex's targets and weights through.
 //! * [`snapshot`] — the versioned, checksummed index-snapshot wire format
 //!   ([`IndexSnapshot`], [`ByteWriter`]/[`ByteReader`]) behind
 //!   `save_snapshot`/`load_snapshot` warm restarts in `htsp-throughput`.
@@ -77,7 +79,7 @@ pub mod types;
 pub mod updates;
 
 pub use cow::{CowStats, CowTable, CowVec, RowRead};
-pub use graph::{Graph, GraphBuilder, NeighborIter};
+pub use graph::{Graph, GraphBuilder};
 pub use index_api::{
     FallbackSession, IndexMaintainer, PublishEvent, PublishHook, QuerySession, QueryView,
     SnapshotPublisher, StageReport, UpdateTimeline,
@@ -87,6 +89,8 @@ pub use par::{available_parallelism, StageStats, WorkerPool};
 pub use queries::{Query, QuerySet};
 pub use scratch::{ScratchGuard, ScratchPool};
 pub use snapshot::{le_u32, ByteReader, ByteWriter, IndexSnapshot, SnapshotError};
-pub use storage::{Adjacency, CsrFootprint, CsrGraph};
+#[doc(hidden)]
+pub use storage::CsrGraph;
+pub use storage::{Arcs, GraphBytes};
 pub use types::{Dist, EdgeId, VertexId, Weight, INF};
 pub use updates::{EdgeUpdate, UpdateBatch, UpdateGenerator, UpdateKind};

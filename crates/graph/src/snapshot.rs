@@ -420,12 +420,12 @@ pub fn decode_graph(r: &mut ByteReader<'_>) -> Result<Graph, SnapshotError> {
         edges.push((VertexId(u), VertexId(v)));
         weights.push(w);
     }
-    let graph = Graph::from_normalized_edges(n, edges, weights);
+    let graph = Graph::from_normalized_edges(n, &edges, &weights);
     // A pair listed twice shows up twice in its lower endpoint's arcs:
     // `seen[b] == u` marks `b` as met in `u`'s arcs.
     let mut seen = vec![u32::MAX; n];
     for u in graph.vertices() {
-        for arc in graph.arcs(u).iter().filter(|a| a.to > u) {
+        for arc in graph.arcs(u).filter(|a| a.to > u) {
             if std::mem::replace(&mut seen[arc.to.index()], u.0) == u.0 {
                 return Err(SnapshotError::Malformed(format!(
                     "edge {}: duplicate edge ({}, {})",

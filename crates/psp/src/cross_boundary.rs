@@ -111,7 +111,7 @@ impl CrossBoundaryIndex {
             None => return Vec::new(),
         };
         let mut acc: FxHashMap<u32, Dist> = FxHashMap::default();
-        for &lb in &sub.boundary_local {
+        for &lb in sub.boundary_local.iter() {
             let dvb = post.distance_to_boundary(pi, lv, lb);
             if dvb.is_inf() {
                 continue;
@@ -321,7 +321,7 @@ mod tests {
     fn labels_satisfy_two_hop_cover_for_boundary_pairs() {
         let (p, overlay, _oi, _post, cross) = setup();
         // Lemma 2, case 1: boundary-boundary pairs.
-        let b: Vec<VertexId> = overlay.global_of.clone();
+        let b: Vec<VertexId> = overlay.global_of.to_vec();
         for (i, &b1) in b.iter().enumerate().step_by(3) {
             for &b2 in b.iter().skip(i + 1).step_by(4) {
                 if p.partition.same_partition(b1, b2) {

@@ -34,21 +34,22 @@ pub enum OverlayEdgeSource {
     },
 }
 
-/// The overlay graph and its id mappings.
+/// The overlay graph and its id mappings. The mappings never change, so
+/// a clone shares them, and the graph's topology, and copies pointers.
 #[derive(Clone, Debug)]
 pub struct OverlayGraph {
     /// The overlay graph in overlay-local vertex ids.
     pub graph: Graph,
     /// Overlay-local id → global id.
-    pub global_of: Vec<VertexId>,
+    pub global_of: Arc<[VertexId]>,
     /// Global id → overlay-local id (only boundary vertices appear).
-    pub local_of: FxHashMap<VertexId, VertexId>,
+    pub local_of: Arc<FxHashMap<VertexId, VertexId>>,
     /// Source of each overlay edge (indexed by overlay edge id).
-    sources: Vec<OverlayEdgeSource>,
+    sources: Arc<[OverlayEdgeSource]>,
     /// Global inter edge id → overlay edge id.
-    inter_edge_of: FxHashMap<EdgeId, EdgeId>,
+    inter_edge_of: Arc<FxHashMap<EdgeId, EdgeId>>,
     /// (partition, local lo, local hi) → overlay edge id.
-    shortcut_edge_of: FxHashMap<(u32, u32, u32), EdgeId>,
+    shortcut_edge_of: Arc<FxHashMap<(u32, u32, u32), EdgeId>>,
 }
 
 impl OverlayGraph {
@@ -92,7 +93,7 @@ impl OverlayGraph {
             .enumerate()
         {
             let is_b: FxHashSet<VertexId> = sub.boundary_local.iter().copied().collect();
-            for &b in &sub.boundary_local {
+            for &b in sub.boundary_local.iter() {
                 for &(u, w) in ch.up_arcs(b) {
                     if !is_b.contains(&u) {
                         continue;
@@ -117,11 +118,11 @@ impl OverlayGraph {
         debug_assert_eq!(graph.num_edges(), sources.len());
         OverlayGraph {
             graph,
-            global_of: boundary,
-            local_of,
-            sources,
-            inter_edge_of,
-            shortcut_edge_of,
+            global_of: boundary.into(),
+            local_of: Arc::new(local_of),
+            sources: sources.into(),
+            inter_edge_of: Arc::new(inter_edge_of),
+            shortcut_edge_of: Arc::new(shortcut_edge_of),
         }
     }
 
@@ -290,7 +291,7 @@ mod tests {
     fn overlay_vertices_are_exactly_the_boundary() {
         let (p, _chs, overlay) = setup(4);
         assert_eq!(overlay.num_vertices(), p.partition.num_boundary());
-        for &g in &overlay.global_of {
+        for &g in overlay.global_of.iter() {
             assert!(p.partition.is_boundary(g));
         }
     }
@@ -300,7 +301,7 @@ mod tests {
         // The key PSP invariant (§III-C): the overlay graph preserves the
         // global shortest distances between boundary vertices.
         let (p, _chs, overlay) = setup(4);
-        let b: Vec<VertexId> = overlay.global_of.clone();
+        let b: Vec<VertexId> = overlay.global_of.to_vec();
         // Check a sample of boundary pairs.
         for (i, &b1) in b.iter().enumerate().step_by(3) {
             for &b2 in b.iter().skip(i + 1).step_by(5) {

@@ -60,7 +60,7 @@ impl PartitionIndex {
     pub fn build(sub: &Subgraph) -> Self {
         PartitionIndex {
             h2h: build_partition_h2h(sub),
-            boundary_local: sub.boundary_local.clone(),
+            boundary_local: sub.boundary_local.to_vec(),
         }
     }
 
@@ -135,7 +135,7 @@ mod tests {
             let order = partition_order(sub);
             let nb = sub.boundary_local.len();
             let n = sub.graph.num_vertices();
-            for &b in &sub.boundary_local {
+            for &b in sub.boundary_local.iter() {
                 assert!(
                     order.rank(b) as usize >= n - nb,
                     "boundary vertex ranked below an interior vertex"

@@ -1,8 +1,13 @@
 //! The partitioned view of a road network.
+//!
+//! Only the weights change from batch to batch, so everything else — the
+//! partition, every subgraph's id maps, and the graphs' topologies — is
+//! shared by every clone: a clone of [`Partitioned`] copies pointers.
 
 use htsp_graph::{EdgeId, Graph, GraphBuilder, UpdateBatch, VertexId, Weight};
 use htsp_partition::PartitionResult;
 use rustc_hash::FxHashMap;
+use std::sync::Arc;
 
 /// One partition's induced subgraph together with its id mappings.
 #[derive(Clone, Debug)]
@@ -10,15 +15,15 @@ pub struct Subgraph {
     /// The induced subgraph over intra-partition edges, in local vertex ids.
     pub graph: Graph,
     /// Local id → global id.
-    pub global_of: Vec<VertexId>,
+    pub global_of: Arc<[VertexId]>,
     /// Global id → local id.
-    pub local_of: FxHashMap<VertexId, VertexId>,
+    pub local_of: Arc<FxHashMap<VertexId, VertexId>>,
     /// Local ids of this partition's boundary vertices.
-    pub boundary_local: Vec<VertexId>,
+    pub boundary_local: Arc<[VertexId]>,
     /// For each local edge, the corresponding global edge id.
-    pub global_edge_of: Vec<EdgeId>,
+    pub global_edge_of: Arc<[EdgeId]>,
     /// Global edge id → local edge id.
-    local_edge_of: FxHashMap<EdgeId, EdgeId>,
+    local_edge_of: Arc<FxHashMap<EdgeId, EdgeId>>,
 }
 
 impl Subgraph {
@@ -69,7 +74,7 @@ pub struct Partitioned {
     /// The global graph with current weights.
     pub graph: Graph,
     /// The planar partition.
-    pub partition: PartitionResult,
+    pub partition: Arc<PartitionResult>,
     /// Per-partition subgraph views.
     pub subgraphs: Vec<Subgraph>,
 }
@@ -118,16 +123,16 @@ impl Partitioned {
             let boundary_local = partition.boundary(i).iter().map(|b| local_of[b]).collect();
             subgraphs.push(Subgraph {
                 graph: sub,
-                global_of: members.to_vec(),
-                local_of,
+                global_of: members.into(),
+                local_of: Arc::new(local_of),
                 boundary_local,
-                global_edge_of,
-                local_edge_of,
+                global_edge_of: global_edge_of.into(),
+                local_edge_of: Arc::new(local_edge_of),
             });
         }
         Partitioned {
             graph,
-            partition,
+            partition: Arc::new(partition),
             subgraphs,
         }
     }
@@ -166,6 +171,8 @@ impl Partitioned {
 
     /// Applies a batch to the global graph *and* to the affected subgraph
     /// copies (U-Stage 1), returning the routed updates for the later stages.
+    /// Only the weight chunks it writes are copied, and only where a clone
+    /// (a published view) still shares them.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> RoutedUpdates {
         self.graph.apply_batch(batch);
         let routed = self.route_updates(batch);

@@ -16,7 +16,7 @@
 //! do not reallocate; it resets in O(touched) rather than O(n).
 
 use crate::heap::MinHeap;
-use htsp_graph::{Adjacency, Dist, VertexId, INF};
+use htsp_graph::{Dist, Graph, VertexId, INF};
 use rustc_hash::FxHashSet;
 
 /// Reusable buffers for Dijkstra-style searches over one graph size.
@@ -76,17 +76,14 @@ impl DijkstraWorkspace {
 
 /// Computes the shortest distance from `s` to `t`, or `INF` if unreachable.
 ///
-/// Generic over [`Adjacency`], so it runs identically on the adjacency-list
-/// [`Graph`](htsp_graph::Graph) and the flat
-/// [`CsrGraph`](htsp_graph::CsrGraph) (as do all searches in this module).
-pub fn dijkstra_distance<A: Adjacency + ?Sized>(graph: &A, s: VertexId, t: VertexId) -> Dist {
+pub fn dijkstra_distance(graph: &Graph, s: VertexId, t: VertexId) -> Dist {
     let mut ws = DijkstraWorkspace::new(graph.num_vertices());
     dijkstra_distance_ws(graph, s, t, &mut ws)
 }
 
 /// [`dijkstra_distance`] reusing a caller-provided workspace.
-pub fn dijkstra_distance_ws<A: Adjacency + ?Sized>(
-    graph: &A,
+pub fn dijkstra_distance_ws(
+    graph: &Graph,
     s: VertexId,
     t: VertexId,
     ws: &mut DijkstraWorkspace,
@@ -102,11 +99,11 @@ pub fn dijkstra_distance_ws<A: Adjacency + ?Sized>(
         if v == t {
             return d;
         }
-        graph.for_each_arc(v, |to, w| {
-            if !ws.visited[to.index()] {
-                ws.relax(to, d.saturating_add_weight(w));
+        for arc in graph.arcs(v) {
+            if !ws.visited[arc.to.index()] {
+                ws.relax(arc.to, d.saturating_add_weight(arc.weight));
             }
-        });
+        }
     }
     ws.distance(t)
 }
@@ -119,10 +116,7 @@ pub fn dijkstra_distance_ws<A: Adjacency + ?Sized>(
 /// running one search over the overlay graph yields, in a single pass, the
 /// best `source → boundary → boundary'` distance to *every* overlay vertex —
 /// no per-boundary-pair search. Seeds may repeat; `INF` seeds are ignored.
-pub fn dijkstra_multi_source<A: Adjacency + ?Sized>(
-    graph: &A,
-    seeds: &[(VertexId, Dist)],
-) -> Vec<Dist> {
+pub fn dijkstra_multi_source(graph: &Graph, seeds: &[(VertexId, Dist)]) -> Vec<Dist> {
     let mut ws = DijkstraWorkspace::new(graph.num_vertices());
     dijkstra_multi_source_ws(graph, seeds, &mut ws);
     ws.dist.clone()
@@ -130,8 +124,8 @@ pub fn dijkstra_multi_source<A: Adjacency + ?Sized>(
 
 /// [`dijkstra_multi_source`] reusing a caller-provided workspace; distances
 /// are read back through [`DijkstraWorkspace::distance`].
-pub fn dijkstra_multi_source_ws<A: Adjacency + ?Sized>(
-    graph: &A,
+pub fn dijkstra_multi_source_ws(
+    graph: &Graph,
     seeds: &[(VertexId, Dist)],
     ws: &mut DijkstraWorkspace,
 ) {
@@ -147,16 +141,16 @@ pub fn dijkstra_multi_source_ws<A: Adjacency + ?Sized>(
             continue;
         }
         ws.visited[v.index()] = true;
-        graph.for_each_arc(v, |to, w| {
-            if !ws.visited[to.index()] {
-                ws.relax(to, d.saturating_add_weight(w));
+        for arc in graph.arcs(v) {
+            if !ws.visited[arc.to.index()] {
+                ws.relax(arc.to, d.saturating_add_weight(arc.weight));
             }
-        });
+        }
     }
 }
 
 /// Computes the full single-source shortest-distance vector from `s`.
-pub fn dijkstra_all<A: Adjacency + ?Sized>(graph: &A, s: VertexId) -> Vec<Dist> {
+pub fn dijkstra_all(graph: &Graph, s: VertexId) -> Vec<Dist> {
     let n = graph.num_vertices();
     let mut ws = DijkstraWorkspace::new(n);
     ws.reset();
@@ -166,29 +160,25 @@ pub fn dijkstra_all<A: Adjacency + ?Sized>(graph: &A, s: VertexId) -> Vec<Dist> 
             continue;
         }
         ws.visited[v.index()] = true;
-        graph.for_each_arc(v, |to, w| {
-            if !ws.visited[to.index()] {
-                ws.relax(to, d.saturating_add_weight(w));
+        for arc in graph.arcs(v) {
+            if !ws.visited[arc.to.index()] {
+                ws.relax(arc.to, d.saturating_add_weight(arc.weight));
             }
-        });
+        }
     }
     ws.dist.clone()
 }
 
 /// One-to-many Dijkstra: returns the distance from `s` to every vertex in
 /// `targets` (in the same order), stopping as soon as all targets are settled.
-pub fn dijkstra_to_targets<A: Adjacency + ?Sized>(
-    graph: &A,
-    s: VertexId,
-    targets: &[VertexId],
-) -> Vec<Dist> {
+pub fn dijkstra_to_targets(graph: &Graph, s: VertexId, targets: &[VertexId]) -> Vec<Dist> {
     let mut ws = DijkstraWorkspace::new(graph.num_vertices());
     dijkstra_to_targets_ws(graph, s, targets, &mut ws)
 }
 
 /// [`dijkstra_to_targets`] reusing a caller-provided workspace.
-pub fn dijkstra_to_targets_ws<A: Adjacency + ?Sized>(
-    graph: &A,
+pub fn dijkstra_to_targets_ws(
+    graph: &Graph,
     s: VertexId,
     targets: &[VertexId],
     ws: &mut DijkstraWorkspace,
@@ -206,11 +196,11 @@ pub fn dijkstra_to_targets_ws<A: Adjacency + ?Sized>(
         if pending.is_empty() {
             break;
         }
-        graph.for_each_arc(v, |to, w| {
-            if !ws.visited[to.index()] {
-                ws.relax(to, d.saturating_add_weight(w));
+        for arc in graph.arcs(v) {
+            if !ws.visited[arc.to.index()] {
+                ws.relax(arc.to, d.saturating_add_weight(arc.weight));
             }
-        });
+        }
     }
     targets.iter().map(|&t| ws.distance(t)).collect()
 }
@@ -223,8 +213,8 @@ pub fn dijkstra_to_targets_ws<A: Adjacency + ?Sized>(
 /// `hop_limit` additionally caps the number of settled vertices, the standard
 /// CH trick to keep contraction fast on dense intermediate graphs; pass
 /// `usize::MAX` for an exact witness search.
-pub fn dijkstra_bounded<A: Adjacency + ?Sized>(
-    graph: &A,
+pub fn dijkstra_bounded(
+    graph: &Graph,
     s: VertexId,
     t: VertexId,
     skip: VertexId,
@@ -237,8 +227,8 @@ pub fn dijkstra_bounded<A: Adjacency + ?Sized>(
 
 /// [`dijkstra_bounded`] reusing a caller-provided workspace.
 #[allow(clippy::too_many_arguments)]
-pub fn dijkstra_bounded_ws<A: Adjacency + ?Sized>(
-    graph: &A,
+pub fn dijkstra_bounded_ws(
+    graph: &Graph,
     s: VertexId,
     t: VertexId,
     skip: VertexId,
@@ -268,15 +258,15 @@ pub fn dijkstra_bounded_ws<A: Adjacency + ?Sized>(
         if settled >= hop_limit {
             break;
         }
-        graph.for_each_arc(v, |to, w| {
-            if to == skip || ws.visited[to.index()] {
-                return;
+        for arc in graph.arcs(v) {
+            if arc.to == skip || ws.visited[arc.to.index()] {
+                continue;
             }
-            let nd = d.saturating_add_weight(w);
+            let nd = d.saturating_add_weight(arc.weight);
             if nd <= limit {
-                ws.relax(to, nd);
+                ws.relax(arc.to, nd);
             }
-        });
+        }
     }
     let d = ws.distance(t);
     if d <= limit {
@@ -290,7 +280,7 @@ pub fn dijkstra_bounded_ws<A: Adjacency + ?Sized>(
 mod tests {
     use super::*;
     use htsp_graph::gen::{grid, WeightRange};
-    use htsp_graph::{CsrGraph, Graph, GraphBuilder};
+    use htsp_graph::GraphBuilder;
 
     fn line_graph(weights: &[u32]) -> Graph {
         let mut b = GraphBuilder::new(weights.len() + 1);
@@ -438,23 +428,44 @@ mod tests {
         );
     }
 
+    /// All-pairs distances by Bellman-Ford over the edge list: a reference
+    /// that never reads the CSR arcs.
+    fn reference_all(g: &Graph, s: VertexId) -> Vec<Dist> {
+        let mut dist = vec![INF; g.num_vertices()];
+        dist[s.index()] = Dist::ZERO;
+        for _ in 0..g.num_vertices() {
+            for (_, u, v, w) in g.edges() {
+                let (du, dv) = (dist[u.index()], dist[v.index()]);
+                dist[v.index()] = dv.min(du.saturating_add_weight(w));
+                dist[u.index()] = dist[u.index()].min(dv.saturating_add_weight(w));
+            }
+        }
+        dist
+    }
+
     #[test]
     fn csr_backed_search_is_exact() {
-        let g = grid(9, 8, WeightRange::new(1, 40), 17);
-        let csr = CsrGraph::from_graph(&g);
-        for (s, t) in [(0usize, 71usize), (3, 50), (71, 0), (20, 20)] {
-            let (s, t) = (VertexId::from_index(s), VertexId::from_index(t));
-            assert_eq!(dijkstra_distance(&csr, s, t), dijkstra_distance(&g, s, t));
+        let mut g = grid(9, 8, WeightRange::new(1, 40), 17);
+        // A pinned clone keeps its weights while the next batch lands.
+        let pinned = g.clone();
+        let batch = htsp_graph::UpdateGenerator::new(3).generate(&g, 30);
+        g.apply_batch(&batch);
+        for graph in [&pinned, &g] {
+            for s in [0usize, 3, 20, 71] {
+                let s = VertexId::from_index(s);
+                let expect = reference_all(graph, s);
+                assert_eq!(dijkstra_all(graph, s), expect);
+                for t in [0usize, 50, 71] {
+                    let t = VertexId::from_index(t);
+                    assert_eq!(dijkstra_distance(graph, s, t), expect[t.index()]);
+                }
+                let targets = [VertexId(1), VertexId(60), VertexId(33)];
+                assert_eq!(
+                    dijkstra_to_targets(graph, s, &targets),
+                    targets.map(|t| expect[t.index()])
+                );
+            }
         }
-        assert_eq!(
-            dijkstra_all(&csr, VertexId(4)),
-            dijkstra_all(&g, VertexId(4))
-        );
-        let targets = [VertexId(1), VertexId(60), VertexId(33)];
-        assert_eq!(
-            dijkstra_to_targets(&csr, VertexId(9), &targets),
-            dijkstra_to_targets(&g, VertexId(9), &targets)
-        );
     }
 
     #[test]

@@ -611,14 +611,16 @@ impl UpdateFeed {
                 });
             }
             // Install the new weights in the server's graph (brief write
-            // lock), then repair under a read lock so `with_graph` readers
-            // are only ever blocked by the weight installation itself.
-            {
+            // lock, copying only the weight chunks the batch writes) and hand
+            // the maintainer a clone of that version: the server, the
+            // maintainer and its views share one graph, and `with_graph`
+            // readers are only ever blocked by the weight installation.
+            let graph = {
                 let mut graph = shared.graph.write().expect("server graph poisoned");
                 graph.apply_batch(&batch);
-            }
+                graph.clone()
+            };
             shared.publisher.set_batch_tag(batch_seq);
-            let graph = shared.graph.read().expect("server graph poisoned");
             let apply_start = Instant::now();
             let timeline = maintainer.apply_batch(&graph, &batch, &shared.publisher);
             drop(graph);

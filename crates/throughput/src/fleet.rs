@@ -128,17 +128,16 @@ impl ShardedFleet {
 
     /// Reads a DIMACS `.gr` network from `path` and starts a fleet over it.
     ///
-    /// Ingest goes through the streaming loader: the file is tokenized into
-    /// flat CSR storage directly (no adjacency-list intermediate), which is
-    /// what keeps 10M+-edge networks loadable; the partitioner's mutable
-    /// [`Graph`] is then materialized once from the CSR arrays.
+    /// Ingest goes through the streaming loader, which tokenizes the file
+    /// straight into the CSR [`Graph`] without the builder's hash map.
     pub fn from_dimacs<P: AsRef<Path>>(
         path: P,
         config: FleetConfig,
     ) -> Result<ShardedFleet, DimacsError> {
-        let csr = load_dimacs_streaming_file(path)?;
-        let graph = csr.to_graph();
-        Ok(ShardedFleet::start(&graph, config))
+        Ok(ShardedFleet::start(
+            &load_dimacs_streaming_file(path)?,
+            config,
+        ))
     }
 
     /// The front-end router (ingest + sessions).

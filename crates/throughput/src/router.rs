@@ -94,7 +94,7 @@ impl FleetTopology {
         let mut boundary_overlay = Vec::with_capacity(p.subgraphs.len());
         let mut shard_sizes = Vec::with_capacity(p.subgraphs.len());
         for sub in &p.subgraphs {
-            let bl = sub.boundary_local.clone();
+            let bl = sub.boundary_local.to_vec();
             let bo: Vec<VertexId> = bl
                 .iter()
                 .map(|&b| {

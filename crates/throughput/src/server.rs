@@ -214,7 +214,7 @@ impl ServerBuilder {
         // component plus the graph itself, refreshed on demand.
         let mut storage_gauges = Vec::new();
         let mut storage_parts = maintainer.storage_bytes();
-        storage_parts.push(("graph", graph.heap_bytes()));
+        storage_parts.push(("graph", graph.heap_bytes().total()));
         for (component, bytes) in storage_parts {
             let gauge = Gauge::new();
             gauge.set(bytes as u64);
@@ -451,10 +451,11 @@ impl RoadNetworkServer {
     /// [`ServerBuilder::start_from_snapshot`] republishes without
     /// rebuilding. Runs between batches (same rule as
     /// [`RoadNetworkServer::with_index`]), so the captured state is always a
-    /// fully repaired index, never a mid-repair one.
+    /// fully repaired index, never a mid-repair one, and the graph is the
+    /// version that index was repaired for (a clone: no weight is copied).
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        let graph = self.with_graph(|g| g.clone());
-        let state = self.with_index(|m| m.snapshot_state());
+        let (graph, state) =
+            self.with_index(|m| (m.current_view().graph().clone(), m.snapshot_state()));
         IndexSnapshot {
             algorithm: self.algorithm.to_string(),
             params: self.params.to_snapshot_bytes(),
@@ -471,7 +472,7 @@ impl RoadNetworkServer {
     /// on the fly. Returns the measured `(component, bytes)` pairs.
     pub fn refresh_storage_gauges(&self) -> Vec<(&'static str, usize)> {
         let mut parts = self.with_index(|m| m.storage_bytes());
-        parts.push(("graph", self.with_graph(|g| g.heap_bytes())));
+        parts.push(("graph", self.with_graph(|g| g.heap_bytes().total())));
         let mut gauges = self.storage_gauges.lock().expect("storage gauges poisoned");
         for &(component, bytes) in &parts {
             match gauges.iter().find(|(c, _)| *c == component) {
