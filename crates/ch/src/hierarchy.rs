@@ -286,7 +286,19 @@ impl ContractionHierarchy {
     pub fn distance(&self, s: VertexId, t: VertexId) -> Dist {
         crate::query::ChQuery::new(self.num_vertices()).distance(self, s, t)
     }
+
+    /// A clone: the packed read-only copy a query once ran on is the
+    /// hierarchy itself.
+    #[doc(hidden)]
+    pub fn flatten(&self) -> FlatHierarchy {
+        self.clone()
+    }
 }
+
+/// The name of the packed read-only copy a query once ran on; it is the
+/// hierarchy itself.
+#[doc(hidden)]
+pub type FlatHierarchy = ContractionHierarchy;
 
 /// Position of `u` in a rank-sorted upward row (or a tail of one), by binary
 /// search on the rank.

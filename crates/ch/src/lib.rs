@@ -33,14 +33,14 @@
 
 pub mod dch;
 mod elimination;
-pub mod flat;
 pub mod hierarchy;
 pub mod ordering;
 pub mod persist;
 pub mod query;
 
 pub use dch::ShortcutChange;
-pub use flat::{FlatHierarchy, UpwardArcs};
+#[doc(hidden)]
+pub use hierarchy::FlatHierarchy;
 pub use hierarchy::{ContractionHierarchy, ShortcutMode};
 pub use ordering::{boundary_first_order, mde_order, OrderingStrategy, VertexOrder};
 pub use query::{ChQuery, ChQuerySession};

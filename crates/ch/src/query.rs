@@ -5,7 +5,6 @@
 //! A direction stops expanding once its frontier minimum can no longer improve
 //! the best meeting distance; the query finishes when both directions stop.
 
-use crate::flat::UpwardArcs;
 use crate::hierarchy::ContractionHierarchy;
 use htsp_graph::{Dist, QuerySession, ScratchGuard, VertexId, INF};
 use htsp_search::MinHeap;
@@ -55,9 +54,8 @@ impl ChQuery {
         self.heap_b.clear();
     }
 
-    /// Shortest distance between `s` and `t` on the hierarchy `ch` (any
-    /// [`UpwardArcs`] representation — copy-on-write or flat CSR).
-    pub fn distance<H: UpwardArcs + ?Sized>(&mut self, ch: &H, s: VertexId, t: VertexId) -> Dist {
+    /// Shortest distance between `s` and `t` on the hierarchy `ch`.
+    pub fn distance(&mut self, ch: &ContractionHierarchy, s: VertexId, t: VertexId) -> Dist {
         if s == t {
             return Dist::ZERO;
         }
@@ -136,9 +134,9 @@ impl ChQuery {
     /// upward search against the cached forward ball — `1 + |targets|`
     /// half-searches instead of `2·|targets|`, with the expensive forward
     /// half amortized across the whole target set.
-    pub fn one_to_many<H: UpwardArcs + ?Sized>(
+    pub fn one_to_many(
         &mut self,
-        ch: &H,
+        ch: &ContractionHierarchy,
         s: VertexId,
         targets: &[VertexId],
     ) -> Vec<Dist> {
