@@ -225,15 +225,10 @@ impl<T: Clone> CowVec<T> {
         &self.chunks[ci][o]
     }
 
-    /// The elements from `i` to the end of `i`'s chunk: the longest
-    /// contiguous run starting at `i` (empty when `i` is `len`).
+    /// The elements of chunk `ci` (empty past the last chunk).
     #[inline]
-    pub fn run_from(&self, i: usize) -> &[T] {
-        if i == self.len {
-            return &[];
-        }
-        let (ci, o) = self.locate(i);
-        &self.chunks[ci][o..]
+    pub fn chunk(&self, ci: usize) -> &[T] {
+        self.chunks.get(ci).map_or(&[], |c| c)
     }
 
     /// Iterates over all elements.
@@ -269,9 +264,21 @@ impl<T: Clone> CowVec<T> {
     /// clone of this container still shares it (and counting that clone).
     pub fn make_mut(&mut self, i: usize) -> &mut T {
         let (ci, o) = self.locate(i);
-        self.ensure_unique(ci);
         let chunk = &mut self.chunks[ci];
-        &mut Arc::get_mut(chunk).expect("chunk just made unique")[o]
+        &mut unshare(chunk, &self.counters)[o]
+    }
+
+    /// Mutable slices of the chunks `touched` marks (one flag per chunk),
+    /// each shared one cloned first; `None` for the others. The batched
+    /// form of [`CowVec::make_mut`]: one uniqueness check per chunk instead
+    /// of one per write.
+    pub fn chunks_mut(&mut self, touched: &[bool]) -> Vec<Option<&mut [T]>> {
+        let counters = &self.counters;
+        self.chunks
+            .iter_mut()
+            .zip(touched)
+            .map(|(chunk, &t)| t.then(|| unshare(chunk, counters)))
+            .collect()
     }
 
     /// Hands out disjoint `&mut` borrows of every element whose index
@@ -295,14 +302,7 @@ impl<T: Clone> CowVec<T> {
             if !(0..chunk.len()).any(|o| select(base + o)) {
                 continue;
             }
-            if Arc::get_mut(&mut *chunk).is_none() {
-                let bytes = (chunk.len() * std::mem::size_of::<T>()) as u64;
-                let cloned: Arc<[T]> = chunk.iter().cloned().collect();
-                *chunk = cloned;
-                self.counters.record(bytes);
-            }
-            let slice = Arc::get_mut(chunk).expect("chunk just made unique");
-            for (o, item) in slice.iter_mut().enumerate() {
+            for (o, item) in unshare(chunk, &self.counters).iter_mut().enumerate() {
                 if select(base + o) {
                     out.push((base + o, item));
                 }
@@ -310,16 +310,16 @@ impl<T: Clone> CowVec<T> {
         }
         out
     }
+}
 
-    fn ensure_unique(&mut self, ci: usize) {
-        let chunk = &mut self.chunks[ci];
-        if Arc::get_mut(chunk).is_none() {
-            let bytes = (chunk.len() * std::mem::size_of::<T>()) as u64;
-            let cloned: Arc<[T]> = chunk.iter().cloned().collect();
-            *chunk = cloned;
-            self.counters.record(bytes);
-        }
+/// The elements of `chunk`, replacing it by a private copy first (and
+/// counting the clone) if another container still shares it.
+fn unshare<'a, T: Clone>(chunk: &'a mut Arc<[T]>, counters: &Counters) -> &'a mut [T] {
+    if Arc::get_mut(chunk).is_none() {
+        counters.record(std::mem::size_of_val::<[T]>(chunk) as u64);
+        *chunk = chunk.iter().cloned().collect();
     }
+    Arc::get_mut(chunk).expect("chunk just made unique")
 }
 
 impl<T> Clone for CowVec<T> {

@@ -165,12 +165,36 @@ impl Graph {
     /// This is "U-Stage 1: on-spot edge update" of the PMHL/PostMHL pipelines
     /// (§V-D, §VI-C): the graph is refreshed immediately so that index-free
     /// BiDijkstra can already answer queries correctly. Only the weight
-    /// chunks written here are copied, and only if a clone shares them.
+    /// chunks written here are copied, once each, and only if a clone still
+    /// shares them.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Vec<(EdgeId, Weight, Weight)> {
+        let edge_arcs = &self.topology.edge_arcs;
+        // The chunks of every edge whose new weight differs from its weight
+        // before the batch: exactly the chunks the batch writes, since an
+        // edge only moves again after a first write has marked its chunks.
+        let mut touched = vec![false; self.weights.num_chunks()];
+        for upd in batch {
+            assert!(upd.new_weight > 0, "edge weights must be strictly positive");
+            if upd.new_weight != self.edge_weight(upd.edge) {
+                for a in edge_arcs[upd.edge.index()] {
+                    touched[a as usize / WEIGHT_CHUNK] = true;
+                }
+            }
+        }
+        let mut chunks = self.weights.chunks_mut(&touched);
         let mut applied = Vec::with_capacity(batch.len());
-        for upd in batch.iter() {
-            let old = self.set_edge_weight(upd.edge, upd.new_weight);
+        for upd in batch {
+            let [at_u, at_v] = edge_arcs[upd.edge.index()].map(|a| a as usize);
+            // An unmarked chunk: no update of the batch moves this edge.
+            let Some(chunk) = &mut chunks[at_u / WEIGHT_CHUNK] else {
+                continue;
+            };
+            let old = std::mem::replace(&mut chunk[at_u % WEIGHT_CHUNK], upd.new_weight);
             if old != upd.new_weight {
+                chunks[at_v / WEIGHT_CHUNK]
+                    .as_mut()
+                    .expect("a moved edge has both chunks marked")[at_v % WEIGHT_CHUNK] =
+                    upd.new_weight;
                 applied.push((upd.edge, old, upd.new_weight));
             }
         }
@@ -502,6 +526,24 @@ mod tests {
         g.revert(&applied);
         assert_eq!(g.edge_weight(e01), 3);
         assert_eq!(g.edge_weight(e12), 4);
+    }
+
+    #[test]
+    fn repeated_updates_of_one_edge_apply_in_order() {
+        let g = triangle();
+        let (e, w) = g.find_edge(VertexId(1), VertexId(2)).unwrap();
+        let mut next = g.clone();
+        let batch = UpdateBatch::from_updates(vec![
+            EdgeUpdate::new(e, w, 9),
+            EdgeUpdate::new(e, 9, w),
+            EdgeUpdate::new(e, w, w),
+            EdgeUpdate::new(e, w, 11),
+        ]);
+        let applied = next.apply_batch(&batch);
+        assert_eq!(applied, vec![(e, w, 9), (e, 9, w), (e, w, 11)]);
+        assert_eq!(next.edge_dist(VertexId(2), VertexId(1)), Dist(11));
+        assert_eq!(g.edge_weight(e), w);
+        next.validate().unwrap();
     }
 
     #[test]

@@ -28,6 +28,8 @@
 use crate::cow::CowVec;
 use crate::graph::{Arc, Graph};
 use crate::types::{EdgeId, VertexId, Weight};
+use std::iter::Zip;
+use std::slice::Iter;
 
 /// Arcs per weight chunk: a batch of |U| edges copies at most 2|U| chunks
 /// of 4 KiB, and a clone copies one pointer per 1024 arcs.
@@ -96,7 +98,8 @@ impl Topology {
     /// Arc range of `v`.
     #[inline]
     pub(crate) fn arc_range(&self, v: VertexId) -> std::ops::Range<usize> {
-        self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize
+        let o = &self.offsets[v.index()..v.index() + 2];
+        o[0] as usize..o[1] as usize
     }
 
     /// Heap bytes of the four arrays.
@@ -125,40 +128,54 @@ impl GraphBytes {
     }
 }
 
+/// Targets, edge ids and weights of consecutive arcs, zipped.
+type Run<'a> = Zip<Zip<Iter<'a, VertexId>, Iter<'a, EdgeId>>, Iter<'a, Weight>>;
+
 /// Iterator over the arcs leaving one vertex, in edge-id order (see
 /// [`Graph::arcs`]).
 ///
-/// Targets and edge ids are read from the topology, weights from the run
-/// of the vertex's weight chunk; a vertex whose arcs cross a chunk boundary
-/// picks up the next chunk's run when the first one ends.
+/// It walks one run of arcs at a time: targets, edge ids and weights as
+/// three equal-length slices. A vertex whose arcs cross a weight-chunk
+/// boundary continues with the next chunk's run.
 pub struct Arcs<'a> {
-    arcs: std::iter::Zip<std::slice::Iter<'a, VertexId>, std::slice::Iter<'a, EdgeId>>,
-    weights: std::slice::Iter<'a, Weight>,
-    /// One past the vertex's last arc.
+    run: Run<'a>,
+    /// The first arc after the current run, and one past the vertex's last.
+    next: usize,
     end: usize,
-    all: &'a CowVec<Weight>,
+    topology: &'a Topology,
+    weights: &'a CowVec<Weight>,
 }
 
 impl<'a> Arcs<'a> {
     #[inline]
     pub(crate) fn new(topology: &'a Topology, weights: &'a CowVec<Weight>, v: VertexId) -> Self {
         let range = topology.arc_range(v);
+        let (run, next) = Self::run(topology, weights, range.clone());
         Arcs {
-            arcs: topology.targets[range.clone()]
-                .iter()
-                .zip(&topology.arc_edge[range.clone()]),
-            weights: weights.run_from(range.start).iter(),
+            run,
+            next,
             end: range.end,
-            all: weights,
+            topology,
+            weights,
         }
     }
 
-    /// The weight of the arc just taken from `arcs`, whose run ended.
-    #[cold]
-    fn next_run(&mut self) -> Weight {
-        let a = self.end - self.arcs.len() - 1;
-        self.weights = self.all.run_from(a).iter();
-        *self.weights.next().expect("every arc has a weight")
+    /// The run of `arcs`' first arc: up to the end of `arcs` or of its
+    /// weight chunk, whichever comes first; and the arc after the run.
+    #[inline]
+    fn run(
+        topology: &'a Topology,
+        weights: &'a CowVec<Weight>,
+        arcs: std::ops::Range<usize>,
+    ) -> (Run<'a>, usize) {
+        let chunk = weights.chunk(arcs.start / WEIGHT_CHUNK);
+        let chunk = chunk.get(arcs.start % WEIGHT_CHUNK..).unwrap_or_default();
+        let end = arcs.start + chunk.len().min(arcs.len());
+        let run = topology.targets[arcs.start..end]
+            .iter()
+            .zip(&topology.arc_edge[arcs.start..end])
+            .zip(&chunk[..end - arcs.start]);
+        (run, end)
     }
 }
 
@@ -167,16 +184,20 @@ impl Iterator for Arcs<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Arc> {
-        let (&to, &edge) = self.arcs.next()?;
-        let weight = match self.weights.next() {
-            Some(&w) => w,
-            None => self.next_run(),
-        };
-        Some(Arc { to, weight, edge })
+        loop {
+            if let Some(((&to, &edge), &weight)) = self.run.next() {
+                return Some(Arc { to, weight, edge });
+            }
+            if self.next == self.end {
+                return None;
+            }
+            (self.run, self.next) = Self::run(self.topology, self.weights, self.next..self.end);
+        }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.arcs.size_hint()
+        let len = self.run.len() + (self.end - self.next);
+        (len, Some(len))
     }
 }
 
