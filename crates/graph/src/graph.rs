@@ -293,12 +293,6 @@ impl Graph {
         }
     }
 
-    /// `true` when `self` and `other` share one topology (one is a clone of
-    /// the other, or both are clones of a third graph).
-    pub fn shares_topology(&self, other: &Graph) -> bool {
-        std::sync::Arc::ptr_eq(&self.topology, &other.topology)
-    }
-
     /// A clone: the conversion the streaming DIMACS loader's result once
     /// needed (see [`crate::storage::CsrGraph`]).
     #[doc(hidden)]
@@ -552,9 +546,9 @@ mod tests {
         assert!(g.weights.num_chunks() > 8);
         let batch = UpdateGenerator::new(7).generate(&g, 5);
         let mut next = g.clone();
-        assert!(next.shares_topology(&g));
+        assert!(std::sync::Arc::ptr_eq(&next.topology, &g.topology));
         next.apply_batch(&batch);
-        assert!(next.shares_topology(&g));
+        assert!(std::sync::Arc::ptr_eq(&next.topology, &g.topology));
         // Each edge writes its two arcs; only their chunks are copied.
         let written: std::collections::BTreeSet<usize> = batch
             .iter()

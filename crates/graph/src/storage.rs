@@ -9,7 +9,7 @@
 //! weights:   [0 .. 2m)   Weight     per arc, WEIGHT_CHUNK arcs per chunk
 //! ```
 //!
-//! The first four arrays are the [`Topology`]. The topology never changes
+//! The first four arrays are the topology. The topology never changes
 //! (§II), so it is built once, counting-sorted from the edge list, and held
 //! behind one `Arc` that every clone of the graph shares. Each vertex's
 //! arcs are in edge-id order, the order the edges were inserted in.
@@ -17,9 +17,9 @@
 //! Weights are exact `u32`s, one per arc: both arcs of an edge carry its
 //! weight. A search therefore reads a vertex's targets and weights from two
 //! contiguous runs ([`Arcs`]), and a weight write touches the two arcs of
-//! its edge. The weights live in a [`CowVec`] of [`WEIGHT_CHUNK`] arcs per
-//! chunk, so cloning a graph copies one topology pointer and the chunk
-//! spine, and a batch of |U| edge updates copies at most 2|U| chunks, and
+//! its edge. The weights live in a [`CowVec`] of 1,024 arcs per chunk, so
+//! cloning a graph copies one topology pointer and the chunk spine, and a
+//! batch of |U| edge updates copies at most 2|U| chunks, each once, and
 //! only those a clone (a published view, the server's graph) still shares.
 //!
 //! Per edge that is 32 bytes (two targets, two arc edge ids, the two arc
@@ -33,7 +33,7 @@ use std::slice::Iter;
 
 /// Arcs per weight chunk: a batch of |U| edges copies at most 2|U| chunks
 /// of 4 KiB, and a clone copies one pointer per 1024 arcs.
-pub const WEIGHT_CHUNK: usize = 1024;
+pub(crate) const WEIGHT_CHUNK: usize = 1024;
 
 /// The immutable half of a graph, shared by every clone.
 pub(crate) struct Topology {
@@ -171,10 +171,11 @@ impl<'a> Arcs<'a> {
         let chunk = weights.chunk(arcs.start / WEIGHT_CHUNK);
         let chunk = chunk.get(arcs.start % WEIGHT_CHUNK..).unwrap_or_default();
         let end = arcs.start + chunk.len().min(arcs.len());
+        // The zip stops at the shortest slice: the targets up to `end`.
         let run = topology.targets[arcs.start..end]
             .iter()
-            .zip(&topology.arc_edge[arcs.start..end])
-            .zip(&chunk[..end - arcs.start]);
+            .zip(&topology.arc_edge[arcs.start..])
+            .zip(chunk);
         (run, end)
     }
 }
@@ -250,7 +251,7 @@ mod tests {
         let csr: CsrGraph = g.clone();
         let back = csr.to_graph();
         back.validate().expect("round-tripped graph is valid");
-        assert!(back.shares_topology(&g));
+        assert!(std::sync::Arc::ptr_eq(&back.topology, &g.topology));
         assert_eq!(back.num_edges(), g.num_edges());
         for (e, u, v, w) in g.edges() {
             assert_eq!(back.edge_endpoints(e), (u, v));
