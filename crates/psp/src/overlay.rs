@@ -34,8 +34,8 @@ pub enum OverlayEdgeSource {
     },
 }
 
-/// The overlay graph and its id mappings. The mappings never change, so
-/// a clone shares them, and the graph's topology, and copies pointers.
+/// The overlay graph and its id mappings. The mappings never change, so a
+/// clone shares them and the graph's topology: it copies pointers.
 #[derive(Clone, Debug)]
 pub struct OverlayGraph {
     /// The overlay graph in overlay-local vertex ids.
