@@ -268,19 +268,6 @@ impl<T: Clone> CowVec<T> {
         &mut unshare(chunk, &self.counters)[o]
     }
 
-    /// Mutable slices of the chunks `touched` marks (one flag per chunk),
-    /// each shared one cloned first; `None` for the others. The batched
-    /// form of [`CowVec::make_mut`]: one uniqueness check per chunk instead
-    /// of one per write.
-    pub fn chunks_mut(&mut self, touched: &[bool]) -> Vec<Option<&mut [T]>> {
-        let counters = &self.counters;
-        self.chunks
-            .iter_mut()
-            .zip(touched)
-            .map(|(chunk, &t)| t.then(|| unshare(chunk, counters)))
-            .collect()
-    }
-
     /// Hands out disjoint `&mut` borrows of every element whose index
     /// satisfies `select`, cloning only the chunks that contain at least one
     /// selected element. This is the fan-out entry point for

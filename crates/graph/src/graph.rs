@@ -15,7 +15,7 @@
 //!   weights are copy-on-write (see [`crate::storage`]).
 
 use crate::cow::CowVec;
-use crate::storage::{Arcs, GraphBytes, Topology, WEIGHT_CHUNK};
+use crate::storage::{Arcs, GraphBytes, Neighbors, Topology, WEIGHT_CHUNK};
 use crate::types::{Dist, EdgeId, VertexId, Weight};
 use crate::updates::UpdateBatch;
 use rustc_hash::FxHashMap;
@@ -99,6 +99,13 @@ impl Graph {
         Arcs::new(&self.topology, &self.weights, v)
     }
 
+    /// The `(neighbor, weight)` pairs of the arcs leaving `v`, in edge-id
+    /// order: [`Graph::arcs`] without the edge ids.
+    #[inline]
+    pub fn neighbors(&self, v: VertexId) -> Neighbors<'_> {
+        Neighbors::new(&self.topology, &self.weights, v)
+    }
+
     /// Endpoints `(u, v)` of edge `e`, with `u < v`.
     #[inline]
     pub fn edge_endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
@@ -168,33 +175,10 @@ impl Graph {
     /// chunks written here are copied, once each, and only if a clone still
     /// shares them.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Vec<(EdgeId, Weight, Weight)> {
-        let edge_arcs = &self.topology.edge_arcs;
-        // The chunks of every edge whose new weight differs from its weight
-        // before the batch: exactly the chunks the batch writes, since an
-        // edge only moves again after a first write has marked its chunks.
-        let mut touched = vec![false; self.weights.num_chunks()];
-        for upd in batch {
-            assert!(upd.new_weight > 0, "edge weights must be strictly positive");
-            if upd.new_weight != self.edge_weight(upd.edge) {
-                for a in edge_arcs[upd.edge.index()] {
-                    touched[a as usize / WEIGHT_CHUNK] = true;
-                }
-            }
-        }
-        let mut chunks = self.weights.chunks_mut(&touched);
         let mut applied = Vec::with_capacity(batch.len());
         for upd in batch {
-            let [at_u, at_v] = edge_arcs[upd.edge.index()].map(|a| a as usize);
-            // An unmarked chunk: no update of the batch moves this edge.
-            let Some(chunk) = &mut chunks[at_u / WEIGHT_CHUNK] else {
-                continue;
-            };
-            let old = std::mem::replace(&mut chunk[at_u % WEIGHT_CHUNK], upd.new_weight);
+            let old = self.set_edge_weight(upd.edge, upd.new_weight);
             if old != upd.new_weight {
-                chunks[at_v / WEIGHT_CHUNK]
-                    .as_mut()
-                    .expect("a moved edge has both chunks marked")[at_v % WEIGHT_CHUNK] =
-                    upd.new_weight;
                 applied.push((upd.edge, old, upd.new_weight));
             }
         }
@@ -286,11 +270,15 @@ impl Graph {
 
     /// Heap bytes of the topology and of the weights. Both are counted in
     /// full by every clone, which shares them.
+    pub fn heap_size_bytes(&self) -> usize {
+        self.topology.heap_bytes() + self.weights.heap_bytes()
+    }
+
+    /// [`Graph::heap_size_bytes`] under the name the streaming DIMACS
+    /// loader's result once had it (see [`crate::storage::CsrGraph`]).
+    #[doc(hidden)]
     pub fn heap_bytes(&self) -> GraphBytes {
-        GraphBytes {
-            topology: self.topology.heap_bytes(),
-            weights: self.weights.heap_bytes(),
-        }
+        GraphBytes(self.heap_size_bytes())
     }
 
     /// A clone: the conversion the streaming DIMACS loader's result once
@@ -597,8 +585,9 @@ mod tests {
         let g = triangle();
         assert_eq!(g.total_weight(), 17);
         assert_eq!(g.max_degree(), 2);
-        let bytes = g.heap_bytes();
-        assert!(bytes.topology > 0 && bytes.weights > 0);
-        assert_eq!(bytes.total(), bytes.topology + bytes.weights);
+        let (topology, weights) = (g.topology.heap_bytes(), g.weights.heap_bytes());
+        assert!(topology > 0 && weights > 0);
+        assert_eq!(g.heap_size_bytes(), topology + weights);
+        assert_eq!(g.heap_bytes().total(), g.heap_size_bytes());
     }
 }

@@ -21,8 +21,9 @@
 //!   datasets can be dropped in when available, including a streaming loader
 //!   that builds the CSR without the builder's hash map.
 //! * [`storage`] — the layer under [`Graph`]: the CSR topology, the
-//!   per-arc weights and their chunk size, and the [`Arcs`] iterator the
-//!   searches read a vertex's targets and weights through.
+//!   per-arc weights and their chunk size, the [`Neighbors`] iterator the
+//!   searches read a vertex's targets and weights through, and [`Arcs`],
+//!   the same walk with edge ids.
 //! * [`snapshot`] — the versioned, checksummed index-snapshot wire format
 //!   ([`IndexSnapshot`], [`ByteWriter`]/[`ByteReader`]) behind
 //!   `save_snapshot`/`load_snapshot` warm restarts in `htsp-throughput`.
@@ -89,8 +90,8 @@ pub use par::{available_parallelism, StageStats, WorkerPool};
 pub use queries::{Query, QuerySet};
 pub use scratch::{ScratchGuard, ScratchPool};
 pub use snapshot::{le_u32, ByteReader, ByteWriter, IndexSnapshot, SnapshotError};
+pub use storage::{Arcs, Neighbors};
 #[doc(hidden)]
-pub use storage::CsrGraph;
-pub use storage::{Arcs, GraphBytes};
+pub use storage::{CsrGraph, GraphBytes};
 pub use types::{Dist, EdgeId, VertexId, Weight, INF};
 pub use updates::{EdgeUpdate, UpdateBatch, UpdateGenerator, UpdateKind};

@@ -16,8 +16,9 @@
 //!
 //! Weights are exact `u32`s, one per arc: both arcs of an edge carry its
 //! weight. A search therefore reads a vertex's targets and weights from two
-//! contiguous runs ([`Arcs`]), and a weight write touches the two arcs of
-//! its edge. The weights live in a [`CowVec`] of 1,024 arcs per chunk, so
+//! contiguous runs ([`Neighbors`]; [`Arcs`] adds the edge ids), and a
+//! weight write touches the two arcs of its edge. The weights live in a
+//! [`CowVec`] of 1,024 arcs per chunk, so
 //! cloning a graph copies one topology pointer and the chunk spine, and a
 //! batch of |U| edge updates copies at most 2|U| chunks, each once, and
 //! only those a clone (a published view, the server's graph) still shares.
@@ -112,32 +113,17 @@ impl Topology {
     }
 }
 
-/// Heap bytes of a [`Graph`] (see [`Graph::heap_bytes`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GraphBytes {
-    /// The CSR topology, shared by every clone.
-    pub topology: usize,
-    /// The per-arc weights and their chunk spine.
-    pub weights: usize,
-}
+/// Targets and weights of consecutive arcs, zipped.
+type Run<'a> = Zip<Iter<'a, VertexId>, Iter<'a, Weight>>;
 
-impl GraphBytes {
-    /// Total heap bytes.
-    pub fn total(&self) -> usize {
-        self.topology + self.weights
-    }
-}
-
-/// Targets, edge ids and weights of consecutive arcs, zipped.
-type Run<'a> = Zip<Zip<Iter<'a, VertexId>, Iter<'a, EdgeId>>, Iter<'a, Weight>>;
-
-/// Iterator over the arcs leaving one vertex, in edge-id order (see
-/// [`Graph::arcs`]).
+/// Iterator over the `(neighbor, weight)` pairs of the arcs leaving one
+/// vertex, in edge-id order (see [`Graph::neighbors`]): what a search
+/// relaxes.
 ///
-/// It walks one run of arcs at a time: targets, edge ids and weights as
-/// three equal-length slices. A vertex whose arcs cross a weight-chunk
-/// boundary continues with the next chunk's run.
-pub struct Arcs<'a> {
+/// It walks one run of arcs at a time: targets and weights as two
+/// equal-length slices. A vertex whose arcs cross a weight-chunk boundary
+/// continues with the next chunk's run.
+pub struct Neighbors<'a> {
     run: Run<'a>,
     /// The first arc after the current run, and one past the vertex's last.
     next: usize,
@@ -146,12 +132,12 @@ pub struct Arcs<'a> {
     weights: &'a CowVec<Weight>,
 }
 
-impl<'a> Arcs<'a> {
+impl<'a> Neighbors<'a> {
     #[inline]
     pub(crate) fn new(topology: &'a Topology, weights: &'a CowVec<Weight>, v: VertexId) -> Self {
         let range = topology.arc_range(v);
         let (run, next) = Self::run(topology, weights, range.clone());
-        Arcs {
+        Neighbors {
             run,
             next,
             end: range.end,
@@ -171,23 +157,19 @@ impl<'a> Arcs<'a> {
         let chunk = weights.chunk(arcs.start / WEIGHT_CHUNK);
         let chunk = chunk.get(arcs.start % WEIGHT_CHUNK..).unwrap_or_default();
         let end = arcs.start + chunk.len().min(arcs.len());
-        // The zip stops at the shortest slice: the targets up to `end`.
-        let run = topology.targets[arcs.start..end]
-            .iter()
-            .zip(&topology.arc_edge[arcs.start..])
-            .zip(chunk);
-        (run, end)
+        // The zip stops at the shorter slice: the targets up to `end`.
+        (topology.targets[arcs.start..end].iter().zip(chunk), end)
     }
 }
 
-impl Iterator for Arcs<'_> {
-    type Item = Arc;
+impl Iterator for Neighbors<'_> {
+    type Item = (VertexId, Weight);
 
     #[inline]
-    fn next(&mut self) -> Option<Arc> {
+    fn next(&mut self) -> Option<(VertexId, Weight)> {
         loop {
-            if let Some(((&to, &edge), &weight)) = self.run.next() {
-                return Some(Arc { to, weight, edge });
+            if let Some((&to, &weight)) = self.run.next() {
+                return Some((to, weight));
             }
             if self.next == self.end {
                 return None;
@@ -202,12 +184,59 @@ impl Iterator for Arcs<'_> {
     }
 }
 
+impl ExactSizeIterator for Neighbors<'_> {}
+
+/// Iterator over the arcs leaving one vertex, in edge-id order (see
+/// [`Graph::arcs`]): its [`Neighbors`] with their edge ids.
+pub struct Arcs<'a> {
+    neighbors: Neighbors<'a>,
+    edges: Iter<'a, EdgeId>,
+}
+
+impl<'a> Arcs<'a> {
+    #[inline]
+    pub(crate) fn new(topology: &'a Topology, weights: &'a CowVec<Weight>, v: VertexId) -> Self {
+        Arcs {
+            neighbors: Neighbors::new(topology, weights, v),
+            edges: topology.arc_edge[topology.arc_range(v)].iter(),
+        }
+    }
+}
+
+impl Iterator for Arcs<'_> {
+    type Item = Arc;
+
+    #[inline]
+    fn next(&mut self) -> Option<Arc> {
+        let (to, weight) = self.neighbors.next()?;
+        let edge = *self.edges.next()?;
+        Some(Arc { to, weight, edge })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.neighbors.size_hint()
+    }
+}
+
 impl ExactSizeIterator for Arcs<'_> {}
 
 /// The name the streaming DIMACS loader's result once had. It is a
 /// [`Graph`]; `to_graph` is a clone.
 #[doc(hidden)]
 pub type CsrGraph = Graph;
+
+/// What `CsrGraph::heap_bytes` once returned: read it with `total()`, which
+/// is [`Graph::heap_size_bytes`].
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct GraphBytes(pub(crate) usize);
+
+impl GraphBytes {
+    /// Total heap bytes.
+    pub fn total(&self) -> usize {
+        self.0
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -241,6 +270,8 @@ mod tests {
         for v in g.vertices() {
             assert_eq!(g.degree(v), expect[v.index()].len());
             assert_eq!(g.arcs(v).collect::<Vec<_>>(), expect[v.index()]);
+            let neighbors: Vec<_> = expect[v.index()].iter().map(|a| (a.to, a.weight)).collect();
+            assert_eq!(g.neighbors(v).collect::<Vec<_>>(), neighbors);
         }
         g.validate().unwrap();
     }
@@ -298,6 +329,10 @@ mod tests {
         *expect.last_mut().unwrap() = 99_999;
         assert_eq!(got, expect);
         assert_eq!(g.arcs(VertexId(1)).len(), leaves + 1);
+        let neighbors: Vec<_> = g.neighbors(VertexId(1)).collect();
+        let arcs: Vec<_> = g.arcs(VertexId(1)).map(|a| (a.to, a.weight)).collect();
+        assert_eq!(neighbors, arcs);
+        assert_eq!(g.neighbors(VertexId(1)).len(), leaves + 1);
         g.validate().unwrap();
     }
 
@@ -393,7 +428,7 @@ mod tests {
                 .vertices()
                 .all(|v| g.degree(v) == 0 && g.arcs(v).next().is_none()));
             g.validate().unwrap();
-            assert!(g.heap_bytes().total() > 0);
+            assert!(g.heap_size_bytes() > 0);
         }
     }
 }

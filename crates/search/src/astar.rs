@@ -36,14 +36,14 @@ where
             return dist[v.index()];
         }
         let dv = dist[v.index()];
-        for arc in graph.arcs(v) {
-            if closed[arc.to.index()] {
+        for (to, weight) in graph.neighbors(v) {
+            if closed[to.index()] {
                 continue;
             }
-            let nd = dv.saturating_add_weight(arc.weight);
-            if nd < dist[arc.to.index()] {
-                dist[arc.to.index()] = nd;
-                heap.push(nd.saturating_add(heuristic(arc.to)), arc.to);
+            let nd = dv.saturating_add_weight(weight);
+            if nd < dist[to.index()] {
+                dist[to.index()] = nd;
+                heap.push(nd.saturating_add(heuristic(to)), to);
             }
         }
     }

@@ -112,19 +112,19 @@ impl BiDijkstra {
                     best = cand;
                 }
             }
-            for arc in graph.arcs(v) {
-                let nd = d.saturating_add_weight(arc.weight);
-                let slot = &mut dist_this[arc.to.index()];
+            for (to, weight) in graph.neighbors(v) {
+                let nd = d.saturating_add_weight(weight);
+                let slot = &mut dist_this[to.index()];
                 if nd < *slot {
-                    if slot.is_inf() && dist_other[arc.to.index()].is_inf() {
-                        self.touched.push(arc.to);
+                    if slot.is_inf() && dist_other[to.index()].is_inf() {
+                        self.touched.push(to);
                     } else if slot.is_inf() {
                         // Already touched by the other direction; still record
                         // once so reset clears this side too.
-                        self.touched.push(arc.to);
+                        self.touched.push(to);
                     }
                     *slot = nd;
-                    heap.push(nd, arc.to);
+                    heap.push(nd, to);
                 }
             }
         }
@@ -177,18 +177,18 @@ impl BiDijkstra {
                     break;
                 }
             }
-            for arc in graph.arcs(v) {
-                if self.visited_f[arc.to.index()] {
+            for (to, weight) in graph.neighbors(v) {
+                if self.visited_f[to.index()] {
                     continue;
                 }
-                let nd = d.saturating_add_weight(arc.weight);
-                let slot = &mut self.dist_f[arc.to.index()];
+                let nd = d.saturating_add_weight(weight);
+                let slot = &mut self.dist_f[to.index()];
                 if nd < *slot {
-                    if slot.is_inf() && !self.visited_b[arc.to.index()] {
-                        self.touched.push(arc.to);
+                    if slot.is_inf() && !self.visited_b[to.index()] {
+                        self.touched.push(to);
                     }
                     *slot = nd;
-                    self.heap_f.push(nd, arc.to);
+                    self.heap_f.push(nd, to);
                 }
             }
         }

@@ -99,9 +99,9 @@ pub fn dijkstra_distance_ws(
         if v == t {
             return d;
         }
-        for arc in graph.arcs(v) {
-            if !ws.visited[arc.to.index()] {
-                ws.relax(arc.to, d.saturating_add_weight(arc.weight));
+        for (to, weight) in graph.neighbors(v) {
+            if !ws.visited[to.index()] {
+                ws.relax(to, d.saturating_add_weight(weight));
             }
         }
     }
@@ -141,9 +141,9 @@ pub fn dijkstra_multi_source_ws(
             continue;
         }
         ws.visited[v.index()] = true;
-        for arc in graph.arcs(v) {
-            if !ws.visited[arc.to.index()] {
-                ws.relax(arc.to, d.saturating_add_weight(arc.weight));
+        for (to, weight) in graph.neighbors(v) {
+            if !ws.visited[to.index()] {
+                ws.relax(to, d.saturating_add_weight(weight));
             }
         }
     }
@@ -160,9 +160,9 @@ pub fn dijkstra_all(graph: &Graph, s: VertexId) -> Vec<Dist> {
             continue;
         }
         ws.visited[v.index()] = true;
-        for arc in graph.arcs(v) {
-            if !ws.visited[arc.to.index()] {
-                ws.relax(arc.to, d.saturating_add_weight(arc.weight));
+        for (to, weight) in graph.neighbors(v) {
+            if !ws.visited[to.index()] {
+                ws.relax(to, d.saturating_add_weight(weight));
             }
         }
     }
@@ -196,9 +196,9 @@ pub fn dijkstra_to_targets_ws(
         if pending.is_empty() {
             break;
         }
-        for arc in graph.arcs(v) {
-            if !ws.visited[arc.to.index()] {
-                ws.relax(arc.to, d.saturating_add_weight(arc.weight));
+        for (to, weight) in graph.neighbors(v) {
+            if !ws.visited[to.index()] {
+                ws.relax(to, d.saturating_add_weight(weight));
             }
         }
     }
@@ -258,13 +258,13 @@ pub fn dijkstra_bounded_ws(
         if settled >= hop_limit {
             break;
         }
-        for arc in graph.arcs(v) {
-            if arc.to == skip || ws.visited[arc.to.index()] {
+        for (to, weight) in graph.neighbors(v) {
+            if to == skip || ws.visited[to.index()] {
                 continue;
             }
-            let nd = d.saturating_add_weight(arc.weight);
+            let nd = d.saturating_add_weight(weight);
             if nd <= limit {
-                ws.relax(arc.to, nd);
+                ws.relax(to, nd);
             }
         }
     }

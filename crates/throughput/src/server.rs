@@ -214,7 +214,7 @@ impl ServerBuilder {
         // component plus the graph itself, refreshed on demand.
         let mut storage_gauges = Vec::new();
         let mut storage_parts = maintainer.storage_bytes();
-        storage_parts.push(("graph", graph.heap_bytes().total()));
+        storage_parts.push(("graph", graph.heap_size_bytes()));
         for (component, bytes) in storage_parts {
             let gauge = Gauge::new();
             gauge.set(bytes as u64);
@@ -421,7 +421,7 @@ impl RoadNetworkServer {
     }
 
     /// Runs `f` against the server's current graph (brief read lock; the
-    /// graph only changes while a coalesced batch installs its weights).
+    /// graph only changes when a coalesced batch swaps in its new version).
     pub fn with_graph<R>(&self, f: impl FnOnce(&Graph) -> R) -> R {
         f(&self.graph.read().expect("server graph poisoned"))
     }
@@ -472,7 +472,7 @@ impl RoadNetworkServer {
     /// on the fly. Returns the measured `(component, bytes)` pairs.
     pub fn refresh_storage_gauges(&self) -> Vec<(&'static str, usize)> {
         let mut parts = self.with_index(|m| m.storage_bytes());
-        parts.push(("graph", self.with_graph(|g| g.heap_bytes().total())));
+        parts.push(("graph", self.with_graph(|g| g.heap_size_bytes())));
         let mut gauges = self.storage_gauges.lock().expect("storage gauges poisoned");
         for &(component, bytes) in &parts {
             match gauges.iter().find(|(c, _)| *c == component) {

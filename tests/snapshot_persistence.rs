@@ -240,7 +240,7 @@ fn storage_gauges_are_correct_immediately_after_warm_restart() {
     // Regression: the gauges must already be correct *before* any explicit
     // refresh — start_from_snapshot re-measures the restored index itself.
     let prom = restored.telemetry().export_prometheus();
-    let restored_graph_bytes = restored.with_graph(|rg| rg.heap_bytes().total()) as u64;
+    let restored_graph_bytes = restored.with_graph(|rg| rg.heap_size_bytes()) as u64;
     assert_eq!(
         storage_gauge_value(&prom, "graph"),
         restored_graph_bytes,
