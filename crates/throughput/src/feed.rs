@@ -610,16 +610,20 @@ impl UpdateFeed {
                     seq: batch_seq,
                 });
             }
-            // Install the new weights in the server's graph (brief write
-            // lock, copying only the weight chunks the batch writes) and hand
-            // the maintainer a clone of that version: the server, the
-            // maintainer and its views share one graph, and `with_graph`
-            // readers are only ever blocked by the weight installation.
-            let graph = {
-                let mut graph = shared.graph.write().expect("server graph poisoned");
-                graph.apply_batch(&batch);
-                graph.clone()
-            };
+            // Write the batch into a clone of the server's graph outside any
+            // lock (copying only the weight chunks it writes), then swap that
+            // version in under a brief write lock and hand the maintainer the
+            // same version: the server, the maintainer and its views share
+            // one graph, and `with_graph` readers wait only for the swap.
+            // This thread is the graph's only writer.
+            let mut graph = shared.graph.read().expect("server graph poisoned").clone();
+            graph.apply_batch(&batch);
+            let installed = graph.clone();
+            let previous = std::mem::replace(
+                &mut *shared.graph.write().expect("server graph poisoned"),
+                installed,
+            );
+            drop(previous);
             shared.publisher.set_batch_tag(batch_seq);
             let apply_start = Instant::now();
             let timeline = maintainer.apply_batch(&graph, &batch, &shared.publisher);
