@@ -118,7 +118,7 @@ fn eliminate_with_tail(
     // the initial set of rows as it stands.
     let mut rows: Vec<Vec<(VertexId, Weight)>> = graph
         .vertices()
-        .map(|v| graph.arcs(v).map(|a| (a.to, a.weight)).collect())
+        .map(|v| graph.neighbors(v).collect())
         .collect();
     let mut schedule = Schedule::new(strategy, &rows);
     // Witness searches walk the live rows, so a pruned build stays sparse.
