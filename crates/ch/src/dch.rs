@@ -9,42 +9,41 @@
 //!
 //! holds again for every upward arc. This is the shortcut-centric paradigm of
 //! DCH \[32\], which is also the first phase of DH2H maintenance \[33\]
-//! (Lemma 4). The repair visits vertices in ascending rank order from a
-//! sparse worklist ("bottom-up"), and its work follows the changed set, not
-//! the size of the hierarchy:
+//! (Lemma 4). The repair pulls: it is the lower-triangle customization of
+//! Customizable Contraction Hierarchies (Dibbelt, Strasser, Wagner), run only
+//! on the rows whose triangles changed.
 //!
-//! * When a vertex `x` is reached, all of its supporters rank lower and are
-//!   done, so its row is final. Each of its arcs `(x, v)` that changed pushes
-//!   the new candidate `sc(x, v) + sc(x, u)` to the arc between `v` and every
-//!   other `u ∈ N_up(x)`, which belongs to a vertex still to come.
-//! * Increases and decreases are different problems. A candidate **below**
-//!   the arc's current weight is written on the spot: decreases need no
-//!   recomputation, because the final weight is the minimum of final
-//!   candidates. A candidate that **grew** matters only if the old candidate
-//!   attained the arc's weight; then the arc is marked as having lost a
-//!   support. Anything else is dropped after two additions and two compares.
-//! * Only marked arcs (and the batch's own edges) are recomputed from all of
-//!   their supports, when their vertex is reached. The mark is the minimum;
-//!   a per-arc count of attaining supports (the scheme of \[32\]) would
-//!   recompute less again.
+//! * A row is *dirty* when one of its inputs may have moved. The lower
+//!   endpoint of every batch edge starts dirty.
+//! * Dirty vertices are taken in ascending rank. When `x` is reached, all of
+//!   its supporters rank lower and are final, so its whole row is re-derived
+//!   from the invariant: the edges of `x`, and for every supporter `y` the
+//!   sums `sc(y, x) + sc(y, u)` over the tail of `y`'s row after `x`. That
+//!   tail is a subsequence of `x`'s row, so each sum lands through a
+//!   per-vertex slot table; nothing scans or searches.
+//! * A row that moved is written once and its changes are emitted in row
+//!   order. A changed arc `(x, row[j])` supports the arcs between `row[j]`
+//!   and the rest of the row, which belong to `row[..=j]`; so
+//!   `row[..=last_changed]` becomes dirty.
 //!
-//! Rows are rank-sorted, so the arcs a vertex pushes to are found by walking
-//! the target's row once, and a recomputation reads each supporter's row from
-//! the stored position of the vertex in it; nothing scans for a vertex. Per
-//! arc state is dense, lives with the hierarchy's clone lineage, and is reset
-//! through the list of touched arcs.
+//! Increases and decreases are one case, and a row's old weights are its
+//! stored ones until it is written, so nothing per arc is kept: the state is
+//! a bitset of dirty ranks, the slot table and one row (4 B per vertex),
+//! shared by the hierarchy's clone lineage.
 //!
-//! Measured on `grid64` (4 096 vertices, 69.6 k arcs, |U| = 200 mixed, one
-//! batch): ≈0.9 M pushes, 6–9 k recomputations and ≈20 k changed shortcuts,
-//! in 8–15 ms, about two thirds of it pushes and one third recomputations;
-//! invalidating and recomputing every pair a change touches took 185–260 ms
-//! for the same changes. The shortcut repair is now 35–40 % of a PostMHL repair (U2 of
-//! U1…U5) and of a DH2H one; the label stages are the rest.
+//! Measured on `grid64` (4 096 vertices, 69.6 k arcs, |U| = 200 mixed, a
+//! view pinned): ≈1.7 k rows re-derived (≈66 k supporter rows read, ≈1.5 M
+//! two-hop sums) for ≈19 k changed shortcuts, in ≈6 ms. The push repair this
+//! replaced (each changed arc pushed its candidates to the arcs it supports;
+//! only arcs that lost the support attaining their weight were recomputed)
+//! took 17–20 ms for that batch; the pull is 1.5× faster at |U| = 50 and
+//! 4.5× at |U| = 1 000. It loses where few rows change but each has a large
+//! lower triangle: a 10-edge batch on `grid64` costs ≈4 ms against ≈2 ms,
+//! and on `random_geometric(524288, 3)` |U| = 200 costs 48–55 ms against
+//! 41–46 ms, a small share of a repair at that size.
 
-use crate::hierarchy::{arc_position, shortcut_sum, ContractionHierarchy, ShortcutMode};
+use crate::hierarchy::{shortcut_sum, ContractionHierarchy, ShortcutMode};
 use htsp_graph::{EdgeUpdate, Graph, VertexId, Weight, INF};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A shortcut whose weight changed during maintenance.
@@ -60,76 +59,43 @@ pub struct ShortcutChange {
     pub new: Weight,
 }
 
-/// The arc's pre-batch weight is saved and its vertex is queued.
-const TOUCHED: u8 = 1;
-/// The arc must be recomputed from all of its supports.
-const LOST_SUPPORT: u8 = 2;
-
-/// Working memory of one repair, kept between batches. Per-arc state is
-/// dense (indexed by arc id) and is reset through `touched`, so a batch pays
-/// for the arcs it reaches, never for the size of the hierarchy.
+/// Working memory of one repair, kept between batches.
 #[derive(Debug)]
 pub(crate) struct RepairScratch {
-    /// `TOUCHED` / `LOST_SUPPORT` bits per arc; zero outside a repair.
-    flags: Vec<u8>,
-    /// Pre-batch weight of every touched arc.
-    pre: Vec<Weight>,
-    /// Arc ids with a nonzero flag.
-    touched: Vec<u32>,
-    /// Ranks of the vertices that own a touched arc (may repeat).
-    queue: BinaryHeap<Reverse<u32>>,
-    /// The row of the vertex being processed: final and pre-batch weights.
-    row: Vec<(VertexId, Weight)>,
-    old: Vec<Weight>,
-    /// Arcs of the row to recompute (position, target), and their running
-    /// minima.
-    lost: Vec<(usize, VertexId)>,
-    best: Vec<Weight>,
-    /// Per vertex: 1 + its index in `lost` while it is the target of an arc
-    /// being recomputed, else 0.
-    lost_slot: Vec<u32>,
+    /// Bit `r` is set while the row of the vertex of rank `r` is dirty.
+    dirty: Vec<u64>,
+    /// Per vertex: its index in `best` while the row being re-derived holds
+    /// it, else 0.
+    slot: Vec<u32>,
+    /// A spare entry, then the row being re-derived: its targets and their
+    /// running minima.
+    best: Vec<(VertexId, Weight)>,
 }
 
 impl RepairScratch {
-    pub(crate) fn new(num_vertices: usize, num_arcs: usize) -> Self {
+    pub(crate) fn new(num_vertices: usize) -> Self {
         RepairScratch {
-            flags: vec![0; num_arcs],
-            pre: vec![0; num_arcs],
-            touched: Vec::new(),
-            queue: BinaryHeap::new(),
-            row: Vec::new(),
-            old: Vec::new(),
-            lost: Vec::new(),
+            dirty: vec![0; num_vertices.div_ceil(64)],
+            slot: vec![0; num_vertices],
             best: Vec::new(),
-            lost_slot: vec![0; num_vertices],
         }
     }
 
     /// Clears whatever the previous repair left (a repair that panicked
     /// half-way returns its scratch to the pool as it was).
     fn reset(&mut self) {
-        for &arc in &self.touched {
-            self.flags[arc as usize] = 0;
+        self.dirty.fill(0);
+        for &(u, _) in &self.best {
+            self.slot[u.index()] = 0;
         }
-        self.touched.clear();
-        self.queue.clear();
-        for &(_, u) in &self.lost {
-            self.lost_slot[u.index()] = 0;
-        }
-        self.lost.clear();
+        self.best.clear();
     }
+}
 
-    /// Sets `flag` on `arc`; the first flag an arc gets saves its pre-batch
-    /// weight `current` and queues its vertex (of rank `rank`).
-    #[inline]
-    fn flag(&mut self, arc: usize, flag: u8, current: Weight, rank: u32) {
-        if self.flags[arc] == 0 {
-            self.pre[arc] = current;
-            self.touched.push(arc as u32);
-            self.queue.push(Reverse(rank));
-        }
-        self.flags[arc] |= TOUCHED | flag;
-    }
+/// Marks the row of the vertex of rank `rank` dirty.
+#[inline]
+fn mark(dirty: &mut [u64], rank: u32) {
+    dirty[rank as usize / 64] |= 1 << (rank % 64);
 }
 
 impl ContractionHierarchy {
@@ -137,6 +103,7 @@ impl ContractionHierarchy {
     /// already been applied to `graph` (U-Stage 1). Returns every shortcut
     /// whose weight actually changed, which downstream consumers (DH2H label
     /// update, PSP overlay update) use to locate affected index regions.
+    /// The changes of one row come back to back, rows in ascending rank.
     ///
     /// # Panics
     /// Panics if the hierarchy was built with [`ShortcutMode::WitnessPruned`];
@@ -145,9 +112,7 @@ impl ContractionHierarchy {
         self.repair(graph, batch).0
     }
 
-    /// [`Self::apply_batch`], also returning how many arcs were recomputed
-    /// from all of their supports (the expensive step; everything else is
-    /// constant work per pushed candidate).
+    /// [`Self::apply_batch`], also returning how many rows were re-derived.
     pub(crate) fn repair(
         &mut self,
         graph: &Graph,
@@ -163,131 +128,68 @@ impl ContractionHierarchy {
         s.reset();
         let (order, arcs, up) = self.repair_parts();
 
-        // The batch's own arcs are always recomputed: the edge is one of
-        // their supports and its old weight is not trusted.
+        // A batch edge is an arc of its lower endpoint's row.
         for upd in batch {
             let (a, b) = graph.edge_endpoints(upd.edge);
-            let (lo, hi) = if order.higher(a, b) { (b, a) } else { (a, b) };
-            let row = up.row(lo.index());
-            if let Some(i) = arc_position(order, row, hi) {
-                let arc = arcs.row_start[lo.index()] as usize + i;
-                s.flag(arc, LOST_SUPPORT, row[i].1, order.rank(lo));
-            }
+            mark(&mut s.dirty, order.rank(a).min(order.rank(b)));
         }
 
         let mut changes = Vec::new();
-        let mut recomputed = 0usize;
-        let mut last_rank = u32::MAX;
-        while let Some(Reverse(rank)) = s.queue.pop() {
-            if rank == last_rank {
-                continue;
-            }
-            last_rank = rank;
-            // Every supporter of `x` ranks lower and is done, so recomputing
-            // the arcs that lost a support makes `x`'s row final.
-            let x = order.vertex_at(rank);
-            let base = arcs.row_start[x.index()] as usize;
-            s.row.clear();
-            s.row.extend_from_slice(up.row(x.index()));
-            let m = s.row.len();
+        let mut rederived = 0usize;
+        for word in 0..s.dirty.len() {
+            // Marks only go to higher ranks, so the word is re-read until
+            // it is empty.
+            while s.dirty[word] != 0 {
+                let bit = s.dirty[word].trailing_zeros();
+                s.dirty[word] &= s.dirty[word] - 1;
+                let x = order.vertex_at(word as u32 * 64 + bit);
+                rederived += 1;
 
-            s.lost.extend(
-                (s.row.iter().enumerate())
-                    .filter(|&(i, _)| s.flags[base + i] & LOST_SUPPORT != 0)
-                    .map(|(i, &(u, _))| (i, u)),
-            );
-            if !s.lost.is_empty() {
-                recomputed += s.lost.len();
-                s.best.clear();
-                for (k, &(_, u)) in s.lost.iter().enumerate() {
-                    s.lost_slot[u.index()] = k as u32 + 1;
-                    s.best.push(graph.find_edge(x, u).map_or(INF.0, |(_, w)| w));
+                // `best[0]` absorbs what lands outside the row: the edges
+                // to lower neighbors.
+                s.best.push((x, INF.0));
+                for (i, &(u, _)) in up.row(x.index()).iter().enumerate() {
+                    s.slot[u.index()] = i as u32 + 1;
+                    s.best.push((u, INF.0));
+                }
+                let (slot, best) = (&s.slot[..], &mut s.best[..]);
+                for (u, w) in graph.neighbors(x) {
+                    let b = &mut best[slot[u.index()] as usize].1;
+                    *b = (*b).min(w);
                 }
                 for (y, pos) in arcs.supporters(x) {
-                    // `y` supports the arcs towards its neighbors above `x`,
-                    // which follow `x` in its row.
+                    // `y`'s neighbors above `x` follow `x` in its row, and
+                    // every one of them is in `x`'s row.
                     let row_y = up.row(y.index());
                     let w_yx = row_y[pos].1;
                     for &(u, w_yu) in &row_y[pos + 1..] {
-                        if let Some(k) = s.lost_slot[u.index()].checked_sub(1) {
-                            let best = &mut s.best[k as usize];
-                            *best = (*best).min(shortcut_sum(w_yx, w_yu));
+                        let b = &mut best[slot[u.index()] as usize].1;
+                        *b = (*b).min(shortcut_sum(w_yx, w_yu));
+                    }
+                }
+                for &(u, _) in &s.best {
+                    s.slot[u.index()] = 0;
+                }
+
+                let (row, best) = (up.row(x.index()), &s.best[1..]);
+                if let Some(last_changed) = row.iter().zip(best).rposition(|(a, b)| a != b) {
+                    for (&(u, old), &(_, new)) in row[..=last_changed].iter().zip(best) {
+                        if old != new {
+                            changes.push(ShortcutChange {
+                                from: x,
+                                to: u,
+                                old,
+                                new,
+                            });
                         }
+                        mark(&mut s.dirty, order.rank(u));
                     }
+                    up.make_mut(x.index()).copy_from_slice(best);
                 }
-                for (&best, &(i, u)) in s.best.iter().zip(&s.lost) {
-                    s.lost_slot[u.index()] = 0;
-                    if best != s.row[i].1 {
-                        s.row[i].1 = best;
-                        up.make_mut(x.index())[i].1 = best;
-                    }
-                }
-                s.lost.clear();
-            }
-
-            // Pre-batch weights of the row; the arcs that differ are the
-            // batch's changes at `x`.
-            s.old.clear();
-            let mut last_changed = None;
-            for (i, &(u, new)) in s.row.iter().enumerate() {
-                let old = if s.flags[base + i] != 0 {
-                    s.pre[base + i]
-                } else {
-                    new
-                };
-                s.old.push(old);
-                if old != new {
-                    last_changed = Some(i);
-                    changes.push(ShortcutChange {
-                        from: x,
-                        to: u,
-                        old,
-                        new,
-                    });
-                }
-            }
-            let Some(last_changed) = last_changed else {
-                continue;
-            };
-
-            // Push `x`'s changed candidates to the arcs they support: the
-            // pairs (i, j) of its row with a changed member. The arc of the
-            // pair belongs to the lower-ranked `v = row[i]`; `row[i + 1..]`
-            // is a subsequence of `v`'s own row, so one walk along that row
-            // finds every arc.
-            for i in 0..=last_changed {
-                let (v, new_i) = s.row[i];
-                let i_changed = s.old[i] != new_i;
-                let end = if i_changed { m } else { last_changed + 1 };
-                let v_base = arcs.row_start[v.index()] as usize;
-                let mut row_v = up.row(v.index());
-                let mut t = 0;
-                for j in i + 1..end {
-                    let (u, new_j) = s.row[j];
-                    if !i_changed && s.old[j] == new_j {
-                        continue;
-                    }
-                    while row_v[t].0 != u {
-                        t += 1;
-                    }
-                    let current = row_v[t].1;
-                    let candidate = shortcut_sum(new_i, new_j);
-                    if candidate < current {
-                        // A decrease needs no recomputation: the candidate
-                        // is final, and so is the minimum of all of them.
-                        s.flag(v_base + t, 0, current, order.rank(v));
-                        up.make_mut(v.index())[t].1 = candidate;
-                        row_v = up.row(v.index());
-                    } else if candidate > current && shortcut_sum(s.old[i], s.old[j]) == current {
-                        // The support that attained the arc's weight grew
-                        // (the arc still has its pre-batch weight, or the
-                        // old candidate would lie above it).
-                        s.flag(v_base + t, LOST_SUPPORT, current, order.rank(v));
-                    }
-                }
+                s.best.clear();
             }
         }
-        (changes, recomputed)
+        (changes, rederived)
     }
 }
 
@@ -296,7 +198,7 @@ mod tests {
     use super::*;
     use crate::ordering::OrderingStrategy;
     use crate::query::ChQuery;
-    use htsp_graph::gen::{grid, grid_with_diagonals, WeightRange};
+    use htsp_graph::gen::{grid, grid_with_diagonals, random_geometric, WeightRange};
     use htsp_graph::{EdgeId, QuerySet, UpdateBatch, UpdateGenerator};
     use htsp_search::dijkstra_distance;
 
@@ -487,6 +389,33 @@ mod tests {
         }
     }
 
+    /// The rows the pull may re-derive: the owners of the batch's arcs and,
+    /// in each changed row, every target at or before its last change.
+    fn rows_named(
+        g: &Graph,
+        ch: &ContractionHierarchy,
+        batch: &[EdgeUpdate],
+        changes: &[ShortcutChange],
+    ) -> std::collections::BTreeSet<VertexId> {
+        let order = ch.order();
+        let mut named: std::collections::BTreeSet<_> = (batch.iter())
+            .map(|u| {
+                let (a, b) = g.edge_endpoints(u.edge);
+                if order.higher(a, b) {
+                    b
+                } else {
+                    a
+                }
+            })
+            .collect();
+        for c in changes {
+            let row = ch.up_arcs(c.from);
+            let at = row.iter().position(|&(u, _)| u == c.to).unwrap();
+            named.extend(row[..=at].iter().map(|&(u, _)| u));
+        }
+        named
+    }
+
     #[test]
     fn recomputations_follow_the_changed_set() {
         // grid32, the benchmark's smoke dataset.
@@ -495,62 +424,89 @@ mod tests {
             ContractionHierarchy::build(&g, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
         let size = 50;
         for round in 0..6 {
-            // No-op batch: nothing changes, only the batch's arcs are looked at.
+            // No-op batch: nothing changes, only the batch's rows are looked at.
             let batch = halve_double_batch(&g, size, false, 100 + round);
             let noop: Vec<EdgeUpdate> = batch
                 .iter()
                 .map(|u| EdgeUpdate::new(u.edge, u.old_weight, u.old_weight))
                 .collect();
-            let (changes, recomputed) = ch.repair(&g, &noop);
+            let (changes, rederived) = ch.repair(&g, &noop);
             assert!(changes.is_empty());
-            assert!(recomputed <= size, "no-op batch recomputed {recomputed}");
+            assert!(rederived <= size, "no-op batch re-derived {rederived} rows");
 
-            // Decrease-only: no arc can lose a support, so again only the
-            // batch's own arcs are recomputed, however far the change spreads.
-            let batch = halve_double_batch(&g, size, true, 200 + round);
-            g.apply_batch(&batch);
-            let (changes, recomputed) = ch.repair(&g, batch.as_slice());
-            assert!(changes.len() > size);
-            assert!(
-                recomputed <= size,
-                "decrease-only batch recomputed {recomputed}"
-            );
+            // Decrease-only and mixed: a row is re-derived only if it owns a
+            // batch edge or a changed row names it at or before its last
+            // change.
+            for (decrease_only, seed) in [(true, 200), (false, 300)] {
+                let batch = halve_double_batch(&g, size, decrease_only, seed + round);
+                g.apply_batch(&batch);
+                let (changes, rederived) = ch.repair(&g, batch.as_slice());
+                assert!(changes.len() > size);
+                let named = rows_named(&g, &ch, batch.as_slice(), &changes);
+                assert!(
+                    rederived <= named.len(),
+                    "{rederived} rows re-derived, {} named",
+                    named.len()
+                );
+                assert_matches_fresh_build(&g, &ch);
+            }
+        }
+    }
 
-            // Mixed: between a third and a half of the changed shortcuts were
-            // recomputed on grid32 and grid64 (6.3-8.6 k of 18-21 k on
-            // grid64); never more than all of them.
-            let batch = halve_double_batch(&g, size, false, 300 + round);
+    #[test]
+    fn road_like_rounds_repair_to_the_fresh_build() {
+        let mut g = random_geometric(1500, 3, WeightRange::new(1, 100), 5);
+        let mut ch =
+            ContractionHierarchy::build(&g, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
+        let mut gen = UpdateGenerator::new(21);
+        for round in 0..9 {
+            // Mixed, increase-only and decrease-only in turn.
+            gen.decrease_fraction = [0.5, 0.0, 1.0][round % 3];
+            let batch = gen.generate(&g, 10 + 20 * round);
             g.apply_batch(&batch);
-            let (changes, recomputed) = ch.repair(&g, batch.as_slice());
-            assert!(
-                recomputed <= changes.len(),
-                "mixed batch: {recomputed} recomputations for {} changes",
-                changes.len()
-            );
+            ch.apply_batch(&g, batch.as_slice());
             assert_matches_fresh_build(&g, &ch);
         }
     }
 
+    /// The shortcut repair's ruler:
     /// `cargo test --release -p htsp-ch -- --ignored --nocapture repair_scales`
     #[test]
-    #[ignore = "128x128 grid: seconds in a debug build"]
+    #[ignore = "65k-vertex graphs: seconds in a debug build"]
     fn repair_scales_with_the_batch_on_grid128() {
-        let mut g = grid_with_diagonals(128, 128, WeightRange::new(1, 100), 0.1, 42);
-        let mut ch =
-            ContractionHierarchy::build(&g, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
-        let mut counts = Vec::new();
-        for size in [10usize, 200] {
-            let batch = halve_double_batch(&g, size, false, size as u64);
-            g.apply_batch(&batch);
-            let t = std::time::Instant::now();
-            let (changes, recomputed) = ch.repair(&g, batch.as_slice());
-            println!(
-                "grid128 |U| = {size}: shortcut repair {:?}, {} shortcuts changed, {recomputed} recomputed",
-                t.elapsed(),
-                changes.len()
+        let graphs = [
+            (
+                "grid128",
+                grid_with_diagonals(128, 128, WeightRange::new(1, 100), 0.1, 42),
+            ),
+            (
+                "random_geometric(65536, 3)",
+                random_geometric(65536, 3, WeightRange::new(1, 100), 42),
+            ),
+        ];
+        for (name, mut g) in graphs {
+            let mut ch = ContractionHierarchy::build(
+                &g,
+                OrderingStrategy::MinDegree,
+                ShortcutMode::AllPairs,
             );
-            counts.push(recomputed);
+            let mut rows = Vec::new();
+            for size in [10usize, 200, 1000] {
+                let batch = halve_double_batch(&g, size, false, size as u64);
+                g.apply_batch(&batch);
+                let t = std::time::Instant::now();
+                let (changes, rederived) = ch.repair(&g, batch.as_slice());
+                println!(
+                    "{name} |U| = {size}: shortcut repair {:?}, {rederived} rows re-derived, {} shortcuts changed",
+                    t.elapsed(),
+                    changes.len()
+                );
+                rows.push(rederived);
+            }
+            assert!(
+                rows[0] * 3 < rows[1] && rows[1] < rows[2],
+                "{name}: rows re-derived {rows:?}"
+            );
         }
-        assert!(counts[0] * 5 < counts[1], "recomputations {counts:?}");
     }
 }

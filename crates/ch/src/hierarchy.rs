@@ -52,10 +52,10 @@ pub struct ContractionHierarchy {
     /// `up[v]` = (higher-ranked neighbor, shortcut weight), sorted by rank
     /// ascending. Chunk-granular copy-on-write (the only mutable component).
     up: CowTable<(VertexId, Weight)>,
-    /// Dense arc ids and the downward adjacency, derived from `up`'s shape.
+    /// The downward adjacency, derived from `up`'s shape.
     /// Immutable after construction.
     arcs: Arc<ArcIndex>,
-    /// Per-arc working memory of the repair ([`crate::dch`]), shared by the
+    /// Working memory of the repair ([`crate::dch`]), shared by the
     /// whole clone lineage: a clone copies one pointer, and the maintainer's
     /// copy finds the buffers its previous batch left.
     pub(crate) repair_scratch: Arc<ScratchPool<RepairScratch>>,
@@ -67,9 +67,6 @@ pub struct ContractionHierarchy {
 /// The arc topology of a hierarchy: the shape of the upward rows, inverted.
 #[derive(Debug)]
 pub(crate) struct ArcIndex {
-    /// `row_start[v] + i` is the dense id of the arc `up[v][i]`
-    /// (`n + 1` entries; the last is the arc count).
-    pub(crate) row_start: Vec<u32>,
     /// CSR offsets into `down_from` / `down_pos` (`n + 1` entries).
     down_start: Vec<u32>,
     /// Vertices that list `v` among their upward neighbors (`v`'s
@@ -82,23 +79,19 @@ pub(crate) struct ArcIndex {
 impl ArcIndex {
     fn build(up: &[Vec<(VertexId, Weight)>]) -> Self {
         let n = up.len();
-        let mut row_start = Vec::with_capacity(n + 1);
         let mut down_start = vec![0u32; n + 1];
-        let mut arcs = 0u32;
         for row in up {
-            row_start.push(arcs);
-            arcs += row.len() as u32;
             for &(u, _) in row {
                 down_start[u.index() + 1] += 1;
             }
         }
-        row_start.push(arcs);
         for v in 0..n {
             down_start[v + 1] += down_start[v];
         }
         let mut next = down_start.clone();
-        let mut down_from = vec![VertexId(0); arcs as usize];
-        let mut down_pos = vec![0u32; arcs as usize];
+        let arcs = down_start[n] as usize;
+        let mut down_from = vec![VertexId(0); arcs];
+        let mut down_pos = vec![0u32; arcs];
         for (x, row) in up.iter().enumerate() {
             for (i, &(u, _)) in row.iter().enumerate() {
                 let slot = &mut next[u.index()];
@@ -108,7 +101,6 @@ impl ArcIndex {
             }
         }
         ArcIndex {
-            row_start,
             down_start,
             down_from,
             down_pos,
@@ -130,8 +122,7 @@ impl ArcIndex {
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.row_start.capacity() + self.down_start.capacity() + self.down_pos.capacity())
-            * std::mem::size_of::<u32>()
+        (self.down_start.capacity() + self.down_pos.capacity()) * std::mem::size_of::<u32>()
             + self.down_from.capacity() * std::mem::size_of::<VertexId>()
     }
 }
@@ -193,13 +184,11 @@ impl ContractionHierarchy {
     ) -> Self {
         let n = order.len();
         assert_eq!(up.len(), n, "up table does not cover the order");
-        let arcs = ArcIndex::build(&up);
-        let num_arcs = *arcs.row_start.last().expect("n + 1 entries") as usize;
         ContractionHierarchy {
             order: Arc::new(order),
+            arcs: Arc::new(ArcIndex::build(&up)),
             up: CowTable::from_rows(up),
-            arcs: Arc::new(arcs),
-            repair_scratch: Arc::new(ScratchPool::new(move || RepairScratch::new(n, num_arcs))),
+            repair_scratch: Arc::new(ScratchPool::new(move || RepairScratch::new(n))),
             mode,
             extra_shortcuts,
         }
@@ -272,8 +261,8 @@ impl ContractionHierarchy {
             + self.num_vertices() * std::mem::size_of::<u32>()
     }
 
-    /// Measured heap footprint: shortcut-table chunks, arc topology (arc ids
-    /// and downward adjacency), and both rank arrays of the order. The
+    /// Measured heap footprint: shortcut-table chunks, arc topology (the
+    /// downward adjacency), and both rank arrays of the order. The
     /// repair's working memory belongs to the lineage, not to this handle.
     pub fn heap_bytes(&self) -> usize {
         self.up.heap_bytes()

@@ -21,9 +21,8 @@
 //!
 //! Dynamic maintenance ([`ContractionHierarchy::apply_batch`]) implements the
 //! *bottom-up shortcut update* shared by DCH and the first phase of DH2H
-//! (§III, §V-D U-Stage 2): in ascending rank order, changed shortcuts push
-//! their new candidates upwards and only arcs that lost the support attaining
-//! their weight are re-derived from the invariant
+//! (§III, §V-D U-Stage 2): in ascending rank order, every row whose inputs
+//! may have moved is re-derived whole from the invariant
 //!
 //! ```text
 //! sc(v, u) = min( |e(v, u)|,  min over x with {v,u} ⊆ N_up(x) of sc(x, v) + sc(x, u) )

@@ -1,7 +1,7 @@
 //! Differential test of the write path of the tree-decomposition family.
 //!
 //! The reference below is the repair this repository shipped before the
-//! push-based one: every changed arc `(x, v)` invalidates every pair
+//! pull-based one: every changed arc `(x, v)` invalidates every pair
 //! `(v, u)`, `u ∈ up(x)`, and every invalidated pair is re-derived from the
 //! edge and all of its supports. It is slow and obviously right. Over seeded
 //! rounds of mixed, increase-only and decrease-only batches (edges may repeat
