@@ -240,7 +240,7 @@ impl IndexMaintainer for Pmhl {
 
     fn apply_batch(
         &mut self,
-        _graph: &Graph,
+        graph: &Graph,
         batch: &UpdateBatch,
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
@@ -255,10 +255,10 @@ impl IndexMaintainer for Pmhl {
             cow_mark = now;
         };
 
-        // U-Stage 1: on-spot edge update of the global graph and the
-        // per-partition copies.
+        // U-Stage 1: on-spot edge update: the feed's graph becomes the
+        // global graph and the batch goes into the per-partition copies.
         let t0 = Instant::now();
-        let routed = Arc::make_mut(&mut self.partitioned).apply_batch(batch);
+        let routed = Arc::make_mut(&mut self.partitioned).apply_batch(graph, batch);
         self.stage = PmhlStage::BiDijkstra;
         publish(self, PmhlStage::BiDijkstra, publisher);
         timeline.push("U1: on-spot edge update", t0.elapsed());

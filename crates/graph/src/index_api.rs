@@ -32,20 +32,19 @@
 //!
 //! # Sharded serving tier
 //!
-//! The pipeline above scales out by partitioning: `htsp-throughput`'s
-//! `ShardedFleet` runs one complete server (feed + maintainer + publisher)
-//! per partition shard on the shard's induced subgraph, with a front-end
-//! `FleetRouter` over the boundary overlay. The router fans each update to
-//! the shard owning its edge (boundary-incident updates also repair the
-//! overlay), so shard maintainers repair **in parallel** and a non-boundary
-//! update's visibility lag is bounded by its own shard's repair time.
-//! After every routed batch the router publishes a *fleet epoch* — one
-//! pinned [`QueryView`] per shard plus the post-apply global and overlay
-//! graphs, all mutually weight-consistent — and fleet sessions answer
-//! cross-shard pairs by concatenating boundary fans with an overlay run,
-//! exactly (the overlay preserves boundary-to-boundary distances). The
-//! two-trait split below is what makes this tier cheap: a shard server is
-//! just another [`IndexMaintainer`] host, and an epoch is just a vector of
+//! The pipeline above scales out by partitioning, and stays the same
+//! pipeline: `htsp-throughput`'s sharded server hosts a fleet
+//! [`IndexMaintainer`] that runs one complete server (feed + maintainer +
+//! publisher) per partition shard on the shard's induced subgraph. Per
+//! batch it hands each update to the shard owning its edge and repairs the
+//! boundary overlay meanwhile, so shard maintainers repair **in parallel**;
+//! then it publishes one fleet [`QueryView`] — one pinned view per shard
+//! plus the batch's global graph and overlay, all mutually
+//! weight-consistent — whose sessions answer cross-shard pairs by
+//! concatenating boundary fans with an overlay run, exactly (the overlay
+//! preserves boundary-to-boundary distances). The two-trait split below is
+//! what makes this tier cheap: a shard server is just another
+//! [`IndexMaintainer`] host, and a fleet view is just a vector of
 //! [`QueryView`]s.
 //!
 //! # Why two traits

@@ -75,13 +75,13 @@ impl IndexMaintainer for NChP {
 
     fn apply_batch(
         &mut self,
-        _graph: &Graph,
+        graph: &Graph,
         batch: &UpdateBatch,
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
         let mut timeline = UpdateTimeline::default();
         let t0 = Instant::now();
-        let routed = self.core.route(batch);
+        let routed = self.core.route(graph, batch);
         timeline.push("U1: on-spot edge update", t0.elapsed());
 
         let t1 = Instant::now();
@@ -150,13 +150,13 @@ impl IndexMaintainer for PTdP {
 
     fn apply_batch(
         &mut self,
-        _graph: &Graph,
+        graph: &Graph,
         batch: &UpdateBatch,
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
         let mut timeline = UpdateTimeline::default();
         let t0 = Instant::now();
-        let routed = self.core.route(batch);
+        let routed = self.core.route(graph, batch);
         timeline.push("U1: on-spot edge update", t0.elapsed());
 
         // No-boundary shortcut + overlay label update (steps 1-3 of the

@@ -191,12 +191,12 @@ impl OverlayGraph {
 /// [`OverlayGraph`] they feed, kept mutually consistent across update
 /// batches.
 ///
-/// This bundles the maintenance recipe (route + apply the batch, repair each
-/// affected partition hierarchy, map the shortcut changes onto overlay
-/// edges), so its holders — N-CH-P, P-TD-P and the sharded serving tier's
-/// router — keep one object whose overlay graph always preserves the
-/// *global* boundary-to-boundary distances of the current weights
-/// (Theorem 2).
+/// This bundles the maintenance recipe (route the batch into the subgraph
+/// copies, repair each affected partition hierarchy, map the shortcut
+/// changes onto overlay edges), so its holders — N-CH-P, P-TD-P and the
+/// sharded serving tier's fleet maintainer — keep one object whose overlay
+/// graph always preserves the *global* boundary-to-boundary distances of
+/// the current weights (Theorem 2).
 ///
 /// The components are shared the way snapshots share them: the partitioned
 /// view and the overlay behind `Arc`s, the hierarchies one per chunk of a
@@ -237,11 +237,11 @@ impl OverlayMaintainer {
         }
     }
 
-    /// U-Stage 1: installs `batch` (global edge ids) in the global graph and
-    /// the subgraph copies, and routes it into intra- and inter-partition
-    /// updates.
-    pub fn route(&mut self, batch: &UpdateBatch) -> RoutedUpdates {
-        Arc::make_mut(&mut self.partitioned).apply_batch(batch)
+    /// U-Stage 1: takes `graph`, the global graph `batch` (global edge ids)
+    /// was already applied to, writes the batch into the subgraph copies,
+    /// and routes it into intra- and inter-partition updates.
+    pub fn route(&mut self, graph: &Graph, batch: &UpdateBatch) -> RoutedUpdates {
+        Arc::make_mut(&mut self.partitioned).apply_batch(graph, batch)
     }
 
     /// U-Stage 2 of a [`Self::route`]d batch: the DCH repair of every affected
@@ -258,13 +258,6 @@ impl OverlayMaintainer {
             per_part.push((i, changes));
         }
         Arc::make_mut(&mut self.overlay).apply_changes(&self.partitioned, &routed.inter, &per_part)
-    }
-
-    /// Applies one update batch end to end: [`Self::route`], then
-    /// [`Self::repair`].
-    pub fn apply(&mut self, batch: &UpdateBatch) {
-        let routed = self.route(batch);
-        self.repair(&routed);
     }
 }
 
@@ -321,7 +314,9 @@ mod tests {
         let (mut p, mut chs, mut overlay) = setup(4);
         let mut gen = UpdateGenerator::new(11);
         let batch = gen.generate(&p.graph, 30);
-        let routed = p.apply_batch(&batch);
+        let mut next = p.graph.clone();
+        next.apply_batch(&batch);
+        let routed = p.apply_batch(&next, &batch);
         // Partition shortcut phase.
         let mut per_part = Vec::new();
         for (i, ch) in chs.iter_mut().enumerate() {

@@ -169,12 +169,14 @@ impl Partitioned {
         routed
     }
 
-    /// Applies a batch to the global graph *and* to the affected subgraph
-    /// copies (U-Stage 1), returning the routed updates for the later stages.
-    /// Only the weight chunks it writes are copied, and only where a clone
-    /// (a published view) still shares them.
-    pub fn apply_batch(&mut self, batch: &UpdateBatch) -> RoutedUpdates {
-        self.graph.apply_batch(batch);
+    /// U-Stage 1: takes `graph`, the global graph `batch` was already
+    /// applied to, as the new global graph (a clone shares its topology and
+    /// weight chunks), writes the batch into the affected subgraph copies,
+    /// and returns the routed updates for the later stages. Only the weight
+    /// chunks it writes are copied, and only where a clone (a published
+    /// view) still shares them.
+    pub fn apply_batch(&mut self, graph: &Graph, batch: &UpdateBatch) -> RoutedUpdates {
+        self.graph = graph.clone();
         let routed = self.route_updates(batch);
         for (i, local_batch) in routed.intra.iter().enumerate() {
             if !local_batch.is_empty() {
@@ -259,7 +261,9 @@ mod tests {
         let mut p = setup(8, 8, 4);
         let mut gen = UpdateGenerator::new(9);
         let batch = gen.generate(&p.graph, 30);
-        p.apply_batch(&batch);
+        let mut next = p.graph.clone();
+        next.apply_batch(&batch);
+        p.apply_batch(&next, &batch);
         // Every intra edge's weight must agree between global and local copies.
         for sub in &p.subgraphs {
             for (le, lu, lv, lw) in sub.graph.edges() {

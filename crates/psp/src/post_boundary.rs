@@ -351,7 +351,9 @@ mod tests {
         let mut gen = UpdateGenerator::new(23);
         for _round in 0..2 {
             let batch = gen.generate(&p.graph, 25);
-            let routed = p.apply_batch(&batch);
+            let mut next = p.graph.clone();
+            next.apply_batch(&batch);
+            let routed = p.apply_batch(&next, &batch);
             let mut per_part = Vec::new();
             for (i, ch) in chs.iter_mut().enumerate() {
                 let changes = ch.apply_batch(&p.subgraphs[i].graph, routed.intra[i].as_slice());

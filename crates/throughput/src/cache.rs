@@ -150,9 +150,8 @@ impl CacheStats {
         self.hits + self.misses
     }
 
-    /// Folds any number of per-shard (or per-server) readings into one
-    /// aggregate — the fleet-report path, so per-shard cache telemetry sums
-    /// without hand-rolled loops. Equivalent to `iter.sum()` via the
+    /// Folds any number of per-shard readings into one aggregate, without
+    /// hand-rolled loops. Equivalent to `iter.sum()` via the
     /// [`Sum`](std::iter::Sum) impl.
     pub fn merge(stats: impl IntoIterator<Item = CacheStats>) -> CacheStats {
         stats

@@ -1,7 +1,4 @@
-//! Serving-side configuration: the result cache and the sharded fleet.
-
-use crate::feed::CoalescePolicy;
-use crate::registry::{AlgorithmKind, BuildParams};
+//! Serving-side configuration: the result cache.
 
 /// Configuration of the snapshot-versioned
 /// [`DistanceCache`](crate::DistanceCache).
@@ -40,87 +37,6 @@ impl CacheConfig {
             capacity,
             ..CacheConfig::default()
         }
-    }
-}
-
-/// Configuration of a [`ShardedFleet`](crate::fleet::ShardedFleet): the
-/// partition-sharded serving tier of one road network.
-///
-/// Shard servers always run a **manual** coalesce policy — batching is the
-/// router's job, so one fleet batch maps to exactly one batch on every
-/// touched shard and the published fleet epochs stay mutually consistent.
-/// The `coalesce` field therefore governs the *router's* batching.
-#[derive(Clone, Copy, Debug)]
-pub struct FleetConfig {
-    /// Number of shards (partitions of the served graph); clamped to at
-    /// least 1.
-    pub num_shards: usize,
-    /// Seed of the region-growing partitioner.
-    pub seed: u64,
-    /// The index every shard server runs on its induced subgraph.
-    pub algorithm: AlgorithmKind,
-    /// Construction parameters handed to each shard's index build (scaled
-    /// per shard with [`BuildParams::for_shard`]).
-    pub build_params: BuildParams,
-    /// The *fleet-level* coalesce policy applied by the front-end router.
-    pub coalesce: CoalescePolicy,
-    /// Per-shard result cache; `None` disables caching fleet-wide.
-    pub cache: Option<CacheConfig>,
-    /// Bound of the router's ingest queue (pending updates):
-    /// [`FleetRouter::submit`](crate::FleetRouter::submit) blocks at the
-    /// bound (backpressure),
-    /// [`FleetRouter::try_submit`](crate::FleetRouter::try_submit) sheds.
-    /// Clamped to at least 1.
-    pub ingest_bound: usize,
-}
-
-impl Default for FleetConfig {
-    /// Four shards of the default DCH index under the paper-default
-    /// coalesce policy, no result cache.
-    fn default() -> Self {
-        FleetConfig {
-            num_shards: 4,
-            seed: 1,
-            algorithm: AlgorithmKind::Dch,
-            build_params: BuildParams::default(),
-            coalesce: CoalescePolicy::default(),
-            cache: None,
-            ingest_bound: FleetConfig::DEFAULT_INGEST_BOUND,
-        }
-    }
-}
-
-impl FleetConfig {
-    /// A fleet of `num_shards` servers all running `algorithm`.
-    pub fn new(num_shards: usize, algorithm: AlgorithmKind) -> Self {
-        FleetConfig {
-            num_shards,
-            algorithm,
-            ..FleetConfig::default()
-        }
-    }
-
-    /// Replaces the router's coalesce policy.
-    pub fn with_coalesce(mut self, policy: CoalescePolicy) -> Self {
-        self.coalesce = policy;
-        self
-    }
-
-    /// Enables the per-shard result cache.
-    pub fn with_cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Default router ingest bound: deep enough that steady-state ingest
-    /// never blocks, shallow enough that a stalled router surfaces as
-    /// backpressure instead of unbounded memory growth.
-    pub const DEFAULT_INGEST_BOUND: usize = 1 << 16;
-
-    /// Replaces the router's ingest-queue bound.
-    pub fn with_ingest_bound(mut self, bound: usize) -> Self {
-        self.ingest_bound = bound;
-        self
     }
 }
 

@@ -13,8 +13,8 @@
 //!   Figure 1), which is what the multi-stage indexes improve.
 //!
 //! The **load driver** ([`run_load`]) measures: client threads put requests
-//! on any [`LoadTarget`] (a [`RoadNetworkServer`] or a [`ShardedFleet`])
-//! under one [`ArrivalProcess`] — closed loop on pinned sessions, or
+//! on a [`RoadNetworkServer`] (one index, or a sharded fleet) under one
+//! [`ArrivalProcess`] — closed loop on pinned sessions, or
 //! Poisson / constant arrivals through the target's [`DistanceService`] —
 //! beside rounds of `|U|` updates every `δt`, and one [`LoadReport`] carries
 //! the latency tails, the books, the stages that served, and the model's
@@ -34,12 +34,13 @@
 //! ([`ServerBuilder::result_cache`] enables it); [`RequestClass::HotPairs`]
 //! is the Zipf-skewed request class that measures it.
 //!
-//! The **sharded serving tier** ([`ShardedFleet`] + [`FleetRouter`])
-//! partitions the network, runs one [`RoadNetworkServer`] per shard, keeps
-//! a boundary-overlay index update-maintained, and answers cross-shard
-//! queries exactly by concatenating shard boundary fans through one
-//! multi-source overlay search — see the [`fleet`] and [`router`] module
-//! docs.
+//! The **sharded serving tier** is a server too:
+//! [`ServerBuilder::shards`] partitions the network, runs one
+//! [`RoadNetworkServer`] per shard behind a boundary-overlay index the
+//! server's own feed keeps repaired, and publishes one [`FleetView`] per
+//! batch, whose sessions answer cross-shard queries exactly by
+//! concatenating shard boundary fans through one multi-source overlay
+//! search — see the [`fleet`] and [`router`] module docs.
 //!
 //! The **telemetry hub** ([`TelemetryHub`]) is the unified observability
 //! layer over all of the above: a metrics registry (counters, gauges,
@@ -67,20 +68,17 @@ pub mod telemetry;
 
 pub use admission::{AdmissionPolicy, ServiceStats, ShutdownReport, SubmitOutcome};
 pub use cache::{CacheStats, CachedSession, DistanceCache};
-pub use config::{CacheConfig, FleetConfig};
+pub use config::CacheConfig;
 pub use feed::{CoalescePolicy, FeedStats, UpdateFeed, UpdateOutcome, UpdateTicket, Visibility};
-pub use fleet::{FleetReport, ShardReport, ShardedFleet};
 pub use load::{
-    run_load, ArrivalProcess, ClassReport, LoadProfile, LoadReport, LoadTarget, RequestClass,
-    RequestMix, RequestStream, ZipfSampler,
+    run_load, ArrivalProcess, ClassReport, LoadProfile, LoadReport, RequestClass, RequestMix,
+    RequestStream, ZipfSampler,
 };
 pub use model::{lemma1_bound, staged_throughput, QueryStats};
 pub use registry::{AlgorithmKind, BuildParams};
-pub use router::{FleetQueryHandle, FleetRouter, FleetSession, FleetTicket, FleetVisibility};
+pub use router::FleetView;
 pub use server::{RoadNetworkServer, ServerBuilder, STORAGE_BYTES_METRIC};
-pub use service::{
-    BatchAnswer, BatchResult, BatchTicket, DistanceService, Pinned, QueryBatch, SessionSource,
-};
+pub use service::{BatchAnswer, BatchResult, BatchTicket, DistanceService, QueryBatch};
 pub use slo::{LatencyHistogram, SloCheck, SloTarget, SloVerdict};
 pub use telemetry::{
     intern, validate_json, validate_prometheus, Counter, Gauge, Histogram, Reporter, SpanGuard,

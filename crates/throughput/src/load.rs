@@ -1,11 +1,12 @@
 //! The load driver: one way to put traffic on a serving target and read
 //! back what happened.
 //!
-//! [`run_load`] drives a [`LoadTarget`] — a [`RoadNetworkServer`] or a
-//! [`ShardedFleet`] — with the paper's protocol (§III, Exp. 3–5): clients
-//! issue shortest-distance requests while batches of `|U|` edge updates
-//! arrive every `δt`, and the answers are judged against a response-time
-//! target. A [`LoadProfile`] says what is offered:
+//! [`run_load`] drives a [`RoadNetworkServer`] — one index, or a
+//! partition-sharded fleet built with
+//! [`ServerBuilder::shards`](crate::ServerBuilder::shards) — with the
+//! paper's protocol (§III, Exp. 3–5): clients issue shortest-distance
+//! requests while batches of `|U|` edge updates arrive every `δt`, and the
+//! answers are judged against a response-time target. A [`LoadProfile`] says what is offered:
 //!
 //! * **requests** — a [`RequestMix`] of [`RequestClass`]es (point-to-point
 //!   bundles, one-to-many fans, matrices, Zipf-skewed hot pairs). Every
@@ -25,7 +26,7 @@
 //! * **updates** — `update_rounds` batches of `update_volume` random edge
 //!   changes spread evenly over the run, one every
 //!   [`LoadProfile::update_interval`] (the paper's `δt`), each submitted
-//!   through the target's own ingest path and waited on until applied.
+//!   through the server's feed and waited on until applied.
 //!
 //! The one [`LoadReport`] carries the books (offered / answered / shed /
 //! expired), latency histograms with the [`SloVerdict`], pairs per query
@@ -34,54 +35,19 @@
 //! [`LoadReport::mean_update_time`]) so the modeled bound is one call to
 //! [`lemma1_bound`](crate::lemma1_bound) next to the measured rate.
 //!
-//! [`RoadNetworkServer`]: crate::RoadNetworkServer
-//! [`ShardedFleet`]: crate::ShardedFleet
-
 use crate::admission::SubmitOutcome;
 use crate::cache::CacheStats;
 use crate::model::QueryStats;
-use crate::service::{BatchResult, BatchTicket, DistanceService, QueryBatch, SessionSource};
+use crate::server::RoadNetworkServer;
+use crate::service::{BatchResult, BatchTicket, DistanceService, QueryBatch};
 use crate::slo::{LatencyHistogram, SloTarget, SloVerdict};
-use crate::telemetry::TelemetryHub;
 use htsp_graph::{Dist, Graph, Query, UpdateGenerator, UpdateTimeline};
 use htsp_search::dijkstra_distance;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-
-/// What [`run_load`] drives. Implemented by
-/// [`RoadNetworkServer`](crate::RoadNetworkServer) and
-/// [`ShardedFleet`](crate::ShardedFleet); this trait is the only place that
-/// knows how a single server and a fleet differ.
-pub trait LoadTarget: Sync {
-    /// Label for reports: the algorithm name, or the fleet label.
-    fn name(&self) -> String;
-
-    /// Number of query stages a pinned session can report.
-    fn num_query_stages(&self) -> usize;
-
-    /// Where closed-loop clients pin their sessions.
-    fn sessions(&self) -> &dyn SessionSource;
-
-    /// The batched front-end scheduled arrivals are submitted through.
-    fn query_service(&self) -> Option<&DistanceService>;
-
-    /// The hub the run's per-class outcome is recorded into.
-    fn telemetry(&self) -> &TelemetryHub;
-
-    /// Result-cache counters summed over the target (`None` without a cache).
-    fn cache_stats(&self) -> Option<CacheStats>;
-
-    /// `(instant, query stage)` of every publication since the last call.
-    fn take_publications(&self) -> Vec<(Instant, usize)>;
-
-    /// One update round: draws `volume` edge changes against the current
-    /// weights, submits them through the target's ingest path, forces a
-    /// batch boundary, and blocks until the round is applied. Returns the
-    /// round's update timeline.
-    fn apply_round(&self, gen: &mut UpdateGenerator, volume: usize) -> UpdateTimeline;
-}
 
 /// Golden-ratio multiplier decorrelating per-client PRNG seeds.
 const SEED_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -459,7 +425,8 @@ pub struct ClassReport {
 /// The outcome of one [`run_load`] run.
 #[derive(Clone, Debug)]
 pub struct LoadReport {
-    /// [`LoadTarget::name`] of what was driven.
+    /// Algorithm name of the driven server (`fleet(kx KIND)` for a
+    /// fleet).
     pub target: String,
     /// Requests offered (closed loop: issued).
     pub offered: u64,
@@ -628,16 +595,16 @@ impl Tally {
 /// A closed-loop client: pin a session, execute requests on it while the
 /// pinned version is the published one, re-pin.
 fn closed_loop_client(
-    target: &dyn LoadTarget,
+    target: &RoadNetworkServer,
     profile: &LoadProfile,
     mut stream: RequestStream,
     mut tally: Tally,
     stop: &AtomicBool,
 ) -> Tally {
-    let sessions = target.sessions();
+    let sessions = target.source();
     let final_stage = tally.per_stage_pairs.len() - 1;
     while !stop.load(Ordering::Relaxed) {
-        sessions.with_pinned(&mut |pin| {
+        sessions.with_pinned(|pin| {
             while !stop.load(Ordering::Relaxed) && sessions.version() == pin.version {
                 let (class, batch) = stream.next_request();
                 let pairs = batch.num_pairs();
@@ -710,6 +677,36 @@ fn scheduled_client(
     tally
 }
 
+/// One update round: draws `volume` edge changes against the current
+/// weights, submits them through the server's feed, forces a batch
+/// boundary, and blocks until the round is applied.
+///
+/// Under a manual coalesce policy (what [`RoadNetworkServer::host`] sets)
+/// the round is exactly one feed batch. Under an auto-flushing policy it
+/// may split into several; the returned timeline then concatenates the
+/// stages of every distinct batch, so its total still covers the whole
+/// round.
+fn apply_round(
+    server: &RoadNetworkServer,
+    gen: &mut UpdateGenerator,
+    volume: usize,
+) -> UpdateTimeline {
+    let batch = server.with_graph(|g| gen.generate(g, volume));
+    let mut tickets = server.feed().submit_all(batch.as_slice().iter().copied());
+    tickets.push(server.feed().flush());
+    let mut seen = HashSet::new();
+    let mut round = UpdateTimeline::default();
+    for ticket in &tickets {
+        let outcome = ticket.wait_applied();
+        if seen.insert(outcome.batch_seq) {
+            for stage in &outcome.timeline.stages {
+                round.push(stage.name.clone(), stage.duration);
+            }
+        }
+    }
+    round
+}
+
 /// Drives `profile` against `target` with requests drawn from `pool`, and
 /// reports what happened; see the [module docs](self).
 ///
@@ -717,16 +714,17 @@ fn scheduled_client(
 /// source. The target is left running and can be driven again: every count
 /// in the report, including `publications` and `max_queue_depth`, covers
 /// this run only. The per-class outcome is also folded into the target's
-/// [`TelemetryHub`] as `htsp_loadgen_latency_seconds{class=...}` and
+/// [`TelemetryHub`](crate::TelemetryHub) as
+/// `htsp_loadgen_latency_seconds{class=...}` and
 /// `htsp_loadgen_{offered,answered,shed,expired}_total{class=...}` (plus an
 /// unlabeled `htsp_loadgen_abandoned_total`), which accumulate across runs.
 ///
 /// # Panics
 ///
 /// Panics if `pool` is empty, if a scheduled arrival process is asked of a
-/// target without a query service, or if `verify` is combined with scheduled
+/// server without query workers, or if `verify` is combined with scheduled
 /// arrivals and update rounds (see [`LoadProfile::verify`]).
-pub fn run_load(target: &dyn LoadTarget, profile: &LoadProfile, pool: &[Query]) -> LoadReport {
+pub fn run_load(target: &RoadNetworkServer, profile: &LoadProfile, pool: &[Query]) -> LoadReport {
     let clients = profile.clients.max(1);
     let num_stages = target.num_query_stages();
     let scheduled = profile.arrivals != ArrivalProcess::ClosedLoop;
@@ -735,15 +733,12 @@ pub fn run_load(target: &dyn LoadTarget, profile: &LoadProfile, pool: &[Query]) 
             profile.update_rounds, 0,
             "scheduled answers are verified against one graph: no update rounds"
         );
-        let mut graph = None;
-        target
-            .sessions()
-            .with_pinned(&mut |pin| graph = Some(pin.graph.clone()));
-        graph.expect("with_pinned calls back")
+        target.source().with_pinned(|pin| pin.graph.clone())
     });
-    let cache_before = target.cache_stats();
+    let cache_stats = || target.cache().map(|c| c.stats());
+    let cache_before = cache_stats();
     // Publications from before the run are not this run's.
-    target.take_publications();
+    target.publisher().take_log();
 
     // If the update source panics, closed-loop clients must still be told
     // to stop — otherwise `thread::scope` joins threads that spin forever.
@@ -785,7 +780,7 @@ pub fn run_load(target: &dyn LoadTarget, profile: &LoadProfile, pool: &[Query]) 
         let mut gen = UpdateGenerator::new(profile.seed);
         for round in 0..profile.update_rounds {
             sleep_until(start + profile.update_interval() * round as u32);
-            timelines.push(target.apply_round(&mut gen, profile.update_volume));
+            timelines.push(apply_round(target, &mut gen, profile.update_volume));
         }
         sleep_until(start + profile.duration);
         stop.store(true, Ordering::Relaxed);
@@ -839,7 +834,7 @@ pub fn run_load(target: &dyn LoadTarget, profile: &LoadProfile, pool: &[Query]) 
 
     let sum_of = |f: fn(&ClassReport) -> u64| total.per_class.iter().map(f).sum();
     LoadReport {
-        target: target.name(),
+        target: target.algorithm().to_string(),
         offered: sum_of(|c| c.offered),
         answered: sum_of(|c| c.answered),
         answered_pairs: total.answered_pairs,
@@ -852,17 +847,16 @@ pub fn run_load(target: &dyn LoadTarget, profile: &LoadProfile, pool: &[Query]) 
         max_queue_depth: total.max_queue_depth,
         per_stage_pairs: total.per_stage_pairs,
         publications: target
-            .take_publications()
+            .publisher()
+            .take_log()
             .into_iter()
-            .map(|(at, stage)| (at.saturating_duration_since(start), stage))
+            .map(|e| (e.at.saturating_duration_since(start), e.stage))
             .collect(),
         timelines,
         final_stage_query: total.final_stage.stats(),
         verify_failures: total.verify_failures,
         first_failure: total.first_failure,
-        cache: target
-            .cache_stats()
-            .map(|after| after.since(cache_before.unwrap_or_default())),
+        cache: cache_stats().map(|after| after.since(cache_before.unwrap_or_default())),
         per_class: total.per_class,
     }
 }

@@ -90,12 +90,13 @@ impl BuildParams {
         self.num_threads.max(1)
     }
 
-    /// Scales the parameters down for one shard of a
-    /// [`ShardedFleet`](crate::fleet::ShardedFleet): partition-based shard
-    /// indexes must not over-partition the (much smaller) shard subgraph, so
-    /// the partition count is clamped to keep roughly 16 vertices per inner
-    /// partition, and the per-shard thread count is capped at 2 since the
-    /// fleet already runs one maintenance thread per shard.
+    /// Scales the parameters down for one shard of a fleet
+    /// ([`ServerBuilder::shards`](crate::ServerBuilder::shards)):
+    /// partition-based shard indexes must not over-partition the (much
+    /// smaller) shard subgraph, so the partition count is clamped to keep
+    /// roughly 16 vertices per inner partition, and the per-shard thread
+    /// count is capped at 2 since the fleet already runs one maintenance
+    /// thread per shard.
     pub fn for_shard(&self, shard_vertices: usize) -> BuildParams {
         let cap = (shard_vertices / 16).clamp(2, self.num_partitions.max(2));
         BuildParams {

@@ -21,26 +21,31 @@
 //! snapshots and are never blocked by maintenance; writers submit into the
 //! [`UpdateFeed`] and use their [`UpdateTicket`]s for read-your-writes
 //! acknowledgements. The load driver ([`run_load`](crate::run_load)) drives
-//! this same facade through the [`LoadTarget`] trait.
+//! this same facade.
+//!
+//! [`ServerBuilder::shards`] makes the same facade a partition-sharded
+//! fleet: the hosted maintainer routes each batch over shard servers and
+//! the boundary overlay and publishes one
+//! [`FleetView`](crate::router::FleetView) per batch (see the
+//! [`fleet`](crate::fleet) module docs). Nothing else about the server
+//! changes.
 
 use crate::admission::AdmissionPolicy;
 use crate::cache::DistanceCache;
 use crate::config::CacheConfig;
 use crate::feed::{CoalescePolicy, UpdateFeed, UpdateTicket};
-use crate::load::LoadTarget;
+use crate::fleet::FleetMaintainer;
 use crate::registry::{AlgorithmKind, BuildParams};
-use crate::service::{BatchTicket, DistanceService, QueryBatch, SessionSource, SnapshotSource};
+use crate::service::{BatchTicket, DistanceService, QueryBatch, SnapshotSource};
 use crate::telemetry::{Gauge, TelemetryHub};
 use htsp_graph::{
     Dist, EdgeUpdate, Graph, IndexMaintainer, IndexSnapshot, QueryView, SnapshotError,
-    SnapshotPublisher, UpdateGenerator, UpdateTimeline, VertexId,
+    SnapshotPublisher, VertexId,
 };
-use std::collections::HashSet;
 use std::path::Path;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Prometheus metric name of the per-component memory-footprint gauges
 /// (`htsp_storage_bytes{component="..."}`), registered by every server at
@@ -54,6 +59,7 @@ pub struct ServerBuilder {
     algorithm: AlgorithmKind,
     params: BuildParams,
     maintainer: Option<Box<dyn IndexMaintainer>>,
+    shards: usize,
     policy: CoalescePolicy,
     query_workers: usize,
     cache: Option<CacheConfig>,
@@ -67,6 +73,7 @@ impl Default for ServerBuilder {
             algorithm: AlgorithmKind::PostMhl,
             params: BuildParams::default(),
             maintainer: None,
+            shards: 1,
             policy: CoalescePolicy::default(),
             query_workers: 0,
             cache: None,
@@ -95,6 +102,29 @@ impl ServerBuilder {
     /// inspected before hosting it).
     pub fn maintainer(mut self, maintainer: Box<dyn IndexMaintainer>) -> Self {
         self.maintainer = Some(maintainer);
+        self
+    }
+
+    /// Serves the graph as a fleet of `k` shards: the graph is partitioned
+    /// with region growing (seeded by [`BuildParams::seed`]) and every
+    /// shard runs its own server of the selected algorithm on its induced
+    /// subgraph, with [`BuildParams::for_shard`] parameters, behind one
+    /// boundary overlay. The fleet serves through this server's feed,
+    /// publisher, cache and query workers, and its views are
+    /// [`FleetView`](crate::router::FleetView)s named `fleet(kx KIND)`.
+    ///
+    /// `k` is clamped to the number of vertices; 1 (the default) is a
+    /// plain server. A fleet does not restart from
+    /// [`RoadNetworkServer::save_snapshot`]'s file:
+    /// [`ServerBuilder::start_from_snapshot`] refuses its algorithm name.
+    ///
+    /// # Panics
+    ///
+    /// [`ServerBuilder::start`] panics when `k > 1` is combined with
+    /// [`ServerBuilder::maintainer`]: a fleet builds its shard indexes
+    /// itself.
+    pub fn shards(mut self, k: usize) -> Self {
+        self.shards = k;
         self
     }
 
@@ -192,8 +222,24 @@ impl ServerBuilder {
         let hub = self
             .telemetry
             .unwrap_or_else(|| Arc::new(TelemetryHub::new()));
+        let shards = self.shards.min(graph.num_vertices());
         let maintainer = match self.maintainer {
-            Some(m) => m,
+            Some(m) => {
+                assert!(
+                    self.shards <= 1,
+                    "ServerBuilder::shards({}) builds its own shard indexes and cannot host \
+                     a custom maintainer",
+                    self.shards
+                );
+                m
+            }
+            None if shards > 1 => Box::new(FleetMaintainer::build(
+                graph,
+                shards,
+                self.algorithm,
+                &self.params,
+                &hub,
+            )),
             None => {
                 // Registry build: run construction on a worker pool sized by
                 // the build params and publish the `htsp_build_*` telemetry
@@ -246,15 +292,16 @@ impl ServerBuilder {
                 .spawn(move || feed.run_maintenance(maintainer, policy))
                 .expect("spawn maintenance thread")
         };
-        let source = Arc::new(SnapshotSource { publisher, cache });
         let service = (self.query_workers > 0).then(|| {
-            DistanceService::spawn(
-                Arc::clone(&source) as _,
+            DistanceService::start(
+                Arc::clone(&publisher),
                 self.query_workers,
+                cache.clone(),
                 self.admission,
                 Arc::clone(&hub),
             )
         });
+        let source = SnapshotSource { publisher, cache };
         RoadNetworkServer {
             graph: shared_graph,
             source,
@@ -313,7 +360,7 @@ pub struct RoadNetworkServer {
     graph: Arc<RwLock<Graph>>,
     /// The read side (publisher + optional result cache) every serving path
     /// of this server pins through.
-    source: Arc<SnapshotSource>,
+    source: SnapshotSource,
     feed: UpdateFeed,
     maintenance: Option<JoinHandle<Box<dyn IndexMaintainer>>>,
     service: Option<DistanceService>,
@@ -394,6 +441,11 @@ impl RoadNetworkServer {
     /// with [`ServerBuilder::result_cache`].
     pub fn cache(&self) -> Option<&Arc<DistanceCache>> {
         self.source.cache.as_ref()
+    }
+
+    /// The read side closed-loop load clients pin their sessions through.
+    pub(crate) fn source(&self) -> &SnapshotSource {
+        &self.source
     }
 
     /// The telemetry hub every component of this server records into
@@ -513,59 +565,6 @@ impl RoadNetworkServer {
                 std::panic::resume_unwind(panic);
             }
         }
-    }
-}
-
-impl LoadTarget for RoadNetworkServer {
-    fn name(&self) -> String {
-        self.algorithm.to_string()
-    }
-
-    fn num_query_stages(&self) -> usize {
-        self.num_query_stages
-    }
-
-    fn sessions(&self) -> &dyn SessionSource {
-        &*self.source
-    }
-
-    fn query_service(&self) -> Option<&DistanceService> {
-        self.service.as_ref()
-    }
-
-    fn telemetry(&self) -> &TelemetryHub {
-        &self.hub
-    }
-
-    fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.source.cache.as_ref().map(|c| c.stats())
-    }
-
-    fn take_publications(&self) -> Vec<(Instant, usize)> {
-        let log = self.source.publisher.take_log();
-        log.into_iter().map(|e| (e.at, e.stage)).collect()
-    }
-
-    /// Under a manual coalesce policy (what [`RoadNetworkServer::host`]
-    /// sets) the round is exactly one feed batch. Under an auto-flushing
-    /// policy it may split into several; the returned timeline then
-    /// concatenates the stages of every distinct batch, so its total still
-    /// covers the whole round.
-    fn apply_round(&self, gen: &mut UpdateGenerator, volume: usize) -> UpdateTimeline {
-        let batch = self.with_graph(|g| gen.generate(g, volume));
-        let mut tickets = self.feed.submit_all(batch.as_slice().iter().copied());
-        tickets.push(self.feed.flush());
-        let mut seen = HashSet::new();
-        let mut round = UpdateTimeline::default();
-        for ticket in &tickets {
-            let outcome = ticket.wait_applied();
-            if seen.insert(outcome.batch_seq) {
-                for stage in &outcome.timeline.stages {
-                    round.push(stage.name.clone(), stage.duration);
-                }
-            }
-        }
-        round
     }
 }
 

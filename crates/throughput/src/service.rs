@@ -36,12 +36,9 @@
 //! [`Deadline`](AdmissionPolicy::Deadline) passed before execution, and
 //! every admission/execution path is counted in [`ServiceStats`].
 //!
-//! The service pins through a [`SessionSource`], so the same queue,
-//! policies, telemetry — and the same pin/drain/re-pin loop — front either a
-//! single server's [`SnapshotPublisher`] or a whole
-//! [`ShardedFleet`](crate::ShardedFleet) (via
-//! [`ShardedFleet::start_query_service`](crate::ShardedFleet::start_query_service),
-//! which calls [`DistanceService::for_fleet`]).
+//! A sharded server publishes [`FleetView`](crate::router::FleetView)s
+//! through the same publisher, so the same queue, policies, telemetry and
+//! pin/drain/re-pin loop serve a fleet unchanged.
 //!
 //! The maintenance side stays outside the service: whoever owns the
 //! [`IndexMaintainer`](htsp_graph::IndexMaintainer) keeps calling
@@ -49,7 +46,6 @@
 
 use crate::admission::{AdmissionPolicy, ServiceStats, ShutdownReport, SubmitOutcome};
 use crate::cache::{CachedSession, DistanceCache};
-use crate::router::FleetQueryHandle;
 use crate::telemetry::{Counter, Gauge, Histogram, TelemetryHub};
 use htsp_graph::{Dist, Graph, Query, QuerySession, SnapshotPublisher, TraceId, VertexId};
 use std::collections::VecDeque;
@@ -124,54 +120,45 @@ impl QueryBatch {
     }
 }
 
-/// One pinned read view of a [`SessionSource`]: a session opened on the
-/// newest published state, with what identifies that state. Every answer
-/// the session gives is exact on `graph`.
-pub struct Pinned<'a> {
-    /// The source's version this pin was taken at.
-    pub version: u64,
-    /// Query stage of the pinned view (0 for a fleet epoch).
-    pub stage: usize,
+/// One pinned read view of a [`SnapshotSource`]: a session opened on the
+/// newest published snapshot, with what identifies that snapshot. Every
+/// answer the session gives is exact on `graph`.
+pub(crate) struct Pinned<'a> {
+    /// The publisher version this pin was taken at.
+    pub(crate) version: u64,
+    /// Query stage of the pinned view.
+    pub(crate) stage: usize,
     /// Algorithm name of the pinned view.
-    pub algorithm: &'static str,
+    pub(crate) algorithm: &'static str,
     /// The graph version the pinned view serves.
-    pub graph: &'a Graph,
+    pub(crate) graph: &'a Graph,
     /// The session, cache-wrapped where the source has a result cache.
-    pub session: &'a mut dyn QuerySession,
+    pub(crate) session: &'a mut dyn QuerySession,
 }
 
-/// Where serving threads pin their sessions — the read side shared by a
-/// single server and a sharded fleet, and the one place that knows how the
-/// two pin. The protocol every serving loop follows: take a pin, drain
-/// requests through its session while [`SessionSource::version`] still
-/// equals the pinned version, then return from the callback (dropping the
-/// session and its snapshot) and pin again.
-pub trait SessionSource: Send + Sync {
-    /// The currently published version.
-    fn version(&self) -> u64;
-
-    /// Pins the newest published state and calls `drain` exactly once with
-    /// a session on it. The `(version, view)` pair is read atomically, so a
-    /// concurrent publication can neither tag the old view with the new
-    /// version nor suppress the caller's re-pin.
-    fn with_pinned(&self, drain: &mut dyn FnMut(Pinned<'_>));
-}
-
-/// A single server's read side: its publisher and, when enabled, the
-/// snapshot-versioned result cache every session is wrapped in (the wrapper
-/// carries the pinned version, so a cached answer never crosses a
-/// publication).
+/// Where serving threads pin their sessions: a server's publisher and, when
+/// enabled, the snapshot-versioned result cache every session is wrapped in
+/// (the wrapper carries the pinned version, so a cached answer never
+/// crosses a publication). The protocol every serving loop follows: take a
+/// pin, drain requests through its session while
+/// [`SnapshotSource::version`] still equals the pinned version, then return
+/// from the callback (dropping the session and its snapshot) and pin again.
 pub(crate) struct SnapshotSource {
     pub(crate) publisher: Arc<SnapshotPublisher>,
     pub(crate) cache: Option<Arc<DistanceCache>>,
 }
 
-impl SessionSource for SnapshotSource {
-    fn version(&self) -> u64 {
+impl SnapshotSource {
+    /// The currently published version.
+    pub(crate) fn version(&self) -> u64 {
         self.publisher.version()
     }
 
-    fn with_pinned(&self, drain: &mut dyn FnMut(Pinned<'_>)) {
+    /// Pins the newest published snapshot and calls `drain` with a session
+    /// on it. The `(version, view)` pair is read atomically, so a
+    /// concurrent publication can neither tag the old view with the new
+    /// version nor suppress the caller's re-pin.
+    pub(crate) fn with_pinned<R>(&self, drain: impl FnOnce(Pinned<'_>) -> R) -> R {
         let (version, view) = self.publisher.versioned_snapshot();
         let mut session: Box<dyn QuerySession + '_> = match &self.cache {
             Some(cache) => Box::new(CachedSession::new(view.session(), cache, version)),
@@ -183,7 +170,7 @@ impl SessionSource for SnapshotSource {
             algorithm: view.algorithm(),
             graph: view.graph(),
             session: &mut *session,
-        });
+        })
     }
 }
 
@@ -194,8 +181,7 @@ pub struct BatchAnswer {
     /// [`QueryBatch::Matrix`] the layout is row-major:
     /// `distances[i * targets.len() + j] = d(sources[i], targets[j])`.
     pub distances: Vec<Dist>,
-    /// Publisher version of the snapshot that answered (fleet version when
-    /// the service fronts a [`ShardedFleet`](crate::ShardedFleet)).
+    /// Publisher version of the snapshot that answered.
     pub snapshot_version: u64,
     /// Query stage of the snapshot that answered.
     pub stage: usize,
@@ -458,7 +444,7 @@ impl ServiceMetrics {
 }
 
 struct Shared {
-    source: Arc<dyn SessionSource>,
+    source: SnapshotSource,
     policy: AdmissionPolicy,
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
@@ -540,7 +526,7 @@ fn worker_loop(shared: &Shared) {
         // Pin: newest published state, one session, scratch checked out
         // once.
         let pin_start = Instant::now();
-        shared.source.with_pinned(&mut |mut pin| {
+        shared.source.with_pinned(|mut pin| {
             shared
                 .hub
                 .record_span(TraceId::NONE, "query", "pin", pin_start, Instant::now());
@@ -566,8 +552,7 @@ fn worker_loop(shared: &Shared) {
 ///
 /// See the [module docs](self) for the worker/pinning architecture and the
 /// admission-control section; the queue's overload behaviour is governed by
-/// the [`AdmissionPolicy`] the service was started with
-/// ([`AdmissionPolicy::Block`] for the plain constructors). Dropping the
+/// the [`AdmissionPolicy`] the service was started with. Dropping the
 /// service shuts it down with the same drain-or-shed rule as
 /// [`DistanceService::shutdown`].
 pub struct DistanceService {
@@ -576,71 +561,21 @@ pub struct DistanceService {
 }
 
 impl DistanceService {
-    /// Starts `num_workers` serving threads against `publisher`'s snapshots
-    /// under the legacy [`AdmissionPolicy::Block`] (unbounded queue).
-    pub fn start(publisher: Arc<SnapshotPublisher>, num_workers: usize) -> Self {
-        DistanceService::with_policy(publisher, num_workers, None, AdmissionPolicy::Block)
-    }
-
-    /// The fully general single-server constructor: workers, an optional
-    /// result cache (consulted before every search and fed after, through a
-    /// [`CachedSession`] pinned to each worker's snapshot version), and an
-    /// explicit [`AdmissionPolicy`].
-    pub fn with_policy(
-        publisher: Arc<SnapshotPublisher>,
-        num_workers: usize,
-        cache: Option<Arc<DistanceCache>>,
-        policy: AdmissionPolicy,
-    ) -> Self {
-        DistanceService::with_telemetry(
-            publisher,
-            num_workers,
-            cache,
-            policy,
-            Arc::new(TelemetryHub::new()),
-        )
-    }
-
-    /// Like [`DistanceService::with_policy`], but admission counters, queue
-    /// gauges, latency histograms, and query spans land in `hub` — the hub a
-    /// deployment shares across its server, feed, cache, and load generator
+    /// Starts `num_workers` serving threads (at least one) against
+    /// `publisher`'s snapshots under `policy`. With a `cache`, every search
+    /// consults it first and feeds it after, through a [`CachedSession`]
+    /// pinned to the worker's snapshot version. Admission counters, queue
+    /// gauges, latency histograms and query spans land in `hub` — the hub a
+    /// deployment shares across its server, feed, cache and load generator
     /// so one [`TelemetryHub::snapshot`] covers the whole pipeline.
-    pub fn with_telemetry(
+    pub fn start(
         publisher: Arc<SnapshotPublisher>,
         num_workers: usize,
         cache: Option<Arc<DistanceCache>>,
         policy: AdmissionPolicy,
         hub: Arc<TelemetryHub>,
     ) -> Self {
-        DistanceService::spawn(
-            Arc::new(SnapshotSource { publisher, cache }),
-            num_workers,
-            policy,
-            hub,
-        )
-    }
-
-    /// Starts a service whose workers answer batches through
-    /// [`FleetSession`](crate::FleetSession)s pinned to the fleet's epochs —
-    /// the fleet-level admission point. Obtain the handle from
-    /// [`ShardedFleet::query_handle`](crate::ShardedFleet::query_handle);
-    /// `hub` is normally the fleet's own, so service and router metrics land
-    /// together.
-    pub fn for_fleet(
-        handle: FleetQueryHandle,
-        num_workers: usize,
-        policy: AdmissionPolicy,
-        hub: Arc<TelemetryHub>,
-    ) -> Self {
-        DistanceService::spawn(Arc::new(handle), num_workers, policy, hub)
-    }
-
-    pub(crate) fn spawn(
-        source: Arc<dyn SessionSource>,
-        num_workers: usize,
-        policy: AdmissionPolicy,
-        hub: Arc<TelemetryHub>,
-    ) -> Self {
+        let source = SnapshotSource { publisher, cache };
         let stats = ServiceMetrics::register(&hub);
         let shared = Arc::new(Shared {
             source,
@@ -861,7 +796,13 @@ mod tests {
         let g = grid(9, 9, WeightRange::new(1, 20), 5);
         let idx = DchBaseline::build(&g);
         let publisher = Arc::new(SnapshotPublisher::new(idx.current_view()));
-        let service = DistanceService::start(Arc::clone(&publisher), 3);
+        let service = DistanceService::start(
+            Arc::clone(&publisher),
+            3,
+            None,
+            AdmissionPolicy::Block,
+            Arc::new(TelemetryHub::new()),
+        );
 
         let qs = QuerySet::random(&g, 30, 7);
         let p2p = service.answer(QueryBatch::PointToPoint(qs.as_slice().to_vec()));
@@ -913,7 +854,13 @@ mod tests {
         let mut g = grid(8, 8, WeightRange::new(5, 30), 9);
         let mut idx = DchBaseline::build(&g);
         let publisher = Arc::new(SnapshotPublisher::new(idx.current_view()));
-        let service = DistanceService::start(Arc::clone(&publisher), 2);
+        let service = DistanceService::start(
+            Arc::clone(&publisher),
+            2,
+            None,
+            AdmissionPolicy::Block,
+            Arc::new(TelemetryHub::new()),
+        );
 
         let qs = QuerySet::random(&g, 10, 3);
         let before = service.answer(QueryBatch::PointToPoint(qs.as_slice().to_vec()));
@@ -941,7 +888,13 @@ mod tests {
         let g = grid(5, 5, WeightRange::new(1, 5), 2);
         let idx = DchBaseline::build(&g);
         let publisher = Arc::new(SnapshotPublisher::new(idx.current_view()));
-        let service = DistanceService::start(publisher, 1);
+        let service = DistanceService::start(
+            publisher,
+            1,
+            None,
+            AdmissionPolicy::Block,
+            Arc::new(TelemetryHub::new()),
+        );
         let ticket = service.submit(QueryBatch::PointToPoint(vec![Query::new(
             VertexId(0),
             VertexId(24),
@@ -983,11 +936,12 @@ mod tests {
         let mut idx = DchBaseline::build(&g);
         let publisher = Arc::new(SnapshotPublisher::new(idx.current_view()));
         let cache = Arc::new(DistanceCache::new(CacheConfig::with_capacity(256)));
-        let service = DistanceService::with_policy(
+        let service = DistanceService::start(
             Arc::clone(&publisher),
             1,
             Some(Arc::clone(&cache)),
             AdmissionPolicy::Block,
+            Arc::new(TelemetryHub::new()),
         );
 
         let qs = QuerySet::random(&g, 8, 11);
@@ -1025,7 +979,13 @@ mod tests {
         let g = grid(4, 4, WeightRange::new(1, 5), 1);
         let idx = DchBaseline::build(&g);
         let publisher = Arc::new(SnapshotPublisher::new(idx.current_view()));
-        let service = DistanceService::start(publisher, 4);
+        let service = DistanceService::start(
+            publisher,
+            4,
+            None,
+            AdmissionPolicy::Block,
+            Arc::new(TelemetryHub::new()),
+        );
         let ticket = service.submit(QueryBatch::OneToMany {
             source: VertexId(0),
             targets: vec![VertexId(15)],
@@ -1043,11 +1003,12 @@ mod tests {
         let g = grid(5, 5, WeightRange::new(1, 5), 4);
         let idx = DchBaseline::build(&g);
         let publisher = Arc::new(SnapshotPublisher::new(idx.current_view()));
-        let service = DistanceService::with_policy(
+        let service = DistanceService::start(
             publisher,
             1,
             None,
             AdmissionPolicy::Shed { max_depth: 0 },
+            Arc::new(TelemetryHub::new()),
         );
         // Depth bound 0: with the single worker parked on an empty queue,
         // the very first submission already finds the queue at its bound...
@@ -1073,13 +1034,14 @@ mod tests {
         let g = grid(5, 5, WeightRange::new(1, 5), 4);
         let idx = DchBaseline::build(&g);
         let publisher = Arc::new(SnapshotPublisher::new(idx.current_view()));
-        let service = DistanceService::with_policy(
+        let service = DistanceService::start(
             publisher,
             1,
             None,
             AdmissionPolicy::Deadline {
                 budget: Duration::from_millis(10),
             },
+            Arc::new(TelemetryHub::new()),
         );
         let q = QueryBatch::PointToPoint(vec![Query::new(VertexId(0), VertexId(24))]);
         // Generated 50ms ago with a 10ms budget: expired on arrival.
@@ -1102,11 +1064,12 @@ mod tests {
         let g = grid(5, 5, WeightRange::new(1, 5), 4);
         let idx = DchBaseline::build(&g);
         let publisher = Arc::new(SnapshotPublisher::new(idx.current_view()));
-        let service = DistanceService::with_policy(
+        let service = DistanceService::start(
             publisher,
             1,
             None,
             AdmissionPolicy::Shed { max_depth: 1000 },
+            Arc::new(TelemetryHub::new()),
         );
         let q = QueryBatch::PointToPoint(vec![Query::new(VertexId(0), VertexId(24))]);
         let tickets: Vec<BatchTicket> = (0..200)
@@ -1140,7 +1103,7 @@ mod tests {
         // Concurrent submitters against one worker and a depth bound of 1:
         // many batches shed, the rest are answered — every accepted batch
         // must close its queue and execute spans exactly once.
-        let shedding = DistanceService::with_telemetry(
+        let shedding = DistanceService::start(
             Arc::clone(&publisher),
             1,
             None,
@@ -1169,7 +1132,7 @@ mod tests {
 
         // The expired-at-submit path is deterministic: a request generated
         // well past its deadline budget is refused before it is enqueued.
-        let deadline = DistanceService::with_telemetry(
+        let deadline = DistanceService::start(
             Arc::clone(&publisher),
             1,
             None,
@@ -1223,7 +1186,7 @@ mod tests {
         let pool: Vec<Query> = QuerySet::random(&g, 64, 3).as_slice().to_vec();
 
         let qps = |hub: Arc<TelemetryHub>| -> f64 {
-            let service = DistanceService::with_telemetry(
+            let service = DistanceService::start(
                 Arc::clone(&publisher),
                 1,
                 None,

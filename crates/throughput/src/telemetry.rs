@@ -17,8 +17,8 @@
 //!   [`LatencyHistogram`] — the repo's one
 //!   quantile implementation. Components resolve handles once at
 //!   construction and update lock-free atomics on the hot path; the
-//!   existing stats structs (`ServiceStats`, `CacheStats`, `FeedStats`,
-//!   `FleetReport`) are *views over the registry*, not separate state.
+//!   existing stats structs (`ServiceStats`, `CacheStats`, `FeedStats`)
+//!   are *views over the registry*, not separate state.
 //! * **Span recorder** — a bounded ring buffer of completed spans and
 //!   instant events, each attributed to a
 //!   [`TraceId`] minted at the pipeline entrance:
@@ -42,7 +42,7 @@
 //! | `htsp_admission_*` | query service: submit/accept/shed/expire/answer, queue depth |
 //! | `htsp_query_*_seconds` | query queueing and execution latency |
 //! | `htsp_cache_*` | distance-cache lookups, inserts, evictions |
-//! | `htsp_fleet_*{shard=...}` | router fan-out, per-shard visibility lag |
+//! | `htsp_fleet_*{shard=...}` | sharded server: queries and updates per shard, shard visibility lag, overlay size |
 //! | `htsp_loadgen_*{class=...}` | load driver ([`run_load`](crate::run_load)) per-class outcomes |
 //!
 //! Histograms record nanoseconds internally and export seconds, following
@@ -56,8 +56,9 @@
 //! (submit to first containing publication). Queries (category `query`):
 //! `submit` (instant) → `queue` (accept to worker pop) → `execute` (worker
 //! answer time), with terminal instants `shed` / `expired` / `abandoned`
-//! on the rejection paths. Fleet routing (category `fleet`) adds `route`
-//! spans per routed batch.
+//! on the rejection paths. A sharded server's batches carry the fleet
+//! maintainer's two stages (`U1: route + overlay repair`, `U2: shard
+//! repair`) as their stage spans.
 //!
 //! # Exports
 //!

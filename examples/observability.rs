@@ -23,8 +23,8 @@
 
 use htsp::graph::{gen, Query, QuerySet, UpdateGenerator};
 use htsp::throughput::{
-    validate_json, validate_prometheus, AdmissionPolicy, AlgorithmKind, CacheConfig, FleetConfig,
-    RequestClass, RequestMix, ShardedFleet, SloTarget, TelemetryHub,
+    validate_json, validate_prometheus, AdmissionPolicy, AlgorithmKind, CacheConfig, RequestClass,
+    RequestMix, SloTarget, TelemetryHub,
 };
 use htsp::{run_load, LoadProfile, ServerBuilder};
 use std::sync::Arc;
@@ -35,8 +35,8 @@ fn main() {
     let pool: Vec<Query> = QuerySet::random(&road, 128, 11).as_slice().to_vec();
 
     // One hub for every component: the server's ingest/stage/publish/cache
-    // metrics, its query service's admission metrics, the fleet's router
-    // metrics, and the load driver's per-class histograms (recorded into the
+    // metrics, its query service's admission metrics, the fleet's ingest,
+    // publish and routing metrics, and the load driver's per-class histograms (recorded into the
     // driven target's hub) all land in the same registry, so the snapshot
     // below covers the full pipeline.
     let hub = Arc::new(TelemetryHub::new());
@@ -47,11 +47,11 @@ fn main() {
         .admission(AdmissionPolicy::Shed { max_depth: 8 })
         .telemetry(Arc::clone(&hub))
         .start(&road);
-    let fleet = ShardedFleet::start_with_telemetry(
-        &road,
-        FleetConfig::new(4, AlgorithmKind::Dch),
-        Arc::clone(&hub),
-    );
+    let fleet = ServerBuilder::default()
+        .shards(4)
+        .algorithm(AlgorithmKind::Dch)
+        .telemetry(Arc::clone(&hub))
+        .start(&road);
 
     // Traced updates: each submission mints a trace id that follows the
     // update through coalescing, every maintenance stage, and publication.
@@ -66,9 +66,9 @@ fn main() {
             fleet.submit(u);
         }
         server.feed().wait_idle();
-        fleet.wait_idle();
+        fleet.feed().wait_idle();
     }
-    // A few fleet queries so the router's local/cross counters move.
+    // A few fleet queries so the fleet's local/cross counters move.
     for q in pool.iter().take(16) {
         fleet.distance(q.source, q.target);
     }

@@ -12,8 +12,8 @@ use htsp::graph::{gen, Graph, Query, QuerySet};
 use htsp::partition::TdPartitionConfig;
 use htsp::throughput::{lemma1_bound, RequestClass, RequestMix};
 use htsp::{
-    run_load, AlgorithmKind, BuildParams, CacheConfig, CoalescePolicy, FleetConfig, LoadProfile,
-    LoadReport, RoadNetworkServer, ShardedFleet,
+    run_load, AlgorithmKind, BuildParams, CacheConfig, CoalescePolicy, LoadProfile, LoadReport,
+    RoadNetworkServer,
 };
 use std::time::Duration;
 
@@ -139,22 +139,27 @@ fn main() {
         }
     }
 
-    // Sharded serving tier: the same profile against a fleet — `run_load`
-    // takes either target — with the per-shard caches summed into the
-    // report's one cache figure.
+    // Sharded serving tier: the same profile against a fleet — a server
+    // built with `shards(k)`, so `run_load` drives it unchanged — with the
+    // server's one result cache in front of every shard.
     println!("-- sharded fleet under Zipf hot-pair traffic (DCH shards, cache 256) --");
     println!(
         "{:>8} {:>12} {:>14} {:>10}",
         "shards", "bdry %", "pairs/s", "hit rate"
     );
     for shards in [2usize, 4] {
-        let fleet = ShardedFleet::start(
-            &road,
-            FleetConfig::new(shards, AlgorithmKind::Dch)
-                .with_cache(CacheConfig::with_capacity(256)),
-        );
+        let fleet = RoadNetworkServer::builder()
+            .shards(shards)
+            .algorithm(AlgorithmKind::Dch)
+            .coalesce(CoalescePolicy::manual())
+            .result_cache(CacheConfig::with_capacity(256))
+            .start(&road);
         let report = run_load(&fleet, &hot(1.2), &pool);
-        let boundary_fraction = fleet.report().boundary_fraction;
+        let boundary = fleet
+            .telemetry()
+            .gauge("htsp_fleet_boundary_vertices")
+            .get();
+        let boundary_fraction = boundary as f64 / road.num_vertices() as f64;
         fleet.shutdown();
         println!(
             "{:>8} {:>12.1} {:>14.0} {:>9.1}%",

@@ -100,7 +100,8 @@
 //! assert_eq!(index.name(), "DCH");
 //! ```
 //!
-//! To *measure* a server (or a [`ShardedFleet`]) under concurrent
+//! To *measure* a server (one index, or a fleet of shards built with
+//! [`ServerBuilder::shards`]) under concurrent
 //! maintenance, drive it with [`run_load`]: one [`LoadProfile`] names the
 //! request mix, the arrival process (closed loop on pinned sessions, or
 //! seeded Poisson / constant arrivals timed from the scheduled instant), the
@@ -142,11 +143,9 @@ pub use htsp_throughput as throughput;
 // The serving facade, re-exported flat: what a deployment touches first.
 pub use htsp_throughput::{
     run_load, AdmissionPolicy, AlgorithmKind, BuildParams, CacheConfig, CacheStats, CoalescePolicy,
-    DistanceCache, DistanceService, FleetConfig, FleetQueryHandle, FleetReport, FleetRouter,
-    FleetSession, FleetTicket, FleetVisibility, LatencyHistogram, LoadProfile, LoadReport,
-    LoadTarget, RoadNetworkServer, ServerBuilder, ServiceStats, ShardReport, ShardedFleet,
-    SloTarget, SloVerdict, SubmitOutcome, UpdateFeed, UpdateOutcome, UpdateTicket, Visibility,
-    STORAGE_BYTES_METRIC,
+    DistanceCache, DistanceService, LatencyHistogram, LoadProfile, LoadReport, RoadNetworkServer,
+    ServerBuilder, ServiceStats, SloTarget, SloVerdict, SubmitOutcome, UpdateFeed, UpdateOutcome,
+    UpdateTicket, Visibility, STORAGE_BYTES_METRIC,
 };
 
 /// The version of the reproduction.

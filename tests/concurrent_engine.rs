@@ -14,7 +14,9 @@ use htsp::graph::{
     gen, Graph, IndexMaintainer, Query, QuerySet, SnapshotPublisher, UpdateGenerator, VertexId,
 };
 use htsp::search::dijkstra_distance;
-use htsp::throughput::{DistanceService, QueryBatch, RequestClass, RequestMix};
+use htsp::throughput::{
+    AdmissionPolicy, DistanceService, QueryBatch, RequestClass, RequestMix, TelemetryHub,
+};
 use htsp::{run_load, AlgorithmKind, LoadProfile, RoadNetworkServer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -225,7 +227,13 @@ fn distance_service_reaches_fresh_snapshots_during_maintenance() {
         &WorkerPool::sequential(),
     );
     let publisher = Arc::new(SnapshotPublisher::new(idx.current_view()));
-    let service = DistanceService::start(Arc::clone(&publisher), 3);
+    let service = DistanceService::start(
+        Arc::clone(&publisher),
+        3,
+        None,
+        AdmissionPolicy::Block,
+        Arc::new(TelemetryHub::new()),
+    );
     assert_eq!(service.num_workers(), 3);
 
     let targets: Vec<VertexId> = (0..24).map(|i| VertexId(i * 6)).collect();

@@ -7,8 +7,8 @@
 use htsp::graph::{gen, Graph, Query, QuerySet};
 use htsp::search::dijkstra_distance;
 use htsp::throughput::{
-    AdmissionPolicy, AlgorithmKind, ArrivalProcess, FleetConfig, QueryBatch, RequestClass,
-    RequestMix, RequestStream, ShardedFleet, SloTarget,
+    AdmissionPolicy, AlgorithmKind, ArrivalProcess, QueryBatch, RequestClass, RequestMix,
+    RequestStream, SloTarget,
 };
 use htsp::{run_load, LoadProfile, RoadNetworkServer, ServerBuilder};
 use std::time::Duration;
@@ -181,10 +181,15 @@ fn shed_holds_the_tail_where_block_does_not() {
 fn fleet_backed_service_serves_open_loop_traffic() {
     let g = gen::grid(10, 10, gen::WeightRange::new(1, 30), 11);
     let pool: Vec<Query> = QuerySet::random(&g, 24, 13).as_slice().to_vec();
-    let fleet = ShardedFleet::start(&g, FleetConfig::new(4, AlgorithmKind::Dch));
-    let service = fleet.start_query_service(2, AdmissionPolicy::Shed { max_depth: 256 });
+    let fleet = RoadNetworkServer::builder()
+        .shards(4)
+        .algorithm(AlgorithmKind::Dch)
+        .query_workers(2)
+        .admission(AdmissionPolicy::Shed { max_depth: 256 })
+        .start(&g);
+    let service = fleet.query_service().expect("query workers started");
 
-    // Two update rounds go through the router beside the arrivals.
+    // Two update rounds go through the fleet's feed beside the arrivals.
     let profile = LoadProfile {
         clients: 2,
         seed: 5,
@@ -201,11 +206,11 @@ fn fleet_backed_service_serves_open_loop_traffic() {
     assert_eq!(report.answered + report.shed, report.offered);
     assert!(report.answered > 0, "fleet service must answer traffic");
     assert_eq!(report.timelines.len(), 2);
-    assert!(fleet.epoch_version() >= 2);
+    assert!(fleet.publisher().version() >= 2);
 
     // Fleet answers are exact on the updated weights: spot-check
-    // synchronously against the current epoch's graph.
-    let current = fleet.session().graph().clone();
+    // synchronously against the current view's graph.
+    let current = fleet.snapshot().graph().clone();
     for q in &pool[..8] {
         let answer = service.answer(QueryBatch::PointToPoint(vec![*q]));
         assert_eq!(
@@ -215,46 +220,5 @@ fn fleet_backed_service_serves_open_loop_traffic() {
     }
     let stats = service.stats();
     assert_eq!(stats.answered, report.answered + 8);
-    fleet.shutdown();
-}
-
-#[test]
-fn bounded_router_ingest_sheds_and_reports_depth() {
-    let g = gen::grid(8, 8, gen::WeightRange::new(1, 20), 3);
-    // Manual coalescing + a tiny bound: updates pile up in the ingest
-    // queue until try_submit sheds.
-    let config = FleetConfig::new(2, AlgorithmKind::Dch)
-        .with_coalesce(htsp::CoalescePolicy::manual())
-        .with_ingest_bound(4);
-    let fleet = ShardedFleet::start(&g, config);
-
-    let mut gen_updates = htsp::graph::UpdateGenerator::new(41);
-    let updates = gen_updates.generate(&g, 12);
-    let mut accepted = 0usize;
-    let mut shed = 0usize;
-    for &u in updates.as_slice() {
-        match fleet.try_submit(u) {
-            Some(_) => accepted += 1,
-            None => shed += 1,
-        }
-    }
-    assert_eq!(accepted, 4, "exactly the bound is admitted");
-    assert_eq!(shed, 8, "the rest is shed");
-
-    let report = fleet.report();
-    assert_eq!(report.ingest_bound, 4);
-    assert_eq!(report.updates_shed, 8);
-    assert!(report.max_ingest_depth >= 4);
-
-    // Draining via a barrier frees the queue, after which blocking submit
-    // admits again without waiting.
-    fleet.flush().wait_applied();
-    assert_eq!(fleet.report().ingest_depth, 0);
-    let more = gen_updates.generate(&g, 2);
-    let tickets: Vec<_> = more.as_slice().iter().map(|&u| fleet.submit(u)).collect();
-    fleet.flush().wait_applied();
-    for t in tickets {
-        t.wait_applied();
-    }
     fleet.shutdown();
 }

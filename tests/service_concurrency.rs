@@ -14,7 +14,7 @@ use htsp::graph::{
 use htsp::search::dijkstra_distance;
 use htsp::throughput::{
     AdmissionPolicy, BatchAnswer, BatchResult, DistanceService, LatencyHistogram, QueryBatch,
-    SubmitOutcome,
+    SubmitOutcome, TelemetryHub,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,7 +81,7 @@ fn slow_service(
         executed: Arc::clone(&executed),
     });
     let publisher = Arc::new(SnapshotPublisher::new(view));
-    let service = DistanceService::with_policy(publisher, 1, None, policy);
+    let service = DistanceService::start(publisher, 1, None, policy, Arc::new(TelemetryHub::new()));
     (service, executed)
 }
 
@@ -98,7 +98,13 @@ fn shared_tickets_are_answered_once_under_concurrent_polling() {
     let idx = DchBaseline::build(&g);
     let view = idx.current_view();
     let publisher = Arc::new(SnapshotPublisher::new(Arc::clone(&view)));
-    let service = DistanceService::start(Arc::clone(&publisher), 2);
+    let service = DistanceService::start(
+        Arc::clone(&publisher),
+        2,
+        None,
+        AdmissionPolicy::Block,
+        Arc::new(TelemetryHub::new()),
+    );
     let queries = QuerySet::random(&g, 6, 13);
 
     let stop = AtomicBool::new(false);
@@ -185,7 +191,13 @@ fn many_threads_submit_and_poll_disjoint_tickets() {
     let g = gen::grid(7, 7, gen::WeightRange::new(1, 15), 3);
     let idx = DchBaseline::build(&g);
     let publisher = Arc::new(SnapshotPublisher::new(idx.current_view()));
-    let service = DistanceService::start(publisher, 3);
+    let service = DistanceService::start(
+        publisher,
+        3,
+        None,
+        AdmissionPolicy::Block,
+        Arc::new(TelemetryHub::new()),
+    );
     let queries = QuerySet::random(&g, 8 * 16, 29);
 
     std::thread::scope(|scope| {
