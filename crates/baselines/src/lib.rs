@@ -224,10 +224,14 @@ pub struct DchBaseline {
 }
 
 impl DchBaseline {
-    /// Builds the CH index over `graph`.
+    /// Builds the CH index over `graph` on a nested-dissection order, the
+    /// one the H2H-based indexes share.
     pub fn build(graph: &Graph) -> Self {
-        let ch =
-            ContractionHierarchy::build(graph, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
+        let ch = ContractionHierarchy::build(
+            graph,
+            OrderingStrategy::NestedDissection,
+            ShortcutMode::AllPairs,
+        );
         DchBaseline {
             graph: Arc::new(graph.clone()),
             ch: Arc::new(ch),
@@ -272,9 +276,10 @@ impl IndexMaintainer for DchBaseline {
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
         let t = Instant::now();
+        let cow_mark = self.ch.cow_stats();
         self.graph = Arc::new(graph.clone());
         Arc::make_mut(&mut self.ch).apply_batch(graph, batch.as_slice());
-        publisher.publish(self.current_view());
+        publisher.publish_with_cow(self.current_view(), self.ch.cow_stats().since(cow_mark));
         UpdateTimeline::single("U2: shortcut update", t.elapsed())
     }
 
@@ -340,6 +345,7 @@ impl IndexMaintainer for Dh2hBaseline {
         batch: &UpdateBatch,
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
+        let cow_mark = self.h2h.cow_stats();
         self.graph = Arc::new(graph.clone());
         let report = Arc::make_mut(&mut self.h2h).apply_batch(graph, batch.as_slice());
         let mut timeline = UpdateTimeline::default();
@@ -347,7 +353,7 @@ impl IndexMaintainer for Dh2hBaseline {
         timeline.push("U3: top-down label update", report.label_time);
         // DH2H has a single query stage: the snapshot only becomes available
         // once the labels are fully repaired (the Figure 1 pain point).
-        publisher.publish(self.current_view());
+        publisher.publish_with_cow(self.current_view(), self.h2h.cow_stats().since(cow_mark));
         timeline
     }
 

@@ -22,10 +22,11 @@
 //! each neighbour pair is then one indexed `min`, written once, where the
 //! head pays a slot lookup and two data-dependent branches per scanned entry
 //! (≈5 ns) from each end of the pair, and each neighbour's new degree is one
-//! popcount. The tail is where the work is: it holds the top separators,
-//! whose degrees approach the treewidth. Counted on `grid64` (4,096 vertices)
-//! with the head alone, the last 1,024 vertices did 93 % of the row-scan
-//! work (the last 512, 75 %); on `grid128` (16,384) the last 1,024 did 67 %.
+//! popcount. Under MinDegree the tail is where the work is: it holds the
+//! top separators, whose degrees approach the treewidth. Counted on
+//! `grid64` (4,096 vertices) with the head alone, the last 1,024 vertices
+//! did 93 % of the row-scan work (the last 512, 75 %); on `grid128`
+//! (16,384) the last 1,024 did 67 %.
 //! Extra memory is at most 2 MB of cells (`r (r - 1) / 2` of them) and
 //! 128 KB of bits, allocated once and zeroed, so a tail with few arcs (a
 //! path, a small partition) touches few of its pages. On `grid64` (2-vCPU
@@ -35,9 +36,12 @@
 //! pair from both ends.
 //!
 //! Both representations give the same elimination, bit for bit: the same
-//! order (the next vertex is the exact minimum `(degree, id)` of one queue
-//! holding a key per live vertex, [`OrderingStrategy::MinDegree`], or the
-//! next of a given sequence, [`OrderingStrategy::Given`], the boundary-first
+//! order (the next vertex is the exact minimum `(degree, id)` of a queue
+//! holding a key per live vertex of the current group — one group of every
+//! vertex under [`OrderingStrategy::MinDegree`], the nested dissection's
+//! leaves and separators, deepest first, under
+//! [`OrderingStrategy::NestedDissection`] (`dissection.rs`) — or the next
+//! of a given sequence, [`OrderingStrategy::Given`], the boundary-first
 //! orders of the PSP indexes), the same rows (sorted by rank once the order
 //! is complete) and the same shortcut count; the unit tests below hand off at
 //! every interesting step. Witness-pruned builds (TOAIN's
@@ -54,6 +58,7 @@
 //! Construction parallelism lives where the work is independent: per
 //! partition and per fleet shard.
 
+use crate::dissection::dissection_groups;
 use crate::hierarchy::{shortcut_sum, ShortcutMode};
 use crate::ordering::{OrderingStrategy, VertexOrder};
 use htsp_graph::{Dist, Graph, VertexId, Weight, INF};
@@ -94,6 +99,21 @@ const NO_SLOT: u32 = u32::MAX;
 /// `mde_order` took 389–436 ms at 1,024 and 469–497 ms at 1,536, its tail
 /// alone 9 ms against 32–34 ms. 1,024 stays, with its triangle at 2 MB
 /// (one core's L2 on that host) + 128 KB of bits.
+///
+/// Under [`OrderingStrategy::NestedDissection`] the tail holds the top
+/// separators of the dissection, which carry less fill than MinDegree's
+/// last vertices (on `grid64` its tail takes ≈ 5 ms where MinDegree's takes
+/// ≈ 7.6, wall time, medians of 21), and no size does better. Whole
+/// `NestedDissection` builds (dissection included), thread CPU time,
+/// medians of 21 runs interleaved in one process (two processes) on
+/// `grid64`, of 3 on `random_geometric(65536, 3)`, ms:
+///
+/// | tail  | `grid64`    | rg65k |
+/// |-------|-------------|-------|
+/// | 512   | 22.3 / 23.5 | 223   |
+/// | 1,024 | 16.4 / 19.7 | 229   |
+/// | 1,536 | 17.1 / 19.2 | 228   |
+/// | 2,048 | 16.4 / 19.8 | 225   |
 const DENSE_TAIL: usize = 1024;
 
 /// Eliminates every vertex of `graph`, in the order `strategy` dictates.
@@ -120,7 +140,7 @@ fn eliminate_with_tail(
         .vertices()
         .map(|v| graph.neighbors(v).collect())
         .collect();
-    let mut schedule = Schedule::new(strategy, &rows);
+    let mut schedule = Schedule::new(strategy, graph, &rows);
     // Witness searches walk the live rows, so a pruned build stays sparse.
     let tail = match mode {
         ShortcutMode::AllPairs => tail.min(n),
@@ -315,9 +335,19 @@ fn eliminate_dense(
 
 /// Where the next vertex to eliminate comes from.
 enum Schedule {
-    /// The live vertex of minimum `(degree, id)`; `sequence` records the pops.
-    MinDegree {
+    /// The live vertex of minimum `(degree, id)` in the current group; the
+    /// groups go one after the other. MinDegree is one group of every
+    /// vertex; a nested dissection's groups are its leaves and separators,
+    /// deepest first (`dissection.rs`). A degree change outside the current
+    /// group is one store: only the current group is in the queue.
+    Queue {
+        groups: Vec<Vec<VertexId>>,
+        /// The group in the queue is `groups[next_group - 1]`.
+        next_group: usize,
+        group_of: Vec<u32>,
+        degree: Vec<u32>,
         queue: DegreeQueue,
+        /// The pops, in order.
         sequence: Vec<VertexId>,
     },
     /// The next vertex of a given order.
@@ -325,28 +355,49 @@ enum Schedule {
 }
 
 impl Schedule {
-    fn new(strategy: OrderingStrategy, rows: &[Vec<(VertexId, Weight)>]) -> Self {
-        match strategy {
-            OrderingStrategy::MinDegree => Schedule::MinDegree {
-                queue: DegreeQueue::new(rows),
-                sequence: Vec::with_capacity(rows.len()),
-            },
+    fn new(strategy: OrderingStrategy, graph: &Graph, rows: &[Vec<(VertexId, Weight)>]) -> Self {
+        let n = rows.len();
+        let groups = match strategy {
+            OrderingStrategy::MinDegree => vec![(0..n).map(VertexId::from_index).collect()],
+            OrderingStrategy::NestedDissection => dissection_groups(graph),
             OrderingStrategy::Given(order) => {
-                assert_eq!(
-                    order.len(),
-                    rows.len(),
-                    "given order does not cover the graph"
-                );
-                Schedule::Given(order)
+                assert_eq!(order.len(), n, "given order does not cover the graph");
+                return Schedule::Given(order);
             }
+        };
+        let mut group_of = vec![0u32; n];
+        for (g, group) in groups.iter().enumerate() {
+            for &v in group {
+                group_of[v.index()] = g as u32;
+            }
+        }
+        Schedule::Queue {
+            groups,
+            next_group: 0,
+            group_of,
+            degree: rows.iter().map(|row| row.len() as u32).collect(),
+            queue: DegreeQueue::new(n),
+            sequence: Vec::with_capacity(n),
         }
     }
 
     /// The vertex eliminated at `step`.
     fn next(&mut self, step: usize) -> VertexId {
         match self {
-            Schedule::MinDegree { queue, sequence } => {
-                let v = queue.pop().expect("one key per live vertex");
+            Schedule::Queue {
+                groups,
+                next_group,
+                degree,
+                queue,
+                sequence,
+                ..
+            } => {
+                while queue.is_empty() {
+                    let group = &groups[*next_group];
+                    queue.fill(group.iter().map(|&v| (degree[v.index()], v)));
+                    *next_group += 1;
+                }
+                let v = queue.pop().expect("a nonempty group");
                 sequence.push(v);
                 v
             }
@@ -355,21 +406,37 @@ impl Schedule {
     }
 
     /// Live vertex `v` now has `degree` neighbours.
-    fn set_degree(&mut self, v: VertexId, degree: usize) {
-        if let Schedule::MinDegree { queue, .. } = self {
-            queue.set_degree(v, degree);
+    fn set_degree(&mut self, v: VertexId, new: usize) {
+        if let Schedule::Queue {
+            next_group,
+            group_of,
+            degree,
+            queue,
+            ..
+        } = self
+        {
+            degree[v.index()] = new as u32;
+            if group_of[v.index()] as usize + 1 == *next_group {
+                queue.set_degree(v, new);
+            }
         }
     }
 
-    /// The vertices still live after `step` steps (a given order's in that
-    /// order, which keeps a step's cells close together).
+    /// The vertices still live after `step` steps, about in the order they
+    /// will go, which keeps a step's cells close together: a given order's
+    /// rest; the current group's live vertices by id (on a grid or a road
+    /// network nearby ids are mostly nearby vertices) and the later groups.
     fn live(&self, step: usize) -> Vec<VertexId> {
         match self {
-            Schedule::MinDegree { queue, .. } => {
-                // By id: on a grid or a road network nearby ids are mostly
-                // nearby vertices, so one step's cells share cache lines.
+            Schedule::Queue {
+                groups,
+                next_group,
+                queue,
+                ..
+            } => {
                 let mut live: Vec<VertexId> = queue.heap.iter().map(|&(_, v)| v).collect();
                 live.sort_unstable();
+                live.extend(groups[*next_group..].iter().flatten());
                 live
             }
             Schedule::Given(order) => order.sequence()[step..].to_vec(),
@@ -378,34 +445,42 @@ impl Schedule {
 
     fn into_order(self) -> VertexOrder {
         match self {
-            Schedule::MinDegree { sequence, .. } => VertexOrder::from_sequence(sequence),
+            Schedule::Queue { sequence, .. } => VertexOrder::from_sequence(sequence),
             Schedule::Given(order) => order,
         }
     }
 }
 
-/// Min-queue of the live vertices keyed by `(degree, id)`: a binary heap with
+/// Min-queue of live vertices keyed by `(degree, id)`: a binary heap with
 /// exactly one entry per vertex, repositioned in place when a degree changes.
 struct DegreeQueue {
     heap: Vec<(u32, VertexId)>,
-    /// Position of each live vertex in `heap`.
+    /// Position of each queued vertex in `heap` (indexed by vertex id).
     pos: Vec<u32>,
 }
 
 impl DegreeQueue {
-    fn new(rows: &[Vec<(VertexId, Weight)>]) -> Self {
-        let mut heap: Vec<(u32, VertexId)> = rows
-            .iter()
-            .enumerate()
-            .map(|(v, row)| (row.len() as u32, VertexId::from_index(v)))
-            .collect();
-        // A sorted array is a heap.
-        heap.sort_unstable();
-        let mut pos = vec![0u32; heap.len()];
-        for (i, &(_, v)) in heap.iter().enumerate() {
-            pos[v.index()] = i as u32;
+    /// An empty queue for vertices `0..n`.
+    fn new(n: usize) -> Self {
+        DegreeQueue {
+            heap: Vec::new(),
+            pos: vec![0; n],
         }
-        DegreeQueue { heap, pos }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Queues `entries` (an empty queue's).
+    fn fill(&mut self, entries: impl Iterator<Item = (u32, VertexId)>) {
+        debug_assert!(self.heap.is_empty());
+        self.heap.extend(entries);
+        // A sorted array is a heap.
+        self.heap.sort_unstable();
+        for (i, &(_, v)) in self.heap.iter().enumerate() {
+            self.pos[v.index()] = i as u32;
+        }
     }
 
     fn pop(&mut self) -> Option<VertexId> {
@@ -520,13 +595,14 @@ mod tests {
 
     /// The sparse→dense hand-off at every interesting step: none (0), the
     /// last vertex (1), the last two (2), half way (n/2) and the whole graph
-    /// (n) must all give the all-sparse elimination, under `MinDegree` and
-    /// under a given order (ids ascending).
+    /// (n) must all give the all-sparse elimination, under `MinDegree`,
+    /// under `NestedDissection` and under a given order (ids ascending).
     fn assert_tail_invariant(name: &str, g: &Graph) {
         let n = g.num_vertices();
         let ascending = VertexOrder::from_sequence(g.vertices().collect());
         for strategy in [
             OrderingStrategy::MinDegree,
+            OrderingStrategy::NestedDissection,
             OrderingStrategy::Given(ascending),
         ] {
             let sparse = eliminate_with_tail(g, strategy.clone(), ShortcutMode::AllPairs, 0);

@@ -3,7 +3,8 @@
 //!
 //! Construction is `elimination.rs`: one sequential pass over plain
 //! per-vertex rows that yields the order and the shortcut rows together, so a
-//! [`OrderingStrategy::MinDegree`] build eliminates the graph once. This
+//! [`OrderingStrategy::MinDegree`] or [`OrderingStrategy::NestedDissection`]
+//! build eliminates the graph once. This
 //! module wraps the result for serving: chunked copy-on-write shortcut
 //! weights, the immutable arc topology (`ArcIndex`) and the shared repair
 //! scratch.

@@ -11,9 +11,10 @@
 //!
 //! * **All-pairs shortcuts** ([`ShortcutMode::AllPairs`]) — every pair of
 //!   higher-ranked neighbors receives a shortcut, exactly the shortcut set
-//!   produced by MDE tree decomposition. This is the mode used throughout the
-//!   paper (Lemma 4: "DH2H can generate equivalent shortcuts required by DCH"),
-//!   and the only mode that supports dynamic maintenance.
+//!   of the tree decomposition eliminating in the same order. This is the
+//!   mode used throughout the paper (Lemma 4: "DH2H can generate equivalent
+//!   shortcuts required by DCH"), and the only mode that supports dynamic
+//!   maintenance.
 //! * **Witness-pruned** ([`ShortcutMode::WitnessPruned`]) — the classic CH
 //!   optimization that skips a shortcut when a witness path not through `v` is
 //!   at most as short; produces a smaller static index for baseline
@@ -31,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod dch;
+mod dissection;
 mod elimination;
 pub mod hierarchy;
 pub mod ordering;

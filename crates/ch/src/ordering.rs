@@ -8,6 +8,14 @@
 //! with the shortcuts thrown away. The PSP indexes additionally need a
 //! *boundary-first* order (§IV-B), which is an MDE order re-sorted and handed
 //! back as [`OrderingStrategy::Given`].
+//!
+//! The whole-graph all-pairs hierarchies (the tree decomposition under every
+//! H2H-based index, and DCH) are ordered by
+//! [`OrderingStrategy::NestedDissection`] instead: balanced minimum vertex
+//! cuts from the topology alone, MinDegree inside the parts too small to
+//! cut, again in the one elimination pass (`dissection.rs`). MinDegree stays
+//! the order of the witness-pruned TOAIN build, of the partition hierarchies
+//! and of [`mde_order`].
 
 use crate::elimination::eliminate;
 use crate::hierarchy::ShortcutMode;
@@ -111,6 +119,12 @@ pub enum OrderingStrategy {
     /// Minimum Degree Elimination on the contraction graph (the paper's
     /// default, §II).
     MinDegree,
+    /// Nested dissection by minimum vertex cuts, computed from the topology
+    /// alone, with MinDegree inside the parts too small to cut
+    /// (`dissection.rs`). Its tree is shallower and narrower than
+    /// MinDegree's on road-like graphs; the whole-graph all-pairs
+    /// hierarchies (`TreeDecomposition::build`, DCH) are built on it.
+    NestedDissection,
     /// A caller-supplied order (used for boundary-first PSP orders, §IV-B).
     Given(VertexOrder),
 }

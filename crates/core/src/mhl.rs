@@ -145,19 +145,27 @@ impl IndexMaintainer for Mhl {
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
         let mut timeline = UpdateTimeline::default();
+        // Every publication carries the chunks / bytes its stage
+        // copy-on-wrote.
+        let mut cow_mark = self.h2h.cow_stats();
+        let mut publish = |this: &Mhl, stage: MhlStage| {
+            let now = this.h2h.cow_stats();
+            publisher.publish_with_cow(this.view_with(stage), now.since(cow_mark));
+            cow_mark = now;
+        };
         // U-Stage 1: take the new graph version (its weights are already
         // installed); BiDijkstra on it is immediately available.
         let t = Instant::now();
         self.graph = Arc::new(graph.clone());
         self.stage = MhlStage::BiDijkstra;
-        publisher.publish(self.view_with(MhlStage::BiDijkstra));
+        publish(self, MhlStage::BiDijkstra);
         timeline.push("U1: on-spot edge update", t.elapsed());
 
         // U-Stage 2: bottom-up shortcut update → CH query available.
         let t = Instant::now();
         let changes = Arc::make_mut(&mut self.h2h).update_shortcuts(&self.graph, batch.as_slice());
         self.stage = MhlStage::Ch;
-        publisher.publish(self.view_with(MhlStage::Ch));
+        publish(self, MhlStage::Ch);
         timeline.push("U2: shortcut update", t.elapsed());
 
         // U-Stage 3: top-down label update → H2H query available.
@@ -165,7 +173,7 @@ impl IndexMaintainer for Mhl {
         let changed: Vec<VertexId> = changes.iter().map(|c| c.from).collect();
         Arc::make_mut(&mut self.h2h).update_labels_for(&changed);
         self.stage = MhlStage::H2h;
-        publisher.publish(self.view_with(MhlStage::H2h));
+        publish(self, MhlStage::H2h);
         timeline.push("U3: label update", t.elapsed());
         timeline
     }

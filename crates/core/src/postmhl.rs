@@ -1,9 +1,12 @@
 //! PostMHL: Post-partitioned Multi-stage Hub Labeling (§VI).
 //!
-//! PostMHL starts from a *global* MDE tree decomposition (so the final query
+//! PostMHL starts from a *global* tree decomposition (so the final query
 //! stage reaches the H2H-equivalent optimum promised by Theorem 1) and derives
-//! the partition structure from it with TD-partitioning (Algorithm 2). One
-//! tree holds all three index components of Figure 8:
+//! the partition structure from it with TD-partitioning (Algorithm 2). The
+//! paper builds that tree by MDE; here it is [`TreeDecomposition::build`]'s
+//! nested-dissection tree, whose smaller depth shortens every label and so
+//! every stage of the repair (U2–U5) and the final-stage query. One tree
+//! holds all three index components of Figure 8:
 //!
 //! * the **overlay index** — the distance arrays of the overlay vertices
 //!   (every vertex that is not inside a chosen partition subtree);
@@ -206,7 +209,7 @@ pub struct PostMhl {
     config: PostMhlConfig,
     /// Own copy of the graph (kept in sync with update batches).
     graph: Arc<Graph>,
-    /// The global MDE tree decomposition (shared shortcut arrays) and the
+    /// The global tree decomposition (shared shortcut arrays) and the
     /// full distance arrays (`X(v).dis`), indexed by vertex then ancestor
     /// depth. Both are chunk-granular copy-on-write: publishing a snapshot
     /// copies chunk spines; a stage that repairs `k` rows clones
@@ -225,7 +228,7 @@ pub struct PostMhl {
 }
 
 impl PostMhl {
-    /// Builds PostMHL (Algorithm 4): MDE tree decomposition, TD-partitioning,
+    /// Builds PostMHL (Algorithm 4): tree decomposition, TD-partitioning,
     /// overlay / post-boundary / cross-boundary indexes. The boundary array
     /// fill — one task per partition — runs on `pool`; the dominant H2H
     /// construction is sequential. Bit-identical at any thread count.

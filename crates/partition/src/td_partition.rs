@@ -4,10 +4,11 @@
 //! the root's subtree in the tree decomposition, and its boundary set is the
 //! root's bag `X(u).N`, which by construction separates the subtree from the
 //! rest of the graph. Every vertex that is not inside a chosen subtree becomes
-//! an *overlay* vertex. Because the partition inherits the MDE vertex order,
-//! the resulting PSP index (PostMHL) reaches the query-efficiency upper bound
-//! of Theorem 1 — i.e., plain H2H query speed — while still maintaining
-//! partitions in parallel.
+//! an *overlay* vertex. Because the partition inherits the decomposition's
+//! vertex order (nested dissection, see
+//! [`TreeDecomposition::build`]), the resulting PSP index (PostMHL)
+//! reaches the query-efficiency upper bound of Theorem 1 — i.e., plain H2H
+//! query speed — while still maintaining partitions in parallel.
 
 use htsp_graph::VertexId;
 use htsp_td::TreeDecomposition;

@@ -18,6 +18,7 @@ use crate::partitioned::Partitioned;
 use crate::pch::{PchSearcher, PchView};
 use crate::post_boundary::{PostBoundaryIndexes, PostBoundaryView};
 use htsp_ch::{ContractionHierarchy, OrderingStrategy, ShortcutMode};
+use htsp_graph::cow::CowStats;
 use htsp_graph::{
     Graph, IndexMaintainer, QueryView, ScratchPool, SnapshotPublisher, UpdateBatch, UpdateTimeline,
     WorkerPool,
@@ -66,6 +67,12 @@ impl NChP {
     pub fn partitioned(&self) -> &Partitioned {
         &self.core.partitioned
     }
+
+    /// Cumulative copy-on-write clone effort of the partition hierarchies
+    /// and the overlay hierarchy. Each publication carries its delta.
+    pub fn cow_stats(&self) -> CowStats {
+        self.core.cow_stats().plus(self.overlay_ch.cow_stats())
+    }
 }
 
 impl IndexMaintainer for NChP {
@@ -80,6 +87,7 @@ impl IndexMaintainer for NChP {
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
         let mut timeline = UpdateTimeline::default();
+        let cow_mark = self.cow_stats();
         let t0 = Instant::now();
         let routed = self.core.route(graph, batch);
         timeline.push("U1: on-spot edge update", t0.elapsed());
@@ -88,7 +96,7 @@ impl IndexMaintainer for NChP {
         let overlay_batch = self.core.repair(&routed);
         Arc::make_mut(&mut self.overlay_ch)
             .apply_batch(&self.core.overlay.graph, overlay_batch.as_slice());
-        publisher.publish(self.current_view());
+        publisher.publish_with_cow(self.current_view(), self.cow_stats().since(cow_mark));
         timeline.push("U2: no-boundary shortcut update", t1.elapsed());
         timeline
     }
@@ -141,6 +149,16 @@ impl PTdP {
     pub fn partitioned(&self) -> &Partitioned {
         &self.core.partitioned
     }
+
+    /// Cumulative copy-on-write clone effort of the partition hierarchies,
+    /// the overlay labels and the post-boundary indexes. Each publication
+    /// carries its delta.
+    pub fn cow_stats(&self) -> CowStats {
+        self.core
+            .cow_stats()
+            .plus(self.overlay_index.cow_stats())
+            .plus(self.post.cow_stats())
+    }
 }
 
 impl IndexMaintainer for PTdP {
@@ -155,6 +173,7 @@ impl IndexMaintainer for PTdP {
         publisher: &SnapshotPublisher,
     ) -> UpdateTimeline {
         let mut timeline = UpdateTimeline::default();
+        let cow_mark = self.cow_stats();
         let t0 = Instant::now();
         let routed = self.core.route(graph, batch);
         timeline.push("U1: on-spot edge update", t0.elapsed());
@@ -175,7 +194,7 @@ impl IndexMaintainer for PTdP {
             &self.overlay_index,
             &routed.intra,
         );
-        publisher.publish(self.current_view());
+        publisher.publish_with_cow(self.current_view(), self.cow_stats().since(cow_mark));
         timeline.push("U4: post-boundary index update", t2.elapsed());
         timeline
     }

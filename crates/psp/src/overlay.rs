@@ -10,7 +10,7 @@
 
 use crate::partitioned::{Partitioned, RoutedUpdates};
 use htsp_ch::{ContractionHierarchy, ShortcutChange};
-use htsp_graph::cow::CowVec;
+use htsp_graph::cow::{CowStats, CowVec};
 use htsp_graph::{
     EdgeId, EdgeUpdate, Graph, GraphBuilder, UpdateBatch, VertexId, Weight, WorkerPool,
 };
@@ -214,6 +214,15 @@ pub struct OverlayMaintainer {
 }
 
 impl OverlayMaintainer {
+    /// Cumulative copy-on-write clone effort of the per-partition
+    /// hierarchies: partition-granular clones plus the chunk clones inside
+    /// each one's shortcut table.
+    pub fn cow_stats(&self) -> CowStats {
+        self.hierarchies
+            .iter()
+            .fold(self.hierarchies.stats(), |acc, ch| acc.plus(ch.cow_stats()))
+    }
+
     /// Builds the partitioned view, the per-partition hierarchies, and the
     /// overlay from a graph and a partition assignment. The per-partition
     /// boundary-first hierarchies build concurrently on `pool`, one task per

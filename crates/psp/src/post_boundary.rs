@@ -12,12 +12,13 @@
 use crate::concat::{boundary_fan, concatenate, FromSource, Source, SourceSession};
 use crate::overlay::OverlayGraph;
 use crate::partitioned::Partitioned;
+use htsp_ch::{ContractionHierarchy, OrderingStrategy, ShortcutMode};
 use htsp_graph::cow::{CowStats, CowVec};
 use htsp_graph::{
     Dist, EdgeId, EdgeUpdate, Graph, GraphBuilder, QuerySession, QueryView, UpdateBatch, VertexId,
     Weight, WorkerPool,
 };
-use htsp_td::H2HIndex;
+use htsp_td::{H2HIndex, TreeDecomposition};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -115,7 +116,15 @@ impl PostBoundaryIndexes {
                 }
             }
             let graph = builder.build();
-            let index = H2HIndex::build(&graph);
+            // A partition index, so on MinDegree like the other kinds'
+            // partition hierarchies.
+            let index = H2HIndex::from_decomposition(TreeDecomposition::from_hierarchy(
+                ContractionHierarchy::build(
+                    &graph,
+                    OrderingStrategy::MinDegree,
+                    ShortcutMode::AllPairs,
+                ),
+            ));
             let mut intra_pair_edges: Vec<EdgeId> = pair_edges
                 .iter()
                 .filter(|&&(_, _, _, is_intra)| is_intra)

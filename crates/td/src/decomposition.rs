@@ -1,4 +1,12 @@
-//! MDE tree decomposition built on top of the CH contraction.
+//! The tree decomposition built on top of the CH contraction.
+//!
+//! The paper obtains it by Minimum Degree Elimination (MDE, §II). Any
+//! elimination order gives a valid decomposition, and its depth is what
+//! H2H's query cost, label bytes and repair cost grow with (Theorem 1,
+//! §VI). [`TreeDecomposition::build`] orders by nested dissection
+//! ([`OrderingStrategy::NestedDissection`]): on the benchmark's `grid64`
+//! MinDegree's tree has height 265, treewidth 117 and 793.7 B of labels per
+//! vertex, the dissection's 194, 91 and 599.4 B.
 
 use crate::h2h::scans_prefix;
 use crate::lca::{LcaIndex, TourEntry};
@@ -24,8 +32,8 @@ struct TreeShape {
     lca: LcaIndex,
 }
 
-/// A tree decomposition of a road network obtained by Minimum Degree
-/// Elimination (Definition 1 of the paper).
+/// A tree decomposition of a road network obtained by eliminating its
+/// vertices in one order (Definition 1 of the paper).
 ///
 /// Node `X(v)` corresponds to vertex `v`; its bag is `{v} ∪ X(v).N`, where
 /// `X(v).N` — the neighbors of `v` in the contraction graph when `v` was
@@ -51,10 +59,15 @@ impl AsRef<ContractionHierarchy> for TreeDecomposition {
 }
 
 impl TreeDecomposition {
-    /// Builds the decomposition with the default MDE ordering.
+    /// Builds the decomposition on a nested-dissection order
+    /// ([`OrderingStrategy::NestedDissection`]): balanced minimum vertex
+    /// cuts from the topology alone, MinDegree inside the smallest parts.
     pub fn build(graph: &Graph) -> Self {
-        let ch =
-            ContractionHierarchy::build(graph, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
+        let ch = ContractionHierarchy::build(
+            graph,
+            OrderingStrategy::NestedDissection,
+            ShortcutMode::AllPairs,
+        );
         Self::from_hierarchy(ch)
     }
 
@@ -267,7 +280,7 @@ impl TreeDecomposition {
             }
         }
         // Parent must be the lowest-ranked bag member and deeper bags must be
-        // connected upwards (property 3 follows from the MDE construction; we
+        // connected upwards (property 3 follows from the elimination; we
         // check the parent choice here).
         for v in 0..n {
             let vid = VertexId::from_index(v);
@@ -372,6 +385,46 @@ mod tests {
             for &(u, _) in td.bag(v) {
                 assert!(td.order().higher(u, v));
                 assert!(td.lca_index().is_ancestor(u, v));
+            }
+        }
+    }
+
+    /// Graphs large enough to be cut, a two-component one among them: the
+    /// nested-dissection tree is a valid decomposition and its labels answer
+    /// like Dijkstra.
+    #[test]
+    fn dissection_trees_are_valid_and_their_labels_exact() {
+        use crate::H2HIndex;
+        use htsp_graph::gen::grid_with_diagonals;
+        use htsp_graph::{GraphBuilder, QuerySet};
+        let a = grid(20, 20, WeightRange::new(1, 30), 4);
+        let mut two = GraphBuilder::new(2 * a.num_vertices());
+        for (_, u, v, w) in a.edges() {
+            two.add_edge(u, v, w);
+            let shift = a.num_vertices() as u32;
+            two.add_edge(VertexId(u.0 + shift), VertexId(v.0 + shift), w + 1);
+        }
+        for (name, g) in [
+            ("grid", grid(24, 24, WeightRange::new(1, 40), 1)),
+            (
+                "grid with diagonals",
+                grid_with_diagonals(30, 30, WeightRange::new(1, 40), 0.1, 2),
+            ),
+            (
+                "random geometric",
+                random_geometric(1500, 3, WeightRange::new(1, 40), 3),
+            ),
+            ("two grids", two.build()),
+        ] {
+            let td = TreeDecomposition::build(&g);
+            td.validate(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let h2h = H2HIndex::from_decomposition(td);
+            for q in &QuerySet::random(&g, 150, 9) {
+                assert_eq!(
+                    h2h.distance(q.source, q.target),
+                    htsp_search::dijkstra_distance(&g, q.source, q.target),
+                    "{name}: {q:?}"
+                );
             }
         }
     }

@@ -30,7 +30,8 @@
 //! * otherwise the bag gather — per member a `depth` load and two scattered
 //!   row reads.
 //!
-//! On the benchmark's 4 096-vertex grid (`grid64`), the LCA of a far pair
+//! On the benchmark's 4 096-vertex grid (`grid64`), on MinDegree's tree (the
+//! one the benchmark's `td.*` layers build), the LCA of a far pair
 //! (uniform endpoints) has a mean prefix of 132 entries against 102 bag
 //! candidates. For near pairs (an 8-hop walk), 55 % are ancestor–descendant
 //! single lookups; the rest have a mean prefix of 193 entries against 40
@@ -112,7 +113,8 @@ pub struct H2HIndex {
 }
 
 impl H2HIndex {
-    /// Builds the index from scratch with the default MDE ordering.
+    /// Builds the index from scratch on [`TreeDecomposition::build`]'s
+    /// nested-dissection order.
     pub fn build(graph: &Graph) -> Self {
         Self::from_decomposition(TreeDecomposition::build(graph))
     }
@@ -298,17 +300,22 @@ impl H2HIndex {
 /// two scattered row reads. With the scalar (SSE2) scan, on `grid64`, a
 /// prefix entry costs 0.6–0.9 ns and a bag candidate 1.8–2.8 ns, rows
 /// fetched from cache included: a ratio of 2–4. The AVX2 scan makes a prefix
-/// entry cheaper, so the factor was swept on both paths (median ns of five
-/// interleaved runs per point, far / near pairs, 2-vCPU Xeon):
+/// entry cheaper, so the factor was swept on both paths, on the
+/// nested-dissection tree `TreeDecomposition::build` gives `grid64` (one
+/// index per factor built in one process, then 15 interleaved passes of
+/// 50,000 pairs each, medians, mean of two processes; far / near ns, 2-vCPU
+/// Xeon; the scalar row forces the non-AVX2 bodies):
 ///
-/// | C      | 1        | 2        | 3        | 4        | 6        | ∞         |
-/// |--------|----------|----------|----------|----------|----------|-----------|
-/// | AVX2   | 124 / 94 | 84 / 88  | 79 / 89  | 75 / 87  | 71 / 91  | 70 / 86   |
-/// | scalar | 152 / 93 | 129 / 91 | 129 / 91 | 127 / 92 | 125 / 98 | 125 / 113 |
+/// | C      | 1         | 2         | 3         | 4         | 6         | ∞         |
+/// |--------|-----------|-----------|-----------|-----------|-----------|-----------|
+/// | AVX2   | 135 / 133 | 100 / 123 | 94 / 115  | 91 / 115  | 94 / 114  | 89 / 99   |
+/// | scalar | 179 / 140 | 149 / 131 | 142 / 132 | 142 / 132 | 140 / 135 | 140 / 136 |
 ///
-/// The AVX2 path is flat from 3 up for near pairs and gains ≈9 ns on far
-/// pairs towards ∞; the scalar path's near pairs lose from 4 up (+24 % at ∞).
-/// No value beats 3 on both paths, so there is one factor, 3.
+/// With AVX2, ∞ is best on both kinds of pair (−5 % far, −14 % near against
+/// 3). On the scalar path far pairs are flat from 3 up and near pairs lose
+/// from 6 up (+3 % at ∞). No value beats 3 on both paths, so there is one
+/// factor, 3 — as on MinDegree's tree, where AVX2 gained ≈ 9 ns on far pairs
+/// towards ∞ and the scalar path's near pairs lost 24 % at ∞.
 const PREFIX_SCAN_FACTOR: usize = 3;
 
 /// Shortest distance between `s` and `t` from the H2H label rows `dis` over

@@ -1,10 +1,13 @@
 //! # htsp-td
 //!
-//! MDE tree decomposition, the H2H hierarchical 2-hop labeling index, and its
+//! The tree decomposition, the H2H hierarchical 2-hop labeling index, and its
 //! dynamic maintenance (DH2H).
 //!
-//! The tree decomposition (§II, Definition 1) is obtained by Minimum Degree
-//! Elimination: contracting vertices in MDE order produces, for each vertex
+//! The tree decomposition (§II, Definition 1) is obtained by vertex
+//! elimination — the paper's Minimum Degree Elimination (MDE); here a
+//! nested-dissection order with MinDegree inside its smallest parts
+//! (`htsp_ch`'s `OrderingStrategy::NestedDissection`, a shallower tree on
+//! road-like graphs). Contracting vertices in that order produces, for each vertex
 //! `v`, a tree node `X(v) = {v} ∪ X(v).N` where `X(v).N` are `v`'s neighbors
 //! in the contraction graph at the moment `v` is removed. The parent of `X(v)`
 //! is the lowest-ranked vertex of `X(v).N`. Because this is exactly the CH

@@ -18,7 +18,7 @@
 use htsp::core::{Pmhl, PmhlConfig, PostMhl, PostMhlConfig, WorkerPool};
 use htsp::graph::{gen, IndexMaintainer, QuerySet, QueryView, SnapshotPublisher, UpdateGenerator};
 use htsp::search::dijkstra_distance;
-use htsp::{AlgorithmKind, BuildParams};
+use htsp::{AlgorithmKind, BuildParams, CoalescePolicy, RoadNetworkServer};
 use std::sync::Arc;
 
 /// All nine registry algorithms, built with small-test parameters.
@@ -220,4 +220,44 @@ fn empty_batches_clone_nothing() {
         "empty batch cloned chunks"
     );
     assert!(postmhl.cow_stats().is_zero());
+}
+
+/// Every kind that repairs its index in place publishes what each stage
+/// copy-on-wrote, so one batch with a view pinned reports nonzero cloned
+/// chunks and bytes in its feed outcome and in the server's
+/// `htsp_publish_cow_bytes_total`. Two kinds copy nothing themselves, so
+/// their 0 is correct: BiDijkstra has no index (its U1 takes the graph
+/// version the feed already wrote), and TOAIN rebuilds its hierarchy from
+/// the graph on every batch instead of repairing one.
+#[test]
+fn every_repairing_kind_reports_its_copy_on_write_through_the_feed() {
+    for kind in AlgorithmKind::ALL {
+        let g = gen::grid_with_diagonals(10, 10, gen::WeightRange::new(2, 60), 0.15, 43);
+        // Manual coalescing: the 20 updates are one batch, cut by the flush.
+        let server = RoadNetworkServer::builder()
+            .algorithm(kind)
+            .build_params(BuildParams::new(4, 2))
+            .coalesce(CoalescePolicy::manual())
+            .start(&g);
+        let pin = server.snapshot();
+        let batch = UpdateGenerator::new(11).generate(&g, 20);
+        server.feed().submit_all(batch.iter().copied());
+        let outcome = server.feed().flush().wait_applied();
+        drop(pin);
+        let counted = server
+            .telemetry()
+            .counter_value("htsp_publish_cow_bytes_total")
+            .unwrap_or(0);
+        let name = format!("{kind:?}");
+        if matches!(kind, AlgorithmKind::BiDijkstra | AlgorithmKind::Toain) {
+            assert!(outcome.cow.is_zero(), "{name} copied on write");
+            assert_eq!(counted, 0, "{name}");
+        } else {
+            assert!(
+                outcome.cow.chunks_cloned > 0 && outcome.cow.bytes_cloned > 0,
+                "{name}: a pinned view across a batch must force chunk clones"
+            );
+            assert_eq!(counted, outcome.cow.bytes_cloned, "{name}");
+        }
+    }
 }

@@ -12,7 +12,8 @@
 
 use htsp::core::{PostMhl, PostMhlConfig, WorkerPool};
 use htsp::graph::{
-    gen, Graph, IndexMaintainer, QuerySet, SnapshotPublisher, UpdateGenerator, VertexId,
+    gen, Graph, GraphBuilder, IndexMaintainer, QuerySet, SnapshotPublisher, UpdateGenerator,
+    VertexId,
 };
 use htsp::partition::{partition_region_growing, td_partition, TdPartitionConfig};
 use htsp::search::{bidijkstra_distance, dijkstra_distance};
@@ -38,14 +39,37 @@ impl Params {
     }
 }
 
-/// A connected road-like graph of modest size plus the tuple that made it.
+/// A road-like graph of modest size plus the tuple that made it: a small
+/// grid with diagonals, a random geometric graph, or two components (a grid
+/// and a random geometric graph, no edge between them). The last two are
+/// larger than a dissection leaf, so the whole-graph hierarchies cut them.
 fn road_network(p: &mut Params) -> (Graph, String) {
+    let family = p.range(0, 3);
     let w = p.range(4, 9) as usize;
     let h = p.range(4, 9) as usize;
+    let n = p.range(150, 400) as usize;
     let seed = p.range(1, 1000);
     let maxw = p.range(2, 50) as u32;
-    let g = gen::grid_with_diagonals(w, h, gen::WeightRange::new(1, maxw), 0.2, seed);
-    (g, format!("w={w} h={h} seed={seed} maxw={maxw}"))
+    let weights = gen::WeightRange::new(1, maxw);
+    let grid = gen::grid_with_diagonals(w, h, weights, 0.2, seed);
+    let desc = format!("family={family} w={w} h={h} n={n} seed={seed} maxw={maxw}");
+    let g = match family {
+        0 => grid,
+        1 => gen::random_geometric(n, 3, weights, seed),
+        _ => {
+            let geometric = gen::random_geometric(n, 3, weights, seed);
+            let shift = grid.num_vertices() as u32;
+            let mut b = GraphBuilder::new(grid.num_vertices() + n);
+            for (_, u, v, w) in grid.edges() {
+                b.add_edge(u, v, w);
+            }
+            for (_, u, v, w) in geometric.edges() {
+                b.add_edge(VertexId(u.0 + shift), VertexId(v.0 + shift), w);
+            }
+            b.build()
+        }
+    };
+    (g, desc)
 }
 
 #[test]
