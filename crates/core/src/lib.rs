@@ -13,12 +13,13 @@
 //!   MHL, maintained in parallel across partitions, with no-boundary,
 //!   post-boundary and cross-boundary indexes released stage by stage
 //!   (Figure 7: five update stages, five query stages).
-//! * [`PostMhl`] — Post-partitioned MHL (§VI): a single MDE tree decomposition
+//! * [`PostMhl`] — Post-partitioned MHL (§VI): a single tree decomposition
 //!   partitioned by TD-partitioning (Algorithm 2), holding the overlay,
-//!   post-boundary (`dis` to in-partition ancestors + `disB` boundary arrays)
-//!   and cross-boundary (`dis` to overlay ancestors) indexes in one structure
-//!   (Figure 8), with H2H-equivalent final query speed (Theorem 1) and
-//!   partition-parallel maintenance.
+//!   post-boundary (label entries to in-partition ancestors and to the
+//!   partition's boundary vertices, the paper's `disB`) and cross-boundary
+//!   (entries to the other overlay ancestors) indexes in one label table
+//!   (Figure 8), so its index is DH2H's, with H2H-equivalent final query
+//!   speed (Theorem 1) and partition-parallel maintenance.
 //!
 //! All three implement [`htsp_graph::IndexMaintainer`] and publish
 //! [`htsp_graph::QueryView`] snapshots (with per-thread
@@ -30,7 +31,8 @@
 //! no-boundary, post-boundary and cross-boundary views for PMHL, each tagged
 //! with the algorithm and stage it is published as. The only view of this
 //! crate's own is PostMHL's post-boundary stage ([`postmhl::DisbView`]),
-//! which reads the boundary arrays `disB` no baseline has.
+//! which answers from the boundary and in-partition label entries before
+//! the rest of each row is repaired.
 
 #![warn(missing_docs)]
 
@@ -42,6 +44,6 @@ pub use mhl::Mhl;
 pub use pmhl::{Pmhl, PmhlConfig};
 pub use postmhl::{PostMhl, PostMhlConfig};
 // The construction worker pool, re-exported so index consumers can call the
-// builders that fork (PMHL, PostMHL) without depending on `htsp-graph`
+// builder that forks (PMHL) without depending on `htsp-graph`
 // directly.
 pub use htsp_graph::{available_parallelism, StageStats, WorkerPool};

@@ -34,7 +34,7 @@
 //!   the per-partition indexes, [`DEFAULT_CHUNK`] when collected from an
 //!   iterator.
 //! * [`CowTable<T>`] — a chunked table of rows (`Vec<T>`), the shape of
-//!   every label/distance table in the repository (`dis`, `disB`, shortcut
+//!   every label/distance table in the repository (H2H labels, shortcut
 //!   arrays, 2-hop labels). Its byte accounting includes each cloned row's
 //!   heap payload, so the reported `bytes_cloned` is the real copy volume.
 //!   Every table has the same constant chunk of [`DEFAULT_CHUNK`] rows, so

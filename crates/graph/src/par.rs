@@ -2,8 +2,8 @@
 //! deterministic result ordering and per-stage accounting.
 //!
 //! Construction is parallel where the work is independent by nature — one
-//! task per partition (N-CH-P, P-TD-P, PMHL, PostMHL's boundary arrays) and
-//! one per fleet shard — and those fan-outs funnel through a [`WorkerPool`]:
+//! task per partition (N-CH-P, P-TD-P, PMHL) and one per fleet shard — and
+//! those fan-outs funnel through a [`WorkerPool`]:
 //! [`WorkerPool::run`] evaluates a pure function over task indices
 //! `0..tasks` and returns the results **in index order**, regardless of which
 //! worker computed what, so a build that consumes them observes exactly the

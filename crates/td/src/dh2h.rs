@@ -15,7 +15,7 @@
 //!    ([`crate::fold_label`]) shared with the H2H build and PostMHL.
 //!
 //! The label phase dominates: on `grid64` with |U| = 200 the shortcut phase
-//! takes 4–5 ms and the label phase 8–12 ms (4 090 of 4 096 arrays are
+//! takes 3–5 ms and the label phase 6–11 ms (4 082–4 091 of 4 096 arrays are
 //! recomputed — a batch that size moves a label near the root, and what lies
 //! below a moved label is recomputed wholesale). DH2H queries are fast, but
 //! nothing can be answered from the labels until both phases are done; this
@@ -23,13 +23,21 @@
 //! query stages. The returned [`H2HUpdateReport`] exposes both phase
 //! durations, so the index-unavailable window can be modelled.
 //!
-//! How much of that label work is real change: over six such batches on
-//! `grid64` (|U| = 200 distinct edges, half halved and half doubled), 52.0–
-//! 59.8 % of all 812 794 label entries and 99.56–99.98 % of the 4 096 rows
-//! took a new value. A per-column repair that recomputes only the entries
-//! that can move would therefore save at most about 45 % of the label phase,
-//! ≈5 ms of a 30–50 ms PostMHL repair. That is inside the run-to-run noise
-//! of a 2-vCPU host, so it waits for a workload with smaller batches.
+//! How much of that label work is real change, on the nested-dissection tree
+//! of `grid64` (613 745 label entries), over six batches per size of |U|
+//! distinct edges from `UpdateGenerator` applied in sequence (2-vCPU Xeon):
+//!
+//! | \|U\| | entries that moved | rows recomputed | label phase | PostMHL repair |
+//! |-------|--------------------|-----------------|-------------|----------------|
+//! | 200   | 43.7–51.0 %        | 4 082–4 091     | 5.9–11.2 ms | 12.7–17.6 ms   |
+//! | 50    | 17.2–25.2 %        | 4 061–4 087     | 5.9–7.3 ms  | 10.9–13.1 ms   |
+//! | 10    | 0.7–5.0 %          | 2 210–4 070     | 4.0–7.5 ms  | 7.7–14.8 ms    |
+//!
+//! A per-column repair that recomputes only the entries that can move would
+//! save at most about half of the label phase at |U| = 200, ≈3–6 ms of the
+//! PostMHL repair, inside the run-to-run noise of a 2-vCPU host. At |U| = 10
+//! it is most of the phase: 54–99 % of the rows are recomputed for at most
+//! 5 % of the entries.
 
 use crate::decomposition::TreeDecomposition;
 use crate::h2h::{full_label, H2HIndex};

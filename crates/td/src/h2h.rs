@@ -351,7 +351,7 @@ pub fn label_distance<R: RowRead<Dist> + ?Sized>(
     if lca.marked() {
         prefix_min(ds, dt, depth + 1)
     } else {
-        bag_min(td, ds, dt, x, 0)
+        bag_min(td, ds, dt, x)
     }
 }
 
@@ -423,20 +423,15 @@ unsafe fn prefix_min_avx2(ds: &[Dist], dt: &[Dist], k: usize) -> Dist {
 }
 
 /// The paper's H2H minimum (§III-B, Example 2): `ds[i] + dt[i]` over the
-/// depths `i` of `x` and of its bag members at depth `lo` or below. `x` is the
-/// LCA of the rows' owners; with `lo > 0` only the entries at depth `>= lo`
-/// are read (PostMHL's in-partition route, whose shallower entries may be
-/// stale).
+/// depths `i` of `x` and of its bag members, where `x` is the LCA of the
+/// rows' owners. It reads no other entry: PostMHL's post-boundary stage
+/// relies on that, because the other entries of its rows may be stale.
 #[inline]
-pub fn bag_min(td: &TreeDecomposition, ds: &[Dist], dt: &[Dist], x: VertexId, lo: usize) -> Dist {
+pub fn bag_min(td: &TreeDecomposition, ds: &[Dist], dt: &[Dist], x: VertexId) -> Dist {
     let xd = td.depth(x) as usize;
     let mut best = ds[xd].saturating_add(dt[xd]);
-    // Bag members are ancestors of `x` in rank order: deepest first.
     for &(u, _) in td.bag(x) {
         let i = td.depth(u) as usize;
-        if i < lo {
-            break;
-        }
         best = best.min(ds[i].saturating_add(dt[i]));
     }
     best
@@ -689,7 +684,7 @@ mod tests {
                 let k = td.depth(x) as usize + 1;
                 assert_eq!(prefix_min(ds, dt, k), d, "prefix scan {s}-{t}");
                 assert_eq!(prefix_min_scalar(ds, dt, k), d, "scalar scan {s}-{t}");
-                assert_eq!(bag_min(td, ds, dt, x, 0), d, "bag gather {s}-{t}");
+                assert_eq!(bag_min(td, ds, dt, x), d, "bag gather {s}-{t}");
                 for out in [&mut scalar, &mut dispatched] {
                     out.clear();
                     out.extend_from_slice(&ds[..k]);

@@ -256,9 +256,7 @@ impl AlgorithmKind {
             }
             AlgorithmKind::Mhl => Box::new(Mhl::build(graph)),
             AlgorithmKind::Pmhl => Box::new(Pmhl::build(graph, params.pmhl_config(), pool)),
-            AlgorithmKind::PostMhl => {
-                Box::new(PostMhl::build(graph, params.postmhl_config(), pool))
-            }
+            AlgorithmKind::PostMhl => Box::new(PostMhl::build(graph, params.postmhl_config())),
         }
     }
 

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use htsp::core::{PostMhl, PostMhlConfig, WorkerPool};
+use htsp::core::{PostMhl, PostMhlConfig};
 use htsp::graph::{gen, IndexMaintainer, QuerySet, SnapshotPublisher, UpdateGenerator};
 use htsp::search::dijkstra_distance;
 
@@ -19,7 +19,7 @@ fn main() {
 
     // 2. Build the PostMHL index (the paper's best-performing method).
     let t = std::time::Instant::now();
-    let mut index = PostMhl::build(&road, PostMhlConfig::default(), &WorkerPool::sequential());
+    let mut index = PostMhl::build(&road, PostMhlConfig::default());
     println!(
         "PostMHL built in {:.2?} ({} partitions, {} overlay vertices, {:.1} MB)",
         t.elapsed(),

@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run --release --example throughput_tuning`.
 
-use htsp::core::{PostMhl, PostMhlConfig, WorkerPool};
+use htsp::core::{PostMhl, PostMhlConfig};
 use htsp::graph::{gen, Graph, Query, QuerySet};
 use htsp::partition::TdPartitionConfig;
 use htsp::throughput::{lemma1_bound, RequestClass, RequestMix};
@@ -42,7 +42,6 @@ fn tune(road: &Graph, pool: &[Query], bandwidth: usize, ke: usize) -> (usize, us
             },
             num_threads: 4,
         },
-        &WorkerPool::sequential(),
     );
     let (parts, overlay) = (idx.num_partitions(), idx.num_overlay_vertices());
     let server = RoadNetworkServer::host(road, Box::new(idx));

@@ -31,11 +31,11 @@
 //!
 //! ```
 //! use htsp::graph::{gen, IndexMaintainer, QuerySet, SnapshotPublisher, UpdateGenerator};
-//! use htsp::core::{PostMhl, PostMhlConfig, WorkerPool};
+//! use htsp::core::{PostMhl, PostMhlConfig};
 //!
 //! // Build a small synthetic road network and a PostMHL index over it.
 //! let mut road = gen::grid(16, 16, gen::WeightRange::new(1, 60), 7);
-//! let mut index = PostMhl::build(&road, PostMhlConfig::default(), &WorkerPool::sequential());
+//! let mut index = PostMhl::build(&road, PostMhlConfig::default());
 //!
 //! // Open a session on an immutable snapshot (any number of threads could
 //! // share the view, each with its own session) and answer queries.

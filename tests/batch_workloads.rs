@@ -31,11 +31,7 @@ fn nine_algorithms(g: &htsp::graph::Graph) -> Vec<Box<dyn IndexMaintainer>> {
             },
             &WorkerPool::sequential(),
         )),
-        Box::new(PostMhl::build(
-            g,
-            PostMhlConfig::default(),
-            &WorkerPool::sequential(),
-        )),
+        Box::new(PostMhl::build(g, PostMhlConfig::default())),
     ]
 }
 

@@ -27,11 +27,7 @@ fn road() -> Graph {
 }
 
 fn postmhl(g: &Graph) -> Box<dyn IndexMaintainer> {
-    Box::new(PostMhl::build(
-        g,
-        PostMhlConfig::default(),
-        &WorkerPool::sequential(),
-    ))
+    Box::new(PostMhl::build(g, PostMhlConfig::default()))
 }
 
 fn pool(g: &Graph) -> Vec<Query> {

@@ -16,7 +16,10 @@
 //!    volume is bounded by the component sizes.
 
 use htsp::core::{Pmhl, PmhlConfig, PostMhl, PostMhlConfig, WorkerPool};
-use htsp::graph::{gen, IndexMaintainer, QuerySet, QueryView, SnapshotPublisher, UpdateGenerator};
+use htsp::graph::{
+    gen, Dist, IndexMaintainer, QuerySet, QueryView, SnapshotPublisher, UpdateGenerator, VertexId,
+    Weight,
+};
 use htsp::search::dijkstra_distance;
 use htsp::{AlgorithmKind, BuildParams, CoalescePolicy, RoadNetworkServer};
 use std::sync::Arc;
@@ -141,6 +144,25 @@ fn pinned_views_keep_their_edge_weights_across_later_batches() {
     }
 }
 
+/// One full copy of PostMHL's copy-on-write tables in the units
+/// `bytes_cloned` counts: every label row and every shortcut row, header
+/// plus payload (`index_size_bytes` counts the payload alone).
+fn postmhl_full_copy_bytes(post: &PostMhl) -> u64 {
+    let h2h = post.h2h();
+    let ch = h2h.decomposition().hierarchy();
+    let row = |len: usize, entry: usize| (std::mem::size_of::<Vec<u32>>() + len * entry) as u64;
+    (0..ch.num_vertices())
+        .map(VertexId::from_index)
+        .map(|v| {
+            row(h2h.label(v).len(), std::mem::size_of::<Dist>())
+                + row(
+                    ch.up_arcs(v).len(),
+                    std::mem::size_of::<(VertexId, Weight)>(),
+                )
+        })
+        .sum()
+}
+
 /// The maintainers report real, bounded clone telemetry: pinning a snapshot
 /// across a batch forces chunk clones; the deltas reach the publication log;
 /// and the volume stays below the component sizes (it would equal them under
@@ -148,7 +170,7 @@ fn pinned_views_keep_their_edge_weights_across_later_batches() {
 #[test]
 fn publication_log_carries_bounded_clone_telemetry() {
     let mut g = gen::grid(12, 12, gen::WeightRange::new(5, 50), 23);
-    let mut postmhl = PostMhl::build(&g, PostMhlConfig::default(), &WorkerPool::sequential());
+    let mut postmhl = PostMhl::build(&g, PostMhlConfig::default());
     let mut pmhl = Pmhl::build(
         &g,
         PmhlConfig {
@@ -158,15 +180,25 @@ fn publication_log_carries_bounded_clone_telemetry() {
         },
         &WorkerPool::sequential(),
     );
+    // Row lengths never change, so this is fixed for the whole test.
+    let post_full_copy = postmhl_full_copy_bytes(&postmhl);
     let mut gen_upd = UpdateGenerator::new(29);
     let mut post_cloned = 0u64;
     let mut pmhl_cloned = 0u64;
     for _round in 0..2 {
         let batch = gen_upd.generate(&g, 15);
         g.apply_batch(&batch);
-        for (maintainer, cloned) in [
-            (&mut postmhl as &mut dyn IndexMaintainer, &mut post_cloned),
-            (&mut pmhl as &mut dyn IndexMaintainer, &mut pmhl_cloned),
+        for (maintainer, cloned, stage_cap) in [
+            (
+                &mut postmhl as &mut dyn IndexMaintainer,
+                &mut post_cloned,
+                post_full_copy,
+            ),
+            (
+                &mut pmhl as &mut dyn IndexMaintainer,
+                &mut pmhl_cloned,
+                u64::MAX,
+            ),
         ] {
             let publisher = SnapshotPublisher::new(maintainer.current_view());
             let pin = maintainer.current_view(); // held across the repair
@@ -174,6 +206,17 @@ fn publication_log_carries_bounded_clone_telemetry() {
             drop(pin);
             let log = publisher.take_log();
             assert!(!log.is_empty());
+            // A stage clones each chunk at most once: never more than one
+            // full copy of the tables.
+            for e in &log {
+                assert!(
+                    e.cow.bytes_cloned <= stage_cap,
+                    "{} stage {} cloned {} bytes, one full copy is {stage_cap}",
+                    maintainer.name(),
+                    e.stage,
+                    e.cow.bytes_cloned
+                );
+            }
             let round_bytes: u64 = log.iter().map(|e| e.cow.bytes_cloned).sum();
             let round_chunks: u64 = log.iter().map(|e| e.cow.chunks_cloned).sum();
             assert!(
@@ -187,7 +230,7 @@ fn publication_log_carries_bounded_clone_telemetry() {
     // Bounded: chunk-granular clones can round up to at most a few copies
     // of the mutable tables; the old per-stage whole-component clone paid
     // ~1 full copy per stage per round (4-5 stages x 2 rounds here).
-    let post_bound = 4 * IndexMaintainer::index_size_bytes(&postmhl) as u64;
+    let post_bound = 4 * post_full_copy;
     let pmhl_bound = 4 * IndexMaintainer::index_size_bytes(&pmhl) as u64;
     assert!(
         post_cloned < post_bound,
@@ -208,7 +251,7 @@ fn publication_log_carries_bounded_clone_telemetry() {
 #[test]
 fn empty_batches_clone_nothing() {
     let g = gen::grid(10, 10, gen::WeightRange::new(1, 30), 31);
-    let mut postmhl = PostMhl::build(&g, PostMhlConfig::default(), &WorkerPool::sequential());
+    let mut postmhl = PostMhl::build(&g, PostMhlConfig::default());
     let publisher = SnapshotPublisher::new(postmhl.current_view());
     let pin = postmhl.current_view();
     let empty = htsp::graph::UpdateBatch::new();

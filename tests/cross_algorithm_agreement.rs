@@ -67,7 +67,7 @@ fn multi_stage_indexes_are_exact_at_every_stage_after_updates() {
         },
         &WorkerPool::sequential(),
     );
-    let mut postmhl = PostMhl::build(&g, PostMhlConfig::default(), &WorkerPool::sequential());
+    let mut postmhl = PostMhl::build(&g, PostMhlConfig::default());
     let mut mhl = Mhl::build(&g);
 
     let mut gen_upd = UpdateGenerator::new(21);

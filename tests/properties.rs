@@ -10,7 +10,7 @@
 //! `proptest`, which is unavailable offline): each test replays `CASES`
 //! pseudo-random parameter tuples and reports the failing tuple on panic.
 
-use htsp::core::{PostMhl, PostMhlConfig, WorkerPool};
+use htsp::core::{PostMhl, PostMhlConfig};
 use htsp::graph::{
     gen, Graph, GraphBuilder, IndexMaintainer, QuerySet, SnapshotPublisher, UpdateGenerator,
     VertexId,
@@ -138,7 +138,7 @@ fn postmhl_survives_arbitrary_update_batches() {
         let volume = p.range(1, 40) as usize;
         let seed = p.range(0, 1000);
         let mut graph = g;
-        let mut idx = PostMhl::build(&graph, PostMhlConfig::default(), &WorkerPool::sequential());
+        let mut idx = PostMhl::build(&graph, PostMhlConfig::default());
         let mut gen_upd = UpdateGenerator::new(seed);
         let batch = gen_upd.generate(&graph, volume);
         graph.apply_batch(&batch);

@@ -10,7 +10,9 @@
 //!
 //! * the repair's `(from, to, old, new)` set equals the reference's;
 //! * every upward row equals a fresh build with the same order;
-//! * the H2H labels equal a fresh `from_decomposition`;
+//! * the H2H labels equal a fresh `from_decomposition`, and PostMHL's
+//!   label rows (its boundary entries included) equal a fresh
+//!   `PostMhl::build`'s on the updated graph;
 //! * DH2H, every PostMHL view as it was published during the repair, and
 //!   the repaired index's stages 2 and 3 answer a seeded set of far and near
 //!   pairs like Dijkstra;
@@ -22,7 +24,7 @@
 //! No timers: everything asserted is a value.
 
 use htsp::ch::{ContractionHierarchy, OrderingStrategy, ShortcutChange, ShortcutMode};
-use htsp::core::{PostMhl, PostMhlConfig, WorkerPool};
+use htsp::core::{PostMhl, PostMhlConfig};
 use htsp::graph::{
     gen, EdgeId, EdgeUpdate, Graph, GraphBuilder, IndexMaintainer, QueryView, SnapshotPublisher,
     UpdateBatch, VertexId, Weight,
@@ -223,8 +225,7 @@ fn drive(name: &str, mut g: Graph, weights: (Weight, Weight), dijkstra: bool, se
     let mut ch =
         ContractionHierarchy::build(&g, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
     let mut h2h = H2HIndex::from_decomposition(TreeDecomposition::from_hierarchy(ch.clone()));
-    let mut post =
-        dijkstra.then(|| PostMhl::build(&g, postmhl_config(), &WorkerPool::sequential()));
+    let mut post = dijkstra.then(|| PostMhl::build(&g, postmhl_config()));
     if let Some(post) = &post {
         assert!(
             post.num_partitions() >= 2,
@@ -300,6 +301,16 @@ fn drive(name: &str, mut g: Graph, weights: (Weight, Weight), dijkstra: bool, se
                 let mut views = std::mem::take(&mut *published.lock().unwrap());
                 let stages: Vec<usize> = views.iter().map(|v| v.stage()).collect();
                 assert_eq!(stages, [0, 1, 2, 3], "published stages, {at}");
+                // The dissection order is weight-independent, so a fresh
+                // build has the same tree and must have the same rows.
+                let fresh_post = PostMhl::build(&g, postmhl_config());
+                for v in g.vertices() {
+                    assert_eq!(
+                        post.h2h().label(v),
+                        fresh_post.h2h().label(v),
+                        "PostMHL label of {v}, {at}"
+                    );
+                }
                 views.extend([post.view_at_stage(2), post.view_at_stage(3)]);
                 let pairs = seeded_pairs(&g, h2h.decomposition(), &mut pair_rng, 30);
                 let expected: Vec<_> = pairs

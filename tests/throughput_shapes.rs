@@ -3,7 +3,7 @@
 //! holding as the code evolves.
 
 use htsp::baselines::{BiDijkstraBaseline, Dh2hBaseline};
-use htsp::core::{PostMhl, PostMhlConfig, WorkerPool};
+use htsp::core::{PostMhl, PostMhlConfig};
 use htsp::graph::{gen, IndexMaintainer, Query, QuerySet, QueryView};
 use htsp::throughput::{lemma1_bound, staged_throughput, QueryStats};
 use htsp::{run_load, LoadProfile, RoadNetworkServer};
@@ -42,7 +42,7 @@ fn postmhl_final_stage_matches_h2h_speed_class() {
     let g = sample_graph();
     let queries = QuerySet::random(&g, 400, 9);
     let h2h = Dh2hBaseline::build(&g);
-    let postmhl = PostMhl::build(&g, PostMhlConfig::default(), &WorkerPool::sequential());
+    let postmhl = PostMhl::build(&g, PostMhlConfig::default());
     let time = |view: &dyn QueryView| {
         let t = Instant::now();
         for q in &queries {
@@ -96,11 +96,7 @@ fn lemma1_on_measured_inputs_ranks_postmhl_above_bidijkstra() {
         )
     };
     let bd = bound(Box::new(BiDijkstraBaseline::new(&g)));
-    let post = bound(Box::new(PostMhl::build(
-        &g,
-        PostMhlConfig::default(),
-        &WorkerPool::sequential(),
-    )));
+    let post = bound(Box::new(PostMhl::build(&g, PostMhlConfig::default())));
     assert!(
         post > bd,
         "PostMHL's bound {post} should exceed BiDijkstra's {bd}"
