@@ -8,16 +8,15 @@
 //! MinDegree's tree has height 265, treewidth 117 and 793.7 B of labels per
 //! vertex, the dissection's 194, 91 and 599.4 B.
 
-use crate::h2h::scans_prefix;
-use crate::lca::{LcaIndex, TourEntry};
+use crate::lca::{LcaEntry, LcaIndex};
 use htsp_ch::{ContractionHierarchy, OrderingStrategy, ShortcutMode, VertexOrder};
 use htsp_graph::cow::CowStats;
 use htsp_graph::{Graph, VertexId, Weight};
 use std::sync::Arc;
 
-/// The immutable tree shape of a decomposition: parents, children, depths,
-/// orders and the LCA structure (whose tour also carries the H2H query
-/// kernel's per-node scan-or-gather choice). Weight-only update batches
+/// The immutable tree shape of a decomposition: parents, children, depths
+/// and the LCA structure (which also holds the depth-first preorder and the
+/// subtree sizes). Weight-only update batches
 /// never change the shape (the bags are the CH's fixed arc sets; only
 /// shortcut *weights* move), so all clones of a decomposition share one copy
 /// behind an `Arc`.
@@ -27,8 +26,6 @@ struct TreeShape {
     children: Vec<Vec<VertexId>>,
     depth: Vec<u32>,
     roots: Vec<VertexId>,
-    /// Vertices in a top-down order (every parent precedes its children).
-    topdown: Vec<VertexId>,
     lca: LcaIndex,
 }
 
@@ -96,28 +93,15 @@ impl TreeDecomposition {
                 None => roots.push(vid),
             }
         }
-        // Depths and a top-down order via BFS from the roots.
+        // A parent ranks above its child: depths from the top rank down.
         let mut depth = vec![0u32; n];
-        let mut topdown = Vec::with_capacity(n);
-        let mut queue: std::collections::VecDeque<VertexId> = roots.iter().copied().collect();
-        while let Some(v) = queue.pop_front() {
-            topdown.push(v);
-            for &c in &children[v.index()] {
-                depth[c.index()] = depth[v.index()] + 1;
-                queue.push_back(c);
+        for r in (0..n as u32).rev() {
+            let v = ch.order().vertex_at(r);
+            if let Some(p) = parent[v.index()] {
+                depth[v.index()] = depth[p.index()] + 1;
             }
         }
-        assert_eq!(
-            topdown.len(),
-            n,
-            "tree decomposition must cover all vertices"
-        );
-        // The query kernel's scan-or-gather choice depends only on a node's
-        // depth and bag size, which weight updates never change: made once
-        // here, it rides in the node's tour entry.
-        let lca = LcaIndex::build(n, &roots, &children, &depth, |v| {
-            scans_prefix(depth[v.index()], ch.up_arcs(v).len())
-        });
+        let lca = LcaIndex::build(n, &roots, &children, &depth);
         TreeDecomposition {
             ch,
             shape: Arc::new(TreeShape {
@@ -125,7 +109,6 @@ impl TreeDecomposition {
                 children,
                 depth,
                 roots,
-                topdown,
                 lca,
             }),
         }
@@ -186,9 +169,10 @@ impl TreeDecomposition {
         &self.shape.roots
     }
 
-    /// Vertices in an order where every parent precedes its children.
+    /// Vertices in depth-first preorder: every parent precedes its children,
+    /// and a subtree is a contiguous run.
     pub fn topdown_order(&self) -> &[VertexId] {
-        &self.shape.topdown
+        self.shape.lca.order()
     }
 
     /// The LCA structure over the decomposition tree.
@@ -201,11 +185,11 @@ impl TreeDecomposition {
         self.shape.lca.lca(u, v)
     }
 
-    /// [`Self::lca`] with the LCA's depth, marked when the H2H query kernel
-    /// answers a pair with this LCA by the prefix scan rather than the bag
-    /// gather ([`label_distance`](crate::label_distance)).
+    /// [`Self::lca`] with the LCA's depth, in one sparse-table load per side
+    /// (see [`LcaIndex`]): the prefix length the H2H query kernel
+    /// ([`label_distance`](crate::label_distance)) scans.
     #[inline]
-    pub fn lca_entry(&self, u: VertexId, v: VertexId) -> Option<TourEntry> {
+    pub fn lca_entry(&self, u: VertexId, v: VertexId) -> Option<LcaEntry> {
         self.shape.lca.lca_entry(u, v)
     }
 
@@ -227,11 +211,11 @@ impl TreeDecomposition {
         path.reverse();
     }
 
-    /// Position of `v` in a depth-first preorder of the forest: every vertex
+    /// Position of `v` in [`Self::topdown_order`], in `0..n`: every vertex
     /// sorts before its descendants, and a subtree is a contiguous run.
     #[inline]
     pub fn preorder(&self, v: VertexId) -> usize {
-        self.shape.lca.first_visit(v)
+        self.shape.lca.preorder(v)
     }
 
     /// Tree height: `max depth + 1` (the `h` of Theorem 5).
@@ -249,15 +233,8 @@ impl TreeDecomposition {
 
     /// Number of descendants of each vertex, itself included (the `cN` vector
     /// of TD-partitioning, Algorithm 2 lines 2-5).
-    pub fn subtree_sizes(&self) -> Vec<u32> {
-        let n = self.num_vertices();
-        let mut sizes = vec![1u32; n];
-        for &v in self.shape.topdown.iter().rev() {
-            if let Some(p) = self.parent(v) {
-                sizes[p.index()] += sizes[v.index()];
-            }
-        }
-        sizes
+    pub fn subtree_sizes(&self) -> &[u32] {
+        self.shape.lca.subtree_sizes()
     }
 
     /// Validates the tree-decomposition properties of Definition 1 against the
@@ -336,12 +313,14 @@ mod tests {
         let g = grid(6, 6, WeightRange::new(1, 9), 5);
         let td = TreeDecomposition::build(&g);
         let mut seen = vec![false; g.num_vertices()];
-        for &v in td.topdown_order() {
+        for (i, &v) in td.topdown_order().iter().enumerate() {
             if let Some(p) = td.parent(v) {
                 assert!(seen[p.index()], "parent of {v} not yet visited");
             }
             seen[v.index()] = true;
+            assert_eq!(td.preorder(v), i, "preorder rank of {v}");
         }
+        assert!(seen.iter().all(|&s| s), "every vertex is in the order");
     }
 
     #[test]

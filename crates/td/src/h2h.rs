@@ -7,44 +7,30 @@
 //! A query `q(s, t)` goes through one kernel, [`label_distance`], which the
 //! index, MHL's and PostMHL's final stages and PostMHL's overlay hop share;
 //! the sessions of those views ([`LabelSession`]) call it directly. Its path
-//! is a short chain of loads:
+//! is one load per side, then one contiguous scan:
 //!
-//! 1. One sparse-table lookup ([`TreeDecomposition::lca_entry`]) yields the
-//!    Euler-tour entry of the endpoints' LCA `X`. The entry packs `X`, its
-//!    depth and the kernel's scan-or-gather choice for `X`, which is made
-//!    once per tree node when the decomposition is built (bags never change
-//!    shape under weight updates).
+//! 1. The LCA `X` with its depth ([`TreeDecomposition::lca_entry`]): per
+//!    endpoint one load of its preorder position and one load from the
+//!    sparse table over the preorder ([`LcaIndex`](crate::LcaIndex)).
 //! 2. Both endpoint rows are found by a shift and a mask: every label table
 //!    has the same power-of-two chunk ([`CowTable`]).
 //! 3. When `X` is an endpoint the answer is the other endpoint's row entry at
 //!    `depth(X)`. Otherwise the paper minimizes `X(s).dis[i] + X(t).dis[i]`
 //!    over the positions `i` of `X` and its bag members (§III-B, Example 2).
 //!    Every entry is an exact distance to an ancestor, so the minimum over
-//!    the whole shared prefix `0..=depth(X)` is exact too, and it is one
-//!    contiguous pass the compiler vectorizes. The choice from step 1 is how
-//!    dense `X`'s bag is in its ancestor path:
+//!    the whole shared prefix `0..=depth(X)` is exact too: the kernel takes
+//!    it in one branch-free saturating pass over both rows (`prefix_min`),
+//!    which the compiler vectorizes.
 //!
-//! * `depth(X) + 1 <= C · (|bag(X)| + 1)`, with `C = 3`
-//!   (`PREFIX_SCAN_FACTOR`): the branch-free saturating `min` over both
-//!   rows' prefixes;
-//! * otherwise the bag gather — per member a `depth` load and two scattered
-//!   row reads.
-//!
-//! On the benchmark's 4 096-vertex grid (`grid64`), on MinDegree's tree (the
-//! one the benchmark's `td.*` layers build), the LCA of a far pair
-//! (uniform endpoints) has a mean prefix of 132 entries against 102 bag
-//! candidates. For near pairs (an 8-hop walk), 55 % are ancestor–descendant
-//! single lookups; the rest have a mean prefix of 193 entries against 40
-//! candidates, so most keep the gather. The LCA lookup itself (`td.lca_ns`,
-//! far pairs) takes 7.6 ns on a 2-vCPU Xeon: the median of nine traced
-//! benchmark runs, range 7.6–9.5 ns.
-//!
-//! The paper's position array `X(v).pos` is not materialized: a bag member's
-//! position is its tree depth, available from the decomposition. Storing the
-//! positions would let the gather skip the `depth` load, but it would add
-//! ≈88 B per vertex (+9 % index bytes, against the benchmark's 1 % bound on
-//! `index_bytes_per_vertex`). For that, a prototype measured only a 1.16×
-//! faster kernel.
+//! The scan reads the whole prefix where the paper reads only the bag
+//! positions, so the paper's position array `X(v).pos` is not needed.
+//! [`bag_min`], the paper's minimum, stays as PostMHL's post-boundary kernel,
+//! whose rows may hold stale entries outside the bag positions. The kernel
+//! used to choose per LCA between the two, by how dense the bag is in its
+//! ancestor path (a mark bit in an Euler-tour LCA entry). On the benchmark
+//! client's stream, which alternates far and near pairs, the per-LCA branch
+//! and the gather's dependent `depth` loads cost more than the extra prefix
+//! entries (the table below).
 //!
 //! The build fills the arrays in one sequential depth-first preorder pass
 //! with the ancestor path on a stack ([`H2HIndex::from_decomposition`]),
@@ -74,20 +60,22 @@
 //!   for `min_plus` writes) only the slices it is given, with bounds checks.
 //!   Nothing else in the workspace steps outside safe Rust.
 //!
-//! Per query class and path, measured on `grid64` on a 2-vCPU Xeon (five
-//! interleaved micro-benchmark runs per path, the benchmark's pair
-//! generators; medians, ranges in brackets):
+//! Per query stream and path on `grid64`'s nested-dissection tree, with the
+//! LCA lookup alone beside them: the ignored ruler
+//! `query_time_per_stream_on_grid64` (nine rounds per run, median), five
+//! runs alternated with the same ruler on the scan-or-gather kernel it
+//! replaced; medians of the five, ns per query, 2-vCPU Xeon with AVX2:
 //!
-//! | class               | AVX2                 | scalar (SSE2)          |
-//! |---------------------|----------------------|------------------------|
-//! | far pair            | 79 ns (76–80)        | 129 ns (126–133)       |
-//! | near pair           | 89 ns (84–92)        | 91 ns (90–96)          |
-//! | label fill, grid64  | 5.3 ms               | 11.0 ms                |
-//! | label fill, 128×128 | 64–72 ms             | 124–127 ms             |
+//! | stream              | AVX2       | scalar (SSE2) | LCA alone |
+//! |---------------------|------------|---------------|-----------|
+//! | far pairs           | 100 → 78   | 134 → 109     | 13 → 9    |
+//! | near pairs          | 119 → 79   | 123 → 107     | 14 → 9    |
+//! | far, near alternate | 123 → 77   | 144 → 117     | 13 → 8    |
 //!
-//! A near pair mostly keeps the gather, so it barely moves. Both paths give
-//! bit-equal answers and label rows (the tests check every tail length and
-//! every row of four graph families).
+//! The label fill runs `min_plus` in 5.3 ms with AVX2 and 11.0 ms on the
+//! scalar body on `grid64`, 64–72 ms and 124–127 ms on a 128×128 grid. Both
+//! paths give bit-equal answers and label rows (the tests check every tail
+//! length and every row of four graph families).
 
 use crate::decomposition::TreeDecomposition;
 use htsp_ch::{ContractionHierarchy, ShortcutMode};
@@ -293,31 +281,6 @@ impl H2HIndex {
     }
 }
 
-/// The prefix scan pays off while the LCA's label prefix is at most this many
-/// times longer than the candidate set of the bag gather (its bag plus
-/// itself). A prefix entry is one element of a contiguous, vectorized pass
-/// over both rows; a bag candidate is a dependent `depth` load followed by
-/// two scattered row reads. With the scalar (SSE2) scan, on `grid64`, a
-/// prefix entry costs 0.6–0.9 ns and a bag candidate 1.8–2.8 ns, rows
-/// fetched from cache included: a ratio of 2–4. The AVX2 scan makes a prefix
-/// entry cheaper, so the factor was swept on both paths, on the
-/// nested-dissection tree `TreeDecomposition::build` gives `grid64` (one
-/// index per factor built in one process, then 15 interleaved passes of
-/// 50,000 pairs each, medians, mean of two processes; far / near ns, 2-vCPU
-/// Xeon; the scalar row forces the non-AVX2 bodies):
-///
-/// | C      | 1         | 2         | 3         | 4         | 6         | ∞         |
-/// |--------|-----------|-----------|-----------|-----------|-----------|-----------|
-/// | AVX2   | 135 / 133 | 100 / 123 | 94 / 115  | 91 / 115  | 94 / 114  | 89 / 99   |
-/// | scalar | 179 / 140 | 149 / 131 | 142 / 132 | 142 / 132 | 140 / 135 | 140 / 136 |
-///
-/// With AVX2, ∞ is best on both kinds of pair (−5 % far, −14 % near against
-/// 3). On the scalar path far pairs are flat from 3 up and near pairs lose
-/// from 6 up (+3 % at ∞). No value beats 3 on both paths, so there is one
-/// factor, 3 — as on MinDegree's tree, where AVX2 gained ≈ 9 ns on far pairs
-/// towards ∞ and the scalar path's near pairs lost 24 % at ∞.
-const PREFIX_SCAN_FACTOR: usize = 3;
-
 /// Shortest distance between `s` and `t` from the H2H label rows `dis` over
 /// `td` (`dis.row(v)[d]` = distance from `v` to its ancestor at depth `d`),
 /// `INF` if they lie in different trees. The one H2H query kernel: the H2H
@@ -325,9 +288,22 @@ const PREFIX_SCAN_FACTOR: usize = 3;
 /// answer through it.
 ///
 /// Every entry of the two rows up to the LCA's depth must be an exact
-/// distance: the kernel may read all of them, not only the bag positions.
+/// distance: the kernel reads all of them, not only the bag positions.
 #[inline]
 pub fn label_distance<R: RowRead<Dist> + ?Sized>(
+    td: &TreeDecomposition,
+    dis: &R,
+    s: VertexId,
+    t: VertexId,
+) -> Dist {
+    label_distance_with(prefix_min, td, dis, s, t)
+}
+
+/// [`label_distance`] with `scan` in place of [`prefix_min`] (the tests and
+/// the ruler run it with [`prefix_min_scalar`]).
+#[inline(always)]
+fn label_distance_with<R: RowRead<Dist> + ?Sized>(
+    scan: impl Fn(&[Dist], &[Dist], usize) -> Dist,
     td: &TreeDecomposition,
     dis: &R,
     s: VertexId,
@@ -336,7 +312,6 @@ pub fn label_distance<R: RowRead<Dist> + ?Sized>(
     if s == t {
         return Dist::ZERO;
     }
-    // One tour entry: the LCA, its depth and the scan-or-gather choice.
     let Some(lca) = td.lca_entry(s, t) else {
         return INF;
     };
@@ -347,22 +322,7 @@ pub fn label_distance<R: RowRead<Dist> + ?Sized>(
     if x == t {
         return dis.row(s.index())[depth];
     }
-    let (ds, dt) = (dis.row(s.index()), dis.row(t.index()));
-    if lca.marked() {
-        prefix_min(ds, dt, depth + 1)
-    } else {
-        bag_min(td, ds, dt, x)
-    }
-}
-
-/// Whether [`label_distance`] answers a pair whose LCA has depth `depth` and
-/// `bag_len` bag members by the prefix scan rather than the bag gather: when
-/// the bag is dense in the LCA's ancestor path. Decided once per tree node
-/// when the decomposition is built ([`TreeDecomposition::lca_entry`]).
-#[inline]
-pub(crate) fn scans_prefix(depth: u32, bag_len: usize) -> bool {
-    // Prefix length `depth + 1 <= C · (|bag| + 1)`.
-    (depth as usize) < PREFIX_SCAN_FACTOR * (bag_len + 1)
+    scan(dis.row(s.index()), dis.row(t.index()), depth + 1)
 }
 
 /// A query session over H2H label rows: every answer goes straight to
@@ -648,16 +608,14 @@ mod tests {
         }
     }
 
-    /// Every pair of `g` against Dijkstra: the kernel always, and both
-    /// branches of its switch directly for every pair whose LCA is neither
-    /// endpoint, the prefix scan both dispatched and as its scalar body.
-    /// Every label row the build folded through the dispatched `min_plus`
-    /// must equal the row folded through its scalar body, and `min_plus`
-    /// over each such pair's prefixes must agree on both paths, and the
-    /// LCA's tour entry must carry its depth and the scan-or-gather rule
-    /// applied to the tree. Returns how many such pairs the switch sends to
-    /// the prefix scan and how many to the bag gather.
-    fn check_both_branches(g: &Graph) -> (usize, usize) {
+    /// Every pair of `g` against Dijkstra: the kernel, and for every pair
+    /// whose LCA is neither endpoint the dispatched prefix scan against its
+    /// scalar body and the bag gather (PostMHL's stage-2 kernel). The LCA
+    /// entry must carry the LCA's depth, every label row the build folded
+    /// through the dispatched `min_plus` must equal the row folded through
+    /// its scalar body, and `min_plus` over each such pair's prefixes must
+    /// agree on both paths.
+    fn check_kernels(g: &Graph) {
         note_missing_avx2();
         let h2h = H2HIndex::build(g);
         let td = h2h.decomposition();
@@ -670,16 +628,22 @@ mod tests {
             fold_label_with(min_plus_scalar, &bag, 0, anc_row, &mut label[..path.len()]);
             assert_eq!(label, h2h.label(v), "label row of {v}");
         }
-        let (mut scans, mut gathers) = (0, 0);
         let (mut scalar, mut dispatched) = (Vec::new(), Vec::new());
         for s in g.vertices() {
             let expect = htsp_search::dijkstra_all(g, s);
             for t in g.vertices() {
                 let d = expect[t.index()];
                 assert_eq!(h2h.distance(s, t), d, "kernel {s}-{t}");
-                let Some(x) = td.lca(s, t).filter(|&x| x != s && x != t) else {
+                let scalar_kernel = label_distance_with(prefix_min_scalar, td, h2h.labels(), s, t);
+                assert_eq!(scalar_kernel, d, "scalar kernel {s}-{t}");
+                let Some(x) = td.lca(s, t) else {
                     continue;
                 };
+                let lca = td.lca_entry(s, t).expect("the pair has an LCA");
+                assert_eq!((lca.vertex(), lca.depth()), (x, td.depth(x)), "{s}-{t}");
+                if x == s || x == t {
+                    continue;
+                }
                 let (ds, dt) = (h2h.label(s), h2h.label(t));
                 let k = td.depth(x) as usize + 1;
                 assert_eq!(prefix_min(ds, dt, k), d, "prefix scan {s}-{t}");
@@ -692,19 +656,8 @@ mod tests {
                 min_plus_scalar(&mut scalar, &dt[..k], d.0);
                 min_plus(&mut dispatched, &dt[..k], d.0);
                 assert_eq!(dispatched, scalar, "min_plus {s}-{t}");
-                // The choice made at build time is the rule on the live tree.
-                let lca = td.lca_entry(s, t).expect("the pair has an LCA");
-                assert_eq!((lca.vertex(), lca.depth()), (x, td.depth(x)), "{s}-{t}");
-                let scan = scans_prefix(td.depth(x), td.bag(x).len());
-                assert_eq!(lca.marked(), scan, "scan choice at {x}");
-                if scan {
-                    scans += 1;
-                } else {
-                    gathers += 1;
-                }
             }
         }
-        (scans, gathers)
     }
 
     #[test]
@@ -761,20 +714,23 @@ mod tests {
     }
 
     #[test]
-    fn both_query_branches_are_exact_and_both_are_taken_on_a_grid() {
-        let g = grid_with_diagonals(9, 9, WeightRange::new(1, 30), 0.25, 21);
-        let (scans, gathers) = check_both_branches(&g);
-        assert!(scans > 0, "no pair took the prefix scan");
-        assert!(gathers > 0, "no pair took the bag gather");
+    fn query_kernels_are_exact_on_a_grid() {
+        check_kernels(&grid_with_diagonals(
+            9,
+            9,
+            WeightRange::new(1, 30),
+            0.25,
+            21,
+        ));
     }
 
     #[test]
-    fn both_query_branches_are_exact_on_geometric() {
-        check_both_branches(&random_geometric(120, 3, WeightRange::new(1, 100), 22));
+    fn query_kernels_are_exact_on_geometric() {
+        check_kernels(&random_geometric(120, 3, WeightRange::new(1, 100), 22));
     }
 
     #[test]
-    fn both_query_branches_are_exact_on_a_forest() {
+    fn query_kernels_are_exact_on_a_forest() {
         let left = grid(5, 5, WeightRange::new(1, 20), 23);
         let right = grid_with_diagonals(4, 6, WeightRange::new(1, 20), 0.3, 24);
         let offset = left.num_vertices() as u32;
@@ -786,17 +742,17 @@ mod tests {
             b.add_edge(VertexId(u.0 + offset), VertexId(v.0 + offset), w);
         }
         // Pairs across the components have no LCA: Dijkstra's INF.
-        check_both_branches(&b.build());
+        check_kernels(&b.build());
     }
 
     #[test]
-    fn both_query_branches_saturate_instead_of_wrapping() {
+    fn query_kernels_saturate_instead_of_wrapping() {
         // Every distance fits (at most 10 hops of u32::MAX / 11), but the sum
         // of two label entries can pass u32::MAX: a wrapping add would win
         // the minimum.
         let (lo, hi) = (u32::MAX / 12, u32::MAX / 11);
         let g = grid(6, 6, WeightRange::new(lo, hi), 25);
-        check_both_branches(&g);
+        check_kernels(&g);
         let h2h = H2HIndex::build(&g);
         let td = h2h.decomposition();
         let overflows = g.vertices().any(|s| {
@@ -894,5 +850,81 @@ mod tests {
             H2HIndex::from_snapshot_bytes(&bad),
             Err(SnapshotError::Malformed(_))
         ));
+    }
+
+    /// The query kernel's cost per query on the benchmark's `grid64` over the
+    /// far pairs (uniform endpoints), the near pairs (an 8-hop walk) and the
+    /// benchmark client's stream that alternates them, on the dispatched
+    /// (AVX2 where the CPU has it) and the scalar prefix scan, next to the
+    /// LCA lookup alone. Nine interleaved rounds, medians.
+    ///
+    /// `cargo test --release -p htsp-td -- --ignored --nocapture grid64`
+    #[test]
+    #[ignore = "a timing ruler: seconds, and only meaningful in a release build"]
+    fn query_time_per_stream_on_grid64() {
+        use rand::{Rng, SeedableRng};
+        use std::hint::black_box;
+        use std::time::Instant;
+        note_missing_avx2();
+        let g = grid_with_diagonals(64, 64, WeightRange::new(1, 100), 0.1, 42);
+        let h2h = H2HIndex::build(&g);
+        let (td, dis) = (h2h.decomposition(), h2h.labels());
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(40);
+        let n = g.num_vertices();
+        let (mut far, mut near) = (Vec::new(), Vec::new());
+        while far.len() < 1 << 15 {
+            let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if s != t {
+                far.push((VertexId::from_index(s), VertexId::from_index(t)));
+            }
+            let s = VertexId::from_index(rng.gen_range(0..n));
+            let mut t = s;
+            for hop in 0.. {
+                if hop >= 8 && t != s {
+                    break;
+                }
+                let next: Vec<VertexId> = g.neighbors(t).map(|(x, _)| x).collect();
+                t = next[rng.gen_range(0..next.len())];
+            }
+            near.push((s, t));
+        }
+        let mixed: Vec<_> = far.iter().zip(&near).flat_map(|(&a, &b)| [a, b]).collect();
+        let streams = [("far", &far), ("near", &near), ("mixed", &mixed)];
+        fn per_query(pairs: &[(VertexId, VertexId)], f: impl Fn(VertexId, VertexId) -> u32) -> f64 {
+            let start = Instant::now();
+            let mut sink = 0u32;
+            for &(s, t) in pairs {
+                sink ^= f(black_box(s), black_box(t));
+            }
+            black_box(sink);
+            start.elapsed().as_secs_f64() * 1e9 / pairs.len() as f64
+        }
+        let paths = ["dispatched", "scalar", "lca only"];
+        let run = |path: usize, pairs: &[(VertexId, VertexId)]| match path {
+            0 => per_query(pairs, |s, t| label_distance(td, dis, s, t).0),
+            1 => per_query(pairs, |s, t| {
+                label_distance_with(prefix_min_scalar, td, dis, s, t).0
+            }),
+            _ => per_query(pairs, |s, t| td.lca_entry(s, t).map_or(0, |e| e.depth())),
+        };
+        let mut ns = vec![Vec::new(); paths.len() * streams.len()];
+        for _ in 0..9 {
+            for p in 0..paths.len() {
+                for (c, (_, pairs)) in streams.iter().enumerate() {
+                    ns[p * streams.len() + c].push(run(p, pairs));
+                }
+            }
+        }
+        println!("grid64, ns per query (median of 9; min-max):");
+        for (p, path) in paths.iter().enumerate() {
+            for (c, (class, _)) in streams.iter().enumerate() {
+                let v = &mut ns[p * streams.len() + c];
+                v.sort_by(f64::total_cmp);
+                println!(
+                    "    {path:<10} {class:<5} {:6.1} ({:.1}-{:.1})",
+                    v[4], v[0], v[8]
+                );
+            }
+        }
     }
 }

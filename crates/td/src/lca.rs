@@ -1,37 +1,31 @@
-//! Lowest Common Ancestor queries via Euler tour + sparse-table RMQ.
+//! Lowest Common Ancestor queries via a sparse table over the DFS preorder.
 //!
 //! H2H answers a query through the LCA of the two endpoint tree nodes
 //! (§III-B, \[55\]); the sparse table gives O(1) LCA after O(n log n)
 //! preprocessing, negligible next to the label arrays.
 //!
-//! Each tour entry is one [`TourEntry`]: the node's depth in the high half,
-//! the node in the low half, plus one caller-chosen mark bit. The sparse
-//! table keeps `u32` tour indices; one comparison of the two entries they
-//! name yields the LCA together with its depth and mark, so a query needs no
-//! further per-node load to learn either.
+//! Position `i` of the forest's depth-first preorder holds one word for the
+//! vertex `w` placed there: `depth(w) << 32 | parent(w)`. For `u ≠ v` with
+//! `pre[u] < pre[v]`, the shallowest vertex of the preorder range
+//! `(pre[u], pre[v]]` is a child of the LCA — the range lies inside the
+//! LCA's subtree, below the LCA itself, and holds the LCA's child on the way
+//! to `v` — so the minimum word of the range names the LCA and, one less,
+//! its depth. Two vertices of different trees have a root between them, and
+//! a root's word has depth 0. A query is one `pre` load per side followed by
+//! one sparse-table load per side; there is no Euler tour and no component
+//! array.
 
 use htsp_graph::VertexId;
 
-/// One Euler-tour entry: `depth << 32 | mark << 31 | vertex`.
-///
-/// Entries order by depth first. Inside one tree, the shallowest entry of
-/// any contiguous tour range is unique (moving between two nodes of equal
-/// depth passes through a shallower ancestor), so the minimum of two entries
-/// is the LCA whatever the lower bits hold.
+/// A tree node with its depth: `depth << 32 | vertex`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct TourEntry(u64);
+pub struct LcaEntry(u64);
 
-impl TourEntry {
-    const MARK: u64 = 1 << 31;
-
-    fn new(v: VertexId, depth: u32, mark: bool) -> Self {
-        TourEntry(u64::from(depth) << 32 | u64::from(mark) << 31 | u64::from(v.0))
-    }
-
+impl LcaEntry {
     /// The tree node.
     #[inline]
     pub fn vertex(self) -> VertexId {
-        VertexId(self.0 as u32 & !(Self::MARK as u32))
+        VertexId(self.0 as u32)
     }
 
     /// The node's depth (roots have depth 0).
@@ -39,148 +33,131 @@ impl TourEntry {
     pub fn depth(self) -> u32 {
         (self.0 >> 32) as u32
     }
-
-    /// The node's mark, as given to [`LcaIndex::build`].
-    #[inline]
-    pub fn marked(self) -> bool {
-        self.0 & Self::MARK != 0
-    }
 }
+
+/// One unit of depth in a table word.
+const DEPTH_ONE: u64 = 1 << 32;
 
 /// Constant-time LCA structure over a rooted forest.
 #[derive(Clone, Debug)]
 pub struct LcaIndex {
-    /// First occurrence of each vertex in the Euler tour (`usize::MAX` if the
-    /// vertex is not part of the forest).
-    first: Vec<usize>,
-    /// Euler tour of nodes with their depths and marks.
-    tour: Vec<TourEntry>,
-    /// Sparse table: `table[k][i]` = index (into `tour`) of the minimum-depth
-    /// entry in `tour[i .. i + 2^k]`.
-    table: Vec<Vec<u32>>,
-    /// Component id of each vertex (vertices in different trees have no LCA).
-    component: Vec<u32>,
+    /// Preorder position of each vertex.
+    pre: Vec<u32>,
+    /// The vertices in depth-first preorder (the inverse of `pre`): every
+    /// parent precedes its children and every subtree is a contiguous run.
+    order: Vec<VertexId>,
+    /// Number of vertices in each vertex's subtree, itself included.
+    size: Vec<u32>,
+    /// Sparse table, level `k` at `table[k * n ..][..n]`: entry `i` is the
+    /// minimum word of preorder positions `i .. i + 2^k` (level 0 is the
+    /// words themselves, `depth(w) << 32 | parent(w)`; a root's depth is 0).
+    table: Vec<u64>,
 }
 
 impl LcaIndex {
     /// Builds the LCA index from parent/children arrays.
     ///
     /// `roots` lists the roots of the forest; `children[v]` lists the children
-    /// of `v`; `depth[v]` is the depth of `v` (roots have depth 0);
-    /// `mark(v)` is the bit [`TourEntry::marked`] returns for `v`.
+    /// of `v`; `depth[v]` is the depth of `v` (roots have depth 0).
     ///
     /// # Panics
-    /// Panics if `n` exceeds `2^31` (the mark takes the vertex's top bit).
-    pub fn build(
-        n: usize,
-        roots: &[VertexId],
-        children: &[Vec<VertexId>],
-        depth: &[u32],
-        mark: impl Fn(VertexId) -> bool,
-    ) -> Self {
-        assert!(n <= 1 << 31, "LCA tour entries hold vertex ids below 2^31");
-        let entry = |v: VertexId| TourEntry::new(v, depth[v.index()], mark(v));
-        let mut first = vec![usize::MAX; n];
-        let mut tour = Vec::with_capacity(2 * n);
-        let mut component = vec![u32::MAX; n];
-
-        for (comp, &root) in roots.iter().enumerate() {
-            // Iterative Euler tour: (vertex, next-child-index).
-            let mut stack: Vec<(VertexId, usize)> = vec![(root, 0)];
-            component[root.index()] = comp as u32;
-            first[root.index()] = tour.len();
-            tour.push(entry(root));
-            while let Some((v, ci)) = stack.pop() {
-                if ci < children[v.index()].len() {
-                    stack.push((v, ci + 1));
-                    let c = children[v.index()][ci];
-                    component[c.index()] = comp as u32;
-                    first[c.index()] = tour.len();
-                    tour.push(entry(c));
-                    stack.push((c, 0));
-                } else if let Some(&(parent, _)) = stack.last() {
-                    // Returning to the parent: record it again.
-                    tour.push(entry(parent));
-                }
+    /// Panics if the forest does not cover all `n` vertices.
+    pub fn build(n: usize, roots: &[VertexId], children: &[Vec<VertexId>], depth: &[u32]) -> Self {
+        let mut pre = vec![u32::MAX; n];
+        let mut order = Vec::with_capacity(n);
+        let levels = (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1) as usize;
+        let mut table = Vec::with_capacity(levels * n);
+        // Depth-first, children in order; each vertex's word names its
+        // parent (a root names itself, at depth 0).
+        let mut stack: Vec<(VertexId, VertexId)> = roots.iter().rev().map(|&r| (r, r)).collect();
+        while let Some((v, p)) = stack.pop() {
+            pre[v.index()] = order.len() as u32;
+            order.push(v);
+            table.push(u64::from(depth[v.index()]) << 32 | u64::from(p.0));
+            stack.extend(children[v.index()].iter().rev().map(|&c| (c, v)));
+        }
+        assert_eq!(order.len(), n, "the forest must cover all vertices");
+        let mut size = vec![1u32; n];
+        for (&v, &word) in order.iter().zip(&table).rev() {
+            if word >= DEPTH_ONE {
+                size[word as u32 as usize] += size[v.index()];
             }
         }
 
-        // Sparse table over the tour entries.
-        let m = tour.len();
-        let levels = if m <= 1 {
-            1
-        } else {
-            (usize::BITS - (m - 1).leading_zeros()) as usize + 1
-        };
-        let mut table: Vec<Vec<u32>> = Vec::with_capacity(levels);
-        table.push((0..m as u32).collect());
-        let mut k = 1;
-        while (1usize << k) <= m {
+        // The levels above: a query range spans at most n - 1 positions.
+        for k in 1..levels {
             let half = 1usize << (k - 1);
-            let prev = &table[k - 1];
-            let mut row = Vec::with_capacity(m - (1 << k) + 1);
-            for i in 0..=(m - (1 << k)) {
-                let a = prev[i];
-                let b = prev[i + half];
-                row.push(if tour[a as usize] <= tour[b as usize] {
-                    a
-                } else {
-                    b
-                });
+            let prev = (k - 1) * n;
+            for i in 0..n {
+                // Past the last full window an entry is never read; it keeps
+                // its shorter window's minimum.
+                let right = (i + half).min(n - 1);
+                table.push(table[prev + i].min(table[prev + right]));
             }
-            table.push(row);
-            k += 1;
         }
 
         LcaIndex {
-            first,
-            tour,
+            pre,
+            order,
+            size,
             table,
-            component,
         }
     }
 
     /// Returns the LCA of `u` and `v`, or `None` if they lie in different
     /// trees of the forest.
     pub fn lca(&self, u: VertexId, v: VertexId) -> Option<VertexId> {
-        self.lca_entry(u, v).map(TourEntry::vertex)
+        self.lca_entry(u, v).map(LcaEntry::vertex)
     }
 
-    /// [`Self::lca`] as its tour entry: the LCA with its depth and mark.
+    /// [`Self::lca`] with the LCA's depth.
     #[inline]
-    pub fn lca_entry(&self, u: VertexId, v: VertexId) -> Option<TourEntry> {
-        let cu = self.component[u.index()];
-        if cu != self.component[v.index()] || cu == u32::MAX {
-            return None;
+    pub fn lca_entry(&self, u: VertexId, v: VertexId) -> Option<LcaEntry> {
+        let (a, b) = (self.pre[u.index()] as usize, self.pre[v.index()] as usize);
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        if lo == hi {
+            // `u == v`: its own word carries its depth.
+            return Some(LcaEntry(self.table[lo] & !(DEPTH_ONE - 1) | u64::from(u.0)));
         }
-        let (mut a, mut b) = (self.first[u.index()], self.first[v.index()]);
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        let len = b - a + 1;
+        let len = hi - lo;
         let k = (usize::BITS - 1 - len.leading_zeros()) as usize;
-        let level = &self.table[k];
-        let x = self.tour[level[a] as usize];
-        let y = self.tour[level[b + 1 - (1 << k)] as usize];
-        Some(x.min(y))
+        let level = &self.table[k * self.pre.len()..];
+        let word = level[lo + 1].min(level[hi + 1 - (1 << k)]);
+        // The shallowest vertex in the range is the LCA's child, unless it is
+        // a root (depth 0): then the two lie in different trees.
+        word.checked_sub(DEPTH_ONE).map(LcaEntry)
     }
 
-    /// Index of `v`'s first occurrence in the Euler tour, which orders the
-    /// forest depth-first: ancestors before descendants, subtrees contiguous.
+    /// Position of `v` in the forest's depth-first preorder, in `0..n`.
     #[inline]
-    pub fn first_visit(&self, v: VertexId) -> usize {
-        self.first[v.index()]
+    pub fn preorder(&self, v: VertexId) -> usize {
+        self.pre[v.index()] as usize
     }
 
-    /// Returns `true` if `anc` is an ancestor of `v` (or equal to it).
+    /// The vertices in depth-first preorder: every parent precedes its
+    /// children, and a subtree is a contiguous run.
+    pub fn order(&self) -> &[VertexId] {
+        &self.order
+    }
+
+    /// Number of vertices in each vertex's subtree, itself included.
+    pub fn subtree_sizes(&self) -> &[u32] {
+        &self.size
+    }
+
+    /// Returns `true` if `anc` is an ancestor of `v` (or equal to it): `v`
+    /// lies in the preorder run of `anc`'s subtree.
+    #[inline]
     pub fn is_ancestor(&self, anc: VertexId, v: VertexId) -> bool {
-        self.lca(anc, v) == Some(anc)
+        let (a, x) = (self.pre[anc.index()], self.pre[v.index()]);
+        a <= x && x - a < self.size[anc.index()]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
 
     /// Builds a small hand-rolled tree:
     /// ```text
@@ -203,7 +180,99 @@ mod tests {
             vec![],
         ];
         let depth = vec![0, 1, 1, 2, 2, 2, 3];
-        LcaIndex::build(7, &[VertexId(0)], &children, &depth, |_| false)
+        LcaIndex::build(7, &[VertexId(0)], &children, &depth)
+    }
+
+    /// A forest given by its parent array, with everything `build` needs.
+    struct Forest {
+        parent: Vec<Option<VertexId>>,
+        depth: Vec<u32>,
+        lca: LcaIndex,
+    }
+
+    impl Forest {
+        fn new(parent: Vec<Option<VertexId>>) -> Self {
+            let n = parent.len();
+            let mut children = vec![Vec::new(); n];
+            let mut roots = Vec::new();
+            for (v, p) in parent.iter().enumerate() {
+                match p {
+                    Some(p) => children[p.index()].push(VertexId::from_index(v)),
+                    None => roots.push(VertexId::from_index(v)),
+                }
+            }
+            let depth: Vec<u32> = (0..n)
+                .map(|v| depth_by_walk(&parent, VertexId::from_index(v)))
+                .collect();
+            let lca = LcaIndex::build(n, &roots, &children, &depth);
+            Forest { parent, depth, lca }
+        }
+
+        fn root(&self, mut v: VertexId) -> VertexId {
+            while let Some(p) = self.parent[v.index()] {
+                v = p;
+            }
+            v
+        }
+
+        /// The LCA by walking up, `None` across trees.
+        fn brute(&self, mut a: VertexId, mut b: VertexId) -> Option<VertexId> {
+            if self.root(a) != self.root(b) {
+                return None;
+            }
+            while self.depth[a.index()] > self.depth[b.index()] {
+                a = self.parent[a.index()].unwrap();
+            }
+            while self.depth[b.index()] > self.depth[a.index()] {
+                b = self.parent[b.index()].unwrap();
+            }
+            while a != b {
+                a = self.parent[a.index()].unwrap();
+                b = self.parent[b.index()].unwrap();
+            }
+            Some(a)
+        }
+
+        /// `lca`, `lca_entry` and `is_ancestor` against the walk for `u, v`.
+        fn check(&self, u: VertexId, v: VertexId) {
+            let expect = self.brute(u, v);
+            assert_eq!(self.lca.lca(u, v), expect, "{u}-{v}");
+            let entry = self.lca.lca_entry(u, v);
+            assert_eq!(entry.map(LcaEntry::vertex), expect, "{u}-{v}");
+            if let (Some(entry), Some(x)) = (entry, expect) {
+                assert_eq!(entry.depth(), self.depth[x.index()], "{u}-{v}");
+            }
+            assert_eq!(
+                self.lca.is_ancestor(u, v),
+                expect == Some(u),
+                "{u} above {v}"
+            );
+        }
+
+        /// `preorder` is a permutation of `0..n`, `order` its inverse, and
+        /// every subtree is the contiguous run of its size from its root.
+        fn check_preorder(&self) {
+            let n = self.parent.len();
+            let mut seen = vec![false; n];
+            for v in 0..n {
+                let vid = VertexId::from_index(v);
+                let p = self.lca.preorder(vid);
+                assert!(p < n && !seen[p], "preorder of {vid}");
+                seen[p] = true;
+                assert_eq!(self.lca.order()[p], vid);
+            }
+            let sizes = self.lca.subtree_sizes();
+            for a in 0..n {
+                let a = VertexId::from_index(a);
+                let start = self.lca.preorder(a);
+                let run = start..start + sizes[a.index()] as usize;
+                for v in 0..n {
+                    let v = VertexId::from_index(v);
+                    let below = self.brute(a, v) == Some(a);
+                    assert_eq!(run.contains(&self.lca.preorder(v)), below, "{v} under {a}");
+                }
+            }
+        }
     }
 
     /// Number of parent steps from `v` up to its root.
@@ -216,6 +285,23 @@ mod tests {
         steps
     }
 
+    /// A random forest of `n` vertices in `trees` trees: vertex `v` hangs
+    /// below a random earlier vertex of its own tree, after shuffling ids.
+    fn random_forest(rng: &mut rand_chacha::ChaCha8Rng, n: usize, trees: usize) -> Forest {
+        let mut ids: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            ids.swap(i, rng.gen_range(0..=i));
+        }
+        let mut parent = vec![None; n];
+        for (i, &v) in ids.iter().enumerate().skip(trees.min(n)) {
+            // Positions `t, t + trees, t + 2·trees, ...` form tree `t`.
+            let tree = i % trees;
+            let below = rng.gen_range(0..=(i - tree) / trees - 1);
+            parent[v] = Some(VertexId::from_index(ids[tree + below * trees]));
+        }
+        Forest::new(parent)
+    }
+
     #[test]
     fn basic_lca_queries() {
         let lca = sample();
@@ -226,6 +312,8 @@ mod tests {
         assert_eq!(lca.lca(VertexId(1), VertexId(6)), Some(VertexId(1)));
         assert_eq!(lca.lca(VertexId(0), VertexId(6)), Some(VertexId(0)));
         assert_eq!(lca.lca(VertexId(2), VertexId(2)), Some(VertexId(2)));
+        let order: Vec<u32> = lca.order().iter().map(|v| v.0).collect();
+        assert_eq!(order, [0, 1, 3, 4, 6, 2, 5]);
     }
 
     #[test]
@@ -236,87 +324,92 @@ mod tests {
         assert!(lca.is_ancestor(VertexId(4), VertexId(4)));
         assert!(!lca.is_ancestor(VertexId(6), VertexId(4)));
         assert!(!lca.is_ancestor(VertexId(2), VertexId(3)));
+        assert!(!lca.is_ancestor(VertexId(3), VertexId(4)));
     }
 
     #[test]
     fn forest_components_have_no_cross_lca() {
         // Two chains: 0 - 1 - 4 and 2 - 3.
-        let children = vec![
-            vec![VertexId(1)],
-            vec![VertexId(4)],
-            vec![VertexId(3)],
-            vec![],
-            vec![],
-        ];
-        let parent = [
+        let f = Forest::new(vec![
             None,
             Some(VertexId(0)),
             None,
             Some(VertexId(2)),
             Some(VertexId(1)),
-        ];
-        let depth = vec![0, 1, 0, 1, 2];
-        let lca = LcaIndex::build(5, &[VertexId(0), VertexId(2)], &children, &depth, |v| {
-            v.0 % 2 == 1
-        });
-        assert_eq!(lca.lca(VertexId(1), VertexId(3)), None);
-        assert_eq!(lca.lca_entry(VertexId(4), VertexId(2)), None);
-        for (u, v, expect) in [(0, 1, 0), (2, 3, 2), (4, 1, 1), (4, 4, 4), (3, 3, 3)] {
-            let (u, v, expect) = (VertexId(u), VertexId(v), VertexId(expect));
-            assert_eq!(lca.lca(u, v), Some(expect));
-            let entry = lca.lca_entry(u, v).unwrap();
-            assert_eq!(entry.vertex(), expect);
-            assert_eq!(entry.depth(), depth_by_walk(&parent, expect), "{u}-{v}");
-            assert_eq!(entry.marked(), expect.0 % 2 == 1, "{u}-{v}");
+        ]);
+        assert_eq!(f.lca.lca(VertexId(1), VertexId(3)), None);
+        assert_eq!(f.lca.lca_entry(VertexId(4), VertexId(2)), None);
+        assert!(!f.lca.is_ancestor(VertexId(0), VertexId(3)));
+        for u in 0..5 {
+            for v in 0..5 {
+                f.check(VertexId(u), VertexId(v));
+            }
         }
+        f.check_preorder();
     }
 
     #[test]
     fn single_vertex_tree() {
-        let lca = LcaIndex::build(1, &[VertexId(0)], &[vec![]], &[0], |_| true);
+        let lca = LcaIndex::build(1, &[VertexId(0)], &[vec![]], &[0]);
         assert_eq!(lca.lca(VertexId(0), VertexId(0)), Some(VertexId(0)));
-        assert!(lca.lca_entry(VertexId(0), VertexId(0)).unwrap().marked());
+        assert_eq!(lca.lca_entry(VertexId(0), VertexId(0)).unwrap().depth(), 0);
+        assert_eq!(lca.preorder(VertexId(0)), 0);
+        // A forest of single vertices: every other pair is across trees.
+        let f = Forest::new(vec![None; 6]);
+        for u in 0..6 {
+            for v in 0..6 {
+                f.check(VertexId(u), VertexId(v));
+            }
+        }
+        f.check_preorder();
+    }
+
+    #[test]
+    fn deep_path_agrees_with_the_walk() {
+        // 0 - 1 - ... - 299, rooted at 0: every pair is ancestor-descendant.
+        let n = 300u32;
+        let f = Forest::new((0..n).map(|v| v.checked_sub(1).map(VertexId)).collect());
+        for u in 0..n {
+            for v in (0..n).step_by(7) {
+                f.check(VertexId(u), VertexId(v));
+            }
+        }
+        f.check_preorder();
     }
 
     #[test]
     fn brute_force_agreement_on_random_tree() {
-        use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let n = 200usize;
-        let mut parent = vec![None::<VertexId>; n];
-        let mut children = vec![Vec::new(); n];
-        let mut depth = vec![0u32; n];
-        for v in 1..n {
-            let p = rng.gen_range(0..v);
-            parent[v] = Some(VertexId::from_index(p));
-            children[p].push(VertexId::from_index(v));
-            depth[v] = depth[p] + 1;
-        }
-        let mark = |v: VertexId| v.0.is_multiple_of(3);
-        let lca = LcaIndex::build(n, &[VertexId(0)], &children, &depth, mark);
-        let brute = |mut a: usize, mut b: usize| -> usize {
-            while depth[a] > depth[b] {
-                a = parent[a].unwrap().index();
-            }
-            while depth[b] > depth[a] {
-                b = parent[b].unwrap().index();
-            }
-            while a != b {
-                a = parent[a].unwrap().index();
-                b = parent[b].unwrap().index();
-            }
-            a
-        };
+        let f = random_forest(&mut rng, 200, 1);
         for _ in 0..500 {
-            let a = rng.gen_range(0..n);
-            let b = rng.gen_range(0..n);
-            let (u, v) = (VertexId::from_index(a), VertexId::from_index(b));
-            let expect = VertexId::from_index(brute(a, b));
-            assert_eq!(lca.lca(u, v), Some(expect));
-            let entry = lca.lca_entry(u, v).unwrap();
-            assert_eq!(entry.vertex(), expect);
-            assert_eq!(entry.depth(), depth_by_walk(&parent, expect), "{u}-{v}");
-            assert_eq!(entry.marked(), mark(expect), "{u}-{v}");
+            let a = VertexId::from_index(rng.gen_range(0..200));
+            let b = VertexId::from_index(rng.gen_range(0..200));
+            f.check(a, b);
+        }
+        f.check_preorder();
+    }
+
+    #[test]
+    fn random_forests_agree_with_the_walk_on_every_pair() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        for trees in 1..=5 {
+            for n in [trees, trees + 1, 17, 64, 90] {
+                let f = random_forest(&mut rng, n, trees);
+                for u in 0..n {
+                    let u = VertexId::from_index(u);
+                    for v in 0..n {
+                        f.check(u, VertexId::from_index(v));
+                    }
+                    // Every ancestor of `u` against `u`, both ways round.
+                    let mut a = f.parent[u.index()];
+                    while let Some(x) = a {
+                        f.check(x, u);
+                        f.check(u, x);
+                        a = f.parent[x.index()];
+                    }
+                }
+                f.check_preorder();
+            }
         }
     }
 }

@@ -35,4 +35,4 @@ pub use dh2h::{repair_labels, H2HUpdateReport};
 pub use h2h::{
     bag_by_depth, bag_min, fold_label, label_distance, min_plus, H2HIndex, LabelSession,
 };
-pub use lca::{LcaIndex, TourEntry};
+pub use lca::{LcaEntry, LcaIndex};
