@@ -20,6 +20,18 @@
 //! constructor with assertions runs, so malformed input surfaces as
 //! [`SnapshotError::Malformed`] (or `Truncated` when bytes run out).
 //!
+//! A [`VertexOrder`] alone (PostMHL's whole snapshot state, from which it
+//! rebuilds its hierarchy) has a section of its own, in the graph
+//! section's varint codec:
+//!
+//! ```text
+//! n: u32
+//! zigzag(seq[i] - seq[i - 1]): varint × n   (seq[-1] = 0)
+//! ```
+//!
+//! Its decoder takes only the shortest varints and a permutation of `0..n`,
+//! so every sequence it accepts re-encodes to the bytes it was read from.
+//!
 //! The rank vector and each vertex's arc list are taken from the reader
 //! with one bounds check each ([`ByteReader::get_u32s`],
 //! [`ByteReader::take_records`]) and converted with `chunks_exact` +
@@ -135,6 +147,73 @@ impl ContractionHierarchy {
     }
 }
 
+impl VertexOrder {
+    /// Appends this order's snapshot section to `w`: the contraction
+    /// sequence as zigzag varint deltas.
+    pub fn encode_into(&self, w: &mut ByteWriter) {
+        w.put_u32(self.len() as u32);
+        let mut prev = 0i64;
+        for &v in self.sequence() {
+            w.put_zigzag(i64::from(v.0) - prev);
+            prev = i64::from(v.0);
+        }
+    }
+
+    /// Serializes the order section to a standalone byte vector.
+    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        self.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Reads an order section from `r`; a sequence that is not a
+    /// permutation of `0..n` is [`SnapshotError::Malformed`].
+    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let n = r.get_u32("order length")? as usize;
+        // Every vertex takes a byte at least: a lying length fails here,
+        // before anything is reserved for it.
+        if n > r.remaining() {
+            return Err(SnapshotError::Truncated {
+                context: "order sequence",
+            });
+        }
+        let mut rank = vec![u32::MAX; n];
+        let mut prev = 0i64;
+        for r_at in 0..n {
+            let delta = r.get_zigzag("order sequence")?;
+            let v = prev
+                .checked_add(delta)
+                .filter(|&v| (0..n as i64).contains(&v))
+                .ok_or_else(|| {
+                    SnapshotError::Malformed(format!(
+                        "order position {r_at}: vertex {prev} + {delta} out of range for {n} vertices"
+                    ))
+                })?;
+            if std::mem::replace(&mut rank[v as usize], r_at as u32) != u32::MAX {
+                return Err(SnapshotError::Malformed(format!(
+                    "order position {r_at}: vertex {v} appears twice"
+                )));
+            }
+            prev = v;
+        }
+        // `n` distinct vertices of `0..n`: a permutation.
+        VertexOrder::try_from_ranks(rank).map_err(SnapshotError::Malformed)
+    }
+
+    /// Deserializes an order section produced by [`Self::to_snapshot_bytes`].
+    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let mut r = ByteReader::new(bytes);
+        let order = Self::decode_from(&mut r)?;
+        if r.remaining() != 0 {
+            return Err(SnapshotError::Malformed(format!(
+                "{} trailing bytes after order section",
+                r.remaining()
+            )));
+        }
+        Ok(order)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +320,48 @@ mod tests {
         assert!(matches!(
             ContractionHierarchy::from_snapshot_bytes(&bad),
             Err(SnapshotError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn order_sections_round_trip_and_refuse_what_is_not_a_permutation() {
+        let (_, ch) = build(6, ShortcutMode::AllPairs);
+        let bytes = ch.order().to_snapshot_bytes();
+        assert_eq!(
+            &VertexOrder::from_snapshot_bytes(&bytes).unwrap(),
+            ch.order()
+        );
+        let section = |seq: &[i64]| {
+            let mut w = ByteWriter::new();
+            w.put_u32(seq.len() as u32);
+            let mut prev = 0;
+            for &v in seq {
+                w.put_zigzag(v - prev);
+                prev = v;
+            }
+            w.into_bytes()
+        };
+        assert_eq!(
+            VertexOrder::from_snapshot_bytes(&section(&[2, 0, 1]))
+                .unwrap()
+                .sequence(),
+            [VertexId(2), VertexId(0), VertexId(1)]
+        );
+        for (seq, expect) in [
+            (&[0, 1, 1][..], "vertex 1 appears twice"),
+            (&[0, 3, 1][..], "out of range"),
+            (&[0, -1, 1][..], "out of range"),
+        ] {
+            match VertexOrder::from_snapshot_bytes(&section(seq)) {
+                Err(SnapshotError::Malformed(msg)) => assert!(msg.contains(expect), "{msg}"),
+                other => panic!("{seq:?}: expected Malformed, got {other:?}"),
+            }
+        }
+        let mut lying = section(&[0, 1]);
+        lying[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            VertexOrder::from_snapshot_bytes(&lying),
+            Err(SnapshotError::Truncated { .. })
         ));
     }
 

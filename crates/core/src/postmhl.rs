@@ -35,11 +35,12 @@
 //! ([`DisbView`]).
 
 use htsp_baselines::{bidijkstra_pool, ch_query_pool, BiDijkstraView, ChView, H2hView};
-use htsp_ch::ChQuery;
+use htsp_ch::{ChQuery, ContractionHierarchy, OrderingStrategy, ShortcutMode, VertexOrder};
 use htsp_graph::cow::{CowStats, CowTable};
 use htsp_graph::{
     Dist, FallbackSession, Graph, IndexMaintainer, QuerySession, QueryView, ScratchPool,
-    SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, Weight, WorkerPool, INF,
+    SnapshotError, SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, Weight, WorkerPool,
+    INF,
 };
 use htsp_partition::{td_partition, TdPartition, TdPartitionConfig};
 use htsp_search::BiDijkstra;
@@ -220,7 +221,39 @@ impl PostMhl {
     /// then TD-partitioning. Sequential, so bit-identical at any thread
     /// count.
     pub fn build(graph: &Graph, config: PostMhlConfig) -> Self {
-        let h2h = H2HIndex::build(graph);
+        Self::build_ordered(graph, OrderingStrategy::NestedDissection, config)
+    }
+
+    /// Warm restart: rebuilds the index from `graph` on the elimination
+    /// order a `snapshot_state` stored, skipping the nested dissection and
+    /// its MinDegree queue (the order depends on the topology alone, so it
+    /// holds for every weight change). The elimination and the label fill
+    /// are still paid; the result is bit-identical to [`Self::build`] on
+    /// `graph`. An order that is not a permutation of the graph's vertices
+    /// is [`SnapshotError::Malformed`].
+    pub fn from_state(
+        graph: &Graph,
+        state: &[u8],
+        config: PostMhlConfig,
+    ) -> Result<Self, SnapshotError> {
+        let order = VertexOrder::from_snapshot_bytes(state)?;
+        if order.len() != graph.num_vertices() {
+            return Err(SnapshotError::Malformed(format!(
+                "order covers {} vertices but the graph has {}",
+                order.len(),
+                graph.num_vertices()
+            )));
+        }
+        Ok(Self::build_ordered(
+            graph,
+            OrderingStrategy::Given(order),
+            config,
+        ))
+    }
+
+    fn build_ordered(graph: &Graph, ordering: OrderingStrategy, config: PostMhlConfig) -> Self {
+        let ch = ContractionHierarchy::build(graph, ordering, ShortcutMode::AllPairs);
+        let h2h = H2HIndex::from_decomposition(TreeDecomposition::from_hierarchy(ch));
         let tdp = td_partition(h2h.decomposition(), &config.partitioning);
         let n = graph.num_vertices();
         PostMhl {
@@ -457,6 +490,12 @@ impl IndexMaintainer for PostMhl {
 
     fn index_size_bytes(&self) -> usize {
         self.h2h.index_size_bytes()
+    }
+
+    /// The elimination order alone: labels and shortcuts are rebuilt from
+    /// it by [`PostMhl::from_state`].
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        Some(self.h2h.decomposition().order().to_snapshot_bytes())
     }
 }
 
@@ -774,6 +813,42 @@ mod tests {
             post.as_secs_f64() <= h2h.as_secs_f64() * 1.1,
             "PostMHL build {post:?} against H2H build {h2h:?}"
         );
+    }
+
+    /// A cold [`PostMhl::build`] against [`PostMhl::from_state`] on its
+    /// stored order, on the benchmark's `grid64` with its parameters
+    /// (`BuildParams::new(8, 2)`): 31 interleaved runs of each, medians
+    /// with quartiles. The restore skips the nested dissection only, so the
+    /// gap is the dissection's time.
+    ///
+    /// `cargo test --release -p htsp-core -- --ignored --nocapture grid64`
+    #[test]
+    #[ignore = "a timing ruler: seconds, and only meaningful in a release build"]
+    fn postmhl_restart_vs_cold_build_on_grid64() {
+        use htsp_graph::gen::grid_with_diagonals;
+        let g = grid_with_diagonals(64, 64, WeightRange::new(1, 100), 0.1, 42);
+        let config = config(32, 16, 2);
+        let state = PostMhl::build(&g, config).snapshot_state().expect("state");
+        let ms = |f: &dyn Fn()| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        };
+        let (mut cold, mut restore) = (Vec::new(), Vec::new());
+        for _ in 0..31 {
+            cold.push(ms(&|| {
+                PostMhl::build(&g, config);
+            }));
+            restore.push(ms(&|| {
+                PostMhl::from_state(&g, &state, config).expect("restore");
+            }));
+        }
+        println!("grid64, ms (median of 31; quartiles):");
+        for (name, v) in [("cold build", &mut cold), ("order restore", &mut restore)] {
+            v.sort_by(f64::total_cmp);
+            println!("    {name:<14} {:6.2} ({:.2}-{:.2})", v[15], v[7], v[23]);
+        }
+        println!("    order state    {} B", state.len());
     }
 
     #[test]

@@ -26,6 +26,27 @@
 //! state is the payload's last section, so [`IndexSnapshot::read_from`]
 //! hands it out in the buffer the file was read into.
 //!
+//! What each kind stores as its state: DCH and TOAIN their hierarchy (rank
+//! vector and upward arcs), DH2H and MHL the hierarchy and the H2H label
+//! rows, PostMHL its elimination order alone (zigzag varint deltas of the
+//! sequence, `htsp-ch`'s `VertexOrder` section), from which it rebuilds
+//! shortcuts and labels; N-CH-P, P-TD-P and PMHL store none.
+//!
+//! # Graph section
+//!
+//! Two `u32`s, the vertex and edge counts, then each edge `(u, v, w)`,
+//! `u < v`, in edge-id order as three LEB128 varints ([`ByteWriter::put_varint`]):
+//! zigzag `u - u_prev` (the previous edge's `u`, 0 before the first),
+//! `v - u - 1` and `w - 1`. Edge ids follow insertion order, which in the
+//! generators visits the vertices close to id order, so a `u` delta is
+//! mostly one byte; so is a weight up to 128, and on a 64-wide grid every
+//! `v` gap. The format cannot say a pair that is not normalized or a zero
+//! weight. Only the shortest encoding of each varint is read
+//! ([`ByteReader::get_varint`]), so an accepted section re-encodes to the
+//! bytes it was read from. On `grid64` (8 456 edges) the section takes
+//! 3.0 B per edge against the 12 of format version 2's `(u, v, w)`
+//! records; on `random_geometric(65536, 3)` 5.1 B.
+//!
 //! # Checksum
 //!
 //! The checksum is XXH64 with seed 0 (the published xxHash 64-bit
@@ -37,16 +58,20 @@
 //! enters. The lanes are independent dependency chains, which is what lets
 //! it run at memory speed: over the 3.9 MB DH2H snapshot of `grid64` it
 //! takes 0.46–0.53 ms on a 2-vCPU Xeon, where the byte-at-a-time FNV-1a of
-//! format version 1 took 6.4–6.5 ms. Version 1 files are refused as
-//! [`SnapshotError::UnsupportedVersion`] (before the checksum is read).
+//! format version 1 took 6.4–6.5 ms. Files of versions 1 and 2 are refused
+//! as [`SnapshotError::UnsupportedVersion`] (before the checksum is read).
 //!
-//! The bulk sections — the graph's edge list here, the CH and H2H sections
-//! in their crates — are read with one bounds check per row or list
+//! The fixed-width bulk sections — the CH and H2H sections in their crates
+//! — are read with one bounds check per row or list
 //! ([`ByteReader::take_records`], [`ByteReader::get_u32s`]) and converted
 //! with `chunks_exact` + `from_le_bytes`, which compiles to a plain copy on
-//! a little-endian target. Decoding `grid64`'s edge list (8.5 K edges)
-//! takes 0.34–0.38 ms, 0.62–0.64 ms with a read per field and a hash set
-//! for duplicate pairs.
+//! a little-endian target. The varint graph section is read a byte at a
+//! time and costs more per edge than the fixed records it replaced: on a
+//! 2-vCPU Xeon, medians of 21 decodes, `grid64`'s 8 456 edges take
+//! 0.31–0.38 ms (0.24 ms as records) and `random_geometric(65536, 3)`'s
+//! 122 301 take 9.7–9.8 ms (6.6 ms). Both are small beside the index
+//! state's decode or rebuild; the bytes the section saves are what pay for
+//! PostMHL's stored order.
 //!
 //! # Error discipline
 //!
@@ -54,9 +79,10 @@
 //! ([`ByteReader`] returns [`SnapshotError::Truncated`]; lengths are
 //! compared with checked arithmetic), the magic, version, and checksum are
 //! verified before the payload is interpreted, and semantic violations (an
-//! edge endpoint past the vertex count, a non-normalized pair, a zero
-//! weight) surface as [`SnapshotError::Malformed`]. Encoding does not panic
-//! either: a section longer than its `u32` length prefix can say is
+//! edge endpoint past the vertex count, a pair listed twice, a weight past
+//! `u32`, a non-canonical varint, a vertex count past 2^28) surface as
+//! [`SnapshotError::Malformed`]. Encoding does not panic either: a section
+//! longer than its `u32` length prefix can say is
 //! [`SnapshotError::SectionTooLarge`].
 
 use crate::graph::Graph;
@@ -69,9 +95,11 @@ use std::path::Path;
 /// Leading magic of every snapshot file.
 pub const MAGIC: &[u8; 8] = b"HTSPSNAP";
 
-/// Current snapshot format version: 2 since the checksum is [`checksum64`]
-/// (version 1 used FNV-1a over the same layout).
-pub const FORMAT_VERSION: u32 = 2;
+/// Current snapshot format version: 3 since the graph section is varints
+/// (version 2 stored 12-byte `(u, v, w)` records, and its H2H label rows
+/// a length prefix and the self-distance; version 1 used FNV-1a as its
+/// checksum).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes before the payload: magic, version and payload length.
 const HEADER_LEN: usize = 8 + 4 + 8;
@@ -253,6 +281,22 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
+    /// group first, the high bit set on every byte but the last.
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Appends `v` zigzag-mapped (`0, -1, 1, -2, …` to `0, 1, 2, 3, …`) as a
+    /// varint, so small deltas of either sign take one byte.
+    pub fn put_zigzag(&mut self, v: i64) {
+        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
+    }
+
     /// Appends a `u32` length prefix followed by the raw bytes, or fails
     /// (writing nothing) when `bytes` is too long for the prefix.
     pub fn put_bytes(&mut self, bytes: &[u8], context: &'static str) -> Result<(), SnapshotError> {
@@ -363,6 +407,39 @@ impl<'a> ByteReader<'a> {
         ))
     }
 
+    /// Reads a varint written by [`ByteWriter::put_varint`]. Only the
+    /// canonical (shortest) encoding of a `u64` is accepted: a last byte of
+    /// zero after others, or bits past 64, are [`SnapshotError::Malformed`],
+    /// so every accepted varint re-encodes to the bytes it was read from.
+    pub fn get_varint(&mut self, context: &'static str) -> Result<u64, SnapshotError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.get_u8(context)?;
+            let group = u64::from(byte & 0x7F);
+            if shift == 63 && group > 1 {
+                break;
+            }
+            v |= group << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(SnapshotError::Malformed(format!(
+                        "{context}: overlong varint"
+                    )));
+                }
+                return Ok(v);
+            }
+        }
+        Err(SnapshotError::Malformed(format!(
+            "{context}: varint overflows 64 bits"
+        )))
+    }
+
+    /// Reads a zigzag varint written by [`ByteWriter::put_zigzag`].
+    pub fn get_zigzag(&mut self, context: &'static str) -> Result<i64, SnapshotError> {
+        let v = self.get_varint(context)?;
+        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
+    }
+
     /// Reads a `u32`-length-prefixed byte section.
     pub fn get_bytes(&mut self, context: &'static str) -> Result<&'a [u8], SnapshotError> {
         let len = self.get_u32(context)? as usize;
@@ -382,43 +459,80 @@ pub fn le_u32(bytes: &[u8]) -> u32 {
     u32::from_le_bytes(bytes[..4].try_into().expect("4-byte word"))
 }
 
-/// Encodes a graph as its normalized edge list in edge-id order.
+/// Largest vertex count a graph section may say: 2^28, eleven times the
+/// largest DIMACS road network (USA, 23.9 M vertices). Isolated vertices take
+/// no bytes of the section, so this bound alone keeps a corrupt count from
+/// sizing the decoded graph's arrays.
+const MAX_GRAPH_VERTICES: usize = 1 << 28;
+
+/// Encodes a graph as its normalized edge list in edge-id order: the vertex
+/// and edge counts as `u32`s, then per edge `(u, v, w)` with `u < v` three
+/// varints, zigzag `u - u_prev` (the previous edge's lower endpoint, 0
+/// before the first), `v - u - 1` and `w - 1`.
 pub fn encode_graph(g: &Graph, w: &mut ByteWriter) {
     w.put_u32(g.num_vertices() as u32);
     w.put_u32(g.num_edges() as u32);
+    let mut prev = 0i64;
     for (_, u, v, weight) in g.edges() {
-        w.put_u32(u.0);
-        w.put_u32(v.0);
-        w.put_u32(weight);
+        w.put_zigzag(i64::from(u.0) - prev);
+        w.put_varint(u64::from(v.0 - u.0 - 1));
+        w.put_varint(u64::from(weight - 1));
+        prev = i64::from(u.0);
     }
 }
 
 /// Decodes a graph encoded by [`encode_graph`], validating every edge
-/// (endpoints in range, normalized `u < v`, no duplicates, positive
-/// weight). Edge ids are reproduced by position.
+/// (endpoints in range, no duplicates, a weight that fits a [`Weight`]; the
+/// encoding cannot say a pair that is not normalized or a zero weight).
+/// Edge ids are reproduced by position.
 pub fn decode_graph(r: &mut ByteReader<'_>) -> Result<Graph, SnapshotError> {
     let n = r.get_u32("graph vertex count")? as usize;
+    if n > MAX_GRAPH_VERTICES {
+        return Err(SnapshotError::Malformed(format!(
+            "graph vertex count {n} exceeds {MAX_GRAPH_VERTICES}"
+        )));
+    }
     let m = r.get_u32("graph edge count")? as usize;
-    let records = r.take_records(m, 12, "graph edge list")?;
+    // Every edge takes three bytes at least: a lying count fails here,
+    // before anything is reserved for it.
+    if m.saturating_mul(3) > r.remaining() {
+        return Err(SnapshotError::Truncated {
+            context: "graph edge list",
+        });
+    }
     let mut edges = Vec::with_capacity(m);
     let mut weights: Vec<Weight> = Vec::with_capacity(m);
-    for (i, record) in records.enumerate() {
-        let (u, v, w) = (le_u32(record), le_u32(&record[4..]), le_u32(&record[8..]));
-        if u >= v {
-            return Err(SnapshotError::Malformed(format!(
-                "edge {i}: endpoints ({u}, {v}) not normalized"
-            )));
-        }
-        if v as usize >= n {
-            return Err(SnapshotError::Malformed(format!(
-                "edge {i}: endpoint {v} out of range for {n} vertices"
-            )));
-        }
-        if w == 0 {
-            return Err(SnapshotError::Malformed(format!("edge {i}: zero weight")));
-        }
-        edges.push((VertexId(u), VertexId(v)));
+    let mut prev = 0i64;
+    for i in 0..m {
+        let delta = r.get_zigzag("graph edge list")?;
+        let u = prev
+            .checked_add(delta)
+            .filter(|&u| (0..n as i64).contains(&u))
+            .ok_or_else(|| {
+                SnapshotError::Malformed(format!(
+                    "edge {i}: lower endpoint {prev} + {delta} out of range for {n} vertices"
+                ))
+            })?;
+        let gap = r.get_varint("graph edge list")?;
+        let v = (u as u64)
+            .checked_add(gap)
+            .and_then(|v| v.checked_add(1))
+            .filter(|&v| v < n as u64)
+            .ok_or_else(|| {
+                SnapshotError::Malformed(format!(
+                    "edge {i}: endpoint {u} + {gap} + 1 out of range for {n} vertices"
+                ))
+            })?;
+        let w = r.get_varint("graph edge list")?;
+        let w = w
+            .checked_add(1)
+            .and_then(|w| Weight::try_from(w).ok())
+            .ok_or_else(|| {
+                SnapshotError::Malformed(format!("edge {i}: weight {w} + 1 out of range"))
+            })?;
+        edges.push((VertexId(u as u32), VertexId(v as u32)));
         weights.push(w);
+        prev = u;
     }
     let graph = Graph::from_normalized_edges(n, &edges, &weights);
     // A pair listed twice shows up twice in its lower endpoint's arcs:
@@ -602,9 +716,17 @@ mod tests {
         )]));
         let mut w = ByteWriter::new();
         encode_graph(&g, &mut w);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 8 + 12 * 6);
-        assert_eq!(checksum64(&bytes), 0xDCFE_01B2_2E03_F253);
+        #[rustfmt::skip]
+        let expect = [
+            6, 0, 0, 0, 6, 0, 0, 0, // n, m
+            2, 2, 6,  // (1, 4, 7)
+            1, 0, 2,  // (0, 1, 3)
+            4, 2, 5,  // (2, 5, 6): the parallel pair's lighter weight
+            1, 0, 12, // (1, 2, 13): updated
+            1, 2, 8,  // (0, 3, 9)
+            6, 0, 1,  // (3, 4, 2)
+        ];
+        assert_eq!(w.into_bytes(), expect);
     }
 
     #[test]
@@ -659,7 +781,24 @@ mod tests {
             IndexSnapshot::from_bytes(&bytes),
             Err(SnapshotError::UnsupportedVersion {
                 found: 1,
-                supported: 2
+                supported: 3
+            })
+        ));
+    }
+
+    /// A version-2 file with a checksum that no longer matches: the version
+    /// is read, and refused, before the checksum is.
+    #[test]
+    fn a_version_2_file_is_refused_by_version_not_by_checksum() {
+        let mut bytes = sample().to_bytes().unwrap();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        assert!(matches!(
+            IndexSnapshot::from_bytes(&bytes),
+            Err(SnapshotError::UnsupportedVersion {
+                found: 2,
+                supported: 3
             })
         ));
     }
@@ -742,17 +881,24 @@ mod tests {
 
     #[test]
     fn malformed_graph_sections_are_rejected() {
-        // Hand-assembled edge lists over 3 vertices: an out-of-range
-        // endpoint, a pair not normalized, a zero weight, a pair listed
-        // twice (not adjacent in the list).
-        let cases: [(&[[u32; 3]], &str); 4] = [
-            (&[[0, 7, 1]], "out of range"),
-            (&[[2, 1, 1]], "not normalized"),
-            (&[[0, 1, 0]], "zero weight"),
+        // Hand-assembled edge lists over 3 vertices, one `(zigzag u delta,
+        // v - u - 1, w - 1)` triple per edge: a lower endpoint out of range
+        // on either side, an upper endpoint out of range, a weight past
+        // `u32`, a pair listed twice (not adjacent in the list), an overlong
+        // varint.
+        let cases: [(&[[u64; 3]], &str); 6] = [
+            (&[[6, 0, 0]], "lower endpoint 0 + 3 out of range"),
+            (&[[1, 0, 0]], "lower endpoint 0 + -1 out of range"),
+            (&[[0, 6, 0]], "endpoint 0 + 6 + 1 out of range"),
             (
-                &[[0, 2, 4], [1, 2, 1], [0, 2, 5]],
+                &[[0, 0, u64::from(u32::MAX)]],
+                "weight 4294967295 + 1 out of range",
+            ),
+            (
+                &[[0, 1, 3], [2, 0, 0], [1, 1, 4]],
                 "edge 2: duplicate edge (0, 2)",
             ),
+            (&[[0x80, 0, 0]], "overlong varint"),
         ];
         for (edges, expect) in cases {
             let mut payload = ByteWriter::new();
@@ -761,7 +907,13 @@ mod tests {
             payload.put_u32(3); // n
             payload.put_u32(edges.len() as u32);
             for edge in edges {
-                edge.iter().for_each(|&x| payload.put_u32(x));
+                match edge[0] {
+                    // A zero spelled in two bytes.
+                    0x80 => payload.buf.extend_from_slice(&[0x80, 0x00]),
+                    delta => payload.put_varint(delta),
+                }
+                payload.put_varint(edge[1]);
+                payload.put_varint(edge[2]);
             }
             payload.put_u8(0);
             let bytes = frame(&payload.into_bytes());
@@ -769,6 +921,55 @@ mod tests {
                 Err(SnapshotError::Malformed(msg)) => assert!(msg.contains(expect), "{msg}"),
                 other => panic!("{edges:?}: expected Malformed, got {other:?}"),
             }
+        }
+        // Isolated vertices take no bytes: the count alone is bounded.
+        let mut section = ByteWriter::new();
+        section.put_u32(MAX_GRAPH_VERTICES as u32 + 1);
+        section.put_u32(0);
+        let bytes = section.into_bytes();
+        match decode_graph(&mut ByteReader::new(&bytes)) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn varints_round_trip_and_only_their_shortest_form_decodes() {
+        let mut w = ByteWriter::new();
+        let values = [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX];
+        for v in values {
+            w.put_varint(v);
+        }
+        let signed = [0, -1, 1, -64, 64, i64::MIN, i64::MAX];
+        for v in signed {
+            w.put_zigzag(v);
+        }
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        for v in values {
+            assert_eq!(r.get_varint("v").unwrap(), v);
+        }
+        for v in signed {
+            assert_eq!(r.get_zigzag("z").unwrap(), v);
+        }
+        assert_eq!(r.remaining(), 0);
+        let mut one_byte = ByteWriter::new();
+        one_byte.put_zigzag(-64);
+        assert_eq!(one_byte.len(), 1);
+        // Overlong zero and one; an eleventh byte; a tenth byte past bit 63;
+        // a varint cut short.
+        for (bytes, expect) in [
+            (&[0x80, 0x00][..], "overlong"),
+            (&[0x81, 0x80, 0x00][..], "overlong"),
+            (&[0xFF; 11][..], "overflows"),
+            (
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02][..],
+                "overflows",
+            ),
+            (&[0x80][..], "truncated"),
+        ] {
+            let err = ByteReader::new(bytes).get_varint("v").unwrap_err();
+            assert!(err.to_string().contains(expect), "{bytes:02x?}: {err}");
         }
     }
 

@@ -212,14 +212,18 @@ impl H2HIndex {
     }
 
     /// Appends this index's snapshot section to `w`: the hierarchy section
-    /// followed by one length-prefixed label row per vertex. The tree shape
-    /// is *not* stored — it is a pure function of the hierarchy and is
-    /// rebuilt on decode.
+    /// followed by each vertex's label row without its last entry, the
+    /// self-distance 0. Neither the tree shape nor the row lengths are
+    /// stored: the tree is a pure function of the hierarchy and is rebuilt
+    /// on decode, and row `v` has `depth(v)` stored entries.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         self.td.hierarchy().encode_into(w);
         for v in 0..self.td.num_vertices() {
-            let row = self.dis.row(v);
-            w.put_u32(row.len() as u32);
+            let (_, row) = self
+                .dis
+                .row(v)
+                .split_last()
+                .expect("every row holds its self-distance");
             for &d in row {
                 w.put_u32(d.0);
             }
@@ -233,10 +237,11 @@ impl H2HIndex {
         w.into_bytes()
     }
 
-    /// Reads an index section from `r`, validating label shapes against the
-    /// rebuilt tree before reassembly. Corrupt input surfaces as a typed
-    /// [`SnapshotError`], never a panic. Each row's bytes are taken once and
-    /// converted in one `chunks_exact` pass.
+    /// Reads an index section from `r`: the hierarchy, which must be
+    /// all-pairs, then the label rows in the shapes of the tree rebuilt
+    /// from it. Corrupt input surfaces as a typed [`SnapshotError`], never a
+    /// panic. Each row's bytes are taken once and converted in one
+    /// `chunks_exact` pass.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
         let ch = ContractionHierarchy::decode_from(r)?;
         if !matches!(ch.mode(), ShortcutMode::AllPairs) {
@@ -248,20 +253,11 @@ impl H2HIndex {
         let n = td.num_vertices();
         let mut dis: Vec<Vec<Dist>> = Vec::with_capacity(n);
         for v in 0..n {
-            let len = r.get_u32("h2h label length")? as usize;
-            let expect = td.depth(VertexId::from_index(v)) as usize + 1;
-            if len != expect {
-                return Err(SnapshotError::Malformed(format!(
-                    "label of vertex {v} has {len} entries, tree depth demands {expect}"
-                )));
-            }
+            let len = td.depth(VertexId::from_index(v)) as usize;
             // One bounds check for the whole row.
-            let row: Vec<Dist> = r.get_u32s(len, "h2h label row")?.map(Dist).collect();
-            if row.last() != Some(&Dist::ZERO) {
-                return Err(SnapshotError::Malformed(format!(
-                    "label of vertex {v} does not end with the self-distance 0"
-                )));
-            }
+            let mut row = Vec::with_capacity(len + 1);
+            row.extend(r.get_u32s(len, "h2h label row")?.map(Dist));
+            row.push(Dist::ZERO);
             dis.push(row);
         }
         Ok(H2HIndex::from_parts(td, dis))
@@ -834,13 +830,26 @@ mod tests {
                 SnapshotError::Truncated { .. } | SnapshotError::Malformed(_)
             ));
         }
-        // A label row that no longer ends in 0 is rejected (the encoding
-        // ends with the last vertex's self-distance).
-        let mut bad = clean.clone();
-        let last = bad.len() - 4;
-        bad[last..].copy_from_slice(&7u32.to_le_bytes());
+        // The rows are one entry per ancestor, no self-distance: an index
+        // whose rows carry it is rejected.
+        let mut long_rows = h2h.td.hierarchy().to_snapshot_bytes();
+        for v in 0..h2h.td.num_vertices() {
+            h2h.label(VertexId::from_index(v))
+                .iter()
+                .for_each(|d| long_rows.extend_from_slice(&d.0.to_le_bytes()));
+        }
         assert!(matches!(
-            H2HIndex::from_snapshot_bytes(&bad),
+            H2HIndex::from_snapshot_bytes(&long_rows),
+            Err(SnapshotError::Malformed(_))
+        ));
+        // A witness-pruned hierarchy has no tree to hang labels on.
+        let pruned = ContractionHierarchy::build(
+            &g,
+            htsp_ch::OrderingStrategy::MinDegree,
+            ShortcutMode::WitnessPruned { hop_limit: 8 },
+        );
+        assert!(matches!(
+            H2HIndex::from_snapshot_bytes(&pruned.to_snapshot_bytes()),
             Err(SnapshotError::Malformed(_))
         ));
         // Trailing garbage is rejected.

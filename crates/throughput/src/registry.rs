@@ -229,11 +229,11 @@ impl AlgorithmKind {
     }
 
     /// Builds the index machinery of this kind with its per-partition
-    /// construction stages running on `pool` (N-CH-P, P-TD-P, PMHL and
-    /// PostMHL; the other kinds build sequentially and ignore it).
+    /// construction stages running on `pool` (N-CH-P, P-TD-P and PMHL;
+    /// the other kinds build sequentially and ignore it).
     ///
     /// The determinism contract of the parallel-construction subsystem: the
-    /// built index — its answers, and for the native-codec kinds its
+    /// built index — its answers, and for the kinds that store a state its
     /// serialized state bytes — is identical at every thread count. The pool
     /// only changes how many construction tasks are in flight, never which
     /// tasks exist or how their outputs combine.
@@ -264,27 +264,34 @@ impl AlgorithmKind {
     ///
     /// Kinds with a native serialized form (DCH, TOAIN, DH2H, MHL) decode
     /// `state` and skip construction entirely — the warm-restart fast path.
-    /// For every other kind, and when there is no `state`, this **is a full
-    /// build** from the snapshotted graph and `params`: a "restart" of
-    /// N-CH-P, P-TD-P, PMHL or PostMHL costs what a cold start costs. Corrupt
-    /// `state` bytes surface as a typed [`SnapshotError`], never a panic.
+    /// PostMHL's `state` is its elimination order: its restore skips the
+    /// nested dissection but still pays an elimination and a label fill on
+    /// that order, and gives the index a cold build on `graph` gives, bit
+    /// for bit ([`PostMhl::from_state`]). For N-CH-P, P-TD-P and PMHL, and
+    /// when there is no `state`, this **is a full build** from the
+    /// snapshotted graph and `params`: their "restart" costs what a cold
+    /// start costs. Corrupt `state` bytes surface as a typed
+    /// [`SnapshotError`], never a panic.
     pub fn restore(
         self,
         graph: &Graph,
         params: &BuildParams,
         state: Option<&[u8]>,
     ) -> Result<Box<dyn IndexMaintainer>, SnapshotError> {
-        match state.and_then(|bytes| self.decode(graph, bytes)) {
+        match state.and_then(|bytes| self.decode(graph, params, bytes)) {
             Some(decoded) => decoded,
             None => Ok(self.build(graph, params)),
         }
     }
 
-    /// Decodes `state` if this kind has a native serialized form; `None`
-    /// means a restart of this kind is a rebuild (stored state is ignored).
+    /// Decodes `state` if this kind stores one; `None` means a restart of
+    /// this kind is a rebuild (stored state is ignored). A decode of
+    /// PostMHL's state is itself a construction on the stored order
+    /// ([`Self::decode_builds`]).
     pub(crate) fn decode(
         self,
         graph: &Graph,
+        params: &BuildParams,
         state: &[u8],
     ) -> Option<Result<Box<dyn IndexMaintainer>, SnapshotError>> {
         fn boxed<M: IndexMaintainer + 'static>(
@@ -297,8 +304,18 @@ impl AlgorithmKind {
             AlgorithmKind::Toain => boxed(ToainBaseline::from_state(graph, state)),
             AlgorithmKind::Dh2h => boxed(Dh2hBaseline::from_state(graph, state)),
             AlgorithmKind::Mhl => boxed(Mhl::from_state(graph, state)),
+            AlgorithmKind::PostMhl => {
+                boxed(PostMhl::from_state(graph, state, params.postmhl_config()))
+            }
             _ => None,
         }
+    }
+
+    /// Whether [`Self::decode`] of this kind pays a construction: PostMHL's
+    /// stored order saves the dissection, not the elimination or the label
+    /// fill, so its restart reports build telemetry as a cold start does.
+    pub(crate) fn decode_builds(self) -> bool {
+        self == AlgorithmKind::PostMhl
     }
 }
 

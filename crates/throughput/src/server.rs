@@ -176,9 +176,10 @@ impl ServerBuilder {
     /// [`RoadNetworkServer::save_snapshot`]: the graph, algorithm, and build
     /// parameters all come from the file, and algorithms with a serialized
     /// index state skip construction entirely (the warm-restart fast path).
-    /// The others (N-CH-P, P-TD-P, PMHL, PostMHL) are rebuilt from the
-    /// snapshotted graph, and say so: the `htsp_build_*` telemetry family is
-    /// registered exactly as on a cold start.
+    /// PostMHL rebuilds on its stored elimination order, skipping the
+    /// nested dissection; N-CH-P, P-TD-P and PMHL are rebuilt from the
+    /// snapshotted graph. Both say so: the `htsp_build_*` telemetry family
+    /// is registered exactly as on a cold start.
     /// Any corruption — bad magic, version skew, checksum mismatch,
     /// truncation, malformed sections — surfaces as a typed
     /// [`SnapshotError`]; this never panics on untrusted input.
@@ -191,15 +192,31 @@ impl ServerBuilder {
             SnapshotError::Malformed(format!("unknown algorithm '{}'", snap.algorithm))
         })?;
         let params = BuildParams::from_snapshot_bytes(&snap.params)?;
-        let builder = self.algorithm(kind).build_params(params);
+        let hub = self
+            .telemetry
+            .clone()
+            .unwrap_or_else(|| Arc::new(TelemetryHub::new()));
+        let builder = self
+            .telemetry(Arc::clone(&hub))
+            .algorithm(kind)
+            .build_params(params);
+        let t = std::time::Instant::now();
         let decoded = snap
             .state
             .as_deref()
-            .and_then(|state| kind.decode(&snap.graph, state));
+            .and_then(|state| kind.decode(&snap.graph, &params, state));
         let builder = match decoded {
-            Some(maintainer) => builder.maintainer(maintainer?),
-            // No native codec (or no stored state): this restart is a full
-            // construction, and `start` accounts for it as one — the
+            Some(maintainer) => {
+                let maintainer = maintainer?;
+                if kind.decode_builds() {
+                    let total_micros = t.elapsed().as_micros() as u64;
+                    let pool = htsp_graph::WorkerPool::new(params.threads());
+                    register_build_telemetry(&hub, kind.name(), &pool, total_micros);
+                }
+                builder.maintainer(maintainer)
+            }
+            // No stored state (N-CH-P, P-TD-P, PMHL, or a file without
+            // one): this restart is a full construction, and `start` accounts for it as one — the
             // `htsp_build_*` family appears exactly when a build was paid.
             None => ServerBuilder {
                 maintainer: None,

@@ -6,8 +6,9 @@
 //! changes how many construction tasks run concurrently, never which tasks
 //! exist or how their outputs combine. Concretely,
 //!
-//! * kinds with a native snapshot codec (DCH, TOAIN, DH2H, MHL) must produce
-//!   **bit-identical** `snapshot_state` bytes at 1, 2, and 8 threads;
+//! * kinds that store a snapshot state (DCH, TOAIN, DH2H, MHL, and
+//!   PostMHL's elimination order) must produce **bit-identical**
+//!   `snapshot_state` bytes at 1, 2, and 8 threads;
 //! * every kind's sampled answers must equal the sequential build's answers
 //!   and Dijkstra ground truth, at every query stage, and its per-component
 //!   storage footprint must match. Only N-CH-P, P-TD-P, PMHL and PostMHL
@@ -24,13 +25,14 @@ use htsp::{AlgorithmKind, BuildParams};
 /// Thread counts the suite compares: sequential, small, oversubscribed.
 const THREADS: [usize; 3] = [1, 2, 8];
 
-/// The kinds whose maintainers serialize a native index state; for these the
+/// The kinds whose maintainers serialize an index state; for these the
 /// suite demands byte equality, not just answer equality.
-const NATIVE_CODEC: [AlgorithmKind; 4] = [
+const NATIVE_CODEC: [AlgorithmKind; 5] = [
     AlgorithmKind::Dch,
     AlgorithmKind::Toain,
     AlgorithmKind::Dh2h,
     AlgorithmKind::Mhl,
+    AlgorithmKind::PostMhl,
 ];
 
 fn params_with_threads(threads: usize) -> BuildParams {
@@ -50,7 +52,7 @@ fn all_kinds_build_identically_at_every_thread_count() {
         if NATIVE_CODEC.contains(&kind) {
             assert!(
                 seq_state.is_some(),
-                "{kind} is expected to carry a native snapshot codec"
+                "{kind} is expected to store a snapshot state"
             );
         }
         let seq_view = sequential.current_view();

@@ -4,8 +4,12 @@
 //! exactly as before; corrupt snapshot files are rejected with typed
 //! errors, never panics.
 
+use htsp::core::PostMhl;
 use htsp::graph::gen::{grid, WeightRange};
-use htsp::graph::{IndexSnapshot, QuerySet, SnapshotError};
+use htsp::graph::{
+    snapshot, ByteReader, ByteWriter, Graph, IndexMaintainer, IndexSnapshot, QuerySet,
+    SnapshotError, SnapshotPublisher, UpdateGenerator, VertexId,
+};
 use htsp::search::dijkstra_distance;
 use htsp::{AlgorithmKind, BuildParams, CoalescePolicy, RoadNetworkServer};
 use std::path::PathBuf;
@@ -276,8 +280,9 @@ fn a_restart_that_rebuilt_exports_build_telemetry() {
             .start_from_snapshot(&path)
             .expect("warm restart");
         let prom = restored.telemetry().export_prometheus();
-        // PostMHL has no native codec, so its restart paid a construction;
-        // DCH decoded its state and built nothing.
+        // PostMHL stores only its elimination order, so its restart paid an
+        // elimination and a label fill; DCH decoded its state and built
+        // nothing.
         assert_eq!(
             prom.contains("htsp_build_total_micros"),
             rebuilds,
@@ -290,9 +295,11 @@ fn a_restart_that_rebuilt_exports_build_telemetry() {
 
 /// Every strict prefix of `bytes` fails, and every single-byte flip (three
 /// masks per byte) either fails or decodes to a value that re-encodes to the
-/// flipped bytes. A panic anywhere fails the test.
+/// flipped bytes. A panic anywhere fails the test. Where `flips_can_decode`,
+/// some flip must decode: the sweep reached the decoder's success path.
 fn sweep_decoder<T>(
     name: &str,
+    flips_can_decode: bool,
     bytes: &[u8],
     decode: impl Fn(&[u8]) -> Result<T, SnapshotError>,
     encode: impl Fn(&T) -> Vec<u8>,
@@ -320,9 +327,11 @@ fn sweep_decoder<T>(
             }
         }
     }
-    // Weights, label entries and parameters take any value, so some flips
-    // must decode: the sweep reached the decoders' success path.
-    assert!(accepted > 0, "{name}: no flip decoded");
+    assert_eq!(
+        accepted > 0,
+        flips_can_decode,
+        "{name}: {accepted} flips decoded"
+    );
 }
 
 #[test]
@@ -333,6 +342,7 @@ fn section_decoders_survive_truncation_and_byte_flip_sweeps() {
     let ch = ContractionHierarchy::build(&g, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
     sweep_decoder(
         "hierarchy",
+        true,
         &ch.to_snapshot_bytes(),
         ContractionHierarchy::from_snapshot_bytes,
         ContractionHierarchy::to_snapshot_bytes,
@@ -344,20 +354,198 @@ fn section_decoders_survive_truncation_and_byte_flip_sweeps() {
     );
     sweep_decoder(
         "witness-pruned hierarchy",
+        true,
         &pruned.to_snapshot_bytes(),
         ContractionHierarchy::from_snapshot_bytes,
         ContractionHierarchy::to_snapshot_bytes,
     );
     sweep_decoder(
         "h2h",
+        true,
         &H2HIndex::build(&g).to_snapshot_bytes(),
         H2HIndex::from_snapshot_bytes,
         H2HIndex::to_snapshot_bytes,
     );
     sweep_decoder(
         "build params",
+        true,
         &BuildParams::new(3, 2).to_snapshot_bytes(),
         BuildParams::from_snapshot_bytes,
         BuildParams::to_snapshot_bytes,
     );
+    sweep_decoder(
+        "graph",
+        true,
+        &encode_graph_section(&g),
+        decode_graph_section,
+        encode_graph_section,
+    );
+    // Weights, label entries, parameters and vertex counts take any value,
+    // so some flips of the sections above decode. PostMHL's state is its
+    // order, and its decoder is the whole restore; no flip decodes, since a
+    // changed delta moves every later vertex of the sequence, and a
+    // permutation moved in part is not one.
+    let config = BuildParams::new(2, 1).postmhl_config();
+    sweep_decoder(
+        "postmhl order",
+        false,
+        &PostMhl::build(&g, config)
+            .snapshot_state()
+            .expect("postmhl state"),
+        |bytes| PostMhl::from_state(&g, bytes, config),
+        |post| post.snapshot_state().expect("postmhl state"),
+    );
+}
+
+fn encode_graph_section(g: &Graph) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    snapshot::encode_graph(g, &mut w);
+    w.into_bytes()
+}
+
+/// [`snapshot::decode_graph`] over a whole buffer: trailing bytes are an
+/// error, as they are after every other section decoder.
+fn decode_graph_section(bytes: &[u8]) -> Result<Graph, SnapshotError> {
+    let mut r = ByteReader::new(bytes);
+    let g = snapshot::decode_graph(&mut r)?;
+    match r.remaining() {
+        0 => Ok(g),
+        left => Err(SnapshotError::Malformed(format!(
+            "{left} trailing bytes after graph section"
+        ))),
+    }
+}
+
+/// The zigzag-delta section of a contraction sequence, written by hand so
+/// that it can say what no [`VertexOrder`] can.
+fn order_section(seq: &[u32]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u32(seq.len() as u32);
+    let mut prev = 0i64;
+    for &v in seq {
+        w.put_zigzag(i64::from(v) - prev);
+        prev = i64::from(v);
+    }
+    w.into_bytes()
+}
+
+#[test]
+fn a_postmhl_order_that_is_not_a_permutation_of_the_graph_is_malformed() {
+    let g = grid(3, 4, WeightRange::new(1, 9), 5);
+    let n = g.num_vertices() as u32;
+    let config = BuildParams::new(2, 1).postmhl_config();
+    let valid: Vec<u32> = (0..n).rev().collect();
+    assert!(PostMhl::from_state(&g, &order_section(&valid), config).is_ok());
+    let mut repeated = valid.clone();
+    repeated[3] = repeated[4];
+    let mut out_of_range = valid.clone();
+    out_of_range[0] = n;
+    for (case, seq) in [
+        ("a repeated vertex", repeated),
+        ("a vertex out of range", out_of_range),
+        ("one vertex short", valid[1..].to_vec()),
+        ("one vertex long", (0..=n).collect()),
+        ("empty", Vec::new()),
+    ] {
+        match PostMhl::from_state(&g, &order_section(&seq), config) {
+            Err(SnapshotError::Malformed(_)) => {}
+            Err(other) => panic!("{case}: expected Malformed, got {other:?}"),
+            Ok(_) => panic!("{case}: restored"),
+        }
+        // Through the registry as well, which must not fall back to a build.
+        assert!(
+            AlgorithmKind::PostMhl
+                .restore(&g, &BuildParams::new(2, 1), Some(&order_section(&seq)))
+                .is_err(),
+            "{case}: the registry restored"
+        );
+    }
+}
+
+/// The label rows, bags and partitioning of two PostMHL indexes agree.
+fn assert_same_postmhl(got: &PostMhl, expect: &PostMhl, what: &str) {
+    let (td, expect_td) = (got.h2h().decomposition(), expect.h2h().decomposition());
+    assert_eq!(td.order(), expect_td.order(), "{what}: order");
+    for v in (0..td.num_vertices()).map(VertexId::from_index) {
+        assert_eq!(td.bag(v), expect_td.bag(v), "{what}: bag of {v:?}");
+        assert_eq!(
+            got.h2h().label(v),
+            expect.h2h().label(v),
+            "{what}: label of {v:?}"
+        );
+    }
+    let (tdp, expect_tdp) = (got.partitioning(), expect.partitioning());
+    assert_eq!(tdp.roots(), expect_tdp.roots(), "{what}: partition roots");
+    assert_eq!(
+        tdp.overlay_vertices(),
+        expect_tdp.overlay_vertices(),
+        "{what}: overlay vertices"
+    );
+}
+
+/// Every query stage of `index` answers as Dijkstra does on `g`.
+fn assert_exact_at_every_stage(
+    index: &dyn IndexMaintainer,
+    g: &Graph,
+    queries: &QuerySet,
+    what: &str,
+) {
+    for stage in 0..index.num_query_stages() {
+        let view = index.view_at_stage(stage);
+        for q in queries {
+            assert_eq!(
+                view.distance(q.source, q.target),
+                dijkstra_distance(g, q.source, q.target),
+                "{what}, stage {stage}, {q:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_restart_after_repairs_equals_the_repaired_index_and_a_cold_build() {
+    let mut g = grid(9, 9, WeightRange::new(2, 40), 71);
+    let params = BuildParams::new(2, 1);
+    let mut indexes: Vec<Box<dyn IndexMaintainer>> = AlgorithmKind::ALL
+        .iter()
+        .map(|kind| kind.build(&g, &params))
+        .collect();
+    let mut post = PostMhl::build(&g, params.postmhl_config());
+    let mut updates = UpdateGenerator::new(23);
+    for round in 0..3 {
+        let batch = updates.generate(&g, 12);
+        g.apply_batch(&batch);
+        let queries = QuerySet::random(&g, 30, 100 + round);
+        for index in &mut indexes {
+            let publisher = SnapshotPublisher::new(index.current_view());
+            index.apply_batch(&g, &batch, &publisher);
+            let what = format!("{} after batch {round}", index.name());
+            assert_exact_at_every_stage(index.as_ref(), &g, &queries, &what);
+        }
+        let publisher = SnapshotPublisher::new(post.current_view());
+        post.apply_batch(&g, &batch, &publisher);
+    }
+    let queries = QuerySet::random(&g, 40, 7);
+    let cold = PostMhl::build(&g, params.postmhl_config());
+    for threads in [1, 4] {
+        let params = BuildParams {
+            num_threads: threads,
+            ..params
+        };
+        for (kind, index) in AlgorithmKind::ALL.iter().zip(&indexes) {
+            let state = index.snapshot_state();
+            let restored = kind
+                .restore(&g, &params, state.as_deref())
+                .unwrap_or_else(|e| panic!("{kind} restore: {e}"));
+            let what = format!("{kind} restored at {threads} threads");
+            assert_exact_at_every_stage(restored.as_ref(), &g, &queries, &what);
+            assert_eq!(restored.snapshot_state(), state, "{what}: state");
+        }
+        let state = post.snapshot_state().expect("postmhl state");
+        let restored =
+            PostMhl::from_state(&g, &state, params.postmhl_config()).expect("postmhl restore");
+        let what = format!("PostMHL restored at {threads} threads");
+        assert_same_postmhl(&restored, &post, &format!("{what} vs. the repaired index"));
+        assert_same_postmhl(&restored, &cold, &format!("{what} vs. a cold build"));
+    }
 }
