@@ -1,53 +1,44 @@
-//! The elimination kernel: one pass that produces the contraction order *and*
-//! the upward shortcut rows (the paper's MDE, §II and line 1 of Algorithm 4).
+//! The elimination kernel: the contraction order of the paper's MDE (§II and
+//! line 1 of Algorithm 4), and the rows of TOAIN's witness-pruned hierarchy.
 //!
-//! [`crate::ordering::mde_order`] and `ContractionHierarchy::build` are thin
-//! calls of [`eliminate`]. There is no hash container in the all-pairs
-//! build. The live graph is held in two representations, one after
-//! the other.
+//! An all-pairs hierarchy takes only its order from here
+//! ([`elimination_order`]; [`crate::ordering::mde_order`] is one call of it):
+//! its rows are the order's symbolic fill, weighed by the repair's pull
+//! (`hierarchy.rs`). A [`OrderingStrategy::Given`] order is taken as it is
+//! and nothing is eliminated. [`OrderingStrategy::MinDegree`] and
+//! [`OrderingStrategy::NestedDissection`] pop the live vertex of least
+//! `(degree, id)` of a queue holding a key per live vertex of the current
+//! group — one group of every vertex under MinDegree, the nested
+//! dissection's leaves and separators, deepest first (`dissection.rs`) — so
+//! the order depends on the topology alone, and what the elimination must
+//! track is who is adjacent to whom. There is no hash container. The live
+//! graph is held in two representations, one after the other.
 //!
-//! **Sparse head: one `Vec<(VertexId, Weight)>` row per live vertex.**
-//! Eliminating `v` marks its neighbours in a dense slot table and then scans
-//! each neighbour's row **once**: the scan drops `v`, min-updates the pairs
-//! it meets with [`shortcut_sum`](crate::hierarchy::shortcut_sum), and only
-//! the pairs it did not meet are appended (these are the new shortcuts,
-//! counted once per pair). `v`'s own row is frozen where it lies — nothing
-//! live points at it any more.
+//! **Sparse head: one row of neighbours per live vertex.** Eliminating `v`
+//! marks its neighbours in a dense slot table and then scans each
+//! neighbour's row **once**: the scan drops `v` and meets the pairs already
+//! adjacent, and only the pairs it did not meet are appended (the new
+//! shortcuts, counted once per pair). `v`'s own row is frozen where it lies
+//! — nothing live points at it any more.
 //!
-//! **Dense tail: a matrix for the last `DENSE_TAIL` (1,024) vertices**, or for
-//! the whole graph when it is smaller (every partition and overlay of the
-//! PSP indexes). The live rows move into the strict lower triangle of one
-//! symmetric `r × r` weight matrix and one `r`-bit adjacency row per vertex.
-//! Eliminating `v` reads its neighbours off its bits and freezes its row;
-//! each neighbour pair is then one indexed `min`, written once, where the
-//! head pays a slot lookup and two data-dependent branches per scanned entry
-//! (≈5 ns) from each end of the pair, and each neighbour's new degree is one
-//! popcount. Under MinDegree the tail is where the work is: it holds the
-//! top separators, whose degrees approach the treewidth. Counted on
-//! `grid64` (4,096 vertices) with the head alone, the last 1,024 vertices
-//! did 93 % of the row-scan work (the last 512, 75 %); on `grid128`
-//! (16,384) the last 1,024 did 67 %.
-//! Extra memory is at most 2 MB of cells (`r (r - 1) / 2` of them) and
-//! 128 KB of bits, allocated once and zeroed, so a tail with few arcs (a
-//! path, a small partition) touches few of its pages. On `grid64` (2-vCPU
-//! Xeon, fastest run of each of three rounds of 15) the head takes
-//! 3.2–3.5 ms, the tail 3.3–3.7 ms and the final sort by rank 0.35 ms; the
-//! tail took 5.0–5.8 ms when it kept the whole square (4 MB) and wrote every
-//! pair from both ends.
+//! **Dense tail: one `r`-bit adjacency row per vertex for the last
+//! `DENSE_TAIL` (1,536) vertices**, or for the whole graph when it is smaller
+//! (every partition and overlay of the PSP indexes). Eliminating `v` ORs its
+//! bits into each neighbour's, which gains the neighbours it lacked (one
+//! popcount gives its new degree) and loses `v`. Under MinDegree the tail
+//! is where the work is: it holds the top separators, whose degrees
+//! approach the treewidth. Counted on `grid64` (4,096 vertices) with the
+//! head alone, the last 1,024 vertices did 93 % of the row-scan work (the
+//! last 512, 75 %); on `grid128` (16,384) the last 1,024 did 67 %. The bits
+//! take at most 288 KB, allocated once and zeroed.
 //!
-//! Both representations give the same elimination, bit for bit: the same
-//! order (the next vertex is the exact minimum `(degree, id)` of a queue
-//! holding a key per live vertex of the current group — one group of every
-//! vertex under [`OrderingStrategy::MinDegree`], the nested dissection's
-//! leaves and separators, deepest first, under
-//! [`OrderingStrategy::NestedDissection`] (`dissection.rs`) — or the next
-//! of a given sequence, [`OrderingStrategy::Given`], the boundary-first
-//! orders of the PSP indexes), the same rows (sorted by rank once the order
-//! is complete) and the same shortcut count; the unit tests below hand off at
-//! every interesting step. Witness-pruned builds (TOAIN's
-//! [`ShortcutMode::WitnessPruned`]) stay sparse throughout: whether a pair
-//! gets a shortcut is decided by a bounded Dijkstra over the live rows, which
-//! on a matrix would scan `r` cells per settled vertex.
+//! Both representations pop the same order, bit for bit; the unit tests
+//! below hand off at every interesting step. Witness-pruned builds (TOAIN's
+//! `ShortcutMode::WitnessPruned`, [`eliminate_pruned`]) keep their rows,
+//! weights included, and stay sparse throughout: whether a pair gets a
+//! shortcut is decided by a bounded Dijkstra over the live rows, which on a
+//! matrix would scan `r` cells per settled vertex. Their rows are sorted by
+//! rank once the order is complete.
 //!
 //! The pass is sequential on purpose. It replaced a hash-set ordering pass
 //! followed by a hash-map contraction in rank windows with two fork/joins per
@@ -59,14 +50,14 @@
 //! partition and per fleet shard.
 
 use crate::dissection::dissection_groups;
-use crate::hierarchy::{shortcut_sum, ShortcutMode};
+use crate::hierarchy::shortcut_sum;
 use crate::ordering::{OrderingStrategy, VertexOrder};
 use htsp_graph::{Dist, Graph, VertexId, Weight, INF};
 use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// What one elimination of a graph leaves behind.
+/// What a witness-pruned elimination leaves behind.
 pub(crate) struct Elimination {
     /// The order the vertices were eliminated in.
     pub(crate) order: VertexOrder,
@@ -79,258 +70,275 @@ pub(crate) struct Elimination {
 
 const NO_SLOT: u32 = u32::MAX;
 
-/// How many vertices are eliminated on the dense matrix at the end: the
-/// whole graph when it is smaller. Whole eliminations of the benchmark's
-/// graphs (`grid_with_diagonals`, 10 % diagonals, seed 42) on a 2-vCPU Xeon
-/// with the triangle, fastest of 27 runs (three interleaved sweeps) on
-/// `grid64`, of 15 on `grid128`, ms:
+/// How many vertices are eliminated on the adjacency bits at the end: the
+/// whole graph when it is smaller. Whole orders of the benchmark's graphs
+/// (`grid_with_diagonals`, 10 % diagonals, seed 42; `random_geometric(65536,
+/// 3)`, "rg65k") on a 2-vCPU Xeon, medians of 61 interleaved runs on
+/// `grid64`, of 5 on the others (quartiles ±10–30 % there), ms, nested
+/// dissection included:
 ///
-/// | tail  | `grid64` MinDegree | `grid64` Given | `grid128` MinDegree | `grid128` Given |
-/// |-------|------|------|-------|-------|
-/// | 0     | 24.3 | 22.9 | 263.6 | 250.1 |
-/// | 512   | 12.9 | 11.2 | 152.1 | 148.3 |
-/// | 768   |  9.8 |  8.0 | 127.9 | 124.7 |
-/// | 1,024 |  8.5 |  6.6 | 110.9 | 105.8 |
-/// | 1,536 |  8.0 |  5.8 |  91.2 |  82.8 |
-/// | 2,048 |  8.1 |  6.0 |  80.6 |  72.8 |
+/// | tail  | `grid64` MinDegree | `grid64` ND | `grid128` MinDegree | `grid128` ND | rg65k MinDegree | rg65k ND |
+/// |-------|------|-------|-------|-------|------|-------|
+/// | 768   | 8.0  | 10.5  | 109.9 | 139.8 | 50.9 | 190.8 |
+/// | 1,024 | 6.7  | 10.1  | 108.1 | 128.6 | 51.5 | 192.4 |
+/// | 1,536 | 5.5  |  9.5  |  94.0 | 109.3 | 46.3 | 202.3 |
+/// | 2,048 | 5.6  |  9.5  |  80.8 |  95.7 | 45.9 | 217.1 |
 ///
-/// (the row for 0 is one sweep). The grids gain up to 1,536 and `grid128`
-/// past it, but a `random_geometric(262144, 3)` road-like graph did not:
-/// `mde_order` took 389–436 ms at 1,024 and 469–497 ms at 1,536, its tail
-/// alone 9 ms against 32–34 ms. 1,024 stays, with its triangle at 2 MB
-/// (one core's L2 on that host) + 128 KB of bits.
-///
-/// Under [`OrderingStrategy::NestedDissection`] the tail holds the top
-/// separators of the dissection, which carry less fill than MinDegree's
-/// last vertices (on `grid64` its tail takes ≈ 5 ms where MinDegree's takes
-/// ≈ 7.6, wall time, medians of 21), and no size does better. Whole
-/// `NestedDissection` builds (dissection included), thread CPU time,
-/// medians of 21 runs interleaved in one process (two processes) on
-/// `grid64`, of 3 on `random_geometric(65536, 3)`, ms:
-///
-/// | tail  | `grid64`    | rg65k |
-/// |-------|-------------|-------|
-/// | 512   | 22.3 / 23.5 | 223   |
-/// | 1,024 | 16.4 / 19.7 | 229   |
-/// | 1,536 | 17.1 / 19.2 | 228   |
-/// | 2,048 | 16.4 / 19.8 | 225   |
-const DENSE_TAIL: usize = 1024;
+/// The grids gain past 1,536, rg65k's nested dissection (whose tail holds
+/// separators of low degree) does not. While the tail also kept a weight
+/// triangle (2 MB at 1,024) the grids stopped gaining at 1,024 to 1,536
+/// and a `random_geometric(262144, 3)` graph lost past 1,024.
+const DENSE_TAIL: usize = 1536;
 
-/// Eliminates every vertex of `graph`, in the order `strategy` dictates.
-pub(crate) fn eliminate(
-    graph: &Graph,
-    strategy: OrderingStrategy,
-    mode: ShortcutMode,
-) -> Elimination {
-    eliminate_with_tail(graph, strategy, mode, DENSE_TAIL)
+/// The order an all-pairs build customizes on: a given order as it is, or
+/// the order one elimination of `graph` pops.
+pub(crate) fn elimination_order(graph: &Graph, strategy: OrderingStrategy) -> VertexOrder {
+    order_with_tail(graph, strategy, DENSE_TAIL)
 }
 
-/// [`eliminate`] with the last `tail` vertices on a dense matrix (all-pairs
-/// builds only). The result does not depend on `tail`.
-fn eliminate_with_tail(
-    graph: &Graph,
-    strategy: OrderingStrategy,
-    mode: ShortcutMode,
-    tail: usize,
-) -> Elimination {
+/// [`elimination_order`] with the last `tail` vertices on the dense
+/// adjacency bits. The result does not depend on `tail`.
+fn order_with_tail(graph: &Graph, strategy: OrderingStrategy, tail: usize) -> VertexOrder {
+    if let OrderingStrategy::Given(order) = strategy {
+        assert_eq!(
+            order.len(),
+            graph.num_vertices(),
+            "given order does not cover the graph"
+        );
+        return order;
+    }
     let n = graph.num_vertices();
-    // A graph has no self-loops and no parallel edges, so its adjacency is
-    // the initial set of rows as it stands.
-    let mut rows: Vec<Vec<(VertexId, Weight)>> = graph
-        .vertices()
-        .map(|v| graph.neighbors(v).collect())
-        .collect();
-    let mut schedule = Schedule::new(strategy, graph, &rows);
-    // Witness searches walk the live rows, so a pruned build stays sparse.
-    let tail = match mode {
-        ShortcutMode::AllPairs => tail.min(n),
-        ShortcutMode::WitnessPruned { .. } => 0,
-    };
-
-    // `slot[u]` = position of `u` in the row of the vertex being eliminated.
-    let mut slot = vec![NO_SLOT; n];
-    // Per neighbour `a`: the positions whose pair with `a` needs no (further)
-    // write — `a` itself, pairs the scan met, pairs a witness made redundant.
-    let mut done: Vec<bool> = Vec::new();
-    let mut redundant: Vec<bool> = Vec::new();
-    let mut extra_shortcuts = 0usize;
-
+    let tail = tail.min(n);
+    let mut head = SparseRows::<VertexId>::new(graph);
+    let mut schedule = Schedule::new(strategy, graph, &head.rows);
     for step in 0..n - tail {
         let v = schedule.next(step);
-        let nbrs = std::mem::take(&mut rows[v.index()]);
-        let deg = nbrs.len();
-        for (i, &(a, _)) in nbrs.iter().enumerate() {
-            slot[a.index()] = i as u32;
-        }
-        if let ShortcutMode::WitnessPruned { hop_limit } = mode {
-            // All of `v`'s witness searches run before any of its shortcuts
-            // is written: the classic one-vertex-at-a-time semantics.
-            redundant.clear();
-            redundant.resize(deg * deg, false);
-            for (i, &(a, wa)) in nbrs.iter().enumerate() {
-                for (k, &(b, wb)) in nbrs.iter().enumerate().skip(i + 1) {
-                    let via = Dist(shortcut_sum(wa, wb));
-                    if has_witness(&rows, v, a, b, via, hop_limit) {
-                        redundant[i * deg + k] = true;
-                        redundant[k * deg + i] = true;
-                    }
-                }
-            }
-        }
-        for (i, &(a, wa)) in nbrs.iter().enumerate() {
-            done.clear();
-            match mode {
-                ShortcutMode::AllPairs => done.resize(deg, false),
-                ShortcutMode::WitnessPruned { .. } => {
-                    done.extend_from_slice(&redundant[i * deg..(i + 1) * deg])
-                }
-            }
-            done[i] = true;
-            let row = &mut rows[a.index()];
-            let mut at_v = 0;
-            for (j, (b, w)) in row.iter_mut().enumerate() {
-                let k = slot[b.index()] as usize;
-                if k == NO_SLOT as usize {
-                    if *b == v {
-                        at_v = j;
-                    }
-                } else if !done[k] {
-                    *w = (*w).min(shortcut_sum(wa, nbrs[k].1));
-                    done[k] = true;
-                }
-            }
-            debug_assert_eq!(row[at_v].0, v);
-            // Row order carries no meaning until the final sort by rank.
-            row.swap_remove(at_v);
-            for (k, &(b, wb)) in nbrs.iter().enumerate() {
-                if !done[k] {
-                    row.push((b, shortcut_sum(wa, wb)));
-                    // The pair is appended to both rows; count it once.
-                    extra_shortcuts += usize::from(i < k);
-                }
-            }
-            schedule.set_degree(a, row.len());
-        }
-        for &(a, _) in &nbrs {
-            slot[a.index()] = NO_SLOT;
-        }
-        rows[v.index()] = nbrs;
+        head.eliminate(v, &mut schedule, None);
     }
     if tail > 0 {
         // Every slot is free again; the dense tail reuses them as local ids.
-        extra_shortcuts += eliminate_dense(&mut rows, &mut schedule, n - tail, &mut slot);
+        eliminate_dense(&head.rows, &mut schedule, n - tail, &mut head.slot);
     }
+    schedule.into_order()
+}
 
+/// Eliminates every vertex of `graph` in the order `strategy` dictates,
+/// keeping only the shortcuts no witness path of at most `hop_limit` settled
+/// vertices makes redundant.
+pub(crate) fn eliminate_pruned(
+    graph: &Graph,
+    strategy: OrderingStrategy,
+    hop_limit: usize,
+) -> Elimination {
+    let mut rows = SparseRows::<(VertexId, Weight)>::new(graph);
+    let mut schedule = Schedule::new(strategy, graph, &rows.rows);
+    let mut redundant = Vec::new();
+    let mut extra_shortcuts = 0;
+    for step in 0..graph.num_vertices() {
+        let v = schedule.next(step);
+        // All of `v`'s witness searches run before any of its shortcuts is
+        // written: the classic one-vertex-at-a-time semantics.
+        let nbrs = &rows.rows[v.index()];
+        let deg = nbrs.len();
+        redundant.clear();
+        redundant.resize(deg * deg, false);
+        for (i, &(a, wa)) in nbrs.iter().enumerate() {
+            for (k, &(b, wb)) in nbrs.iter().enumerate().skip(i + 1) {
+                let via = Dist(shortcut_sum(wa, wb));
+                if has_witness(&rows.rows, v, a, b, via, hop_limit) {
+                    redundant[i * deg + k] = true;
+                    redundant[k * deg + i] = true;
+                }
+            }
+        }
+        extra_shortcuts += rows.eliminate(v, &mut schedule, Some(&redundant));
+    }
     let order = schedule.into_order();
-    for row in &mut rows {
+    let mut up = rows.rows;
+    for row in &mut up {
         row.sort_unstable_by_key(|&(u, _)| order.rank(u));
     }
     Elimination {
         order,
-        up: rows,
+        up,
         extra_shortcuts,
     }
 }
 
-/// Where row `i` of the strict lower triangle starts: the pair `{i, j}`,
-/// `j < i`, is cell `tri(i) + j`.
-fn tri(i: usize) -> usize {
-    i * i.saturating_sub(1) / 2
+/// An entry of a live row: a neighbour, with the weight of the pair when
+/// the elimination keeps weights (only witness searches read them).
+trait Entry: Copy {
+    /// The entry of a graph arc to `u` weighing `w`.
+    fn arc(u: VertexId, w: Weight) -> Self;
+    fn vertex(self) -> VertexId;
+    /// The entry of a vertex's row for the neighbour `b` it gains through
+    /// the eliminated vertex, which its entry `via` reaches.
+    fn through(via: Self, b: Self) -> Self;
+    /// `self` is met again through the eliminated vertex, which `via`
+    /// reaches; `b` is the eliminated vertex's entry for it.
+    fn meet(&mut self, via: Self, b: Self);
 }
 
-/// Eliminates the vertices still live after `first` steps on the strict
-/// lower triangle of a symmetric `r × r` weight matrix and one `r`-bit
-/// adjacency row per vertex, leaving each one's frozen row (global ids,
-/// unsorted) in `rows`. `local` is scratch of one entry per vertex of the
-/// graph. Returns the number of shortcuts created between vertices that were
-/// not adjacent.
+impl Entry for VertexId {
+    fn arc(u: VertexId, _: Weight) -> Self {
+        u
+    }
+    fn vertex(self) -> VertexId {
+        self
+    }
+    fn through(_: Self, b: Self) -> Self {
+        b
+    }
+    fn meet(&mut self, _: Self, _: Self) {}
+}
+
+impl Entry for (VertexId, Weight) {
+    fn arc(u: VertexId, w: Weight) -> Self {
+        (u, w)
+    }
+    fn vertex(self) -> VertexId {
+        self.0
+    }
+    fn through(via: Self, b: Self) -> Self {
+        (b.0, shortcut_sum(via.1, b.1))
+    }
+    fn meet(&mut self, via: Self, b: Self) {
+        self.1 = self.1.min(shortcut_sum(via.1, b.1));
+    }
+}
+
+/// The live graph as one row per vertex, and the scratch of a step.
+struct SparseRows<E> {
+    rows: Vec<Vec<E>>,
+    /// `slot[u]` = position of `u` in the row of the vertex being eliminated.
+    slot: Vec<u32>,
+    /// Per neighbour `a`: the positions whose pair with `a` needs no
+    /// (further) write — `a` itself, pairs the scan met, pairs a witness
+    /// made redundant.
+    done: Vec<bool>,
+}
+
+impl<E: Entry> SparseRows<E> {
+    fn new(graph: &Graph) -> Self {
+        SparseRows {
+            // A graph has no self-loops and no parallel edges, so its
+            // adjacency is the initial set of rows as it stands.
+            rows: (graph.vertices())
+                .map(|v| graph.neighbors(v).map(|(u, w)| E::arc(u, w)).collect())
+                .collect(),
+            slot: vec![NO_SLOT; graph.num_vertices()],
+            done: Vec::new(),
+        }
+    }
+
+    /// Eliminates `v`, whose row is frozen where it lies. `redundant`, when
+    /// there is one, says which pairs of `v`'s neighbours (row by row) a
+    /// witness made redundant. Returns the number of shortcuts created
+    /// between vertices that were not adjacent.
+    fn eliminate(
+        &mut self,
+        v: VertexId,
+        schedule: &mut Schedule,
+        redundant: Option<&[bool]>,
+    ) -> usize {
+        let SparseRows { rows, slot, done } = self;
+        let nbrs = std::mem::take(&mut rows[v.index()]);
+        let deg = nbrs.len();
+        for (i, &a) in nbrs.iter().enumerate() {
+            slot[a.vertex().index()] = i as u32;
+        }
+        let mut extra_shortcuts = 0;
+        for (i, &a) in nbrs.iter().enumerate() {
+            done.clear();
+            match redundant {
+                None => done.resize(deg, false),
+                Some(redundant) => done.extend_from_slice(&redundant[i * deg..(i + 1) * deg]),
+            }
+            done[i] = true;
+            let row = &mut rows[a.vertex().index()];
+            let mut at_v = 0;
+            for (j, e) in row.iter_mut().enumerate() {
+                let k = slot[e.vertex().index()] as usize;
+                if k == NO_SLOT as usize {
+                    if e.vertex() == v {
+                        at_v = j;
+                    }
+                } else if !done[k] {
+                    e.meet(a, nbrs[k]);
+                    done[k] = true;
+                }
+            }
+            debug_assert_eq!(row[at_v].vertex(), v);
+            // Row order carries no meaning until the final sort by rank.
+            row.swap_remove(at_v);
+            for (k, &b) in nbrs.iter().enumerate() {
+                if !done[k] {
+                    row.push(E::through(a, b));
+                    // The pair is appended to both rows; count it once.
+                    extra_shortcuts += usize::from(i < k);
+                }
+            }
+            schedule.set_degree(a.vertex(), row.len());
+        }
+        for &a in &nbrs {
+            slot[a.vertex().index()] = NO_SLOT;
+        }
+        rows[v.index()] = nbrs;
+        extra_shortcuts
+    }
+}
+
+/// Eliminates the vertices still live after `first` steps on one `r`-bit
+/// adjacency row per vertex. `local` is scratch of one entry per vertex of
+/// the graph.
 fn eliminate_dense(
-    rows: &mut [Vec<(VertexId, Weight)>],
+    rows: &[Vec<VertexId>],
     schedule: &mut Schedule,
     first: usize,
     local: &mut [u32],
-) -> usize {
-    let live = schedule.live(first);
+) {
+    let live = schedule.live();
     let r = live.len();
     let words = r.div_ceil(64);
-    // Cells hold `!weight`. A zeroed cell then reads as `Weight::MAX`, the
-    // identity of `min`, so a pair's first shortcut and every later one are
-    // the same branch-free write: `max` of cells is `min` of weights. Whether
-    // the pair is an arc is only ever read from `adj` — a real arc may weigh
-    // `Weight::MAX` too. And zeroed memory can come from pages the allocator
-    // maps on first touch, so a tail with few arcs (a path, a small
-    // partition) touches few of them. A pair's weight is the same from both
-    // ends, so only the triangle below the diagonal is stored: each pair is
-    // one cell, written once per step.
-    let mut cells: Vec<Weight> = vec![0; tri(r)];
     let mut adj: Vec<u64> = vec![0; r * words];
     let mut degree: Vec<u32> = Vec::with_capacity(r);
     for (i, &u) in live.iter().enumerate() {
         local[u.index()] = i as u32;
     }
     for (i, &u) in live.iter().enumerate() {
-        let row = std::mem::take(&mut rows[u.index()]);
+        let row = &rows[u.index()];
         degree.push(row.len() as u32);
-        for (b, w) in row {
+        for &b in row {
             let j = local[b.index()] as usize;
-            if j < i {
-                cells[tri(i) + j] = !w;
-            }
             adj[i * words + j / 64] |= 1 << (j % 64);
         }
     }
 
     let mut x_adj: Vec<u64> = vec![0; words];
-    let mut nbrs: Vec<usize> = Vec::with_capacity(r);
-    let mut weights: Vec<Weight> = Vec::with_capacity(r);
-    // Every new pair is counted from both of its ends.
-    let mut added = 0usize;
     for step in first..first + r {
         let v = schedule.next(step);
         let x = local[v.index()] as usize;
         x_adj.copy_from_slice(&adj[x * words..(x + 1) * words]);
-        nbrs.clear();
         for (k, &word) in x_adj.iter().enumerate() {
             let mut word = word;
             while word != 0 {
-                nbrs.push(k * 64 + word.trailing_zeros() as usize);
+                let a = k * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
+                // `a` gains the neighbours of `x` it lacked (itself among
+                // them, not kept) and loses `x`.
+                let a_adj = &mut adj[a * words..(a + 1) * words];
+                let mut fresh = 0;
+                for (aw, &xw) in a_adj.iter_mut().zip(&x_adj) {
+                    fresh += (xw & !*aw).count_ones();
+                    *aw |= xw;
+                }
+                a_adj[a / 64] &= !(1 << (a % 64));
+                a_adj[x / 64] &= !(1 << (x % 64));
+                degree[a] = degree[a] + fresh - 2;
+                schedule.set_degree(live[a], degree[a] as usize);
             }
-        }
-        weights.clear();
-        weights.extend(nbrs.iter().map(|&a| {
-            let (hi, lo) = if a < x { (x, a) } else { (a, x) };
-            !cells[tri(hi) + lo]
-        }));
-        rows[v.index()] = nbrs
-            .iter()
-            .zip(&weights)
-            .map(|(&a, &w)| (live[a], w))
-            .collect();
-
-        for (p, (&a, &wa)) in nbrs.iter().zip(&weights).enumerate() {
-            // `nbrs` ascends, so the pairs of `a` with the neighbours before
-            // it all lie in `a`'s triangle row.
-            let a_cells = &mut cells[tri(a)..tri(a) + a];
-            for (&b, &wb) in nbrs[..p].iter().zip(&weights[..p]) {
-                a_cells[b] = a_cells[b].max(!shortcut_sum(wa, wb));
-            }
-            // `a` gains the neighbours of `x` it lacked (itself among them,
-            // not kept) and loses `x`.
-            let a_adj = &mut adj[a * words..(a + 1) * words];
-            let mut fresh = 0;
-            for (aw, &xw) in a_adj.iter_mut().zip(&x_adj) {
-                fresh += (xw & !*aw).count_ones();
-                *aw |= xw;
-            }
-            a_adj[a / 64] &= !(1 << (a % 64));
-            a_adj[x / 64] &= !(1 << (x % 64));
-            added += fresh as usize - 1;
-            degree[a] = degree[a] + fresh - 2;
-            schedule.set_degree(live[a], degree[a] as usize);
         }
     }
-    added / 2
 }
 
 /// Where the next vertex to eliminate comes from.
@@ -355,7 +363,7 @@ enum Schedule {
 }
 
 impl Schedule {
-    fn new(strategy: OrderingStrategy, graph: &Graph, rows: &[Vec<(VertexId, Weight)>]) -> Self {
+    fn new<E>(strategy: OrderingStrategy, graph: &Graph, rows: &[Vec<E>]) -> Self {
         let n = rows.len();
         let groups = match strategy {
             OrderingStrategy::MinDegree => vec![(0..n).map(VertexId::from_index).collect()],
@@ -422,11 +430,12 @@ impl Schedule {
         }
     }
 
-    /// The vertices still live after `step` steps, about in the order they
-    /// will go, which keeps a step's cells close together: a given order's
-    /// rest; the current group's live vertices by id (on a grid or a road
-    /// network nearby ids are mostly nearby vertices) and the later groups.
-    fn live(&self, step: usize) -> Vec<VertexId> {
+    /// The vertices still live, about in the order they
+    /// will go, which keeps a step's bit rows close together: the current
+    /// group's live vertices by id (on a grid or a road network nearby ids
+    /// are mostly nearby vertices) and the later groups. A given order is
+    /// never eliminated on the bits.
+    fn live(&self) -> Vec<VertexId> {
         match self {
             Schedule::Queue {
                 groups,
@@ -439,7 +448,7 @@ impl Schedule {
                 live.extend(groups[*next_group..].iter().flatten());
                 live
             }
-            Schedule::Given(order) => order.sequence()[step..].to_vec(),
+            Schedule::Given(_) => unreachable!("a given order is taken as it is"),
         }
     }
 
@@ -595,25 +604,18 @@ mod tests {
 
     /// The sparse→dense hand-off at every interesting step: none (0), the
     /// last vertex (1), the last two (2), half way (n/2) and the whole graph
-    /// (n) must all give the all-sparse elimination, under `MinDegree`,
-    /// under `NestedDissection` and under a given order (ids ascending).
+    /// (n) must all pop the all-sparse order, under `MinDegree` and under
+    /// `NestedDissection`: the order is all the tail decides.
     fn assert_tail_invariant(name: &str, g: &Graph) {
         let n = g.num_vertices();
-        let ascending = VertexOrder::from_sequence(g.vertices().collect());
         for strategy in [
             OrderingStrategy::MinDegree,
             OrderingStrategy::NestedDissection,
-            OrderingStrategy::Given(ascending),
         ] {
-            let sparse = eliminate_with_tail(g, strategy.clone(), ShortcutMode::AllPairs, 0);
+            let sparse = order_with_tail(g, strategy.clone(), 0);
             for tail in [1, 2, n / 2, n] {
-                let e = eliminate_with_tail(g, strategy.clone(), ShortcutMode::AllPairs, tail);
-                let at = format!("{name}, {strategy:?}, tail {tail}");
-                assert_eq!(e.order, sparse.order, "{at}: order");
-                for v in g.vertices() {
-                    assert_eq!(e.up[v.index()], sparse.up[v.index()], "{at}: row of {v}");
-                }
-                assert_eq!(e.extra_shortcuts, sparse.extra_shortcuts, "{at}: extra");
+                let order = order_with_tail(g, strategy.clone(), tail);
+                assert_eq!(order, sparse, "{name}, {strategy:?}, tail {tail}");
             }
         }
     }
@@ -672,8 +674,8 @@ mod tests {
     #[test]
     fn max_weight_arcs_beside_saturating_sums_eliminate_alike_at_every_hand_off() {
         // Two-hop sums straddle the clamp at u32::MAX - 1; one pendant arc
-        // and one corner-to-corner arc weigh exactly u32::MAX, which a dense
-        // cell must hold as a real arc.
+        // and one corner-to-corner arc weigh exactly u32::MAX. The order
+        // reads no weight, at either end of the hand-off.
         let half = u32::MAX / 2;
         let base = grid_with_diagonals(8, 8, WeightRange::new(half - 40, half + 40), 0.15, 15);
         let n = base.num_vertices();
@@ -686,13 +688,31 @@ mod tests {
     }
 
     #[test]
+    fn a_given_order_is_taken_as_it_is() {
+        let g = grid(6, 6, WeightRange::new(1, 20), 4);
+        let mut sequence: Vec<VertexId> = g.vertices().collect();
+        sequence.reverse();
+        let descending = VertexOrder::from_sequence(sequence);
+        let given = OrderingStrategy::Given(descending.clone());
+        assert_eq!(elimination_order(&g, given), descending);
+    }
+
+    #[test]
     fn witness_pruning_ignores_the_tail() {
-        let g = random_geometric(120, 3, WeightRange::new(1, 80), 9);
-        let mode = ShortcutMode::WitnessPruned { hop_limit: 16 };
-        let sparse = eliminate_with_tail(&g, OrderingStrategy::MinDegree, mode, 0);
-        let tail = eliminate_with_tail(&g, OrderingStrategy::MinDegree, mode, g.num_vertices());
-        assert_eq!(tail.order, sparse.order);
-        assert_eq!(tail.up, sparse.up);
-        assert_eq!(tail.extra_shortcuts, sparse.extra_shortcuts);
+        // A pruned elimination stays on sparse rows throughout. On a tree
+        // no pair has a witness, so it keeps every pair the all-pairs
+        // elimination does, and pops that one's order at every hand-off.
+        let n = DENSE_TAIL as u32 + 300;
+        let mut b = GraphBuilder::new(n as usize);
+        for v in 1..n {
+            b.add_edge(VertexId(v), VertexId((v - 1) / 3), 1 + v % 7);
+        }
+        let g = b.build();
+        let pruned = eliminate_pruned(&g, OrderingStrategy::MinDegree, 16);
+        for tail in [0, DENSE_TAIL, n as usize] {
+            let order = order_with_tail(&g, OrderingStrategy::MinDegree, tail);
+            assert_eq!(pruned.order, order, "tail {tail}");
+        }
+        assert_eq!(pruned.extra_shortcuts, 0);
     }
 }

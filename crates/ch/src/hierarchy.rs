@@ -1,16 +1,45 @@
-//! The contraction hierarchy: the upward shortcut graph one elimination of
-//! the graph leaves behind, and what queries and repairs read of it.
+//! The contraction hierarchy: the upward shortcut graph of an elimination
+//! order, and what queries and repairs read of it.
 //!
-//! Construction is `elimination.rs`: one sequential pass over plain
-//! per-vertex rows that yields the order and the shortcut rows together, so a
-//! [`OrderingStrategy::MinDegree`] or [`OrderingStrategy::NestedDissection`]
-//! build eliminates the graph once. This
-//! module wraps the result for serving: chunked copy-on-write shortcut
+//! An all-pairs build is the split of Customizable Contraction Hierarchies
+//! (Dibbelt, Strasser, Wagner): the hierarchy's shape depends on the
+//! topology and the order alone, its weights on the weights alone.
+//!
+//! 1. **Order.** [`OrderingStrategy::Given`] is used as it is;
+//!    [`OrderingStrategy::MinDegree`] and
+//!    [`OrderingStrategy::NestedDissection`] run the elimination
+//!    (`elimination.rs`) for the order only.
+//! 2. **Fill (symbolic).** `N_up(v)` is `v`'s higher neighbours plus each of
+//!    its elimination-tree children's `N_up` minus `v`, built in rank order
+//!    with one stamp array, stored as CSR and sorted by rank (`symbolic_fill`).
+//! 3. **Customize (numeric).** Every row, in ascending rank, is derived by
+//!    the pull of the repair ([`crate::dch`]): the build and the repair run
+//!    one row kernel over one `ArcIndex`.
+//!
+//! A warm restart that stores its order therefore eliminates nothing.
+//! Against the weighted elimination this replaced, timed in one process
+//! (2-vCPU Xeon, medians of 41 interleaved runs on `grid64`, of 5 on
+//! `random_geometric(65536, 3)`, ms):
+//!
+//! | build             | `grid64` before | after | rg65k before | after |
+//! |-------------------|-----------------|-------|--------------|-------|
+//! | given order       | 13.8            | 5.7   | 61–66        | 44–49 |
+//! | MinDegree         | 17.4            | 14.2  | 85–90        | 103–115 |
+//! | nested dissection | 20.8            | 18.7  | 238–247      | 269–283 |
+//!
+//! On the road-like graph a MinDegree or nested-dissection build pays its
+//! elimination (60 ms of MinDegree's) and then the fill (10 ms) and the
+//! customization (≈ 35 ms) where one weighted pass did both.
+//! `given_order_and_nd_builds_on_grid64` below is the ruler. Witness-pruned
+//! builds (TOAIN) keep their weighted elimination: a witness search reads
+//! the live weights.
+//!
+//! This module wraps the result for serving: chunked copy-on-write shortcut
 //! weights, the immutable arc topology (`ArcIndex`) and the shared repair
 //! scratch.
 
-use crate::dch::RepairScratch;
-use crate::elimination::{eliminate, Elimination};
+use crate::dch::{Pull, RepairScratch};
+use crate::elimination::{eliminate_pruned, elimination_order, Elimination};
 use crate::ordering::{OrderingStrategy, VertexOrder};
 use htsp_graph::cow::{CowStats, CowTable};
 use htsp_graph::par::WorkerPool;
@@ -128,13 +157,67 @@ impl ArcIndex {
     }
 }
 
+/// The upward rows of every vertex under an order, by rank, as the ranks of
+/// their targets, ascending: row `r` is `ranks[start[r]..start[r + 1]]`.
+struct Fill {
+    start: Vec<u32>,
+    ranks: Vec<u32>,
+}
+
+/// The symbolic fill: `N_up(v)` is `v`'s higher neighbours plus each of its
+/// elimination-tree children's `N_up` minus `v`, and `v`'s parent is the
+/// lowest-ranked vertex of `N_up(v)`. Rows are built in rank order, so every
+/// child's row is complete when its parent's is, and one stamp per rank keeps
+/// a row's targets apart.
+fn symbolic_fill(graph: &Graph, order: &VertexOrder) -> Fill {
+    const NONE: u32 = u32::MAX;
+    let n = order.len();
+    let mut start = Vec::with_capacity(n + 1);
+    start.push(0u32);
+    let mut ranks: Vec<u32> = Vec::with_capacity(graph.num_edges());
+    // `stamp[u] == r` while `u` is in row `r`.
+    let mut stamp = vec![NONE; n];
+    // The elimination tree's children of every rank, as linked lists.
+    let mut first_child = vec![NONE; n];
+    let mut next_sibling = vec![NONE; n];
+    for r in 0..n as u32 {
+        let begin = ranks.len();
+        // Keeps `v` out of its children's rows.
+        stamp[r as usize] = r;
+        for (u, _) in graph.neighbors(order.vertex_at(r)) {
+            let u = order.rank(u);
+            if u > r {
+                stamp[u as usize] = r;
+                ranks.push(u);
+            }
+        }
+        let mut child = first_child[r as usize];
+        while child != NONE {
+            for i in start[child as usize] as usize..start[child as usize + 1] as usize {
+                let u = ranks[i];
+                if stamp[u as usize] != r {
+                    stamp[u as usize] = r;
+                    ranks.push(u);
+                }
+            }
+            child = next_sibling[child as usize];
+        }
+        ranks[begin..].sort_unstable();
+        if let Some(&parent) = ranks.get(begin) {
+            next_sibling[r as usize] = std::mem::replace(&mut first_child[parent as usize], r);
+        }
+        start.push(ranks.len() as u32);
+    }
+    Fill { start, ranks }
+}
+
 /// A two-hop shortcut candidate `sc(x, v) + sc(x, u)`, saturating one below
 /// "unreachable" — an arc that exists is never unreachable. The build and the
 /// repair both take their sums from here, so a repaired hierarchy equals a
 /// fresh build with the same order even when weights saturate.
 #[inline]
 pub(crate) fn shortcut_sum(a: Weight, b: Weight) -> Weight {
-    (a as u64 + b as u64).min(INF.0 as u64 - 1) as Weight
+    a.saturating_add(b).min(INF.0 - 1)
 }
 
 impl AsRef<ContractionHierarchy> for ContractionHierarchy {
@@ -145,18 +228,58 @@ impl AsRef<ContractionHierarchy> for ContractionHierarchy {
 
 impl ContractionHierarchy {
     /// Builds a CH over `graph` using the given ordering strategy and shortcut
-    /// mode: one elimination of the graph (`elimination.rs`).
+    /// mode.
+    ///
+    /// An all-pairs build orders (`elimination.rs`; a given order is taken
+    /// as is), fills the rows symbolically and customizes them: every row, in
+    /// ascending rank, is derived by the pull the repair runs
+    /// ([`crate::dch`]).
     ///
     /// With [`ShortcutMode::WitnessPruned`] the witness searches of a vertex
     /// run on the live contraction graph before any of its shortcuts is
     /// written — the classic one-vertex-at-a-time semantics.
     pub fn build(graph: &Graph, strategy: OrderingStrategy, mode: ShortcutMode) -> Self {
+        let ShortcutMode::WitnessPruned { hop_limit } = mode else {
+            let order = elimination_order(graph, strategy);
+            let fill = symbolic_fill(graph, &order);
+            return Self::customize(graph, order, &fill);
+        };
         let Elimination {
             order,
             up,
             extra_shortcuts,
-        } = eliminate(graph, strategy, mode);
+        } = eliminate_pruned(graph, strategy, hop_limit);
         Self::from_parts(order, up, mode, extra_shortcuts)
+    }
+
+    /// The all-pairs hierarchy of `graph` on `order`: the rows of `order`'s
+    /// fill, each weighed by the pull once its supporters are.
+    fn customize(graph: &Graph, order: VertexOrder, fill: &Fill) -> Self {
+        let n = order.len();
+        // Rows are allocated in rank order, the order the pull and the
+        // repair walk them in.
+        let mut up: Vec<Vec<(VertexId, Weight)>> = vec![Vec::new(); n];
+        for (x, ends) in order.sequence().iter().zip(fill.start.windows(2)) {
+            let row = &fill.ranks[ends[0] as usize..ends[1] as usize];
+            up[x.index()] = row.iter().map(|&u| (order.vertex_at(u), INF.0)).collect();
+        }
+        let arcs = ArcIndex::build(&up);
+        let mut pull = Pull::new(n);
+        for &x in order.sequence() {
+            let best = pull.row(graph, &arcs, x, &up[x.index()], |y| &up[y.index()]);
+            for (arc, &w) in up[x.index()].iter_mut().zip(best) {
+                arc.1 = w;
+            }
+        }
+        ContractionHierarchy {
+            order: Arc::new(order),
+            arcs: Arc::new(arcs),
+            up: CowTable::from_rows(up),
+            repair_scratch: Arc::new(ScratchPool::new(move || RepairScratch::new(n))),
+            mode: ShortcutMode::AllPairs,
+            // A graph has no parallel edges: each is the arc of its lower end.
+            extra_shortcuts: fill.ranks.len() - graph.num_edges(),
+        }
     }
 
     /// [`Self::build`] under the name the benchmark adapter calls; `pool` is
@@ -458,5 +581,56 @@ mod tests {
             ContractionHierarchy::build(&g, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
         assert!(ch.index_size_bytes() > 0);
         assert!(ch.num_arcs() >= g.num_edges());
+    }
+
+    /// The all-pairs build's ruler on the benchmark's dataset: the
+    /// nested-dissection build beside a build on its order, and the
+    /// order / fill / customize split, interleaved.
+    ///
+    /// `cargo test --release -p htsp-ch -- --ignored --nocapture grid64`
+    #[test]
+    #[ignore = "a timing ruler: seconds, and only meaningful in a release build"]
+    fn given_order_and_nd_builds_on_grid64() {
+        use htsp_graph::gen::grid_with_diagonals;
+        use std::time::Instant;
+        let g = grid_with_diagonals(64, 64, WeightRange::new(1, 100), 0.1, 42);
+        let nd = OrderingStrategy::NestedDissection;
+        let order = elimination_order(&g, nd.clone());
+        let fill = symbolic_fill(&g, &order);
+        let ms = |f: &mut dyn FnMut()| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        };
+        let mut runs: [(&str, Vec<f64>); 5] = [
+            ("ND build", Vec::new()),
+            ("given build", Vec::new()),
+            ("ND order", Vec::new()),
+            ("fill", Vec::new()),
+            ("customize", Vec::new()),
+        ];
+        for _ in 0..31 {
+            runs[0].1.push(ms(&mut || {
+                ContractionHierarchy::build(&g, nd.clone(), ShortcutMode::AllPairs);
+            }));
+            runs[1].1.push(ms(&mut || {
+                let given = OrderingStrategy::Given(order.clone());
+                ContractionHierarchy::build(&g, given, ShortcutMode::AllPairs);
+            }));
+            runs[2].1.push(ms(&mut || {
+                elimination_order(&g, nd.clone());
+            }));
+            runs[3].1.push(ms(&mut || {
+                symbolic_fill(&g, &order);
+            }));
+            runs[4].1.push(ms(&mut || {
+                ContractionHierarchy::customize(&g, order.clone(), &fill);
+            }));
+        }
+        println!("grid64, ms (median of 31; quartiles):");
+        for (name, v) in &mut runs {
+            v.sort_by(f64::total_cmp);
+            println!("    {name:<12} {:6.2} ({:.2}-{:.2})", v[15], v[7], v[23]);
+        }
     }
 }

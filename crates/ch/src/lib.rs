@@ -28,6 +28,10 @@
 //! ```text
 //! sc(v, u) = min( |e(v, u)|,  min over x with {v,u} ⊆ N_up(x) of sc(x, v) + sc(x, u) )
 //! ```
+//!
+//! An all-pairs build re-derives every row the same way, in ascending rank,
+//! over the rows of its order's symbolic fill (`hierarchy.rs`); only the
+//! order comes from an elimination, and a given order needs none.
 
 #![warn(missing_docs)]
 

@@ -2,23 +2,23 @@
 //!
 //! The paper uses Minimum Degree Elimination (MDE, §II) to produce both the
 //! CH contraction order and the tree decomposition, so the two indexes share
-//! shortcuts (Lemma 4). The order is a by-product of the one elimination pass
-//! in `elimination.rs`: a [`OrderingStrategy::MinDegree`] build gets
-//! order and shortcuts from a single pass, and [`mde_order`] is that pass
-//! with the shortcuts thrown away. The PSP indexes additionally need a
-//! *boundary-first* order (§IV-B), which is an MDE order re-sorted and handed
-//! back as [`OrderingStrategy::Given`].
+//! shortcuts (Lemma 4). The order comes from the elimination in
+//! `elimination.rs`, which tracks adjacency only: an all-pairs hierarchy
+//! derives its shortcut rows from the order afterwards (`hierarchy.rs`), so
+//! [`mde_order`] followed by a build on [`OrderingStrategy::Given`] costs
+//! what a [`OrderingStrategy::MinDegree`] build costs. The PSP indexes
+//! additionally need a *boundary-first* order (§IV-B), which is an MDE order
+//! re-sorted and handed back as [`OrderingStrategy::Given`].
 //!
 //! The whole-graph all-pairs hierarchies (the tree decomposition under every
 //! H2H-based index, and DCH) are ordered by
 //! [`OrderingStrategy::NestedDissection`] instead: balanced minimum vertex
 //! cuts from the topology alone, MinDegree inside the parts too small to
-//! cut, again in the one elimination pass (`dissection.rs`). MinDegree stays
+//! cut, again from the one elimination pass (`dissection.rs`). MinDegree stays
 //! the order of the witness-pruned TOAIN build, of the partition hierarchies
 //! and of [`mde_order`].
 
-use crate::elimination::eliminate;
-use crate::hierarchy::ShortcutMode;
+use crate::elimination::elimination_order;
 use htsp_graph::{Graph, VertexId};
 use rustc_hash::FxHashSet;
 
@@ -134,10 +134,11 @@ pub enum OrderingStrategy {
 /// neighbors of the removed vertex into a clique). Ties are broken by vertex
 /// id, so the order is a pure function of the graph's topology.
 ///
-/// A caller that goes on to contract with this order should ask for
-/// [`OrderingStrategy::MinDegree`] instead, which eliminates the graph once.
+/// A build on this order as [`OrderingStrategy::Given`] eliminates nothing
+/// more: it fills and customizes, as a [`OrderingStrategy::MinDegree`]
+/// build does after its own elimination.
 pub fn mde_order(graph: &Graph) -> VertexOrder {
-    eliminate(graph, OrderingStrategy::MinDegree, ShortcutMode::AllPairs).order
+    elimination_order(graph, OrderingStrategy::MinDegree)
 }
 
 /// Computes a *boundary-first* MDE order: all vertices in `boundary` receive

@@ -226,9 +226,10 @@ impl PostMhl {
 
     /// Warm restart: rebuilds the index from `graph` on the elimination
     /// order a `snapshot_state` stored, skipping the nested dissection and
-    /// its MinDegree queue (the order depends on the topology alone, so it
-    /// holds for every weight change). The elimination and the label fill
-    /// are still paid; the result is bit-identical to [`Self::build`] on
+    /// the elimination (the order depends on the topology alone, so it
+    /// holds for every weight change). The shortcut rows are the order's
+    /// symbolic fill, customized; the label fill and the TD-partitioning are
+    /// still paid. The result is bit-identical to [`Self::build`] on
     /// `graph`. An order that is not a permutation of the graph's vertices
     /// is [`SnapshotError::Malformed`].
     pub fn from_state(
@@ -818,8 +819,8 @@ mod tests {
     /// A cold [`PostMhl::build`] against [`PostMhl::from_state`] on its
     /// stored order, on the benchmark's `grid64` with its parameters
     /// (`BuildParams::new(8, 2)`): 31 interleaved runs of each, medians
-    /// with quartiles. The restore skips the nested dissection only, so the
-    /// gap is the dissection's time.
+    /// with quartiles. The restore skips the nested dissection and the
+    /// elimination, so the gap is the ordering pass's time.
     ///
     /// `cargo test --release -p htsp-core -- --ignored --nocapture grid64`
     #[test]

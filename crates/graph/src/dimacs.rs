@@ -26,9 +26,12 @@
 //!
 //! Parse errors always carry the 1-based line number and the offending
 //! token; comment and blank lines are accepted anywhere, including before
-//! the problem line and between arcs.
+//! the problem line and between arcs. A problem line may declare at most
+//! 2^28 vertices (the bound the snapshot decoder holds a graph section to):
+//! both loaders size their arrays from it, and vertex ids must fit a `u32`.
 
 use crate::graph::{Graph, GraphBuilder};
+use crate::snapshot::MAX_GRAPH_VERTICES;
 use crate::types::{VertexId, Weight};
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
@@ -85,18 +88,20 @@ enum GrRecord {
 /// Drives the shared `.gr` tokenizer, feeding each record to `sink`.
 ///
 /// Guarantees on the record stream: exactly one `Problem` record, emitted
-/// before any `Arc`; arc ids are 1-based, nonzero, and within the declared
-/// vertex count. Everything else is a [`DimacsError::Parse`] that names the
-/// line and the offending token.
+/// before any `Arc`, declaring at most `MAX_GRAPH_VERTICES`; arc ids are
+/// 1-based, nonzero, and within the declared vertex count. Everything else
+/// is a [`DimacsError::Parse`] that names the line and the offending token.
 fn scan_gr<R: BufRead>(
     reader: R,
     mut sink: impl FnMut(GrRecord) -> Result<(), DimacsError>,
 ) -> Result<(), DimacsError> {
     let mut vertices: Option<usize> = None;
+    let mut lines = 0;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let line = line.trim();
         let lineno = lineno + 1;
+        lines = lineno;
         if line.is_empty() {
             continue;
         }
@@ -119,6 +124,11 @@ fn scan_gr<R: BufRead>(
                 }
                 let n: usize = parse_field(it.next(), lineno, "vertex count")?;
                 let arcs: usize = parse_field(it.next(), lineno, "arc count")?;
+                if n > MAX_GRAPH_VERTICES {
+                    return Err(DimacsError::Parse(format!(
+                        "line {lineno}: vertex count {n} exceeds {MAX_GRAPH_VERTICES}"
+                    )));
+                }
                 vertices = Some(n);
                 sink(GrRecord::Problem { vertices: n, arcs })?;
             }
@@ -152,7 +162,10 @@ fn scan_gr<R: BufRead>(
         }
     }
     if vertices.is_none() {
-        return Err(DimacsError::Parse("missing 'p sp' problem line".into()));
+        return Err(DimacsError::Parse(format!(
+            "line {}: missing 'p sp' problem line before the end of the input",
+            lines.max(1)
+        )));
     }
     Ok(())
 }
@@ -468,6 +481,68 @@ mod tests {
             // is simply: no panic, and failures are typed.
             let _ = read_gr(case.as_bytes());
             let _ = load_dimacs_streaming(case.as_bytes());
+        }
+    }
+
+    #[test]
+    fn a_vertex_count_above_the_bound_is_an_error_before_anything_is_sized() {
+        let above = MAX_GRAPH_VERTICES + 1;
+        let past_u32 = u32::MAX as usize + 2;
+        for (text, line) in [
+            (format!("p sp {above} 0\n"), 1),
+            // The arc's head would wrap to vertex 0 as a `u32`: a self-loop.
+            (
+                format!("c a header that lies\np sp {past_u32} 1\na 1 {past_u32} 5\n"),
+                2,
+            ),
+        ] {
+            // The loaders size their arrays from the problem record; it never
+            // reaches them.
+            let mut records = 0;
+            let scanned = scan_gr(text.as_bytes(), |_| {
+                records += 1;
+                Ok(())
+            });
+            assert!(matches!(scanned, Err(DimacsError::Parse(_))), "{text}");
+            assert_eq!(records, 0, "{text}");
+            for result in [
+                read_gr(text.as_bytes()),
+                load_dimacs_streaming(text.as_bytes()),
+            ] {
+                match result {
+                    Err(DimacsError::Parse(msg)) => {
+                        assert!(msg.contains(&format!("line {line}:")), "{msg}");
+                        assert!(msg.contains("vertex count"), "{msg}");
+                    }
+                    other => panic!("expected a parse error, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// Every prefix of a small file with comments between its records, as a
+    /// download cut short leaves it: through both loaders, a graph holding
+    /// no more than the whole file's edges, or a parse error that names a
+    /// line. Never a panic.
+    #[test]
+    fn every_prefix_of_a_file_loads_or_names_a_line() {
+        let text = "c a small road network\nc\np sp 6 14\nc arcs follow\n\
+                    a 1 2 17\na 2 1 17\nc a comment between arcs\na 2 3 5\n\
+                    a 3 2 4\na 3 4 120\na 4 5 9\n\nc trailing\na 5 6 33\na 6 1 2\n\
+                    a 6 6 8\nc done\n";
+        let whole = read_gr(text.as_bytes()).unwrap().num_edges();
+        assert_eq!(whole, 6);
+        for end in 0..=text.len() {
+            let prefix = &text.as_bytes()[..end];
+            for result in [read_gr(prefix), load_dimacs_streaming(prefix)] {
+                match result {
+                    Ok(g) => assert!(g.num_edges() <= whole, "prefix {end}"),
+                    Err(DimacsError::Parse(msg)) => {
+                        assert!(msg.starts_with("line "), "prefix {end}: {msg}")
+                    }
+                    Err(e) => panic!("prefix {end}: {e}"),
+                }
+            }
         }
     }
 

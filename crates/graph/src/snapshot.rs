@@ -459,11 +459,12 @@ pub fn le_u32(bytes: &[u8]) -> u32 {
     u32::from_le_bytes(bytes[..4].try_into().expect("4-byte word"))
 }
 
-/// Largest vertex count a graph section may say: 2^28, eleven times the
-/// largest DIMACS road network (USA, 23.9 M vertices). Isolated vertices take
-/// no bytes of the section, so this bound alone keeps a corrupt count from
-/// sizing the decoded graph's arrays.
-const MAX_GRAPH_VERTICES: usize = 1 << 28;
+/// Largest vertex count a graph section, or a DIMACS problem line
+/// (`dimacs.rs`), may say: 2^28, eleven times the largest DIMACS road
+/// network (USA, 23.9 M vertices). Isolated vertices take no bytes of
+/// either, so this bound alone keeps a corrupt or lying count from sizing
+/// the graph's arrays.
+pub(crate) const MAX_GRAPH_VERTICES: usize = 1 << 28;
 
 /// Encodes a graph as its normalized edge list in edge-id order: the vertex
 /// and edge counts as `u32`s, then per edge `(u, v, w)` with `u < v` three

@@ -265,8 +265,8 @@ impl AlgorithmKind {
     /// Kinds with a native serialized form (DCH, TOAIN, DH2H, MHL) decode
     /// `state` and skip construction entirely — the warm-restart fast path.
     /// PostMHL's `state` is its elimination order: its restore skips the
-    /// nested dissection but still pays an elimination and a label fill on
-    /// that order, and gives the index a cold build on `graph` gives, bit
+    /// nested dissection and the elimination but still customizes the
+    /// shortcuts and fills the labels on that order, and gives the index a cold build on `graph` gives, bit
     /// for bit ([`PostMhl::from_state`]). For N-CH-P, P-TD-P and PMHL, and
     /// when there is no `state`, this **is a full build** from the
     /// snapshotted graph and `params`: their "restart" costs what a cold
@@ -312,8 +312,9 @@ impl AlgorithmKind {
     }
 
     /// Whether [`Self::decode`] of this kind pays a construction: PostMHL's
-    /// stored order saves the dissection, not the elimination or the label
-    /// fill, so its restart reports build telemetry as a cold start does.
+    /// stored order saves the dissection and the elimination, not the
+    /// shortcut customization or the label fill, so its restart reports
+    /// build telemetry as a cold start does.
     pub(crate) fn decode_builds(self) -> bool {
         self == AlgorithmKind::PostMhl
     }

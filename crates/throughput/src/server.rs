@@ -177,7 +177,7 @@ impl ServerBuilder {
     /// parameters all come from the file, and algorithms with a serialized
     /// index state skip construction entirely (the warm-restart fast path).
     /// PostMHL rebuilds on its stored elimination order, skipping the
-    /// nested dissection; N-CH-P, P-TD-P and PMHL are rebuilt from the
+    /// nested dissection and the elimination; N-CH-P, P-TD-P and PMHL are rebuilt from the
     /// snapshotted graph. Both say so: the `htsp_build_*` telemetry family
     /// is registered exactly as on a cold start.
     /// Any corruption — bad magic, version skew, checksum mismatch,
@@ -338,7 +338,7 @@ impl ServerBuilder {
 /// `htsp_build_threads` and `htsp_build_total_micros` per algorithm, plus
 /// `htsp_build_stage_micros` / `htsp_build_stage_tasks` for every worker-pool
 /// stage the build ran (the per-partition fan-outs; the whole-graph
-/// elimination and label fill are sequential and appear in the total only).
+/// hierarchy and label fill are sequential and appear in the total only).
 pub(crate) fn register_build_telemetry(
     hub: &TelemetryHub,
     algorithm: &str,

@@ -3,15 +3,21 @@
 //! The references below are what this repository built with before the
 //! one-pass elimination kernel: the hash-set minimum-degree ordering, and a
 //! plain one-vertex-at-a-time hash-map contraction in rank order. They are
-//! slow and obviously right. For `MinDegree` and for a boundary-first `Given`
-//! order, on seven graph families, the shipped build must produce the same
-//! `VertexOrder`, the same upward row for every vertex, the same
-//! `num_extra_shortcuts` and the same `down_neighbors`. Six families are
-//! smaller than the shipped elimination's dense tail, so they run on its
-//! matrix alone; the 36×36 grid is larger and crosses the sparse→dense
-//! hand-off. Witness pruning has no reference (which shortcuts it keeps is
-//! its own business): its answers must equal Dijkstra's and it may not keep
-//! more arcs than the all-pairs build.
+//! slow and obviously right. The shipped all-pairs build takes its order
+//! from an elimination (or as given), its rows from a symbolic fill and its
+//! weights from the repair's pull. For `MinDegree`, for a boundary-first
+//! `Given` order, for `NestedDissection` and for its order `Given` back, on
+//! eight graph families, it must produce the same `VertexOrder` (the
+//! reference ordering's, or the one it was given; the dissection's has no
+//! reference), the same upward row for every vertex, the same
+//! `num_extra_shortcuts` and the same `down_neighbors` as the reference
+//! contraction on that order. Six families are smaller than the shipped
+//! elimination's dense tail, so they are ordered on its adjacency bits
+//! alone; the 40×40 grid and the 2,000-vertex random geometric graph are
+//! larger and cross the sparse→dense hand-off. Witness pruning has no
+//! reference (which shortcuts it keeps is its own business): its answers
+//! must equal Dijkstra's and it may not keep more arcs than the all-pairs
+//! build.
 //!
 //! No timers: everything asserted is a value.
 
@@ -131,7 +137,7 @@ fn assert_equals_reference(name: &str, g: &Graph, ch: &ContractionHierarchy, ord
 /// `dijkstra` is off for the family whose path sums saturate (a saturated
 /// shortcut is finite, a saturated Dijkstra label is "unreachable").
 fn drive(name: &str, g: Graph, dijkstra: bool) {
-    // MinDegree: one elimination yields the order and the rows.
+    // MinDegree: the elimination yields the order, the fill the rows.
     let order = reference_mde_order(&g);
     assert_eq!(mde_order(&g), order, "{name}: mde_order");
     let all_pairs =
@@ -152,6 +158,26 @@ fn drive(name: &str, g: Graph, dijkstra: bool) {
         ShortcutMode::AllPairs,
     );
     assert_equals_reference(&format!("{name}, boundary first"), &g, &ch, &given);
+
+    // Nested dissection, and a build on its order as given.
+    let nested = ContractionHierarchy::build(
+        &g,
+        OrderingStrategy::NestedDissection,
+        ShortcutMode::AllPairs,
+    );
+    let order = nested.order().clone();
+    assert_equals_reference(&format!("{name}, nested dissection"), &g, &nested, &order);
+    let ch_nd = ContractionHierarchy::build(
+        &g,
+        OrderingStrategy::Given(order.clone()),
+        ShortcutMode::AllPairs,
+    );
+    assert_equals_reference(
+        &format!("{name}, dissection order given"),
+        &g,
+        &ch_nd,
+        &order,
+    );
 
     // Witness pruning under both orders.
     for (strategy, all_pairs) in [
@@ -190,10 +216,17 @@ fn grid_with_diagonals_builds_like_the_reference() {
 
 #[test]
 fn a_grid_larger_than_the_dense_tail_builds_like_the_reference() {
-    // 1,296 vertices: the shipped elimination hands off from sparse rows to
-    // its dense matrix part way, which no smaller family reaches.
-    let g = gen::grid_with_diagonals(36, 36, gen::WeightRange::new(1, 60), 0.15, 21);
-    drive("36x36 grid with diagonals", g, true);
+    // 1,600 vertices: the shipped elimination hands off from sparse rows to
+    // its adjacency bits part way, which no smaller family but the next
+    // reaches.
+    let g = gen::grid_with_diagonals(40, 40, gen::WeightRange::new(1, 60), 0.15, 21);
+    drive("40x40 grid with diagonals", g, true);
+}
+
+#[test]
+fn a_road_like_graph_larger_than_the_dense_tail_builds_like_the_reference() {
+    let g = gen::random_geometric(2000, 3, gen::WeightRange::new(1, 80), 17);
+    drive("random_geometric(2000)", g, true);
 }
 
 #[test]
@@ -204,11 +237,12 @@ fn random_geometric_builds_like_the_reference() {
 
 #[test]
 fn two_components_build_like_the_reference() {
-    // Two grids side by side with no edge between them: a forest.
+    // Two grids side by side with no edge between them, and three isolated
+    // vertices after them: a forest.
     let left = gen::grid(7, 7, gen::WeightRange::new(2, 30), 7);
     let right = gen::grid_with_diagonals(6, 6, gen::WeightRange::new(2, 30), 0.2, 9);
     let offset = left.num_vertices() as u32;
-    let mut b = GraphBuilder::new(left.num_vertices() + right.num_vertices());
+    let mut b = GraphBuilder::new(left.num_vertices() + right.num_vertices() + 3);
     for (_, u, v, w) in left.edges() {
         b.add_edge(u, v, w);
     }
