@@ -271,15 +271,9 @@ impl ContractionHierarchy {
                 arc.1 = w;
             }
         }
-        ContractionHierarchy {
-            order: Arc::new(order),
-            arcs: Arc::new(arcs),
-            up: CowTable::from_rows(up),
-            repair_scratch: Arc::new(ScratchPool::new(move || RepairScratch::new(n))),
-            mode: ShortcutMode::AllPairs,
-            // A graph has no parallel edges: each is the arc of its lower end.
-            extra_shortcuts: fill.ranks.len() - graph.num_edges(),
-        }
+        // A graph has no parallel edges: each is the arc of its lower end.
+        let extra_shortcuts = fill.ranks.len() - graph.num_edges();
+        Self::assemble(order, up, arcs, ShortcutMode::AllPairs, extra_shortcuts)
     }
 
     /// [`Self::build`] under the name the benchmark adapter calls; `pool` is
@@ -306,11 +300,22 @@ impl ContractionHierarchy {
         mode: ShortcutMode,
         extra_shortcuts: usize,
     ) -> Self {
+        assert_eq!(up.len(), order.len(), "up table does not cover the order");
+        let arcs = ArcIndex::build(&up);
+        Self::assemble(order, up, arcs, mode, extra_shortcuts)
+    }
+
+    fn assemble(
+        order: VertexOrder,
+        up: Vec<Vec<(VertexId, Weight)>>,
+        arcs: ArcIndex,
+        mode: ShortcutMode,
+        extra_shortcuts: usize,
+    ) -> Self {
         let n = order.len();
-        assert_eq!(up.len(), n, "up table does not cover the order");
         ContractionHierarchy {
             order: Arc::new(order),
-            arcs: Arc::new(ArcIndex::build(&up)),
+            arcs: Arc::new(arcs),
             up: CowTable::from_rows(up),
             repair_scratch: Arc::new(ScratchPool::new(move || RepairScratch::new(n))),
             mode,
