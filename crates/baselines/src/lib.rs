@@ -30,7 +30,7 @@
 use htsp_ch::{ChQuery, ChQuerySession, ContractionHierarchy, OrderingStrategy, ShortcutMode};
 use htsp_graph::{
     ByteReader, ByteWriter, Dist, Graph, IndexMaintainer, QuerySession, QueryView, ScratchPool,
-    SnapshotError, SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId,
+    SnapshotError, SnapshotPublisher, UpdateBatch, UpdateTimeline, VertexId, WorkerPool,
 };
 use htsp_search::{BiDijkstra, BiDijkstraSession};
 use htsp_td::H2HIndex;
@@ -315,9 +315,14 @@ pub struct Dh2hBaseline {
 impl Dh2hBaseline {
     /// Builds the H2H index over `graph`.
     pub fn build(graph: &Graph) -> Self {
+        Self::build_pooled(graph, &WorkerPool::sequential())
+    }
+
+    /// [`Self::build`] with the label fill's subtrees on `pool`.
+    pub fn build_pooled(graph: &Graph, pool: &WorkerPool) -> Self {
         Dh2hBaseline {
             graph: Arc::new(graph.clone()),
-            h2h: Arc::new(H2HIndex::build(graph)),
+            h2h: Arc::new(H2HIndex::build_pooled(graph, pool)),
         }
     }
 

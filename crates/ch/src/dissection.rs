@@ -1,16 +1,17 @@
-//! Nested dissection: the elimination groups of
-//! [`OrderingStrategy::NestedDissection`], computed from the graph's
-//! topology alone.
+//! Nested dissection: the order of [`OrderingStrategy::NestedDissection`],
+//! computed from the graph's topology alone.
 //!
 //! A part of the graph is cut by a minimum vertex separator, the separator is
 //! ranked above everything it separates, and the components left behind are
-//! cut in turn. Parts of at most [`LEAF`] vertices are not cut: their order
-//! is MinDegree's, inside the one elimination that already runs
-//! (`elimination.rs`). This module only says which groups the vertices are
-//! eliminated in, one group after the other ([`dissection_groups`]: the
-//! leaves and the separators, deepest first); the elimination pops the live
-//! vertex of least `(degree, id)` in the current group, so each separator
-//! goes after its parts and the graph is eliminated once.
+//! cut in turn. Parts of at most [`LEAF`] vertices are not cut. Every leaf
+//! and every separator is a *group*; the groups go deepest first, and each
+//! group is ordered by the minimum-`(degree, id)` elimination of
+//! `elimination.rs` on its own live graph ([`Dissection::order`]): its
+//! members' neighbours that are not eliminated yet, a clique over the
+//! boundary of each part below it (eliminating a connected part leaves
+//! exactly that), and the fill of its own steps. That is the order one
+//! elimination of the whole graph, group by group, would pop, without the
+//! whole-graph elimination.
 //!
 //! **One cut.** Every part is connected and holds its vertices in BFS order
 //! from its first one (the split that made it is that BFS), so its last
@@ -67,7 +68,8 @@
 //! cost label bytes on rg65k. Then the leaf size, at 3/8, with the whole
 //! `H2HIndex::build` (order, elimination, label fill) against MinDegree's
 //! in the same process (thread CPU time, medians of 31 interleaved runs,
-//! the range over two to four such processes):
+//! the range over two to four such processes), taken while the order was
+//! still one whole-graph elimination over the groups:
 //!
 //! | `LEAF` | `grid64` ms | H2H build | height | width | B/V   | rg65k ms | height | width | B/V   |
 //! |--------|-------------|-----------|--------|-------|-------|----------|--------|-------|-------|
@@ -81,12 +83,25 @@
 //! The dissection costs about the same from 32 to 256, but MinDegree
 //! inside a large leaf eliminates more fill on sparse rows: the smaller the
 //! leaves, the cheaper the elimination after the order, down to 32. Below
-//! that the cuts cost more than they save. At scale the dissection costs
-//! more than an elimination: on rg65k the whole `H2HIndex::build` takes
-//! about twice MinDegree's (≈ 0.2 s against ≈ 0.1 s, single runs).
+//! that the cuts cost more than they save.
+//!
+//! **Ordering the groups on their live graphs** instead of eliminating the
+//! whole graph once more gives the same order (the unit tests pin its hash
+//! on seven graphs, computed while the whole graph was still eliminated)
+//! for less: the whole order (dissection plus orders) went from 8.9 to 5.0
+//! ms on `grid64`, of which the dissection is 3.1 and the groups' orders
+//! 1.8 (the ruler `given_order_and_nd_builds_on_grid64`, medians of 31),
+//! on `grid_with_diagonals(128, 128)` from ≈ 82 to ≈ 33 ms, and on rg65k
+//! from ≈ 172 to ≈ 131 ms, where the dissection is most of it (2-vCPU
+//! Xeon; order = build − given-order build, medians of 7). The buffers of
+//! a group's rows and the boundaries are kept from group to group:
+//! allocating them per group left the heap so scattered that the
+//! customization after the order ran ≈ 45 % slower.
 //!
 //! [`OrderingStrategy::NestedDissection`]: crate::OrderingStrategy::NestedDissection
 
+use crate::elimination::{min_degree_sequence, DENSE_TAIL};
+use crate::ordering::VertexOrder;
 use htsp_graph::{Graph, VertexId};
 
 /// Parts of at most this many vertices are leaves, ordered by MinDegree.
@@ -98,17 +113,96 @@ const LEAF: usize = 32;
 /// least that share of the part. See the module docs for the sweep.
 const TERMINAL_SHARE: (usize, usize) = (3, 8);
 
-/// The groups the vertices are eliminated in, one after the other: every
-/// leaf and every separator of the dissection, deepest first, so that a
-/// separator comes after every group of the parts it separates. Two groups
-/// of one depth lie in different parts, so their vertices are never
-/// adjacent while both are live: the order of the groups within a depth
-/// does not change the elimination's fill.
-pub(crate) fn dissection_groups(graph: &Graph) -> Vec<Vec<VertexId>> {
-    let mut groups = Dissector::new(graph).run();
-    groups.sort_by_key(|&(depth, _)| std::cmp::Reverse(depth));
-    groups.into_iter().map(|(_, group)| group).collect()
+/// The nested-dissection order of `graph`: every leaf and every separator
+/// of the dissection is a group, the groups go deepest first, so that a
+/// separator comes after every group of the parts it separates, and each
+/// group is ordered by minimum `(degree, id)` on its own live graph.
+pub(crate) fn nested_dissection_order(graph: &Graph) -> VertexOrder {
+    Dissection::new(graph).order()
 }
+
+/// A graph's dissection: its groups, and the neighbour lists they are
+/// ordered on.
+pub(crate) struct Dissection {
+    dissector: Dissector,
+    groups: Vec<Group>,
+}
+
+impl Dissection {
+    /// Dissects `graph` into its groups.
+    pub(crate) fn new(graph: &Graph) -> Self {
+        let mut dissector = Dissector::new(graph);
+        let groups = dissector.run();
+        Dissection { dissector, groups }
+    }
+
+    /// The elimination order of the groups: deepest first, which puts every
+    /// part before the separator above it (two groups of one depth lie in
+    /// different parts, so they are never adjacent while both are live),
+    /// each group ordered on its live graph ([`Dissector::order_group`]).
+    pub(crate) fn order(&self) -> VertexOrder {
+        let (dissector, groups) = (&self.dissector, &self.groups);
+        let n = dissector.global.len();
+        let mut by_depth: Vec<usize> = (0..groups.len()).collect();
+        by_depth.sort_by_key(|&g| std::cmp::Reverse(groups[g].depth));
+        // Each ordered part's boundary, back to back, and the parts just
+        // below each group as a linked list.
+        let mut boundaries: Vec<u32> = Vec::new();
+        let mut span = vec![0..0; groups.len()];
+        let mut first_below = vec![NO_PARENT; groups.len()];
+        let mut next_below = vec![NO_PARENT; groups.len()];
+        let mut scratch = GroupScratch::default();
+        let mut slot = vec![FREE; n];
+        let mut sequence = Vec::with_capacity(n);
+        for g in by_depth {
+            let linked = |c: u32| (c != NO_PARENT).then_some(c as usize);
+            let below = std::iter::successors(linked(first_below[g]), |&c| linked(next_below[c]));
+            let cliques = below.map(|c| &boundaries[span[c].clone()]);
+            let members = &groups[g].members;
+            dissector.order_group(members, cliques, &mut slot, &mut scratch, &mut sequence);
+            let parent = groups[g].parent;
+            if parent != NO_PARENT {
+                span[g] = boundaries.len()..boundaries.len() + scratch.boundary.len();
+                boundaries.extend_from_slice(&scratch.boundary);
+                next_below[g] = std::mem::replace(&mut first_below[parent as usize], g as u32);
+            }
+        }
+        VertexOrder::from_sequence(sequence)
+    }
+}
+
+/// The buffers one group is ordered in, kept for the next.
+#[derive(Default)]
+struct GroupScratch {
+    /// The members by vertex id.
+    members: Vec<u32>,
+    /// The members' rows (and spare ones).
+    rows: Vec<Vec<VertexId>>,
+    /// Per member: whether a clique reached its row.
+    grown: Vec<bool>,
+    clique: Vec<VertexId>,
+    /// The boundary of the group's part.
+    boundary: Vec<u32>,
+}
+
+/// A leaf or a separator of the dissection.
+struct Group {
+    /// 0 for the top separator of each component (or the whole component,
+    /// when it is not cut), one more below each separator.
+    depth: u32,
+    /// The separator of the part this group's part was split from, or
+    /// [`NO_PARENT`].
+    parent: u32,
+    /// Local ids.
+    members: Vec<u32>,
+}
+
+/// The parent of a component's top group.
+const NO_PARENT: u32 = u32::MAX;
+/// `slot` of a vertex that is in no group being ordered.
+const FREE: u32 = u32::MAX;
+/// `slot` of a vertex whose group is ordered.
+const ELIMINATED: u32 = u32::MAX - 1;
 
 /// What the blocking-flow search finds at a node's cursor.
 enum Step {
@@ -161,14 +255,12 @@ struct Dissector {
     separator: Vec<u32>,
     /// The blocking-flow search's path of out-nodes.
     path: Vec<u32>,
-    /// The leaves and separators found so far, each with its depth in the
-    /// dissection tree: 0 for the top separator of each component (or the
-    /// whole component, when it is not cut), one more below each separator.
-    groups: Vec<(u32, Vec<VertexId>)>,
+    /// The leaves and separators found so far.
+    groups: Vec<Group>,
     /// The vertices, arranged so that every part is a contiguous range.
     vertices: Vec<u32>,
-    /// Parts still to dissect: range in `vertices`, depth, stamp.
-    stack: Vec<(usize, usize, u32, u32)>,
+    /// Parts still to dissect: range in `vertices`, depth, stamp, parent.
+    stack: Vec<(usize, usize, u32, u32, u32)>,
     stamps: u32,
 }
 
@@ -226,26 +318,36 @@ impl Dissector {
         }
     }
 
-    fn run(mut self) -> Vec<(u32, Vec<VertexId>)> {
+    /// Dissects the graph into its groups.
+    fn run(&mut self) -> Vec<Group> {
         // Every vertex starts in part 0, the whole graph.
-        self.split(0, self.vertices.len(), 0, 0);
-        while let Some((lo, hi, depth, stamp)) = self.stack.pop() {
-            if hi - lo <= LEAF || !self.cut(lo, hi, depth, stamp) {
-                let leaf = self.vertices[lo..hi].iter();
-                let leaf = leaf.map(|&v| self.global[v as usize]).collect();
-                self.groups.push((depth, leaf));
+        self.split(0, self.vertices.len(), 0, 0, NO_PARENT);
+        while let Some((lo, hi, depth, stamp, parent)) = self.stack.pop() {
+            if hi - lo > LEAF && self.cut(lo, hi, stamp) {
+                let separator = std::mem::take(&mut self.separator);
+                self.groups.push(Group {
+                    depth,
+                    parent,
+                    members: separator,
+                });
+                let parent = self.groups.len() as u32 - 1;
+                self.split(lo, hi, depth + 1, stamp, parent);
                 continue;
             }
-            self.split(lo, hi, depth + 1, stamp);
+            self.groups.push(Group {
+                depth,
+                parent,
+                members: self.vertices[lo..hi].to_vec(),
+            });
         }
-        self.groups
+        std::mem::take(&mut self.groups)
     }
 
     /// Makes each component of the vertices of `vertices[lo..hi]` still
-    /// tagged `stamp` a part of its own at `depth`, with a fresh stamp and
-    /// its vertices in BFS order from its first one (so the last is far from
-    /// it), packed from `lo` on.
-    fn split(&mut self, lo: usize, hi: usize, depth: u32, stamp: u32) {
+    /// tagged `stamp` a part of its own at `depth` below the separator
+    /// `parent`, with a fresh stamp and its vertices in BFS order from its
+    /// first one (so the last is far from it), packed from `lo` on.
+    fn split(&mut self, lo: usize, hi: usize, depth: u32, stamp: u32, parent: u32) {
         self.arranged.clear();
         let mut at = lo;
         for i in lo..hi {
@@ -270,16 +372,16 @@ impl Dissector {
                 }
             }
             let len = self.arranged.len() - start;
-            self.stack.push((at, at + len, depth, self.stamps));
+            self.stack.push((at, at + len, depth, self.stamps, parent));
             at += len;
         }
         self.vertices[lo..at].copy_from_slice(&self.arranged);
     }
 
-    /// Cuts the connected part `vertices[lo..hi]`, tagged `stamp`: records
-    /// its separator as a group at `depth` and tags it [`DONE`], or returns
-    /// `false` when the part has no sink set to cut it from.
-    fn cut(&mut self, lo: usize, hi: usize, depth: u32, stamp: u32) -> bool {
+    /// Cuts the connected part `vertices[lo..hi]`, tagged `stamp`: leaves
+    /// its separator in `separator` and tags it [`DONE`], or returns `false`
+    /// when the part has no sink set to cut it from.
+    fn cut(&mut self, lo: usize, hi: usize, stamp: u32) -> bool {
         let len = hi - lo;
         let k = len * TERMINAL_SHARE.0 / TERMINAL_SHARE.1;
         // The second sweep, from the far end of the first; `frontier` is how
@@ -349,11 +451,94 @@ impl Dissector {
         for &v in &self.separator {
             self.tag[v as usize] = DONE;
         }
-        let separator = self.separator.drain(..);
-        let separator = separator.map(|v| self.global[v as usize]).collect();
-        self.groups.push((depth, separator));
         self.queue = order;
         true
+    }
+
+    /// Appends the group `members` to `sequence` in the order the
+    /// minimum-`(degree, id)` elimination pops them, and leaves the boundary
+    /// of the group's part in `scratch.boundary`: the live vertices outside
+    /// it that are adjacent to it, all in separators above.
+    ///
+    /// Every part below the group is eliminated by now, and eliminating a
+    /// connected part leaves exactly a clique over its boundary (`cliques`:
+    /// the boundaries of the parts split off below this group). So the
+    /// group's live graph is its members' neighbours that are not
+    /// eliminated, those cliques, and the fill of the group's own steps. The
+    /// members' rows are built on group-local ids (members first, by vertex
+    /// id, so that ties go as they would in one whole-graph elimination; the
+    /// boundary after them) and eliminated by the kernel of `elimination.rs`.
+    /// `slot` is [`FREE`] or [`ELIMINATED`] for every vertex, before and
+    /// after.
+    fn order_group<'a>(
+        &self,
+        members: &[u32],
+        cliques: impl Iterator<Item = &'a [u32]>,
+        slot: &mut [u32],
+        scratch: &mut GroupScratch,
+        sequence: &mut Vec<VertexId>,
+    ) {
+        let GroupScratch {
+            members: sorted,
+            rows,
+            grown,
+            clique,
+            boundary,
+        } = scratch;
+        sorted.clear();
+        sorted.extend_from_slice(members);
+        sorted.sort_unstable_by_key(|&v| self.global[v as usize]);
+        let k = sorted.len();
+        for (i, &v) in sorted.iter().enumerate() {
+            slot[v as usize] = i as u32;
+        }
+        boundary.clear();
+        let mut local = |w: u32, slot: &mut [u32]| -> VertexId {
+            if slot[w as usize] == FREE {
+                slot[w as usize] = (k + boundary.len()) as u32;
+                boundary.push(w);
+            }
+            VertexId(slot[w as usize])
+        };
+        if rows.len() < k {
+            rows.resize_with(k, Vec::new);
+        }
+        for (row, &v) in rows.iter_mut().zip(sorted.iter()) {
+            row.clear();
+            for a in self.arcs(v as usize) {
+                let w = self.adj[a];
+                if slot[w as usize] != ELIMINATED {
+                    row.push(local(w, slot));
+                }
+            }
+        }
+        grown.clear();
+        grown.resize(k, false);
+        for members in cliques {
+            clique.clear();
+            clique.extend(members.iter().map(|&w| local(w, slot)));
+            for &x in clique.iter().filter(|x| x.index() < k) {
+                rows[x.index()].extend_from_slice(clique);
+                grown[x.index()] = true;
+            }
+        }
+        for (x, row) in rows[..k].iter_mut().enumerate() {
+            if grown[x] {
+                row.sort_unstable();
+                row.dedup();
+                row.retain(|&u| u.index() != x);
+            }
+        }
+        let width = k + boundary.len();
+        for x in min_degree_sequence(rows, k, width, DENSE_TAIL) {
+            sequence.push(self.global[sorted[x.index()] as usize]);
+        }
+        for &v in sorted.iter() {
+            slot[v as usize] = ELIMINATED;
+        }
+        for &w in boundary.iter() {
+            slot[w as usize] = FREE;
+        }
     }
 
     #[inline]
@@ -530,10 +715,24 @@ mod tests {
     use htsp_graph::{GraphBuilder, QuerySet, UpdateGenerator, VertexId};
     use htsp_search::dijkstra_distance;
 
+    /// The groups, deepest first, as `(depth, vertices)`.
+    fn dissection_groups(g: &Graph) -> Vec<(u32, Vec<VertexId>)> {
+        let Dissection {
+            dissector,
+            mut groups,
+        } = Dissection::new(g);
+        groups.sort_by_key(|group| std::cmp::Reverse(group.depth));
+        let global = |v: &u32| dissector.global[*v as usize];
+        let groups = groups.iter();
+        groups
+            .map(|group| (group.depth, group.members.iter().map(global).collect()))
+            .collect()
+    }
+
     /// Per vertex, the depth of its group in the dissection tree.
     fn dissect(g: &Graph) -> Vec<u32> {
         let mut depth = vec![u32::MAX; g.num_vertices()];
-        for (d, group) in Dissector::new(g).run() {
+        for (d, group) in dissection_groups(g) {
             for v in group {
                 assert_eq!(depth[v.index()], u32::MAX, "{v} in two groups");
                 depth[v.index()] = d;
@@ -734,6 +933,86 @@ mod tests {
             ("path", path.build()),
             ("below a leaf", grid(8, 8, WeightRange::new(1, 9), 4)),
         ]
+    }
+
+    /// XXH64 of an order's sequence, little-endian `u32` ids.
+    fn sequence_hash(order: &VertexOrder) -> u64 {
+        let bytes: Vec<u8> = order
+            .sequence()
+            .iter()
+            .flat_map(|v| v.0.to_le_bytes())
+            .collect();
+        htsp_graph::snapshot::checksum64(&bytes)
+    }
+
+    #[test]
+    fn nested_dissection_orders_are_pinned() {
+        let w = WeightRange::new(1, 100);
+        let a = grid(24, 24, WeightRange::new(1, 30), 5);
+        let na = a.num_vertices() as u32;
+        let mut split = GraphBuilder::new(2 * na as usize + 3);
+        for (_, u, v, w) in a.edges() {
+            split.add_edge(u, v, w);
+            split.add_edge(VertexId(u.0 + na), VertexId(v.0 + na), w + 3);
+        }
+        let mut star = GraphBuilder::new(96);
+        for leaf in 1..96 {
+            star.add_edge(VertexId(0), VertexId(leaf), leaf);
+        }
+        let mut clique = GraphBuilder::new(52);
+        for u in 0..52 {
+            for v in u + 1..52 {
+                clique.add_edge(VertexId(u), VertexId(v), 1 + (u * v) % 7);
+            }
+        }
+        let mut path = GraphBuilder::new(160);
+        for v in 1..160 {
+            path.add_edge(VertexId(v - 1), VertexId(v), 1 + v % 4);
+        }
+        for (name, g, pin) in [
+            (
+                "grid64",
+                grid_with_diagonals(64, 64, w, 0.1, 42),
+                0xa42fdb00cb30c004,
+            ),
+            (
+                "grid128",
+                grid_with_diagonals(128, 128, w, 0.1, 42),
+                0xf2a8ae7485a41194,
+            ),
+            (
+                "rg2000",
+                random_geometric(2000, 3, w, 3),
+                0x661392e2cac1c3b4,
+            ),
+            (
+                "two grids and two isolated vertices",
+                split.build(),
+                0x86b0e1a77f4c1c84,
+            ),
+            ("95-leaf star", star.build(), 0x5a81a5ecdd0817a3),
+            ("52-clique", clique.build(), 0x01a79051dece6fce),
+            ("160-path", path.build(), 0x5452c6efe5088d5e),
+        ] {
+            assert_eq!(sequence_hash(&nested_dissection_order(&g)), pin, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_star_wider_than_the_dense_tail_is_ordered_leaf_by_leaf() {
+        // A star is never cut: one leaf group. Every leaf has degree 1 and
+        // goes first by id, until the hub (id 0) ties the last leaf.
+        let n = DENSE_TAIL as u32 + 500;
+        let mut star = GraphBuilder::new(n as usize);
+        for leaf in 1..n {
+            star.add_edge(VertexId(0), VertexId(leaf), leaf);
+        }
+        let mut expect: Vec<VertexId> = (1..n - 1).map(VertexId).collect();
+        expect.extend([VertexId(0), VertexId(n - 1)]);
+        assert_eq!(
+            nested_dissection_order(&star.build()).sequence(),
+            &expect[..]
+        );
     }
 
     fn nested(g: &Graph) -> ContractionHierarchy {

@@ -2,17 +2,16 @@
 //! line 1 of Algorithm 4), and the rows of TOAIN's witness-pruned hierarchy.
 //!
 //! An all-pairs hierarchy takes only its order from here
-//! ([`elimination_order`]; [`crate::ordering::mde_order`] is one call of it):
+//! ([`min_degree_order`]; [`crate::ordering::mde_order`] is one call of it):
 //! its rows are the order's symbolic fill, weighed by the repair's pull
-//! (`hierarchy.rs`). A [`OrderingStrategy::Given`] order is taken as it is
-//! and nothing is eliminated. [`OrderingStrategy::MinDegree`] and
-//! [`OrderingStrategy::NestedDissection`] pop the live vertex of least
-//! `(degree, id)` of a queue holding a key per live vertex of the current
-//! group — one group of every vertex under MinDegree, the nested
-//! dissection's leaves and separators, deepest first (`dissection.rs`) — so
-//! the order depends on the topology alone, and what the elimination must
-//! track is who is adjacent to whom. There is no hash container. The live
-//! graph is held in two representations, one after the other.
+//! (`hierarchy.rs`). The kernel ([`min_degree_sequence`]) orders a *live
+//! graph* by popping its live vertex of least `(degree, id)`, so the order
+//! depends on the topology alone and the kernel tracks only who is adjacent
+//! to whom; there is no hash container. Under MinDegree the live graph is
+//! the whole graph. A nested dissection never passes through here as a
+//! whole: it orders each leaf and separator on its own live graph with this
+//! kernel (`dissection.rs`). The live graph is held in two representations,
+//! one after the other.
 //!
 //! **Sparse head: one row of neighbours per live vertex.** Eliminating `v`
 //! marks its neighbours in a dense slot table and then scans each
@@ -21,16 +20,18 @@
 //! shortcuts, counted once per pair). `v`'s own row is frozen where it lies
 //! — nothing live points at it any more.
 //!
-//! **Dense tail: one `r`-bit adjacency row per vertex for the last
-//! `DENSE_TAIL` (1,536) vertices**, or for the whole graph when it is smaller
-//! (every partition and overlay of the PSP indexes). Eliminating `v` ORs its
-//! bits into each neighbour's, which gains the neighbours it lacked (one
-//! popcount gives its new degree) and loses `v`. Under MinDegree the tail
-//! is where the work is: it holds the top separators, whose degrees
-//! approach the treewidth. Counted on `grid64` (4,096 vertices) with the
-//! head alone, the last 1,024 vertices did 93 % of the row-scan work (the
-//! last 512, 75 %); on `grid128` (16,384) the last 1,024 did 67 %. The bits
-//! take at most 288 KB, allocated once and zeroed.
+//! **Dense tail: one bit row per vertex for the last `DENSE_TAIL` (1,536)
+//! vertices**, or for all of them when there are fewer (every PSP partition
+//! and overlay, and every dissection group but a huge leaf such as a star),
+//! with a column per live vertex. Eliminating `v` ORs its bits into each
+//! neighbour's, which gains the neighbours it lacked (one popcount gives its
+//! new degree) and loses `v`. Under MinDegree the tail is where the work is:
+//! it holds the top separators, whose degrees approach the treewidth.
+//! Counted on `grid64` (4,096 vertices) with the head alone, the last 1,024
+//! vertices did 93 % of the row-scan work (the last 512, 75 %); on
+//! `grid128` (16,384) the last 1,024 did 67 %. The bits take at most
+//! `DENSE_TAIL` rows of as many columns plus one per live vertex that stays,
+//! allocated per live graph.
 //!
 //! Both representations pop the same order, bit for bit; the unit tests
 //! below hand off at every interesting step. Witness-pruned builds (TOAIN's
@@ -44,14 +45,12 @@
 //! followed by a hash-map contraction in rank windows with two fork/joins per
 //! window; on the benchmark's `grid64` (2 cores) that pair took 27 + 40 ms
 //! on one thread and 27 + 94 ms on two, against 22 ms for this kernel before
-//! it had a dense tail — the old ordering pass alone cost more than the whole
-//! build did then, so no thread count let the windowed pair tie it.
-//! Construction parallelism lives where the work is independent: per
-//! partition and per fleet shard.
+//! it had a dense tail. Construction parallelism lives where the work is
+//! independent: per partition, per fleet shard and per subtree of the label
+//! fill.
 
-use crate::dissection::dissection_groups;
 use crate::hierarchy::shortcut_sum;
-use crate::ordering::{OrderingStrategy, VertexOrder};
+use crate::ordering::VertexOrder;
 use htsp_graph::{Dist, Graph, VertexId, Weight, INF};
 use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
@@ -71,70 +70,87 @@ pub(crate) struct Elimination {
 const NO_SLOT: u32 = u32::MAX;
 
 /// How many vertices are eliminated on the adjacency bits at the end: the
-/// whole graph when it is smaller. Whole orders of the benchmark's graphs
-/// (`grid_with_diagonals`, 10 % diagonals, seed 42; `random_geometric(65536,
-/// 3)`, "rg65k") on a 2-vCPU Xeon, medians of 61 interleaved runs on
-/// `grid64`, of 5 on the others (quartiles ±10–30 % there), ms, nested
-/// dissection included:
+/// whole graph when it is smaller. Whole MinDegree orders of the
+/// benchmark's graphs (`grid_with_diagonals`, 10 % diagonals, seed 42;
+/// `random_geometric(65536, 3)`, "rg65k") on a 2-vCPU Xeon, medians of 61
+/// interleaved runs on `grid64`, of 5 on the others (quartiles ±10–30 %
+/// there), ms:
 ///
-/// | tail  | `grid64` MinDegree | `grid64` ND | `grid128` MinDegree | `grid128` ND | rg65k MinDegree | rg65k ND |
-/// |-------|------|-------|-------|-------|------|-------|
-/// | 768   | 8.0  | 10.5  | 109.9 | 139.8 | 50.9 | 190.8 |
-/// | 1,024 | 6.7  | 10.1  | 108.1 | 128.6 | 51.5 | 192.4 |
-/// | 1,536 | 5.5  |  9.5  |  94.0 | 109.3 | 46.3 | 202.3 |
-/// | 2,048 | 5.6  |  9.5  |  80.8 |  95.7 | 45.9 | 217.1 |
+/// | tail  | `grid64` | `grid128` | rg65k |
+/// |-------|----------|-----------|-------|
+/// | 768   | 8.0      | 109.9     | 50.9  |
+/// | 1,024 | 6.7      | 108.1     | 51.5  |
+/// | 1,536 | 5.5      |  94.0     | 46.3  |
+/// | 2,048 | 5.6      |  80.8     | 45.9  |
 ///
-/// The grids gain past 1,536, rg65k's nested dissection (whose tail holds
-/// separators of low degree) does not. While the tail also kept a weight
-/// triangle (2 MB at 1,024) the grids stopped gaining at 1,024 to 1,536
-/// and a `random_geometric(262144, 3)` graph lost past 1,024.
-const DENSE_TAIL: usize = 1536;
+/// The grids gain past 1,536, rg65k does not.
+pub(crate) const DENSE_TAIL: usize = 1536;
 
-/// The order an all-pairs build customizes on: a given order as it is, or
-/// the order one elimination of `graph` pops.
-pub(crate) fn elimination_order(graph: &Graph, strategy: OrderingStrategy) -> VertexOrder {
-    order_with_tail(graph, strategy, DENSE_TAIL)
+/// The MinDegree order of `graph`: one elimination of the whole graph.
+pub(crate) fn min_degree_order(graph: &Graph) -> VertexOrder {
+    let n = graph.num_vertices();
+    VertexOrder::from_sequence(min_degree_sequence(&mut adjacency(graph), n, n, DENSE_TAIL))
 }
 
-/// [`elimination_order`] with the last `tail` vertices on the dense
-/// adjacency bits. The result does not depend on `tail`.
-fn order_with_tail(graph: &Graph, strategy: OrderingStrategy, tail: usize) -> VertexOrder {
-    if let OrderingStrategy::Given(order) = strategy {
-        assert_eq!(
-            order.len(),
-            graph.num_vertices(),
-            "given order does not cover the graph"
-        );
-        return order;
-    }
-    let n = graph.num_vertices();
-    let tail = tail.min(n);
-    let mut head = SparseRows::<VertexId>::new(graph);
-    let mut schedule = Schedule::new(strategy, graph, &head.rows);
-    for step in 0..n - tail {
+/// `graph`'s adjacency as the rows of a live graph.
+fn adjacency(graph: &Graph) -> Vec<Vec<VertexId>> {
+    // A graph has no self-loops and no parallel edges, so its adjacency is
+    // the initial set of rows as it stands.
+    (graph.vertices())
+        .map(|v| graph.neighbors(v).map(|(u, _)| u).collect())
+        .collect()
+}
+
+/// The order in which the minimum-`(degree, id)` elimination pops the
+/// `members` of a live graph, the last `tail` of them on the dense bits
+/// (the order does not depend on `tail`). `rows[i]` holds the live
+/// neighbours of member `i`, ids below `width`; the ids from `members` up
+/// are live vertices that stay (they count in a degree and gain fill, but
+/// keep no row), such as the separators above a nested-dissection group
+/// (`dissection.rs`). The rows are left in `rows`, and the rows past
+/// `members` are not read, so one set of buffers serves many live graphs.
+pub(crate) fn min_degree_sequence(
+    rows: &mut Vec<Vec<VertexId>>,
+    members: usize,
+    width: usize,
+    tail: usize,
+) -> Vec<VertexId> {
+    let tail = tail.min(members);
+    let mut schedule = Schedule::new(None, &rows[..members]);
+    let mut head = SparseRows::new(std::mem::take(rows), members, width);
+    for step in 0..members - tail {
         let v = schedule.next(step);
         head.eliminate(v, &mut schedule, None);
     }
     if tail > 0 {
         // Every slot is free again; the dense tail reuses them as local ids.
-        eliminate_dense(&head.rows, &mut schedule, n - tail, &mut head.slot);
+        let live = &head.rows[..members];
+        eliminate_dense(live, &mut schedule, members - tail, &mut head.slot);
     }
-    schedule.into_order()
+    *rows = head.rows;
+    match schedule {
+        Schedule::Queue { sequence, .. } => sequence,
+        Schedule::Given(_) => unreachable!("nothing was given"),
+    }
 }
 
-/// Eliminates every vertex of `graph` in the order `strategy` dictates,
-/// keeping only the shortcuts no witness path of at most `hop_limit` settled
-/// vertices makes redundant.
+/// Eliminates every vertex of `graph` in the order `given`, or by minimum
+/// `(degree, id)` on the pruned rows when there is none, keeping only the
+/// shortcuts no witness path of at most `hop_limit` settled vertices makes
+/// redundant.
 pub(crate) fn eliminate_pruned(
     graph: &Graph,
-    strategy: OrderingStrategy,
+    given: Option<VertexOrder>,
     hop_limit: usize,
 ) -> Elimination {
-    let mut rows = SparseRows::<(VertexId, Weight)>::new(graph);
-    let mut schedule = Schedule::new(strategy, graph, &rows.rows);
+    let arcs = graph.vertices().map(|v| graph.neighbors(v).collect());
+    let arcs: Vec<Vec<(VertexId, Weight)>> = arcs.collect();
+    let mut schedule = Schedule::new(given, &arcs);
+    let n = graph.num_vertices();
+    let mut rows = SparseRows::new(arcs, n, n);
     let mut redundant = Vec::new();
     let mut extra_shortcuts = 0;
-    for step in 0..graph.num_vertices() {
+    for step in 0..n {
         let v = schedule.next(step);
         // All of `v`'s witness searches run before any of its shortcuts is
         // written: the classic one-vertex-at-a-time semantics.
@@ -153,7 +169,10 @@ pub(crate) fn eliminate_pruned(
         }
         extra_shortcuts += rows.eliminate(v, &mut schedule, Some(&redundant));
     }
-    let order = schedule.into_order();
+    let order = match schedule {
+        Schedule::Queue { sequence, .. } => VertexOrder::from_sequence(sequence),
+        Schedule::Given(order) => order,
+    };
     let mut up = rows.rows;
     for row in &mut up {
         row.sort_unstable_by_key(|&(u, _)| order.rank(u));
@@ -168,8 +187,6 @@ pub(crate) fn eliminate_pruned(
 /// An entry of a live row: a neighbour, with the weight of the pair when
 /// the elimination keeps weights (only witness searches read them).
 trait Entry: Copy {
-    /// The entry of a graph arc to `u` weighing `w`.
-    fn arc(u: VertexId, w: Weight) -> Self;
     fn vertex(self) -> VertexId;
     /// The entry of a vertex's row for the neighbour `b` it gains through
     /// the eliminated vertex, which its entry `via` reaches.
@@ -180,9 +197,6 @@ trait Entry: Copy {
 }
 
 impl Entry for VertexId {
-    fn arc(u: VertexId, _: Weight) -> Self {
-        u
-    }
     fn vertex(self) -> VertexId {
         self
     }
@@ -193,9 +207,6 @@ impl Entry for VertexId {
 }
 
 impl Entry for (VertexId, Weight) {
-    fn arc(u: VertexId, w: Weight) -> Self {
-        (u, w)
-    }
     fn vertex(self) -> VertexId {
         self.0
     }
@@ -207,10 +218,13 @@ impl Entry for (VertexId, Weight) {
     }
 }
 
-/// The live graph as one row per vertex, and the scratch of a step.
+/// The live graph as one row per member, and the scratch of a step.
 struct SparseRows<E> {
+    /// The members' rows first.
     rows: Vec<Vec<E>>,
-    /// `slot[u]` = position of `u` in the row of the vertex being eliminated.
+    members: usize,
+    /// `slot[u]` = position of `u` in the row of the vertex being
+    /// eliminated; one entry per id of the live graph.
     slot: Vec<u32>,
     /// Per neighbour `a`: the positions whose pair with `a` needs no
     /// (further) write — `a` itself, pairs the scan met, pairs a witness
@@ -219,14 +233,12 @@ struct SparseRows<E> {
 }
 
 impl<E: Entry> SparseRows<E> {
-    fn new(graph: &Graph) -> Self {
+    /// The rows of the first `members` of a live graph of `width` ids.
+    fn new(rows: Vec<Vec<E>>, members: usize, width: usize) -> Self {
         SparseRows {
-            // A graph has no self-loops and no parallel edges, so its
-            // adjacency is the initial set of rows as it stands.
-            rows: (graph.vertices())
-                .map(|v| graph.neighbors(v).map(|(u, w)| E::arc(u, w)).collect())
-                .collect(),
-            slot: vec![NO_SLOT; graph.num_vertices()],
+            rows,
+            members,
+            slot: vec![NO_SLOT; width],
             done: Vec::new(),
         }
     }
@@ -241,7 +253,12 @@ impl<E: Entry> SparseRows<E> {
         schedule: &mut Schedule,
         redundant: Option<&[bool]>,
     ) -> usize {
-        let SparseRows { rows, slot, done } = self;
+        let SparseRows {
+            rows,
+            members,
+            slot,
+            done,
+        } = self;
         let nbrs = std::mem::take(&mut rows[v.index()]);
         let deg = nbrs.len();
         for (i, &a) in nbrs.iter().enumerate() {
@@ -249,13 +266,17 @@ impl<E: Entry> SparseRows<E> {
         }
         let mut extra_shortcuts = 0;
         for (i, &a) in nbrs.iter().enumerate() {
+            // A live vertex that is not a member keeps no row.
+            if a.vertex().index() >= *members {
+                continue;
+            }
+            let row = &mut rows[a.vertex().index()];
             done.clear();
             match redundant {
                 None => done.resize(deg, false),
                 Some(redundant) => done.extend_from_slice(&redundant[i * deg..(i + 1) * deg]),
             }
             done[i] = true;
-            let row = &mut rows[a.vertex().index()];
             let mut at_v = 0;
             for (j, e) in row.iter_mut().enumerate() {
                 let k = slot[e.vertex().index()] as usize;
@@ -288,9 +309,9 @@ impl<E: Entry> SparseRows<E> {
     }
 }
 
-/// Eliminates the vertices still live after `first` steps on one `r`-bit
-/// adjacency row per vertex. `local` is scratch of one entry per vertex of
-/// the graph.
+/// Eliminates the members still live after `first` steps on one bit row
+/// per member, with a column per live id (members first, then the ids that
+/// are not members). `local` is scratch of one entry per id.
 fn eliminate_dense(
     rows: &[Vec<VertexId>],
     schedule: &mut Schedule,
@@ -299,11 +320,15 @@ fn eliminate_dense(
 ) {
     let live = schedule.live();
     let r = live.len();
-    let words = r.div_ceil(64);
+    let members = rows.len();
+    let words = (r + local.len() - members).div_ceil(64);
     let mut adj: Vec<u64> = vec![0; r * words];
     let mut degree: Vec<u32> = Vec::with_capacity(r);
     for (i, &u) in live.iter().enumerate() {
         local[u.index()] = i as u32;
+    }
+    for (i, id) in local[members..].iter_mut().enumerate() {
+        *id = (r + i) as u32;
     }
     for (i, &u) in live.iter().enumerate() {
         let row = &rows[u.index()];
@@ -319,11 +344,15 @@ fn eliminate_dense(
         let v = schedule.next(step);
         let x = local[v.index()] as usize;
         x_adj.copy_from_slice(&adj[x * words..(x + 1) * words]);
-        for (k, &word) in x_adj.iter().enumerate() {
+        // Only the members' columns come first; the others keep no row.
+        for (k, &word) in x_adj.iter().enumerate().take(r.div_ceil(64)) {
             let mut word = word;
             while word != 0 {
                 let a = k * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
+                if a >= r {
+                    break;
+                }
                 // `a` gains the neighbours of `x` it lacked (itself among
                 // them, not kept) and loses `x`.
                 let a_adj = &mut adj[a * words..(a + 1) * words];
@@ -343,17 +372,8 @@ fn eliminate_dense(
 
 /// Where the next vertex to eliminate comes from.
 enum Schedule {
-    /// The live vertex of minimum `(degree, id)` in the current group; the
-    /// groups go one after the other. MinDegree is one group of every
-    /// vertex; a nested dissection's groups are its leaves and separators,
-    /// deepest first (`dissection.rs`). A degree change outside the current
-    /// group is one store: only the current group is in the queue.
+    /// The live member of minimum `(degree, id)`.
     Queue {
-        groups: Vec<Vec<VertexId>>,
-        /// The group in the queue is `groups[next_group - 1]`.
-        next_group: usize,
-        group_of: Vec<u32>,
-        degree: Vec<u32>,
         queue: DegreeQueue,
         /// The pops, in order.
         sequence: Vec<VertexId>,
@@ -363,28 +383,22 @@ enum Schedule {
 }
 
 impl Schedule {
-    fn new<E>(strategy: OrderingStrategy, graph: &Graph, rows: &[Vec<E>]) -> Self {
+    /// The given order, or a queue of every member of `rows` keyed by its
+    /// row's length.
+    fn new<E>(given: Option<VertexOrder>, rows: &[Vec<E>]) -> Self {
         let n = rows.len();
-        let groups = match strategy {
-            OrderingStrategy::MinDegree => vec![(0..n).map(VertexId::from_index).collect()],
-            OrderingStrategy::NestedDissection => dissection_groups(graph),
-            OrderingStrategy::Given(order) => {
-                assert_eq!(order.len(), n, "given order does not cover the graph");
-                return Schedule::Given(order);
-            }
-        };
-        let mut group_of = vec![0u32; n];
-        for (g, group) in groups.iter().enumerate() {
-            for &v in group {
-                group_of[v.index()] = g as u32;
-            }
+        if let Some(order) = given {
+            assert_eq!(order.len(), n, "given order does not cover the graph");
+            return Schedule::Given(order);
         }
+        let mut queue = DegreeQueue::new(n);
+        queue.fill(
+            rows.iter()
+                .enumerate()
+                .map(|(v, row)| (row.len() as u32, VertexId::from_index(v))),
+        );
         Schedule::Queue {
-            groups,
-            next_group: 0,
-            group_of,
-            degree: rows.iter().map(|row| row.len() as u32).collect(),
-            queue: DegreeQueue::new(n),
+            queue,
             sequence: Vec::with_capacity(n),
         }
     }
@@ -392,20 +406,8 @@ impl Schedule {
     /// The vertex eliminated at `step`.
     fn next(&mut self, step: usize) -> VertexId {
         match self {
-            Schedule::Queue {
-                groups,
-                next_group,
-                degree,
-                queue,
-                sequence,
-                ..
-            } => {
-                while queue.is_empty() {
-                    let group = &groups[*next_group];
-                    queue.fill(group.iter().map(|&v| (degree[v.index()], v)));
-                    *next_group += 1;
-                }
-                let v = queue.pop().expect("a nonempty group");
+            Schedule::Queue { queue, sequence } => {
+                let v = queue.pop().expect("a live member");
                 sequence.push(v);
                 v
             }
@@ -413,49 +415,24 @@ impl Schedule {
         }
     }
 
-    /// Live vertex `v` now has `degree` neighbours.
+    /// Live member `v` now has `degree` neighbours.
     fn set_degree(&mut self, v: VertexId, new: usize) {
-        if let Schedule::Queue {
-            next_group,
-            group_of,
-            degree,
-            queue,
-            ..
-        } = self
-        {
-            degree[v.index()] = new as u32;
-            if group_of[v.index()] as usize + 1 == *next_group {
-                queue.set_degree(v, new);
-            }
+        if let Schedule::Queue { queue, .. } = self {
+            queue.set_degree(v, new);
         }
     }
 
-    /// The vertices still live, about in the order they
-    /// will go, which keeps a step's bit rows close together: the current
-    /// group's live vertices by id (on a grid or a road network nearby ids
-    /// are mostly nearby vertices) and the later groups. A given order is
-    /// never eliminated on the bits.
+    /// The members still live, by id, which keeps a step's bit rows close
+    /// together (on a grid or a road network nearby ids are mostly nearby
+    /// vertices). A given order is never eliminated on the bits.
     fn live(&self) -> Vec<VertexId> {
         match self {
-            Schedule::Queue {
-                groups,
-                next_group,
-                queue,
-                ..
-            } => {
+            Schedule::Queue { queue, .. } => {
                 let mut live: Vec<VertexId> = queue.heap.iter().map(|&(_, v)| v).collect();
                 live.sort_unstable();
-                live.extend(groups[*next_group..].iter().flatten());
                 live
             }
             Schedule::Given(_) => unreachable!("a given order is taken as it is"),
-        }
-    }
-
-    fn into_order(self) -> VertexOrder {
-        match self {
-            Schedule::Queue { sequence, .. } => VertexOrder::from_sequence(sequence),
-            Schedule::Given(order) => order,
         }
     }
 }
@@ -475,10 +452,6 @@ impl DegreeQueue {
             heap: Vec::new(),
             pos: vec![0; n],
         }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Queues `entries` (an empty queue's).
@@ -602,22 +575,24 @@ mod tests {
     use htsp_graph::gen::{grid, grid_with_diagonals, random_geometric, WeightRange};
     use htsp_graph::GraphBuilder;
 
-    /// The sparse→dense hand-off at every interesting step: none (0), the
-    /// last vertex (1), the last two (2), half way (n/2) and the whole graph
-    /// (n) must all pop the all-sparse order, under `MinDegree` and under
-    /// `NestedDissection`: the order is all the tail decides.
-    fn assert_tail_invariant(name: &str, g: &Graph) {
-        let n = g.num_vertices();
-        for strategy in [
-            OrderingStrategy::MinDegree,
-            OrderingStrategy::NestedDissection,
-        ] {
-            let sparse = order_with_tail(g, strategy.clone(), 0);
-            for tail in [1, 2, n / 2, n] {
-                let order = order_with_tail(g, strategy.clone(), tail);
-                assert_eq!(order, sparse, "{name}, {strategy:?}, tail {tail}");
-            }
+    /// The sparse→dense hand-off at every interesting step: the last member
+    /// (1), the last two (2), half way and all of them must pop the
+    /// all-sparse order (0): the order is all the tail decides.
+    fn assert_tail_invariant(name: &str, rows: Vec<Vec<VertexId>>, width: usize) {
+        let k = rows.len();
+        let sparse = min_degree_sequence(&mut rows.clone(), k, width, 0);
+        for tail in [1, 2, k / 2, k] {
+            // A spare row past the members is never read.
+            let mut rows = rows.clone();
+            rows.push(vec![VertexId(0); 3]);
+            let sequence = min_degree_sequence(&mut rows, k, width, tail);
+            assert_eq!(sequence, sparse, "{name}, tail {tail}");
         }
+    }
+
+    /// MinDegree on the whole of `g`.
+    fn assert_whole_graph_invariant(name: &str, g: &Graph) {
+        assert_tail_invariant(name, adjacency(g), g.num_vertices());
     }
 
     /// A builder over `n` vertices holding `g`'s edges.
@@ -633,13 +608,13 @@ mod tests {
     fn a_grid_larger_than_the_tail_eliminates_alike_at_every_hand_off() {
         let g = grid_with_diagonals(40, 40, WeightRange::new(1, 60), 0.15, 3);
         assert!(g.num_vertices() > DENSE_TAIL);
-        assert_tail_invariant("40x40 grid with diagonals", &g);
+        assert_whole_graph_invariant("40x40 grid with diagonals", &g);
     }
 
     #[test]
     fn random_geometric_eliminates_alike_at_every_hand_off() {
         let g = random_geometric(260, 3, WeightRange::new(1, 80), 5);
-        assert_tail_invariant("random geometric", &g);
+        assert_whole_graph_invariant("random geometric", &g);
     }
 
     #[test]
@@ -652,7 +627,7 @@ mod tests {
         for v in 1..30u32 {
             b.add_edge(VertexId(40 + v), VertexId(40 + (v - 1) / 2), 2 + v % 5);
         }
-        assert_tail_invariant("two-tree forest", &b.build());
+        assert_whole_graph_invariant("two-tree forest", &b.build());
     }
 
     #[test]
@@ -661,14 +636,14 @@ mod tests {
         for leaf in 1..40 {
             b.add_edge(VertexId(0), VertexId(leaf), leaf);
         }
-        assert_tail_invariant("star", &b.build());
+        assert_whole_graph_invariant("star", &b.build());
     }
 
     #[test]
     fn an_isolated_vertex_eliminates_alike_at_every_hand_off() {
         let base = grid(6, 6, WeightRange::new(1, 20), 4);
         let g = builder_with(&base, base.num_vertices() + 1).build();
-        assert_tail_invariant("grid plus an isolated vertex", &g);
+        assert_whole_graph_invariant("grid plus an isolated vertex", &g);
     }
 
     #[test]
@@ -684,7 +659,28 @@ mod tests {
         b.add_edge(VertexId(n as u32), VertexId(27), u32::MAX);
         let g = b.build();
         assert!(g.edges().filter(|e| e.3 == u32::MAX).count() >= 2);
-        assert_tail_invariant("max-weight arcs, saturating sums", &g);
+        assert_whole_graph_invariant("max-weight arcs, saturating sums", &g);
+    }
+
+    #[test]
+    fn live_neighbours_without_rows_count_but_are_never_popped() {
+        // A group's live graph: the members are the first ids of a grid, the
+        // rest are live vertices above it that keep no row, and a clique
+        // over six ids stands in for a part eliminated below.
+        let g = grid_with_diagonals(12, 12, WeightRange::new(1, 9), 0.2, 8);
+        let n = g.num_vertices();
+        for members in [1, 30, 100, n - 1] {
+            let mut rows = adjacency(&g);
+            rows.truncate(members);
+            let clique = members / 2..members / 2 + 6;
+            for x in clique.clone().filter(|&x| x < members) {
+                let row = &mut rows[x];
+                row.extend(clique.clone().filter(|&y| y != x).map(VertexId::from_index));
+                row.sort_unstable();
+                row.dedup();
+            }
+            assert_tail_invariant(&format!("{members} members of a grid"), rows, n);
+        }
     }
 
     #[test]
@@ -693,8 +689,8 @@ mod tests {
         let mut sequence: Vec<VertexId> = g.vertices().collect();
         sequence.reverse();
         let descending = VertexOrder::from_sequence(sequence);
-        let given = OrderingStrategy::Given(descending.clone());
-        assert_eq!(elimination_order(&g, given), descending);
+        let pruned = eliminate_pruned(&g, Some(descending.clone()), 16);
+        assert_eq!(pruned.order, descending);
     }
 
     #[test]
@@ -708,10 +704,11 @@ mod tests {
             b.add_edge(VertexId(v), VertexId((v - 1) / 3), 1 + v % 7);
         }
         let g = b.build();
-        let pruned = eliminate_pruned(&g, OrderingStrategy::MinDegree, 16);
+        let pruned = eliminate_pruned(&g, None, 16);
         for tail in [0, DENSE_TAIL, n as usize] {
-            let order = order_with_tail(&g, OrderingStrategy::MinDegree, tail);
-            assert_eq!(pruned.order, order, "tail {tail}");
+            let n = n as usize;
+            let sequence = min_degree_sequence(&mut adjacency(&g), n, n, tail);
+            assert_eq!(pruned.order.sequence(), &sequence[..], "tail {tail}");
         }
         assert_eq!(pruned.extra_shortcuts, 0);
     }

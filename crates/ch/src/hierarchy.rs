@@ -6,9 +6,10 @@
 //! topology and the order alone, its weights on the weights alone.
 //!
 //! 1. **Order.** [`OrderingStrategy::Given`] is used as it is;
-//!    [`OrderingStrategy::MinDegree`] and
-//!    [`OrderingStrategy::NestedDissection`] run the elimination
-//!    (`elimination.rs`) for the order only.
+//!    [`OrderingStrategy::MinDegree`] runs the elimination
+//!    (`elimination.rs`) for the order only, and
+//!    [`OrderingStrategy::NestedDissection`] orders each group of the
+//!    dissection on its own live graph (`dissection.rs`).
 //! 2. **Fill (symbolic).** `N_up(v)` is `v`'s higher neighbours plus each of
 //!    its elimination-tree children's `N_up` minus `v`, built in rank order
 //!    with one stamp array, stored as CSR and sorted by rank (`symbolic_fill`).
@@ -27,19 +28,25 @@
 //! | MinDegree         | 17.4            | 14.2  | 85–90        | 103–115 |
 //! | nested dissection | 20.8            | 18.7  | 238–247      | 269–283 |
 //!
-//! On the road-like graph a MinDegree or nested-dissection build pays its
-//! elimination (60 ms of MinDegree's) and then the fill (10 ms) and the
-//! customization (≈ 35 ms) where one weighted pass did both.
+//! On the road-like graph a MinDegree build pays its elimination (60 ms)
+//! and then the fill (10 ms) and the customization (≈ 35 ms) where one
+//! weighted pass did both. A nested-dissection build then still eliminated
+//! the whole graph for its order; ordering each group on its own live graph
+//! instead took it, on another day's host (medians of 31 on `grid64`, of 7
+//! on the others), from 13.1 to 8.8 ms on `grid64` (the order 8.9 → 5.0:
+//! dissection 3.1, the groups' orders 1.8), 120 → 60 ms on
+//! `grid_with_diagonals(128, 128)` and 215 → 167 ms on rg65k.
 //! `given_order_and_nd_builds_on_grid64` below is the ruler. Witness-pruned
 //! builds (TOAIN) keep their weighted elimination: a witness search reads
-//! the live weights.
+//! the live weights; a nested-dissection order is given to them whole.
 //!
 //! This module wraps the result for serving: chunked copy-on-write shortcut
 //! weights, the immutable arc topology (`ArcIndex`) and the shared repair
 //! scratch.
 
 use crate::dch::{Pull, RepairScratch};
-use crate::elimination::{eliminate_pruned, elimination_order, Elimination};
+use crate::dissection::nested_dissection_order;
+use crate::elimination::{eliminate_pruned, min_degree_order, Elimination};
 use crate::ordering::{OrderingStrategy, VertexOrder};
 use htsp_graph::cow::{CowStats, CowTable};
 use htsp_graph::par::WorkerPool;
@@ -211,6 +218,24 @@ fn symbolic_fill(graph: &Graph, order: &VertexOrder) -> Fill {
     Fill { start, ranks }
 }
 
+/// The order `strategy` fixes before anything is eliminated: a given one, or
+/// the nested dissection's. `None` for MinDegree, whose order is popped by
+/// an elimination (on the pruned rows, under witness pruning).
+fn fixed_order(graph: &Graph, strategy: OrderingStrategy) -> Option<VertexOrder> {
+    match strategy {
+        OrderingStrategy::MinDegree => None,
+        OrderingStrategy::NestedDissection => Some(nested_dissection_order(graph)),
+        OrderingStrategy::Given(order) => {
+            assert_eq!(
+                order.len(),
+                graph.num_vertices(),
+                "given order does not cover the graph"
+            );
+            Some(order)
+        }
+    }
+}
+
 /// A two-hop shortcut candidate `sc(x, v) + sc(x, u)`, saturating one below
 /// "unreachable" — an arc that exists is never unreachable. The build and the
 /// repair both take their sums from here, so a repaired hierarchy equals a
@@ -239,8 +264,9 @@ impl ContractionHierarchy {
     /// run on the live contraction graph before any of its shortcuts is
     /// written — the classic one-vertex-at-a-time semantics.
     pub fn build(graph: &Graph, strategy: OrderingStrategy, mode: ShortcutMode) -> Self {
+        let fixed = fixed_order(graph, strategy);
         let ShortcutMode::WitnessPruned { hop_limit } = mode else {
-            let order = elimination_order(graph, strategy);
+            let order = fixed.unwrap_or_else(|| min_degree_order(graph));
             let fill = symbolic_fill(graph, &order);
             return Self::customize(graph, order, &fill);
         };
@@ -248,7 +274,7 @@ impl ContractionHierarchy {
             order,
             up,
             extra_shortcuts,
-        } = eliminate_pruned(graph, strategy, hop_limit);
+        } = eliminate_pruned(graph, fixed, hop_limit);
         Self::from_parts(order, up, mode, extra_shortcuts)
     }
 
@@ -589,28 +615,33 @@ mod tests {
     }
 
     /// The all-pairs build's ruler on the benchmark's dataset: the
-    /// nested-dissection build beside a build on its order, and the
-    /// order / fill / customize split, interleaved.
+    /// nested-dissection build beside a build on its order, the order split
+    /// into the dissection and the groups' local orders, and the fill and
+    /// customize steps, interleaved.
     ///
     /// `cargo test --release -p htsp-ch -- --ignored --nocapture grid64`
     #[test]
     #[ignore = "a timing ruler: seconds, and only meaningful in a release build"]
     fn given_order_and_nd_builds_on_grid64() {
+        use crate::dissection::Dissection;
         use htsp_graph::gen::grid_with_diagonals;
         use std::time::Instant;
         let g = grid_with_diagonals(64, 64, WeightRange::new(1, 100), 0.1, 42);
         let nd = OrderingStrategy::NestedDissection;
-        let order = elimination_order(&g, nd.clone());
+        let order = nested_dissection_order(&g);
         let fill = symbolic_fill(&g, &order);
+        let dissection = Dissection::new(&g);
         let ms = |f: &mut dyn FnMut()| {
             let t = Instant::now();
             f();
             t.elapsed().as_secs_f64() * 1e3
         };
-        let mut runs: [(&str, Vec<f64>); 5] = [
+        let mut runs: [(&str, Vec<f64>); 7] = [
             ("ND build", Vec::new()),
             ("given build", Vec::new()),
             ("ND order", Vec::new()),
+            ("  dissection", Vec::new()),
+            ("  local orders", Vec::new()),
             ("fill", Vec::new()),
             ("customize", Vec::new()),
         ];
@@ -623,19 +654,25 @@ mod tests {
                 ContractionHierarchy::build(&g, given, ShortcutMode::AllPairs);
             }));
             runs[2].1.push(ms(&mut || {
-                elimination_order(&g, nd.clone());
+                nested_dissection_order(&g);
             }));
             runs[3].1.push(ms(&mut || {
-                symbolic_fill(&g, &order);
+                Dissection::new(&g);
             }));
             runs[4].1.push(ms(&mut || {
+                dissection.order();
+            }));
+            runs[5].1.push(ms(&mut || {
+                symbolic_fill(&g, &order);
+            }));
+            runs[6].1.push(ms(&mut || {
                 ContractionHierarchy::customize(&g, order.clone(), &fill);
             }));
         }
         println!("grid64, ms (median of 31; quartiles):");
         for (name, v) in &mut runs {
             v.sort_by(f64::total_cmp);
-            println!("    {name:<12} {:6.2} ({:.2}-{:.2})", v[15], v[7], v[23]);
+            println!("    {name:<14} {:6.2} ({:.2}-{:.2})", v[15], v[7], v[23]);
         }
     }
 }

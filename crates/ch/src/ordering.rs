@@ -13,12 +13,12 @@
 //! The whole-graph all-pairs hierarchies (the tree decomposition under every
 //! H2H-based index, and DCH) are ordered by
 //! [`OrderingStrategy::NestedDissection`] instead: balanced minimum vertex
-//! cuts from the topology alone, MinDegree inside the parts too small to
-//! cut, again from the one elimination pass (`dissection.rs`). MinDegree stays
-//! the order of the witness-pruned TOAIN build, of the partition hierarchies
-//! and of [`mde_order`].
+//! cuts from the topology alone, each leaf and separator ordered by the same
+//! minimum-degree kernel on its own live graph (`dissection.rs`). MinDegree
+//! stays the order of the witness-pruned TOAIN build, of the partition
+//! hierarchies and of [`mde_order`].
 
-use crate::elimination::elimination_order;
+use crate::elimination::min_degree_order;
 use htsp_graph::{Graph, VertexId};
 use rustc_hash::FxHashSet;
 
@@ -123,7 +123,8 @@ pub enum OrderingStrategy {
     /// alone, with MinDegree inside the parts too small to cut
     /// (`dissection.rs`). Its tree is shallower and narrower than
     /// MinDegree's on road-like graphs; the whole-graph all-pairs
-    /// hierarchies (`TreeDecomposition::build`, DCH) are built on it.
+    /// hierarchies (`TreeDecomposition::build`, DCH) are built on it. A
+    /// witness-pruned build takes it as a given order.
     NestedDissection,
     /// A caller-supplied order (used for boundary-first PSP orders, §IV-B).
     Given(VertexOrder),
@@ -138,7 +139,7 @@ pub enum OrderingStrategy {
 /// more: it fills and customizes, as a [`OrderingStrategy::MinDegree`]
 /// build does after its own elimination.
 pub fn mde_order(graph: &Graph) -> VertexOrder {
-    elimination_order(graph, OrderingStrategy::MinDegree)
+    min_degree_order(graph)
 }
 
 /// Computes a *boundary-first* MDE order: all vertices in `boundary` receive

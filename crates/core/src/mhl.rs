@@ -14,7 +14,7 @@ use htsp_baselines::{bidijkstra_pool, ch_query_pool, BiDijkstraView, ChView, H2h
 use htsp_ch::ChQuery;
 use htsp_graph::{
     Graph, IndexMaintainer, QueryView, ScratchPool, SnapshotError, SnapshotPublisher, UpdateBatch,
-    UpdateTimeline, VertexId,
+    UpdateTimeline, VertexId, WorkerPool,
 };
 use htsp_search::BiDijkstra;
 use htsp_td::H2HIndex;
@@ -62,7 +62,12 @@ pub struct Mhl {
 impl Mhl {
     /// Builds the index from scratch.
     pub fn build(graph: &Graph) -> Self {
-        Self::from_index(graph, H2HIndex::build(graph))
+        Self::build_pooled(graph, &WorkerPool::sequential())
+    }
+
+    /// [`Self::build`] with the label fill's subtrees on `pool`.
+    pub fn build_pooled(graph: &Graph, pool: &WorkerPool) -> Self {
+        Self::from_index(graph, H2HIndex::build_pooled(graph, pool))
     }
 
     fn from_index(graph: &Graph, h2h: H2HIndex) -> Self {

@@ -218,24 +218,42 @@ pub struct PostMhl {
 impl PostMhl {
     /// Builds PostMHL (Algorithm 4): the tree decomposition and its labels,
     /// which hold the overlay, post-boundary and cross-boundary indexes,
-    /// then TD-partitioning. Sequential, so bit-identical at any thread
-    /// count.
+    /// then TD-partitioning. The label fill runs on a pool of
+    /// `config.num_threads` ([`Self::build_pooled`]).
     pub fn build(graph: &Graph, config: PostMhlConfig) -> Self {
-        Self::build_ordered(graph, OrderingStrategy::NestedDissection, config)
+        Self::build_pooled(graph, config, &WorkerPool::new(config.num_threads))
+    }
+
+    /// [`Self::build`] with the label fill's subtrees on `pool`
+    /// ([`H2HIndex::from_decomposition_pooled`]); the order, the
+    /// customization and the TD-partitioning are sequential. Bit-identical
+    /// at every thread count.
+    pub fn build_pooled(graph: &Graph, config: PostMhlConfig, pool: &WorkerPool) -> Self {
+        Self::build_ordered(graph, OrderingStrategy::NestedDissection, config, pool)
     }
 
     /// Warm restart: rebuilds the index from `graph` on the elimination
-    /// order a `snapshot_state` stored, skipping the nested dissection and
-    /// the elimination (the order depends on the topology alone, so it
-    /// holds for every weight change). The shortcut rows are the order's
-    /// symbolic fill, customized; the label fill and the TD-partitioning are
-    /// still paid. The result is bit-identical to [`Self::build`] on
-    /// `graph`. An order that is not a permutation of the graph's vertices
-    /// is [`SnapshotError::Malformed`].
+    /// order a `snapshot_state` stored, skipping the nested dissection (the
+    /// order depends on the topology alone, so it holds for every weight
+    /// change). The shortcut rows are the order's symbolic fill,
+    /// customized; the label fill (on a pool of `config.num_threads`) and
+    /// the TD-partitioning are still paid. The result is bit-identical to
+    /// [`Self::build`] on `graph`. An order that is not a permutation of the
+    /// graph's vertices is [`SnapshotError::Malformed`].
     pub fn from_state(
         graph: &Graph,
         state: &[u8],
         config: PostMhlConfig,
+    ) -> Result<Self, SnapshotError> {
+        Self::from_state_pooled(graph, state, config, &WorkerPool::new(config.num_threads))
+    }
+
+    /// [`Self::from_state`] with the label fill's subtrees on `pool`.
+    pub fn from_state_pooled(
+        graph: &Graph,
+        state: &[u8],
+        config: PostMhlConfig,
+        pool: &WorkerPool,
     ) -> Result<Self, SnapshotError> {
         let order = VertexOrder::from_snapshot_bytes(state)?;
         if order.len() != graph.num_vertices() {
@@ -249,12 +267,19 @@ impl PostMhl {
             graph,
             OrderingStrategy::Given(order),
             config,
+            pool,
         ))
     }
 
-    fn build_ordered(graph: &Graph, ordering: OrderingStrategy, config: PostMhlConfig) -> Self {
+    fn build_ordered(
+        graph: &Graph,
+        ordering: OrderingStrategy,
+        config: PostMhlConfig,
+        pool: &WorkerPool,
+    ) -> Self {
         let ch = ContractionHierarchy::build(graph, ordering, ShortcutMode::AllPairs);
-        let h2h = H2HIndex::from_decomposition(TreeDecomposition::from_hierarchy(ch));
+        let td = TreeDecomposition::from_hierarchy(ch);
+        let h2h = H2HIndex::from_decomposition_pooled(td, pool);
         let tdp = td_partition(h2h.decomposition(), &config.partitioning);
         let n = graph.num_vertices();
         PostMhl {
@@ -799,11 +824,13 @@ mod tests {
         });
         println!("grid128: order + contraction {eliminate:?}, label fill {fill:?}");
         // PostMHL's index is the H2H index; the build adds the partitioning.
-        // Interleaved, so neither side alone pays for the first fresh pages.
+        // Both fill on two threads. Interleaved, so neither side alone pays
+        // for the first fresh pages.
+        let pool = WorkerPool::new(2);
         let (mut h2h, mut post) = (std::time::Duration::MAX, std::time::Duration::MAX);
         for _ in 0..3 {
             let t = Instant::now();
-            H2HIndex::build(&g);
+            H2HIndex::build_pooled(&g, &pool);
             h2h = h2h.min(t.elapsed());
             let t = Instant::now();
             PostMhl::build(&g, config(32, 16, 2));
@@ -819,8 +846,9 @@ mod tests {
     /// A cold [`PostMhl::build`] against [`PostMhl::from_state`] on its
     /// stored order, on the benchmark's `grid64` with its parameters
     /// (`BuildParams::new(8, 2)`): 31 interleaved runs of each, medians
-    /// with quartiles. The restore skips the nested dissection and the
-    /// elimination, so the gap is the ordering pass's time.
+    /// with quartiles. Both fill their labels on two threads; the restore
+    /// skips the order (the dissection and its groups' orders), so the gap
+    /// is the order's time.
     ///
     /// `cargo test --release -p htsp-core -- --ignored --nocapture grid64`
     #[test]

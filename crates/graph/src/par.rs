@@ -2,8 +2,9 @@
 //! deterministic result ordering and per-stage accounting.
 //!
 //! Construction is parallel where the work is independent by nature — one
-//! task per partition (N-CH-P, P-TD-P, PMHL) and one per fleet shard — and
-//! those fan-outs funnel through a [`WorkerPool`]:
+//! task per partition (N-CH-P, P-TD-P, PMHL), one per fleet shard, and one
+//! per subtree of an H2H label fill (`htsp-td`) — and those fan-outs funnel
+//! through a [`WorkerPool`]:
 //! [`WorkerPool::run`] evaluates a pure function over task indices
 //! `0..tasks` and returns the results **in index order**, regardless of which
 //! worker computed what, so a build that consumes them observes exactly the
@@ -12,12 +13,18 @@
 //! combined; a pool with one thread runs everything inline on the caller.
 //!
 //! What is *not* parallel is the elimination of one graph (order and
-//! shortcuts, `htsp-ch`) and the label fill over one tree (`htsp-td`). Both
-//! once forked per rank window and per tree level; on the benchmark's
-//! 4 096-vertex grid that made two threads slower than one (contraction 94 ms
-//! against 40 ms, label fill 26 ms against 19 ms), and the sequential passes
-//! that replaced them take 21 ms and 11 ms. Only the builders that fork
-//! take a pool.
+//! shortcuts, `htsp-ch`). It once forked per rank window, and the label fill
+//! per tree level; on the benchmark's 4 096-vertex grid that made two
+//! threads slower than one (contraction 94 ms against 40 ms, label fill 26
+//! ms against 19 ms). The fill now forks once, per subtree. Only the
+//! builders that fork take a pool.
+//!
+//! The caller of [`WorkerPool::run`] claims tasks like the threads it
+//! spawns, so the work starts at once on a core that is running, and a
+//! helper that starts late only takes fewer tasks. On a 2-vCPU VM, after
+//! 5–40 ms of single-threaded work, eight 0.25 ms tasks on two threads took
+//! a median 1.2 ms this way, where spawning two workers and blocking the
+//! caller took 1.7–2.3 ms, against 2.0 ms for a plain loop.
 //!
 //! The pool also keeps per-stage wall-clock and task counters
 //! ([`WorkerPool::stage_stats`]); the serving tier exports them as the
@@ -74,7 +81,8 @@ impl WorkerPool {
     /// Runs `f(0..tasks)` and returns the results in task-index order.
     ///
     /// `f` must be a pure function of its index (it may read shared state but
-    /// must not care which thread calls it). With one thread, or one task,
+    /// must not care which thread calls it). The caller runs tasks too,
+    /// beside `threads - 1` spawned threads; with one thread, or one task,
     /// everything runs inline on the caller.
     pub fn run<T, F>(&self, stage: &str, tasks: usize, f: F) -> Vec<T>
     where
@@ -88,20 +96,25 @@ impl WorkerPool {
         } else {
             let next = AtomicUsize::new(0);
             let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(tasks));
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= tasks {
-                                break;
-                            }
-                            local.push((i, f(i)));
-                        }
-                        collected.lock().unwrap().extend(local);
-                    });
+            let work = || {
+                let mut local: Vec<(usize, T)> = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= tasks {
+                        break;
+                    }
+                    local.push((i, f(i)));
                 }
+                (collected.lock())
+                    .expect("a worker panicked while adding its results")
+                    .extend(local);
+            };
+            // The caller is one of the workers (module docs).
+            std::thread::scope(|scope| {
+                for _ in 1..workers {
+                    scope.spawn(work);
+                }
+                work();
             });
             let mut pairs = collected.into_inner().unwrap();
             pairs.sort_unstable_by_key(|&(i, _)| i);

@@ -32,13 +32,20 @@
 //! and the gather's dependent `depth` loads cost more than the extra prefix
 //! entries (the table below).
 //!
-//! The build fills the arrays in one sequential depth-first preorder pass
-//! with the ancestor path on a stack ([`H2HIndex::from_decomposition`]),
-//! every row through the label kernel [`fold_label`]. It used to go level by
-//! level — per tree level one fork/join, a walk to the root per vertex and a
-//! scan of all `n` rows to hand out the level's slots — which on the
-//! benchmark's 4 096-vertex grid (tree height 265) took 19 ms on one thread
-//! and 26 ms on two.
+//! The build fills the arrays top-down, every row through the label kernel
+//! [`fold_label`] ([`H2HIndex::from_decomposition_pooled`]). On one thread
+//! that is one depth-first preorder pass with the ancestor path on a stack.
+//! On more, the tree is split once into a small upward-closed top (its
+//! upper separators) and at least eight subtrees of at most a quarter of
+//! the vertices each: the top is filled first, then each subtree is one
+//! task that reads its ancestors' rows in the top and writes its own
+//! preorder range. The rows, their allocation and so the index's bytes are
+//! the same at every thread count. On `grid64` (2-vCPU Xeon, the ruler
+//! `label_fill_on_one_and_two_threads_on_grid64`, medians of 41) the fill
+//! takes 5.0 → 3.5 ms on the nested-dissection tree from one thread to
+//! two, 6.3 → 4.3 ms on MinDegree's. An earlier fan-out by tree level —
+//! one fork/join per level, a walk to the root per vertex — took 19 ms on
+//! one thread and 26 ms on two on the same grid's MinDegree tree.
 //!
 //! # The two contiguous loops, at AVX2 speed where the CPU has it
 //!
@@ -84,6 +91,9 @@ use htsp_graph::par::WorkerPool;
 use htsp_graph::{
     ByteReader, ByteWriter, Dist, Graph, QuerySession, SnapshotError, VertexId, Weight, INF,
 };
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::Mutex;
 
 /// The H2H index: a tree decomposition plus per-node distance arrays.
 ///
@@ -107,38 +117,51 @@ impl H2HIndex {
         Self::from_decomposition(TreeDecomposition::build(graph))
     }
 
-    /// Builds the distance arrays over an existing decomposition, in
-    /// depth-first preorder with the ancestor path kept on a stack.
-    ///
-    /// A label reads only the labels of its ancestors, which preorder has
-    /// already filled, and the path of the next vertex is the current one cut
-    /// at its depth — no per-vertex walk to the root. The level-by-level
-    /// fan-out this replaced (one fork/join and one scan of all `n` rows per
-    /// tree level) was slower on two threads than on one.
+    /// [`Self::build`] with the label fill's subtrees on `pool`
+    /// ([`Self::from_decomposition_pooled`]).
+    pub fn build_pooled(graph: &Graph, pool: &WorkerPool) -> Self {
+        Self::from_decomposition_pooled(TreeDecomposition::build(graph), pool)
+    }
+
+    /// Builds the distance arrays over an existing decomposition in one
+    /// sequential depth-first preorder pass
+    /// ([`Self::from_decomposition_pooled`] on one thread).
     pub fn from_decomposition(td: TreeDecomposition) -> Self {
+        Self::from_decomposition_pooled(td, &WorkerPool::sequential())
+    }
+
+    /// Builds the distance arrays over an existing decomposition, the
+    /// subtrees below a small top on `pool` (stage `h2h_label_fill`). The
+    /// rows are the same at every thread count.
+    ///
+    /// A label reads only the labels of its ancestors. On one thread each
+    /// tree is filled in depth-first preorder with the ancestor path on a
+    /// stack: preorder has filled the ancestors already, and the path of the
+    /// next vertex is the current one cut at its depth. On more, the tree is
+    /// split once (`fork_split`): the top is filled first, in preorder,
+    /// then every subtree below it is one task that reads its ancestors'
+    /// rows in the top and writes only its own rows, a contiguous preorder
+    /// range. Every row is allocated here, in preorder, before any is
+    /// filled, so the rows lie in memory as the sequential pass leaves them.
+    pub fn from_decomposition_pooled(td: TreeDecomposition, pool: &WorkerPool) -> Self {
+        let preorder = td.topdown_order();
+        // Sized as the sequential fill sized them, capacity included.
+        let mut rows: Vec<Vec<Dist>> = (preorder.iter())
+            .map(|&v| {
+                let mut row = Vec::new();
+                row.resize(td.depth(v) as usize + 1, Dist::ZERO);
+                row
+            })
+            .collect();
+        fill_labels(&td, &mut rows, pool);
         let mut dis: Vec<Vec<Dist>> = vec![Vec::new(); td.num_vertices()];
-        let mut path: Vec<VertexId> = Vec::new();
-        let mut bag = Vec::new();
-        let mut stack: Vec<VertexId> = td.roots().iter().rev().copied().collect();
-        while let Some(v) = stack.pop() {
-            path.truncate(td.depth(v) as usize);
-            let mut label = Vec::new();
-            full_label(&td, &dis[..], v, &path, &mut bag, &mut label);
-            dis[v.index()] = label;
-            path.push(v);
-            stack.extend(td.children(v).iter().rev());
+        for (&v, row) in preorder.iter().zip(rows) {
+            dis[v.index()] = row;
         }
         H2HIndex {
             td,
             dis: CowTable::from_rows(dis),
         }
-    }
-
-    /// [`Self::from_decomposition`] under the name the benchmark adapter
-    /// calls; `pool` is not used (the label fill is sequential).
-    #[doc(hidden)]
-    pub fn from_decomposition_pooled(td: TreeDecomposition, _pool: &WorkerPool) -> Self {
-        Self::from_decomposition(td)
     }
 
     /// Reassembles an index from a decomposition and its label rows — the
@@ -274,6 +297,122 @@ impl H2HIndex {
             )));
         }
         Ok(h2h)
+    }
+}
+
+/// The fork of the label fill: at least this many subtrees below the top.
+const FORK_TASKS: usize = 8;
+
+/// Splits `td`'s forest for a fill on more than one thread: an upward-closed
+/// top, and the subtrees hanging below it. Starting from the trees, the
+/// largest subtree is moved into the top (its root, that is, its children
+/// become subtrees) until at least [`FORK_TASKS`] subtrees remain and none
+/// holds more than a quarter of the vertices. Returns the top's vertices and
+/// the subtrees' roots, both in preorder. A nested-dissection tree's top is
+/// its upper separators, a few hundred of `grid64`'s 4,096 vertices and
+/// the shortest rows; a path's top is all of it.
+fn fork_split(td: &TreeDecomposition) -> (Vec<VertexId>, Vec<VertexId>) {
+    let sizes = td.subtree_sizes();
+    let quarter = td.num_vertices() / 4;
+    let subtree = |v: VertexId| (sizes[v.index()], Reverse(td.preorder(v)), v);
+    let mut subtrees: BinaryHeap<_> = td.roots().iter().map(|&v| subtree(v)).collect();
+    let mut top = Vec::new();
+    while let Some(&(size, _, v)) = subtrees.peek() {
+        if subtrees.len() >= FORK_TASKS && size as usize <= quarter {
+            break;
+        }
+        subtrees.pop();
+        top.push(v);
+        subtrees.extend(td.children(v).iter().map(|&c| subtree(c)));
+    }
+    let mut roots: Vec<VertexId> = subtrees.into_iter().map(|(_, _, v)| v).collect();
+    top.sort_unstable_by_key(|&v| td.preorder(v));
+    roots.sort_unstable_by_key(|&v| td.preorder(v));
+    (top, roots)
+}
+
+/// Fills every label row of `td`: `rows[p]` is the row of the vertex at
+/// preorder position `p`, sized `depth + 1` and ending in its
+/// self-distance 0. The subtrees are tasks on `pool`; on one thread they are
+/// the trees, and nothing is filled beforehand.
+fn fill_labels(td: &TreeDecomposition, rows: &mut [Vec<Dist>], pool: &WorkerPool) {
+    let (top, roots) = if pool.threads() > 1 {
+        fork_split(td)
+    } else {
+        let mut roots = td.roots().to_vec();
+        roots.sort_unstable_by_key(|&v| td.preorder(v));
+        (Vec::new(), roots)
+    };
+    let position = |v: &VertexId| td.preorder(*v);
+    fill_rows(td, 0, rows, &[], top.iter().map(position));
+    // Hand out every subtree's rows, and the top rows each one reads: the
+    // path down to its root, back to back in `above`.
+    let preorder = td.topdown_order();
+    let mut rest = rows;
+    let mut at = 0;
+    let mut path: Vec<&[Dist]> = Vec::new();
+    let mut above: Vec<&[Dist]> = Vec::new();
+    let mut tasks = Vec::with_capacity(roots.len());
+    for &root in &roots {
+        while at < td.preorder(root) {
+            let (row, tail) = std::mem::take(&mut rest)
+                .split_first_mut()
+                .expect("a top row");
+            path.truncate(td.depth(preorder[at]) as usize);
+            path.push(row);
+            (rest, at) = (tail, at + 1);
+        }
+        let depth = td.depth(root) as usize;
+        let size = td.subtree_sizes()[root.index()] as usize;
+        let (subtree, tail) = std::mem::take(&mut rest).split_at_mut(size);
+        tasks.push((root, above.len()..above.len() + depth, Mutex::new(subtree)));
+        above.extend_from_slice(&path[..depth]);
+        (rest, at) = (tail, at + size);
+    }
+    // The largest first, so that the last task out is a small one.
+    tasks.sort_by_key(|task| Reverse(td.subtree_sizes()[task.0.index()]));
+    pool.run("h2h_label_fill", tasks.len(), |k| {
+        let (root, span, subtree) = &tasks[k];
+        let mut subtree = subtree.lock().expect("each subtree is filled once");
+        let positions = 0..subtree.len();
+        fill_rows(
+            td,
+            td.preorder(*root),
+            &mut subtree,
+            &above[span.clone()],
+            positions,
+        );
+    });
+}
+
+/// Fills the rows at `positions` (ascending) of `rows`, whose first row is
+/// that of preorder position `first`: an upward-closed set of a subtree
+/// rooted at `first`, or of the whole forest, visited in preorder with the
+/// path down to each vertex on a stack. `above` holds the rows of the
+/// ancestors outside `rows`, by depth.
+fn fill_rows(
+    td: &TreeDecomposition,
+    first: usize,
+    rows: &mut [Vec<Dist>],
+    above: &[&[Dist]],
+    positions: impl Iterator<Item = usize>,
+) {
+    let preorder = &td.topdown_order()[first..first + rows.len()];
+    let base = above.len();
+    let mut path: Vec<usize> = Vec::new();
+    let mut bag = Vec::new();
+    for i in positions {
+        let v = preorder[i];
+        let depth = td.depth(v) as usize;
+        path.truncate(depth - base);
+        bag_by_depth(td, v, &mut bag);
+        let (done, rest) = rows.split_at_mut(i);
+        let anc_row = |d: usize| match d.checked_sub(base) {
+            Some(below) => &done[path[below]][..],
+            None => above[d],
+        };
+        fold_label(&bag, 0, anc_row, &mut rest[0][..depth]);
+        path.push(i);
     }
 }
 
@@ -760,6 +899,96 @@ mod tests {
         assert!(overflows, "no label sum passes u32::MAX");
     }
 
+    /// The fill as one preorder pass over every tree, row by row through
+    /// [`full_label`]: what the build did before it forked.
+    fn sequential_fill(td: &TreeDecomposition) -> Vec<Vec<Dist>> {
+        let mut dis: Vec<Vec<Dist>> = vec![Vec::new(); td.num_vertices()];
+        let (mut path, mut bag) = (Vec::new(), Vec::new());
+        for &v in td.topdown_order() {
+            path.truncate(td.depth(v) as usize);
+            let mut label = Vec::new();
+            full_label(td, &dis[..], v, &path, &mut bag, &mut label);
+            dis[v.index()] = label;
+            path.push(v);
+        }
+        dis
+    }
+
+    #[test]
+    fn the_fill_equals_the_sequential_fill_at_every_thread_count() {
+        use htsp_ch::{ContractionHierarchy, OrderingStrategy};
+        let min_degree = |g: &Graph| {
+            let ch =
+                ContractionHierarchy::build(g, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
+            TreeDecomposition::from_hierarchy(ch)
+        };
+        let rg = random_geometric(2000, 3, WeightRange::new(1, 90), 27);
+        let mut forest = GraphBuilder::new(3 * 144 + 5);
+        for (_, u, v, w) in grid(12, 12, WeightRange::new(1, 30), 28).edges() {
+            for copy in 0..3 {
+                let shift = copy * 144;
+                forest.add_edge(VertexId(u.0 + shift), VertexId(v.0 + shift), w + copy);
+            }
+        }
+        let mut path = GraphBuilder::new(300);
+        for v in 1..300 {
+            path.add_edge(VertexId(v - 1), VertexId(v), 1 + v % 13);
+        }
+        // Name, tree, whether it forks.
+        let trees = [
+            (
+                "grid 40x40",
+                TreeDecomposition::build(&grid(40, 40, WeightRange::new(1, 50), 29)),
+                true,
+            ),
+            ("rg2000, dissection", TreeDecomposition::build(&rg), true),
+            ("rg2000, MinDegree", min_degree(&rg), true),
+            (
+                "three grids and five isolated vertices",
+                TreeDecomposition::build(&forest.build()),
+                true,
+            ),
+            ("path", min_degree(&path.build()), false),
+            (
+                "one vertex",
+                TreeDecomposition::build(&GraphBuilder::new(1).build()),
+                false,
+            ),
+        ];
+        for (name, td, forks) in trees {
+            let expect = sequential_fill(&td);
+            // A clone would trim the short rows' capacity.
+            let bytes = H2HIndex::from_parts(td.clone(), sequential_fill(&td)).label_heap_bytes();
+            for threads in [1, 2, 8] {
+                let pool = WorkerPool::new(threads);
+                let h2h = H2HIndex::from_decomposition_pooled(td.clone(), &pool);
+                for v in 0..td.num_vertices() {
+                    let v = VertexId::from_index(v);
+                    assert_eq!(
+                        h2h.label(v),
+                        &expect[v.index()][..],
+                        "{name}, {threads} threads, {v}"
+                    );
+                }
+                assert_eq!(h2h.label_heap_bytes(), bytes, "{name}, {threads} threads");
+                let stats = pool.stage_stats();
+                assert_eq!(stats.len(), 1, "{name}: one stage");
+                assert_eq!(stats[0].stage, "h2h_label_fill");
+                let tasks = stats[0].tasks;
+                if threads == 1 {
+                    assert_eq!(tasks, td.roots().len(), "{name}: one task per tree");
+                } else if forks {
+                    assert!(tasks >= FORK_TASKS, "{name}: {tasks} tasks");
+                    let (_, roots) = fork_split(&td);
+                    let largest = roots.iter().map(|r| td.subtree_sizes()[r.index()]).max();
+                    assert!(largest.unwrap() as usize <= td.num_vertices() / 4, "{name}");
+                } else {
+                    assert_eq!(tasks, 0, "{name}: nothing to fork");
+                }
+            }
+        }
+    }
+
     #[test]
     fn label_lengths_match_depth() {
         let g = grid(6, 6, WeightRange::new(1, 9), 7);
@@ -859,6 +1088,51 @@ mod tests {
             H2HIndex::from_snapshot_bytes(&bad),
             Err(SnapshotError::Malformed(_))
         ));
+    }
+
+    /// The label fill on the benchmark's `grid64`, on its nested-dissection
+    /// and its MinDegree tree, on one thread and on two, 41 interleaved
+    /// runs each, medians with quartiles.
+    ///
+    /// `cargo test --release -p htsp-td -- --ignored --nocapture grid64`
+    #[test]
+    #[ignore = "a timing ruler: seconds, and only meaningful in a release build"]
+    fn label_fill_on_one_and_two_threads_on_grid64() {
+        use htsp_ch::{ContractionHierarchy, OrderingStrategy};
+        use std::time::Instant;
+        note_missing_avx2();
+        let g = grid_with_diagonals(64, 64, WeightRange::new(1, 100), 0.1, 42);
+        let md =
+            ContractionHierarchy::build(&g, OrderingStrategy::MinDegree, ShortcutMode::AllPairs);
+        let trees = [
+            ("ND", TreeDecomposition::build(&g)),
+            ("MinDegree", TreeDecomposition::from_hierarchy(md)),
+        ];
+        let pools = [WorkerPool::new(1), WorkerPool::new(2)];
+        let mut ms = vec![Vec::new(); trees.len() * pools.len()];
+        for _ in 0..41 {
+            for (t, (_, td)) in trees.iter().enumerate() {
+                for (p, pool) in pools.iter().enumerate() {
+                    let td = td.clone();
+                    let start = Instant::now();
+                    let h2h = H2HIndex::from_decomposition_pooled(td, pool);
+                    ms[t * pools.len() + p].push(start.elapsed().as_secs_f64() * 1e3);
+                    drop(h2h);
+                }
+            }
+        }
+        println!("grid64 label fill, ms (median of 41; quartiles):");
+        for (t, (tree, _)) in trees.iter().enumerate() {
+            for (p, pool) in pools.iter().enumerate() {
+                let v = &mut ms[t * pools.len() + p];
+                v.sort_by(f64::total_cmp);
+                let threads = pool.threads();
+                println!(
+                    "    {tree:<9} {threads} thread(s) {:6.2} ({:.2}-{:.2})",
+                    v[20], v[10], v[30]
+                );
+            }
+        }
     }
 
     /// The query kernel's cost per query on the benchmark's `grid64` over the

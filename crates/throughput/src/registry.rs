@@ -228,9 +228,11 @@ impl AlgorithmKind {
         self.build_pooled(graph, params, &pool)
     }
 
-    /// Builds the index machinery of this kind with its per-partition
-    /// construction stages running on `pool` (N-CH-P, P-TD-P and PMHL;
-    /// the other kinds build sequentially and ignore it).
+    /// Builds the index machinery of this kind with its parallel
+    /// construction stages running on `pool`: the per-partition stages of
+    /// N-CH-P, P-TD-P and PMHL, and the whole-graph label fill of DH2H, MHL
+    /// and PostMHL (`htsp_td::H2HIndex::from_decomposition_pooled`). DCH,
+    /// TOAIN and BiDijkstra build sequentially and ignore it.
     ///
     /// The determinism contract of the parallel-construction subsystem: the
     /// built index — its answers, and for the kinds that store a state its
@@ -246,7 +248,7 @@ impl AlgorithmKind {
         match self {
             AlgorithmKind::BiDijkstra => Box::new(BiDijkstraBaseline::new(graph)),
             AlgorithmKind::Dch => Box::new(DchBaseline::build(graph)),
-            AlgorithmKind::Dh2h => Box::new(Dh2hBaseline::build(graph)),
+            AlgorithmKind::Dh2h => Box::new(Dh2hBaseline::build_pooled(graph, pool)),
             AlgorithmKind::Toain => Box::new(ToainBaseline::build(graph, params.toain_level_cap)),
             AlgorithmKind::NChP => {
                 Box::new(NChP::build(graph, params.num_partitions, params.seed, pool))
@@ -254,9 +256,11 @@ impl AlgorithmKind {
             AlgorithmKind::PTdP => {
                 Box::new(PTdP::build(graph, params.num_partitions, params.seed, pool))
             }
-            AlgorithmKind::Mhl => Box::new(Mhl::build(graph)),
+            AlgorithmKind::Mhl => Box::new(Mhl::build_pooled(graph, pool)),
             AlgorithmKind::Pmhl => Box::new(Pmhl::build(graph, params.pmhl_config(), pool)),
-            AlgorithmKind::PostMhl => Box::new(PostMhl::build(graph, params.postmhl_config())),
+            AlgorithmKind::PostMhl => {
+                Box::new(PostMhl::build_pooled(graph, params.postmhl_config(), pool))
+            }
         }
     }
 
@@ -265,9 +269,9 @@ impl AlgorithmKind {
     /// Kinds with a native serialized form (DCH, TOAIN, DH2H, MHL) decode
     /// `state` and skip construction entirely — the warm-restart fast path.
     /// PostMHL's `state` is its elimination order: its restore skips the
-    /// nested dissection and the elimination but still customizes the
-    /// shortcuts and fills the labels on that order, and gives the index a cold build on `graph` gives, bit
-    /// for bit ([`PostMhl::from_state`]). For N-CH-P, P-TD-P and PMHL, and
+    /// nested dissection but still customizes the shortcuts and fills the
+    /// labels on that order, and gives the index a cold build on `graph`
+    /// gives, bit for bit ([`PostMhl::from_state`]). For N-CH-P, P-TD-P and PMHL, and
     /// when there is no `state`, this **is a full build** from the
     /// snapshotted graph and `params`: their "restart" costs what a cold
     /// start costs. Corrupt `state` bytes surface as a typed
@@ -278,21 +282,23 @@ impl AlgorithmKind {
         params: &BuildParams,
         state: Option<&[u8]>,
     ) -> Result<Box<dyn IndexMaintainer>, SnapshotError> {
-        match state.and_then(|bytes| self.decode(graph, params, bytes)) {
+        let pool = WorkerPool::new(params.threads());
+        match state.and_then(|bytes| self.decode(graph, params, bytes, &pool)) {
             Some(decoded) => decoded,
-            None => Ok(self.build(graph, params)),
+            None => Ok(self.build_pooled(graph, params, &pool)),
         }
     }
 
     /// Decodes `state` if this kind stores one; `None` means a restart of
     /// this kind is a rebuild (stored state is ignored). A decode of
     /// PostMHL's state is itself a construction on the stored order
-    /// ([`Self::decode_builds`]).
+    /// ([`Self::decode_builds`]), whose label fill runs on `pool`.
     pub(crate) fn decode(
         self,
         graph: &Graph,
         params: &BuildParams,
         state: &[u8],
+        pool: &WorkerPool,
     ) -> Option<Result<Box<dyn IndexMaintainer>, SnapshotError>> {
         fn boxed<M: IndexMaintainer + 'static>(
             decoded: Result<M, SnapshotError>,
@@ -304,17 +310,20 @@ impl AlgorithmKind {
             AlgorithmKind::Toain => boxed(ToainBaseline::from_state(graph, state)),
             AlgorithmKind::Dh2h => boxed(Dh2hBaseline::from_state(graph, state)),
             AlgorithmKind::Mhl => boxed(Mhl::from_state(graph, state)),
-            AlgorithmKind::PostMhl => {
-                boxed(PostMhl::from_state(graph, state, params.postmhl_config()))
-            }
+            AlgorithmKind::PostMhl => boxed(PostMhl::from_state_pooled(
+                graph,
+                state,
+                params.postmhl_config(),
+                pool,
+            )),
             _ => None,
         }
     }
 
     /// Whether [`Self::decode`] of this kind pays a construction: PostMHL's
-    /// stored order saves the dissection and the elimination, not the
-    /// shortcut customization or the label fill, so its restart reports
-    /// build telemetry as a cold start does.
+    /// stored order saves the dissection, not the shortcut customization or
+    /// the label fill, so its restart reports build telemetry as a cold
+    /// start does.
     pub(crate) fn decode_builds(self) -> bool {
         self == AlgorithmKind::PostMhl
     }

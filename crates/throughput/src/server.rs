@@ -177,9 +177,10 @@ impl ServerBuilder {
     /// parameters all come from the file, and algorithms with a serialized
     /// index state skip construction entirely (the warm-restart fast path).
     /// PostMHL rebuilds on its stored elimination order, skipping the
-    /// nested dissection and the elimination; N-CH-P, P-TD-P and PMHL are rebuilt from the
+    /// nested dissection; N-CH-P, P-TD-P and PMHL are rebuilt from the
     /// snapshotted graph. Both say so: the `htsp_build_*` telemetry family
-    /// is registered exactly as on a cold start.
+    /// is registered exactly as on a cold start, stages included (PostMHL's
+    /// label fill ran on the pool it reports).
     /// Any corruption — bad magic, version skew, checksum mismatch,
     /// truncation, malformed sections — surfaces as a typed
     /// [`SnapshotError`]; this never panics on untrusted input.
@@ -201,16 +202,16 @@ impl ServerBuilder {
             .algorithm(kind)
             .build_params(params);
         let t = std::time::Instant::now();
+        let pool = htsp_graph::WorkerPool::new(params.threads());
         let decoded = snap
             .state
             .as_deref()
-            .and_then(|state| kind.decode(&snap.graph, &params, state));
+            .and_then(|state| kind.decode(&snap.graph, &params, state, &pool));
         let builder = match decoded {
             Some(maintainer) => {
                 let maintainer = maintainer?;
                 if kind.decode_builds() {
                     let total_micros = t.elapsed().as_micros() as u64;
-                    let pool = htsp_graph::WorkerPool::new(params.threads());
                     register_build_telemetry(&hub, kind.name(), &pool, total_micros);
                 }
                 builder.maintainer(maintainer)
@@ -337,8 +338,9 @@ impl ServerBuilder {
 /// Registers the `htsp_build_*` gauge family for one registry construction:
 /// `htsp_build_threads` and `htsp_build_total_micros` per algorithm, plus
 /// `htsp_build_stage_micros` / `htsp_build_stage_tasks` for every worker-pool
-/// stage the build ran (the per-partition fan-outs; the whole-graph
-/// hierarchy and label fill are sequential and appear in the total only).
+/// stage the build ran (the per-partition fan-outs and the H2H label fill,
+/// `h2h_label_fill`; the whole-graph hierarchy is sequential and appears in
+/// the total only).
 pub(crate) fn register_build_telemetry(
     hub: &TelemetryHub,
     algorithm: &str,

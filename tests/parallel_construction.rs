@@ -154,3 +154,57 @@ fn drift_updates_preserve_agreement_across_thread_counts() {
         }
     }
 }
+
+/// DH2H and MHL store their label rows, and the label fill forks on a pool
+/// of more than one thread once the tree is large enough: on a 40×40 grid
+/// the states must still be bit-identical, and the pool must show that the
+/// fill really ran as subtree tasks. PostMHL stores only its order, so its
+/// labels are compared through its storage footprint and answers.
+#[test]
+fn label_states_are_identical_when_the_fill_forks() {
+    use htsp::graph::WorkerPool;
+    let g = gen::grid_with_diagonals(40, 40, gen::WeightRange::new(2, 60), 0.15, 12);
+    let queries = QuerySet::random(&g, 40, 23);
+    for kind in [
+        AlgorithmKind::Dh2h,
+        AlgorithmKind::Mhl,
+        AlgorithmKind::PostMhl,
+    ] {
+        let build = |threads: usize| {
+            let pool = WorkerPool::new(threads);
+            let built = kind.build_pooled(&g, &params_with_threads(threads), &pool);
+            let fill = pool
+                .stage_stats()
+                .into_iter()
+                .find(|s| s.stage == "h2h_label_fill");
+            (built, fill.map_or(0, |s| s.tasks))
+        };
+        let (sequential, _) = build(1);
+        let seq_view = sequential.current_view();
+        for threads in [2, 8] {
+            let (built, tasks) = build(threads);
+            assert!(
+                tasks >= 8,
+                "{kind} at {threads} threads: {tasks} fill tasks"
+            );
+            assert_eq!(
+                built.snapshot_state(),
+                sequential.snapshot_state(),
+                "{kind} snapshot bytes diverge at {threads} threads"
+            );
+            assert_eq!(
+                built.storage_bytes(),
+                sequential.storage_bytes(),
+                "{kind} storage footprint diverges at {threads} threads"
+            );
+            let view = built.current_view();
+            for q in &queries {
+                assert_eq!(
+                    view.distance(q.source, q.target),
+                    seq_view.distance(q.source, q.target),
+                    "{kind} answers diverge at {threads} threads for {q:?}"
+                );
+            }
+        }
+    }
+}

@@ -280,13 +280,22 @@ fn a_restart_that_rebuilt_exports_build_telemetry() {
             .start_from_snapshot(&path)
             .expect("warm restart");
         let prom = restored.telemetry().export_prometheus();
-        // PostMHL stores only its elimination order, so its restart paid an
-        // elimination and a label fill; DCH decoded its state and built
-        // nothing.
+        // PostMHL stores only its elimination order, so its restart paid a
+        // customization and a label fill, and reports the fill's stage from
+        // the pool it ran on; DCH decoded its state and built nothing.
         assert_eq!(
             prom.contains("htsp_build_total_micros"),
             rebuilds,
             "{kind} restart, build telemetry in:\n{prom}"
+        );
+        let fill_stage = prom.lines().any(|line| {
+            line.starts_with("htsp_build_stage_micros")
+                && line.contains(&format!("algorithm=\"{kind}\""))
+                && line.contains("stage=\"h2h_label_fill\"")
+        });
+        assert_eq!(
+            fill_stage, rebuilds,
+            "{kind} restart, fill stage in:\n{prom}"
         );
         restored.shutdown();
         let _ = std::fs::remove_file(&path);
